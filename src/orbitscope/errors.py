@@ -91,7 +91,8 @@ class SupportEscapesBox(DomainError):
 
 
 class ZeroSigma(DomainError):
-    """sigma vanished at a point that should be covered; C does not reach it."""
+    """sigma vanished at a point that should be covered, or the box's orbits
+    are not open, so sigma is not one constant and no wavelet is built."""
 
 
 class QuasiSectionRefused(DomainError):

@@ -3,8 +3,19 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from scipy.special import roots_legendre
+
+
+@lru_cache(maxsize=32)
+def _reference_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights on [-1, 1]; read-only because every caller shares them."""
+    x, w = roots_legendre(order)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
 
 
 def gauss_legendre(order: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
@@ -13,7 +24,7 @@ def gauss_legendre(order: int, a: float, b: float) -> tuple[np.ndarray, np.ndarr
         raise ValueError("quadrature order must be >= 1")
     if not b > a:
         raise ValueError("empty quadrature interval")
-    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = _reference_rule(int(order))
     half = 0.5 * (b - a)
     return half * (x + 1.0) + a, half * w
 
@@ -26,13 +37,6 @@ class TensorRule:
     orders: tuple[int, ...]
     nodes: np.ndarray
     weights: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return len(self.box)
-
-    def doubled(self) -> "TensorRule":
-        return tensor_rule(self.box, tuple(2 * o for o in self.orders))
 
 
 def tensor_rule(box, orders) -> TensorRule:

@@ -60,11 +60,6 @@ class DiagonalizedAction:
         w = pts @ self.basis
         return np.stack([np.linalg.norm(w[:, sl], axis=1) for sl in self.slices], axis=1)
 
-    def dets(self, t) -> float:
-        """|det exp(sum t_j X_j)| = exp(sum over blocks of dim_k * mu_k . t)."""
-        dims = np.array([sl.stop - sl.start for sl in self.slices], dtype=float)
-        return float(np.exp(np.dot(dims, self.weights @ np.asarray(t, dtype=float))))
-
     def group_transforms(self, ts) -> np.ndarray:
         """Batched exp(sum t_j X_j)^T via the exact block closed form.
 

@@ -15,6 +15,11 @@ on the covered set by construction; the discrete wavelet transform
 computed slice by slice with FFTs; and the L1 reproducing-kernel estimate
 whose parameter support is confined to the meeting-set box of (W, W).
 
+phi and ghat depend on xi only through its block magnitudes r, which h_t^T
+scales as r_k exp(mu_k . t).  The quadrature sums, the Calderon integrals,
+the cwt slices and the L1 slices are therefore all evaluated on
+r . exp(W t); no n x n group transform is formed.
+
 Left Haar on G = R^n x| H is |det h|^{-1} dx dh and the modular function is
 Delta_G(x, h) = |det h|^{-1}; see docs/haar_and_modular.md for the
 derivation.  Delta_G^{-1/2} enters the L1 weight as |det h|^{+1/2} and is
@@ -24,10 +29,9 @@ exposed as a pluggable exponent.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline, RegularGridInterpolator
 from scipy.optimize import linprog
 
 from .errors import (
@@ -38,7 +42,7 @@ from .errors import (
     SupportUnbounded,
     ZeroSigma,
 )
-from .quad import TensorRule, boundary_shell_points, tensor_rule
+from .quad import boundary_shell_points, tensor_rule
 from .quasisection import (
     BoxSet,
     DiagonalizedAction,
@@ -97,28 +101,6 @@ def bump(action, C: BoxSet, W: BoxSet) -> BumpFunction:
         if c_lo == 0 and w_lo != 0:
             raise SetsNotNested("full C-block needs a full W-block")
     return BumpFunction(action=action, inner=C, outer=W)
-
-
-@dataclass(frozen=True)
-class QuadratureGrid:
-    """Tensor rule over the parameter box with cached transposed transforms."""
-
-    action: DiagonalizedAction
-    rule: TensorRule
-    transforms: np.ndarray  # (N, n, n): exp(sum t_j X_j)^T at each node
-    dets: np.ndarray  # (N,): |det exp(sum t_j X_j)|
-
-    def doubled(self) -> "QuadratureGrid":
-        return parameter_grid(self.action, self.rule.box, tuple(2 * o for o in self.rule.orders))
-
-
-def parameter_grid(action, box, orders=64) -> QuadratureGrid:
-    action = _as_action(action)
-    rule = tensor_rule(box, orders)
-    traces = np.array([np.trace(G) for G in action.alg.generators])
-    transforms = action.group_transforms(rule.nodes)
-    dets = np.exp(rule.nodes @ traces)
-    return QuadratureGrid(action=action, rule=rule, transforms=transforms, dets=dets)
 
 
 def _polyhedron_box(L, c, d, margin: float):
@@ -180,26 +162,48 @@ def point_support_box(action, W: BoxSet, r, pad: float = 0.05):
     return _polyhedron_box(L, c, action.d, pad)
 
 
-def _phi_squared(grid: QuadratureGrid, phi, xis: np.ndarray, chunk: int = 512) -> np.ndarray:
-    """sum_q w_q |phi(M_q xi)|^2 for each xi, chunked over quadrature nodes."""
-    m = xis.shape[0]
-    acc = np.zeros(m)
-    for start in range(0, grid.transforms.shape[0], chunk):
-        T = grid.transforms[start:start + chunk]
-        w = grid.rule.weights[start:start + chunk]
-        pts = np.einsum("qij,mj->qmi", T, xis)
-        vals = phi(pts.reshape(-1, xis.shape[1])).reshape(T.shape[0], m)
-        acc += np.einsum("q,qm->m", w, vals * vals)
-    return acc
+def _orders_tuple(orders, d: int) -> tuple:
+    return (int(orders),) * d if np.isscalar(orders) else tuple(orders)
 
 
-def check_support_in_box(grid: QuadratureGrid, phi, xis: np.ndarray,
+def _orbit_magnitudes(action: DiagonalizedAction, r: np.ndarray, ts) -> np.ndarray:
+    """Block magnitudes of h_t^T xi, one row per (t, xi) pair in t-major order,
+    for the points xi with block magnitudes r: r_k exp(mu_k . t)."""
+    scale = np.exp(np.atleast_2d(ts) @ action.weights.T)
+    return (scale[:, None, :] * r[None, :, :]).reshape(-1, r.shape[1])
+
+
+def _haar_integral(action: DiagonalizedAction, f, r: np.ndarray, box, orders,
+                   refine: bool = True) -> tuple[np.ndarray, float]:
+    """sum_q w_q |f(r . exp(W t_q))|^2 for each row of the block magnitudes r.
+
+    Tensor Gauss-Legendre over `box` for int_H |f(h^T xi)|^2 dh, where f is
+    a function of block magnitudes.  With `refine` the orders o go to 2o and,
+    when that moves any value by more than 0.1%, once more to 4o, with a
+    warning if the value is still unstable.  Returns the last values and
+    their relative drift from the previous orders (0 without refine).
+    """
+    orders = _orders_tuple(orders, action.d)
+    vals, drift = None, 0.0
+    for factor in (1, 2, 4) if refine else (1,):
+        rule = tensor_rule(box, tuple(factor * o for o in orders))
+        fv = f(_orbit_magnitudes(action, r, rule.nodes)).reshape(rule.nodes.shape[0], -1)
+        new = rule.weights @ (fv * fv)
+        if vals is not None:
+            drift = float(np.max(np.abs(new - vals)) / max(np.max(np.abs(new)), 1e-300))
+        vals = new
+        if factor == 2 and drift <= 1e-3:
+            break
+    if drift > 1e-3:
+        warnings.warn("Haar integral not stable to 0.1% under order doubling")
+    return vals, drift
+
+
+def check_support_in_box(action: DiagonalizedAction, f, r: np.ndarray, box,
                          tol: float = 1e-10) -> None:
     """Integrand must be negligible on the boundary shell of the parameter box."""
-    bpts = boundary_shell_points(grid.rule.box)
-    worst = 0.0
-    for M in grid.action.group_transforms(bpts):
-        worst = max(worst, float(np.max(np.abs(phi(xis @ M.T)))))
+    shell = _orbit_magnitudes(action, r, boundary_shell_points(box))
+    worst = float(np.max(np.abs(f(shell))))
     if worst > tol:
         raise SupportEscapesBox(
             f"integrand reaches {worst:.3g} on the parameter-box boundary"
@@ -210,35 +214,25 @@ def sigma(action, phi, xi, param_box=None, orders: int = 64,
           check: bool = True) -> float:
     """Haar integral int_H |phi(h^T xi)|^2 dh by tensor Gauss-Legendre.
 
-    The parameter box (derived from the point's own support when phi is a
-    BumpFunction) must contain the support of t -> phi(exp(.)^T xi), checked
-    on its boundary shell; the value must be stable to 0.1% under order
-    doubling (checked, with automatic escalation) and strictly positive
-    (ZeroSigma otherwise).
+    `phi` is a BumpFunction or a bare callable evaluated on (m, k) arrays of
+    block magnitudes.  The parameter box (derived from the point's own
+    support when phi is a BumpFunction) must contain the support of
+    t -> phi(exp(.)^T xi), checked on its boundary shell; the value must be
+    stable to 0.1% under order doubling (checked, with automatic escalation)
+    and strictly positive (ZeroSigma otherwise).
     """
     action = _as_action(action)
-    xi = np.asarray(xi, dtype=float).reshape(1, -1)
+    r = action.block_abs(np.asarray(xi, dtype=float).reshape(1, -1))
+    f = phi.block_values if isinstance(phi, BumpFunction) else phi
     if param_box is None:
         if not isinstance(phi, BumpFunction):
             raise ValueError("param_box required for a bare-callable phi")
-        r = action.block_abs(xi)[0]
-        param_box = point_support_box(action, phi.outer, r)
+        param_box = point_support_box(action, phi.outer, r[0])
         if param_box is None:
             raise ZeroSigma("the orbit of xi never meets the support of phi")
-    grid = parameter_grid(action, param_box, orders)
     if check:
-        check_support_in_box(grid, phi, xi)
-    val = float(_phi_squared(grid, phi, xi)[0])
-    if check:
-        val2 = float(_phi_squared(grid.doubled(), phi, xi)[0])
-        if abs(val2 - val) > 1e-3 * max(abs(val2), 1e-300):
-            grid4 = parameter_grid(action, param_box, tuple(4 * o for o in grid.rule.orders))
-            val3 = float(_phi_squared(grid4, phi, xi)[0])
-            if abs(val3 - val2) > 1e-3 * max(abs(val3), 1e-300):
-                warnings.warn("sigma not stable to 0.1% under order doubling")
-            val = val3
-        else:
-            val = val2
+        check_support_in_box(action, f, r, param_box)
+    val = float(_haar_integral(action, f, r, param_box, orders, refine=check)[0][0])
     if val <= 0:
         raise ZeroSigma("sigma vanished; xi is not actually covered by C")
     return val
@@ -247,8 +241,7 @@ def sigma(action, phi, xi, param_box=None, orders: int = 64,
 @dataclass(frozen=True)
 class WaveletSpec:
     """Frequency-domain wavelet ghat = phi / sqrt(sigma) with its quadrature
-    configuration; sigma is cubic-spline interpolated on a log-spaced grid of
-    the invariant block coordinates."""
+    configuration.  The box's orbits are open, so sigma is one constant."""
 
     action: DiagonalizedAction
     phi: BumpFunction
@@ -256,39 +249,16 @@ class WaveletSpec:
     W: BoxSet
     param_box: tuple
     orders: tuple
-    sigma_nodes: tuple  # per-block magnitude nodes (log-spaced on shell blocks)
-    sigma_values: np.ndarray
+    sigma: float
     weight_exponent: float
     convergence: dict
-    clip_flags: tuple
-    shell_blocks: tuple = ()
-    _interp: object = field(repr=False, default=None)
 
-    def _coord(self, i: int, r: np.ndarray) -> np.ndarray:
-        if self.shell_blocks[i]:
-            return np.log(np.clip(r, 1e-300, None))
-        return r
-
-    def sigma_at(self, r: np.ndarray) -> np.ndarray:
-        r = np.atleast_2d(r)
-        coords = [self._coord(i, r[:, i]) for i in range(r.shape[1])]
-        if len(self.sigma_nodes) == 1:
-            return np.asarray(self._interp(coords[0]))
-        return np.asarray(self._interp(np.stack(coords, axis=-1)))
+    def block_values(self, r: np.ndarray) -> np.ndarray:
+        """ghat as a function of the block-magnitude coordinates."""
+        return self.phi.block_values(r) / np.sqrt(self.sigma)
 
     def ghat(self, points) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        r = self.action.block_abs(pts)
-        vals = self.phi.block_values(r)
-        out = np.zeros(pts.shape[0])
-        mask = vals > 0
-        if np.any(mask):
-            s = self.sigma_at(r[mask])
-            out[mask] = vals[mask] / np.sqrt(np.clip(s, 1e-300, None))
-        return out
-
-    def grid_quadrature(self, orders=None) -> QuadratureGrid:
-        return parameter_grid(self.action, self.param_box, orders or self.orders)
+        return self.block_values(self.action.block_abs(points))
 
     def to_json(self) -> dict:
         return {
@@ -297,19 +267,22 @@ class WaveletSpec:
             "param_box": [list(b) for b in self.param_box],
             "orders": list(self.orders),
             "weight_exponent": self.weight_exponent,
-            "sigma_grid": [len(nodes) for nodes in self.sigma_nodes],
+            "sigma": self.sigma,
             "convergence": self.convergence,
-            "enlargement_clipped": list(self.clip_flags),
         }
 
 
 def synth_wavelet(action, C: BoxSet, W: BoxSet | None = None, orders: int = 64,
-                  sigma_grid: int = 33, enlargement: float = 1.25,
+                  enlargement: float = 1.25,
                   override_quasisection: bool = False) -> WaveletSpec:
     """Construct ghat = phi / sqrt(sigma) over the box C.
 
     Refuses (with the checker's witness) when ((C, C)) is unbounded, unless
-    overridden; W defaults to the 1.25x enlargement of C per block.
+    overridden; W defaults to the 1.25x enlargement of C per block.  Only
+    boxes with open orbits (one block per group parameter, every block of W
+    bounded below) build a wavelet: there sigma is constant along orbits and
+    the orbits fill the block magnitudes, so sigma is the single value at
+    the centre of C.  Other boxes raise ZeroSigma.
     """
     action = _as_action(action)
     sysCC = meeting_system(action, C, C)
@@ -320,63 +293,26 @@ def synth_wavelet(action, C: BoxSet, W: BoxSet | None = None, orders: int = 64,
                 "((C,C)) is unbounded: C is not a quasi-section", witness=witness
             )
         warnings.warn("quasi-section check overridden; construction may not converge")
-    clip_flags = tuple(lo == 0 for lo, _ in C.bounds)
     if W is None:
         W = C.enlarged(enlargement)
     phi = bump(action, C, W)
     param_box = meeting_param_box(action, W, W)
-    orders_t = (orders,) * action.d if np.isscalar(orders) else tuple(orders)
-    shell_blocks = tuple(lo > 0 for lo, _ in W.bounds)
-    nodes = tuple(
-        np.exp(np.linspace(np.log(lo / 1.05), np.log(hi * 1.05), sigma_grid))
-        if shell else np.linspace(0.0, hi * 1.05, sigma_grid)
-        for (lo, hi), shell in zip(W.bounds, shell_blocks)
-    )
-    shape = tuple(len(nd) for nd in nodes)
-    transitive = (
-        action.k == action.d
-        and abs(np.linalg.det(action.weights)) > 1e-9
-        and all(shell_blocks)
-    )
-    if transitive:
-        # the open orbit covers every positive block magnitude, so sigma is a
-        # single constant: evaluate it once at the C-center on its own tight box
-        rstar = np.array([np.sqrt(lo * hi) for lo, hi in C.bounds])
-        xi0 = _points_with_block_abs(action, rstar.reshape(1, -1))
-        sbox = point_support_box(action, W, rstar)
-        val = float(_phi_squared(parameter_grid(action, sbox, orders_t), phi, xi0)[0])
-        val2 = float(_phi_squared(parameter_grid(action, sbox,
-                                                 tuple(2 * o for o in orders_t)), phi, xi0)[0])
-        val4 = float(_phi_squared(parameter_grid(action, sbox,
-                                                 tuple(4 * o for o in orders_t)), phi, xi0)[0])
-        conv = abs(val2 - val) / max(abs(val2), 1e-300)
-        if val4 <= 0:
-            raise ZeroSigma("sigma vanished at the C-center; C does not cover U")
-        values = np.full(shape, val4)
-        conv_note = {"sigma_doubling_rel": float(conv), "base_orders": list(orders_t),
-                     "transitive_orbit": True}
-    else:
-        grid = parameter_grid(action, param_box, orders_t)
-        mesh = np.meshgrid(*nodes, indexing="ij")
-        rgrid = np.stack([g.ravel() for g in mesh], axis=-1)
-        pts = _points_with_block_abs(action, rgrid)
-        check_support_in_box(grid, phi, pts[:: max(1, pts.shape[0] // 16)])
-        vals = _phi_squared(grid, phi, pts)
-        vals2 = _phi_squared(grid.doubled(), phi, pts)
-        scale = max(np.max(vals2), 1e-300)
-        conv = float(np.max(np.abs(vals2 - vals)) / scale)
-        if np.min(vals2) <= 0:
-            raise ZeroSigma("sigma vanished on the W grid; C does not cover its stratum")
-        values = vals2.reshape(shape)
-        conv_note = {"sigma_doubling_rel": conv, "base_orders": list(orders_t),
-                     "transitive_orbit": False}
-    coords = [np.log(nd) if shell else nd for nd, shell in zip(nodes, shell_blocks)]
-    if len(nodes) == 1:
-        interp = CubicSpline(coords[0], values)
-    else:
-        interp = RegularGridInterpolator(
-            coords, values, method="cubic", bounds_error=False, fill_value=None
+    if action.k != action.d:
+        raise ZeroSigma(
+            f"orbits are not open ({action.k} blocks, {action.d} group parameters): "
+            "sigma is not constant, and only boxes with open orbits build a wavelet"
         )
+    if any(lo == 0 for lo, _ in W.bounds):
+        raise ZeroSigma(
+            "a block of W has lower bound 0, so its orbits are not open: sigma is "
+            "not constant, and only boxes with open orbits build a wavelet"
+        )
+    orders_t = _orders_tuple(orders, action.d)
+    rstar = np.array([[np.sqrt(lo * hi) for lo, hi in C.bounds]])
+    box = point_support_box(action, W, rstar[0])
+    vals, drift = _haar_integral(action, phi.block_values, rstar, box, orders_t)
+    if vals[0] <= 0:
+        raise ZeroSigma("sigma vanished at the centre of C")
     return WaveletSpec(
         action=action,
         phi=phi,
@@ -384,24 +320,10 @@ def synth_wavelet(action, C: BoxSet, W: BoxSet | None = None, orders: int = 64,
         W=W,
         param_box=param_box,
         orders=orders_t,
-        sigma_nodes=nodes,
-        sigma_values=values,
+        sigma=float(vals[0]),
         weight_exponent=0.5,
-        convergence=conv_note,
-        clip_flags=clip_flags,
-        shell_blocks=shell_blocks,
-        _interp=interp,
+        convergence={"sigma_doubling_rel": drift, "base_orders": list(orders_t)},
     )
-
-
-def _points_with_block_abs(action: DiagonalizedAction, r: np.ndarray) -> np.ndarray:
-    """Points whose block coordinates have the prescribed magnitudes."""
-    r = np.atleast_2d(r)
-    w = np.zeros((r.shape[0], action.alg.n))
-    for i, sl in enumerate(action.slices):
-        w[:, sl.start] = r[:, i]
-    # w = basis^T xi  =>  xi = basis^{-T} w
-    return np.linalg.solve(action.basis.T, w.T).T
 
 
 @dataclass(frozen=True)
@@ -422,7 +344,7 @@ class CalderonReport:
 
 
 def calderon_check(spec: WaveletSpec, xis, orders=None) -> CalderonReport:
-    """max |int_H |ghat(h^T xi)|^2 dh - 1| over covered samples.
+    """max |int_H |ghat(h^T xi)|^2 dh - 1| over covered samples, at `orders`.
 
     Each sample integrates over its own tight parameter-support box (the
     integrand support shifts with the sample's orbit position).  Uncovered
@@ -430,18 +352,18 @@ def calderon_check(spec: WaveletSpec, xis, orders=None) -> CalderonReport:
     never raises on large deviation.
     """
     action = spec.action
-    xis = np.atleast_2d(np.asarray(xis, dtype=float))
-    orders_t = spec.orders if orders is None else (
-        (orders,) * action.d if np.isscalar(orders) else tuple(orders))
+    rs = action.block_abs(xis)
+    orders_t = spec.orders if orders is None else _orders_tuple(orders, action.d)
     n_covered, uncovered, vals = 0, 0, []
-    for xi in xis:
-        r = action.block_abs(xi.reshape(1, -1))[0]
+    for r in rs:
         box = point_support_box(action, spec.W, r)
         if box is None:
             uncovered += 1
             continue
-        grid = parameter_grid(action, box, orders_t)
-        val = float(_phi_squared_ghat(grid, spec, xi.reshape(1, -1))[0])
+        # one order, no doubling: at sigma's own orders the nodes line up along
+        # the orbit and the integral is sigma / sigma = 1 whatever sigma's error
+        val = float(_haar_integral(action, spec.block_values, r.reshape(1, -1),
+                                   box, orders_t, refine=False)[0][0])
         if val < 0.5:
             uncovered += 1
             continue
@@ -456,19 +378,6 @@ def calderon_check(spec: WaveletSpec, xis, orders=None) -> CalderonReport:
         orders=orders_t,
         values=vals,
     )
-
-
-def _phi_squared_ghat(grid: QuadratureGrid, spec: WaveletSpec, xis: np.ndarray,
-                      chunk: int = 512) -> np.ndarray:
-    m = xis.shape[0]
-    acc = np.zeros(m)
-    for start in range(0, grid.transforms.shape[0], chunk):
-        T = grid.transforms[start:start + chunk]
-        w = grid.rule.weights[start:start + chunk]
-        pts = np.einsum("qij,mj->qmi", T, xis)
-        vals = spec.ghat(pts.reshape(-1, xis.shape[1])).reshape(T.shape[0], m)
-        acc += np.einsum("q,qm->m", w, vals * vals)
-    return acc
 
 
 @dataclass(frozen=True)
@@ -541,7 +450,8 @@ def cwt(spec: WaveletSpec, f: np.ndarray, dx, param_counts=64,
     """Discrete wavelet transform: one FFT slice per parameter-lattice point.
 
     f must live on a power-of-two lattice and be band-limited to its Nyquist
-    box; ghat(h^T xi) is evaluated through the spline-backed ghat.
+    box; ghat(h^T xi) is ghat on the lattice's block magnitudes scaled by
+    exp(mu_k . t).
     """
     f = np.asarray(f)
     shape = f.shape
@@ -556,9 +466,9 @@ def cwt(spec: WaveletSpec, f: np.ndarray, dx, param_counts=64,
     traces = np.array([np.trace(G) for G in spec.action.alg.generators])
     dets = np.exp(pts @ traces)
     coeffs = np.empty((pts.shape[0],) + shape, dtype=complex)
-    transforms = spec.action.group_transforms(pts)
-    for i in range(pts.shape[0]):
-        gh = spec.ghat(freqs @ transforms[i].T).reshape(shape)
+    rf = spec.action.block_abs(freqs)
+    for i, t in enumerate(pts):
+        gh = spec.block_values(_orbit_magnitudes(spec.action, rf, t)).reshape(shape)
         F = fhat * np.conj(gh) * np.sqrt(dets[i])
         coeffs[i] = np.fft.ifftn(F) / cell
     return TransformGrid(
@@ -616,16 +526,16 @@ def l1_estimate(spec: WaveletSpec, shape, dx, param_counts=64,
         param_counts = (int(param_counts),) * action.d
     dx = (float(dx),) * len(shape) if np.isscalar(dx) else tuple(float(v) for v in dx)
     cell = float(np.prod(dx))
-    freqs = frequency_lattice(shape, dx)
-    g0 = spec.ghat(freqs).reshape(shape)
+    rf = action.block_abs(frequency_lattice(shape, dx))
+    g0 = spec.block_values(rf).reshape(shape)
     pts, w = param_lattice(box, param_counts)
     traces = np.array([np.trace(G) for G in action.alg.generators])
     total = 0.0
     for t, wt in zip(pts, w):
-        l1 = _slice_l1(spec, g0, freqs, shape, cell, t)
+        l1 = _slice_l1(spec, g0, rf, shape, cell, t)
         det = float(np.exp(np.dot(t, traces)))
         total += wt * l1 * det ** (kappa - 0.5)
-    containment = _containment_check(spec, g0, freqs, shape, cell, box)
+    containment = _containment_check(spec, g0, rf, shape, cell, box)
     return L1Report(
         value=float(total),
         param_box=box,
@@ -635,19 +545,18 @@ def l1_estimate(spec: WaveletSpec, shape, dx, param_counts=64,
     )
 
 
-def _slice_l1(spec, g0, freqs, shape, cell, t) -> float:
-    M = spec.action.group_transforms(np.asarray(t).reshape(1, -1))[0]
-    gh = spec.ghat(freqs @ M.T).reshape(shape)
+def _slice_l1(spec, g0, rf, shape, cell, t) -> float:
+    gh = spec.block_values(_orbit_magnitudes(spec.action, rf, t)).reshape(shape)
     a = np.fft.ifftn(g0 * np.conj(gh)) / cell
     return float(np.sum(np.abs(a)) * cell)
 
 
-def _containment_check(spec, g0, freqs, shape, cell, box, pad: float = 0.75) -> float:
+def _containment_check(spec, g0, rf, shape, cell, box, pad: float = 0.75) -> float:
     """Max slice-L1 just outside the meeting-set box (must be ~0)."""
     worst = 0.0
     for j in range(len(box)):
         for side in (0, 1):
             t = np.array([0.5 * (lo + hi) for lo, hi in box])
             t[j] = box[j][side] + (pad if side else -pad)
-            worst = max(worst, _slice_l1(spec, g0, freqs, shape, cell, t))
+            worst = max(worst, _slice_l1(spec, g0, rf, shape, cell, t))
     return worst

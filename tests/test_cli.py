@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -271,7 +272,7 @@ class TestReportSchema:
             [sys.executable, "-m", "orbitscope.cli", "strata",
              "--input", str(case_d_spec), "--out", str(out), "--grid", "32"],
             capture_output=True, text=True,
-            env={"ORBITSCOPE_THREADS": "1", "PATH": "/usr/bin:/bin"},
+            env={**os.environ, "ORBITSCOPE_THREADS": "1"},
         )
         assert env_run.returncode == 0, env_run.stderr
         validate_report(json.loads(out.read_text()))

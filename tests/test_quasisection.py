@@ -7,7 +7,7 @@ from orbitscope.errors import (
     InfeasibleSystem,
     NotDiagonalizableFamily,
 )
-from orbitscope.families import E, family_a, family_b
+from orbitscope.families import E, family_a, family_b, family_e
 from orbitscope.linalg import DilationAlgebra
 from orbitscope.quasisection import (
     meeting_probe,
@@ -280,3 +280,23 @@ class TestNormalizeInto:
             r = act.block_abs(moved.reshape(1, -1))[0]
             for (lo, hi), val in zip(C.bounds, r):
                 assert lo - 1e-9 <= val <= hi + 1e-9
+
+
+class TestBlockMagnitudeScaling:
+    @pytest.mark.parametrize("alg", [
+        DilationAlgebra([np.array([[1.0]])]),
+        DilationAlgebra([np.array([[1.0, -1.0], [1.0, 1.0]])]),
+        family_a(1.0),
+        family_e(),
+    ], ids=["dilation_1d", "rotation_scaling_2d", "family_a", "family_e"])
+    def test_transform_scales_block_magnitudes(self, alg):
+        # the identity the wavelet layer evaluates on instead of n x n transforms
+        act = diagonal_action(alg)
+        rng = np.random.default_rng(31)
+        ts = rng.uniform(-2.0, 2.0, (40, act.d))
+        xis = rng.standard_normal((40, alg.n))
+        for t, xi in zip(ts, xis):
+            moved = act.group_transforms(t.reshape(1, -1))[0] @ xi
+            npt.assert_allclose(act.block_abs(moved),
+                                act.block_abs(xi) * np.exp(act.weights @ t),
+                                rtol=1e-12)

@@ -13,7 +13,8 @@ from orbitscope.errors import (
 )
 from orbitscope.families import family_b
 from orbitscope.orbits import GroupElement
-from orbitscope.quasisection import BoxSet, diagonal_action
+from orbitscope.linalg import DilationAlgebra
+from orbitscope.quasisection import BoxSet, c_i_box, diagonal_action
 from orbitscope.wavelet import (
     bump,
     calderon_check,
@@ -143,6 +144,27 @@ class TestSynth:
             with pytest.raises(SupportUnbounded):
                 synth_wavelet(act, C, orders=16, override_quasisection=True)
 
+    @pytest.mark.parametrize("name", ["spec_1d", "spec_case_a"])
+    def test_sigma_is_public_sigma_at_c_centre(self, name, request):
+        spec = request.getfixturevalue(name)
+        act = spec.action
+        w = np.zeros(act.alg.n)
+        for (lo, hi), sl in zip(spec.C.bounds, act.slices):
+            w[sl.start] = np.sqrt(lo * hi)
+        xi_star = np.linalg.solve(act.basis.T, w)
+        val = sigma(act, spec.phi, xi_star, orders=64)
+        assert abs(spec.sigma - val) <= 1e-12 * val
+
+    def test_non_open_orbits_refused_diagonal(self):
+        act = diagonal_action(DilationAlgebra([np.diag([1.0, 2.0])]))
+        with pytest.raises(ZeroSigma):
+            synth_wavelet(act, BoxSet([(1.0, 2.0), (1.0, 2.0)]), orders=16)
+
+    def test_non_open_orbits_refused_family_b(self):
+        act = diagonal_action(family_b(1.0, 1.0))
+        with pytest.raises(ZeroSigma):
+            synth_wavelet(act, c_i_box(1, 2.0), orders=16)
+
     def test_default_enlargement(self, act_1d):
         spec = synth_wavelet(act_1d, BoxSet([(1.0, 2.0)]), orders=32)
         npt.assert_allclose(spec.W.bounds[0], (1.0 / 1.25, 2.0 * 1.25))
@@ -228,8 +250,7 @@ class TestL1Estimate:
         import dataclasses
 
         # ghat with infinite sigma is identically zero
-        dead = dataclasses.replace(spec_1d)
-        object.__setattr__(dead, "_interp", lambda c: np.full(np.atleast_1d(c).shape[0], np.inf))
+        dead = dataclasses.replace(spec_1d, sigma=np.inf)
         rep = l1_estimate(dead, 64, 0.6, param_counts=16)
         assert rep.value == 0.0
 
