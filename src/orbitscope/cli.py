@@ -4,7 +4,7 @@ Subcommands: classify | strata | section | quasisection | wavelet | cwt.
 Exit status 0 on success, 2 on named domain errors, 1 on I/O or parse
 errors.  Reports are deterministic for fixed inputs and flags (modulo the
 timestamp header field) and carry a provenance header with version, seed,
-and tolerance overrides.  ORBITSCOPE_THREADS caps probe-loop parallelism.
+and tolerance overrides.  ORBITSCOPE_THREADS is accepted and has no effect.
 """
 
 from __future__ import annotations
@@ -12,9 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,22 +34,12 @@ from .groupspec import (
     validate_report,
 )
 from .linalg import DilationAlgebra, roots_decompose
-from .orbits import SampleSpec, orbit_dim
+from .orbits import SampleSpec, stratify
 from .quasisection import BoxSet, diagonal_action, quasi_section_verdict
 from .sections import normal_form, section_point
 from .wavelet import calderon_check, cwt as run_cwt, l1_estimate, synth_wavelet
 
 DEFAULT_SEED = 1729
-
-
-def thread_cap() -> int:
-    raw = os.environ.get("ORBITSCOPE_THREADS", "")
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    cpus = os.cpu_count() or 1
-    return max(1, min(cap, cpus)) if cap > 0 else min(4, cpus)
 
 
 @dataclass
@@ -206,35 +194,16 @@ def _cmd_classify(cfg: RunConfig) -> dict:
 def _cmd_strata(cfg: RunConfig) -> dict:
     alg = _load_alg(cfg)
     spec = SampleSpec(kind="cloud", count=cfg.grid * 4, seed=cfg.seed)
-    pts = spec.points(alg.n)
-    cap = thread_cap()
-    chunks = np.array_split(pts, cap)
-
-    def dims_of(chunk):
-        return [orbit_dim(alg, xi) for xi in chunk]
-
-    with ThreadPoolExecutor(max_workers=cap) as pool:
-        dim_chunks = list(pool.map(dims_of, chunks))
-    dims = [d for ch in dim_chunks for d in ch]
-    census: dict[int, int] = {}
-    for d in dims:
-        census[d] = census.get(d, 0) + 1
-    d_max = max(census) if census else 0
-    frac = census.get(d_max, 0) / max(len(dims), 1)
+    rep = stratify(alg, spec, conull_threshold=0.99)
     csv_path = (cfg.out or "strata") + ".csv"
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"xi_{i + 1}" for i in range(alg.n)] + ["orbit_dim"])
-        for xi, d in zip(pts, dims):
+        for xi, d in rep.probes:
             writer.writerow([f"{v:.12g}" for v in xi] + [d])
-    return {
-        "census": {str(k): v for k, v in sorted(census.items())},
-        "d_max": d_max,
-        "group_dim": alg.d,
-        "top_stratum_conull": bool(frac > 0.99),
-        "conull_threshold": 0.99,
-        "csv": csv_path,
-    }
+    payload = rep.to_json()
+    del payload["n_probes"]
+    return {**payload, "csv": csv_path}
 
 
 def _cmd_section(cfg: RunConfig) -> dict:
@@ -268,14 +237,18 @@ def _cmd_section(cfg: RunConfig) -> dict:
     return {"records": records, "n_points": len(records)}
 
 
-def _parse_box(doc, key="box") -> BoxSet:
-    box = doc.get(key)
-    if not isinstance(box, dict) or "bounds" not in box:
-        raise InputError(f"'{key}' must be an object with 'bounds'")
+def _parse_box(entry, action, name: str) -> BoxSet:
+    """A box object from the input, with one (lo, hi) bound per action block."""
+    if not isinstance(entry, dict) or "bounds" not in entry:
+        raise InputError(f"invalid box: {name} must be an object with 'bounds'")
     try:
-        return BoxSet(box["bounds"])
-    except ValueError as err:
-        raise InputError(f"invalid box: {err}") from err
+        box = BoxSet(entry["bounds"])
+    except (TypeError, ValueError) as err:
+        raise InputError(f"invalid box: {name}: {err}") from err
+    if box.k != action.k:
+        raise InputError(f"invalid box: {name} bounds {box.k} blocks, "
+                         f"the action has {action.k}")
+    return box
 
 
 def _cmd_quasisection(cfg: RunConfig) -> dict:
@@ -285,9 +258,12 @@ def _cmd_quasisection(cfg: RunConfig) -> dict:
     alg = _load_alg(cfg, doc)
     action = diagonal_action(alg)
     if "boxes" in doc:
-        boxes = [BoxSet(b["bounds"]) for b in doc["boxes"]]
+        entries = doc["boxes"]
+        if not isinstance(entries, list) or not entries:
+            raise InputError("invalid box: 'boxes' must be a non-empty list")
+        boxes = [_parse_box(b, action, f"boxes[{i}]") for i, b in enumerate(entries)]
     else:
-        boxes = _parse_box(doc)
+        boxes = _parse_box(doc.get("box"), action, "'box'")
     compact = doc.get("orbit_space_compact")
     verdict = quasi_section_verdict(action, boxes, orbit_space_compact=compact,
                                     seed=cfg.seed)
@@ -297,8 +273,8 @@ def _cmd_quasisection(cfg: RunConfig) -> dict:
 def _wavelet_spec(cfg: RunConfig, doc) -> tuple:
     alg = _load_alg(cfg, doc)
     action = diagonal_action(alg)
-    C = _parse_box(doc)
-    W = _parse_box(doc, "W") if "W" in doc else None
+    C = _parse_box(doc.get("box"), action, "'box'")
+    W = _parse_box(doc["W"], action, "'W'") if "W" in doc else None
     spec = synth_wavelet(action, C, W, orders=cfg.quad_order)
     return action, spec
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DilationAlgebra, mat_exp, rank_tol, roots_decompose
+from .linalg import DilationAlgebra, mat_exp, roots_decompose
 
 PROBE_SEED = 424243
 N_ADMISSIBILITY_PROBES = 64
@@ -50,8 +50,22 @@ def tangent_matrix(alg: DilationAlgebra, xi) -> np.ndarray:
     return np.column_stack([G.T @ x for G in alg.generators])
 
 
+def orbit_dims(alg: DilationAlgebra, points) -> np.ndarray:
+    """Orbit dimension at every row of `points`, as one batched SVD.
+
+    Row i of the (m, n, d) stack is tangent_matrix(alg, points[i]); its rank
+    counts the singular values above alg.tol times the largest, and is 0
+    when the largest is 0, which is rank_tol's rule.
+    """
+    pts = np.asarray(points, dtype=float).reshape(-1, alg.n)
+    stack = np.einsum("jab,ma->mbj", np.stack(alg.generators), pts)
+    s = np.linalg.svd(stack, compute_uv=False)
+    top = s[:, :1]
+    return np.where(top[:, 0] > 0.0, np.sum(s > alg.tol * top, axis=1), 0)
+
+
 def orbit_dim(alg: DilationAlgebra, xi) -> int:
-    return rank_tol(tangent_matrix(alg, xi), alg.tol)
+    return int(orbit_dims(alg, np.asarray(xi, dtype=float).reshape(1, alg.n))[0])
 
 
 def stabilizer_dim(alg: DilationAlgebra, xi) -> int:
@@ -92,7 +106,7 @@ def is_admissible(alg: DilationAlgebra) -> AdmissibilityVerdict:
         reasons.append("all generator traces vanish: det|_H = 1 identically")
     rng = np.random.default_rng(PROBE_SEED)
     probes = rng.standard_normal((N_ADMISSIBILITY_PROBES, alg.n))
-    top_hit = any(orbit_dim(alg, xi) == alg.d for xi in probes)
+    top_hit = bool(np.any(orbit_dims(alg, probes) == alg.d))
     if not top_hit:
         reasons.append(f"no probe of {N_ADMISSIBILITY_PROBES} reached orbit dimension d")
     if det_triv or not top_hit:
@@ -152,16 +166,13 @@ def stratify(alg: DilationAlgebra, spec: SampleSpec | None = None,
     """
     spec = spec or SampleSpec()
     pts = spec.points(alg.n)
-    probes = []
-    census: dict[int, int] = {}
-    for xi in pts:
-        k = orbit_dim(alg, xi)
-        census[k] = census.get(k, 0) + 1
-        probes.append((tuple(float(v) for v in xi), k))
+    dims = orbit_dims(alg, pts)
+    values, counts = np.unique(dims, return_counts=True)
+    census = {int(k): int(c) for k, c in zip(values, counts)}
     d_max = max(census) if census else 0
     frac = census.get(d_max, 0) / max(len(pts), 1)
     return StratumReport(
-        probes=tuple(probes),
+        probes=tuple(zip(map(tuple, pts.tolist()), dims.tolist())),
         census=census,
         d_max=d_max,
         group_dim=alg.d,

@@ -6,12 +6,17 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_legendre
 
 
 @lru_cache(maxsize=32)
 def _reference_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights on [-1, 1]; read-only because every caller shares them."""
+    """Nodes and weights on [-1, 1]; read-only because every caller shares them.
+
+    scipy is imported here, not at module load, so subcommands that build no
+    quadrature rule never pay for it.
+    """
+    from scipy.special import roots_legendre
+
     x, w = roots_legendre(order)
     x.flags.writeable = False
     w.flags.writeable = False

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import (
     CoverageUnverified,
@@ -26,7 +25,19 @@ from .errors import (
     NotDiagonalizableFamily,
 )
 from .linalg import DilationAlgebra, blocks_semisimple, roots_decompose
-from .orbits import orbit_dim
+from .orbits import orbit_dims
+
+
+def linprog(*args, **kwargs):
+    """`scipy.optimize.linprog`, imported on the first solve.
+
+    Importing scipy.optimize takes longer than the whole of a classify or
+    strata job, so only the subcommands that solve linear programs pay it.
+    `wavelet` calls the same shim.
+    """
+    from scipy.optimize import linprog as solve
+
+    return solve(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -388,18 +399,17 @@ def quasi_section_verdict(
     boxes = [C] if isinstance(C, BoxSet) else list(C)
     alg = action.alg
     rng = np.random.default_rng(seed)
-    checked = 0
-    for _ in range(n_samples):
-        xi = rng.standard_normal(alg.n)
-        if orbit_dim(alg, xi) != alg.d:
-            continue
-        if np.min(action.block_abs(xi.reshape(1, -1))) < 1e-6:
-            continue  # stratum boundary; conull coverage is what matters
-        checked += 1
+    xis = rng.standard_normal((n_samples, alg.n))
+    top = orbit_dims(alg, xis) == alg.d
+    # skip the stratum boundary; conull coverage is what matters
+    inside = np.min(action.block_abs(xis), axis=1) >= 1e-6
+    samples = xis[top & inside]
+    for xi in samples:
         if all(normalize_into(action, box, xi) is None for box in boxes):
             raise CoverageUnverified(
                 f"sample {np.round(xi, 4).tolist()} cannot be moved into C"
             )
+    checked = len(samples)
     bounded, witness = True, None
     for Ci in boxes:
         for Cj in boxes:

@@ -32,7 +32,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import (
     BandLimitViolation,
@@ -48,6 +47,7 @@ from .quasisection import (
     DiagonalizedAction,
     _as_action,
     is_relatively_compact,
+    linprog,
     meeting_system,
 )
 

@@ -186,6 +186,49 @@ class TestQuasisectionCommand:
         assert v["witness_direction"] is not None
 
 
+CASE_B11 = [
+    [1, 0, 0, 0, 0, 0, 0, 0, 1],
+    [0, 0, 0, 0, 1, 0, 0, 0, 1],
+]
+DILATION_1D = [[1.0]]
+
+
+class TestBoxInput:
+    @pytest.mark.parametrize("subcommand, doc", [
+        pytest.param("quasisection", {
+            "n": 3, "generators": CASE_B11,
+            "boxes": [{"bounds": [[0, 2], [0.5, 2], [0.5, 2]]}, {"lo": [0.5, 0.5, 0]}],
+        }, id="boxes-entry-without-bounds"),
+        pytest.param("quasisection", {
+            "n": 3, "generators": CASE_B11,
+            "boxes": {"bounds": [[0, 2], [0.5, 2], [0.5, 2]]},
+        }, id="boxes-not-a-list"),
+        pytest.param("quasisection", {
+            "n": 3, "generators": CASE_B11,
+            "boxes": [{"bounds": [[2, 0.5], [0, 2], [0.5, 2]]}],
+        }, id="boxes-inverted-bounds"),
+        pytest.param("quasisection", {
+            "n": 3, "generators": CASE_B11,
+            "box": {"bounds": [[0.5, 2], [0.5, 2]]},
+        }, id="box-block-count"),
+        pytest.param("wavelet", {
+            "n": 1, "generators": DILATION_1D,
+            "box": {"bounds": [[1.0, 2.0], [1.0, 2.0]]},
+        }, id="wavelet-box-block-count"),
+        pytest.param("wavelet", {
+            "n": 1, "generators": DILATION_1D,
+            "box": {"bounds": [[1.0, 2.0]]}, "W": [[0.8, 2.5]],
+        }, id="wavelet-W-without-bounds"),
+    ])
+    def test_malformed_box_exit_1(self, tmp_path, subcommand, doc):
+        path = tmp_path / "box.json"
+        path.write_text(json.dumps(doc))
+        res = run_cli(subcommand, "--input", str(path))
+        assert res.returncode == 1, res.stderr
+        assert "input error: invalid box" in res.stderr
+        assert "Traceback" not in res.stderr
+
+
 class TestWaveletPipeline:
     def test_wavelet_then_cwt(self, tmp_path):
         doc = {"n": 1, "generators": [[1.0]], "box": {"bounds": [[1.0, 2.0]]},
@@ -267,12 +310,78 @@ class TestReportSchema:
             validate_report({"payload": {}})
 
     def test_env_thread_cap(self, case_d_spec, tmp_path, monkeypatch):
+        # ORBITSCOPE_THREADS is accepted and has no effect on the results
         out = tmp_path / "strata_t1.json"
-        env_run = subprocess.run(
-            [sys.executable, "-m", "orbitscope.cli", "strata",
-             "--input", str(case_d_spec), "--out", str(out), "--grid", "32"],
-            capture_output=True, text=True,
-            env={**os.environ, "ORBITSCOPE_THREADS": "1"},
-        )
-        assert env_run.returncode == 0, env_run.stderr
-        validate_report(json.loads(out.read_text()))
+        plain_env = {k: v for k, v in os.environ.items() if k != "ORBITSCOPE_THREADS"}
+        results = []
+        for env in (plain_env, {**plain_env, "ORBITSCOPE_THREADS": "1"}):
+            env_run = subprocess.run(
+                [sys.executable, "-m", "orbitscope.cli", "strata",
+                 "--input", str(case_d_spec), "--out", str(out), "--grid", "32"],
+                capture_output=True, text=True, env=env,
+            )
+            assert env_run.returncode == 0, env_run.stderr
+            report = json.loads(out.read_text())
+            validate_report(report)
+            del report["header"]["timestamp"]
+            results.append((report, open(report["payload"]["csv"]).read()))
+        assert results[0] == results[1]
+
+
+IMPORT_PROBE = (
+    "import json, sys\n"
+    "from orbitscope.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "scipy = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+    "print(json.dumps({'code': code, 'scipy': scipy}), file=sys.stderr)\n"
+)
+
+
+def run_import_probe(*args):
+    """Run the CLI in a fresh interpreter; return its exit code and the scipy
+    modules loaded by the time it returned."""
+    res = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *args],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    return json.loads(res.stderr.strip().splitlines()[-1])
+
+
+class TestImports:
+    def test_verdict_subcommands_load_no_scipy(self, case_d_spec, tmp_path):
+        sec = tmp_path / "sec.json"
+        sec.write_text(json.dumps({
+            "n": 3,
+            "generators": [
+                [1, 0, 0, 0, 1, 0, 0, 0, 0],
+                [0, 0, 0, 1, 0, 0, 0, 0, 0],
+            ],
+            "points": [[1, 5, 7], [0, 5, 7]],
+        }))
+        for args in (
+            ["classify", "--table"],
+            ["strata", "--input", str(case_d_spec), "--grid", "16"],
+            ["section", "--input", str(sec)],
+        ):
+            out = tmp_path / f"{args[0]}.json"
+            probe = run_import_probe(*args, "--out", str(out))
+            assert probe == {"code": 0, "scipy": []}, args
+            validate_report(json.loads(out.read_text()))
+
+    def test_quasisection_loads_scipy_on_demand(self, tmp_path):
+        path = tmp_path / "qs.json"
+        path.write_text(json.dumps({
+            "n": 3,
+            "generators": CASE_B11,
+            "boxes": [
+                {"bounds": [[0, 2], [0.5, 2], [0.5, 2]]},
+                {"bounds": [[0.5, 2], [0, 2], [0.5, 2]]},
+                {"bounds": [[0.5, 2], [0.5, 2], [0, 2]]},
+            ],
+            "orbit_space_compact": True,
+        }))
+        out = tmp_path / "qs_out.json"
+        probe = run_import_probe("quasisection", "--input", str(path), "--out", str(out))
+        assert probe["code"] == 0
+        assert "scipy.optimize" in probe["scipy"]
+        verdict = json.loads(out.read_text())["payload"]["verdict"]
+        assert verdict["quasi_section_exists"] == "no"

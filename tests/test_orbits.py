@@ -1,8 +1,9 @@
 import numpy as np
 import numpy.testing as npt
+import pytest
 
 from orbitscope.families import case0, family_b, family_d, family_e
-from orbitscope.linalg import DilationAlgebra, mat_exp
+from orbitscope.linalg import DilationAlgebra, mat_exp, rank_tol
 from orbitscope.orbits import (
     GroupElement,
     SampleSpec,
@@ -10,8 +11,10 @@ from orbitscope.orbits import (
     dual_act,
     is_admissible,
     orbit_dim,
+    orbit_dims,
     stabilizer_dim,
     stratify,
+    tangent_matrix,
 )
 
 
@@ -181,3 +184,27 @@ class TestStratify:
         npt.assert_allclose(pts, spec.points(3))
         rep = stratify(family_e(), spec)
         assert rep.d_max == 3
+
+
+class TestBatchedCensus:
+    @staticmethod
+    def points_with_lower_strata(rng):
+        """The zero vector, scaled coordinate axes, points on the coordinate
+        planes and a generic cloud."""
+        axes = np.vstack([np.eye(3), -2.5 * np.eye(3)])
+        planes = rng.standard_normal((12, 3))
+        planes[np.arange(12), np.arange(12) % 3] = 0.0
+        return np.vstack([np.zeros((1, 3)), axes, planes, rng.standard_normal((64, 3))])
+
+    @pytest.mark.parametrize("name", ["a", "b11", "c", "d", "e", "case0", "case1b", "case2"])
+    def test_matches_per_point_rank(self, golden_families, name):
+        alg = golden_families[name]
+        pts = self.points_with_lower_strata(np.random.default_rng(21))
+        loop = [rank_tol(tangent_matrix(alg, xi), alg.tol) for xi in pts]
+        batched = orbit_dims(alg, pts)
+        assert batched.tolist() == loop
+        assert loop[0] == 0
+        assert min(loop[1:]) < alg.d  # lower strata are exercised
+
+    def test_empty_batch(self):
+        assert orbit_dims(family_d(), np.zeros((0, 3))).shape == (0,)
