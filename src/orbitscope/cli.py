@@ -33,7 +33,7 @@ from .groupspec import (
     make_report,
     validate_report,
 )
-from .linalg import DilationAlgebra, roots_decompose
+from .linalg import DilationAlgebra, rank_tol, roots_decompose
 from .orbits import SampleSpec, stratify
 from .quasisection import BoxSet, diagonal_action, quasi_section_verdict
 from .sections import normal_form, section_point
@@ -100,6 +100,9 @@ def main(argv=None) -> int:
         "cwt": _cmd_cwt,
     }[cfg.subcommand]
     try:
+        for flag, value in (("--grid", cfg.grid), ("--quad-order", cfg.quad_order)):
+            if value < 1:
+                raise InputError(f"{flag} must be at least 1, got {value}")
         payload = handler(cfg)
     except DomainError as err:
         print(f"error ({type(err).__name__}): {err}", file=sys.stderr)
@@ -156,8 +159,6 @@ def _semisimple_direction(alg, rd, X):
     part of any g = aA + bX is bX, so the semisimple part aA lies in the
     algebra; families where it escapes the span are not of this type.
     """
-    from .linalg import rank_tol
-
     if not rd.all_real():
         return None
     P = np.hstack(rd.blocks)

@@ -8,14 +8,19 @@ and after eliminating the point coordinate on logs, to the linear system
 
     ln(lo2_k / hi1_k)  <=  mu_k . t  <=  ln(hi2_k / lo1_k),
 
-one-sided whenever a lower bound is zero.  Relative compactness of the
-meeting set is the boundedness of this polyhedron, decided by 2d linear
-programs on the recession cone.
+one-sided whenever a lower bound is zero.  Every system here has the rows
+L = [M; -M], M = (mu_k), and only its right-hand side changes, so one exact
+kernel answers every question asked of it: enumerating the bases of L once
+gives all vertices of a whole batch of right-hand sides as one matrix
+product, and with them emptiness, a point and, by LP duality, the bounding
+box.  Relative compactness of the meeting set is the boundedness of this
+polyhedron, decided by the extreme rays of its recession cone {u : L u <= 0}.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, product
 
 import numpy as np
 
@@ -24,20 +29,8 @@ from .errors import (
     InfeasibleSystem,
     NotDiagonalizableFamily,
 )
-from .linalg import DilationAlgebra, blocks_semisimple, roots_decompose
+from .linalg import DilationAlgebra, blocks_semisimple, mat_exp, null_space, roots_decompose
 from .orbits import orbit_dims
-
-
-def linprog(*args, **kwargs):
-    """`scipy.optimize.linprog`, imported on the first solve.
-
-    Importing scipy.optimize takes longer than the whole of a classify or
-    strata job, so only the subcommands that solve linear programs pay it.
-    `wavelet` calls the same shim.
-    """
-    from scipy.optimize import linprog as solve
-
-    return solve(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -218,6 +211,100 @@ def c_i_box(i: int, rho: float, k: int = 3) -> BoxSet:
     return BoxSet(bounds)
 
 
+_TOL = 1e-9  # slack of L t <= c and L u <= 0, and relative rank cut-off
+
+
+def _interval_system(action, lo1, hi1, lo2, hi2):
+    """(L, c) with L = [M; -M] and c = [ln(hi2/lo1); -ln(lo2/hi1)], M = weights.
+
+    The one builder of every interval system; c broadcasts over a batch of
+    block bounds.  A row that does not exist (lo1 = 0 on the upper side,
+    lo2 = 0 on the lower side) gets c = +inf, and a zero block (hi1 = 0)
+    facing lo2 > 0 gets c = -inf: the system is empty.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        upper = np.where(lo1 > 0, np.log(hi2 / lo1), np.inf)
+        lower = np.where(lo2 > 0, -np.log(lo2 / hi1), np.inf)
+    return np.vstack([action.weights, -action.weights]), np.concatenate([upper, lower], axis=-1)
+
+
+def _point_system(action, box: BoxSet, r):
+    """{t : r_k exp(mu_k . t) inside the box bounds} for an (m, k) batch r."""
+    lo, hi = np.array(box.bounds).T
+    return _interval_system(action, r, r, lo, hi)
+
+
+def _bases(LA):
+    """Every set B of rank(LA) rows of LA of full rank (as row indices), the
+    pseudo-inverses pinv(L_B), and an orthonormal basis (columns) of null(LA)."""
+    null = null_space(LA)
+    subsets = np.array(list(combinations(range(LA.shape[0]), LA.shape[1] - null.shape[1])),
+                       dtype=int)
+    if subsets.shape[1]:
+        s = np.linalg.svd(LA[subsets], compute_uv=False)
+        subsets = subsets[s[:, -1] > _TOL * s[:, 0]]
+    return subsets, np.linalg.pinv(LA[subsets]), null
+
+
+def _polyhedra(L, c):
+    """Nonemptiness, one point and the bounding box of {t : L t <= c_i} for
+    every row c_i of the (m, p) array c, by exact enumeration.
+
+    Samples are grouped by their set A of finite rows.  For each group the
+    bases B of L_A are enumerated once, and every vertex t_B = pinv(L_B) c_B
+    of every sample is one matrix product.  Modulo null(L_A) the polyhedron
+    is pointed, so it is nonempty iff some t_B satisfies L_A t <= c_A + _TOL;
+    the point is the mean of the feasible vertices.  By LP duality
+    (c_B . pinv(L_B)^T e_j = (t_B)_j), max t_j is the minimum of (t_B)_j over
+    the bases whose row j of pinv(L_B) is >= 0, and min t_j the maximum over
+    the rows <= 0, when e_j lies in the row space of L_A; a side without
+    such a basis is unbounded (+-inf).  Returns (nonempty, point, lo, hi),
+    with nan points and boxes for empty systems.
+    """
+    c = np.atleast_2d(c)
+    m, d = c.shape[0], L.shape[1]
+    nonempty = np.zeros(m, dtype=bool)
+    point, lo, hi = (np.full((m, d), np.nan) for _ in range(3))
+    live = ~np.any(c == -np.inf, axis=1)
+    patterns, group = np.unique(np.isfinite(c), axis=0, return_inverse=True)
+    for g, rows in enumerate(patterns):
+        idx = np.flatnonzero(live & (group.reshape(-1) == g))
+        LA, cA = L[rows], c[idx][:, rows]
+        bases, pinv, null = _bases(LA)
+        T = np.einsum("bdr,mbr->mbd", pinv, cA[:, bases])
+        ok = np.all(T @ LA.T <= cA[:, None, :] + _TOL, axis=2)
+        nonempty[idx] = ok.any(axis=1)
+        with np.errstate(invalid="ignore"):
+            point[idx] = np.einsum("mb,mbd->md", ok, T) / ok.sum(axis=1)[:, None]
+        eps = 1e-10 * np.abs(pinv).max(axis=(1, 2), keepdims=True, initial=0.0)
+        spans = np.linalg.norm(null, axis=1) < _TOL
+        up = np.all(pinv >= -eps, axis=2) & spans
+        down = np.all(pinv <= eps, axis=2) & spans
+        hi[idx] = np.min(np.where(up, T, np.inf), axis=1, initial=np.inf)
+        lo[idx] = np.max(np.where(down, T, -np.inf), axis=1, initial=-np.inf)
+    lo[~nonempty] = hi[~nonempty] = np.nan
+    return nonempty, point, lo, hi
+
+
+def _recession_ray(L):
+    """An extreme ray u of {u : L u <= 0} scaled to max|u| = 1, or None when
+    the cone is {0}: a null vector of L when rank L < d, otherwise +-u for a
+    null vector u of some d - 1 independent rows, verified by substitution."""
+    null = null_space(L)
+    if null.shape[1]:
+        candidates = [null[:, 0]]
+    else:
+        candidates = [ns[:, 0] for S in combinations(range(L.shape[0]), L.shape[1] - 1)
+                      if (ns := null_space(L[list(S)])).shape[1] == 1]
+    for u in candidates:
+        for sign in (1.0, -1.0):
+            ray = sign * u / np.max(np.abs(u))
+            ray[np.abs(ray) < 1e-12] = 0.0
+            if np.max(L @ ray, initial=-np.inf) <= _TOL:
+                return ray
+    return None
+
+
 @dataclass(frozen=True)
 class ParamInequalitySystem:
     """Linear system L t <= c in the group parameters; feasibility of the
@@ -234,18 +321,10 @@ class ParamInequalitySystem:
 
     def satisfied(self, t, slack: float = 1e-9) -> bool:
         t = np.asarray(t, dtype=float)
-        if self.rows == 0:
-            return True
         return bool(np.all(self.L @ t <= self.c + slack))
 
     def feasible(self) -> bool:
-        if self.rows == 0:
-            return True
-        res = linprog(
-            np.zeros(self.d), A_ub=self.L, b_ub=self.c,
-            bounds=[(None, None)] * self.d, method="highs",
-        )
-        return res.status == 0
+        return bool(_polyhedra(self.L, self.c)[0][0])
 
 
 @dataclass(frozen=True)
@@ -280,49 +359,26 @@ def meeting_system(action, C1: BoxSet, C2: BoxSet) -> ParamInequalitySystem:
     action = _as_action(action)
     if C1.k != action.k or C2.k != action.k:
         raise ValueError(f"boxes must have {action.k} block bounds")
-    rows, rhs, labels = [], [], []
-    for i in range(action.k):
-        mu = action.weights[i]
-        lo1, hi1 = C1.bounds[i]
-        lo2, hi2 = C2.bounds[i]
-        if lo1 > 0:  # upper side: mu.t <= ln(hi2/lo1)
-            rows.append(mu)
-            rhs.append(np.log(hi2 / lo1))
-            labels.append(f"block {i}: mu.t <= ln(hi2/lo1)")
-        if lo2 > 0:  # lower side: mu.t >= ln(lo2/hi1)
-            rows.append(-mu)
-            rhs.append(-np.log(lo2 / hi1))
-            labels.append(f"block {i}: mu.t >= ln(lo2/hi1)")
-    L = np.array(rows) if rows else np.zeros((0, action.d))
-    c = np.array(rhs) if rhs else np.zeros(0)
-    return ParamInequalitySystem(L=L, c=c, labels=tuple(labels), d=action.d)
+    (lo1, hi1), (lo2, hi2) = np.array(C1.bounds).T, np.array(C2.bounds).T
+    L, c = _interval_system(action, lo1, hi1, lo2, hi2)
+    labels = ([f"block {i}: mu.t <= ln(hi2/lo1)" for i in range(action.k)]
+              + [f"block {i}: mu.t >= ln(lo2/hi1)" for i in range(action.k)])
+    keep = c < np.inf
+    return ParamInequalitySystem(L=L[keep], c=c[keep], d=action.d,
+                                 labels=tuple(lab for lab, k in zip(labels, keep) if k))
 
 
 def is_relatively_compact(sys: ParamInequalitySystem) -> tuple[bool, np.ndarray | None]:
     """Boundedness of the meeting set via its recession cone {u : L u <= 0}.
 
     Raises InfeasibleSystem when the meeting set is empty (vacuously compact,
-    reported distinctly).  When unbounded, returns a nonzero recession
-    direction verified by substitution.
+    reported distinctly).  When unbounded, returns an extreme ray of the
+    cone, scaled to max|u| = 1 and verified by substitution.
     """
     if not sys.feasible():
         raise InfeasibleSystem("meeting set is empty")
-    if sys.rows == 0:
-        return False, np.eye(sys.d)[0]
-    for k in range(sys.d):
-        for sign in (1.0, -1.0):
-            obj = np.zeros(sys.d)
-            obj[k] = -sign  # maximize sign * u_k
-            res = linprog(
-                obj, A_ub=sys.L, b_ub=np.zeros(sys.rows),
-                bounds=[(-1.0, 1.0)] * sys.d, method="highs",
-            )
-            if res.status == 0 and -res.fun > 1e-9:
-                u = np.asarray(res.x)
-                u[np.abs(u) < 1e-12] = 0.0
-                if np.max(sys.L @ u) <= 1e-9 and np.linalg.norm(u) > 0:
-                    return False, u
-    return True, None
+    ray = _recession_ray(sys.L)
+    return ray is None, ray
 
 
 def describe_meeting_set(action, C1: BoxSet, C2: BoxSet) -> MeetingSetDescription:
@@ -352,31 +408,13 @@ class QuasiSectionVerdict:
         return out
 
 
-def normalize_into(action, C: BoxSet, xi, slack: float = 0.0):
+def normalize_into(action, C: BoxSet, xi):
     """Parameters t with exp(.)^T xi inside C (block-wise log feasibility),
     or None when no such t exists.  Blocks with zero magnitude need lo = 0."""
     action = _as_action(action)
-    r = action.block_abs(np.asarray(xi, dtype=float).reshape(1, -1))[0]
-    rows, rhs = [], []
-    for i in range(action.k):
-        lo, hi = C.bounds[i]
-        if r[i] <= 0:
-            if lo > 0:
-                return None
-            continue
-        rows.append(action.weights[i])
-        rhs.append(np.log(hi / r[i]) - slack)
-        if lo > 0:
-            rows.append(-action.weights[i])
-            rhs.append(-np.log(lo / r[i]) - slack)
-    if not rows:
-        return np.zeros(action.d)
-    L, c = np.array(rows), np.array(rhs)
-    res = linprog(np.zeros(action.d), A_ub=L, b_ub=c,
-                  bounds=[(None, None)] * action.d, method="highs")
-    if res.status != 0:
-        return None
-    return np.asarray(res.x)
+    r = action.block_abs(np.asarray(xi, dtype=float).reshape(1, -1))
+    nonempty, point, _, _ = _polyhedra(*_point_system(action, C, r))
+    return point[0] if nonempty[0] else None
 
 
 def quasi_section_verdict(
@@ -388,8 +426,8 @@ def quasi_section_verdict(
 ) -> QuasiSectionVerdict:
     """Prop-2.5 dichotomy for a probe set C (one BoxSet or a union of them).
 
-    Coverage H^T C = U is validated by sampling the top stratum and
-    normalizing samples into C.  With coverage, a bounded meeting set makes
+    Coverage H^T C = U is validated by sampling the top stratum and checking
+    that the orbit of every sample meets C (one batched test per box).  With coverage, a bounded meeting set makes
     C itself a quasi-section; an unbounded one (plus compactness of the
     orbit space, supplied by the classifier) rules out every quasi-section
     for U.  For a union, ((C,C)) decomposes into the pairwise meeting sets,
@@ -404,49 +442,32 @@ def quasi_section_verdict(
     # skip the stratum boundary; conull coverage is what matters
     inside = np.min(action.block_abs(xis), axis=1) >= 1e-6
     samples = xis[top & inside]
-    for xi in samples:
-        if all(normalize_into(action, box, xi) is None for box in boxes):
-            raise CoverageUnverified(
-                f"sample {np.round(xi, 4).tolist()} cannot be moved into C"
-            )
-    checked = len(samples)
-    bounded, witness = True, None
-    for Ci in boxes:
-        for Cj in boxes:
-            try:
-                ok, w = is_relatively_compact(meeting_system(action, Ci, Cj))
-            except InfeasibleSystem:
-                continue  # this piece of the union never meets the other
-            if not ok:
-                bounded, witness = False, w
-                break
+    rs = action.block_abs(samples)
+    covered = np.zeros(len(samples), dtype=bool)
+    for box in boxes:
+        covered |= _polyhedra(*_point_system(action, box, rs))[0]
+    if not covered.all():
+        xi = samples[np.argmin(covered)]
+        raise CoverageUnverified(f"sample {np.round(xi, 4).tolist()} cannot be moved into C")
+    witness = None
+    for Ci, Cj in product(boxes, boxes):
+        try:
+            bounded, witness = is_relatively_compact(meeting_system(action, Ci, Cj))
+        except InfeasibleSystem:
+            continue  # this piece of the union never meets the other
         if not bounded:
             break
-    if bounded:
-        return QuasiSectionVerdict(
-            exists="yes",
-            box_is_quasi_section=True,
-            witness_direction=None,
-            coverage_samples=checked,
-            notes=("((C,C)) bounded: C itself is a topological quasi-section",),
-        )
-    if orbit_space_compact:
-        return QuasiSectionVerdict(
-            exists="no",
-            box_is_quasi_section=False,
-            witness_direction=witness,
-            coverage_samples=checked,
-            notes=("orbit space compact and ((C,C)) unbounded: no quasi-section "
-                   "exists for U at all",),
-        )
-    return QuasiSectionVerdict(
-        exists="unknown",
-        box_is_quasi_section=False,
-        witness_direction=witness,
-        coverage_samples=checked,
-        notes=("((C,C)) unbounded: C is not a quasi-section (no global "
-               "conclusion without compactness of the orbit space)",),
-    )
+    if witness is None:
+        exists, note = "yes", "((C,C)) bounded: C itself is a topological quasi-section"
+    elif orbit_space_compact:
+        exists, note = "no", ("orbit space compact and ((C,C)) unbounded: no "
+                              "quasi-section exists for U at all")
+    else:
+        exists, note = "unknown", ("((C,C)) unbounded: C is not a quasi-section (no "
+                                   "global conclusion without compactness of the orbit space)")
+    return QuasiSectionVerdict(exists=exists, box_is_quasi_section=witness is None,
+                               witness_direction=witness, coverage_samples=len(samples),
+                               notes=(note,))
 
 
 @dataclass(frozen=True)
@@ -485,8 +506,6 @@ def meeting_probe(alg: DilationAlgebra, first_points, second_contains,
     (default [-6, 6]^d); a hit outside the margin window certifies
     non-compactness, anything else is a numerical-only boundedness verdict.
     """
-    from .linalg import mat_exp  # local import to avoid a cycle at module load
-
     pts = np.atleast_2d(np.asarray(first_points, dtype=float))
     d = alg.d
     if probe_box is None:

@@ -46,8 +46,9 @@ from .quasisection import (
     BoxSet,
     DiagonalizedAction,
     _as_action,
+    _point_system,
+    _polyhedra,
     is_relatively_compact,
-    linprog,
     meeting_system,
 )
 
@@ -103,35 +104,30 @@ def bump(action, C: BoxSet, W: BoxSet) -> BumpFunction:
     return BumpFunction(action=action, inner=C, outer=W)
 
 
-def _polyhedron_box(L, c, d, margin: float):
-    box = []
-    for j in range(d):
-        lohi = []
-        for sign in (1.0, -1.0):
-            obj = np.zeros(d)
-            obj[j] = sign
-            res = linprog(obj, A_ub=L, b_ub=c,
-                          bounds=[(None, None)] * d, method="highs")
-            if res.status == 3:
-                raise SupportUnbounded(f"parameter support unbounded in direction {j}")
-            if res.status != 0:
-                raise SupportUnbounded("parameter-support box could not be computed")
-            lohi.append(res.x[j])
-        lo, hi = min(lohi), max(lohi)
-        pad = margin * max(hi - lo, 0.1)
-        box.append((lo - pad, hi + pad))
-    return tuple(box)
+def _padded_boxes(L, c, margin: float):
+    """Which systems {L t <= c_i} (rows of c) are nonempty, and their bounding
+    boxes, (m', d, 2), padded by margin * max(hi - lo, 0.1) on each side.
+    Raises SupportUnbounded when a box has an infinite side."""
+    nonempty, _, lo, hi = _polyhedra(L, c)
+    lo, hi = lo[nonempty], hi[nonempty]
+    unbounded = np.flatnonzero(~np.isfinite(lo).all(axis=0) | ~np.isfinite(hi).all(axis=0))
+    if unbounded.size:
+        raise SupportUnbounded(f"parameter support unbounded in direction {unbounded[0]}")
+    pad = margin * np.maximum(hi - lo, 0.1)
+    return nonempty, np.stack([lo - pad, hi + pad], axis=-1)
 
 
 def meeting_param_box(action, C1: BoxSet, C2: BoxSet, margin: float = 0.15):
     """Bounding box of the meeting-set polyhedron ((C1, C2)), enlarged by margin.
 
     Raises SupportUnbounded when the polyhedron is unbounded in some
-    parameter direction.
+    parameter direction (or empty).
     """
-    action = _as_action(action)
     sys = meeting_system(action, C1, C2)
-    return _polyhedron_box(sys.L, sys.c, action.d, margin)
+    nonempty, boxes = _padded_boxes(sys.L, sys.c, margin)
+    if not nonempty[0]:
+        raise SupportUnbounded("the meeting set is empty: no parameter-support box")
+    return tuple(map(tuple, boxes[0].tolist()))
 
 
 def point_support_box(action, W: BoxSet, r, pad: float = 0.05):
@@ -139,27 +135,9 @@ def point_support_box(action, W: BoxSet, r, pad: float = 0.05):
     i.e. of the parameter support of t -> phi(h_t^T xi) for a point with
     block magnitudes r.  Returns None when the set is empty (phi vanishes on
     the whole orbit)."""
-    action = _as_action(action)
-    r = np.asarray(r, dtype=float).reshape(-1)
-    rows, rhs = [], []
-    for i in range(action.k):
-        lo, hi = W.bounds[i]
-        if r[i] <= 0:
-            if lo > 0:
-                return None
-            continue
-        rows.append(action.weights[i])
-        rhs.append(np.log(hi / r[i]))
-        if lo > 0:
-            rows.append(-action.weights[i])
-            rhs.append(-np.log(lo / r[i]))
-    L = np.array(rows) if rows else np.zeros((0, action.d))
-    c = np.array(rhs) if rhs else np.zeros(0)
-    probe = linprog(np.zeros(action.d), A_ub=L, b_ub=c,
-                    bounds=[(None, None)] * action.d, method="highs")
-    if probe.status == 2:
-        return None
-    return _polyhedron_box(L, c, action.d, pad)
+    r = np.reshape(np.asarray(r, dtype=float), (1, -1))
+    nonempty, boxes = _padded_boxes(*_point_system(_as_action(action), W, r), pad)
+    return tuple(map(tuple, boxes[0].tolist())) if nonempty[0] else None
 
 
 def _orders_tuple(orders, d: int) -> tuple:
@@ -346,35 +324,27 @@ class CalderonReport:
 def calderon_check(spec: WaveletSpec, xis, orders=None) -> CalderonReport:
     """max |int_H |ghat(h^T xi)|^2 dh - 1| over covered samples, at `orders`.
 
-    Each sample integrates over its own tight parameter-support box (the
-    integrand support shifts with the sample's orbit position).  Uncovered
-    samples (integral near zero) are reported and excluded from the max;
-    never raises on large deviation.
+    A sample is covered when its orbit meets C, decided exactly by the
+    polyhedral kernel; uncovered samples are counted and excluded from the
+    max.  Each covered sample integrates over its own tight parameter-support
+    box (the integrand support shifts with the sample's orbit position).
+    Never raises on large deviation.
     """
     action = spec.action
     rs = action.block_abs(xis)
     orders_t = spec.orders if orders is None else _orders_tuple(orders, action.d)
-    n_covered, uncovered, vals = 0, 0, []
-    for r in rs:
-        box = point_support_box(action, spec.W, r)
-        if box is None:
-            uncovered += 1
-            continue
-        # one order, no doubling: at sigma's own orders the nodes line up along
-        # the orbit and the integral is sigma / sigma = 1 whatever sigma's error
-        val = float(_haar_integral(action, spec.block_values, r.reshape(1, -1),
-                                   box, orders_t, refine=False)[0][0])
-        if val < 0.5:
-            uncovered += 1
-            continue
-        n_covered += 1
-        vals.append(val)
-    vals = np.array(vals)
+    covered = _polyhedra(*_point_system(action, spec.C, rs))[0]
+    _, boxes = _padded_boxes(*_point_system(action, spec.W, rs[covered]), 0.05)
+    # one order, no doubling: at sigma's own orders the nodes line up along
+    # the orbit and the integral is sigma / sigma = 1 whatever sigma's error
+    vals = np.array([_haar_integral(action, spec.block_values, r.reshape(1, -1), box,
+                                    orders_t, refine=False)[0][0]
+                     for r, box in zip(rs[covered], boxes)])
     dev = float(np.max(np.abs(vals - 1.0))) if vals.size else float("nan")
     return CalderonReport(
         max_deviation=dev,
-        n_covered=n_covered,
-        n_uncovered=uncovered,
+        n_covered=int(covered.sum()),
+        n_uncovered=int((~covered).sum()),
         orders=orders_t,
         values=vals,
     )

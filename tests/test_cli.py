@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from orbitscope.cli import main
 from orbitscope.groupspec import validate_report
 from orbitscope.errors import InputError
 
@@ -229,6 +230,27 @@ class TestBoxInput:
         assert "Traceback" not in res.stderr
 
 
+class TestFlagInput:
+    @pytest.mark.parametrize("subcommand, flags", [
+        ("strata", ["--grid", "-1"]),
+        ("strata", ["--grid", "0"]),
+        ("wavelet", ["--quad-order", "0"]),
+        ("wavelet", ["--quad-order", "-2"]),
+        ("wavelet", ["--grid", "0"]),
+    ], ids=["strata-grid-negative", "strata-grid-zero", "wavelet-quad-order-zero",
+            "wavelet-quad-order-negative", "wavelet-grid-zero"])
+    def test_flag_below_one_exit_1(self, case_d_spec, tmp_path, capsys, subcommand, flags):
+        path = case_d_spec
+        if subcommand == "wavelet":
+            path = tmp_path / "w.json"
+            path.write_text(json.dumps({"n": 1, "generators": DILATION_1D,
+                                        "box": {"bounds": [[1.0, 2.0]]}, "samples": 2}))
+        out = tmp_path / "out"
+        assert main([subcommand, "--input", str(path), "--out", str(out), *flags]) == 1
+        assert f"input error: {flags[0]} must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestWaveletPipeline:
     def test_wavelet_then_cwt(self, tmp_path):
         doc = {"n": 1, "generators": [[1.0]], "box": {"bounds": [[1.0, 2.0]]},
@@ -367,7 +389,9 @@ class TestImports:
             assert probe == {"code": 0, "scipy": []}, args
             validate_report(json.loads(out.read_text()))
 
-    def test_quasisection_loads_scipy_on_demand(self, tmp_path):
+    def test_solver_jobs_load_no_optimizer(self, tmp_path):
+        # the meeting-set kernel is numpy only; wavelet loads scipy.special
+        # for its quadrature rule but no LP solver
         path = tmp_path / "qs.json"
         path.write_text(json.dumps({
             "n": 3,
@@ -381,7 +405,13 @@ class TestImports:
         }))
         out = tmp_path / "qs_out.json"
         probe = run_import_probe("quasisection", "--input", str(path), "--out", str(out))
-        assert probe["code"] == 0
-        assert "scipy.optimize" in probe["scipy"]
+        assert probe == {"code": 0, "scipy": []}
         verdict = json.loads(out.read_text())["payload"]["verdict"]
         assert verdict["quasi_section_exists"] == "no"
+        wav = tmp_path / "w.json"
+        wav.write_text(json.dumps({"n": 1, "generators": DILATION_1D,
+                                   "box": {"bounds": [[1.0, 2.0]]}, "samples": 5}))
+        probe = run_import_probe("wavelet", "--input", str(wav), "--out",
+                                 str(tmp_path / "w_out"), "--grid", "16")
+        assert probe["code"] == 0
+        assert "scipy.optimize" not in probe["scipy"]

@@ -7,9 +7,11 @@ from orbitscope.errors import (
     InfeasibleSystem,
     NotDiagonalizableFamily,
 )
-from orbitscope.families import E, family_a, family_b, family_e
+from orbitscope.families import E, case3b, family_a, family_b, family_e
 from orbitscope.linalg import DilationAlgebra
 from orbitscope.quasisection import (
+    _point_system,
+    _polyhedra,
     meeting_probe,
     BoxSet,
     c_i_box,
@@ -300,3 +302,126 @@ class TestBlockMagnitudeScaling:
             npt.assert_allclose(act.block_abs(moved),
                                 act.block_abs(xi) * np.exp(act.weights @ t),
                                 rtol=1e-12)
+
+
+def lp_answers(L, c):
+    """Feasibility and bounding box of {t : L t <= c} from scipy's linprog,
+    the reference oracle for the polyhedral kernel.  A side is unbounded when
+    the recession cone {u : L u <= 0} reaches it within the unit cube."""
+    from scipy.optimize import linprog
+
+    d, rows = L.shape[1], L.shape[0]
+    system = dict(A_ub=L if rows else None, method="highs")
+    free = [(None, None)] * d
+    if linprog(np.zeros(d), b_ub=c if rows else None, bounds=free, **system).status == 2:
+        return False, None, None
+    lo, hi = np.empty(d), np.empty(d)
+    for j in range(d):
+        for sign, side in ((1.0, lo), (-1.0, hi)):
+            obj = sign * np.eye(d)[j]
+            ray = linprog(obj, b_ub=np.zeros(rows) if rows else None,
+                          bounds=[(-1.0, 1.0)] * d, **system)
+            if ray.fun < -1e-9:
+                side[j] = -sign * np.inf
+                continue
+            res = linprog(obj, b_ub=c if rows else None, bounds=free, **system)
+            assert res.status == 0, res.message
+            side[j] = res.x[j]
+    return True, lo, hi
+
+
+def lp_point_system(action, W, r):
+    """The rows of {t : r_k exp(mu_k . t) inside W}, built block by block;
+    None when a zero block faces a positive lower bound."""
+    rows, rhs = [], []
+    for i, (lo, hi) in enumerate(W.bounds):
+        if r[i] <= 0:
+            if lo > 0:
+                return None
+            continue
+        rows.append(action.weights[i])
+        rhs.append(np.log(hi / r[i]))
+        if lo > 0:
+            rows.append(-action.weights[i])
+            rhs.append(-np.log(lo / r[i]))
+    return np.reshape(rows, (-1, action.d)), np.array(rhs)
+
+
+def random_action(rng):
+    """A diagonal action with d <= 3 parameters and up to 4 blocks, or one of
+    the rank-deficient rotation families (weights of rank below d)."""
+    pick = rng.random()
+    if pick < 0.1:
+        return diagonal_action(case3b())
+    if pick < 0.15:
+        return diagonal_action(DilationAlgebra([np.array([[0.0, -1.0], [1.0, 0.0]])]))
+    while True:
+        d = int(rng.integers(1, 4))
+        k = int(rng.integers(d, 5))
+        weights = np.round(rng.uniform(-1.5, 1.5, (k, d)), 1)
+        try:
+            return diagonal_action(DilationAlgebra([np.diag(weights[:, j]) for j in range(d)]))
+        except (ValueError, NotDiagonalizableFamily):
+            continue
+
+
+def random_box(rng, k):
+    """Per-block shells at seeded scales, about a third of them balls."""
+    scale = np.exp(rng.uniform(-2.0, 2.0, k))
+    lo = np.where(rng.random(k) < 0.35, 0.0, scale * rng.uniform(0.2, 1.0, k))
+    if not lo.any():
+        lo[0] = 0.5 * scale[0]
+    return BoxSet(zip(lo, scale * rng.uniform(1.2, 3.0, k)))
+
+
+class TestPolyhedralKernel:
+    """The exact kernel against linprog on seeded random systems."""
+
+    def test_meeting_systems_match_linprog(self):
+        rng = np.random.default_rng(40)
+        seen = {"empty": 0, "bounded": 0, "unbounded": 0}
+        for _ in range(100):
+            act = random_action(rng)
+            sys = meeting_system(act, random_box(rng, act.k), random_box(rng, act.k))
+            feasible, lo, hi = lp_answers(sys.L, sys.c)
+            assert sys.feasible() == feasible
+            if not feasible:
+                seen["empty"] += 1
+                with pytest.raises(InfeasibleSystem):
+                    is_relatively_compact(sys)
+                continue
+            nonempty, point, klo, khi = _polyhedra(sys.L, sys.c)
+            assert nonempty[0] and sys.satisfied(point[0])
+            npt.assert_allclose(klo[0], lo, rtol=1e-9, atol=1e-9)
+            npt.assert_allclose(khi[0], hi, rtol=1e-9, atol=1e-9)
+            bounded, u = is_relatively_compact(sys)
+            assert bounded == bool(np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)))
+            if bounded:
+                seen["bounded"] += 1
+                assert u is None
+            else:
+                seen["unbounded"] += 1
+                assert np.max(np.abs(u)) == pytest.approx(1.0)
+                assert np.max(sys.L @ u, initial=-np.inf) <= 1e-9
+        assert min(seen.values()) >= 10, seen
+
+    def test_point_systems_match_linprog(self):
+        rng = np.random.default_rng(41)
+        checked = {"empty": 0, "nonempty": 0}
+        for _ in range(25):
+            act = random_action(rng)
+            W = random_box(rng, act.k)
+            rs = np.exp(rng.uniform(-2.0, 2.0, (12, act.k)))
+            rs[rng.random(rs.shape) < 0.15] = 0.0  # points on coordinate planes
+            nonempty, point, lo, hi = _polyhedra(*_point_system(act, W, rs))
+            for i, r in enumerate(rs):
+                system = lp_point_system(act, W, r)
+                feasible, plo, phi = (False, None, None) if system is None else lp_answers(*system)
+                assert nonempty[i] == feasible, (act.weights, W.bounds, r)
+                checked["nonempty" if feasible else "empty"] += 1
+                if feasible:
+                    L, c = system
+                    assert np.all(L @ point[i] <= c + 1e-9)
+                    npt.assert_allclose(lo[i], plo, rtol=1e-9, atol=1e-9)
+                    npt.assert_allclose(hi[i], phi, rtol=1e-9, atol=1e-9)
+        assert min(checked.values()) >= 30, checked

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -188,6 +190,15 @@ class TestCalderon:
     def test_uncovered_excluded(self, spec_1d):
         rep = calderon_check(spec_1d, [[1.5], [0.0]], orders=64)
         assert rep.n_covered == 1 and rep.n_uncovered == 1
+
+    def test_wrong_sigma_fails_instead_of_dropping_samples(self, spec_1d):
+        # coverage comes from structure (the orbit meets C), not from the
+        # size of the integral, so a 3x error in sigma shows as a deviation
+        bad = dataclasses.replace(spec_1d, sigma=3 * spec_1d.sigma)
+        xis = np.exp(np.random.default_rng(3).uniform(-2, 2, 20)).reshape(-1, 1)
+        rep = calderon_check(bad, xis, orders=64)
+        assert rep.n_covered == 20 and rep.n_uncovered == 0
+        assert rep.max_deviation == pytest.approx(2.0 / 3.0, abs=1e-3)
 
 
 class TestCwt:
