@@ -10,7 +10,6 @@ and tolerance overrides.  ORBITSCOPE_THREADS is accepted and has no effect.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from dataclasses import dataclass
@@ -40,6 +39,7 @@ from .sections import normal_form, section_point
 from .wavelet import calderon_check, cwt as run_cwt, l1_estimate, synth_wavelet
 
 DEFAULT_SEED = 1729
+_CSV_CHUNK_ROWS = 4096
 
 
 @dataclass
@@ -197,11 +197,9 @@ def _cmd_strata(cfg: RunConfig) -> dict:
     spec = SampleSpec(kind="cloud", count=cfg.grid * 4, seed=cfg.seed)
     rep = stratify(alg, spec, conull_threshold=0.99)
     csv_path = (cfg.out or "strata") + ".csv"
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"xi_{i + 1}" for i in range(alg.n)] + ["orbit_dim"])
-        for xi, d in rep.probes:
-            writer.writerow([f"{v:.12g}" for v in xi] + [d])
+    _write_csv(csv_path, [f"xi_{i + 1}" for i in range(alg.n)] + ["orbit_dim"],
+               np.array([xi + (d,) for xi, d in rep.probes]),
+               ",".join(["%.12g"] * alg.n + ["%d"]))
     payload = rep.to_json()
     del payload["n_probes"]
     return {**payload, "csv": csv_path}
@@ -331,12 +329,22 @@ def _export_ghat(spec, path: str, per_axis: int = 64) -> None:
     axes = [np.linspace(-hi, hi, per_axis)] * n
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([g.ravel() for g in mesh], axis=-1)
-    vals = spec.ghat(pts)
+    _write_csv(path, [f"xi_{i + 1}" for i in range(n)] + ["ghat"],
+               np.column_stack([pts, spec.ghat(pts)]), ",".join(["%.12g"] * (n + 1)))
+
+
+def _write_csv(path: str, header, table: np.ndarray, fmt: str) -> None:
+    """Write a header and the rows of a 2-D table, each row formatted by the
+    %-template fmt, byte for byte as csv.writer writes the same cells
+    (unquoted, CRLF line ends).  Each chunk of rows is formatted by one % on
+    a repeated row template; chunking bounds the memory by the chunk, not
+    the table."""
+    row = fmt + "\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"xi_{i + 1}" for i in range(n)] + ["ghat"])
-        for p, v in zip(pts, vals):
-            writer.writerow([f"{x:.12g}" for x in p] + [f"{v:.12g}"])
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, table.shape[0], _CSV_CHUNK_ROWS):
+            chunk = table[start:start + _CSV_CHUNK_ROWS]
+            fh.write((row * chunk.shape[0]) % tuple(chunk.ravel().tolist()))
 
 
 def _cmd_cwt(cfg: RunConfig) -> dict:

@@ -1,4 +1,9 @@
-"""Gauss-Legendre tensor quadrature over parameter boxes."""
+"""Gauss-Legendre tensor quadrature over parameter boxes.
+
+The reference rule on [-1, 1] is built here with numpy alone, by Newton's
+method on the Legendre three-term recurrence (Golub & Welsch 1969; Hale &
+Townsend 2013), and cached per order.
+"""
 
 from __future__ import annotations
 
@@ -7,17 +12,37 @@ from functools import lru_cache
 
 import numpy as np
 
+_NEWTON_STEPS = 100
+
+
+def _legendre(order: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_order(x) and its derivative, by the three-term recurrence."""
+    p_prev, p = np.ones_like(x), x
+    for k in range(2, order + 1):
+        p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+    return p, order * (x * p - p_prev) / (x * x - 1.0)
+
 
 @lru_cache(maxsize=32)
 def _reference_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights on [-1, 1]; read-only because every caller shares them.
+    """Ascending nodes and weights on [-1, 1]; read-only because every caller
+    shares them.
 
-    scipy is imported here, not at module load, so subcommands that build no
-    quadrature rule never pay for it.
+    Newton's method from the guesses cos(pi (i - 1/4) / (n + 1/2)) runs on all
+    nodes at once; weights are 2 / ((1 - x^2) P_n'(x)^2).  Raises when the
+    iteration has not converged within its step cap.
     """
-    from scipy.special import roots_legendre
-
-    x, w = roots_legendre(order)
+    x = np.cos(np.pi * (np.arange(order, 0, -1) - 0.25) / (order + 0.5))
+    for _ in range(_NEWTON_STEPS):
+        p, dp = _legendre(order, x)
+        step = p / dp
+        x = x - step
+        if np.max(np.abs(step)) <= 1e-14:
+            break
+    else:
+        raise ArithmeticError(f"Gauss-Legendre nodes of order {order} did not converge")
+    _, dp = _legendre(order, x)
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w

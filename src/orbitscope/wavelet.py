@@ -75,17 +75,21 @@ class BumpFunction:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         return self.block_values(self.action.block_abs(pts))
 
+    def factor(self, k: int, x: np.ndarray) -> np.ndarray:
+        """Block k's factor of phi at the block magnitudes x."""
+        (ci_lo, ci_hi), (wo_lo, wo_hi) = self.inner.bounds[k], self.outer.bounds[k]
+        out = smoothstep((wo_hi - x) / (wo_hi - ci_hi))
+        if wo_lo > 0:
+            out *= smoothstep((x - wo_lo) / (ci_lo - wo_lo))
+        return out
+
     def block_values(self, r: np.ndarray) -> np.ndarray:
-        """phi as a function of the block-magnitude coordinates."""
+        """phi as a function of the block-magnitude coordinates: the product
+        of the per-block factors."""
         r = np.atleast_2d(r)
         out = np.ones(r.shape[0])
-        for i, ((ci_lo, ci_hi), (wo_lo, wo_hi)) in enumerate(
-            zip(self.inner.bounds, self.outer.bounds)
-        ):
-            x = r[:, i]
-            if wo_lo > 0:
-                out = out * smoothstep((x - wo_lo) / (ci_lo - wo_lo))
-            out = out * smoothstep((wo_hi - x) / (wo_hi - ci_hi))
+        for k in range(r.shape[1]):
+            out *= self.factor(k, r[:, k])
         return out
 
 
@@ -437,9 +441,8 @@ def cwt(spec: WaveletSpec, f: np.ndarray, dx, param_counts=64,
     dets = np.exp(pts @ traces)
     coeffs = np.empty((pts.shape[0],) + shape, dtype=complex)
     rf = spec.action.block_abs(freqs)
-    for i, t in enumerate(pts):
-        gh = spec.block_values(_orbit_magnitudes(spec.action, rf, t)).reshape(shape)
-        F = fhat * np.conj(gh) * np.sqrt(dets[i])
+    for i, gh in enumerate(_lattice_slices(spec, rf, pts)):
+        F = fhat * np.conj(gh.reshape(shape)) * np.sqrt(dets[i])
         coeffs[i] = np.fft.ifftn(F) / cell
     return TransformGrid(
         spatial_shape=shape,
@@ -501,11 +504,11 @@ def l1_estimate(spec: WaveletSpec, shape, dx, param_counts=64,
     pts, w = param_lattice(box, param_counts)
     traces = np.array([np.trace(G) for G in action.alg.generators])
     total = 0.0
-    for t, wt in zip(pts, w):
-        l1 = _slice_l1(spec, g0, rf, shape, cell, t)
+    for t, wt, gh in zip(pts, w, _lattice_slices(spec, rf, pts)):
+        l1 = _slice_l1(g0, gh.reshape(shape), cell)
         det = float(np.exp(np.dot(t, traces)))
         total += wt * l1 * det ** (kappa - 0.5)
-    containment = _containment_check(spec, g0, rf, shape, cell, box)
+    containment = _containment_check(spec, g0, rf, cell, box)
     return L1Report(
         value=float(total),
         param_box=box,
@@ -515,18 +518,35 @@ def l1_estimate(spec: WaveletSpec, shape, dx, param_counts=64,
     )
 
 
-def _slice_l1(spec, g0, rf, shape, cell, t) -> float:
-    gh = spec.block_values(_orbit_magnitudes(spec.action, rf, t)).reshape(shape)
+def _lattice_slices(spec: WaveletSpec, rf: np.ndarray, ts):
+    """ghat(h_t^T xi) on a lattice with block magnitudes rf, one (m,) array per
+    row of ts.
+
+    Each block's factor of phi is evaluated on that block's distinct
+    magnitudes u_k scaled by exp(mu_k . t) and gathered onto the lattice, so
+    a slice costs one bump evaluation per distinct magnitude, and memory
+    stays O(lattice).
+    """
+    blocks = [np.unique(rf[:, k], return_inverse=True) for k in range(rf.shape[1])]
+    for scale in np.exp(np.atleast_2d(ts) @ spec.action.weights.T):
+        out = np.ones(rf.shape[0])
+        for k, (u, inverse) in enumerate(blocks):
+            out *= spec.phi.factor(k, scale[k] * u)[inverse]
+        yield out / np.sqrt(spec.sigma)
+
+
+def _slice_l1(g0, gh, cell) -> float:
     a = np.fft.ifftn(g0 * np.conj(gh)) / cell
     return float(np.sum(np.abs(a)) * cell)
 
 
-def _containment_check(spec, g0, rf, shape, cell, box, pad: float = 0.75) -> float:
+def _containment_check(spec, g0, rf, cell, box, pad: float = 0.75) -> float:
     """Max slice-L1 just outside the meeting-set box (must be ~0)."""
-    worst = 0.0
+    ts = []
     for j in range(len(box)):
         for side in (0, 1):
             t = np.array([0.5 * (lo + hi) for lo, hi in box])
             t[j] = box[j][side] + (pad if side else -pad)
-            worst = max(worst, _slice_l1(spec, g0, rf, shape, cell, t))
-    return worst
+            ts.append(t)
+    return max(_slice_l1(g0, gh.reshape(g0.shape), cell)
+               for gh in _lattice_slices(spec, rf, ts))

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from orbitscope.cli import main
+from orbitscope.cli import _write_csv, main
 from orbitscope.groupspec import validate_report
 from orbitscope.errors import InputError
 
@@ -390,8 +391,7 @@ class TestImports:
             validate_report(json.loads(out.read_text()))
 
     def test_solver_jobs_load_no_optimizer(self, tmp_path):
-        # the meeting-set kernel is numpy only; wavelet loads scipy.special
-        # for its quadrature rule but no LP solver
+        # the meeting-set kernel and the quadrature rule are numpy only
         path = tmp_path / "qs.json"
         path.write_text(json.dumps({
             "n": 3,
@@ -413,5 +413,53 @@ class TestImports:
                                    "box": {"bounds": [[1.0, 2.0]]}, "samples": 5}))
         probe = run_import_probe("wavelet", "--input", str(wav), "--out",
                                  str(tmp_path / "w_out"), "--grid", "16")
-        assert probe["code"] == 0
-        assert "scipy.optimize" not in probe["scipy"]
+        assert probe == {"code": 0, "scipy": []}
+        sig = tmp_path / "sig.csv"
+        np.savetxt(sig, np.cos(2 * np.pi * 5 * np.arange(64) / 64), delimiter=",")
+        cwt_doc = tmp_path / "c.json"
+        cwt_doc.write_text(json.dumps({"n": 1, "generators": DILATION_1D,
+                                       "box": {"bounds": [[1.0, 2.0]]},
+                                       "signal": str(sig), "dx": 0.3,
+                                       "param_counts": 8}))
+        probe = run_import_probe("cwt", "--input", str(cwt_doc), "--out",
+                                 str(tmp_path / "c_out"))
+        assert probe == {"code": 0, "scipy": []}
+
+
+def csv_writer_reference(path, header, rows):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(row)
+
+
+class TestWriteCsv:
+    EDGE = [-0.0, 1e-300, 0.1, 1e16, -2.5e-7, 123456789.123456789]
+
+    @pytest.mark.parametrize("n, m", [(1, 70), (3, 4913)])
+    def test_ghat_table_matches_csv_writer(self, tmp_path, n, m):
+        # 4913 rows span two 4096-row chunks
+        rng = np.random.default_rng(n)
+        table = rng.standard_normal((m, n + 1)) * 10.0 ** rng.integers(-20, 20, (m, n + 1))
+        table[:len(self.EDGE), :] = np.array(self.EDGE)[:, None]
+        header = [f"xi_{i + 1}" for i in range(n)] + ["ghat"]
+        ref = tmp_path / "ref.csv"
+        csv_writer_reference(ref, header, ([f"{v:.12g}" for v in row] for row in table))
+        got = tmp_path / "got.csv"
+        _write_csv(str(got), header, table, ",".join(["%.12g"] * (n + 1)))
+        assert got.read_bytes() == ref.read_bytes()
+
+    def test_strata_table_with_int_column(self, tmp_path):
+        rng = np.random.default_rng(7)
+        xis = rng.standard_normal((300, 3))
+        xis[:len(self.EDGE), 0] = self.EDGE
+        dims = rng.integers(0, 4, 300)
+        header = ["xi_1", "xi_2", "xi_3", "orbit_dim"]
+        ref = tmp_path / "ref.csv"
+        csv_writer_reference(ref, header, ([f"{v:.12g}" for v in xi] + [int(d)]
+                                           for xi, d in zip(xis.tolist(), dims)))
+        got = tmp_path / "got.csv"
+        _write_csv(str(got), header, np.column_stack([xis, dims]),
+                   "%.12g,%.12g,%.12g,%d")
+        assert got.read_bytes() == ref.read_bytes()

@@ -18,11 +18,14 @@ from orbitscope.orbits import GroupElement
 from orbitscope.linalg import DilationAlgebra
 from orbitscope.quasisection import BoxSet, c_i_box, diagonal_action
 from orbitscope.wavelet import (
+    _lattice_slices,
+    _orbit_magnitudes,
     bump,
     calderon_check,
     cwt,
     frequency_lattice,
     l1_estimate,
+    param_lattice,
     point_support_box,
     sigma,
     smoothstep,
@@ -244,6 +247,35 @@ class TestCwt:
     def test_power_of_two_required(self, spec_1d):
         with pytest.raises(ValueError):
             cwt(spec_1d, np.zeros(100), 0.3)
+
+
+@pytest.fixture(scope="module")
+def spec_2d_rotation_scaling():
+    act = diagonal_action(DilationAlgebra([np.array([[1.0, -1.0], [1.0, 1.0]])]))
+    return synth_wavelet(act, BoxSet([(1.0, 2.0)]), orders=64)
+
+
+class TestLatticeSlices:
+    @pytest.mark.parametrize("name, shape, dx", [
+        ("spec_1d", (256,), 0.3),
+        ("spec_2d_rotation_scaling", (32, 32), 0.3),
+        ("spec_case_a", (16, 16, 16), 0.4),
+    ])
+    def test_matches_block_values_on_orbit_magnitudes(self, name, shape, dx, request):
+        spec = request.getfixturevalue(name)
+        rf = spec.action.block_abs(frequency_lattice(shape, (dx,) * len(shape)))
+        pts, _ = param_lattice(spec.param_box, 5)
+        # the containment check evaluates slices just outside the meeting box
+        lo = np.array([b[0] for b in spec.param_box])
+        hi = np.array([b[1] for b in spec.param_box])
+        ts = np.concatenate([pts, [lo - 0.75, hi + 0.75, np.zeros_like(lo)]])
+        slices = list(_lattice_slices(spec, rf, ts))
+        assert len(slices) == len(ts)
+        for t, gh in zip(ts, slices):
+            ref = spec.block_values(_orbit_magnitudes(spec.action, rf, t))
+            assert gh.shape == (rf.shape[0],)
+            npt.assert_allclose(gh, ref, rtol=1e-14, atol=0)
+        assert any(np.count_nonzero(gh) for gh in slices)
 
 
 class TestL1Estimate:
