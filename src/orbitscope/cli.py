@@ -1,10 +1,14 @@
 """Batch front end: group-spec files in, JSON reports out.
 
 Subcommands: classify | strata | section | quasisection | wavelet | cwt.
-Exit status 0 on success, 2 on named domain errors, 1 on I/O or parse
-errors.  Reports are deterministic for fixed inputs and flags (modulo the
-timestamp header field) and carry a provenance header with version, seed,
-and tolerance overrides.  ORBITSCOPE_THREADS is accepted and has no effect.
+Exit status 0 on success, 2 on named domain errors, 1 on I/O, parse or
+input errors: `section` points that are not a finite (m, n) array, a `cwt`
+signal that is zero everywhere or has a non-finite sample.  `section`
+answers all its points with one batched call; a point without a section
+gets a record naming NotInLayer or ZeroEigenvalue.  Reports are
+deterministic for fixed inputs and flags (modulo the timestamp header
+field) and carry a provenance header with version, seed, and tolerance
+overrides.  ORBITSCOPE_THREADS is accepted and has no effect.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from .groupspec import (
 from .linalg import DilationAlgebra, rank_tol, roots_decompose
 from .orbits import SampleSpec, stratify
 from .quasisection import BoxSet, diagonal_action, quasi_section_verdict
-from .sections import normal_form, section_point
+from .sections import normal_form, section_batch
 from .wavelet import calderon_check, cwt as run_cwt, l1_estimate, synth_wavelet
 
 DEFAULT_SEED = 1729
@@ -212,28 +216,40 @@ def _cmd_section(cfg: RunConfig) -> dict:
     alg = _load_alg(cfg, doc)
     if alg.d != 2:
         raise InputError("section expects exactly two generators (A, X)")
-    points = doc.get("points")
-    if not isinstance(points, list) or not points:
-        raise InputError("'points' must be a non-empty list")
+    V = _parse_points(doc.get("points"), alg.n)
     A, X = alg.generators
-    fam = normal_form(A, X, tol=alg.tol)
-    records = []
-    for pt in points:
-        xi = np.asarray(pt, dtype=float)
-        try:
-            sp = section_point(fam, xi)
-            records.append({"point": [float(v) for v in xi], **sp.to_json()})
-        except (NotInLayer, ZeroEigenvalue) as err:
-            records.append({
-                "point": [float(v) for v in xi],
-                "layer": None,
-                "error": type(err).__name__,
-            })
+    sec = section_batch(normal_form(A, X, tol=alg.tol), V)
+    error = np.where(sec.zero_eigenvalue, ZeroEigenvalue.__name__,
+                     np.where(sec.not_in_layer, NotInLayer.__name__, ""))
+    records = [
+        {"point": pt, "layer": None, "error": err} if err else
+        {"point": pt, "block": blk, "eigenvalue": lam, "layer": b, "representative": rep,
+         "witness_s": s, "witness_t": t, "sign": sign}
+        for pt, err, blk, lam, b, rep, s, t, sign in zip(
+            V.tolist(), error.tolist(), sec.block.tolist(), sec.eigenvalue.tolist(),
+            sec.b.tolist(), sec.representative.tolist(), sec.s.tolist(), sec.t.tolist(),
+            sec.sign.tolist())
+    ]
     if cfg.out:
         with open(cfg.out + ".jsonl", "w", encoding="utf-8") as fh:
             for rec in records:
                 fh.write(json.dumps(rec, sort_keys=True) + "\n")
     return {"records": records, "n_points": len(records)}
+
+
+def _parse_points(points, n: int) -> np.ndarray:
+    """The 'points' input as a finite (m, n) float array with m >= 1."""
+    expected = f"'points' must be a non-empty list of points with {n} finite numbers each"
+    try:
+        V = np.array(points)
+    except ValueError as err:  # ragged nesting
+        raise InputError(f"{expected}: {err}") from err
+    if V.dtype.kind not in "iuf" or V.ndim != 2 or V.shape[0] == 0 or V.shape[1] != n:
+        raise InputError(expected)
+    V = V.astype(float)
+    if not np.all(np.isfinite(V)):
+        raise InputError(f"{expected}: non-finite entry")
+    return V
 
 
 def _parse_box(entry, action, name: str) -> BoxSet:

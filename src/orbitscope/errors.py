@@ -26,6 +26,10 @@ class SpecParseError(InputError):
         self.byte_offset = byte_offset
 
 
+class InvalidSignal(InputError):
+    """A cwt signal with a non-finite sample, or one that is zero everywhere."""
+
+
 class DomainError(OrbitscopeError):
     """A named mathematical precondition failed."""
 
@@ -40,10 +44,6 @@ class NotNilpotent(DomainError):
 
 class NotDiagonalizable(DomainError):
     pass
-
-
-class ComplexSpectrum(DomainError):
-    """Triangularization over the reals requires an all-real joint spectrum."""
 
 
 class IllConditioned(DomainError):

@@ -24,14 +24,6 @@ from .linalg import DilationAlgebra
 SCHEMA_VERSION = "1"
 
 
-def parse_group_spec(text: str) -> DilationAlgebra:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise SpecParseError(f"invalid JSON: {err.msg}", byte_offset=err.pos) from err
-    return group_spec_from_dict(doc)
-
-
 def group_spec_from_dict(doc: dict) -> DilationAlgebra:
     if not isinstance(doc, dict):
         raise InputError("group spec must be a JSON object")
@@ -59,15 +51,6 @@ def group_spec_from_dict(doc: dict) -> DilationAlgebra:
         return DilationAlgebra(gens, n=n, tol=tol)
     except ValueError as err:
         raise InputError(f"invalid group spec: {err}") from err
-
-
-def load_group_spec(path: str) -> DilationAlgebra:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as err:
-        raise InputError(f"cannot read {path}: {err}") from err
-    return parse_group_spec(text)
 
 
 def load_json(path: str) -> Any:

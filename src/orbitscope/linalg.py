@@ -1,9 +1,9 @@
 """Dense small-matrix primitives for commuting generator sets.
 
 Everything here operates on n x n real matrices with n <= 6: matrix
-exponential, tolerance-aware rank, commutativity checks, simultaneous
-triangularization, and the joint root / generalized-eigenspace
-decomposition that the orbit and classification machinery is built on.
+exponential, tolerance-aware rank, commutativity checks, and the joint
+root / generalized-eigenspace decomposition that the orbit and
+classification machinery is built on.
 """
 
 from __future__ import annotations
@@ -13,11 +13,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    ComplexSpectrum,
     IllConditioned,
     MatrixOverflow,
     NonCommuting,
-    NotDiagonalizable,
 )
 
 DEFAULT_TOL = 1e-9
@@ -455,66 +453,3 @@ def blocks_semisimple(alg: DilationAlgebra, rd: RootDecomposition,
             if np.linalg.norm(R) > rtol * (scale if real else scale ** 2 + 1.0):
                 return False
     return True
-
-
-def triangularize(alg: DilationAlgebra) -> np.ndarray:
-    """Orthogonal P with P^-1 X P upper triangular for every generator X.
-
-    Requires an all-real joint spectrum; raises ComplexSpectrum otherwise.
-    """
-    rd = roots_decompose(alg)
-    if not rd.all_real():
-        raise ComplexSpectrum("a non-real joint root exists")
-    n = alg.n
-    mats = [G.copy() for G in alg.generators]
-    P = np.eye(n)
-    offset = 0
-    while offset < n - 1:
-        k = n - offset
-        v = _joint_eigenvector(mats, alg.tol)
-        Q = _complete_basis(v)
-        mats = [(Q.T @ M @ Q)[1:, 1:] for M in mats]
-        full = np.eye(n)
-        full[offset:, offset:] = Q
-        P = P @ full
-        offset += 1
-    # snap: verify the strictly-lower parts vanish
-    worst = 0.0
-    for G in alg.generators:
-        T = P.T @ G @ P
-        worst = max(worst, float(np.max(np.abs(np.tril(T, -1)))))
-    if worst > 1e-7 * max(alg.scale(), 1.0):
-        raise NotDiagonalizable(f"triangularization residual {worst:.3g} too large")
-    return P
-
-
-def _joint_eigenvector(mats, tol: float) -> np.ndarray:
-    """A common eigenvector of commuting real matrices with real spectrum."""
-    k = mats[0].shape[0]
-    S = np.eye(k)
-    for M in mats:
-        Ms = S.T @ M @ S
-        eigs = np.linalg.eigvals(Ms)
-        mu = float(np.min(eigs.real))
-        K = null_space(Ms - mu * np.eye(Ms.shape[0]), tol=1e-8,
-                       scale=max(np.linalg.norm(Ms), 1.0)).real
-        if K.shape[1] == 0:
-            raise NotDiagonalizable("no real joint eigenvector found")
-        S = orth_columns(S @ K, tol=1e-10)
-    v = S[:, 0]
-    lead = np.argmax(np.abs(v))
-    if v[lead] < 0:
-        v = -v
-    return v
-
-
-def _complete_basis(v: np.ndarray) -> np.ndarray:
-    """Orthogonal matrix whose first column is v."""
-    k = v.shape[0]
-    A = np.eye(k)
-    A[:, 0] = v
-    Q, _ = np.linalg.qr(A)
-    if np.dot(Q[:, 0], v) < 0:
-        Q[:, 0] = -Q[:, 0]
-    # QR may flip later columns; any orthogonal completion is fine
-    return Q

@@ -29,7 +29,7 @@ from .errors import (
     InfeasibleSystem,
     NotDiagonalizableFamily,
 )
-from .linalg import DilationAlgebra, blocks_semisimple, mat_exp, null_space, roots_decompose
+from .linalg import DilationAlgebra, blocks_semisimple, null_space, roots_decompose
 from .orbits import orbit_dims
 
 
@@ -69,7 +69,7 @@ class DiagonalizedAction:
 
         Semisimple action means exp is e^{mu.t} I on real blocks and
         e^{mu.t} times a rotation by nu.t on complex blocks; much faster
-        than node-by-node mat_exp on quadrature grids.
+        than a scaling-and-squaring exponential per node on quadrature grids.
         """
         ts = np.atleast_2d(np.asarray(ts, dtype=float))
         N, n = ts.shape[0], self.alg.n
@@ -468,70 +468,6 @@ def quasi_section_verdict(
     return QuasiSectionVerdict(exists=exists, box_is_quasi_section=witness is None,
                                witness_direction=witness, coverage_samples=len(samples),
                                notes=(note,))
-
-
-@dataclass(frozen=True)
-class NumericalMeetingProbe:
-    """Sampling surrogate for ((Y, Z)) when the family is not simultaneously
-    diagonalizable.  Verdicts from this path are marked 'numerical': a hit
-    outside the margin window means unbounded, absence of such hits is only
-    evidence of boundedness."""
-
-    hits: np.ndarray  # (m, d) parameters found inside the meeting set
-    probe_box: tuple
-    margin_box: tuple
-    bounded_numerical: bool
-    witness: np.ndarray | None
-
-    def to_json(self) -> dict:
-        out = {
-            "bounded_numerical": self.bounded_numerical,
-            "n_hits": int(self.hits.shape[0]),
-            "probe_box": [list(b) for b in self.probe_box],
-            "margin_box": [list(b) for b in self.margin_box],
-            "verdict_quality": "numerical",
-        }
-        if self.witness is not None:
-            out["witness_parameters"] = [float(x) for x in self.witness]
-        return out
-
-
-def meeting_probe(alg: DilationAlgebra, first_points, second_contains,
-                  probe_box=None, per_axis: int = 21,
-                  margin: float = 0.8) -> NumericalMeetingProbe:
-    """Brute-force probe of ((Y, Z)) = {h : h^T Y meets Z} for any family.
-
-    `first_points` is a finite sample of Y, `second_contains` a membership
-    callable for Z.  Parameters are scanned on a grid over `probe_box`
-    (default [-6, 6]^d); a hit outside the margin window certifies
-    non-compactness, anything else is a numerical-only boundedness verdict.
-    """
-    pts = np.atleast_2d(np.asarray(first_points, dtype=float))
-    d = alg.d
-    if probe_box is None:
-        probe_box = tuple((-6.0, 6.0) for _ in range(d))
-    axes = [np.linspace(lo, hi, per_axis) for lo, hi in probe_box]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    ts = np.stack([g.ravel() for g in mesh], axis=-1)
-    margin_box = tuple((lo * margin, hi * margin) for lo, hi in probe_box)
-    hits = []
-    witness = None
-    for t in ts:
-        hT = mat_exp(alg.element(t)).T
-        if np.any(second_contains(pts @ hT.T)):
-            hits.append(t)
-            outside = any(t[j] < margin_box[j][0] or t[j] > margin_box[j][1]
-                          for j in range(d))
-            if outside and witness is None:
-                witness = t
-    hits = np.array(hits) if hits else np.zeros((0, d))
-    return NumericalMeetingProbe(
-        hits=hits,
-        probe_box=probe_box,
-        margin_box=margin_box,
-        bounded_numerical=witness is None,
-        witness=witness,
-    )
 
 
 def _as_action(action) -> DiagonalizedAction:

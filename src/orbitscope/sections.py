@@ -28,7 +28,6 @@ from .errors import (
 from .linalg import (
     as_matrix,
     check_commuting,
-    mat_exp,
     null_space,
     orth_columns,
     rank_tol,
@@ -53,17 +52,13 @@ class LayeredFamily:
     A: np.ndarray
     X: np.ndarray
     basis: np.ndarray  # columns = adapted basis
-    basis_inv: np.ndarray
+    basis_inv: np.ndarray  # rows = the adapted-coordinate functionals p_i
     blocks: tuple
     tol: float
 
     @property
     def n(self) -> int:
         return self.A.shape[0]
-
-    def coords(self, v) -> np.ndarray:
-        """Adapted coordinates of v (the p_i functionals are rows of basis_inv)."""
-        return self.basis_inv @ np.asarray(v, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -81,27 +76,32 @@ class SectionPoint:
     witness: tuple  # (s, t) with exp(sA + tX) v = v*
     sign: int
 
-    def to_json(self) -> dict:
-        return {
-            "block": self.layer.block,
-            "eigenvalue": self.layer.eigenvalue,
-            "layer": self.layer.b,
-            "representative": [float(x) for x in self.representative],
-            "witness_s": float(self.witness[0]),
-            "witness_t": float(self.witness[1]),
-            "sign": self.sign,
-        }
 
+@dataclass(frozen=True)
+class SectionBatch:
+    """Per-row layers and sections of an (m, n) array of points.
 
-def _nilpotent_exp(X: np.ndarray, t: float) -> np.ndarray:
-    """exp(tX) for nilpotent X as the exact finite sum."""
-    n = X.shape[0]
-    E = np.eye(n)
-    term = np.eye(n)
-    for k in range(1, n):
-        term = term @ (t * X) / k
-        E = E + term
-    return E
+    Rows without a layer have block -1; rows flagged `not_in_layer` or
+    `zero_eigenvalue` (never both) have no section and carry NaN witnesses
+    and representatives and sign 0.
+    """
+
+    block: np.ndarray  # (m,) index into fam.blocks
+    b: np.ndarray  # (m,) local layer index
+    eigenvalue: np.ndarray  # (m,)
+    marginal: np.ndarray  # (m,) layer decided within 10x of the zero threshold
+    representative: np.ndarray  # (m, n)
+    s: np.ndarray  # (m,) witnesses: exp(sA + tX) v = v*
+    t: np.ndarray
+    sign: np.ndarray  # (m,) sign of p_b(X v*)
+    not_in_layer: np.ndarray  # (m,) no layer, or the section residual check failed
+    zero_eigenvalue: np.ndarray  # (m,) the layer's eigenspace has eigenvalue 0
+
+    def layer(self, r: int) -> LayerIndex | None:
+        if self.block[r] < 0:
+            return None
+        return LayerIndex(int(self.block[r]), float(self.eigenvalue[r]),
+                          int(self.b[r]), bool(self.marginal[r]))
 
 
 def _cluster_reals(values: np.ndarray, tol: float) -> list[float]:
@@ -231,63 +231,90 @@ def normal_form(A, X, tol: float = 1e-9) -> LayeredFamily:
     return LayeredFamily(A=A, X=X, basis=P, basis_inv=Pinv, blocks=tuple(blocks), tol=tol)
 
 
-def layer_index(fam: LayeredFamily, v) -> LayerIndex | None:
-    """Smallest active index b with p_b(Xv) != 0, scanned block by block.
+def section_batch(fam: LayeredFamily, V) -> SectionBatch:
+    """Layers and canonical representatives of the rows of V in one pass.
 
-    Returns None when every candidate coordinate vanishes (v is outside the
-    layered part of O_2).  Points within a factor 10 of the zero threshold
-    are flagged marginal and a stability warning is emitted.
+    The layer of v is the first active index b, scanned block by block, with
+    p_b(Xv) = p_{b-1}(v) above tol * max(|v|, 1); the witnesses (s, t) put
+    v* = exp(sA + tX) v on the section p_b(v*) = 0, |p_b(Xv*)| = 1.  In order
+    of precedence, a row without a layer fails as NotInLayer, a layer with
+    eigenvalue 0 as ZeroEigenvalue, and a v* that is not finite or misses
+    the section by more than 1e-7 * max(1, |v*|) as NotInLayer.  Layers
+    decided within a factor 10 of the threshold are flagged marginal, with
+    one stability warning per batch.
     """
-    v = np.asarray(v, dtype=float).reshape(fam.n)
-    w = fam.coords(v)
-    thr = fam.tol * max(np.linalg.norm(v), 1.0)
-    for bi, blk in enumerate(fam.blocks):
-        for i in blk.active:
-            val = w[blk.offset + i - 2]  # p_i(Xv) = eps_i * p_{i-1}(v)
-            if abs(val) > thr:
-                marginal = bool(abs(val) < 10.0 * thr)
-                if marginal:
-                    warnings.warn(
-                        "layer index decided within 10x of the zero threshold",
-                        stacklevel=2,
-                    )
-                return LayerIndex(bi, blk.eigenvalue, i, marginal)
-    return None
+    V = np.asarray(V, dtype=float)
+    if V.ndim != 2 or V.shape[1] != fam.n:
+        raise ValueError(f"expected an (m, {fam.n}) array of points, got shape {V.shape}")
+    m, n = V.shape
+    W = V @ fam.basis_inv.T
+    # candidate (block, b, column of p_b(Xv)) in scan order, then a no-layer sentinel
+    cand = [(bi, i, blk.offset + i - 2)
+            for bi, blk in enumerate(fam.blocks) for i in blk.active]
+    blk_c, b_c, col_c = np.array(cand + [(-1, 0, 0)], dtype=int).T
+    thr = fam.tol * np.maximum(np.linalg.norm(V, axis=1), 1.0)
+    above = np.abs(W[:, col_c[:-1]]) > thr[:, None]
+    first = np.argmax(np.column_stack([above, np.ones(m, dtype=bool)]), axis=1)
+    block, b, col = blk_c[first], b_c[first], col_c[first]
+    has = block >= 0
+    marginal = has & (np.abs(W[np.arange(m), col]) < 10.0 * thr)
+    if marginal.any():
+        warnings.warn("layer index decided within 10x of the zero threshold", stacklevel=2)
+    eigenvalue = np.array([blk.eigenvalue for blk in fam.blocks] + [np.nan])[block]
+    zero = has & (np.abs(eigenvalue) <= fam.tol)
+
+    r = np.flatnonzero(has & ~zero)
+    c = col[r]
+    c1, c0 = W[r, c], W[r, c + 1]  # p_b(Xv), p_b(v)
+    t = -c0 / c1
+    s = -np.log(np.abs(c1)) / eigenvalue[r]
+    # X is nilpotent, so exp(tX) v is the exact finite series
+    U = term = V[r]
+    for k in range(1, n):
+        term = (term @ fam.X.T) * (t / k)[:, None]
+        U = U + term
+    # A = lambda I on each block of the adapted basis: exp(sA) scales coordinates
+    lam = np.concatenate([np.full(blk.dim, blk.eigenvalue) for blk in fam.blocks])
+    with np.errstate(over="ignore", invalid="ignore"):
+        vstar = ((U @ fam.basis_inv.T) * np.exp(np.outer(s, lam))) @ fam.basis.T
+        wstar = vstar @ fam.basis_inv.T
+        rows = np.arange(r.size)
+        lead = wstar[rows, c]  # p_b(X v*)
+        resid0 = np.abs(wstar[rows, c + 1])
+        resid1 = np.abs(np.abs(lead) - 1.0)
+        tol = 1e-7 * np.maximum(1.0, np.linalg.norm(vstar, axis=1))
+        ok = np.isfinite(tol) & (resid0 <= tol) & (resid1 <= tol)
+    r = r[ok]
+    representative = np.full((m, n), np.nan)
+    representative[r] = vstar[ok]
+    s_all, t_all, sign = np.full(m, np.nan), np.full(m, np.nan), np.zeros(m, dtype=int)
+    s_all[r], t_all[r], sign[r] = s[ok], t[ok], np.where(lead[ok] > 0, 1, -1)
+    # sign is nonzero exactly on the rows that have a section
+    return SectionBatch(block=block, b=b, eigenvalue=eigenvalue, marginal=marginal,
+                        representative=representative, s=s_all, t=t_all, sign=sign,
+                        not_in_layer=(sign == 0) & ~zero, zero_eigenvalue=zero)
+
+
+def layer_index(fam: LayeredFamily, v) -> LayerIndex | None:
+    """Layer of one point (see section_batch); None outside the layered part of O_2."""
+    return section_batch(fam, np.asarray(v, dtype=float).reshape(1, fam.n)).layer(0)
 
 
 def section_point(fam: LayeredFamily, v) -> SectionPoint:
-    """Canonical representative of v on the section of its layer.
+    """Canonical representative of one point on the section of its layer.
 
     Witness (s, t) satisfies exp(sA + tX) v = v* with p_b(v*) = 0 and
     |p_b(X v*)| = 1; raises NotInLayer / ZeroEigenvalue when undefined.
     """
-    v = np.asarray(v, dtype=float).reshape(fam.n)
-    li = layer_index(fam, v)
-    if li is None:
+    sec = section_batch(fam, np.asarray(v, dtype=float).reshape(1, fam.n))
+    if sec.block[0] < 0:
         raise NotInLayer("p_i(Xv) = 0 for all active indices")
-    blk = fam.blocks[li.block]
-    lam = blk.eigenvalue
-    if abs(lam) <= fam.tol:
+    if sec.zero_eigenvalue[0]:
         raise ZeroEigenvalue("active eigenspace has eigenvalue 0")
-    w = fam.coords(v)
-    c1 = w[blk.offset + li.b - 2]  # p_b(Xv)
-    c0 = w[blk.offset + li.b - 1]  # p_b(v)
-    t = -c0 / c1
-    s = -np.log(abs(c1)) / lam
-    # A and X commute, and exp(tX) is an exact polynomial (X nilpotent), so the
-    # split form stays finite even for the huge t of near-boundary points
-    vstar = mat_exp(fam.A, s) @ (_nilpotent_exp(fam.X, t) @ v)
-    wstar = fam.coords(vstar)
-    resid0 = abs(wstar[blk.offset + li.b - 1])
-    resid1 = abs(abs(wstar[blk.offset + li.b - 2]) - 1.0)
-    tol = 1e-7 * max(1.0, np.linalg.norm(vstar))
-    if resid0 > tol or resid1 > tol:
-        raise NotInLayer(
-            f"section residuals too large (p_b(v*) = {resid0:.3g}, "
-            f"|p_b(Xv*)|-1 = {resid1:.3g})"
-        )
-    sign = 1 if wstar[blk.offset + li.b - 2] > 0 else -1
-    return SectionPoint(layer=li, representative=vstar, witness=(float(s), float(t)), sign=sign)
+    if sec.not_in_layer[0]:
+        raise NotInLayer("section residuals exceed 1e-7 * max(1, |v*|)")
+    return SectionPoint(layer=sec.layer(0), representative=sec.representative[0],
+                        witness=(float(sec.s[0]), float(sec.t[0])), sign=int(sec.sign[0]))
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,7 @@ import numpy as np
 
 from .errors import (
     BandLimitViolation,
+    InvalidSignal,
     QuasiSectionRefused,
     SetsNotNested,
     SupportEscapesBox,
@@ -423,14 +424,18 @@ def cwt(spec: WaveletSpec, f: np.ndarray, dx, param_counts=64,
         param_box=None) -> TransformGrid:
     """Discrete wavelet transform: one FFT slice per parameter-lattice point.
 
-    f must live on a power-of-two lattice and be band-limited to its Nyquist
-    box; ghat(h^T xi) is ghat on the lattice's block magnitudes scaled by
-    exp(mu_k . t).
+    f must be finite and not all zero, live on a power-of-two lattice and be
+    band-limited to its Nyquist box; ghat(h^T xi) is ghat on the lattice's
+    block magnitudes scaled by exp(mu_k . t).
     """
     f = np.asarray(f)
     shape = f.shape
     if any(N & (N - 1) for N in shape):
         raise ValueError("lattice sizes must be powers of two")
+    if not np.all(np.isfinite(f)):
+        raise InvalidSignal("signal samples must be finite")
+    if not np.any(f):
+        raise InvalidSignal("signal is zero everywhere: the isometry ratio is undefined")
     dx = (float(dx),) * f.ndim if np.isscalar(dx) else tuple(float(v) for v in dx)
     cell = float(np.prod(dx))
     fhat = np.fft.fftn(f) * cell

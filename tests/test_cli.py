@@ -162,6 +162,30 @@ class TestSectionCommand:
         assert len(jsonl) == 2 and json.loads(jsonl[0])["layer"] == 2
 
 
+    @pytest.mark.parametrize("points", [
+        "[[1, 5]]",
+        "[[1, 5, 7], [1, 5]]",
+        '[[1, "a", 7]]',
+        "[[1, [5], 7]]",
+        "[[[1, 5, 7]]]",
+        "[[1e400, 5, 7]]",
+        "[[NaN, 5, 7]]",
+        "[]",
+        '{"x": [1, 5, 7]}',
+    ], ids=["short-point", "ragged", "string-entry", "nested-entry", "nested-list",
+            "overflow", "nan", "empty", "not-a-list"])
+    def test_invalid_points_exit_1(self, tmp_path, points):
+        path = tmp_path / "sec.json"
+        path.write_text('{"n": 3, "generators": [[1, 0, 0, 0, 1, 0, 0, 0, 0], '
+                        '[0, 0, 0, 1, 0, 0, 0, 0, 0]], "points": %s}' % points)
+        out = tmp_path / "sec_out.json"
+        res = run_cli("section", "--input", str(path), "--out", str(out))
+        assert res.returncode == 1, res.stderr
+        assert "input error: 'points'" in res.stderr
+        assert "Traceback" not in res.stderr
+        assert not out.exists()
+
+
 class TestQuasisectionCommand:
     def test_union_verdict(self, tmp_path):
         path = tmp_path / "qs.json"
@@ -289,6 +313,23 @@ class TestWaveletPipeline:
         validate_report(report2)
         assert 0.95 < report2["payload"]["isometry_ratio"] < 1.05
         assert (tmp_path / "cwt_out.json_coeffs.npz").exists()
+
+    @pytest.mark.parametrize("signal", [np.zeros(64), np.r_[np.inf, np.ones(63)],
+                                        np.r_[np.nan, np.ones(63)]],
+                             ids=["all-zero", "inf-sample", "nan-sample"])
+    def test_invalid_signal_exit_1(self, tmp_path, signal):
+        sig = tmp_path / "sig.csv"
+        np.savetxt(sig, signal, delimiter=",")
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"n": 1, "generators": DILATION_1D,
+                                    "box": {"bounds": [[1.0, 2.0]]},
+                                    "signal": str(sig), "dx": 0.3, "param_counts": 8}))
+        out = tmp_path / "c_out.json"
+        res = run_cli("cwt", "--input", str(path), "--out", str(out))
+        assert res.returncode == 1, res.stderr
+        assert "input error: signal" in res.stderr
+        assert "Traceback" not in res.stderr
+        assert not out.exists()
 
     def test_case_a_wavelet(self, tmp_path):
         doc = {

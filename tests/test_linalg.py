@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from orbitscope.errors import ComplexSpectrum, IllConditioned, MatrixOverflow, NonCommuting
+from orbitscope.errors import IllConditioned, MatrixOverflow, NonCommuting
 from orbitscope.families import E, family_a, family_d, family_e
 from orbitscope.linalg import (
     DilationAlgebra,
@@ -12,7 +12,6 @@ from orbitscope.linalg import (
     mat_exp,
     rank_tol,
     roots_decompose,
-    triangularize,
 )
 
 from conftest import series_exp
@@ -140,44 +139,6 @@ class TestJordanHelpers:
         assert epsilon_from_sizes([3]) == (1, 1)
         assert jordan_block_sizes(E(2, 1)) == [2, 1]
         assert epsilon_from_sizes([2, 1]) == (1, 0)
-
-
-class TestTriangularize:
-    def test_already_triangular(self):
-        U = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
-        alg = DilationAlgebra([U, U @ U])
-        P = triangularize(alg)
-        for G in alg.generators:
-            T = np.linalg.solve(P, G @ P)
-            assert np.max(np.abs(np.tril(T, -1))) < 1e-8
-
-    def test_case_d_lower_triangular(self):
-        P = triangularize(family_d())
-        for G in family_d().generators:
-            T = np.linalg.solve(P, G @ P)
-            assert np.max(np.abs(np.tril(T, -1))) < 1e-8
-
-    def test_construct_then_recover(self):
-        rng = np.random.default_rng(7)
-        for _ in range(10):
-            U1 = np.triu(rng.standard_normal((3, 3)))
-            U2 = np.triu(rng.standard_normal((3, 3)))
-            # commuting uppers: polynomials in one matrix
-            U2 = 0.3 * U1 + 0.2 * U1 @ U1
-            P0 = rng.standard_normal((3, 3)) + 3 * np.eye(3)
-            gens = [np.linalg.solve(P0, U @ P0) for U in (U1, U2)]
-            try:
-                alg = DilationAlgebra(gens)
-            except NonCommuting:
-                continue
-            P = triangularize(alg)
-            for G in gens:
-                T = np.linalg.solve(P, G @ P)
-                assert np.max(np.abs(np.tril(T, -1))) < 1e-7 * max(np.linalg.norm(G), 1)
-
-    def test_complex_spectrum_rejected(self):
-        with pytest.raises(ComplexSpectrum):
-            triangularize(family_a(1.0))
 
 
 class TestRankTol:

@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -8,11 +10,10 @@ from orbitscope.errors import (
     NotDiagonalizableFamily,
 )
 from orbitscope.families import E, case3b, family_a, family_b, family_e
-from orbitscope.linalg import DilationAlgebra
+from orbitscope.linalg import DilationAlgebra, mat_exp
 from orbitscope.quasisection import (
     _point_system,
     _polyhedra,
-    meeting_probe,
     BoxSet,
     c_i_box,
     diagonal_action,
@@ -232,6 +233,72 @@ class TestQuasiSectionVerdict:
             diagonal_action(DilationAlgebra([np.eye(3) + E(2, 1), E(3, 1)]))
 
 
+# Brute-force oracle for meeting sets, one matrix exponential per grid node;
+# the package answers the same questions exactly (describe_meeting_set).
+@dataclass(frozen=True)
+class NumericalMeetingProbe:
+    """Sampling surrogate for ((Y, Z)) when the family is not simultaneously
+    diagonalizable.  Verdicts from this path are marked 'numerical': a hit
+    outside the margin window means unbounded, absence of such hits is only
+    evidence of boundedness."""
+
+    hits: np.ndarray  # (m, d) parameters found inside the meeting set
+    probe_box: tuple
+    margin_box: tuple
+    bounded_numerical: bool
+    witness: np.ndarray | None
+
+    def to_json(self) -> dict:
+        out = {
+            "bounded_numerical": self.bounded_numerical,
+            "n_hits": int(self.hits.shape[0]),
+            "probe_box": [list(b) for b in self.probe_box],
+            "margin_box": [list(b) for b in self.margin_box],
+            "verdict_quality": "numerical",
+        }
+        if self.witness is not None:
+            out["witness_parameters"] = [float(x) for x in self.witness]
+        return out
+
+
+def meeting_probe(alg: DilationAlgebra, first_points, second_contains,
+                  probe_box=None, per_axis: int = 21,
+                  margin: float = 0.8) -> NumericalMeetingProbe:
+    """Brute-force probe of ((Y, Z)) = {h : h^T Y meets Z} for any family.
+
+    `first_points` is a finite sample of Y, `second_contains` a membership
+    callable for Z.  Parameters are scanned on a grid over `probe_box`
+    (default [-6, 6]^d); a hit outside the margin window certifies
+    non-compactness, anything else is a numerical-only boundedness verdict.
+    """
+    pts = np.atleast_2d(np.asarray(first_points, dtype=float))
+    d = alg.d
+    if probe_box is None:
+        probe_box = tuple((-6.0, 6.0) for _ in range(d))
+    axes = [np.linspace(lo, hi, per_axis) for lo, hi in probe_box]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    ts = np.stack([g.ravel() for g in mesh], axis=-1)
+    margin_box = tuple((lo * margin, hi * margin) for lo, hi in probe_box)
+    hits = []
+    witness = None
+    for t in ts:
+        hT = mat_exp(alg.element(t)).T
+        if np.any(second_contains(pts @ hT.T)):
+            hits.append(t)
+            outside = any(t[j] < margin_box[j][0] or t[j] > margin_box[j][1]
+                          for j in range(d))
+            if outside and witness is None:
+                witness = t
+    hits = np.array(hits) if hits else np.zeros((0, d))
+    return NumericalMeetingProbe(
+        hits=hits,
+        probe_box=probe_box,
+        margin_box=margin_box,
+        bounded_numerical=witness is None,
+        witness=witness,
+    )
+
+
 class TestMeetingProbe:
     def test_numerical_oracle_matches_exact_on_diagonal_family(self):
         alg = family_b(1.0, 1.0)
@@ -252,6 +319,11 @@ class TestMeetingProbe:
         assert not probe.bounded_numerical
         assert probe.witness is not None
         assert probe.to_json()["verdict_quality"] == "numerical"
+        # same boxes through the exact kernel: same verdict, and every hit of
+        # the probe lies in the exact meeting set
+        desc = describe_meeting_set(act, C1, C2)
+        assert desc.bounded == probe.bounded_numerical
+        assert np.all(desc.system.L @ probe.hits.T <= desc.system.c[:, None] + 1e-9)
 
     def test_probe_applies_to_nondiagonalizable_family(self):
         # triangular-with-nilpotent family: only the sampling oracle applies

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -17,8 +19,11 @@ from orbitscope.sections import (
     case1_sections,
     layer_index,
     normal_form,
+    section_batch,
     section_point,
 )
+
+from conftest import random_diag_nilpotent
 
 D_PAIR = (np.diag([1.0, 1.0, 0.0]), E(2, 1))
 CASE1A_PAIR = (np.eye(3), E(2, 1) + E(3, 2))
@@ -161,6 +166,89 @@ class TestSectionPoint:
         fam = normal_form(*D_PAIR)
         with pytest.raises(NotInLayer):
             section_point(fam, [0.0, 5.0, 7.0])
+
+
+def reference_section(fam, v):
+    """Per-point reference for section_batch: scan the blocks for the layer,
+    then v* = exp(sA) exp(tX) v with the general matrix exponential for A and
+    the finite series for the nilpotent X.  Returns the error name or
+    ((block, b), (s, t), v*)."""
+    w = fam.basis_inv @ v
+    thr = fam.tol * max(np.linalg.norm(v), 1.0)
+    for bi, blk in enumerate(fam.blocks):
+        for i in blk.active:
+            c = blk.offset + i - 2
+            if abs(w[c]) > thr:
+                if abs(blk.eigenvalue) <= fam.tol:
+                    return "ZeroEigenvalue"
+                t = -w[c + 1] / w[c]
+                s = -np.log(abs(w[c])) / blk.eigenvalue
+                exp_tx = sum(np.linalg.matrix_power(t * fam.X, k) / math.factorial(k)
+                             for k in range(fam.n))
+                return (bi, i), (s, t), mat_exp(fam.A, s) @ exp_tx @ v
+    return "NotInLayer"
+
+
+class TestSectionBatch:
+    def test_matches_per_point_reference(self):
+        rng = np.random.default_rng(11)
+        checked = 0
+        for n in (2, 3, 4, 5, 6):
+            for _ in range(4):
+                A, X = random_diag_nilpotent(rng, n)
+                fam = normal_form(A, X)
+                V = rng.standard_normal((30, n))
+                V[0] = 0.0
+                sec = section_batch(fam, V)
+                # the reference exponentiates A in the original coordinates,
+                # so its own error grows with the condition of the basis
+                rtol = 1e-12 * np.linalg.cond(fam.basis)
+                for r, v in enumerate(V):
+                    ref = reference_section(fam, v)
+                    if ref == "NotInLayer":
+                        assert sec.layer(r) is None and sec.not_in_layer[r]
+                        continue
+                    (bi, b), (s, t), vstar = ref
+                    assert (sec.block[r], sec.b[r]) == (bi, b)
+                    assert not (sec.not_in_layer[r] or sec.zero_eigenvalue[r])
+                    npt.assert_allclose([sec.s[r], sec.t[r]], [s, t], rtol=1e-12, atol=1e-12)
+                    err = np.linalg.norm(sec.representative[r] - vstar)
+                    assert err <= rtol * (1.0 + np.linalg.norm(vstar))
+                    checked += 1
+        assert checked > 500
+
+    def test_masks_and_precedence(self):
+        # rows: in a layer; no layer; zero eigenvalue; v* overflows (eigenvalue
+        # 1e-3 on the layer, 1 elsewhere: e^{s} with s = ln(1e5) / 1e-3)
+        fam_d = normal_form(*D_PAIR)
+        sec = section_batch(fam_d, [[1.0, 5.0, 7.0], [0.0, 5.0, 7.0]])
+        npt.assert_allclose(sec.representative[0], [1.0, 0.0, 7.0], atol=1e-10)
+        assert list(sec.not_in_layer) == [False, True]
+        assert sec.block[1] == -1 and sec.sign[1] == 0 and np.isnan(sec.s[1])
+        fam_0 = normal_form(np.diag([0.0, 0.0, 1.0]), E(2, 1))
+        sec = section_batch(fam_0, [[1.0, 5.0, 7.0], [0.0, 5.0, 7.0]])
+        assert list(sec.zero_eigenvalue) == [True, False]
+        assert list(sec.not_in_layer) == [False, True]
+        fam_s = normal_form(np.diag([1e-3, 1e-3, 1.0]), E(2, 1))
+        sec = section_batch(fam_s, [[1e-5, 0.0, 1.0], [1.0, 0.0, 1.0]])
+        assert sec.block[0] == 1 and sec.not_in_layer[0] and not sec.zero_eigenvalue[0]
+        assert not sec.not_in_layer[1]
+        with pytest.raises(NotInLayer, match="residuals"):
+            section_point(fam_s, [1e-5, 0.0, 1.0])
+
+    def test_rejects_wrong_shape(self):
+        fam = normal_form(*D_PAIR)
+        with pytest.raises(ValueError):
+            section_batch(fam, [1.0, 5.0, 7.0])
+        with pytest.raises(ValueError):
+            section_batch(fam, np.ones((2, 4)))
+
+    def test_marginal_warning_once_per_batch(self):
+        fam = normal_form(*D_PAIR)
+        V = np.array([[5e-9, 1.0, 0.0]] * 3)  # |p_2(Xv)| within 10x of 1e-9
+        with pytest.warns(UserWarning, match="within 10x") as rec:
+            sec = section_batch(fam, V)
+        assert len(rec) == 1 and sec.marginal.all()
 
 
 class TestCase1Sections:

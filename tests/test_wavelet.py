@@ -216,11 +216,13 @@ class TestCwt:
         npt.assert_allclose(slice0[0], np.sum(np.abs(g) ** 2) * dx, rtol=1e-10)
 
     def test_disjoint_support_gives_zero(self, spec_1d):
-        # frequencies unreachable from W within the parameter lattice
-        N, dx = 256, 0.3
+        # frequencies unreachable from W within the parameter lattice; the
+        # lattice must be long enough for nonzero frequencies below lo
+        N, dx = 1024, 0.3
         freqs = frequency_lattice((N,), (dx,))
         lo = 0.8 * np.exp(spec_1d.param_box[0][0]) * 0.25
         mask = (np.abs(freqs[:, 0]) > 0) & (np.abs(freqs[:, 0]) < lo)
+        assert mask.any()
         rng = np.random.default_rng(3)
         fh = rng.standard_normal(N) * mask.reshape(N)
         f = np.fft.ifftn(fh) / dx
