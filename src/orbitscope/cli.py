@@ -2,8 +2,10 @@
 
 Subcommands: classify | strata | section | quasisection | wavelet | cwt.
 Exit status 0 on success, 2 on named domain errors, 1 on I/O, parse or
-input errors: `section` points that are not a finite (m, n) array, a `cwt`
-signal that is zero everywhere or has a non-finite sample.  `section`
+input errors: `section` points that are not a finite (m, n) array; a `cwt`
+signal that is zero everywhere, has a non-finite sample, or is not an
+n-axis lattice with power-of-two sizes; a `cwt` "dx" that is not a finite
+number > 0 or "param_counts" that is not an integer >= 1.  `section`
 answers all its points with one batched call; a point without a section
 gets a record naming NotInLayer or ZeroEigenvalue.  Reports are
 deterministic for fixed inputs and flags (modulo the timestamp header
@@ -367,23 +369,25 @@ def _cmd_cwt(cfg: RunConfig) -> dict:
     if not cfg.input:
         raise InputError("--input is required")
     doc = load_json(cfg.input)
-    action, spec = _wavelet_spec(cfg, doc)
+    _, spec = _wavelet_spec(cfg, doc)
     sig_path = doc.get("signal")
     if not sig_path:
         raise InputError("'signal' (CSV path) is required for cwt")
     try:
-        f = np.loadtxt(sig_path, delimiter=",", dtype=float)
+        f = np.loadtxt(sig_path, delimiter=",", dtype=float, ndmin=1)
     except (OSError, ValueError) as err:
         raise InputError(f"cannot read signal {sig_path}: {err}") from err
-    if action.alg.n == 1:
-        f = f.reshape(-1)
-    dx = float(doc.get("dx", 1.0))
-    counts = int(doc.get("param_counts", 64))
-    tg = run_cwt(spec, f, dx, param_counts=counts)
+    dx = doc.get("dx", 1.0)
+    if type(dx) not in (int, float) or not (np.isfinite(dx) and dx > 0):
+        raise InputError(f"'dx' must be a finite number > 0, got {dx!r}")
+    counts = doc.get("param_counts", 64)
+    if type(counts) is not int or counts < 1:
+        raise InputError(f"'param_counts' must be an integer >= 1, got {counts!r}")
+    tg = run_cwt(spec, f, float(dx), param_counts=counts)
     slices_path = None
     if cfg.out:
         slices_path = cfg.out + "_coeffs.npz"
-        np.savez_compressed(
+        np.savez(
             slices_path,
             coeffs=tg.coeffs,
             param_points=tg.param_points,

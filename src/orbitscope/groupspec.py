@@ -21,7 +21,7 @@ from . import __version__
 from .errors import InputError, SpecParseError
 from .linalg import DilationAlgebra
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 
 def group_spec_from_dict(doc: dict) -> DilationAlgebra:

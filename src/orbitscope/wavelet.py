@@ -361,11 +361,10 @@ class TransformGrid:
 
     spatial_shape: tuple
     dx: tuple
-    freqs: np.ndarray  # (prod N, n) frequency lattice
     param_points: np.ndarray  # (m, d)
     param_weights: np.ndarray  # (m,)
     dets: np.ndarray  # (m,)
-    coeffs: np.ndarray  # (m, *spatial_shape), complex
+    coeffs: np.ndarray  # (m, *spatial_shape), float64 for a real f, else complex128
     f: np.ndarray
 
     def coefficient_energy(self) -> float:
@@ -381,10 +380,25 @@ class TransformGrid:
         return self.coefficient_energy() / self.signal_energy()
 
 
+def _mesh(axes) -> np.ndarray:
+    """The points of the product lattice of 1-D axes, C order, one per row."""
+    return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+
+
 def frequency_lattice(shape, dx) -> np.ndarray:
+    return _mesh([2.0 * np.pi * np.fft.fftfreq(N, d) for N, d in zip(shape, dx)])
+
+
+def _half_lattice(shape, dx) -> tuple[tuple, np.ndarray]:
+    """The rfftn half of frequency_lattice: its shape and its points.
+
+    The last axis keeps bins 0..N/2, so bin N/2 keeps fftfreq's -Nyquist
+    sign.  ghat is real and even in xi, so the half lattice carries the
+    whole spectrum of every real slice.
+    """
     axes = [2.0 * np.pi * np.fft.fftfreq(N, d) for N, d in zip(shape, dx)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in mesh], axis=-1)
+    axes[-1] = axes[-1][: shape[-1] // 2 + 1]
+    return tuple(len(a) for a in axes), _mesh(axes)
 
 
 def param_lattice(box, counts) -> tuple[np.ndarray, np.ndarray]:
@@ -397,8 +411,7 @@ def param_lattice(box, counts) -> tuple[np.ndarray, np.ndarray]:
         delta = (hi - lo) / m
         axes.append(lo + delta * (np.arange(m) + 0.5))
         deltas.append(delta)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in mesh], axis=-1)
+    pts = _mesh(axes)
     w = np.full(pts.shape[0], float(np.prod(deltas)))
     return pts, w
 
@@ -422,37 +435,45 @@ def check_band_limited(fhat: np.ndarray, shape, rel_tol: float = 1e-8) -> None:
 
 def cwt(spec: WaveletSpec, f: np.ndarray, dx, param_counts=64,
         param_box=None) -> TransformGrid:
-    """Discrete wavelet transform: one FFT slice per parameter-lattice point.
+    """Discrete wavelet transform: one real inverse FFT per parameter-lattice
+    point and per real part of f.
 
-    f must be finite and not all zero, live on a power-of-two lattice and be
-    band-limited to its Nyquist box; ghat(h^T xi) is ghat on the lattice's
-    block magnitudes scaled by exp(mu_k . t).
+    f must be finite and not all zero, have one axis per dimension of the
+    action, live on a power-of-two lattice and be band-limited to its
+    Nyquist box; ghat(h^T xi) is ghat on the lattice's block magnitudes
+    scaled by exp(mu_k . t).  ghat is real and even in xi, so a real f has
+    real coefficients, computed on the rfftn half spectrum; a complex f
+    gives V_g(Re f) + i V_g(Im f).
     """
     f = np.asarray(f)
     shape = f.shape
-    if any(N & (N - 1) for N in shape):
-        raise ValueError("lattice sizes must be powers of two")
+    if f.ndim != spec.action.alg.n:
+        raise InvalidSignal(f"signal has {f.ndim} axes, the action acts on "
+                            f"R^{spec.action.alg.n}")
+    if any(N < 1 or N & (N - 1) for N in shape):
+        raise InvalidSignal(f"signal lattice sizes must be powers of two, got {shape}")
     if not np.all(np.isfinite(f)):
         raise InvalidSignal("signal samples must be finite")
     if not np.any(f):
         raise InvalidSignal("signal is zero everywhere: the isometry ratio is undefined")
     dx = (float(dx),) * f.ndim if np.isscalar(dx) else tuple(float(v) for v in dx)
-    cell = float(np.prod(dx))
-    fhat = np.fft.fftn(f) * cell
-    check_band_limited(fhat, shape)
-    freqs = frequency_lattice(shape, dx)
+    check_band_limited(np.fft.fftn(f), shape)
+    parts = np.stack([f.real, f.imag]) if np.iscomplexobj(f) else f[None]
+    axes = tuple(range(1, parts.ndim))
+    fhat = np.fft.rfftn(parts, axes=axes)
+    half, freqs = _half_lattice(shape, dx)
     pts, w = param_lattice(param_box or spec.param_box, param_counts)
     traces = np.array([np.trace(G) for G in spec.action.alg.generators])
     dets = np.exp(pts @ traces)
-    coeffs = np.empty((pts.shape[0],) + shape, dtype=complex)
+    out = np.empty((parts.shape[0], pts.shape[0]) + shape)
     rf = spec.action.block_abs(freqs)
     for i, gh in enumerate(_lattice_slices(spec, rf, pts)):
-        F = fhat * np.conj(gh.reshape(shape)) * np.sqrt(dets[i])
-        coeffs[i] = np.fft.ifftn(F) / cell
+        out[:, i] = np.fft.irfftn(fhat * (gh.reshape(half) * np.sqrt(dets[i])),
+                                  s=shape, axes=axes)
+    coeffs = out[0] if out.shape[0] == 1 else out[0] + 1j * out[1]
     return TransformGrid(
         spatial_shape=shape,
         dx=dx,
-        freqs=freqs,
         param_points=pts,
         param_weights=w,
         dets=dets,
@@ -503,17 +524,17 @@ def l1_estimate(spec: WaveletSpec, shape, dx, param_counts=64,
     if np.isscalar(param_counts):
         param_counts = (int(param_counts),) * action.d
     dx = (float(dx),) * len(shape) if np.isscalar(dx) else tuple(float(v) for v in dx)
-    cell = float(np.prod(dx))
-    rf = action.block_abs(frequency_lattice(shape, dx))
-    g0 = spec.block_values(rf).reshape(shape)
+    half, freqs = _half_lattice(shape, dx)
+    rf = action.block_abs(freqs)
+    g0 = spec.block_values(rf).reshape(half)
     pts, w = param_lattice(box, param_counts)
     traces = np.array([np.trace(G) for G in action.alg.generators])
     total = 0.0
     for t, wt, gh in zip(pts, w, _lattice_slices(spec, rf, pts)):
-        l1 = _slice_l1(g0, gh.reshape(shape), cell)
+        l1 = _slice_l1(g0, gh.reshape(half), shape)
         det = float(np.exp(np.dot(t, traces)))
         total += wt * l1 * det ** (kappa - 0.5)
-    containment = _containment_check(spec, g0, rf, cell, box)
+    containment = _containment_check(spec, g0, rf, shape, box)
     return L1Report(
         value=float(total),
         param_box=box,
@@ -540,12 +561,14 @@ def _lattice_slices(spec: WaveletSpec, rf: np.ndarray, ts):
         yield out / np.sqrt(spec.sigma)
 
 
-def _slice_l1(g0, gh, cell) -> float:
-    a = np.fft.ifftn(g0 * np.conj(gh)) / cell
-    return float(np.sum(np.abs(a)) * cell)
+def _slice_l1(g0, gh, shape) -> float:
+    """sum |ifftn(g0 . gh)| over the lattice `shape`, from the product on the
+    rfftn half lattice (real and even in xi, so its inverse is real)."""
+    return float(np.sum(np.abs(np.fft.irfftn(g0 * gh, s=shape,
+                                             axes=tuple(range(len(shape)))))))
 
 
-def _containment_check(spec, g0, rf, cell, box, pad: float = 0.75) -> float:
+def _containment_check(spec, g0, rf, shape, box, pad: float = 0.75) -> float:
     """Max slice-L1 just outside the meeting-set box (must be ~0)."""
     ts = []
     for j in range(len(box)):
@@ -553,5 +576,5 @@ def _containment_check(spec, g0, rf, cell, box, pad: float = 0.75) -> float:
             t = np.array([0.5 * (lo + hi) for lo, hi in box])
             t[j] = box[j][side] + (pad if side else -pad)
             ts.append(t)
-    return max(_slice_l1(g0, gh.reshape(g0.shape), cell)
+    return max(_slice_l1(g0, gh.reshape(g0.shape), shape)
                for gh in _lattice_slices(spec, rf, ts))

@@ -311,8 +311,19 @@ class TestWaveletPipeline:
         assert res2.returncode == 0, res2.stderr
         report2 = json.loads(cout.read_text())
         validate_report(report2)
-        assert 0.95 < report2["payload"]["isometry_ratio"] < 1.05
-        assert (tmp_path / "cwt_out.json_coeffs.npz").exists()
+        ratio = report2["payload"]["isometry_ratio"]
+        assert 0.95 < ratio < 1.05
+        assert report2["payload"]["slices"] == str(tmp_path / "cwt_out.json_coeffs.npz")
+        with np.load(report2["payload"]["slices"], allow_pickle=False) as npz:
+            assert sorted(npz.files) == ["coeffs", "dx", "param_points", "param_weights"]
+            coeffs, pts, w = npz["coeffs"], npz["param_points"], npz["param_weights"]
+            assert coeffs.dtype == np.float64 and coeffs.shape == (64, N)
+            assert pts.shape == (64, 1) and w.shape == (64,)
+            assert npz["dx"].tolist() == [dx]
+        # left Haar |det h|^-1 dx dh with det h_t = exp(t) for the generator [[1]]
+        energy = np.sum(w * np.exp(-pts[:, 0]) * np.sum(coeffs ** 2, axis=1)) * dx
+        signal = np.loadtxt(sig, delimiter=",")
+        assert energy / (np.sum(signal ** 2) * dx) == pytest.approx(ratio, rel=1e-12)
 
     @pytest.mark.parametrize("signal", [np.zeros(64), np.r_[np.inf, np.ones(63)],
                                         np.r_[np.nan, np.ones(63)]],
@@ -330,6 +341,36 @@ class TestWaveletPipeline:
         assert "input error: signal" in res.stderr
         assert "Traceback" not in res.stderr
         assert not out.exists()
+
+    @pytest.mark.parametrize("generators, signal, fields", [
+        (DILATION_1D, np.ones(100), {}),
+        (DILATION_1D, None, {"dx": "abc"}),
+        (DILATION_1D, None, {"dx": 0}),
+        (DILATION_1D, None, {"dx": float("nan")}),
+        (DILATION_1D, None, {"param_counts": 0}),
+        (DILATION_1D, None, {"param_counts": -3}),
+        (DILATION_1D, None, {"param_counts": "x"}),
+        (DILATION_1D, None, {"param_counts": 2.7}),
+        (DILATION_1D, np.ones((16, 16)), {}),
+        ([[[1.0, -1.0], [1.0, 1.0]]], None, {}),
+    ], ids=["length-100", "dx-string", "dx-zero", "dx-nan", "param-counts-zero",
+            "param-counts-negative", "param-counts-string", "param-counts-fraction",
+            "2d-signal-for-n1", "1d-signal-for-n2"])
+    def test_invalid_cwt_input_exit_1(self, tmp_path, capsys, generators, signal, fields):
+        n = len(generators[0])
+        if signal is None:  # a tone at |xi| = 1.64, a valid signal for the 1-D spec
+            signal = np.cos(2 * np.pi * 5 * np.arange(64) / 64)
+        sig = tmp_path / "sig.csv"
+        np.savetxt(sig, signal, delimiter=",")
+        doc = {"n": n, "generators": generators, "box": {"bounds": [[1.0, 2.0]]},
+               "signal": str(sig), "dx": 0.3, "param_counts": 8}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({**doc, **fields}))
+        out = tmp_path / "c_out.json"
+        assert main(["cwt", "--input", str(path), "--out", str(out)]) == 1
+        assert "input error: " in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "c_out.json_coeffs.npz").exists()
 
     def test_case_a_wavelet(self, tmp_path):
         doc = {

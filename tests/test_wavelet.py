@@ -7,6 +7,7 @@ from scipy.integrate import quad
 
 from orbitscope.errors import (
     BandLimitViolation,
+    InvalidSignal,
     QuasiSectionRefused,
     SetsNotNested,
     SupportEscapesBox,
@@ -20,6 +21,7 @@ from orbitscope.quasisection import BoxSet, c_i_box, diagonal_action
 from orbitscope.wavelet import (
     _lattice_slices,
     _orbit_magnitudes,
+    _slice_l1,
     bump,
     calderon_check,
     cwt,
@@ -247,7 +249,7 @@ class TestCwt:
             cwt(spec_1d, f, dx)
 
     def test_power_of_two_required(self, spec_1d):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidSignal):
             cwt(spec_1d, np.zeros(100), 0.3)
 
 
@@ -278,6 +280,64 @@ class TestLatticeSlices:
             assert gh.shape == (rf.shape[0],)
             npt.assert_allclose(gh, ref, rtol=1e-14, atol=0)
         assert any(np.count_nonzero(gh) for gh in slices)
+
+
+def _band_signal(shape, dx, band, seed, complex_valued=False):
+    """A signal on the lattice whose spectrum lies in band[0] < |xi| < band[1]."""
+    rad = np.linalg.norm(frequency_lattice(shape, (dx,) * len(shape)), axis=1)
+    rng = np.random.default_rng(seed)
+    fh = (rng.standard_normal(rad.size) + 1j * rng.standard_normal(rad.size)) \
+        * ((rad > band[0]) & (rad < band[1]))
+    f = np.fft.ifftn(fh.reshape(shape))
+    return f if complex_valued else f.real
+
+
+def _full_spectrum_cwt(spec, f, dx, param_points):
+    """V_g f by complex FFTs on the whole frequency lattice, slice by slice:
+    |det h|^{1/2} (fhat . conj(ghat o h^T))^v."""
+    shape = f.shape
+    cell = dx ** f.ndim
+    rf = spec.action.block_abs(frequency_lattice(shape, (dx,) * f.ndim))
+    traces = np.array([np.trace(G) for G in spec.action.alg.generators])
+    fhat = np.fft.fftn(f) * cell
+    out = []
+    for t in param_points:
+        gh = spec.block_values(_orbit_magnitudes(spec.action, rf, t)).reshape(shape)
+        out.append(np.fft.ifftn(fhat * np.conj(gh) * np.exp(0.5 * t @ traces)) / cell)
+    return np.array(out)
+
+
+class TestCwtMatchesFullSpectrum:
+    @pytest.mark.parametrize("name, shape, dx, complex_valued, dtype", [
+        ("spec_1d", (256,), 0.3, False, np.float64),
+        ("spec_2d_rotation_scaling", (32, 32), 0.3, False, np.float64),
+        ("spec_1d", (256,), 0.3, True, np.complex128),
+    ], ids=["real-1d", "real-2d-rotation-scaling", "complex-1d"])
+    def test_against_complex_reference(self, name, shape, dx, complex_valued, dtype,
+                                       request):
+        spec = request.getfixturevalue(name)
+        f = _band_signal(shape, dx, (0.72, 2.8), seed=11, complex_valued=complex_valued)
+        tg = cwt(spec, f, dx, param_counts=16)
+        assert tg.coeffs.dtype == dtype
+        assert tg.coeffs.shape == (tg.param_points.shape[0],) + shape
+        ref = _full_spectrum_cwt(spec, f, dx, tg.param_points)
+        scale = np.max(np.abs(tg.coeffs))
+        assert scale > 0
+        assert np.max(np.abs(tg.coeffs - ref)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("name, shape, dx", [
+        ("spec_1d", (256,), 0.3),
+        ("spec_2d_rotation_scaling", (32, 32), 0.3),
+    ])
+    def test_slice_l1_against_complex_reference(self, name, shape, dx, request):
+        spec = request.getfixturevalue(name)
+        rf = spec.action.block_abs(frequency_lattice(shape, (dx,) * len(shape)))
+        g0 = spec.block_values(rf).reshape(shape)
+        h = shape[-1] // 2 + 1  # the rfftn half of the last axis
+        for t in param_lattice(spec.param_box, 5)[0]:
+            gh = spec.block_values(_orbit_magnitudes(spec.action, rf, t)).reshape(shape)
+            ref = np.sum(np.abs(np.fft.ifftn(g0 * gh)))
+            npt.assert_allclose(_slice_l1(g0[..., :h], gh[..., :h], shape), ref, rtol=1e-12)
 
 
 class TestL1Estimate:
