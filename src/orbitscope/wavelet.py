@@ -562,7 +562,7 @@ def _lattice_slices(spec: WaveletSpec, rf: np.ndarray, ts):
 
 
 def _slice_l1(g0, gh, shape) -> float:
-    """sum |ifftn(g0 . gh)| over the lattice `shape`, from the product on the
+    """sum |(g0 . gh)^v| over the lattice `shape`, from the product on the
     rfftn half lattice (real and even in xi, so its inverse is real)."""
     return float(np.sum(np.abs(np.fft.irfftn(g0 * gh, s=shape,
                                              axes=tuple(range(len(shape)))))))
