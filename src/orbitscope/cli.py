@@ -5,12 +5,13 @@ Exit status 0 on success, 2 on named domain errors, 1 on I/O, parse or
 input errors: `section` points that are not a finite (m, n) array; a `cwt`
 signal that is zero everywhere, has a non-finite sample, or is not an
 n-axis lattice with power-of-two sizes; a `cwt` "dx" that is not a finite
-number > 0 or "param_counts" that is not an integer >= 1.  `section`
-answers all its points with one batched call; a point without a section
-gets a record naming NotInLayer or ZeroEigenvalue.  Reports are
-deterministic for fixed inputs and flags (modulo the timestamp header
-field) and carry a provenance header with version, seed, and tolerance
-overrides.  ORBITSCOPE_THREADS is accepted and has no effect.
+number > 0 or "param_counts" that is not an integer >= 1; a `wavelet`
+"samples" that is not an integer >= 1.  `section` answers all its points
+with one batched call; a point without a section gets a record naming
+NotInLayer or ZeroEigenvalue.  Reports are deterministic for fixed inputs
+and flags (modulo the timestamp header field) and carry a provenance header
+with version, seed, and tolerance overrides.  ORBITSCOPE_THREADS is
+accepted and has no effect.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,10 +44,12 @@ from .linalg import DilationAlgebra, rank_tol, roots_decompose
 from .orbits import SampleSpec, stratify
 from .quasisection import BoxSet, diagonal_action, quasi_section_verdict
 from .sections import normal_form, section_batch
-from .wavelet import calderon_check, cwt as run_cwt, l1_estimate, synth_wavelet
+from .wavelet import _mesh, calderon_check, cwt as run_cwt, l1_estimate, synth_wavelet
 
 DEFAULT_SEED = 1729
 _CSV_CHUNK_ROWS = 4096
+_GHAT_MAX_PER_AXIS = 64
+_GHAT_MAX_ROWS = 4096
 
 
 @dataclass
@@ -319,7 +323,10 @@ def _cmd_wavelet(cfg: RunConfig) -> dict:
         raise InputError("--input is required")
     doc = load_json(cfg.input)
     action, spec = _wavelet_spec(cfg, doc)
-    samples = _calderon_samples(action, spec, int(doc.get("samples", 100)), cfg.seed)
+    count = doc.get("samples", 100)
+    if type(count) is not int or count < 1:
+        raise InputError(f"'samples' must be an integer >= 1, got {count!r}")
+    samples = _calderon_samples(action, spec, count, cfg.seed)
     cal = calderon_check(spec, samples)
     hi = max(hi for _, hi in spec.W.bounds)
     dx = np.pi / (4.0 * hi)
@@ -342,13 +349,16 @@ def _cmd_wavelet(cfg: RunConfig) -> dict:
 
 
 def _export_ghat(spec, path: str, per_axis: int = 64) -> None:
-    n = spec.action.alg.n
-    hi = max(h for _, h in spec.W.bounds) * 1.1
-    axes = [np.linspace(-hi, hi, per_axis)] * n
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in mesh], axis=-1)
-    _write_csv(path, [f"xi_{i + 1}" for i in range(n)] + ["ghat"],
-               np.column_stack([pts, spec.ghat(pts)]), ",".join(["%.12g"] * (n + 1)))
+    """ghat on a product grid of block magnitudes r over W's bounds, with
+    columns r_1..r_k,ghat.  The grid has m points per axis, the largest
+    m <= min(per_axis, 64) with m^k <= 4096 rows; the report's spec carries
+    `basis` and `slices`, which map xi to r_k = |(basis^T xi)[slice_k]|."""
+    k = spec.action.k
+    m = max(m for m in range(1, min(per_axis, _GHAT_MAX_PER_AXIS) + 1)
+            if m ** k <= _GHAT_MAX_ROWS)
+    r = _mesh([np.linspace(lo, hi, m) for lo, hi in spec.W.bounds])
+    _write_csv(path, [f"r_{i + 1}" for i in range(k)] + ["ghat"],
+               np.column_stack([r, spec.block_values(r)]), ",".join(["%.12g"] * (k + 1)))
 
 
 def _write_csv(path: str, header, table: np.ndarray, fmt: str) -> None:
@@ -387,13 +397,8 @@ def _cmd_cwt(cfg: RunConfig) -> dict:
     slices_path = None
     if cfg.out:
         slices_path = cfg.out + "_coeffs.npz"
-        np.savez(
-            slices_path,
-            coeffs=tg.coeffs,
-            param_points=tg.param_points,
-            param_weights=tg.param_weights,
-            dx=np.asarray(tg.dx),
-        )
+        _savez(slices_path, coeffs=tg.coeffs, param_points=tg.param_points,
+               param_weights=tg.param_weights, dx=np.asarray(tg.dx))
     return {
         "spec": spec.to_json(),
         "isometry_ratio": tg.isometry_ratio(),
@@ -401,6 +406,19 @@ def _cmd_cwt(cfg: RunConfig) -> dict:
         "spatial_shape": list(tg.spatial_shape),
         "n_param_points": int(tg.param_points.shape[0]),
     }
+
+
+def _savez(path: str, **arrays) -> None:
+    """An uncompressed .npz whose members hold the bytes np.savez writes
+    (a .npy format 1.0 header, then the data), each written from the
+    array's own buffer without the copy np.savez's writer makes of it."""
+    with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED, allowZip64=True) as zf:
+        for name, arr in arrays.items():
+            arr = np.ascontiguousarray(arr)
+            with zf.open(name + ".npy", "w", force_zip64=True) as fh:
+                np.lib.format.write_array_header_1_0(
+                    fh, np.lib.format.header_data_from_array_1_0(arr))
+                fh.write(memoryview(arr).cast("B"))
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ from . import __version__
 from .errors import InputError, SpecParseError
 from .linalg import DilationAlgebra
 
-SCHEMA_VERSION = "2"
+SCHEMA_VERSION = "3"
 
 
 def group_spec_from_dict(doc: dict) -> DilationAlgebra:
@@ -130,3 +130,8 @@ def validate_report(report: dict) -> None:
     for key in _PAYLOAD_KEYS.get(sub, ()):
         if key not in payload:
             raise InputError(f"{sub} payload missing {key!r}")
+    if sub in ("wavelet", "cwt"):
+        spec = payload["spec"]
+        for key in ("basis", "slices"):
+            if not isinstance(spec, dict) or key not in spec:
+                raise InputError(f"{sub} payload spec missing {key!r}")

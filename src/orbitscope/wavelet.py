@@ -245,6 +245,8 @@ class WaveletSpec:
 
     def to_json(self) -> dict:
         return {
+            "basis": self.action.basis.tolist(),
+            "slices": [[sl.start, sl.stop] for sl in self.action.slices],
             "C": self.C.to_json(),
             "W": self.W.to_json(),
             "param_box": [list(b) for b in self.param_box],
@@ -370,7 +372,9 @@ class TransformGrid:
     def coefficient_energy(self) -> float:
         """Discrete L2(G) norm squared with left Haar |det h|^-1 dx dh."""
         cell = float(np.prod(self.dx))
-        per_slice = np.sum(np.abs(self.coeffs.reshape(self.coeffs.shape[0], -1)) ** 2, axis=1)
+        # one slice at a time: no second coefficient-sized array
+        per_slice = np.array([np.sum(np.abs(c) ** 2)
+                              for c in self.coeffs.reshape(self.coeffs.shape[0], -1)])
         return float(np.sum(self.param_weights / self.dets * per_slice) * cell)
 
     def signal_energy(self) -> float:
@@ -548,16 +552,21 @@ def _lattice_slices(spec: WaveletSpec, rf: np.ndarray, ts):
     """ghat(h_t^T xi) on a lattice with block magnitudes rf, one (m,) array per
     row of ts.
 
-    Each block's factor of phi is evaluated on that block's distinct
-    magnitudes u_k scaled by exp(mu_k . t) and gathered onto the lattice, so
-    a slice costs one bump evaluation per distinct magnitude, and memory
-    stays O(lattice).
+    Block k's factor of phi depends on t only through the scale
+    s = exp(mu_k . t).  It is evaluated once per distinct computed scale (an
+    exact np.unique, no tolerance) on the block's distinct magnitudes u_k,
+    and each slice gathers its factors from those tables onto the lattice.
     """
-    blocks = [np.unique(rf[:, k], return_inverse=True) for k in range(rf.shape[1])]
-    for scale in np.exp(np.atleast_2d(ts) @ spec.action.weights.T):
+    scales = np.exp(np.atleast_2d(ts) @ spec.action.weights.T)
+    tables = []
+    for k in range(rf.shape[1]):
+        u, inverse = np.unique(rf[:, k], return_inverse=True)
+        s, which = np.unique(scales[:, k], return_inverse=True)
+        tables.append(([spec.phi.factor(k, sk * u) for sk in s], which, inverse))
+    for i in range(scales.shape[0]):
         out = np.ones(rf.shape[0])
-        for k, (u, inverse) in enumerate(blocks):
-            out *= spec.phi.factor(k, scale[k] * u)[inverse]
+        for table, which, inverse in tables:
+            out *= table[which[i]][inverse]
         yield out / np.sqrt(spec.sigma)
 
 
@@ -568,13 +577,19 @@ def _slice_l1(g0, gh, shape) -> float:
                                              axes=tuple(range(len(shape)))))))
 
 
-def _containment_check(spec, g0, rf, shape, box, pad: float = 0.75) -> float:
-    """Max slice-L1 just outside the meeting-set box (must be ~0)."""
+def _containment_points(box, pad: float = 0.75) -> np.ndarray:
+    """The box centre moved to `pad` beyond each face of the box, one row per
+    face."""
     ts = []
     for j in range(len(box)):
         for side in (0, 1):
             t = np.array([0.5 * (lo + hi) for lo, hi in box])
             t[j] = box[j][side] + (pad if side else -pad)
             ts.append(t)
+    return np.array(ts)
+
+
+def _containment_check(spec, g0, rf, shape, box) -> float:
+    """Max slice-L1 just outside the meeting-set box (must be ~0)."""
     return max(_slice_l1(g0, gh.reshape(g0.shape), shape)
-               for gh in _lattice_slices(spec, rf, ts))
+               for gh in _lattice_slices(spec, rf, _containment_points(box)))

@@ -3,13 +3,17 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
+import zipfile
 
 import numpy as np
 import pytest
 
-from orbitscope.cli import _write_csv, main
-from orbitscope.groupspec import validate_report
+from orbitscope.cli import _export_ghat, _savez, _write_csv, main
+from orbitscope.groupspec import group_spec_from_dict, validate_report
 from orbitscope.errors import InputError
+from orbitscope.quasisection import BoxSet, diagonal_action
+from orbitscope.wavelet import synth_wavelet
 
 
 def run_cli(*args, check=False):
@@ -276,6 +280,74 @@ class TestFlagInput:
         assert not out.exists()
 
 
+class TestWaveletSamples:
+    @pytest.mark.parametrize("samples", [0, -3, "abc", 2.5],
+                             ids=["zero", "negative", "string", "fraction"])
+    def test_invalid_samples_exit_1(self, tmp_path, capsys, samples):
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps({"n": 1, "generators": DILATION_1D,
+                                    "box": {"bounds": [[1.0, 2.0]]}, "samples": samples}))
+        out = tmp_path / "out.json"
+        assert main(["wavelet", "--input", str(path), "--out", str(out)]) == 1
+        assert "input error: 'samples' must be an integer >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+
+CASE_A = {"n": 3, "generators": [[1, -1, 0, 1, 1, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0, 0, 1]],
+          "box": {"bounds": [[0.5, 2.0], [0.5, 2.0]]}}
+
+
+class TestGhatExport:
+    def test_csv_matches_ghat_through_basis_and_slices(self, tmp_path):
+        path = tmp_path / "wav_a.json"
+        path.write_text(json.dumps({**CASE_A, "samples": 5}))
+        out = tmp_path / "wav_a_out.json"
+        assert main(["wavelet", "--input", str(path), "--out", str(out),
+                     "--quad-order", "32"]) == 0
+        report = json.loads(out.read_text())
+        validate_report(report)
+        assert report["header"]["schema_version"] == "3"
+        payload = report["payload"]
+        basis = np.array(payload["spec"]["basis"])
+        slices = [slice(a, b) for a, b in payload["spec"]["slices"]]
+        lines = open(payload["ghat_csv"]).read().splitlines()
+        assert lines[0] == "r_1,r_2,ghat"
+        table = np.loadtxt(lines[1:], delimiter=",")
+        assert table.shape == (64 * 64, 3)
+        # the r grid: 64 points per axis over W's bounds, C order
+        axes = [np.linspace(lo, hi, 64) for lo, hi in payload["spec"]["W"]["bounds"]]
+        r = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+        np.testing.assert_allclose(table[:, :2], r, rtol=5e-12)  # %.12g
+        # xi with (basis^T xi)[slice_k] = r_k e_1, and back to r through the spec
+        w = np.zeros((r.shape[0], 3))
+        for k, sl in enumerate(slices):
+            w[:, sl.start] = r[:, k]
+        xi = np.linalg.solve(basis.T, w.T).T
+        back = np.stack([np.linalg.norm((xi @ basis)[:, sl], axis=1) for sl in slices], axis=1)
+        np.testing.assert_allclose(back, r, rtol=1e-12)
+        action = diagonal_action(group_spec_from_dict(CASE_A))
+        spec = synth_wavelet(action, BoxSet(CASE_A["box"]["bounds"]), orders=32)
+        assert spec.sigma == payload["spec"]["sigma"]
+        ghat = spec.ghat(xi)
+        assert np.count_nonzero(ghat) > 0
+        np.testing.assert_allclose(table[:, 2], ghat, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("k, cases", [
+        (1, [(128, 64), (10, 10)]), (2, [(128, 64), (10, 10)]), (3, [(128, 16), (12, 12)]),
+    ])
+    def test_row_cap(self, tmp_path, k, cases):
+        # m per axis = min(per_axis, 64, the largest m with m^k <= 4096)
+        action = diagonal_action(group_spec_from_dict(
+            {"n": k, "generators": [np.diag(np.eye(k)[i]).tolist() for i in range(k)]}))
+        spec = synth_wavelet(action, BoxSet([(1.0, 2.0)] * k), orders=24)
+        path = tmp_path / "ghat.csv"
+        for per_axis, m in cases:
+            _export_ghat(spec, str(path), per_axis=per_axis)
+            lines = path.read_text().splitlines()
+            assert lines[0] == ",".join([f"r_{i + 1}" for i in range(k)] + ["ghat"])
+            assert len(lines) - 1 == m ** k
+
+
 class TestWaveletPipeline:
     def test_wavelet_then_cwt(self, tmp_path):
         doc = {"n": 1, "generators": [[1.0]], "box": {"bounds": [[1.0, 2.0]]},
@@ -292,7 +364,7 @@ class TestWaveletPipeline:
         assert payload["calderon"]["max_deviation"] < 1e-3
         assert payload["l1"]["l1_estimate"] > 0
         ghat_lines = open(payload["ghat_csv"]).read().splitlines()
-        assert ghat_lines[0] == "xi_1,ghat"
+        assert ghat_lines[0] == "r_1,ghat"
 
         # pipeline: feed a band-limited signal through cwt
         N, dx = 256, 0.3
@@ -514,6 +586,57 @@ def csv_writer_reference(path, header, rows):
         writer.writerow(header)
         for row in rows:
             writer.writerow(row)
+
+
+class TestSavez:
+    ARRAYS = {
+        "coeffs": np.random.default_rng(3).standard_normal((5, 8, 4)),
+        "complex": np.arange(6) * (1 + 2j),
+        "param_points": np.random.default_rng(4).standard_normal((5, 2)),
+        "dx": np.asarray((0.3,)),
+    }
+
+    def test_members_equal_savez(self, tmp_path):
+        ref, got = tmp_path / "ref.npz", tmp_path / "got.npz"
+        np.savez(ref, **self.ARRAYS)
+        _savez(str(got), **self.ARRAYS)
+        with zipfile.ZipFile(ref) as zr, zipfile.ZipFile(got) as zg:
+            assert zg.namelist() == zr.namelist()
+            for info in zg.infolist():
+                assert info.compress_type == zipfile.ZIP_STORED
+                assert zg.read(info.filename) == zr.read(info.filename)
+        with np.load(got, allow_pickle=False) as npz:
+            assert sorted(npz.files) == sorted(self.ARRAYS)
+            for name, arr in self.ARRAYS.items():
+                assert npz[name].dtype == arr.dtype
+                assert np.array_equal(npz[name], arr)
+
+    def test_cwt_peak_memory(self, tmp_path):
+        # 128 x 128 signal, 96 parameter points: the job holds the coefficients
+        # once, with no coefficient-sized temporary for the energy or the .npz
+        N, dx, counts = 128, np.pi / 10.0, 96
+        axes = [2.0 * np.pi * np.fft.fftfreq(N, dx)] * 2
+        rad = np.hypot(*np.meshgrid(*axes, indexing="ij"))
+        rng = np.random.default_rng(5)
+        spec_ = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+        f = np.real(np.fft.ifftn(spec_ * ((rad > 0.9) & (rad < 2.0))))
+        sig = tmp_path / "sig.csv"
+        np.savetxt(sig, f, delimiter=",")
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"n": 2, "generators": [[[1.0, -1.0], [1.0, 1.0]]],
+                                    "box": {"bounds": [[1.0, 2.0]]}, "signal": str(sig),
+                                    "dx": dx, "param_counts": counts}))
+        out = tmp_path / "c_out.json"
+        tracemalloc.start()
+        try:
+            assert main(["cwt", "--input", str(path), "--out", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        with np.load(str(out) + "_coeffs.npz", allow_pickle=False) as npz:
+            nbytes = npz["coeffs"].nbytes
+        assert nbytes == counts * N * N * 8
+        assert peak < 1.6 * nbytes
 
 
 class TestWriteCsv:

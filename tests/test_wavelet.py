@@ -19,6 +19,8 @@ from orbitscope.orbits import GroupElement
 from orbitscope.linalg import DilationAlgebra
 from orbitscope.quasisection import BoxSet, c_i_box, diagonal_action
 from orbitscope.wavelet import (
+    _containment_points,
+    _half_lattice,
     _lattice_slices,
     _orbit_magnitudes,
     _slice_l1,
@@ -27,6 +29,7 @@ from orbitscope.wavelet import (
     cwt,
     frequency_lattice,
     l1_estimate,
+    meeting_param_box,
     param_lattice,
     point_support_box,
     sigma,
@@ -280,6 +283,29 @@ class TestLatticeSlices:
             assert gh.shape == (rf.shape[0],)
             npt.assert_allclose(gh, ref, rtol=1e-14, atol=0)
         assert any(np.count_nonzero(gh) for gh in slices)
+
+    @pytest.mark.parametrize("name, shape, dx, lattice", [
+        ("spec_case_a", (16, 16, 16), 0.4, "l1"),
+        ("spec_case_a", (16, 16, 16), 0.4, "containment"),
+        ("spec_1d", (256,), 0.3, "cwt"),
+    ], ids=["case-a-l1-20x20", "case-a-containment", "1d-cwt-64"])
+    def test_bit_equal_to_block_values(self, name, shape, dx, lattice, request):
+        # the factor tables see the same floats as block_values on rf . exp(W t)
+        spec = request.getfixturevalue(name)
+        rf = spec.action.block_abs(_half_lattice(shape, (dx,) * len(shape))[1])
+        box = meeting_param_box(spec.action, spec.W, spec.W, margin=0.0)
+        if lattice == "l1":
+            ts = param_lattice(box, 20)[0]
+        elif lattice == "containment":
+            ts = _containment_points(box)
+        else:
+            ts = param_lattice(spec.param_box, 64)[0]
+        scales = np.exp(ts @ spec.action.weights.T)
+        slices = list(_lattice_slices(spec, rf, ts))
+        assert len(slices) == len(ts)
+        for scale, gh in zip(scales, slices):
+            assert np.array_equal(gh, spec.block_values(rf * scale))
+        assert lattice == "containment" or any(np.count_nonzero(gh) for gh in slices)
 
 
 def _band_signal(shape, dx, band, seed, complex_valued=False):
