@@ -307,14 +307,13 @@ def _calderon_samples(action, spec, count, seed) -> np.ndarray:
     out = []
     while len(out) < count:
         r = mids * np.exp(rng.uniform(-0.15, 0.15, action.k))
+        vecs = [rng.standard_normal(sl.stop - sl.start) for sl in action.slices]
+        # h_t^T scales block k by exp(mu_k . t), and only block magnitudes are read
+        r = r * np.exp(action.weights @ rng.uniform(-1.0, 1.0, d))
         w = np.zeros(n)
-        for i, sl in enumerate(action.slices):
-            vec = rng.standard_normal(sl.stop - sl.start)
-            vec /= np.linalg.norm(vec)
-            w[sl] = r[i] * vec
-        xi = np.linalg.solve(action.basis.T, w)
-        ts = rng.uniform(-1.0, 1.0, d)
-        out.append(action.group_transforms(ts.reshape(1, -1))[0] @ xi)
+        for sl, rk, vec in zip(action.slices, r, vecs):
+            w[sl] = rk * vec / np.linalg.norm(vec)
+        out.append(np.linalg.solve(action.basis.T, w))
     return np.array(out)
 
 

@@ -7,7 +7,6 @@ Townsend 2013), and cached per order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -59,36 +58,34 @@ def gauss_legendre(order: int, a: float, b: float) -> tuple[np.ndarray, np.ndarr
     return half * (x + 1.0) + a, half * w
 
 
-@dataclass(frozen=True)
-class TensorRule:
-    """Tensor-product rule: `nodes` is (N, d), `weights` is (N,)."""
+def tensor_rules(boxes, orders) -> tuple[np.ndarray, np.ndarray]:
+    """Tensor Gauss-Legendre rules over m boxes at once.
 
-    box: tuple[tuple[float, float], ...]
-    orders: tuple[int, ...]
-    nodes: np.ndarray
-    weights: np.ndarray
-
-
-def tensor_rule(box, orders) -> TensorRule:
-    """Build a tensor Gauss-Legendre rule over a d-dimensional box.
-
-    `box` is a sequence of (lo, hi) pairs, `orders` an int or one int per axis.
+    `boxes` is (m, d, 2), one (lo, hi) pair per axis and box; `orders` has
+    one int per axis.  Returns nodes (m, N, d) and weights (m, N) with
+    N = prod(orders), the nodes in C order over the axes.  Each axis maps
+    the reference rule as gauss_legendre does, and the weights multiply
+    axis by axis.
     """
-    box = tuple((float(lo), float(hi)) for lo, hi in box)
-    d = len(box)
-    if np.isscalar(orders):
-        orders = (int(orders),) * d
+    boxes = np.asarray(boxes, dtype=float)
+    m, d = boxes.shape[:2]
     orders = tuple(int(o) for o in orders)
     if len(orders) != d:
         raise ValueError("one order per box axis required")
-    axes = [gauss_legendre(o, lo, hi) for o, (lo, hi) in zip(orders, box)]
-    node_grids = np.meshgrid(*[ax[0] for ax in axes], indexing="ij")
-    weight_grids = np.meshgrid(*[ax[1] for ax in axes], indexing="ij")
-    nodes = np.stack([g.ravel() for g in node_grids], axis=-1)
-    weights = np.ones(nodes.shape[0])
-    for g in weight_grids:
-        weights *= g.ravel()
-    return TensorRule(box=box, orders=orders, nodes=nodes, weights=weights)
+    if min(orders) < 1:
+        raise ValueError("quadrature order must be >= 1")
+    lo, hi = boxes[..., 0], boxes[..., 1]
+    if not np.all(hi > lo):
+        raise ValueError("empty quadrature interval")
+    half = 0.5 * (hi - lo)
+    nodes = np.empty((m, *orders, d))
+    weights = np.ones((m, *orders))
+    for j, o in enumerate(orders):
+        x, w = _reference_rule(o)
+        axis = (m,) + (1,) * j + (o,) + (1,) * (d - j - 1)
+        nodes[..., j] = (half[:, j, None] * (x + 1.0) + lo[:, j, None]).reshape(axis)
+        weights *= (half[:, j, None] * w).reshape(axis)
+    return nodes.reshape(m, -1, d), weights.reshape(m, -1)
 
 
 def boundary_shell_points(box, per_face: int = 9) -> np.ndarray:

@@ -47,7 +47,6 @@ class DiagonalizedAction:
     basis: np.ndarray
     slices: tuple
     weights: np.ndarray  # (k, d): real parts of the roots on the generators
-    imag_weights: np.ndarray  # (k, d): imaginary parts (zero rows on real blocks)
     labels: tuple
 
     @property
@@ -63,33 +62,6 @@ class DiagonalizedAction:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         w = pts @ self.basis
         return np.stack([np.linalg.norm(w[:, sl], axis=1) for sl in self.slices], axis=1)
-
-    def group_transforms(self, ts) -> np.ndarray:
-        """Batched exp(sum t_j X_j)^T via the exact block closed form.
-
-        Semisimple action means exp is e^{mu.t} I on real blocks and
-        e^{mu.t} times a rotation by nu.t on complex blocks; much faster
-        than a scaling-and-squaring exponential per node on quadrature grids.
-        """
-        ts = np.atleast_2d(np.asarray(ts, dtype=float))
-        N, n = ts.shape[0], self.alg.n
-        E = np.zeros((N, n, n))
-        a = ts @ self.weights.T  # (N, k)
-        b = ts @ self.imag_weights.T
-        for i, sl in enumerate(self.slices):
-            growth = np.exp(a[:, i])
-            if sl.stop - sl.start == 2 and np.any(self.imag_weights[i]):
-                cb, sb = np.cos(b[:, i]), np.sin(b[:, i])
-                E[:, sl.start, sl.start] = growth * cb
-                E[:, sl.start, sl.start + 1] = growth * sb
-                E[:, sl.start + 1, sl.start] = -growth * sb
-                E[:, sl.start + 1, sl.start + 1] = growth * cb
-            else:
-                for j in range(sl.start, sl.stop):
-                    E[:, j, j] = growth
-        PinvT = np.linalg.inv(self.basis).T
-        # exp(Z)^T = P^{-T} exp(D)^T P^T
-        return np.einsum("ab,qcb,cd->qad", PinvT, E, self.basis.T)
 
 
 def diagonal_action(alg: DilationAlgebra) -> DiagonalizedAction:
@@ -111,7 +83,6 @@ def diagonal_action(alg: DilationAlgebra) -> DiagonalizedAction:
     cols = []
     slices = []
     weights = []
-    imag_weights = []
     labels = []
     offset = 0
     rng = np.random.default_rng(1)
@@ -124,7 +95,6 @@ def diagonal_action(alg: DilationAlgebra) -> DiagonalizedAction:
             slices.append(slice(offset, offset + m))
             labels.append(f"real block (lambda = {np.round(lam.real, 9).tolist()})")
             weights.append(lam.real)
-            imag_weights.append(np.zeros(alg.d))
             offset += m
         else:
             # rotate to a basis in which the block action is exactly
@@ -146,7 +116,6 @@ def diagonal_action(alg: DilationAlgebra) -> DiagonalizedAction:
                 for G in alg.generators
             ])
             weights.append(row.real)
-            imag_weights.append(row.imag)
             offset += 2
     basis = np.hstack(cols)
     if offset != alg.n or abs(np.linalg.det(basis)) < 1e-12:
@@ -156,7 +125,6 @@ def diagonal_action(alg: DilationAlgebra) -> DiagonalizedAction:
         basis=basis,
         slices=tuple(slices),
         weights=np.array(weights),
-        imag_weights=np.array(imag_weights),
         labels=tuple(labels),
     )
 

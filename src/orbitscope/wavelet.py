@@ -18,7 +18,11 @@ whose parameter support is confined to the meeting-set box of (W, W).
 phi and ghat depend on xi only through its block magnitudes r, which h_t^T
 scales as r_k exp(mu_k . t).  The quadrature sums, the Calderon integrals,
 the cwt slices and the L1 slices are therefore all evaluated on
-r . exp(W t); no n x n group transform is formed.
+r . exp(W t); no n x n group transform is formed.  The Calderon integrals
+of all samples go through one batched tensor rule, one parameter box per
+sample.  The L1 slices ghat . ghat(h_t^T .) vanish off supp ghat, so they
+are evaluated on that support only, and a slice that vanishes there too
+runs no FFT.
 
 Left Haar on G = R^n x| H is |det h|^{-1} dx dh and the modular function is
 Delta_G(x, h) = |det h|^{-1}; see docs/haar_and_modular.md for the
@@ -42,7 +46,7 @@ from .errors import (
     SupportUnbounded,
     ZeroSigma,
 )
-from .quad import boundary_shell_points, tensor_rule
+from .quad import boundary_shell_points, tensor_rules
 from .quasisection import (
     BoxSet,
     DiagonalizedAction,
@@ -145,6 +149,11 @@ def point_support_box(action, W: BoxSet, r, pad: float = 0.05):
     return tuple(map(tuple, boxes[0].tolist())) if nonempty[0] else None
 
 
+# node rows per batch of _haar_integral: bounds its temporaries whatever the
+# number of rows
+_GROUP_NODES = 8192
+
+
 def _orders_tuple(orders, d: int) -> tuple:
     return (int(orders),) * d if np.isscalar(orders) else tuple(orders)
 
@@ -156,22 +165,31 @@ def _orbit_magnitudes(action: DiagonalizedAction, r: np.ndarray, ts) -> np.ndarr
     return (scale[:, None, :] * r[None, :, :]).reshape(-1, r.shape[1])
 
 
-def _haar_integral(action: DiagonalizedAction, f, r: np.ndarray, box, orders,
+def _haar_integral(action: DiagonalizedAction, f, r: np.ndarray, boxes, orders,
                    refine: bool = True) -> tuple[np.ndarray, float]:
-    """sum_q w_q |f(r . exp(W t_q))|^2 for each row of the block magnitudes r.
+    """sum_q w_q |f(r . exp(W t_q))|^2 for each row of the block magnitudes r,
+    over its own parameter box: `boxes` is (m, d, 2), one box per row of r.
 
-    Tensor Gauss-Legendre over `box` for int_H |f(h^T xi)|^2 dh, where f is
-    a function of block magnitudes.  With `refine` the orders o go to 2o and,
-    when that moves any value by more than 0.1%, once more to 4o, with a
-    warning if the value is still unstable.  Returns the last values and
-    their relative drift from the previous orders (0 without refine).
+    Tensor Gauss-Legendre for int_H |f(h^T xi)|^2 dh, where f is a function
+    of block magnitudes; the rows go through in groups of at most
+    _GROUP_NODES node rows.  With `refine` the orders o go to 2o and, when
+    that moves any value by more than 0.1%, once more to 4o, with a warning
+    if the value is still unstable.  Returns the last values and their
+    relative drift from the previous orders (0 without refine).
     """
     orders = _orders_tuple(orders, action.d)
+    boxes = np.reshape(boxes, (r.shape[0], action.d, 2))
     vals, drift = None, 0.0
     for factor in (1, 2, 4) if refine else (1,):
-        rule = tensor_rule(box, tuple(factor * o for o in orders))
-        fv = f(_orbit_magnitudes(action, r, rule.nodes)).reshape(rule.nodes.shape[0], -1)
-        new = rule.weights @ (fv * fv)
+        o = tuple(factor * q for q in orders)
+        step = max(1, _GROUP_NODES // int(np.prod(o)))
+        new = np.empty(r.shape[0])
+        for i in range(0, r.shape[0], step):
+            nodes, weights = tensor_rules(boxes[i:i + step], o)
+            rows = r[i:i + step, None, :] * np.exp(nodes @ action.weights.T)
+            fv = f(rows.reshape(-1, r.shape[1])).reshape(weights.shape)
+            # one dot per row: a single row reduces exactly as weights @ (fv * fv)
+            new[i:i + step] = (weights[:, None, :] @ (fv * fv)[:, :, None])[:, 0, 0]
         if vals is not None:
             drift = float(np.max(np.abs(new - vals)) / max(np.max(np.abs(new)), 1e-300))
         vals = new
@@ -334,8 +352,9 @@ def calderon_check(spec: WaveletSpec, xis, orders=None) -> CalderonReport:
     A sample is covered when its orbit meets C, decided exactly by the
     polyhedral kernel; uncovered samples are counted and excluded from the
     max.  Each covered sample integrates over its own tight parameter-support
-    box (the integrand support shifts with the sample's orbit position).
-    Never raises on large deviation.
+    box (the integrand support shifts with the sample's orbit position), and
+    all of them go through one batched _haar_integral call.  Never raises on
+    large deviation.
     """
     action = spec.action
     rs = action.block_abs(xis)
@@ -344,9 +363,8 @@ def calderon_check(spec: WaveletSpec, xis, orders=None) -> CalderonReport:
     _, boxes = _padded_boxes(*_point_system(action, spec.W, rs[covered]), 0.05)
     # one order, no doubling: at sigma's own orders the nodes line up along
     # the orbit and the integral is sigma / sigma = 1 whatever sigma's error
-    vals = np.array([_haar_integral(action, spec.block_values, r.reshape(1, -1), box,
-                                    orders_t, refine=False)[0][0]
-                     for r, box in zip(rs[covered], boxes)])
+    vals = _haar_integral(action, spec.block_values, rs[covered], boxes, orders_t,
+                          refine=False)[0]
     dev = float(np.max(np.abs(vals - 1.0))) if vals.size else float("nan")
     return CalderonReport(
         max_deviation=dev,
@@ -513,7 +531,8 @@ def l1_estimate(spec: WaveletSpec, shape, dx, param_counts=64,
     with w(h) = |det h|^kappa (kappa = 1/2 reproduces Delta_G^{-1/2}).  The
     h-support is exactly the meeting set of (W, W): SupportUnbounded when
     that set is unbounded, and coefficients outside its box are checked to
-    vanish.
+    vanish.  Each slice is evaluated on supp ghat only, and a slice whose
+    product vanishes there contributes exactly 0 without an FFT.
     """
     kappa = spec.weight_exponent if weight_exponent is None else float(weight_exponent)
     action = spec.action
@@ -534,11 +553,10 @@ def l1_estimate(spec: WaveletSpec, shape, dx, param_counts=64,
     pts, w = param_lattice(box, param_counts)
     traces = np.array([np.trace(G) for G in action.alg.generators])
     total = 0.0
-    for t, wt, gh in zip(pts, w, _lattice_slices(spec, rf, pts)):
-        l1 = _slice_l1(g0, gh.reshape(half), shape)
+    for t, wt, l1 in zip(pts, w, _support_l1(spec, g0, rf, pts, shape)):
         det = float(np.exp(np.dot(t, traces)))
         total += wt * l1 * det ** (kappa - 0.5)
-    containment = _containment_check(spec, g0, rf, shape, box)
+    containment = max(_support_l1(spec, g0, rf, _containment_points(box), shape))
     return L1Report(
         value=float(total),
         param_box=box,
@@ -570,11 +588,29 @@ def _lattice_slices(spec: WaveletSpec, rf: np.ndarray, ts):
         yield out / np.sqrt(spec.sigma)
 
 
-def _slice_l1(g0, gh, shape) -> float:
-    """sum |(g0 . gh)^v| over the lattice `shape`, from the product on the
-    rfftn half lattice (real and even in xi, so its inverse is real)."""
-    return float(np.sum(np.abs(np.fft.irfftn(g0 * gh, s=shape,
-                                             axes=tuple(range(len(shape)))))))
+def _support_l1(spec: WaveletSpec, g0, rf, ts, shape):
+    """sum |(g0 . ghat_t)^v| over the lattice `shape`, one float per row of ts.
+
+    g0 is ghat on the rfftn half lattice, whose points have block magnitudes
+    rf.  Every product vanishes off supp g0, so ghat_t is evaluated on the
+    support only, and a slice whose product is zero there costs no FFT.
+    """
+    supp = np.flatnonzero(g0)
+    g = g0.ravel()[supp]
+    buf = np.zeros(g0.shape)  # zero off supp for every slice
+    for gh in _lattice_slices(spec, rf[supp], ts):
+        yield _slice_l1(g * gh, supp, buf, shape)
+
+
+def _slice_l1(prod, supp, buf, shape) -> float:
+    """sum |(p)^v| over the lattice `shape`, where p is real and even in xi,
+    given on the rfftn half lattice by its values `prod` at the flat indices
+    `supp` and 0 elsewhere; `buf` is a half-lattice array that is 0 off
+    supp.  A zero product gives exactly 0.0 without an FFT."""
+    if not prod.any():
+        return 0.0
+    buf.flat[supp] = prod
+    return float(np.sum(np.abs(np.fft.irfftn(buf, s=shape, axes=tuple(range(len(shape)))))))
 
 
 def _containment_points(box, pad: float = 0.75) -> np.ndarray:
@@ -587,9 +623,3 @@ def _containment_points(box, pad: float = 0.75) -> np.ndarray:
             t[j] = box[j][side] + (pad if side else -pad)
             ts.append(t)
     return np.array(ts)
-
-
-def _containment_check(spec, g0, rf, shape, box) -> float:
-    """Max slice-L1 just outside the meeting-set box (must be ~0)."""
-    return max(_slice_l1(g0, gh.reshape(g0.shape), shape)
-               for gh in _lattice_slices(spec, rf, _containment_points(box)))

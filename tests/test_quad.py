@@ -3,7 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from orbitscope import quad
-from orbitscope.quad import _reference_rule, gauss_legendre
+from orbitscope.quad import _reference_rule, gauss_legendre, tensor_rules
 
 ORDERS = (1, 2, 3, 8, 64, 128, 256, 1024, 2048)
 
@@ -53,3 +53,17 @@ def test_unconverged_rule_raises(monkeypatch):
     monkeypatch.setattr(quad, "_NEWTON_STEPS", 1)
     with pytest.raises(ArithmeticError):
         quad._reference_rule.__wrapped__(64)
+
+
+def test_tensor_rules_are_gauss_legendre_products():
+    # bit for bit: the same affine map per axis, weights multiplied axis by axis
+    boxes = np.array([[[0.0, 1.0], [-2.0, 0.5]], [[1.0, 3.0], [0.25, 0.75]]])
+    nodes, weights = tensor_rules(boxes, (5, 7))
+    assert nodes.shape == (2, 35, 2) and weights.shape == (2, 35)
+    for box, nd, wt in zip(boxes, nodes, weights):
+        (x0, w0), (x1, w1) = (gauss_legendre(o, lo, hi) for o, (lo, hi) in zip((5, 7), box))
+        grid = np.stack(np.meshgrid(x0, x1, indexing="ij"), axis=-1).reshape(-1, 2)
+        assert np.array_equal(nd, grid)
+        assert np.array_equal(wt, (w0[:, None] * w1[None, :]).ravel())
+    with pytest.raises(ValueError):
+        tensor_rules([[[1.0, 1.0]]], (4,))

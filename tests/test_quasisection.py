@@ -350,7 +350,7 @@ class TestNormalizeInto:
                 continue
             t = normalize_into(act, C, xi)
             assert t is not None
-            moved = act.group_transforms(t.reshape(1, -1))[0] @ xi
+            moved = mat_exp(act.alg.element(t)).T @ xi
             r = act.block_abs(moved.reshape(1, -1))[0]
             for (lo, hi), val in zip(C.bounds, r):
                 assert lo - 1e-9 <= val <= hi + 1e-9
@@ -370,7 +370,7 @@ class TestBlockMagnitudeScaling:
         ts = rng.uniform(-2.0, 2.0, (40, act.d))
         xis = rng.standard_normal((40, alg.n))
         for t, xi in zip(ts, xis):
-            moved = act.group_transforms(t.reshape(1, -1))[0] @ xi
+            moved = mat_exp(act.alg.element(t)).T @ xi
             npt.assert_allclose(act.block_abs(moved),
                                 act.block_abs(xi) * np.exp(act.weights @ t),
                                 rtol=1e-12)

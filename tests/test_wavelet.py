@@ -1,10 +1,13 @@
 import dataclasses
+import itertools
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 from scipy.integrate import quad
 
+from orbitscope.cli import _calderon_samples
 from orbitscope.errors import (
     BandLimitViolation,
     InvalidSignal,
@@ -17,13 +20,16 @@ from orbitscope.errors import (
 from orbitscope.families import family_b
 from orbitscope.orbits import GroupElement
 from orbitscope.linalg import DilationAlgebra
+from orbitscope.quad import gauss_legendre
 from orbitscope.quasisection import BoxSet, c_i_box, diagonal_action
 from orbitscope.wavelet import (
     _containment_points,
+    _haar_integral,
     _half_lattice,
     _lattice_slices,
     _orbit_magnitudes,
     _slice_l1,
+    _support_l1,
     bump,
     calderon_check,
     cwt,
@@ -208,6 +214,47 @@ class TestCalderon:
         assert rep.n_covered == 20 and rep.n_uncovered == 0
         assert rep.max_deviation == pytest.approx(2.0 / 3.0, abs=1e-3)
 
+    def test_peak_memory_case_a(self, spec_case_a):
+        # the batched rule runs in groups of node rows, so its temporaries do
+        # not grow with the number of samples
+        xis = _calderon_samples(spec_case_a.action, spec_case_a, 100, 0)
+        calderon_check(spec_case_a, xis[:2])  # reference rules cached
+        tracemalloc.start()
+        try:
+            rep = calderon_check(spec_case_a, xis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.orders == (64, 64) and rep.n_covered == 100
+        assert peak <= 1.5e6
+
+
+class TestHaarIntegral:
+    @pytest.mark.parametrize("name, orders", [
+        ("spec_1d", (8,)), ("spec_1d", (12,)), ("spec_case_a", (8, 12)),
+    ])
+    @pytest.mark.parametrize("m", [0, 1, 5])
+    def test_batched_rule_matches_nested_sums(self, name, orders, m, request):
+        action = request.getfixturevalue(name).action
+        rng = np.random.default_rng(m)
+        r = rng.uniform(0.5, 2.0, (m, action.k))
+        lo = rng.uniform(-1.0, 0.0, (m, action.d))
+        boxes = np.stack([lo, lo + rng.uniform(0.5, 1.5, (m, action.d))], axis=-1)
+
+        def f(rows):
+            return np.exp(-np.sum(np.log(rows) ** 2, axis=1))
+
+        vals, drift = _haar_integral(action, f, r, boxes, orders, refine=False)
+        assert vals.shape == (m,) and drift == 0.0
+        for ri, box, val in zip(r, boxes, vals):
+            axes = [gauss_legendre(o, lo_, hi_) for o, (lo_, hi_) in zip(orders, box)]
+            ref = 0.0
+            for nodes in itertools.product(*(list(zip(*ax)) for ax in axes)):
+                t = np.array([tq for tq, _ in nodes])
+                w = np.prod([wj for _, wj in nodes])
+                ref += w * f((ri * np.exp(action.weights @ t))[None])[0] ** 2
+            npt.assert_allclose(val, ref, rtol=1e-14, atol=0)
+
 
 class TestCwt:
     def test_autocorrelation_peak(self, spec_1d):
@@ -360,10 +407,30 @@ class TestCwtMatchesFullSpectrum:
         rf = spec.action.block_abs(frequency_lattice(shape, (dx,) * len(shape)))
         g0 = spec.block_values(rf).reshape(shape)
         h = shape[-1] // 2 + 1  # the rfftn half of the last axis
+        supp = np.flatnonzero(g0[..., :h])
+        buf = np.zeros(g0[..., :h].shape)
         for t in param_lattice(spec.param_box, 5)[0]:
             gh = spec.block_values(_orbit_magnitudes(spec.action, rf, t)).reshape(shape)
             ref = np.sum(np.abs(np.fft.ifftn(g0 * gh)))
-            npt.assert_allclose(_slice_l1(g0[..., :h], gh[..., :h], shape), ref, rtol=1e-12)
+            prod = (g0 * gh)[..., :h].ravel()[supp]
+            npt.assert_allclose(_slice_l1(prod, supp, buf, shape), ref, rtol=1e-12)
+
+    def test_support_l1_bit_equal_to_dense(self, spec_case_a):
+        # the CLI's case-(a) L1 lattice: 32^3 points, 20 x 20 slices
+        shape = (32, 32, 32)
+        dx = (np.pi / (4.0 * max(hi for _, hi in spec_case_a.W.bounds)),) * 3
+        half, freqs = _half_lattice(shape, dx)
+        rf = spec_case_a.action.block_abs(freqs)
+        g0 = spec_case_a.block_values(rf).reshape(half)
+        box = meeting_param_box(spec_case_a.action, spec_case_a.W, spec_case_a.W,
+                                margin=0.0)
+        ts = param_lattice(box, 20)[0]
+        got = list(_support_l1(spec_case_a, g0, rf, ts, shape))
+        dense = [float(np.sum(np.abs(np.fft.irfftn(g0 * gh.reshape(half), s=shape,
+                                                   axes=(0, 1, 2)))))
+                 for gh in _lattice_slices(spec_case_a, rf, ts)]
+        assert len(got) == 400 and got == dense
+        assert 0.0 in got and any(got)
 
 
 class TestL1Estimate:
