@@ -30,7 +30,6 @@ from .linalg import (
     rank_tol,
     roots_decompose,
 )
-from .sections import normal_form
 
 YES, NO, UNKNOWN, OPEN, UNCLASSIFIED = "yes", "no", "unknown", "open", "unclassified"
 
@@ -494,6 +493,8 @@ def classify_diag_nilpotent(A, X, tol: float = 1e-9) -> ClassificationVerdict:
         raise NotNilpotent("X must be a nonzero nilpotent")
     if np.linalg.norm(A) <= 1e-12 * scale:
         raise ValueError("A must be nonzero")
+    from .sections import normal_form  # only this procedure needs sections
+
     fam = normal_form(A, X, tol)  # validates diagonalizability, nilpotency, commuting
     if n == 2:
         return ClassificationVerdict(

@@ -8,7 +8,9 @@ n-axis lattice with power-of-two sizes; a `cwt` "dx" that is not a finite
 number > 0 or "param_counts" that is not an integer >= 1; a `wavelet`
 "samples" that is not an integer >= 1.  `section` answers all its points
 with one batched call; a point without a section gets a record naming
-NotInLayer or ZeroEigenvalue.  Reports are deterministic for fixed inputs
+NotInLayer or ZeroEigenvalue.  Side files (the `strata` probe CSV, the
+`section` JSONL, the `wavelet` ghat CSV, the `cwt` .npz) are written next to
+--out and only with it.  Reports are deterministic for fixed inputs
 and flags (modulo the timestamp header field) and carry a provenance header
 with version, seed, and tolerance overrides.  ORBITSCOPE_THREADS is
 accepted and has no effect.
@@ -19,13 +21,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import zipfile
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import families
-from .classify import classify3, classify_diag_nilpotent, classify_one_param
 from .errors import (
     DomainError,
     InputError,
@@ -41,10 +41,10 @@ from .groupspec import (
     validate_report,
 )
 from .linalg import DilationAlgebra, rank_tol, roots_decompose
-from .orbits import SampleSpec, stratify
-from .quasisection import BoxSet, diagonal_action, quasi_section_verdict
-from .sections import normal_form, section_batch
-from .wavelet import _mesh, calderon_check, cwt as run_cwt, l1_estimate, synth_wavelet
+
+# The subcommands' own modules (classify, orbits, sections, quasisection,
+# wavelet) are imported in the functions that use them, so a job loads only
+# what its subcommand runs.
 
 DEFAULT_SEED = 1729
 _CSV_CHUNK_ROWS = 4096
@@ -143,6 +143,8 @@ def _load_alg(cfg: RunConfig, doc=None) -> DilationAlgebra:
 
 def classify_dispatch(alg: DilationAlgebra):
     """Route an algebra to the applicable decision procedure."""
+    from .classify import classify3, classify_diag_nilpotent, classify_one_param
+
     if alg.d == 1:
         return classify_one_param(alg.generators[0])
     if alg.n == 3 and alg.d in (2, 3):
@@ -188,6 +190,8 @@ def _semisimple_direction(alg, rd, X):
 
 def _cmd_classify(cfg: RunConfig) -> dict:
     if cfg.table:
+        from .classify import classify3
+
         rows = [
             ("a", families.family_a(1.0)),
             ("b", families.family_b(1.0, 1.0)),
@@ -203,19 +207,25 @@ def _cmd_classify(cfg: RunConfig) -> dict:
 
 
 def _cmd_strata(cfg: RunConfig) -> dict:
+    from .orbits import SampleSpec, stratify
+
     alg = _load_alg(cfg)
     spec = SampleSpec(kind="cloud", count=cfg.grid * 4, seed=cfg.seed)
     rep = stratify(alg, spec, conull_threshold=0.99)
-    csv_path = (cfg.out or "strata") + ".csv"
-    _write_csv(csv_path, [f"xi_{i + 1}" for i in range(alg.n)] + ["orbit_dim"],
-               np.array([xi + (d,) for xi, d in rep.probes]),
-               ",".join(["%.12g"] * alg.n + ["%d"]))
+    csv_path = None
+    if cfg.out:
+        csv_path = cfg.out + ".csv"
+        _write_csv(csv_path, [f"xi_{i + 1}" for i in range(alg.n)] + ["orbit_dim"],
+                   np.array([xi + (d,) for xi, d in rep.probes]),
+                   ",".join(["%.12g"] * alg.n + ["%d"]))
     payload = rep.to_json()
     del payload["n_probes"]
     return {**payload, "csv": csv_path}
 
 
 def _cmd_section(cfg: RunConfig) -> dict:
+    from .sections import normal_form, section_batch
+
     if not cfg.input:
         raise InputError("--input is required")
     doc = load_json(cfg.input)
@@ -258,8 +268,11 @@ def _parse_points(points, n: int) -> np.ndarray:
     return V
 
 
-def _parse_box(entry, action, name: str) -> BoxSet:
-    """A box object from the input, with one (lo, hi) bound per action block."""
+def _parse_box(entry, action, name: str):
+    """A box object (a quasisection.BoxSet) from the input, with one (lo, hi)
+    bound per action block."""
+    from .quasisection import BoxSet
+
     if not isinstance(entry, dict) or "bounds" not in entry:
         raise InputError(f"invalid box: {name} must be an object with 'bounds'")
     try:
@@ -273,6 +286,8 @@ def _parse_box(entry, action, name: str) -> BoxSet:
 
 
 def _cmd_quasisection(cfg: RunConfig) -> dict:
+    from .quasisection import diagonal_action, quasi_section_verdict
+
     if not cfg.input:
         raise InputError("--input is required")
     doc = load_json(cfg.input)
@@ -292,6 +307,9 @@ def _cmd_quasisection(cfg: RunConfig) -> dict:
 
 
 def _wavelet_spec(cfg: RunConfig, doc) -> tuple:
+    from .quasisection import diagonal_action
+    from .wavelet import synth_wavelet
+
     alg = _load_alg(cfg, doc)
     action = diagonal_action(alg)
     C = _parse_box(doc.get("box"), action, "'box'")
@@ -318,6 +336,8 @@ def _calderon_samples(action, spec, count, seed) -> np.ndarray:
 
 
 def _cmd_wavelet(cfg: RunConfig) -> dict:
+    from .wavelet import calderon_check, l1_estimate
+
     if not cfg.input:
         raise InputError("--input is required")
     doc = load_json(cfg.input)
@@ -352,6 +372,8 @@ def _export_ghat(spec, path: str, per_axis: int = 64) -> None:
     columns r_1..r_k,ghat.  The grid has m points per axis, the largest
     m <= min(per_axis, 64) with m^k <= 4096 rows; the report's spec carries
     `basis` and `slices`, which map xi to r_k = |(basis^T xi)[slice_k]|."""
+    from .wavelet import _mesh
+
     k = spec.action.k
     m = max(m for m in range(1, min(per_axis, _GHAT_MAX_PER_AXIS) + 1)
             if m ** k <= _GHAT_MAX_ROWS)
@@ -375,6 +397,8 @@ def _write_csv(path: str, header, table: np.ndarray, fmt: str) -> None:
 
 
 def _cmd_cwt(cfg: RunConfig) -> dict:
+    from .wavelet import cwt
+
     if not cfg.input:
         raise InputError("--input is required")
     doc = load_json(cfg.input)
@@ -392,7 +416,7 @@ def _cmd_cwt(cfg: RunConfig) -> dict:
     counts = doc.get("param_counts", 64)
     if type(counts) is not int or counts < 1:
         raise InputError(f"'param_counts' must be an integer >= 1, got {counts!r}")
-    tg = run_cwt(spec, f, float(dx), param_counts=counts)
+    tg = cwt(spec, f, float(dx), param_counts=counts)
     slices_path = None
     if cfg.out:
         slices_path = cfg.out + "_coeffs.npz"
@@ -411,6 +435,8 @@ def _savez(path: str, **arrays) -> None:
     """An uncompressed .npz whose members hold the bytes np.savez writes
     (a .npy format 1.0 header, then the data), each written from the
     array's own buffer without the copy np.savez's writer makes of it."""
+    import zipfile
+
     with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED, allowZip64=True) as zf:
         for name, arr in arrays.items():
             arr = np.ascontiguousarray(arr)

@@ -21,9 +21,28 @@ from .errors import (
 DEFAULT_TOL = 1e-9
 MAX_DIM = 6
 
-# Fixed seed for the generic linear combination used to seed joint roots;
+# Fixed seed for the generic linear combinations used to seed joint roots;
 # reproducibility of the decomposition depends on it.
 _ROOT_SEED = 20260808
+_ROOT_RETRIES = 6
+# The first _ROOT_RETRIES * MAX_DIM values of
+# np.random.default_rng(_ROOT_SEED).standard_normal, written out so that a
+# decomposition does not import numpy.random; retry i of a d-generator
+# family uses _ROOT_DRAWS[i * d:(i + 1) * d], the draws the generator made.
+_ROOT_DRAWS = np.array([
+    -1.1305643663071248, -1.315808323692046, -0.021805977949173817,
+    1.8955906623007115, -0.37928320322115355, -2.719279033999097,
+    -0.40998748451267547, -0.5347741587790755, 0.4195692329921765,
+    0.15786384228760178, 0.028668388127585386, 0.13852230857460385,
+    -1.0698358196548545, -0.10624013815146933, 1.1561626044440911,
+    -0.9169272576906115, -0.40992114151106507, 0.6879983295031311,
+    -0.3285381348522708, -1.3896097736388537, 2.4172052014498426,
+    -2.747441959907303, 0.4011697994214341, 0.6878024300136412,
+    0.7704064513003378, -0.27747146913966564, -1.865510729258168,
+    0.38635912430418534, -0.03076450899800168, 0.2102666438720732,
+    0.15816915496109415, -1.0904858281613854, 1.024166008419499,
+    0.8497864508164606, -0.030416790830283886, 0.05461411611199643,
+])
 
 
 def as_matrix(M, n: int | None = None) -> np.ndarray:
@@ -272,21 +291,20 @@ def _generalized_eigenspace(A: np.ndarray, mu: complex, n: int, tol: float) -> n
     return K
 
 
-def roots_decompose(alg: DilationAlgebra, max_retries: int = 6) -> RootDecomposition:
+def roots_decompose(alg: DilationAlgebra) -> RootDecomposition:
     """All joint roots and generalized eigenspaces of the commuting family.
 
-    A generic random combination of the generators (deterministic seed) seeds
-    the joint spectrum; the run is retried with a fresh combination when the
-    clustering is ambiguous, and IllConditioned is raised if that never
-    resolves.
+    A generic combination of the generators (fixed pseudo-random
+    coefficients, _ROOT_DRAWS) seeds the joint spectrum; the run is retried
+    with a fresh combination when the clustering is ambiguous, and
+    IllConditioned is raised if that never resolves in _ROOT_RETRIES tries.
     """
     n, d = alg.n, alg.d
     scale = alg.scale()
     tol = alg.tol
-    rng = np.random.default_rng(_ROOT_SEED)
     last_err = None
-    for _ in range(max_retries):
-        coeffs = rng.standard_normal(d)
+    for i in range(_ROOT_RETRIES):
+        coeffs = _ROOT_DRAWS[i * d:(i + 1) * d]
         Agen = alg.element(coeffs)
         eigs = np.linalg.eigvals(Agen)
         cl_tol = max(np.max(np.abs(eigs)), 1.0) * 1e-6
@@ -321,7 +339,7 @@ def roots_decompose(alg: DilationAlgebra, max_retries: int = 6) -> RootDecomposi
         except IllConditioned as err:  # retry with a fresh combination
             last_err = err
             continue
-    raise IllConditioned(f"root clustering failed after {max_retries} retries: {last_err}")
+    raise IllConditioned(f"root clustering failed after {_ROOT_RETRIES} retries: {last_err}")
 
 
 def _merge_conjugates(raw, alg: DilationAlgebra) -> RootDecomposition:

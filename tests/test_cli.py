@@ -9,6 +9,7 @@ import zipfile
 import numpy as np
 import pytest
 
+import orbitscope
 from orbitscope.cli import _export_ghat, _savez, _write_csv, main
 from orbitscope.groupspec import group_spec_from_dict, validate_report
 from orbitscope.errors import InputError
@@ -141,6 +142,23 @@ class TestStrataCommand:
         csv_lines = open(payload["csv"]).read().splitlines()
         assert csv_lines[0] == "xi_1,xi_2,xi_3,orbit_dim"
         assert len(csv_lines) == 64 * 4 + 1
+
+    def test_no_csv_without_out(self, case_d_spec, tmp_path):
+        # without --out the report goes to stdout and no file is written
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        src = os.path.dirname(os.path.dirname(orbitscope.__file__))
+        res = subprocess.run(
+            [sys.executable, "-m", "orbitscope.cli", "strata",
+             "--input", str(case_d_spec), "--grid", "16"],
+            capture_output=True, text=True, cwd=cwd,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert res.returncode == 0, res.stderr
+        report = json.loads(res.stdout)
+        validate_report(report)
+        assert report["payload"]["csv"] is None
+        assert list(cwd.iterdir()) == []
 
 
 class TestSectionCommand:
@@ -509,18 +527,43 @@ IMPORT_PROBE = (
     "import json, sys\n"
     "from orbitscope.cli import main\n"
     "code = main(sys.argv[1:])\n"
-    "scipy = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-    "print(json.dumps({'code': code, 'scipy': scipy}), file=sys.stderr)\n"
+    "loaded = lambda top: sorted(m for m in sys.modules if m.split('.')[0] == top)\n"
+    "print(json.dumps({'code': code, 'scipy': loaded('scipy'),\n"
+    "                  'orbitscope': loaded('orbitscope'),\n"
+    "                  'numpy.random': 'numpy.random' in sys.modules}), file=sys.stderr)\n"
 )
+
+# the orbitscope modules each subcommand must not load (its import footprint)
+NOT_LOADED = {
+    "section": {"orbits", "quasisection", "quad", "wavelet", "classify"},
+    "strata": {"quasisection", "quad", "wavelet", "classify", "sections"},
+    "quasisection": {"quad", "wavelet", "classify", "sections"},
+    "wavelet": {"classify", "sections"},
+    "cwt": {"classify", "sections"},
+}
+CLASSIFY_MODULES = ["orbitscope", "orbitscope.classify", "orbitscope.cli", "orbitscope.errors",
+                    "orbitscope.families", "orbitscope.groupspec", "orbitscope.linalg"]
 
 
 def run_import_probe(*args):
-    """Run the CLI in a fresh interpreter; return its exit code and the scipy
-    modules loaded by the time it returned."""
+    """Run the CLI in a fresh interpreter; return its exit code, the scipy and
+    orbitscope modules loaded by the time it returned, and whether
+    numpy.random was."""
     res = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *args],
                          capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     return json.loads(res.stderr.strip().splitlines()[-1])
+
+
+def assert_footprint(sub, probe):
+    """The probe's run exited 0 without scipy and loaded only what `sub` runs."""
+    assert probe["code"] == 0 and probe["scipy"] == [], sub
+    if sub == "classify":
+        assert probe["orbitscope"] == CLASSIFY_MODULES
+        assert not probe["numpy.random"]
+    else:
+        loaded = {m.removeprefix("orbitscope.") for m in probe["orbitscope"]}
+        assert not loaded & NOT_LOADED[sub], (sub, loaded)
 
 
 class TestImports:
@@ -536,12 +579,13 @@ class TestImports:
         }))
         for args in (
             ["classify", "--table"],
+            ["classify", "--input", str(case_d_spec)],
             ["strata", "--input", str(case_d_spec), "--grid", "16"],
             ["section", "--input", str(sec)],
         ):
             out = tmp_path / f"{args[0]}.json"
             probe = run_import_probe(*args, "--out", str(out))
-            assert probe == {"code": 0, "scipy": []}, args
+            assert_footprint(args[0], probe)
             validate_report(json.loads(out.read_text()))
 
     def test_solver_jobs_load_no_optimizer(self, tmp_path):
@@ -559,7 +603,7 @@ class TestImports:
         }))
         out = tmp_path / "qs_out.json"
         probe = run_import_probe("quasisection", "--input", str(path), "--out", str(out))
-        assert probe == {"code": 0, "scipy": []}
+        assert_footprint("quasisection", probe)
         verdict = json.loads(out.read_text())["payload"]["verdict"]
         assert verdict["quasi_section_exists"] == "no"
         wav = tmp_path / "w.json"
@@ -567,7 +611,7 @@ class TestImports:
                                    "box": {"bounds": [[1.0, 2.0]]}, "samples": 5}))
         probe = run_import_probe("wavelet", "--input", str(wav), "--out",
                                  str(tmp_path / "w_out"), "--grid", "16")
-        assert probe == {"code": 0, "scipy": []}
+        assert_footprint("wavelet", probe)
         sig = tmp_path / "sig.csv"
         np.savetxt(sig, np.cos(2 * np.pi * 5 * np.arange(64) / 64), delimiter=",")
         cwt_doc = tmp_path / "c.json"
@@ -577,7 +621,7 @@ class TestImports:
                                        "param_counts": 8}))
         probe = run_import_probe("cwt", "--input", str(cwt_doc), "--out",
                                  str(tmp_path / "c_out"))
-        assert probe == {"code": 0, "scipy": []}
+        assert_footprint("cwt", probe)
 
 
 def csv_writer_reference(path, header, rows):

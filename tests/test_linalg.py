@@ -4,7 +4,9 @@ import pytest
 
 from orbitscope.errors import IllConditioned, MatrixOverflow, NonCommuting
 from orbitscope.families import E, family_a, family_d, family_e
+from orbitscope import linalg
 from orbitscope.linalg import (
+    MAX_DIM,
     DilationAlgebra,
     check_commuting,
     epsilon_from_sizes,
@@ -130,6 +132,13 @@ class TestRootsDecompose:
         assert len(rd.nilpotent_basis) == 1
         patterns = sorted(rd.epsilon, key=len)
         assert patterns == [(), (1,)]
+
+    def test_root_draws_are_the_seeded_normals(self):
+        # retry i of a d-generator family uses _ROOT_DRAWS[i*d:(i+1)*d], the
+        # values a default_rng(_ROOT_SEED) stream gives on its i-th draw of d
+        npt.assert_array_equal(
+            linalg._ROOT_DRAWS,
+            np.random.default_rng(linalg._ROOT_SEED).standard_normal(6 * MAX_DIM))
 
 
 class TestJordanHelpers:

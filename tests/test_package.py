@@ -1,0 +1,55 @@
+import importlib
+import json
+import subprocess
+import sys
+
+import pytest
+
+import orbitscope
+
+
+class TestNamespace:
+    def test_public_names_are_the_submodules_objects(self):
+        for name in orbitscope.__all__:
+            if name == "__version__":
+                continue
+            value = getattr(orbitscope, name)
+            assert value.__module__.startswith("orbitscope."), name
+            module = importlib.import_module(value.__module__)
+            assert getattr(module, name) is value, name
+
+    def test_dir_lists_every_public_name(self):
+        assert set(orbitscope.__all__) <= set(dir(orbitscope))
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            orbitscope.no_such_name
+
+    def test_star_import_binds_all(self):
+        namespace = {}
+        exec("from orbitscope import *", namespace)
+        del namespace["__builtins__"]
+        assert set(namespace) == set(orbitscope.__all__)
+        assert namespace["cwt"] is orbitscope.wavelet.cwt
+
+    def test_fresh_import_is_lazy(self):
+        # a fresh interpreter: the package alone loads no submodule, and names
+        # and submodule attributes import what they need on first use
+        probe = (
+            "import json, sys\n"
+            "import orbitscope\n"
+            "loaded = lambda: sorted(m for m in sys.modules if m.startswith('orbitscope.'))\n"
+            "bare = loaded()\n"
+            "from orbitscope import families, quad\n"
+            "same = orbitscope.wavelet.cwt is orbitscope.cwt\n"
+            "print(json.dumps({'bare': bare, 'same': same, 'after': loaded(),\n"
+            "                  'families': families.__name__, 'quad': quad.__name__}))\n"
+        )
+        res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        got = json.loads(res.stdout)
+        assert got["bare"] == []
+        assert got["same"]
+        assert {"orbitscope.families", "orbitscope.quad",
+                "orbitscope.wavelet"} <= set(got["after"])
+        assert (got["families"], got["quad"]) == ("orbitscope.families", "orbitscope.quad")
