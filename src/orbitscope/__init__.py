@@ -27,8 +27,8 @@ _EXPORTS = {
         "stratify",
     ), "orbits"),
     **dict.fromkeys((
-        "LayeredFamily", "SectionBatch", "SectionPoint", "case1_sections",
-        "layer_index", "normal_form", "section_batch", "section_point",
+        "LayeredFamily", "SectionBatch", "SectionPoint", "layer_index",
+        "normal_form", "section_batch", "section_point",
     ), "sections"),
     **dict.fromkeys((
         "ClassificationVerdict", "classify3", "classify_diag_nilpotent",

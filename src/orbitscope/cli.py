@@ -2,11 +2,14 @@
 
 Subcommands: classify | strata | section | quasisection | wavelet | cwt.
 Exit status 0 on success, 2 on named domain errors, 1 on I/O, parse or
-input errors: `section` points that are not a finite (m, n) array; a `cwt`
-signal that is zero everywhere, has a non-finite sample, or is not an
-n-axis lattice with power-of-two sizes; a `cwt` "dx" that is not a finite
-number > 0 or "param_counts" that is not an integer >= 1; a `wavelet`
-"samples" that is not an integer >= 1.  `section` answers all its points
+input errors: a group spec whose "n" is not an integer, whose generators
+have an entry that is not a real number, or whose tolerance ("tol" or
+--tol) is not a finite number > 0 (JSON booleans count as none of these);
+`section` points that are not a finite (m, n) array; a `cwt` signal that
+is zero everywhere, has a non-finite sample, or is not an n-axis lattice
+with power-of-two sizes; a `cwt` "dx" that is not a finite number > 0 or
+"param_counts" that is not an integer >= 1; a `wavelet` "samples" that is
+not an integer >= 1.  `section` answers all its points
 with one batched call; a point without a section gets a record naming
 NotInLayer or ZeroEigenvalue.  Side files (the `strata` probe CSV, the
 `section` JSONL, the `wavelet` ghat CSV, the `cwt` .npz) are written next to
@@ -25,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import families
 from .errors import (
     DomainError,
     InputError,
@@ -42,9 +44,9 @@ from .groupspec import (
 )
 from .linalg import DilationAlgebra, rank_tol, roots_decompose
 
-# The subcommands' own modules (classify, orbits, sections, quasisection,
-# wavelet) are imported in the functions that use them, so a job loads only
-# what its subcommand runs.
+# The subcommands' own modules (classify, families, orbits, sections,
+# quasisection, wavelet) are imported in the functions that use them, so a
+# job loads only what its subcommand runs.
 
 DEFAULT_SEED = 1729
 _CSV_CHUNK_ROWS = 4096
@@ -190,6 +192,7 @@ def _semisimple_direction(alg, rd, X):
 
 def _cmd_classify(cfg: RunConfig) -> dict:
     if cfg.table:
+        from . import families
         from .classify import classify3
 
         rows = [

@@ -62,10 +62,6 @@ class NotInLayer(DomainError):
     """Point has no active layer (p_i(Xv) = 0 for all candidate indices)."""
 
 
-class NotCase1(DomainError):
-    pass
-
-
 class UnclassifiedFamily(DomainError):
     """Family outside the classification table (strict mode only)."""
 

@@ -12,6 +12,7 @@ field.
 from __future__ import annotations
 
 import json
+import numbers
 import time
 from typing import Any
 
@@ -24,31 +25,46 @@ from .linalg import DilationAlgebra
 SCHEMA_VERSION = "3"
 
 
+def _is_real(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def _all_real(g) -> bool:
+    return all(_all_real(x) for x in g) if isinstance(g, list) else _is_real(g)
+
+
 def group_spec_from_dict(doc: dict) -> DilationAlgebra:
     if not isinstance(doc, dict):
         raise InputError("group spec must be a JSON object")
     try:
-        n = int(doc["n"])
+        n = doc["n"]
         gens_raw = doc["generators"]
     except KeyError as err:
         raise InputError(f"group spec missing field {err.args[0]!r}") from err
+    if not isinstance(n, numbers.Integral) or isinstance(n, bool):
+        raise InputError(f"invalid group spec: 'n' must be an integer, got {n!r}")
+    tol = doc.get("tol", 1e-9)
+    if not (_is_real(tol) and np.isfinite(tol) and tol > 0):
+        raise InputError(f"invalid group spec: 'tol' must be a finite number > 0, got {tol!r}")
     if not isinstance(gens_raw, list) or not gens_raw:
         raise InputError("'generators' must be a non-empty list")
-    gens = []
-    for i, g in enumerate(gens_raw):
-        arr = np.asarray(g, dtype=float)
-        if arr.ndim == 1:
-            if arr.size != n * n:
-                raise InputError(
-                    f"generator {i}: flat length {arr.size} != n*n = {n * n}"
-                )
-            arr = arr.reshape(n, n)
-        elif arr.shape != (n, n):
-            raise InputError(f"generator {i}: shape {arr.shape} != ({n}, {n})")
-        gens.append(arr)
-    tol = float(doc.get("tol", 1e-9))
     try:
-        return DilationAlgebra(gens, n=n, tol=tol)
+        gens = []
+        for i, g in enumerate(gens_raw):
+            if not _all_real(g):
+                raise InputError(f"invalid group spec: generator {i} has an entry "
+                                 "that is not a real number")
+            arr = np.asarray(g, dtype=float)
+            if arr.ndim == 1:
+                if arr.size != n * n:
+                    raise InputError(
+                        f"generator {i}: flat length {arr.size} != n*n = {n * n}"
+                    )
+                arr = arr.reshape(n, n)
+            elif arr.shape != (n, n):
+                raise InputError(f"generator {i}: shape {arr.shape} != ({n}, {n})")
+            gens.append(arr)
+        return DilationAlgebra(gens, n=n, tol=float(tol))
     except ValueError as err:
         raise InputError(f"invalid group spec: {err}") from err
 

@@ -138,15 +138,6 @@ def null_space(M, tol: float = DEFAULT_TOL, scale: float | None = None) -> np.nd
     return vh[r:].conj().T
 
 
-def rank_abs(M, atol: float) -> int:
-    """Rank with an absolute singular-value cut (for powers of normalized matrices)."""
-    A = np.atleast_2d(np.asarray(M, dtype=float))
-    if A.size == 0:
-        return 0
-    s = np.linalg.svd(A, compute_uv=False)
-    return int(np.sum(s > atol))
-
-
 def orth_columns(M, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis (columns) of the column space."""
     A = np.atleast_2d(np.asarray(M))
@@ -221,14 +212,11 @@ class RootDecomposition:
     roots[k] is the complex vector of values of the k-th root on the
     generators; blocks[k] is a real orthonormal basis (columns) of the merged
     generalized eigenspace V_k (conjugate pairs merged, dimension 2m).
-    `epsilon[k]` is the 0/1 subdiagonal pattern of the chosen nilpotent on
-    V_k (empty tuple when there is none).
     """
 
     roots: tuple
     blocks: tuple
     nilpotent_basis: tuple
-    epsilon: tuple
     p: int = field(init=False)
 
     def __post_init__(self):
@@ -384,13 +372,10 @@ def _merge_conjugates(raw, alg: DilationAlgebra) -> RootDecomposition:
     blocks = [blocks[k] for k in order]
     if sum(b.shape[1] for b in blocks) != alg.n:
         raise IllConditioned("merged block dimensions do not sum to n")
-    nil_basis = _nilpotent_basis(roots, alg)
-    eps = _epsilon_patterns(nil_basis, blocks, alg)
     return RootDecomposition(
         roots=tuple(r.copy() for r in roots),
         blocks=tuple(b.copy() for b in blocks),
-        nilpotent_basis=tuple(nil_basis),
-        epsilon=tuple(eps),
+        nilpotent_basis=tuple(_nilpotent_basis(roots, alg)),
     )
 
 
@@ -410,45 +395,6 @@ def _nilpotent_basis(roots, alg: DilationAlgebra) -> list[np.ndarray]:
             c = -c
         basis.append(alg.element(c))
     return basis
-
-
-def jordan_block_sizes(N: np.ndarray, tol: float = 1e-8) -> list[int]:
-    """Jordan block sizes of a nilpotent matrix, from the rank sequence of powers."""
-    m = N.shape[0]
-    nrm = np.linalg.norm(N)
-    M = N / nrm if nrm > tol else np.zeros_like(N)
-    ranks = [m]
-    P = np.eye(m)
-    for _ in range(m):
-        P = P @ M
-        ranks.append(rank_abs(P, tol))
-    sizes = []
-    for k in range(1, m + 1):
-        count = ranks[k - 1] - 2 * ranks[k] + (ranks[k + 1] if k + 1 <= m else 0)
-        sizes.extend([k] * count)
-    sizes.sort(reverse=True)
-    return sizes
-
-
-def epsilon_from_sizes(sizes) -> tuple:
-    """Concatenate Jordan chains into the paper-style 0/1 subdiagonal pattern."""
-    eps = []
-    for i, s in enumerate(sizes):
-        if i > 0:
-            eps.append(0)
-        eps.extend([1] * (s - 1))
-    return tuple(eps)
-
-
-def _epsilon_patterns(nil_basis, blocks, alg: DilationAlgebra):
-    if not nil_basis:
-        return [() for _ in blocks]
-    X0 = nil_basis[0]
-    patterns = []
-    for B in blocks:
-        Nb = B.T @ X0 @ B
-        patterns.append(epsilon_from_sizes(jordan_block_sizes(Nb)))
-    return patterns
 
 
 def blocks_semisimple(alg: DilationAlgebra, rd: RootDecomposition,

@@ -47,7 +47,6 @@ class DiagonalizedAction:
     basis: np.ndarray
     slices: tuple
     weights: np.ndarray  # (k, d): real parts of the roots on the generators
-    labels: tuple
 
     @property
     def k(self) -> int:
@@ -83,7 +82,6 @@ def diagonal_action(alg: DilationAlgebra) -> DiagonalizedAction:
     cols = []
     slices = []
     weights = []
-    labels = []
     offset = 0
     rng = np.random.default_rng(1)
     for kk in order:
@@ -93,7 +91,6 @@ def diagonal_action(alg: DilationAlgebra) -> DiagonalizedAction:
         if real:
             cols.append(V)
             slices.append(slice(offset, offset + m))
-            labels.append(f"real block (lambda = {np.round(lam.real, 9).tolist()})")
             weights.append(lam.real)
             offset += m
         else:
@@ -108,7 +105,6 @@ def diagonal_action(alg: DilationAlgebra) -> DiagonalizedAction:
             U = np.column_stack([z.real, z.imag])
             cols.append(V @ U)
             slices.append(slice(offset, offset + 2))
-            labels.append(f"complex block (lambda = {np.round(lam, 9).tolist()})")
             # eigenvalues paired with this eigenvector (sign of the imaginary
             # part depends on the choice of z, not on the merge convention)
             row = np.array([
@@ -125,7 +121,6 @@ def diagonal_action(alg: DilationAlgebra) -> DiagonalizedAction:
         basis=basis,
         slices=tuple(slices),
         weights=np.array(weights),
-        labels=tuple(labels),
     )
 
 
@@ -280,7 +275,6 @@ class ParamInequalitySystem:
 
     L: np.ndarray
     c: np.ndarray
-    labels: tuple
     d: int
 
     @property
@@ -329,11 +323,8 @@ def meeting_system(action, C1: BoxSet, C2: BoxSet) -> ParamInequalitySystem:
         raise ValueError(f"boxes must have {action.k} block bounds")
     (lo1, hi1), (lo2, hi2) = np.array(C1.bounds).T, np.array(C2.bounds).T
     L, c = _interval_system(action, lo1, hi1, lo2, hi2)
-    labels = ([f"block {i}: mu.t <= ln(hi2/lo1)" for i in range(action.k)]
-              + [f"block {i}: mu.t >= ln(lo2/hi1)" for i in range(action.k)])
     keep = c < np.inf
-    return ParamInequalitySystem(L=L[keep], c=c[keep], d=action.d,
-                                 labels=tuple(lab for lab, k in zip(labels, keep) if k))
+    return ParamInequalitySystem(L=L[keep], c=c[keep], d=action.d)
 
 
 def is_relatively_compact(sys: ParamInequalitySystem) -> tuple[bool, np.ndarray | None]:

@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import (
     NonCommuting,
-    NotCase1,
     NotDiagonalizable,
     NotInLayer,
     NotNilpotent,
@@ -315,76 +314,3 @@ def section_point(fam: LayeredFamily, v) -> SectionPoint:
         raise NotInLayer("section residuals exceed 1e-7 * max(1, |v*|)")
     return SectionPoint(layer=sec.layer(0), representative=sec.representative[0],
                         witness=(float(sec.s[0]), float(sec.t[0])), sign=int(sec.sign[0]))
-
-
-@dataclass(frozen=True)
-class LayerDescriptor:
-    """Affine description of one layer and its section in the given basis.
-
-    omega_functional w encodes Omega_b = {v : w . v != 0} intersected with the
-    vanishing of the functionals in `prior`; the section adds p_b(v) = 0 and
-    |w . v| = 1.
-    """
-
-    b: int
-    nonempty: bool
-    omega_functional: np.ndarray
-    prior: tuple
-    section_zero_coord: int
-
-    def describe(self) -> str:
-        if not self.nonempty:
-            return f"Omega_{self.b} = (empty)"
-        terms = " and ".join(
-            f"({_lin(f)}) = 0" for f in self.prior
-        )
-        cond = f"{_lin(self.omega_functional)} != 0"
-        if terms:
-            cond = f"{terms} and {cond}"
-        return (
-            f"Omega_{self.b} = {{v : {cond}}}; "
-            f"Sigma_{self.b} = {{v in Omega_{self.b} : v_{self.section_zero_coord} = 0, "
-            f"|{_lin(self.omega_functional)}| = 1}}"
-        )
-
-
-def _lin(w) -> str:
-    parts = []
-    for i, c in enumerate(w):
-        if abs(c) > 0:
-            parts.append(f"{c:+g}*v_{i + 1}")
-    return " ".join(parts) if parts else "0"
-
-
-def case1_sections(A, X, tol: float = 1e-9) -> tuple[LayerDescriptor, LayerDescriptor]:
-    """Explicit layer/section descriptors for the 3x3 single-root families.
-
-    Requires n = 3, A = lambda I + (strictly lower) with lambda != 0, and X
-    strictly lower triangular in the given basis; descriptors follow the
-    x_21 / x_32 dichotomy.
-    """
-    A = as_matrix(A, 3)
-    X = as_matrix(X, 3)
-    ok, worst = check_commuting([A, X], tol)
-    if not ok:
-        raise NonCommuting(f"[A, X] has norm {worst:.3g}")
-    lam = float(np.trace(A)) / 3.0
-    scale = max(np.linalg.norm(A), 1.0)
-    if abs(lam) <= tol * scale:
-        raise NotCase1("single root must be nonzero")
-    Y = A - lam * np.eye(3)
-    if np.max(np.abs(np.triu(Y))) > tol * scale or np.max(np.abs(np.triu(X))) > tol * scale:
-        raise NotCase1("A - lambda*I and X must be strictly lower triangular")
-    _nilpotency_check(X, tol)
-    x21, x31, x32 = X[1, 0], X[2, 0], X[2, 1]
-    xscale = max(np.linalg.norm(X), 1.0)
-    has21 = abs(x21) > tol * xscale
-    has32 = abs(x32) > tol * xscale
-    # p_2(Xv) = x21 v1 ; p_3(Xv) = x31 v1 + x32 v2
-    f2 = np.array([x21, 0.0, 0.0])
-    f3 = np.array([x31, x32, 0.0])
-    omega2 = LayerDescriptor(2, has21, f2, (), section_zero_coord=2)
-    omega3_nonempty = (has21 and has32) or (not has21 and rank_tol(f3.reshape(1, -1), tol) > 0)
-    prior3 = (f2,) if has21 else ()
-    omega3 = LayerDescriptor(3, bool(omega3_nonempty), f3, prior3, section_zero_coord=3)
-    return omega2, omega3

@@ -298,6 +298,34 @@ class TestFlagInput:
         assert not out.exists()
 
 
+DIAG_2D = {"n": 2, "generators": [[1, 0, 0, 2]]}
+
+
+class TestGroupSpecInput:
+    @pytest.mark.parametrize("doc, flags, field", [
+        ({**DIAG_2D, "n": "abc"}, [], "'n'"),
+        ({**DIAG_2D, "n": None}, [], "'n'"),
+        ({**DIAG_2D, "n": 2.7}, [], "'n'"),
+        ({"n": True, "generators": DILATION_1D}, [], "'n'"),
+        ({**DIAG_2D, "generators": [[1, 0, 0, "x"]]}, [], "generator 0"),
+        ({**DIAG_2D, "generators": [[1, 0, 0, "2"]]}, [], "generator 0"),
+        ({**DIAG_2D, "tol": "x"}, [], "'tol'"),
+        ({**DIAG_2D, "tol": None}, [], "'tol'"),
+        (DIAG_2D, ["--tol", "-1"], "'tol'"),
+        (DIAG_2D, ["--tol", "nan"], "'tol'"),
+        (DIAG_2D, ["--tol", "inf"], "'tol'"),
+    ], ids=["n-string", "n-null", "n-fraction", "n-bool", "entry-string",
+            "entry-numeric-string", "tol-string", "tol-null", "flag-tol-negative",
+            "flag-tol-nan", "flag-tol-inf"])
+    def test_invalid_spec_exit_1(self, tmp_path, capsys, doc, flags, field):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out.json"
+        assert main(["classify", "--input", str(path), "--out", str(out), *flags]) == 1
+        assert f"input error: invalid group spec: {field}" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestWaveletSamples:
     @pytest.mark.parametrize("samples", [0, -3, "abc", 2.5],
                              ids=["zero", "negative", "string", "fraction"])
@@ -541,8 +569,11 @@ NOT_LOADED = {
     "wavelet": {"classify", "sections"},
     "cwt": {"classify", "sections"},
 }
+# the exact module sets of the classify jobs; only the golden table reads
+# the family constructors
 CLASSIFY_MODULES = ["orbitscope", "orbitscope.classify", "orbitscope.cli", "orbitscope.errors",
-                    "orbitscope.families", "orbitscope.groupspec", "orbitscope.linalg"]
+                    "orbitscope.groupspec", "orbitscope.linalg"]
+TABLE_MODULES = sorted([*CLASSIFY_MODULES, "orbitscope.families"])
 
 
 def run_import_probe(*args):
@@ -555,11 +586,11 @@ def run_import_probe(*args):
     return json.loads(res.stderr.strip().splitlines()[-1])
 
 
-def assert_footprint(sub, probe):
+def assert_footprint(sub, probe, table=False):
     """The probe's run exited 0 without scipy and loaded only what `sub` runs."""
     assert probe["code"] == 0 and probe["scipy"] == [], sub
     if sub == "classify":
-        assert probe["orbitscope"] == CLASSIFY_MODULES
+        assert probe["orbitscope"] == (TABLE_MODULES if table else CLASSIFY_MODULES)
         assert not probe["numpy.random"]
     else:
         loaded = {m.removeprefix("orbitscope.") for m in probe["orbitscope"]}
@@ -585,7 +616,7 @@ class TestImports:
         ):
             out = tmp_path / f"{args[0]}.json"
             probe = run_import_probe(*args, "--out", str(out))
-            assert_footprint(args[0], probe)
+            assert_footprint(args[0], probe, table="--table" in args)
             validate_report(json.loads(out.read_text()))
 
     def test_solver_jobs_load_no_optimizer(self, tmp_path):

@@ -3,14 +3,12 @@ import numpy.testing as npt
 import pytest
 
 from orbitscope.errors import IllConditioned, MatrixOverflow, NonCommuting
-from orbitscope.families import E, family_a, family_d, family_e
+from orbitscope.families import E, family_a, family_e
 from orbitscope import linalg
 from orbitscope.linalg import (
     MAX_DIM,
     DilationAlgebra,
     check_commuting,
-    epsilon_from_sizes,
-    jordan_block_sizes,
     mat_exp,
     rank_tol,
     roots_decompose,
@@ -127,27 +125,12 @@ class TestRootsDecompose:
         with pytest.raises(IllConditioned):
             roots_decompose(alg)
 
-    def test_epsilon_pattern_for_case_d(self):
-        rd = roots_decompose(family_d())
-        assert len(rd.nilpotent_basis) == 1
-        patterns = sorted(rd.epsilon, key=len)
-        assert patterns == [(), (1,)]
-
     def test_root_draws_are_the_seeded_normals(self):
         # retry i of a d-generator family uses _ROOT_DRAWS[i*d:(i+1)*d], the
         # values a default_rng(_ROOT_SEED) stream gives on its i-th draw of d
         npt.assert_array_equal(
             linalg._ROOT_DRAWS,
             np.random.default_rng(linalg._ROOT_SEED).standard_normal(6 * MAX_DIM))
-
-
-class TestJordanHelpers:
-    def test_sizes_and_epsilon(self):
-        N = E(2, 1) + E(3, 2)  # full chain
-        assert jordan_block_sizes(N) == [3]
-        assert epsilon_from_sizes([3]) == (1, 1)
-        assert jordan_block_sizes(E(2, 1)) == [2, 1]
-        assert epsilon_from_sizes([2, 1]) == (1, 0)
 
 
 class TestRankTol:

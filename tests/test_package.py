@@ -1,5 +1,7 @@
+import ast
 import importlib
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -53,3 +55,42 @@ class TestNamespace:
         assert {"orbitscope.families", "orbitscope.quad",
                 "orbitscope.wavelet"} <= set(got["after"])
         assert (got["families"], got["quad"]) == ("orbitscope.families", "orbitscope.quad")
+
+
+
+SRC = pathlib.Path(orbitscope.__file__).parent
+ERROR_BASES = {"OrbitscopeError", "InputError", "DomainError"}
+
+
+def _names(nodes):
+    """The names read and attributes taken among `nodes`."""
+    return {node.id if isinstance(node, ast.Name) else node.attr for node in nodes
+            if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+class TestNoDeadCode:
+    def test_private_defs_have_a_caller_and_errors_are_raised(self):
+        trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+        nodes = [node for tree in trees.values() for node in ast.walk(tree)]
+        unused = []
+        for module, tree in trees.items():
+            for defn in tree.body:
+                if (isinstance(defn, (ast.FunctionDef, ast.ClassDef))
+                        and defn.name.startswith("_") and not defn.name.endswith("__")):
+                    own = {id(node) for node in ast.walk(defn)}
+                    if defn.name not in _names(n for n in nodes if id(n) not in own):
+                        unused.append(f"{module}:{defn.name}")
+        assert unused == []
+        # every leaf error class is raised, or is the category of a warnings.warn
+        signalled = set()
+        for node in nodes:
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                signalled |= _names(ast.walk(exc))
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "warn"):
+                for arg in [*node.args[1:], *(kw.value for kw in node.keywords)]:
+                    signalled |= _names(ast.walk(arg))
+        leaves = {defn.name for defn in trees["errors.py"].body
+                  if isinstance(defn, ast.ClassDef)} - ERROR_BASES
+        assert sorted(leaves - signalled) == []

@@ -6,7 +6,6 @@ import pytest
 
 from orbitscope.errors import (
     NonCommuting,
-    NotCase1,
     NotDiagonalizable,
     NotInLayer,
     NotNilpotent,
@@ -16,7 +15,6 @@ from orbitscope.families import E
 from orbitscope.linalg import DilationAlgebra, mat_exp
 from orbitscope.orbits import orbit_dim
 from orbitscope.sections import (
-    case1_sections,
     layer_index,
     normal_form,
     section_batch,
@@ -40,6 +38,10 @@ class TestNormalForm:
     def test_full_jordan(self):
         fam = normal_form(np.eye(3), E(2, 1) + E(3, 2))
         assert [b.epsilon for b in fam.blocks] == [(1, 1)]
+        # chains [2, 1], whichever basis vector the length-2 chain starts on
+        for X in (E(2, 1), E(3, 2)):
+            fam = normal_form(np.eye(3), X)
+            assert [b.epsilon for b in fam.blocks] == [(1, 0)]
 
     def test_zero_nilpotent_degenerate(self):
         fam = normal_form(np.diag([2.0, 2.0]), np.zeros((2, 2)))
@@ -252,27 +254,6 @@ class TestSectionBatch:
 
 
 class TestCase1Sections:
-    def test_only_omega2(self):
-        om2, om3 = case1_sections(np.eye(3), E(2, 1))
-        assert om2.nonempty and not om3.nonempty
-        npt.assert_allclose(om2.omega_functional, [1.0, 0.0, 0.0])
-        assert "v_2 = 0" in om2.describe()
-
-    def test_both_layers(self):
-        om2, om3 = case1_sections(np.eye(3), E(2, 1) + E(3, 2))
-        assert om2.nonempty and om3.nonempty
-        npt.assert_allclose(om3.omega_functional, [0.0, 1.0, 0.0])
-
-    def test_only_omega3(self):
-        om2, om3 = case1_sections(np.eye(3), E(3, 2))
-        assert not om2.nonempty and om3.nonempty
-
-    def test_rejects_non_case1(self):
-        with pytest.raises(NotCase1):
-            case1_sections(np.diag([1.0, 1.0, 2.0]), E(2, 1))
-        with pytest.raises(NotCase1):
-            case1_sections(np.zeros((3, 3)), E(2, 1))
-
     def test_section_property_numerically(self):
         # points on Sigma_2 stay fixed; orbit mates map onto Sigma_2
         A, X = np.eye(3), E(2, 1)
