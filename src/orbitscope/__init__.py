@@ -22,27 +22,24 @@ _EXPORTS = {
         "rank_tol", "roots_decompose",
     ), "linalg"),
     **dict.fromkeys((
-        "GroupElement", "SampleSpec", "StratumReport", "coadjoint_orbit_dim",
-        "dual_act", "is_admissible", "orbit_dim", "orbit_dims", "stabilizer_dim",
+        "SampleSpec", "StratumReport", "is_admissible", "orbit_dim", "orbit_dims",
         "stratify",
     ), "orbits"),
     **dict.fromkeys((
-        "LayeredFamily", "SectionBatch", "SectionPoint", "layer_index",
-        "normal_form", "section_batch", "section_point",
+        "LayeredFamily", "SectionBatch", "normal_form", "section_batch",
     ), "sections"),
     **dict.fromkeys((
         "ClassificationVerdict", "classify3", "classify_diag_nilpotent",
         "classify_one_param",
     ), "classify"),
     **dict.fromkeys((
-        "BoxSet", "DiagonalizedAction", "MeetingSetDescription",
-        "ParamInequalitySystem", "c_i_box", "describe_meeting_set",
+        "BoxSet", "DiagonalizedAction", "ParamInequalitySystem", "c_i_box",
         "diagonal_action", "is_relatively_compact", "meeting_system",
         "quasi_section_verdict", "shell_box",
     ), "quasisection"),
     **dict.fromkeys((
         "BumpFunction", "CalderonReport", "TransformGrid", "WaveletSpec", "bump",
-        "calderon_check", "cwt", "l1_estimate", "sigma", "synth_wavelet",
+        "calderon_check", "cwt", "l1_estimate", "synth_wavelet",
     ), "wavelet"),
 }
 _SUBMODULES = ("classify", "cli", "errors", "families", "groupspec", "linalg",

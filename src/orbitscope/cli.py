@@ -2,14 +2,15 @@
 
 Subcommands: classify | strata | section | quasisection | wavelet | cwt.
 Exit status 0 on success, 2 on named domain errors, 1 on I/O, parse or
-input errors: a group spec whose "n" is not an integer, whose generators
-have an entry that is not a real number, or whose tolerance ("tol" or
---tol) is not a finite number > 0 (JSON booleans count as none of these);
-`section` points that are not a finite (m, n) array; a `cwt` signal that
-is zero everywhere, has a non-finite sample, or is not an n-axis lattice
-with power-of-two sizes; a `cwt` "dx" that is not a finite number > 0 or
-"param_counts" that is not an integer >= 1; a `wavelet` "samples" that is
-not an integer >= 1.  `section` answers all its points
+input errors: a --tol that is not a finite number > 0, or a --grid or
+--quad-order below 1, whatever the subcommand; a group spec whose "n" is
+not an integer, whose generators have an entry that is not a real number,
+or whose "tol" is not a finite number > 0 (JSON booleans count as none of
+these); `section` points that are not a finite (m, n) array; a `cwt`
+signal that is zero everywhere, has a non-finite sample, or is not an
+n-axis lattice with power-of-two sizes; a `cwt` "dx" that is not a finite
+number > 0 or "param_counts" that is not an integer >= 1; a `wavelet`
+"samples" that is not an integer >= 1.  `section` answers all its points
 with one batched call; a point without a section gets a record naming
 NotInLayer or ZeroEigenvalue.  Side files (the `strata` probe CSV, the
 `section` JSONL, the `wavelet` ghat CSV, the `cwt` .npz) are written next to
@@ -28,13 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    InputError,
-    NotInLayer,
-    UnclassifiedFamily,
-    ZeroEigenvalue,
-)
+from .errors import DomainError, InputError, UnclassifiedFamily
 from .groupspec import (
     dump_report,
     group_spec_from_dict,
@@ -115,6 +110,8 @@ def main(argv=None) -> int:
         for flag, value in (("--grid", cfg.grid), ("--quad-order", cfg.quad_order)):
             if value < 1:
                 raise InputError(f"{flag} must be at least 1, got {value}")
+        if cfg.tol is not None and not (np.isfinite(cfg.tol) and cfg.tol > 0):
+            raise InputError(f"--tol must be a finite number > 0, got {cfg.tol}")
         payload = handler(cfg)
     except DomainError as err:
         print(f"error ({type(err).__name__}): {err}", file=sys.stderr)
@@ -238,8 +235,8 @@ def _cmd_section(cfg: RunConfig) -> dict:
     V = _parse_points(doc.get("points"), alg.n)
     A, X = alg.generators
     sec = section_batch(normal_form(A, X, tol=alg.tol), V)
-    error = np.where(sec.zero_eigenvalue, ZeroEigenvalue.__name__,
-                     np.where(sec.not_in_layer, NotInLayer.__name__, ""))
+    error = np.where(sec.zero_eigenvalue, "ZeroEigenvalue",
+                     np.where(sec.not_in_layer, "NotInLayer", ""))
     records = [
         {"point": pt, "layer": None, "error": err} if err else
         {"point": pt, "block": blk, "eigenvalue": lam, "layer": b, "representative": rep,

@@ -54,14 +54,6 @@ class MatrixOverflow(DomainError):
     """The norm of scale*M exceeds the configured exponential bound."""
 
 
-class ZeroEigenvalue(DomainError):
-    """Section formula needs a nonzero eigenvalue on the active eigenspace."""
-
-
-class NotInLayer(DomainError):
-    """Point has no active layer (p_i(Xv) = 0 for all candidate indices)."""
-
-
 class UnclassifiedFamily(DomainError):
     """Family outside the classification table (strict mode only)."""
 
@@ -80,10 +72,6 @@ class CoverageUnverified(DomainError):
 
 class SetsNotNested(DomainError):
     """Bump construction requires closure(C) inside the interior of W."""
-
-
-class SupportEscapesBox(DomainError):
-    """Quadrature integrand is non-negligible on the boundary of the box."""
 
 
 class ZeroSigma(DomainError):

@@ -1,4 +1,4 @@
-"""Dual action, orbit/stabilizer dimensions, strata, and the admissibility test.
+"""Orbit dimensions, strata, and the admissibility test.
 
 The group acts on frequency space by xi -> h^{-T} xi.  Orbit dimension at xi
 is the rank of the tangent map X -> X^T xi over a basis of the algebra; the
@@ -8,40 +8,14 @@ stratum) is conull exactly for the admissible families.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DilationAlgebra, mat_exp, roots_decompose
+from .linalg import DilationAlgebra, roots_decompose
 
 PROBE_SEED = 424243
 N_ADMISSIBILITY_PROBES = 64
-
-
-@dataclass(frozen=True)
-class GroupElement:
-    """h = exp(sum_j t_j X_j) with its transpose-inverse cached."""
-
-    alg: DilationAlgebra
-    params: np.ndarray
-    h: np.ndarray = field(init=False)
-    h_inv_T: np.ndarray = field(init=False)
-
-    def __init__(self, alg: DilationAlgebra, params):
-        t = np.asarray(params, dtype=float).reshape(-1)
-        Z = alg.element(t)
-        object.__setattr__(self, "alg", alg)
-        object.__setattr__(self, "params", t)
-        object.__setattr__(self, "h", mat_exp(Z))
-        object.__setattr__(self, "h_inv_T", mat_exp(-Z.T))
-
-    def inverse(self) -> "GroupElement":
-        return GroupElement(self.alg, -self.params)
-
-
-def dual_act(g: GroupElement, xi) -> np.ndarray:
-    """The dual action h^{-T} xi."""
-    return g.h_inv_T @ np.asarray(xi, dtype=float)
 
 
 def tangent_matrix(alg: DilationAlgebra, xi) -> np.ndarray:
@@ -66,15 +40,6 @@ def orbit_dims(alg: DilationAlgebra, points) -> np.ndarray:
 
 def orbit_dim(alg: DilationAlgebra, xi) -> int:
     return int(orbit_dims(alg, np.asarray(xi, dtype=float).reshape(1, alg.n))[0])
-
-
-def stabilizer_dim(alg: DilationAlgebra, xi) -> int:
-    return alg.d - orbit_dim(alg, xi)
-
-
-def coadjoint_orbit_dim(alg: DilationAlgebra, xi) -> int:
-    """dim Ad*(G)(xi, Y*) = 2 dim H^T xi, for every Y*."""
-    return 2 * orbit_dim(alg, xi)
 
 
 @dataclass(frozen=True)

@@ -86,22 +86,3 @@ def tensor_rules(boxes, orders) -> tuple[np.ndarray, np.ndarray]:
         nodes[..., j] = (half[:, j, None] * (x + 1.0) + lo[:, j, None]).reshape(axis)
         weights *= (half[:, j, None] * w).reshape(axis)
     return nodes.reshape(m, -1, d), weights.reshape(m, -1)
-
-
-def boundary_shell_points(box, per_face: int = 9) -> np.ndarray:
-    """Sample points on the faces of a box (used to check support containment)."""
-    box = tuple((float(lo), float(hi)) for lo, hi in box)
-    d = len(box)
-    lines = [np.linspace(lo, hi, per_face) for lo, hi in box]
-    pts = []
-    for k in range(d):
-        grids = [lines[j] for j in range(d) if j != k]
-        if grids:
-            mesh = np.meshgrid(*grids, indexing="ij")
-            face = np.stack([g.ravel() for g in mesh], axis=-1)
-        else:
-            face = np.zeros((1, 0))
-        for value in box[k]:
-            col = np.full((face.shape[0], 1), value)
-            pts.append(np.concatenate([face[:, :k], col, face[:, k:]], axis=1))
-    return np.concatenate(pts, axis=0)

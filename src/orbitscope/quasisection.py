@@ -281,34 +281,8 @@ class ParamInequalitySystem:
     def rows(self) -> int:
         return self.L.shape[0]
 
-    def satisfied(self, t, slack: float = 1e-9) -> bool:
-        t = np.asarray(t, dtype=float)
-        return bool(np.all(self.L @ t <= self.c + slack))
-
     def feasible(self) -> bool:
         return bool(_polyhedra(self.L, self.c)[0][0])
-
-
-@dataclass(frozen=True)
-class MeetingSetDescription:
-    """((Y, Z)) for a box pair: the derived system plus the boundedness verdict."""
-
-    first: BoxSet
-    second: BoxSet
-    system: ParamInequalitySystem
-    bounded: bool
-    witness: np.ndarray | None
-
-    def to_json(self) -> dict:
-        out = {
-            "first": self.first.to_json(),
-            "second": self.second.to_json(),
-            "n_inequalities": self.system.rows,
-            "bounded": self.bounded,
-        }
-        if self.witness is not None:
-            out["unbounded_direction"] = [float(x) for x in self.witness]
-        return out
 
 
 def meeting_system(action, C1: BoxSet, C2: BoxSet) -> ParamInequalitySystem:
@@ -340,13 +314,6 @@ def is_relatively_compact(sys: ParamInequalitySystem) -> tuple[bool, np.ndarray 
     return ray is None, ray
 
 
-def describe_meeting_set(action, C1: BoxSet, C2: BoxSet) -> MeetingSetDescription:
-    sys = meeting_system(action, C1, C2)
-    bounded, witness = is_relatively_compact(sys)
-    return MeetingSetDescription(first=C1, second=C2, system=sys,
-                                 bounded=bounded, witness=witness)
-
-
 @dataclass(frozen=True)
 class QuasiSectionVerdict:
     exists: str  # yes | no | unknown
@@ -365,15 +332,6 @@ class QuasiSectionVerdict:
         if self.witness_direction is not None:
             out["witness_direction"] = [float(x) for x in self.witness_direction]
         return out
-
-
-def normalize_into(action, C: BoxSet, xi):
-    """Parameters t with exp(.)^T xi inside C (block-wise log feasibility),
-    or None when no such t exists.  Blocks with zero magnitude need lo = 0."""
-    action = _as_action(action)
-    r = action.block_abs(np.asarray(xi, dtype=float).reshape(1, -1))
-    nonempty, point, _, _ = _polyhedra(*_point_system(action, C, r))
-    return point[0] if nonempty[0] else None
 
 
 def quasi_section_verdict(

@@ -17,13 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    NonCommuting,
-    NotDiagonalizable,
-    NotInLayer,
-    NotNilpotent,
-    ZeroEigenvalue,
-)
+from .errors import NonCommuting, NotDiagonalizable, NotNilpotent
 from .linalg import (
     as_matrix,
     check_commuting,
@@ -61,22 +55,6 @@ class LayeredFamily:
 
 
 @dataclass(frozen=True)
-class LayerIndex:
-    block: int  # index into fam.blocks
-    eigenvalue: float
-    b: int  # local layer index, 2 <= b <= block dim
-    marginal: bool  # within 10x of the zero threshold
-
-
-@dataclass(frozen=True)
-class SectionPoint:
-    layer: LayerIndex
-    representative: np.ndarray
-    witness: tuple  # (s, t) with exp(sA + tX) v = v*
-    sign: int
-
-
-@dataclass(frozen=True)
 class SectionBatch:
     """Per-row layers and sections of an (m, n) array of points.
 
@@ -95,12 +73,6 @@ class SectionBatch:
     sign: np.ndarray  # (m,) sign of p_b(X v*)
     not_in_layer: np.ndarray  # (m,) no layer, or the section residual check failed
     zero_eigenvalue: np.ndarray  # (m,) the layer's eigenspace has eigenvalue 0
-
-    def layer(self, r: int) -> LayerIndex | None:
-        if self.block[r] < 0:
-            return None
-        return LayerIndex(int(self.block[r]), float(self.eigenvalue[r]),
-                          int(self.b[r]), bool(self.marginal[r]))
 
 
 def _cluster_reals(values: np.ndarray, tol: float) -> list[float]:
@@ -236,11 +208,11 @@ def section_batch(fam: LayeredFamily, V) -> SectionBatch:
     The layer of v is the first active index b, scanned block by block, with
     p_b(Xv) = p_{b-1}(v) above tol * max(|v|, 1); the witnesses (s, t) put
     v* = exp(sA + tX) v on the section p_b(v*) = 0, |p_b(Xv*)| = 1.  In order
-    of precedence, a row without a layer fails as NotInLayer, a layer with
-    eigenvalue 0 as ZeroEigenvalue, and a v* that is not finite or misses
-    the section by more than 1e-7 * max(1, |v*|) as NotInLayer.  Layers
-    decided within a factor 10 of the threshold are flagged marginal, with
-    one stability warning per batch.
+    of precedence, a row without a layer is flagged not_in_layer, a layer
+    with eigenvalue 0 zero_eigenvalue, and a v* that is not finite or misses
+    the section by more than 1e-7 * max(1, |v*|) not_in_layer.  No row's
+    result depends on another row.  Layers decided within a factor 10 of
+    the threshold are flagged marginal, with one stability warning per batch.
     """
     V = np.asarray(V, dtype=float)
     if V.ndim != 2 or V.shape[1] != fam.n:
@@ -292,25 +264,3 @@ def section_batch(fam: LayeredFamily, V) -> SectionBatch:
     return SectionBatch(block=block, b=b, eigenvalue=eigenvalue, marginal=marginal,
                         representative=representative, s=s_all, t=t_all, sign=sign,
                         not_in_layer=(sign == 0) & ~zero, zero_eigenvalue=zero)
-
-
-def layer_index(fam: LayeredFamily, v) -> LayerIndex | None:
-    """Layer of one point (see section_batch); None outside the layered part of O_2."""
-    return section_batch(fam, np.asarray(v, dtype=float).reshape(1, fam.n)).layer(0)
-
-
-def section_point(fam: LayeredFamily, v) -> SectionPoint:
-    """Canonical representative of one point on the section of its layer.
-
-    Witness (s, t) satisfies exp(sA + tX) v = v* with p_b(v*) = 0 and
-    |p_b(X v*)| = 1; raises NotInLayer / ZeroEigenvalue when undefined.
-    """
-    sec = section_batch(fam, np.asarray(v, dtype=float).reshape(1, fam.n))
-    if sec.block[0] < 0:
-        raise NotInLayer("p_i(Xv) = 0 for all active indices")
-    if sec.zero_eigenvalue[0]:
-        raise ZeroEigenvalue("active eigenspace has eigenvalue 0")
-    if sec.not_in_layer[0]:
-        raise NotInLayer("section residuals exceed 1e-7 * max(1, |v*|)")
-    return SectionPoint(layer=sec.layer(0), representative=sec.representative[0],
-                        witness=(float(sec.s[0]), float(sec.t[0])), sign=int(sec.sign[0]))

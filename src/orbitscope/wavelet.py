@@ -42,11 +42,10 @@ from .errors import (
     InvalidSignal,
     QuasiSectionRefused,
     SetsNotNested,
-    SupportEscapesBox,
     SupportUnbounded,
     ZeroSigma,
 )
-from .quad import boundary_shell_points, tensor_rules
+from .quad import tensor_rules
 from .quasisection import (
     BoxSet,
     DiagonalizedAction,
@@ -158,13 +157,6 @@ def _orders_tuple(orders, d: int) -> tuple:
     return (int(orders),) * d if np.isscalar(orders) else tuple(orders)
 
 
-def _orbit_magnitudes(action: DiagonalizedAction, r: np.ndarray, ts) -> np.ndarray:
-    """Block magnitudes of h_t^T xi, one row per (t, xi) pair in t-major order,
-    for the points xi with block magnitudes r: r_k exp(mu_k . t)."""
-    scale = np.exp(np.atleast_2d(ts) @ action.weights.T)
-    return (scale[:, None, :] * r[None, :, :]).reshape(-1, r.shape[1])
-
-
 def _haar_integral(action: DiagonalizedAction, f, r: np.ndarray, boxes, orders,
                    refine: bool = True) -> tuple[np.ndarray, float]:
     """sum_q w_q |f(r . exp(W t_q))|^2 for each row of the block magnitudes r,
@@ -198,45 +190,6 @@ def _haar_integral(action: DiagonalizedAction, f, r: np.ndarray, boxes, orders,
     if drift > 1e-3:
         warnings.warn("Haar integral not stable to 0.1% under order doubling")
     return vals, drift
-
-
-def check_support_in_box(action: DiagonalizedAction, f, r: np.ndarray, box,
-                         tol: float = 1e-10) -> None:
-    """Integrand must be negligible on the boundary shell of the parameter box."""
-    shell = _orbit_magnitudes(action, r, boundary_shell_points(box))
-    worst = float(np.max(np.abs(f(shell))))
-    if worst > tol:
-        raise SupportEscapesBox(
-            f"integrand reaches {worst:.3g} on the parameter-box boundary"
-        )
-
-
-def sigma(action, phi, xi, param_box=None, orders: int = 64,
-          check: bool = True) -> float:
-    """Haar integral int_H |phi(h^T xi)|^2 dh by tensor Gauss-Legendre.
-
-    `phi` is a BumpFunction or a bare callable evaluated on (m, k) arrays of
-    block magnitudes.  The parameter box (derived from the point's own
-    support when phi is a BumpFunction) must contain the support of
-    t -> phi(exp(.)^T xi), checked on its boundary shell; the value must be
-    stable to 0.1% under order doubling (checked, with automatic escalation)
-    and strictly positive (ZeroSigma otherwise).
-    """
-    action = _as_action(action)
-    r = action.block_abs(np.asarray(xi, dtype=float).reshape(1, -1))
-    f = phi.block_values if isinstance(phi, BumpFunction) else phi
-    if param_box is None:
-        if not isinstance(phi, BumpFunction):
-            raise ValueError("param_box required for a bare-callable phi")
-        param_box = point_support_box(action, phi.outer, r[0])
-        if param_box is None:
-            raise ZeroSigma("the orbit of xi never meets the support of phi")
-    if check:
-        check_support_in_box(action, f, r, param_box)
-    val = float(_haar_integral(action, f, r, param_box, orders, refine=check)[0][0])
-    if val <= 0:
-        raise ZeroSigma("sigma vanished; xi is not actually covered by C")
-    return val
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ from orbitscope import families as F
 from orbitscope.classify import classify3, classify_diag_nilpotent
 from orbitscope.families import E
 from orbitscope.linalg import DilationAlgebra, mat_exp
-from orbitscope.orbits import GroupElement, dual_act, orbit_dim
+from orbitscope.orbits import orbit_dim
 from orbitscope.quasisection import (
     BoxSet,
     c_i_box,
@@ -18,7 +18,7 @@ from orbitscope.quasisection import (
     meeting_system,
     shell_box,
 )
-from orbitscope.sections import layer_index, normal_form, section_point
+from orbitscope.sections import normal_form, section_batch
 from orbitscope.wavelet import (
     calderon_check,
     cwt,
@@ -112,14 +112,16 @@ def test_criterion_3_section_canonicality():
         done = 0
         while done < 1000:
             v = rng.standard_normal(3)
-            if layer_index(fam, v) is None:
+            p0 = section_batch(fam, v[None])
+            if p0.block[0] < 0:
                 continue
             s, t = rng.uniform(-3, 3, 2)
             w = mat_exp(s * A + t * X) @ v
-            p0 = section_point(fam, v)
-            p1 = section_point(fam, w)
-            err = np.linalg.norm(p1.representative - p0.representative)
-            bound = 1e-8 * (1.0 + np.linalg.norm(p0.representative))
+            p1 = section_batch(fam, w[None])
+            for p in (p0, p1):
+                assert not (p.not_in_layer[0] or p.zero_eigenvalue[0]), label
+            err = np.linalg.norm(p1.representative[0] - p0.representative[0])
+            bound = 1e-8 * (1.0 + np.linalg.norm(p0.representative[0]))
             assert err <= bound, f"{label}: canonicality error {err:.3g}"
             done += 1
     _report(3, "section canonicality, 1000 draws per family x 3 families",
@@ -150,8 +152,8 @@ def _fd_rank(alg, xi, h=1e-5):
     for j in range(alg.d):
         e = np.zeros(alg.d)
         e[j] = h
-        cols.append((dual_act(GroupElement(alg, e), xi)
-                     - dual_act(GroupElement(alg, -e), xi)) / (2 * h))
+        cols.append((mat_exp(-alg.element(e).T) @ xi
+                     - mat_exp(-alg.element(-e).T) @ xi) / (2 * h))
     s = np.linalg.svd(np.column_stack(cols), compute_uv=False)
     top = max(s[0], 1.0)
     if any(1e-7 < sv / top < 1e-3 for sv in s):
@@ -193,7 +195,7 @@ def test_criterion_6_calderon(spec_1d, spec_case_a):
     alg_a = spec_case_a.action.alg
     xi0 = np.array([1.0, 0.7, -1.2])
     samples = np.array([
-        GroupElement(alg_a, rng.uniform(-1.2, 1.2, 2)).h_inv_T
+        mat_exp(-alg_a.element(rng.uniform(-1.2, 1.2, 2)).T)
         @ (xi0 * rng.uniform(0.85, 1.2, 3))
         for _ in range(100)
     ])

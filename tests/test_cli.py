@@ -302,28 +302,38 @@ DIAG_2D = {"n": 2, "generators": [[1, 0, 0, 2]]}
 
 
 class TestGroupSpecInput:
-    @pytest.mark.parametrize("doc, flags, field", [
-        ({**DIAG_2D, "n": "abc"}, [], "'n'"),
-        ({**DIAG_2D, "n": None}, [], "'n'"),
-        ({**DIAG_2D, "n": 2.7}, [], "'n'"),
-        ({"n": True, "generators": DILATION_1D}, [], "'n'"),
-        ({**DIAG_2D, "generators": [[1, 0, 0, "x"]]}, [], "generator 0"),
-        ({**DIAG_2D, "generators": [[1, 0, 0, "2"]]}, [], "generator 0"),
-        ({**DIAG_2D, "tol": "x"}, [], "'tol'"),
-        ({**DIAG_2D, "tol": None}, [], "'tol'"),
-        (DIAG_2D, ["--tol", "-1"], "'tol'"),
-        (DIAG_2D, ["--tol", "nan"], "'tol'"),
-        (DIAG_2D, ["--tol", "inf"], "'tol'"),
+    @pytest.mark.parametrize("doc, flags, message", [
+        ({**DIAG_2D, "n": "abc"}, [], "invalid group spec: 'n'"),
+        ({**DIAG_2D, "n": None}, [], "invalid group spec: 'n'"),
+        ({**DIAG_2D, "n": 2.7}, [], "invalid group spec: 'n'"),
+        ({"n": True, "generators": DILATION_1D}, [], "invalid group spec: 'n'"),
+        ({**DIAG_2D, "generators": [[1, 0, 0, "x"]]}, [], "invalid group spec: generator 0"),
+        ({**DIAG_2D, "generators": [[1, 0, 0, "2"]]}, [], "invalid group spec: generator 0"),
+        ({**DIAG_2D, "tol": "x"}, [], "invalid group spec: 'tol'"),
+        ({**DIAG_2D, "tol": None}, [], "invalid group spec: 'tol'"),
+        (DIAG_2D, ["--tol", "-1"], "--tol must be a finite number > 0"),
+        (DIAG_2D, ["--tol", "nan"], "--tol must be a finite number > 0"),
+        (DIAG_2D, ["--tol", "inf"], "--tol must be a finite number > 0"),
     ], ids=["n-string", "n-null", "n-fraction", "n-bool", "entry-string",
             "entry-numeric-string", "tol-string", "tol-null", "flag-tol-negative",
             "flag-tol-nan", "flag-tol-inf"])
-    def test_invalid_spec_exit_1(self, tmp_path, capsys, doc, flags, field):
+    def test_invalid_spec_exit_1(self, tmp_path, capsys, doc, flags, message):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(doc))
         out = tmp_path / "out.json"
         assert main(["classify", "--input", str(path), "--out", str(out), *flags]) == 1
-        assert f"input error: invalid group spec: {field}" in capsys.readouterr().err
+        assert f"input error: {message}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+    def test_invalid_tol_on_table_exit_1(self, tmp_path, capsys, value):
+        # the golden table loads no group spec, so main checks the flag itself
+        out = tmp_path / "out.json"
+        assert main(["classify", "--table", "--tol", value, "--out", str(out)]) == 1
+        assert "input error: --tol must be a finite number > 0" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["classify", "--table", "--tol", "1e-8", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["header"]["tol"] == 1e-8
 
 
 class TestWaveletSamples:

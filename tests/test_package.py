@@ -2,6 +2,7 @@ import ast
 import importlib
 import json
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -59,6 +60,7 @@ class TestNamespace:
 
 
 SRC = pathlib.Path(orbitscope.__file__).parent
+README = SRC.parents[1] / "README.md"
 ERROR_BASES = {"OrbitscopeError", "InputError", "DomainError"}
 
 
@@ -94,3 +96,21 @@ class TestNoDeadCode:
         leaves = {defn.name for defn in trees["errors.py"].body
                   if isinstance(defn, ast.ClassDef)} - ERROR_BASES
         assert sorted(leaves - signalled) == []
+
+    def test_public_names_have_a_caller_or_a_tour_line(self):
+        # a public name is used in src/ outside its own definition and the
+        # export table, or the README's library quick tour shows it
+        trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))
+                 if path.name != "__init__.py"}
+        readme = README.read_text()
+        tour = re.search(r"## Library quick tour\n+```python\n(.*?)```", readme, re.S).group(1)
+        unused = []
+        for name, module in orbitscope._EXPORTS.items():
+            defn = next(node for node in trees[f"{module}.py"].body
+                        if getattr(node, "name", None) == name)
+            own = {id(node) for node in ast.walk(defn)}
+            used = _names(node for tree in trees.values() for node in ast.walk(tree)
+                          if id(node) not in own)
+            if name not in used and not re.search(rf"\b{name}\b", tour):
+                unused.append(f"{module}:{name}")
+        assert unused == []

@@ -17,10 +17,8 @@ from orbitscope.quasisection import (
     BoxSet,
     c_i_box,
     diagonal_action,
-    describe_meeting_set,
     is_relatively_compact,
     meeting_system,
-    normalize_into,
     quasi_section_verdict,
     shell_box,
 )
@@ -60,7 +58,8 @@ class TestMeetingSystem:
         sys = meeting_system(act, shell_box(2.0, 1), shell_box(2.0, 1))
         bounded, _ = is_relatively_compact(sys)
         assert bounded
-        assert sys.satisfied([2 * np.log(2.0)]) and not sys.satisfied([2.5 * np.log(2.0)])
+        assert np.all(sys.L @ [2 * np.log(2.0)] <= sys.c + 1e-9)
+        assert not np.all(sys.L @ [2.5 * np.log(2.0)] <= sys.c + 1e-9)
 
     def test_membership_matches_geometric_oracle(self):
         rng = np.random.default_rng(20)
@@ -94,7 +93,8 @@ class TestMeetingSystem:
                 margin = np.max(np.abs(sys.L @ t - sys.c)) if sys.rows else 1.0
                 if sys.rows and np.min(np.abs(sys.L @ t - sys.c)) < 1e-3:
                     continue  # near-boundary excluded by construction
-                assert sys.satisfied(t) == geometric_meeting_test(act, *boxes, t)
+                member = bool(np.all(sys.L @ t <= sys.c + 1e-9))
+                assert member == geometric_meeting_test(act, *boxes, t)
                 agree += 1
         assert agree > 1000
 
@@ -222,11 +222,12 @@ class TestQuasiSectionVerdict:
         act = diagonal_action(family_b(-1.0, -1.0))
         union = [c_i_box(i, 2.0) for i in (1, 2, 3)]
         big = np.array([5.0, 5.0, 5.0])
-        assert all(normalize_into(act, box, big) is None for box in union)
+        r = act.block_abs(big[None])
+        assert not any(_polyhedra(*_point_system(act, box, r))[0][0] for box in union)
         # the compact (1,1) family absorbs the same point
         act11 = diagonal_action(family_b(1.0, 1.0))
-        assert any(normalize_into(act11, box, big) is not None
-                   for box in [c_i_box(i, 2.0) for i in (1, 2, 3)])
+        r11 = act11.block_abs(big[None])
+        assert any(_polyhedra(*_point_system(act11, box, r11))[0][0] for box in union)
 
     def test_nondiagonalizable_family_rejected(self):
         with pytest.raises(NotDiagonalizableFamily):
@@ -234,7 +235,8 @@ class TestQuasiSectionVerdict:
 
 
 # Brute-force oracle for meeting sets, one matrix exponential per grid node;
-# the package answers the same questions exactly (describe_meeting_set).
+# the package answers the same questions exactly (meeting_system and
+# is_relatively_compact).
 @dataclass(frozen=True)
 class NumericalMeetingProbe:
     """Sampling surrogate for ((Y, Z)) when the family is not simultaneously
@@ -321,9 +323,9 @@ class TestMeetingProbe:
         assert probe.to_json()["verdict_quality"] == "numerical"
         # same boxes through the exact kernel: same verdict, and every hit of
         # the probe lies in the exact meeting set
-        desc = describe_meeting_set(act, C1, C2)
-        assert desc.bounded == probe.bounded_numerical
-        assert np.all(desc.system.L @ probe.hits.T <= desc.system.c[:, None] + 1e-9)
+        sys = meeting_system(act, C1, C2)
+        assert is_relatively_compact(sys)[0] == probe.bounded_numerical
+        assert np.all(sys.L @ probe.hits.T <= sys.c[:, None] + 1e-9)
 
     def test_probe_applies_to_nondiagonalizable_family(self):
         # triangular-with-nilpotent family: only the sampling oracle applies
@@ -344,12 +346,11 @@ class TestNormalizeInto:
         act = diagonal_action(family_a(1.0))
         C = shell_box(2.0, act.k)
         rng = np.random.default_rng(22)
-        for _ in range(50):
-            xi = rng.standard_normal(3)
-            if np.min(act.block_abs(xi.reshape(1, -1))) < 1e-3:
-                continue
-            t = normalize_into(act, C, xi)
-            assert t is not None
+        xis = rng.standard_normal((50, 3))
+        xis = xis[np.min(act.block_abs(xis), axis=1) >= 1e-3]
+        nonempty, ts, _, _ = _polyhedra(*_point_system(act, C, act.block_abs(xis)))
+        assert nonempty.all()
+        for xi, t in zip(xis, ts):
             moved = mat_exp(act.alg.element(t)).T @ xi
             r = act.block_abs(moved.reshape(1, -1))[0]
             for (lo, hi), val in zip(C.bounds, r):
@@ -463,7 +464,7 @@ class TestPolyhedralKernel:
                     is_relatively_compact(sys)
                 continue
             nonempty, point, klo, khi = _polyhedra(sys.L, sys.c)
-            assert nonempty[0] and sys.satisfied(point[0])
+            assert nonempty[0] and np.all(sys.L @ point[0] <= sys.c + 1e-9)
             npt.assert_allclose(klo[0], lo, rtol=1e-9, atol=1e-9)
             npt.assert_allclose(khi[0], hi, rtol=1e-9, atol=1e-9)
             bounded, u = is_relatively_compact(sys)

@@ -4,28 +4,24 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from orbitscope.errors import (
-    NonCommuting,
-    NotDiagonalizable,
-    NotInLayer,
-    NotNilpotent,
-    ZeroEigenvalue,
-)
+from orbitscope.errors import NonCommuting, NotDiagonalizable, NotNilpotent
 from orbitscope.families import E
 from orbitscope.linalg import DilationAlgebra, mat_exp
 from orbitscope.orbits import orbit_dim
-from orbitscope.sections import (
-    layer_index,
-    normal_form,
-    section_batch,
-    section_point,
-)
+from orbitscope.sections import normal_form, section_batch
 
 from conftest import random_diag_nilpotent
 
 D_PAIR = (np.diag([1.0, 1.0, 0.0]), E(2, 1))
 CASE1A_PAIR = (np.eye(3), E(2, 1) + E(3, 2))
 CASE1C_PAIR = (np.eye(3), E(2, 1) + E(3, 2) + 0.4 * E(3, 1))
+
+
+EXACT_FIELDS = ("block", "b", "marginal", "sign", "not_in_layer", "zero_eigenvalue")
+
+
+def assert_has_section(sec):
+    assert not (sec.not_in_layer.any() or sec.zero_eigenvalue.any())
 
 
 class TestNormalForm:
@@ -46,7 +42,7 @@ class TestNormalForm:
     def test_zero_nilpotent_degenerate(self):
         fam = normal_form(np.diag([2.0, 2.0]), np.zeros((2, 2)))
         assert fam.blocks[0].active == ()
-        assert layer_index(fam, [1.0, 1.0]) is None
+        assert section_batch(fam, [[1.0, 1.0]]).block[0] == -1
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(NotNilpotent):
@@ -74,14 +70,13 @@ class TestNormalForm:
 class TestLayerIndex:
     def test_d_type_examples(self):
         fam = normal_form(*D_PAIR)
-        li = layer_index(fam, [1.0, 5.0, 7.0])
-        assert li.b == 2 and li.eigenvalue == 1.0
-        assert layer_index(fam, [0.0, 5.0, 7.0]) is None
+        sec = section_batch(fam, [[1.0, 5.0, 7.0], [0.0, 5.0, 7.0]])
+        assert sec.b[0] == 2 and sec.eigenvalue[0] == 1.0
+        assert sec.block[1] == -1
 
     def test_case1a_deeper_layer(self):
         fam = normal_form(*CASE1A_PAIR)
-        li = layer_index(fam, [0.0, 1.0, 0.0])
-        assert li.b == 3
+        assert section_batch(fam, [[0.0, 1.0, 0.0]]).b[0] == 3
 
     def test_invariance_under_group(self):
         rng = np.random.default_rng(1)
@@ -89,14 +84,10 @@ class TestLayerIndex:
             fam = normal_form(A, X)
             for _ in range(100):
                 v = rng.standard_normal(3)
-                li = layer_index(fam, v)
                 s, t = rng.uniform(-2, 2, 2)
                 w = mat_exp(s * A + t * X) @ v
-                lj = layer_index(fam, w)
-                if li is None:
-                    assert lj is None
-                else:
-                    assert (lj.block, lj.b) == (li.block, li.b)
+                sec = section_batch(fam, np.stack([v, w]))
+                assert (sec.block[1], sec.b[1]) == (sec.block[0], sec.b[0])
 
     def test_partition_of_o2(self):
         # every orbit-dim-2 point of the diag+nilpotent family lies in a layer
@@ -108,7 +99,7 @@ class TestLayerIndex:
         for _ in range(300):
             v = rng.standard_normal(4)
             if orbit_dim(alg, v) == 2:
-                assert layer_index(fam, v) is not None
+                assert section_batch(fam, v[None]).block[0] >= 0
                 hits += 1
         assert hits > 250
 
@@ -116,27 +107,30 @@ class TestLayerIndex:
 class TestSectionPoint:
     def test_idempotent_on_section(self):
         fam = normal_form(*D_PAIR)
-        sp = section_point(fam, [1.0, 0.0, 7.0])
-        npt.assert_allclose(sp.representative, [1.0, 0.0, 7.0], atol=1e-12)
-        assert sp.witness == (0.0, 0.0) or np.allclose(sp.witness, 0.0, atol=1e-12)
+        sp = section_batch(fam, [[1.0, 0.0, 7.0]])
+        assert_has_section(sp)
+        npt.assert_allclose(sp.representative[0], [1.0, 0.0, 7.0], atol=1e-12)
+        npt.assert_allclose([sp.s[0], sp.t[0]], 0.0, atol=1e-12)
 
     def test_d_type_example(self):
         fam = normal_form(*D_PAIR)
-        sp = section_point(fam, [1.0, 5.0, 7.0])
-        npt.assert_allclose(sp.representative, [1.0, 0.0, 7.0], atol=1e-10)
-        npt.assert_allclose(sp.witness, (0.0, -5.0), atol=1e-12)
-        assert sp.sign == 1
+        sp = section_batch(fam, [[1.0, 5.0, 7.0]])
+        assert_has_section(sp)
+        npt.assert_allclose(sp.representative[0], [1.0, 0.0, 7.0], atol=1e-10)
+        npt.assert_allclose([sp.s[0], sp.t[0]], (0.0, -5.0), atol=1e-12)
+        assert sp.sign[0] == 1
 
     def test_d_type_scaled_example(self):
         A, X = D_PAIR
         fam = normal_form(A, X)
-        sp = section_point(fam, [2.0, 5.0, 7.0])
-        npt.assert_allclose(sp.witness, (-np.log(2.0), -2.5), atol=1e-12)
-        npt.assert_allclose(sp.representative[:2], [1.0, 0.0], atol=1e-10)
+        sp = section_batch(fam, [[2.0, 5.0, 7.0]])
+        assert_has_section(sp)
+        npt.assert_allclose([sp.s[0], sp.t[0]], (-np.log(2.0), -2.5), atol=1e-12)
+        npt.assert_allclose(sp.representative[0, :2], [1.0, 0.0], atol=1e-10)
         # verify the witness against the exponential oracle
         v = np.array([2.0, 5.0, 7.0])
-        s, t = sp.witness
-        npt.assert_allclose(mat_exp(s * A + t * X) @ v, sp.representative, atol=1e-10)
+        s, t = sp.s[0], sp.t[0]
+        npt.assert_allclose(mat_exp(s * A + t * X) @ v, sp.representative[0], atol=1e-10)
 
     @pytest.mark.parametrize("pair", [D_PAIR, CASE1A_PAIR, CASE1C_PAIR])
     def test_canonical_on_orbits(self, pair):
@@ -146,14 +140,16 @@ class TestSectionPoint:
         count = 0
         for _ in range(300):
             v = rng.standard_normal(3)
-            if layer_index(fam, v) is None:
+            p0 = section_batch(fam, v[None])
+            if p0.block[0] < 0:
                 continue
             s, t = rng.uniform(-3, 3, 2)
             w = mat_exp(s * A + t * X) @ v
-            p0 = section_point(fam, v)
-            p1 = section_point(fam, w)
-            err = np.linalg.norm(p1.representative - p0.representative)
-            assert err <= 1e-8 * (1.0 + np.linalg.norm(p0.representative))
+            p1 = section_batch(fam, w[None])
+            assert_has_section(p0)
+            assert_has_section(p1)
+            err = np.linalg.norm(p1.representative[0] - p0.representative[0])
+            assert err <= 1e-8 * (1.0 + np.linalg.norm(p0.representative[0]))
             count += 1
         assert count > 250
 
@@ -161,13 +157,17 @@ class TestSectionPoint:
         A = np.diag([0.0, 0.0, 1.0])
         X = E(2, 1)
         fam = normal_form(A, X)
-        with pytest.raises(ZeroEigenvalue):
-            section_point(fam, [1.0, 5.0, 7.0])
+        sp = section_batch(fam, [[1.0, 5.0, 7.0]])
+        assert sp.zero_eigenvalue[0] and not sp.not_in_layer[0]
+        assert sp.block[0] >= 0 and sp.sign[0] == 0
+        assert np.isnan(sp.representative).all() and np.isnan([sp.s, sp.t]).all()
 
     def test_not_in_layer(self):
         fam = normal_form(*D_PAIR)
-        with pytest.raises(NotInLayer):
-            section_point(fam, [0.0, 5.0, 7.0])
+        sp = section_batch(fam, [[0.0, 5.0, 7.0]])
+        assert sp.not_in_layer[0] and not sp.zero_eigenvalue[0]
+        assert sp.block[0] == -1 and sp.sign[0] == 0
+        assert np.isnan(sp.representative).all() and np.isnan([sp.s, sp.t]).all()
 
 
 def reference_section(fam, v):
@@ -208,7 +208,7 @@ class TestSectionBatch:
                 for r, v in enumerate(V):
                     ref = reference_section(fam, v)
                     if ref == "NotInLayer":
-                        assert sec.layer(r) is None and sec.not_in_layer[r]
+                        assert sec.block[r] == -1 and sec.not_in_layer[r]
                         continue
                     (bi, b), (s, t), vstar = ref
                     assert (sec.block[r], sec.b[r]) == (bi, b)
@@ -218,6 +218,37 @@ class TestSectionBatch:
                     assert err <= rtol * (1.0 + np.linalg.norm(vstar))
                     checked += 1
         assert checked > 500
+
+    def test_rows_independent(self):
+        # each row of a batch equals the batch of that row alone: layers, flags
+        # and NaN positions exactly, values to rounding (BLAS may reduce a
+        # one-row product in another order, and exp(sA) amplifies that in v*);
+        # a row that read another row would differ at O(1).  The batches mix
+        # rows with a section, rows without a layer, zero-eigenvalue rows and
+        # rows whose v* overflows
+        rng = np.random.default_rng(12)
+        cases = [(normal_form(*D_PAIR), [[1.0, 5.0, 7.0], [0.0, 5.0, 7.0]]),
+                 (normal_form(np.diag([0.0, 0.0, 1.0]), E(2, 1)), [[1.0, 5.0, 7.0]]),
+                 (normal_form(np.diag([1e-3, 1e-3, 1.0]), E(2, 1)), [[1e-5, 0.0, 1.0]])]
+        for n in (2, 3, 4, 5, 6):
+            for _ in range(3):
+                cases.append((normal_form(*random_diag_nilpotent(rng, n)), np.zeros((1, n))))
+        flags = set()
+        for fam, extra in cases:
+            V = np.vstack([rng.standard_normal((20, fam.n)), extra])
+            sec = section_batch(fam, V)
+            for i in range(V.shape[0]):
+                row = section_batch(fam, V[i:i + 1])
+                for name in EXACT_FIELDS:
+                    assert getattr(row, name)[0] == getattr(sec, name)[i], name
+                scale = 1.0 + np.linalg.norm(np.nan_to_num(sec.representative[i]))
+                for name in ("eigenvalue", "representative", "s", "t"):
+                    npt.assert_allclose(getattr(row, name)[0], getattr(sec, name)[i],
+                                        rtol=1e-9, atol=1e-9 * scale, err_msg=name)
+                flags.add((bool(sec.not_in_layer[i]), bool(sec.zero_eigenvalue[i]),
+                           int(sec.block[i]) >= 0))
+        assert flags == {(False, False, True), (True, False, False), (False, True, True),
+                         (True, False, True)}
 
     def test_masks_and_precedence(self):
         # rows: in a layer; no layer; zero eigenvalue; v* overflows (eigenvalue
@@ -235,8 +266,6 @@ class TestSectionBatch:
         sec = section_batch(fam_s, [[1e-5, 0.0, 1.0], [1.0, 0.0, 1.0]])
         assert sec.block[0] == 1 and sec.not_in_layer[0] and not sec.zero_eigenvalue[0]
         assert not sec.not_in_layer[1]
-        with pytest.raises(NotInLayer, match="residuals"):
-            section_point(fam_s, [1e-5, 0.0, 1.0])
 
     def test_rejects_wrong_shape(self):
         fam = normal_form(*D_PAIR)
@@ -259,7 +288,8 @@ class TestCase1Sections:
         A, X = np.eye(3), E(2, 1)
         fam = normal_form(A, X)
         rng = np.random.default_rng(4)
-        for _ in range(50):
-            v = np.array([np.sign(rng.standard_normal()), 0.0, rng.standard_normal()])
-            sp = section_point(fam, v)
-            npt.assert_allclose(sp.representative, v, atol=1e-10)
+        V = np.array([[np.sign(rng.standard_normal()), 0.0, rng.standard_normal()]
+                      for _ in range(50)])
+        sp = section_batch(fam, V)
+        assert_has_section(sp)
+        npt.assert_allclose(sp.representative, V, atol=1e-10)

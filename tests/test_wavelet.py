@@ -13,13 +13,11 @@ from orbitscope.errors import (
     InvalidSignal,
     QuasiSectionRefused,
     SetsNotNested,
-    SupportEscapesBox,
     SupportUnbounded,
     ZeroSigma,
 )
 from orbitscope.families import family_b
-from orbitscope.orbits import GroupElement
-from orbitscope.linalg import DilationAlgebra
+from orbitscope.linalg import DilationAlgebra, mat_exp
 from orbitscope.quad import gauss_legendre
 from orbitscope.quasisection import BoxSet, c_i_box, diagonal_action
 from orbitscope.wavelet import (
@@ -27,7 +25,6 @@ from orbitscope.wavelet import (
     _haar_integral,
     _half_lattice,
     _lattice_slices,
-    _orbit_magnitudes,
     _slice_l1,
     _support_l1,
     bump,
@@ -38,7 +35,6 @@ from orbitscope.wavelet import (
     meeting_param_box,
     param_lattice,
     point_support_box,
-    sigma,
     smoothstep,
     synth_wavelet,
 )
@@ -86,49 +82,43 @@ class TestBump:
 
 
 class TestSigma:
-    def test_matches_adaptive_quadrature(self, act_1d, phi_1d):
-        val = sigma(act_1d, phi_1d, [1.5], orders=64)
+    def test_matches_adaptive_quadrature(self, spec_1d):
+        lo, hi = spec_1d.C.bounds[0]
+        rstar = np.sqrt(lo * hi)
 
         def integrand(t):
-            return phi_1d(np.array([[np.exp(t) * 1.5]]))[0] ** 2
+            return spec_1d.phi.block_values(np.array([[np.exp(t) * rstar]]))[0] ** 2
 
         oracle, _ = quad(integrand, -3.0, 3.0, limit=400, epsabs=1e-13)
-        assert abs(val - oracle) < 1e-6
+        assert abs(spec_1d.sigma - oracle) < 1e-6
 
     def test_haar_invariance(self, act_1d, phi_1d, dilation_1d):
         rng = np.random.default_rng(0)
-        base = sigma(act_1d, phi_1d, [1.5], orders=64)
-        for _ in range(5):
-            g = GroupElement(dilation_1d, rng.uniform(-2, 2, 1))
-            moved = g.h_inv_T @ np.array([1.5])
-            assert abs(sigma(act_1d, phi_1d, moved, orders=64) - base) < 1e-6
+        xi = np.array([1.5])
+        moved = [mat_exp(-dilation_1d.element(rng.uniform(-2, 2, 1)).T) @ xi
+                 for _ in range(5)]
+        r = act_1d.block_abs([xi, *moved])
+        boxes = [point_support_box(act_1d, phi_1d.outer, ri) for ri in r]
+        vals, _ = _haar_integral(act_1d, phi_1d.block_values, r, boxes, 64)
+        assert np.max(np.abs(vals[1:] - vals[0])) < 1e-6
 
     def test_indicator_log_closed_form(self, act_1d):
         # phi = shell indicator: sigma = ln(b/a) exactly
         a, b = 0.9, 2.2
 
-        def indicator(pts):
-            r = np.abs(np.atleast_2d(pts)[:, 0])
-            return ((r >= a) & (r <= b)).astype(float)
+        def indicator(r):
+            return ((r[:, 0] >= a) & (r[:, 0] <= b)).astype(float)
 
-        val = sigma(act_1d, indicator, [1.3], param_box=((-3.0, 3.0),),
-                    orders=4096, check=False)
-        assert abs(val - np.log(b / a)) < 2e-3
-
-    def test_uncovered_point_raises(self, act_1d, phi_1d):
-        with pytest.raises(ZeroSigma):
-            sigma(act_1d, phi_1d, [0.0], orders=32)
-
-    def test_support_escape_detected(self, act_1d, phi_1d):
-        with pytest.raises(SupportEscapesBox):
-            sigma(act_1d, phi_1d, [1.5], param_box=((-0.2, 0.2),), orders=32)
+        vals, _ = _haar_integral(act_1d, indicator, np.array([[1.3]]), [((-3.0, 3.0),)],
+                                 4096, refine=False)
+        assert abs(vals[0] - np.log(b / a)) < 2e-3
 
     def test_smoothness_second_differences(self, spec_1d):
         # finite-difference second derivatives of sigma stay bounded inside W
         rs = np.linspace(1.0, 2.0, 31)
-        vals = np.array([
-            sigma(spec_1d.action, spec_1d.phi, [r], orders=64) for r in rs
-        ])
+        boxes = [point_support_box(spec_1d.action, spec_1d.W, [r]) for r in rs]
+        vals, _ = _haar_integral(spec_1d.action, spec_1d.phi.block_values, rs[:, None],
+                                 boxes, 64)
         h = rs[1] - rs[0]
         second = np.abs(np.diff(vals, 2)) / h ** 2
         assert np.max(second) < 50.0
@@ -161,15 +151,23 @@ class TestSynth:
                 synth_wavelet(act, C, orders=16, override_quasisection=True)
 
     @pytest.mark.parametrize("name", ["spec_1d", "spec_case_a"])
-    def test_sigma_is_public_sigma_at_c_centre(self, name, request):
+    def test_sigma_is_haar_integral_on_c_centre_orbit(self, name, request):
+        # the frequency xi* whose block magnitudes are C's centre, and points
+        # of its orbit, all integrate to the one sigma the spec stores
         spec = request.getfixturevalue(name)
         act = spec.action
         w = np.zeros(act.alg.n)
         for (lo, hi), sl in zip(spec.C.bounds, act.slices):
             w[sl.start] = np.sqrt(lo * hi)
         xi_star = np.linalg.solve(act.basis.T, w)
-        val = sigma(act, spec.phi, xi_star, orders=64)
-        assert abs(spec.sigma - val) <= 1e-12 * val
+        rng = np.random.default_rng(5)
+        xis = [xi_star] + [mat_exp(-act.alg.element(rng.uniform(-1, 1, act.d)).T) @ xi_star
+                           for _ in range(4)]
+        r = act.block_abs(xis)
+        boxes = [point_support_box(act, spec.W, ri) for ri in r]
+        vals, _ = _haar_integral(act, spec.phi.block_values, r, boxes, 64)
+        assert abs(spec.sigma - vals[0]) <= 1e-12 * vals[0]
+        npt.assert_allclose(vals, spec.sigma, rtol=1e-6)
 
     def test_non_open_orbits_refused_diagonal(self):
         act = diagonal_action(DilationAlgebra([np.diag([1.0, 2.0])]))
@@ -195,10 +193,10 @@ class TestCalderon:
         assert rep.n_covered == 50 and rep.max_deviation < 1e-3
 
     def test_invariance_along_orbit(self, spec_1d, dilation_1d):
-        g = GroupElement(dilation_1d, [0.9])
         xi0 = np.array([1.4])
         r0 = calderon_check(spec_1d, [xi0], orders=64)
-        r1 = calderon_check(spec_1d, [g.h_inv_T @ xi0], orders=64)
+        r1 = calderon_check(spec_1d, [mat_exp(-dilation_1d.element([0.9]).T) @ xi0],
+                            orders=64)
         assert abs(r0.values[0] - r1.values[0]) < 1e-6
 
     def test_uncovered_excluded(self, spec_1d):
@@ -326,7 +324,7 @@ class TestLatticeSlices:
         slices = list(_lattice_slices(spec, rf, ts))
         assert len(slices) == len(ts)
         for t, gh in zip(ts, slices):
-            ref = spec.block_values(_orbit_magnitudes(spec.action, rf, t))
+            ref = spec.block_values(rf * np.exp(spec.action.weights @ t))
             assert gh.shape == (rf.shape[0],)
             npt.assert_allclose(gh, ref, rtol=1e-14, atol=0)
         assert any(np.count_nonzero(gh) for gh in slices)
@@ -375,7 +373,7 @@ def _full_spectrum_cwt(spec, f, dx, param_points):
     fhat = np.fft.fftn(f) * cell
     out = []
     for t in param_points:
-        gh = spec.block_values(_orbit_magnitudes(spec.action, rf, t)).reshape(shape)
+        gh = spec.block_values(rf * np.exp(spec.action.weights @ t)).reshape(shape)
         out.append(np.fft.ifftn(fhat * np.conj(gh) * np.exp(0.5 * t @ traces)) / cell)
     return np.array(out)
 
@@ -410,7 +408,7 @@ class TestCwtMatchesFullSpectrum:
         supp = np.flatnonzero(g0[..., :h])
         buf = np.zeros(g0[..., :h].shape)
         for t in param_lattice(spec.param_box, 5)[0]:
-            gh = spec.block_values(_orbit_magnitudes(spec.action, rf, t)).reshape(shape)
+            gh = spec.block_values(rf * np.exp(spec.action.weights @ t)).reshape(shape)
             ref = np.sum(np.abs(np.fft.ifftn(g0 * gh)))
             prod = (g0 * gh)[..., :h].ravel()[supp]
             npt.assert_allclose(_slice_l1(prod, supp, buf, shape), ref, rtol=1e-12)
