@@ -22,8 +22,7 @@ _EXPORTS = {
         "rank_tol", "roots_decompose",
     ), "linalg"),
     **dict.fromkeys((
-        "SampleSpec", "StratumReport", "is_admissible", "orbit_dim", "orbit_dims",
-        "stratify",
+        "StratumReport", "is_admissible", "orbit_dim", "orbit_dims", "stratify",
     ), "orbits"),
     **dict.fromkeys((
         "LayeredFamily", "SectionBatch", "normal_form", "section_batch",

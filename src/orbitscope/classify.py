@@ -11,7 +11,8 @@ Three entry points:
   in any dimension (no integrable vectors once n >= 3).
 
 Families the table does not cover are returned as ``unclassified`` verdicts
-(or raised as UnclassifiedFamily in strict mode) rather than guessed.
+rather than guessed; the CLI's dispatch raises UnclassifiedFamily for a
+family that no procedure here covers.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateParameter, NotNilpotent, UnclassifiedFamily
+from .errors import DegenerateParameter, NotNilpotent
 from .linalg import (
     DilationAlgebra,
     as_matrix,
@@ -128,9 +129,7 @@ def classify_one_param(A) -> ClassificationVerdict:
     )
 
 
-def _unclassified(notes, compact=UNKNOWN, section=UNKNOWN, quasi=UNKNOWN, strict=False):
-    if strict:
-        raise UnclassifiedFamily("; ".join(notes))
+def _unclassified(notes, compact=UNKNOWN, section=UNKNOWN, quasi=UNKNOWN):
     return ClassificationVerdict(
         case_tag="unclassified",
         orbit_space_compact=compact,
@@ -141,7 +140,7 @@ def _unclassified(notes, compact=UNKNOWN, section=UNKNOWN, quasi=UNKNOWN, strict
     )
 
 
-def classify3(alg: DilationAlgebra, strict: bool = False) -> ClassificationVerdict:
+def classify3(alg: DilationAlgebra) -> ClassificationVerdict:
     """Complete classification of connected abelian H < GL(3, R), d in {2, 3}."""
     if alg.n != 3:
         raise ValueError("classify3 requires n = 3")
@@ -151,16 +150,15 @@ def classify3(alg: DilationAlgebra, strict: bool = False) -> ClassificationVerdi
     scale = max(alg.scale(), 1.0)
     tol = alg.tol
     if alg.d == 3:
-        return _classify_d3(alg, rd, scale, tol, strict)
-    return _classify_d2(alg, rd, scale, tol, strict)
+        return _classify_d3(alg, rd, scale, tol)
+    return _classify_d2(alg, rd, scale, tol)
 
 
-def _classify_d3(alg, rd, scale, tol, strict):
+def _classify_d3(alg, rd, scale, tol):
     if not rd.all_real():
         return _unclassified(
             ("d = 3 with complex roots: finitely many open orbits but absent "
              "from the classification table",),
-            strict=strict,
         )
     if rd.p == 3:
         return ClassificationVerdict(
@@ -173,8 +171,7 @@ def _classify_d3(alg, rd, scale, tol, strict):
         )
     if rd.p == 2:
         if len(rd.nilpotent_basis) != 1:
-            return _unclassified(("d = 3, p = 2 with unexpected nilpotent dimension",),
-                                 strict=strict)
+            return _unclassified(("d = 3, p = 2 with unexpected nilpotent dimension",))
         return ClassificationVerdict(
             case_tag="(d)",
             orbit_space_compact=YES,
@@ -185,22 +182,18 @@ def _classify_d3(alg, rd, scale, tol, strict):
         )
     # p = 1; a three-dimensional abelian algebra cannot be purely nilpotent
     if rd.zero_root_index(scale, tol) is not None:
-        return _unclassified(("d = 3 with a single zero root is not realizable",),
-                             strict=strict)
+        return _unclassified(("d = 3 with a single zero root is not realizable",))
     if len(rd.nilpotent_basis) != 2:
-        return _unclassified(("d = 3, p = 1 with unexpected nilpotent dimension",),
-                             strict=strict)
+        return _unclassified(("d = 3, p = 1 with unexpected nilpotent dimension",))
     for N in rd.nilpotent_basis:
         if np.linalg.norm(N @ N) > tol * max(np.linalg.norm(N), 1.0) ** 2:
             return _unclassified(
                 ("d = 3, p = 1 whose nilpotent ideal contains an element with "
                  "nonzero square: not conjugate to case (c), absent from the table",),
-                strict=strict,
             )
     sq = rd.nilpotent_basis[0] @ rd.nilpotent_basis[1]
     if np.linalg.norm(sq) > tol * scale ** 2:
-        return _unclassified(("d = 3, p = 1 with non-annihilating nilpotent pair",),
-                             strict=strict)
+        return _unclassified(("d = 3, p = 1 with non-annihilating nilpotent pair",))
     return ClassificationVerdict(
         case_tag="(c)",
         orbit_space_compact=YES,
@@ -211,7 +204,7 @@ def _classify_d3(alg, rd, scale, tol, strict):
     )
 
 
-def _classify_d2(alg, rd, scale, tol, strict):
+def _classify_d2(alg, rd, scale, tol):
     zero_idx = rd.zero_root_index(scale, tol)
     all_real = rd.all_real()
     if rd.p == 1:
@@ -232,7 +225,6 @@ def _classify_d2(alg, rd, scale, tol, strict):
                 ("zero root together with a complex root: compactness fails but "
                  "the integrability theorem does not apply",),
                 compact=NO,
-                strict=strict,
             )
         if rd.p == 2:
             return ClassificationVerdict(
@@ -246,7 +238,7 @@ def _classify_d2(alg, rd, scale, tol, strict):
         return _case4_verdict(0.0, 0.0, notes=("third root vanishes",))
     if rd.p == 2:
         if not all_real:
-            return _classify_case3_complex(alg, rd, scale, tol, strict)
+            return _classify_case3_complex(alg, rd, scale, tol)
         r = np.stack([rd.roots[0].real, rd.roots[1].real])
         if rank_tol(r, 1e-8) == 1:
             return ClassificationVerdict(
@@ -263,7 +255,6 @@ def _classify_d2(alg, rd, scale, tol, strict):
             return _unclassified(
                 ("p = 2 independent real roots with non-semisimple block action: "
                  "outside the proposition's case analysis",),
-                strict=strict,
             )
         notes, alternates = _merged_root_degeneracy(alg, rd, scale)
         return ClassificationVerdict(
@@ -365,7 +356,7 @@ def _quadratic_candidates(C0, C1, C2):
     return sorted(cands)
 
 
-def _classify_case3_complex(alg, rd, scale, tol, strict) -> ClassificationVerdict:
+def _classify_case3_complex(alg, rd, scale, tol) -> ClassificationVerdict:
     complex_idx = next(k for k in range(rd.p) if not rd.is_real(k))
     real_idx = 1 - complex_idx
     lam1 = rd.roots[complex_idx]
@@ -405,7 +396,6 @@ def _classify_case3_complex(alg, rd, scale, tol, strict) -> ClassificationVerdic
         compact=NO,
         section=NO,
         quasi=NO,
-        strict=strict,
     )
 
 

@@ -10,7 +10,10 @@ these); `section` points that are not a finite (m, n) array; a `cwt`
 signal that is zero everywhere, has a non-finite sample, or is not an
 n-axis lattice with power-of-two sizes; a `cwt` "dx" that is not a finite
 number > 0 or "param_counts" that is not an integer >= 1; a `wavelet`
-"samples" that is not an integer >= 1.  `section` answers all its points
+"samples" that is not an integer >= 1; a `quasisection`
+"orbit_space_compact" that is not true, false or null; a `cwt` "signal"
+that is not a non-empty string.  The group spec must be a JSON object, with
+--tol or without.  `section` answers all its points
 with one batched call; a point without a section gets a record naming
 NotInLayer or ZeroEigenvalue.  Side files (the `strata` probe CSV, the
 `section` JSONL, the `wavelet` ghat CSV, the `cwt` .npz) are written next to
@@ -25,7 +28,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,26 +51,6 @@ _GHAT_MAX_PER_AXIS = 64
 _GHAT_MAX_ROWS = 4096
 
 
-@dataclass
-class RunConfig:
-    subcommand: str
-    input: str | None
-    out: str | None
-    tol: float | None
-    quad_order: int
-    grid: int
-    seed: int
-    table: bool
-
-    def overrides(self) -> dict:
-        keep = {}
-        if self.tol is not None:
-            keep["tol"] = self.tol
-        keep["quad_order"] = self.quad_order
-        keep["grid"] = self.grid
-        return keep
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="orbitscope", description=__doc__)
     sub = p.add_subparsers(dest="subcommand", required=True)
@@ -88,16 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = RunConfig(
-        subcommand=args.subcommand,
-        input=args.input,
-        out=args.out,
-        tol=args.tol,
-        quad_order=args.quad_order,
-        grid=args.grid,
-        seed=args.seed,
-        table=getattr(args, "table", False),
-    )
     handler = {
         "classify": _cmd_classify,
         "strata": _cmd_strata,
@@ -105,39 +77,39 @@ def main(argv=None) -> int:
         "quasisection": _cmd_quasisection,
         "wavelet": _cmd_wavelet,
         "cwt": _cmd_cwt,
-    }[cfg.subcommand]
+    }[args.subcommand]
     try:
-        for flag, value in (("--grid", cfg.grid), ("--quad-order", cfg.quad_order)):
+        for flag, value in (("--grid", args.grid), ("--quad-order", args.quad_order)):
             if value < 1:
                 raise InputError(f"{flag} must be at least 1, got {value}")
-        if cfg.tol is not None and not (np.isfinite(cfg.tol) and cfg.tol > 0):
-            raise InputError(f"--tol must be a finite number > 0, got {cfg.tol}")
-        payload = handler(cfg)
+        if args.tol is not None and not (np.isfinite(args.tol) and args.tol > 0):
+            raise InputError(f"--tol must be a finite number > 0, got {args.tol}")
+        doc = alg = None
+        if not getattr(args, "table", False):  # the golden table reads no input
+            if not args.input:
+                raise InputError("--input is required")
+            doc = load_json(args.input)
+            if args.tol is not None and isinstance(doc, dict):
+                doc = {**doc, "tol": args.tol}
+            alg = group_spec_from_dict(doc)  # rejects a doc that is not an object
+        payload = handler(args, doc, alg)
     except DomainError as err:
         print(f"error ({type(err).__name__}): {err}", file=sys.stderr)
         return 2
     except (InputError, OSError) as err:
         print(f"input error: {err}", file=sys.stderr)
         return 1
-    report = make_report(cfg.subcommand, payload, seed=cfg.seed,
-                         tol=cfg.tol if cfg.tol is not None else 1e-9,
-                         overrides=cfg.overrides())
+    overrides = {"quad_order": args.quad_order, "grid": args.grid}
+    if args.tol is not None:
+        overrides["tol"] = args.tol
+    report = make_report(args.subcommand, payload, seed=args.seed,
+                         tol=args.tol if args.tol is not None else 1e-9,
+                         overrides=overrides)
     validate_report(report)
-    text = dump_report(report, cfg.out)
-    if not cfg.out:
+    text = dump_report(report, args.out)
+    if not args.out:
         sys.stdout.write(text)
     return 0
-
-
-def _load_alg(cfg: RunConfig, doc=None) -> DilationAlgebra:
-    if doc is None:
-        if not cfg.input:
-            raise InputError("--input is required")
-        doc = load_json(cfg.input)
-    if cfg.tol is not None:
-        doc = dict(doc)
-        doc["tol"] = cfg.tol
-    return group_spec_from_dict(doc)
 
 
 def classify_dispatch(alg: DilationAlgebra):
@@ -187,8 +159,8 @@ def _semisimple_direction(alg, rd, X):
     return None
 
 
-def _cmd_classify(cfg: RunConfig) -> dict:
-    if cfg.table:
+def _cmd_classify(args, doc, alg: DilationAlgebra) -> dict:
+    if args.table:
         from . import families
         from .classify import classify3
 
@@ -201,35 +173,25 @@ def _cmd_classify(cfg: RunConfig) -> dict:
         ]
         verdicts = [{"family": name, **classify3(alg).to_json()} for name, alg in rows]
         return {"verdicts": verdicts}
-    alg = _load_alg(cfg)
-    verdict = classify_dispatch(alg)
-    return {"verdicts": [verdict.to_json()]}
+    return {"verdicts": [classify_dispatch(alg).to_json()]}
 
 
-def _cmd_strata(cfg: RunConfig) -> dict:
-    from .orbits import SampleSpec, stratify
+def _cmd_strata(args, doc, alg: DilationAlgebra) -> dict:
+    from .orbits import stratify
 
-    alg = _load_alg(cfg)
-    spec = SampleSpec(kind="cloud", count=cfg.grid * 4, seed=cfg.seed)
-    rep = stratify(alg, spec, conull_threshold=0.99)
+    rep = stratify(alg, args.grid * 4, args.seed)
     csv_path = None
-    if cfg.out:
-        csv_path = cfg.out + ".csv"
+    if args.out:
+        csv_path = args.out + ".csv"
         _write_csv(csv_path, [f"xi_{i + 1}" for i in range(alg.n)] + ["orbit_dim"],
-                   np.array([xi + (d,) for xi, d in rep.probes]),
+                   np.column_stack([rep.probes, rep.dims]),
                    ",".join(["%.12g"] * alg.n + ["%d"]))
-    payload = rep.to_json()
-    del payload["n_probes"]
-    return {**payload, "csv": csv_path}
+    return {**rep.to_json(), "csv": csv_path}
 
 
-def _cmd_section(cfg: RunConfig) -> dict:
+def _cmd_section(args, doc, alg: DilationAlgebra) -> dict:
     from .sections import normal_form, section_batch
 
-    if not cfg.input:
-        raise InputError("--input is required")
-    doc = load_json(cfg.input)
-    alg = _load_alg(cfg, doc)
     if alg.d != 2:
         raise InputError("section expects exactly two generators (A, X)")
     V = _parse_points(doc.get("points"), alg.n)
@@ -246,8 +208,8 @@ def _cmd_section(cfg: RunConfig) -> dict:
             sec.b.tolist(), sec.representative.tolist(), sec.s.tolist(), sec.t.tolist(),
             sec.sign.tolist())
     ]
-    if cfg.out:
-        with open(cfg.out + ".jsonl", "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out + ".jsonl", "w", encoding="utf-8") as fh:
             for rec in records:
                 fh.write(json.dumps(rec, sort_keys=True) + "\n")
     return {"records": records, "n_points": len(records)}
@@ -285,13 +247,9 @@ def _parse_box(entry, action, name: str):
     return box
 
 
-def _cmd_quasisection(cfg: RunConfig) -> dict:
+def _cmd_quasisection(args, doc, alg: DilationAlgebra) -> dict:
     from .quasisection import diagonal_action, quasi_section_verdict
 
-    if not cfg.input:
-        raise InputError("--input is required")
-    doc = load_json(cfg.input)
-    alg = _load_alg(cfg, doc)
     action = diagonal_action(alg)
     if "boxes" in doc:
         entries = doc["boxes"]
@@ -301,20 +259,21 @@ def _cmd_quasisection(cfg: RunConfig) -> dict:
     else:
         boxes = _parse_box(doc.get("box"), action, "'box'")
     compact = doc.get("orbit_space_compact")
+    if compact is not None and not isinstance(compact, bool):
+        raise InputError(f"'orbit_space_compact' must be true, false or null, got {compact!r}")
     verdict = quasi_section_verdict(action, boxes, orbit_space_compact=compact,
-                                    seed=cfg.seed)
+                                    seed=args.seed)
     return {"verdict": verdict.to_json()}
 
 
-def _wavelet_spec(cfg: RunConfig, doc) -> tuple:
+def _wavelet_spec(args, doc, alg: DilationAlgebra) -> tuple:
     from .quasisection import diagonal_action
     from .wavelet import synth_wavelet
 
-    alg = _load_alg(cfg, doc)
     action = diagonal_action(alg)
     C = _parse_box(doc.get("box"), action, "'box'")
     W = _parse_box(doc["W"], action, "'W'") if "W" in doc else None
-    spec = synth_wavelet(action, C, W, orders=cfg.quad_order)
+    spec = synth_wavelet(action, C, W, orders=args.quad_order)
     return action, spec
 
 
@@ -335,30 +294,27 @@ def _calderon_samples(action, spec, count, seed) -> np.ndarray:
     return np.array(out)
 
 
-def _cmd_wavelet(cfg: RunConfig) -> dict:
+def _cmd_wavelet(args, doc, alg: DilationAlgebra) -> dict:
     from .wavelet import calderon_check, l1_estimate
 
-    if not cfg.input:
-        raise InputError("--input is required")
-    doc = load_json(cfg.input)
-    action, spec = _wavelet_spec(cfg, doc)
+    action, spec = _wavelet_spec(args, doc, alg)
     count = doc.get("samples", 100)
     if type(count) is not int or count < 1:
         raise InputError(f"'samples' must be an integer >= 1, got {count!r}")
-    samples = _calderon_samples(action, spec, count, cfg.seed)
+    samples = _calderon_samples(action, spec, count, args.seed)
     cal = calderon_check(spec, samples)
     hi = max(hi for _, hi in spec.W.bounds)
     dx = np.pi / (4.0 * hi)
     # lattice sizes scale down with dimension: the L1 slice count is
     # param_counts^d and each slice is an n-dimensional FFT
     n = action.alg.n
-    shape = min(cfg.grid, {1: 256, 2: 64}.get(n, 32))
-    counts = min(cfg.quad_order, 64) if action.d == 1 else min(cfg.quad_order, 20)
+    shape = min(args.grid, {1: 256, 2: 64}.get(n, 32))
+    counts = min(args.quad_order, 64) if action.d == 1 else min(args.quad_order, 20)
     l1 = l1_estimate(spec, shape, dx, param_counts=counts)
     ghat_csv = None
-    if cfg.out:
-        ghat_csv = cfg.out + "_ghat.csv"
-        _export_ghat(spec, ghat_csv, per_axis=min(cfg.grid, 64))
+    if args.out:
+        ghat_csv = args.out + "_ghat.csv"
+        _export_ghat(spec, ghat_csv, per_axis=min(args.grid, 64))
     return {
         "spec": spec.to_json(),
         "calderon": cal.to_json(),
@@ -396,16 +352,13 @@ def _write_csv(path: str, header, table: np.ndarray, fmt: str) -> None:
             fh.write((row * chunk.shape[0]) % tuple(chunk.ravel().tolist()))
 
 
-def _cmd_cwt(cfg: RunConfig) -> dict:
+def _cmd_cwt(args, doc, alg: DilationAlgebra) -> dict:
     from .wavelet import cwt
 
-    if not cfg.input:
-        raise InputError("--input is required")
-    doc = load_json(cfg.input)
-    _, spec = _wavelet_spec(cfg, doc)
+    _, spec = _wavelet_spec(args, doc, alg)
     sig_path = doc.get("signal")
-    if not sig_path:
-        raise InputError("'signal' (CSV path) is required for cwt")
+    if not isinstance(sig_path, str) or not sig_path:
+        raise InputError(f"'signal' must be a non-empty string (a CSV path), got {sig_path!r}")
     try:
         f = np.loadtxt(sig_path, delimiter=",", dtype=float, ndmin=1)
     except (OSError, ValueError) as err:
@@ -418,8 +371,8 @@ def _cmd_cwt(cfg: RunConfig) -> dict:
         raise InputError(f"'param_counts' must be an integer >= 1, got {counts!r}")
     tg = cwt(spec, f, float(dx), param_counts=counts)
     slices_path = None
-    if cfg.out:
-        slices_path = cfg.out + "_coeffs.npz"
+    if args.out:
+        slices_path = args.out + "_coeffs.npz"
         _savez(slices_path, coeffs=tg.coeffs, param_points=tg.param_points,
                param_weights=tg.param_weights, dx=np.asarray(tg.dx))
     return {

@@ -51,11 +51,11 @@ class IllConditioned(DomainError):
 
 
 class MatrixOverflow(DomainError):
-    """The norm of scale*M exceeds the configured exponential bound."""
+    """The norm of M exceeds the bound mat_exp accepts."""
 
 
 class UnclassifiedFamily(DomainError):
-    """Family outside the classification table (strict mode only)."""
+    """No decision procedure covers the family (raised by the CLI's dispatch)."""
 
 
 class NotDiagonalizableFamily(DomainError):

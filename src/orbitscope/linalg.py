@@ -64,17 +64,21 @@ def as_matrix(M, n: int | None = None) -> np.ndarray:
     return A
 
 
-def mat_exp(M, scale: float = 1.0, norm_bound: float = 350.0) -> np.ndarray:
-    """exp(scale * M) by scaling-and-squaring with a truncated series.
+# largest ||M||_F mat_exp accepts; entries of exp(M) can reach e^350, about 1e152
+_EXP_NORM_BOUND = 350.0
+
+
+def mat_exp(M) -> np.ndarray:
+    """exp(M) by scaling-and-squaring with a truncated series.
 
     Matrices are at most 6x6 so accuracy dominates speed.  Raises
-    MatrixOverflow when ||scale * M||_F exceeds `norm_bound` instead of
-    silently saturating.
+    MatrixOverflow when ||M||_F exceeds _EXP_NORM_BOUND instead of silently
+    saturating.
     """
-    A = as_matrix(M) * float(scale)
+    A = as_matrix(M)
     nrm = np.linalg.norm(A)
-    if not np.isfinite(nrm) or nrm > norm_bound:
-        raise MatrixOverflow(f"||scale*M|| = {nrm:.3g} exceeds bound {norm_bound:.3g}")
+    if not np.isfinite(nrm) or nrm > _EXP_NORM_BOUND:
+        raise MatrixOverflow(f"||M|| = {nrm:.3g} exceeds bound {_EXP_NORM_BOUND:.3g}")
     squarings = max(0, int(np.ceil(np.log2(nrm))) + 1) if nrm > 0.5 else 0
     B = A / (2.0 ** squarings)
     E = np.eye(A.shape[0])
@@ -397,8 +401,7 @@ def _nilpotent_basis(roots, alg: DilationAlgebra) -> list[np.ndarray]:
     return basis
 
 
-def blocks_semisimple(alg: DilationAlgebra, rd: RootDecomposition,
-                      rtol: float = 1e-7) -> bool:
+def blocks_semisimple(alg: DilationAlgebra, rd: RootDecomposition) -> bool:
     """Whether every generator acts as a scalar (real) or rotation-scaling
     (complex pair) on each merged root block, i.e. no nilpotent block action."""
     for lam, V in zip(rd.roots, rd.blocks):
@@ -414,6 +417,6 @@ def blocks_semisimple(alg: DilationAlgebra, rd: RootDecomposition,
                 S = M - a * np.eye(m)
                 R = S @ S + b * b * np.eye(m)
             scale = max(np.linalg.norm(G), 1.0)
-            if np.linalg.norm(R) > rtol * (scale if real else scale ** 2 + 1.0):
+            if np.linalg.norm(R) > 1e-7 * (scale if real else scale ** 2 + 1.0):
                 return False
     return True

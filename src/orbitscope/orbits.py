@@ -80,34 +80,19 @@ def is_admissible(alg: DilationAlgebra) -> AdmissibilityVerdict:
     return AdmissibilityVerdict("admissible", tuple(reasons))
 
 
-@dataclass(frozen=True)
-class SampleSpec:
-    """Deterministic probe cloud or grid for stratification."""
-
-    kind: str = "cloud"  # cloud | grid
-    count: int = 512
-    extent: float = 3.0
-    seed: int = PROBE_SEED
-
-    def points(self, n: int) -> np.ndarray:
-        if self.kind == "cloud":
-            rng = np.random.default_rng(self.seed)
-            return self.extent * rng.standard_normal((self.count, n))
-        if self.kind == "grid":
-            per_axis = max(2, int(round(self.count ** (1.0 / n))))
-            axes = [np.linspace(-self.extent, self.extent, per_axis)] * n
-            mesh = np.meshgrid(*axes, indexing="ij")
-            return np.stack([g.ravel() for g in mesh], axis=-1)
-        raise ValueError(f"unknown sample kind {self.kind!r}")
+# stratify's probe cloud is this many times a standard normal cloud
+_PROBE_EXTENT = 3.0
+# the top observed stratum is flagged conull above this sample fraction
+_CONULL_THRESHOLD = 0.99
 
 
 @dataclass(frozen=True)
 class StratumReport:
-    probes: tuple  # (xi tuple, orbit_dim) pairs
+    probes: np.ndarray  # (count, n) probe points
+    dims: np.ndarray  # (count,) orbit dimension at each probe
     census: dict  # dim -> count
     d_max: int
     group_dim: int
-    conull_threshold: float
     top_conull: bool
 
     def to_json(self) -> dict:
@@ -115,32 +100,30 @@ class StratumReport:
             "census": {str(k): v for k, v in sorted(self.census.items())},
             "d_max": self.d_max,
             "group_dim": self.group_dim,
-            "conull_threshold": self.conull_threshold,
+            "conull_threshold": _CONULL_THRESHOLD,
             "top_stratum_conull": self.top_conull,
-            "n_probes": len(self.probes),
         }
 
 
-def stratify(alg: DilationAlgebra, spec: SampleSpec | None = None,
-             conull_threshold: float = 0.99) -> StratumReport:
-    """Census of orbit dimensions over a deterministic sample.
+def stratify(alg: DilationAlgebra, count: int, seed: int) -> StratumReport:
+    """Census of orbit dimensions over a seeded cloud of `count` probes.
 
     The top observed stratum is flagged conull when its sample fraction
-    exceeds the threshold.  This is a sampling surrogate for the measure
+    exceeds _CONULL_THRESHOLD.  This is a sampling surrogate for the measure
     statement, never used where an exact verdict is required.
     """
-    spec = spec or SampleSpec()
-    pts = spec.points(alg.n)
+    rng = np.random.default_rng(seed)
+    pts = _PROBE_EXTENT * rng.standard_normal((count, alg.n))
     dims = orbit_dims(alg, pts)
     values, counts = np.unique(dims, return_counts=True)
     census = {int(k): int(c) for k, c in zip(values, counts)}
     d_max = max(census) if census else 0
     frac = census.get(d_max, 0) / max(len(pts), 1)
     return StratumReport(
-        probes=tuple(zip(map(tuple, pts.tolist()), dims.tolist())),
+        probes=pts,
+        dims=dims,
         census=census,
         d_max=d_max,
         group_dim=alg.d,
-        conull_threshold=conull_threshold,
-        top_conull=bool(frac > conull_threshold),
+        top_conull=bool(frac > _CONULL_THRESHOLD),
     )

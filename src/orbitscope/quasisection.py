@@ -151,9 +151,6 @@ class BoxSet:
             ok &= (r[:, i] >= lo) & (r[:, i] <= hi)
         return ok
 
-    def enlarged(self, factor: float = 1.25) -> "BoxSet":
-        return BoxSet([(lo / factor, hi * factor) for lo, hi in self.bounds])
-
     def to_json(self) -> dict:
         return {"bounds": [[lo, hi] for lo, hi in self.bounds]}
 
@@ -165,11 +162,12 @@ def shell_box(rho: float, k: int) -> BoxSet:
     return BoxSet([(1.0 / rho, rho)] * k)
 
 
-def c_i_box(i: int, rho: float, k: int = 3) -> BoxSet:
-    """The set C_i(rho): coordinate i only bounded above, shells elsewhere."""
+def c_i_box(i: int, rho: float) -> BoxSet:
+    """The set C_i(rho) in three blocks: block i only bounded above, shells
+    elsewhere."""
     if rho <= 1:
         raise ValueError("rho must exceed 1")
-    bounds = [(1.0 / rho, rho)] * k
+    bounds = [(1.0 / rho, rho)] * 3
     bounds[i - 1] = (0.0, rho)
     return BoxSet(bounds)
 
@@ -275,11 +273,6 @@ class ParamInequalitySystem:
 
     L: np.ndarray
     c: np.ndarray
-    d: int
-
-    @property
-    def rows(self) -> int:
-        return self.L.shape[0]
 
     def feasible(self) -> bool:
         return bool(_polyhedra(self.L, self.c)[0][0])
@@ -298,7 +291,7 @@ def meeting_system(action, C1: BoxSet, C2: BoxSet) -> ParamInequalitySystem:
     (lo1, hi1), (lo2, hi2) = np.array(C1.bounds).T, np.array(C2.bounds).T
     L, c = _interval_system(action, lo1, hi1, lo2, hi2)
     keep = c < np.inf
-    return ParamInequalitySystem(L=L[keep], c=c[keep], d=action.d)
+    return ParamInequalitySystem(L=L[keep], c=c[keep])
 
 
 def is_relatively_compact(sys: ParamInequalitySystem) -> tuple[bool, np.ndarray | None]:

@@ -26,8 +26,7 @@ runs no FFT.
 
 Left Haar on G = R^n x| H is |det h|^{-1} dx dh and the modular function is
 Delta_G(x, h) = |det h|^{-1}; see docs/haar_and_modular.md for the
-derivation.  Delta_G^{-1/2} enters the L1 weight as |det h|^{+1/2} and is
-exposed as a pluggable exponent.
+derivation.  Delta_G^{-1/2} enters the L1 weight as |det h|^{+1/2}.
 """
 
 from __future__ import annotations
@@ -55,6 +54,10 @@ from .quasisection import (
     is_relatively_compact,
     meeting_system,
 )
+
+
+# the L1 weight |det h|^kappa at kappa = 1/2, which is Delta_G^{-1/2}
+_WEIGHT_EXPONENT = 0.5
 
 
 def smoothstep(x: np.ndarray) -> np.ndarray:
@@ -138,13 +141,17 @@ def meeting_param_box(action, C1: BoxSet, C2: BoxSet, margin: float = 0.15):
     return tuple(map(tuple, boxes[0].tolist()))
 
 
-def point_support_box(action, W: BoxSet, r, pad: float = 0.05):
+# margin of a point's parameter-support box, relative to its widths
+_SUPPORT_PAD = 0.05
+
+
+def point_support_box(action, W: BoxSet, r):
     """Bounding box of {t : exp(mu_k . t) r_k inside the W bounds for all k},
     i.e. of the parameter support of t -> phi(h_t^T xi) for a point with
-    block magnitudes r.  Returns None when the set is empty (phi vanishes on
-    the whole orbit)."""
+    block magnitudes r, padded by _SUPPORT_PAD.  Returns None when the set
+    is empty (phi vanishes on the whole orbit)."""
     r = np.reshape(np.asarray(r, dtype=float), (1, -1))
-    nonempty, boxes = _padded_boxes(*_point_system(_as_action(action), W, r), pad)
+    nonempty, boxes = _padded_boxes(*_point_system(_as_action(action), W, r), _SUPPORT_PAD)
     return tuple(map(tuple, boxes[0].tolist())) if nonempty[0] else None
 
 
@@ -204,7 +211,6 @@ class WaveletSpec:
     param_box: tuple
     orders: tuple
     sigma: float
-    weight_exponent: float
     convergence: dict
 
     def block_values(self, r: np.ndarray) -> np.ndarray:
@@ -222,19 +228,17 @@ class WaveletSpec:
             "W": self.W.to_json(),
             "param_box": [list(b) for b in self.param_box],
             "orders": list(self.orders),
-            "weight_exponent": self.weight_exponent,
+            "weight_exponent": _WEIGHT_EXPONENT,
             "sigma": self.sigma,
             "convergence": self.convergence,
         }
 
 
-def synth_wavelet(action, C: BoxSet, W: BoxSet | None = None, orders: int = 64,
-                  enlargement: float = 1.25,
-                  override_quasisection: bool = False) -> WaveletSpec:
+def synth_wavelet(action, C: BoxSet, W: BoxSet | None = None, orders: int = 64) -> WaveletSpec:
     """Construct ghat = phi / sqrt(sigma) over the box C.
 
-    Refuses (with the checker's witness) when ((C, C)) is unbounded, unless
-    overridden; W defaults to the 1.25x enlargement of C per block.  Only
+    Refuses (with the checker's witness) when ((C, C)) is unbounded; W
+    defaults to [lo / 1.25, 1.25 hi] in every block of C.  Only
     boxes with open orbits (one block per group parameter, every block of W
     bounded below) build a wavelet: there sigma is constant along orbits and
     the orbits fill the block magnitudes, so sigma is the single value at
@@ -244,13 +248,11 @@ def synth_wavelet(action, C: BoxSet, W: BoxSet | None = None, orders: int = 64,
     sysCC = meeting_system(action, C, C)
     bounded, witness = is_relatively_compact(sysCC)
     if not bounded:
-        if not override_quasisection:
-            raise QuasiSectionRefused(
-                "((C,C)) is unbounded: C is not a quasi-section", witness=witness
-            )
-        warnings.warn("quasi-section check overridden; construction may not converge")
+        raise QuasiSectionRefused(
+            "((C,C)) is unbounded: C is not a quasi-section", witness=witness
+        )
     if W is None:
-        W = C.enlarged(enlargement)
+        W = BoxSet([(lo / 1.25, hi * 1.25) for lo, hi in C.bounds])
     phi = bump(action, C, W)
     param_box = meeting_param_box(action, W, W)
     if action.k != action.d:
@@ -277,7 +279,6 @@ def synth_wavelet(action, C: BoxSet, W: BoxSet | None = None, orders: int = 64,
         param_box=param_box,
         orders=orders_t,
         sigma=float(vals[0]),
-        weight_exponent=0.5,
         convergence={"sigma_doubling_rel": drift, "base_orders": list(orders_t)},
     )
 
@@ -299,8 +300,9 @@ class CalderonReport:
         }
 
 
-def calderon_check(spec: WaveletSpec, xis, orders=None) -> CalderonReport:
-    """max |int_H |ghat(h^T xi)|^2 dh - 1| over covered samples, at `orders`.
+def calderon_check(spec: WaveletSpec, xis) -> CalderonReport:
+    """max |int_H |ghat(h^T xi)|^2 dh - 1| over covered samples, at sigma's
+    own quadrature orders.
 
     A sample is covered when its orbit meets C, decided exactly by the
     polyhedral kernel; uncovered samples are counted and excluded from the
@@ -311,19 +313,20 @@ def calderon_check(spec: WaveletSpec, xis, orders=None) -> CalderonReport:
     """
     action = spec.action
     rs = action.block_abs(xis)
-    orders_t = spec.orders if orders is None else _orders_tuple(orders, action.d)
     covered = _polyhedra(*_point_system(action, spec.C, rs))[0]
-    _, boxes = _padded_boxes(*_point_system(action, spec.W, rs[covered]), 0.05)
+    _, boxes = _padded_boxes(*_point_system(action, spec.W, rs[covered]), _SUPPORT_PAD)
     # one order, no doubling: at sigma's own orders the nodes line up along
-    # the orbit and the integral is sigma / sigma = 1 whatever sigma's error
-    vals = _haar_integral(action, spec.block_values, rs[covered], boxes, orders_t,
+    # the orbit and the integral is sigma / sigma = 1 whatever sigma's error.
+    # At other orders the check would measure the quadrature error of sigma,
+    # not the normalization.
+    vals = _haar_integral(action, spec.block_values, rs[covered], boxes, spec.orders,
                           refine=False)[0]
     dev = float(np.max(np.abs(vals - 1.0))) if vals.size else float("nan")
     return CalderonReport(
         max_deviation=dev,
         n_covered=int(covered.sum()),
         n_uncovered=int((~covered).sum()),
-        orders=orders_t,
+        orders=spec.orders,
         values=vals,
     )
 
@@ -391,8 +394,9 @@ def param_lattice(box, counts) -> tuple[np.ndarray, np.ndarray]:
     return pts, w
 
 
-def check_band_limited(fhat: np.ndarray, shape, rel_tol: float = 1e-8) -> None:
-    """Spectral mass in the outer 10% Nyquist shell must be negligible."""
+def check_band_limited(fhat: np.ndarray, shape) -> None:
+    """Spectral mass in the outer 10% Nyquist shell must be at most 1e-8 of
+    the total."""
     mask = np.zeros(shape, dtype=bool)
     for axis, N in enumerate(shape):
         k = np.abs(np.fft.fftfreq(N, 1.0)) * 2.0  # in (-1, 1], 1 = Nyquist
@@ -402,14 +406,13 @@ def check_band_limited(fhat: np.ndarray, shape, rel_tol: float = 1e-8) -> None:
         mask |= edge[tuple(sl)]
     total = float(np.sum(np.abs(fhat) ** 2))
     outer = float(np.sum(np.abs(fhat[mask]) ** 2))
-    if total > 0 and outer > rel_tol * total:
+    if total > 0 and outer > 1e-8 * total:
         raise BandLimitViolation(
             f"{outer / total:.3g} of the spectral mass sits in the Nyquist shell"
         )
 
 
-def cwt(spec: WaveletSpec, f: np.ndarray, dx, param_counts=64,
-        param_box=None) -> TransformGrid:
+def cwt(spec: WaveletSpec, f: np.ndarray, dx, param_counts=64) -> TransformGrid:
     """Discrete wavelet transform: one real inverse FFT per parameter-lattice
     point and per real part of f.
 
@@ -437,7 +440,7 @@ def cwt(spec: WaveletSpec, f: np.ndarray, dx, param_counts=64,
     axes = tuple(range(1, parts.ndim))
     fhat = np.fft.rfftn(parts, axes=axes)
     half, freqs = _half_lattice(shape, dx)
-    pts, w = param_lattice(param_box or spec.param_box, param_counts)
+    pts, w = param_lattice(spec.param_box, param_counts)
     traces = np.array([np.trace(G) for G in spec.action.alg.generators])
     dets = np.exp(pts @ traces)
     out = np.empty((parts.shape[0], pts.shape[0]) + shape)
@@ -463,7 +466,6 @@ class L1Report:
     param_box: tuple
     param_counts: tuple
     containment_max: float
-    weight_exponent: float
 
     def to_json(self) -> dict:
         return {
@@ -471,30 +473,24 @@ class L1Report:
             "param_box": [list(b) for b in self.param_box],
             "param_counts": list(self.param_counts),
             "support_containment_max": self.containment_max,
-            "weight_exponent": self.weight_exponent,
+            "weight_exponent": _WEIGHT_EXPONENT,
         }
 
 
-def l1_estimate(spec: WaveletSpec, shape, dx, param_counts=64,
-                weight_exponent: float | None = None) -> L1Report:
-    """Upper bound for || w(h) V_g g ||_L1 via
+def l1_estimate(spec: WaveletSpec, shape, dx, param_counts=64) -> L1Report:
+    """Upper bound for || Delta_G^{-1/2} V_g g ||_L1 via
 
-        int ||(ghat . conj(ghat_h))^v||_L1 |det h|^{-1/2} w(h) dh,
+        int ||(ghat . conj(ghat_h))^v||_L1 |det h|^{-1/2} |det h|^{1/2} dh,
 
-    with w(h) = |det h|^kappa (kappa = 1/2 reproduces Delta_G^{-1/2}).  The
-    h-support is exactly the meeting set of (W, W): SupportUnbounded when
-    that set is unbounded, and coefficients outside its box are checked to
-    vanish.  Each slice is evaluated on supp ghat only, and a slice whose
-    product vanishes there contributes exactly 0 without an FFT.
+    where Delta_G^{-1/2} = |det h|^{1/2} (_WEIGHT_EXPONENT) cancels the
+    transform's |det h|^{-1/2}, so each slice counts with its L1 norm and
+    its lattice weight alone.  The h-support is exactly the meeting set of
+    (W, W): SupportUnbounded when that set is unbounded, and coefficients
+    outside its box are checked to vanish.  Each slice is evaluated on
+    supp ghat only, and a slice whose product vanishes there contributes
+    exactly 0 without an FFT.
     """
-    kappa = spec.weight_exponent if weight_exponent is None else float(weight_exponent)
     action = spec.action
-    sysWW = meeting_system(action, spec.W, spec.W)
-    bounded, witness = is_relatively_compact(sysWW)
-    if not bounded:
-        raise SupportUnbounded(
-            f"meeting set of (W, W) unbounded along {witness}; no L1 bound"
-        )
     box = meeting_param_box(action, spec.W, spec.W, margin=0.0)
     shape = (int(shape),) * action.alg.n if np.isscalar(shape) else tuple(shape)
     if np.isscalar(param_counts):
@@ -504,18 +500,13 @@ def l1_estimate(spec: WaveletSpec, shape, dx, param_counts=64,
     rf = action.block_abs(freqs)
     g0 = spec.block_values(rf).reshape(half)
     pts, w = param_lattice(box, param_counts)
-    traces = np.array([np.trace(G) for G in action.alg.generators])
-    total = 0.0
-    for t, wt, l1 in zip(pts, w, _support_l1(spec, g0, rf, pts, shape)):
-        det = float(np.exp(np.dot(t, traces)))
-        total += wt * l1 * det ** (kappa - 0.5)
+    total = sum(wt * l1 for wt, l1 in zip(w, _support_l1(spec, g0, rf, pts, shape)))
     containment = max(_support_l1(spec, g0, rf, _containment_points(box), shape))
     return L1Report(
         value=float(total),
         param_box=box,
         param_counts=tuple(param_counts),
         containment_max=containment,
-        weight_exponent=kappa,
     )
 
 
@@ -566,13 +557,13 @@ def _slice_l1(prod, supp, buf, shape) -> float:
     return float(np.sum(np.abs(np.fft.irfftn(buf, s=shape, axes=tuple(range(len(shape)))))))
 
 
-def _containment_points(box, pad: float = 0.75) -> np.ndarray:
-    """The box centre moved to `pad` beyond each face of the box, one row per
+def _containment_points(box) -> np.ndarray:
+    """The box centre moved to 0.75 beyond each face of the box, one row per
     face."""
     ts = []
     for j in range(len(box)):
         for side in (0, 1):
             t = np.array([0.5 * (lo + hi) for lo, hi in box])
-            t[j] = box[j][side] + (pad if side else -pad)
+            t[j] = box[j][side] + (0.75 if side else -0.75)
             ts.append(t)
     return np.array(ts)

@@ -188,7 +188,7 @@ def test_criterion_6_calderon(spec_1d, spec_case_a):
     rng = np.random.default_rng(80)
     xis1 = (np.exp(rng.uniform(-2, 2, 100)) * rng.uniform(1, 2, 100)
             * np.sign(rng.standard_normal(100))).reshape(-1, 1)
-    rep1 = calderon_check(spec_1d, xis1, orders=64)
+    rep1 = calderon_check(spec_1d, xis1)
     assert rep1.n_covered == 100
     assert rep1.max_deviation < 1e-3, f"1-D deviation {rep1.max_deviation:.3g}"
 
@@ -199,7 +199,7 @@ def test_criterion_6_calderon(spec_1d, spec_case_a):
         @ (xi0 * rng.uniform(0.85, 1.2, 3))
         for _ in range(100)
     ])
-    rep2 = calderon_check(spec_case_a, samples, orders=(64, 64))
+    rep2 = calderon_check(spec_case_a, samples)
     assert rep2.n_covered == 100
     assert rep2.max_deviation < 1e-3, f"case-(a) deviation {rep2.max_deviation:.3g}"
     _report(6, f"Calderon deviation {max(rep1.max_deviation, rep2.max_deviation):.2e} "

@@ -208,22 +208,25 @@ class TestSectionCommand:
         assert not out.exists()
 
 
+# the case-(b) union C_1(2) u C_2(2) u C_3(2) of family (b) with alpha = beta = 1
+CASE_B_UNION = {
+    "n": 3,
+    "generators": [
+        [1, 0, 0, 0, 0, 0, 0, 0, 1],
+        [0, 0, 0, 0, 1, 0, 0, 0, 1],
+    ],
+    "boxes": [
+        {"bounds": [[0, 2], [0.5, 2], [0.5, 2]]},
+        {"bounds": [[0.5, 2], [0, 2], [0.5, 2]]},
+        {"bounds": [[0.5, 2], [0.5, 2], [0, 2]]},
+    ],
+}
+
+
 class TestQuasisectionCommand:
     def test_union_verdict(self, tmp_path):
         path = tmp_path / "qs.json"
-        path.write_text(json.dumps({
-            "n": 3,
-            "generators": [
-                [1, 0, 0, 0, 0, 0, 0, 0, 1],
-                [0, 0, 0, 0, 1, 0, 0, 0, 1],
-            ],
-            "boxes": [
-                {"bounds": [[0, 2], [0.5, 2], [0.5, 2]]},
-                {"bounds": [[0.5, 2], [0, 2], [0.5, 2]]},
-                {"bounds": [[0.5, 2], [0.5, 2], [0, 2]]},
-            ],
-            "orbit_space_compact": True,
-        }))
+        path.write_text(json.dumps({**CASE_B_UNION, "orbit_space_compact": True}))
         out = tmp_path / "qs_out.json"
         res = run_cli("quasisection", "--input", str(path), "--out", str(out))
         assert res.returncode == 0, res.stderr
@@ -232,6 +235,26 @@ class TestQuasisectionCommand:
         v = report["payload"]["verdict"]
         assert v["quasi_section_exists"] == "no"
         assert v["witness_direction"] is not None
+
+    @pytest.mark.parametrize("compact, exists", [
+        (True, "no"), (False, "unknown"), (None, "unknown"),
+        ("false", None), ("true", None), (1, None), (0, None),
+    ], ids=["true", "false", "null", "string-false", "string-true", "one", "zero"])
+    def test_orbit_space_compact_is_a_json_boolean(self, tmp_path, capsys, compact, exists):
+        # only a JSON true may turn the union's 'unknown' into 'no'
+        path = tmp_path / "qs.json"
+        path.write_text(json.dumps({**CASE_B_UNION, "orbit_space_compact": compact}))
+        out = tmp_path / "qs_out.json"
+        code = main(["quasisection", "--input", str(path), "--out", str(out)])
+        if exists is None:
+            assert code == 1
+            assert ("input error: 'orbit_space_compact' must be true, false or null"
+                    in capsys.readouterr().err)
+            assert not out.exists()
+        else:
+            assert code == 0
+            verdict = json.loads(out.read_text())["payload"]["verdict"]
+            assert verdict["quasi_section_exists"] == exists
 
 
 CASE_B11 = [
@@ -314,9 +337,12 @@ class TestGroupSpecInput:
         (DIAG_2D, ["--tol", "-1"], "--tol must be a finite number > 0"),
         (DIAG_2D, ["--tol", "nan"], "--tol must be a finite number > 0"),
         (DIAG_2D, ["--tol", "inf"], "--tol must be a finite number > 0"),
+        ([1, 2], ["--tol", "1e-9"], "group spec must be a JSON object"),
+        ([["n", 2], ["generators", [[1, 0, 0, 2]]]], ["--tol", "1e-9"],
+         "group spec must be a JSON object"),
     ], ids=["n-string", "n-null", "n-fraction", "n-bool", "entry-string",
             "entry-numeric-string", "tol-string", "tol-null", "flag-tol-negative",
-            "flag-tol-nan", "flag-tol-inf"])
+            "flag-tol-nan", "flag-tol-inf", "array-flag-tol", "pairs-flag-tol"])
     def test_invalid_spec_exit_1(self, tmp_path, capsys, doc, flags, message):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(doc))
@@ -499,6 +525,22 @@ class TestWaveletPipeline:
         assert "input error: " in capsys.readouterr().err
         assert not out.exists()
         assert not (tmp_path / "c_out.json_coeffs.npz").exists()
+
+    @pytest.mark.parametrize("signal", [
+        5, "", None,
+        # a valid tone's samples given inline instead of a CSV path
+        [str(v) for v in np.cos(2 * np.pi * 5 * np.arange(64) / 64)],
+    ], ids=["number", "empty", "null", "inline-rows"])
+    def test_signal_must_be_a_path_string(self, tmp_path, capsys, signal):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"n": 1, "generators": DILATION_1D,
+                                    "box": {"bounds": [[1.0, 2.0]]},
+                                    "signal": signal, "dx": 0.3, "param_counts": 8}))
+        out = tmp_path / "c_out.json"
+        assert main(["cwt", "--input", str(path), "--out", str(out)]) == 1
+        assert ("input error: 'signal' must be a non-empty string (a CSV path)"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_case_a_wavelet(self, tmp_path):
         doc = {

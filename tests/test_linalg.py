@@ -21,17 +21,17 @@ class TestMatExp:
     def test_zero_scale_is_identity(self):
         rng = np.random.default_rng(0)
         M = rng.standard_normal((4, 4))
-        npt.assert_allclose(mat_exp(M, 0.0), np.eye(4), atol=1e-15)
+        npt.assert_allclose(mat_exp(0.0 * M), np.eye(4), atol=1e-15)
 
     def test_diagonal_closed_form(self):
         alpha, s = 0.7, 1.3
-        got = mat_exp(np.diag([1.0, 0.0, alpha]), s)
+        got = mat_exp(s * np.diag([1.0, 0.0, alpha]))
         npt.assert_allclose(got, np.diag([np.exp(s), 1.0, np.exp(alpha * s)]), rtol=1e-14)
 
     def test_nilpotent_truncates(self):
         X = E(2, 1)
         t = 2.5
-        npt.assert_allclose(mat_exp(X, t), np.eye(3) + t * X, atol=1e-15)
+        npt.assert_allclose(mat_exp(t * X), np.eye(3) + t * X, atol=1e-15)
 
     def test_matches_series_oracle(self):
         rng = np.random.default_rng(42)
@@ -41,7 +41,7 @@ class TestMatExp:
             M = rng.standard_normal((n, n))
             M *= 2.0 / max(np.linalg.norm(M), 1e-12)
             s = rng.uniform(-1, 1)
-            worst = max(worst, np.max(np.abs(mat_exp(M, s) - series_exp(M, s))))
+            worst = max(worst, np.max(np.abs(mat_exp(s * M) - series_exp(M, s))))
         assert worst < 1e-10
 
     def test_homomorphism(self):
@@ -50,8 +50,8 @@ class TestMatExp:
             M = rng.standard_normal((3, 3))
             M *= 2.0 / np.linalg.norm(M)
             s, t = rng.uniform(-2, 2, 2)
-            lhs = mat_exp(M, s) @ mat_exp(M, t)
-            rhs = mat_exp(M, s + t)
+            lhs = mat_exp(s * M) @ mat_exp(t * M)
+            rhs = mat_exp((s + t) * M)
             assert np.linalg.norm(lhs - rhs) <= 1e-9 * max(np.linalg.norm(rhs), 1.0)
 
     def test_det_is_exp_trace(self):
@@ -59,13 +59,13 @@ class TestMatExp:
         for _ in range(50):
             M = rng.standard_normal((4, 4))
             s = rng.uniform(-1.5, 1.5)
-            det = np.linalg.det(mat_exp(M, s))
+            det = np.linalg.det(mat_exp(s * M))
             expected = np.exp(s * np.trace(M))
             assert abs(det - expected) <= 1e-9 * abs(expected)
 
     def test_overflow_reported(self):
         with pytest.raises(MatrixOverflow):
-            mat_exp(np.diag([1.0, 1.0]), 1e6)
+            mat_exp(1e6 * np.diag([1.0, 1.0]))
 
 
 class TestCheckCommuting:

@@ -5,7 +5,6 @@ import pytest
 from orbitscope.families import case0, family_b, family_d, family_e
 from orbitscope.linalg import DilationAlgebra, mat_exp, null_space, rank_tol
 from orbitscope.orbits import (
-    SampleSpec,
     is_admissible,
     orbit_dim,
     orbit_dims,
@@ -155,33 +154,27 @@ class TestAdmissibility:
 
 class TestStratify:
     def test_case_d_census(self):
-        rep = stratify(family_d(), SampleSpec(count=256, seed=11))
+        rep = stratify(family_d(), 256, 11)
         assert rep.d_max == 3
         assert rep.top_conull
         # the plane killing the nilpotent column drops the dimension
         assert orbit_dim(family_d(), [1.0, 0.0, 1.0]) < 3
 
     def test_nilpotent_case0_capped(self):
-        rep = stratify(case0(), SampleSpec(count=256, seed=12))
+        rep = stratify(case0(), 256, 12)
         assert rep.d_max <= 2
-        assert all(dim <= 2 for _, dim in rep.probes)
+        assert rep.dims.shape == (256,) and np.all(rep.dims <= 2)
 
     def test_scalar_family(self):
-        rep = stratify(DilationAlgebra([np.eye(2)]), SampleSpec(count=128, seed=13))
+        rep = stratify(DilationAlgebra([np.eye(2)]), 128, 13)
         assert set(rep.census) == {1}
 
     def test_report_json_shape(self):
-        rep = stratify(family_e(), SampleSpec(count=64, seed=14))
+        rep = stratify(family_e(), 64, 14)
+        assert rep.probes.shape == (64, 3)
         doc = rep.to_json()
-        assert doc["group_dim"] == 3 and doc["n_probes"] == 64
-
-    def test_grid_sampling_deterministic(self):
-        spec = SampleSpec(kind="grid", count=27, extent=2.0)
-        pts = spec.points(3)
-        assert pts.shape == (27, 3)
-        npt.assert_allclose(pts, spec.points(3))
-        rep = stratify(family_e(), spec)
-        assert rep.d_max == 3
+        assert doc["group_dim"] == 3 and doc["conull_threshold"] == 0.99
+        assert sum(doc["census"].values()) == 64
 
 
 class TestBatchedCensus:

@@ -114,3 +114,56 @@ class TestNoDeadCode:
             if name not in used and not re.search(rf"\b{name}\b", tour):
                 unused.append(f"{module}:{name}")
         assert unused == []
+
+    def test_defaulted_parameters_are_set_in_src(self):
+        # a parameter with a default that no call in src/ passes, by position
+        # or by keyword, is a knob only tests turn; calls are matched by the
+        # function's name, and a class name stands for its __init__
+        allowed = {
+            "cli.py:main(argv)": "the console script passes no argv; tests and "
+                                 "the benchmark launcher pass theirs",
+            "quasisection.py:quasi_section_verdict(n_samples)":
+                "perfbench/launcher.py binds it by name to count the coverage draws",
+        }
+        trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))
+                 if path.name != "families.py"}  # families: the paper's parameterized examples
+        calls = [node for tree in trees.values() for node in ast.walk(tree)
+                 if isinstance(node, ast.Call)]
+        unset = []
+        for module, tree in trees.items():
+            for owner in ast.walk(tree):
+                if not isinstance(owner, (ast.Module, ast.ClassDef, ast.FunctionDef)):
+                    continue
+                for defn in owner.body:
+                    if not isinstance(defn, ast.FunctionDef):
+                        continue
+                    method = isinstance(owner, ast.ClassDef)
+                    name = owner.name if method and defn.name == "__init__" else defn.name
+                    args = defn.args
+                    positional = [a.arg for a in args.posonlyargs + args.args]
+                    if method:
+                        positional = positional[1:]  # self
+                    defaulted = positional[len(positional) - len(args.defaults):] + [
+                        a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                        if d is not None]
+                    for param in defaulted:
+                        index = positional.index(param) if param in positional else None
+                        if not any(_callee(call) == name and _passes(call, param, index)
+                                   for call in calls):
+                            unset.append(f"{module}:{name}({param})")
+        assert sorted(set(unset)) == sorted(allowed)
+
+
+def _callee(call):
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def _passes(call, param, index):
+    """Whether `call` passes `param`: by keyword, through **kwargs or *args,
+    or by position `index` (not counting self)."""
+    if any(kw.arg in (param, None) for kw in call.keywords):
+        return True
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return True
+    return index is not None and len(call.args) > index

@@ -42,7 +42,7 @@ class TestMeetingSystem:
         act = diagonal_action(family_b(1.0, 1.0))
         sys = meeting_system(act, c_i_box(1, 2.0), c_i_box(2, 2.0))
         # exactly the displayed constraints: s >= -2ln2, t <= 2ln2, |s+t| <= 2ln2
-        assert sys.rows == 4
+        assert sys.L.shape[0] == 4
         got = sorted((tuple(np.round(row, 9)), round(c, 9))
                      for row, c in zip(sys.L, sys.c))
         l2 = round(2 * np.log(2.0), 9)
@@ -90,8 +90,8 @@ class TestMeetingSystem:
             sys = meeting_system(act, *boxes)
             for _ in range(25):
                 t = rng.uniform(-4, 4, act.d)
-                margin = np.max(np.abs(sys.L @ t - sys.c)) if sys.rows else 1.0
-                if sys.rows and np.min(np.abs(sys.L @ t - sys.c)) < 1e-3:
+                margin = np.max(np.abs(sys.L @ t - sys.c)) if sys.L.shape[0] else 1.0
+                if sys.L.shape[0] and np.min(np.abs(sys.L @ t - sys.c)) < 1e-3:
                     continue  # near-boundary excluded by construction
                 member = bool(np.all(sys.L @ t <= sys.c + 1e-9))
                 assert member == geometric_meeting_test(act, *boxes, t)
@@ -171,7 +171,7 @@ class TestRelativeCompactness:
             tt = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
             feas = (
                 np.all(sys.L @ tt.T <= sys.c[:, None] + 1e-9, axis=0)
-                if sys.rows else np.ones(tt.shape[0], dtype=bool)
+                if sys.L.shape[0] else np.ones(tt.shape[0], dtype=bool)
             )
             hit_outside = bool(np.any(feas & (np.max(np.abs(tt), axis=1) > 40)))
             if hit_outside != (not bounded):

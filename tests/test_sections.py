@@ -187,7 +187,7 @@ def reference_section(fam, v):
                 s = -np.log(abs(w[c])) / blk.eigenvalue
                 exp_tx = sum(np.linalg.matrix_power(t * fam.X, k) / math.factorial(k)
                              for k in range(fam.n))
-                return (bi, i), (s, t), mat_exp(fam.A, s) @ exp_tx @ v
+                return (bi, i), (s, t), mat_exp(s * fam.A) @ exp_tx @ v
     return "NotInLayer"
 
 

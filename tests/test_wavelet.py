@@ -16,7 +16,7 @@ from orbitscope.errors import (
     SupportUnbounded,
     ZeroSigma,
 )
-from orbitscope.families import family_b
+from orbitscope.families import family_a, family_b
 from orbitscope.linalg import DilationAlgebra, mat_exp
 from orbitscope.quad import gauss_legendre
 from orbitscope.quasisection import BoxSet, c_i_box, diagonal_action
@@ -143,12 +143,14 @@ class TestSynth:
             synth_wavelet(act, C, orders=16)
         assert err.value.witness is not None
 
-    def test_forced_construction_hits_unbounded_support(self):
-        act = diagonal_action(family_b(1.0, 1.0))
-        C = BoxSet([(0.0, 2.0), (0.0, 2.0), (0.5, 2.0)])
-        with pytest.warns(UserWarning):
-            with pytest.raises(SupportUnbounded):
-                synth_wavelet(act, C, orders=16, override_quasisection=True)
+    def test_unbounded_w_support_raises(self):
+        # ((C, C)) is bounded, but W's first block is bounded above only, so
+        # ((W, W)) and the parameter support of ghat are unbounded
+        act = diagonal_action(family_a(1.0))
+        C = BoxSet([(1.0, 2.0), (1.0, 2.0)])
+        W = BoxSet([(0.0, 2.5), (0.8, 2.5)])
+        with pytest.raises(SupportUnbounded):
+            synth_wavelet(act, C, W, orders=16)
 
     @pytest.mark.parametrize("name", ["spec_1d", "spec_case_a"])
     def test_sigma_is_haar_integral_on_c_centre_orbit(self, name, request):
@@ -189,18 +191,17 @@ class TestCalderon:
         rng = np.random.default_rng(2)
         xis = (np.exp(rng.uniform(-2, 2, 50)) * rng.uniform(1, 2, 50)
                * np.sign(rng.standard_normal(50))).reshape(-1, 1)
-        rep = calderon_check(spec_1d, xis, orders=64)
+        rep = calderon_check(spec_1d, xis)
         assert rep.n_covered == 50 and rep.max_deviation < 1e-3
 
     def test_invariance_along_orbit(self, spec_1d, dilation_1d):
         xi0 = np.array([1.4])
-        r0 = calderon_check(spec_1d, [xi0], orders=64)
-        r1 = calderon_check(spec_1d, [mat_exp(-dilation_1d.element([0.9]).T) @ xi0],
-                            orders=64)
+        r0 = calderon_check(spec_1d, [xi0])
+        r1 = calderon_check(spec_1d, [mat_exp(-dilation_1d.element([0.9]).T) @ xi0])
         assert abs(r0.values[0] - r1.values[0]) < 1e-6
 
     def test_uncovered_excluded(self, spec_1d):
-        rep = calderon_check(spec_1d, [[1.5], [0.0]], orders=64)
+        rep = calderon_check(spec_1d, [[1.5], [0.0]])
         assert rep.n_covered == 1 and rep.n_uncovered == 1
 
     def test_wrong_sigma_fails_instead_of_dropping_samples(self, spec_1d):
@@ -208,7 +209,7 @@ class TestCalderon:
         # size of the integral, so a 3x error in sigma shows as a deviation
         bad = dataclasses.replace(spec_1d, sigma=3 * spec_1d.sigma)
         xis = np.exp(np.random.default_rng(3).uniform(-2, 2, 20)).reshape(-1, 1)
-        rep = calderon_check(bad, xis, orders=64)
+        rep = calderon_check(bad, xis)
         assert rep.n_covered == 20 and rep.n_uncovered == 0
         assert rep.max_deviation == pytest.approx(2.0 / 3.0, abs=1e-3)
 
@@ -441,6 +442,8 @@ class TestL1Estimate:
     def test_support_containment(self, spec_1d):
         rep = l1_estimate(spec_1d, 128, 0.6, param_counts=64)
         assert rep.containment_max <= 1e-12
+        # the weight is Delta_G^{-1/2} = |det h|^{1/2}; reports name its exponent
+        assert rep.to_json()["weight_exponent"] == spec_1d.to_json()["weight_exponent"] == 0.5
 
     def test_zero_wavelet_gives_zero(self, spec_1d):
         import dataclasses
@@ -449,12 +452,6 @@ class TestL1Estimate:
         dead = dataclasses.replace(spec_1d, sigma=np.inf)
         rep = l1_estimate(dead, 64, 0.6, param_counts=16)
         assert rep.value == 0.0
-
-    def test_pluggable_weight(self, spec_1d):
-        r_half = l1_estimate(spec_1d, 128, 0.6, param_counts=64)
-        r_zero = l1_estimate(spec_1d, 128, 0.6, param_counts=64, weight_exponent=0.0)
-        assert r_half.weight_exponent == 0.5 and r_zero.weight_exponent == 0.0
-        assert r_half.value != r_zero.value
 
 
 class TestPointSupportBox:
