@@ -150,11 +150,11 @@ def classify3(alg: DilationAlgebra) -> ClassificationVerdict:
     scale = max(alg.scale(), 1.0)
     tol = alg.tol
     if alg.d == 3:
-        return _classify_d3(alg, rd, scale, tol)
+        return _classify_d3(rd, scale, tol)
     return _classify_d2(alg, rd, scale, tol)
 
 
-def _classify_d3(alg, rd, scale, tol):
+def _classify_d3(rd, scale, tol):
     if not rd.all_real():
         return _unclassified(
             ("d = 3 with complex roots: finitely many open orbits but absent "
@@ -238,7 +238,7 @@ def _classify_d2(alg, rd, scale, tol):
         return _case4_verdict(0.0, 0.0, notes=("third root vanishes",))
     if rd.p == 2:
         if not all_real:
-            return _classify_case3_complex(alg, rd, scale, tol)
+            return _classify_case3_complex(rd, scale, tol)
         r = np.stack([rd.roots[0].real, rd.roots[1].real])
         if rank_tol(r, 1e-8) == 1:
             return ClassificationVerdict(
@@ -268,7 +268,7 @@ def _classify_d2(alg, rd, scale, tol):
             alternates=alternates,
         )
     # p = 3: all roots real automatically, none zero here
-    return _classify_case4(alg, rd, scale, tol)
+    return _classify_case4(rd, scale, tol)
 
 
 def _merged_root_degeneracy(alg, rd, scale):
@@ -356,7 +356,7 @@ def _quadratic_candidates(C0, C1, C2):
     return sorted(cands)
 
 
-def _classify_case3_complex(alg, rd, scale, tol) -> ClassificationVerdict:
+def _classify_case3_complex(rd, scale, tol) -> ClassificationVerdict:
     complex_idx = next(k for k in range(rd.p) if not rd.is_real(k))
     real_idx = 1 - complex_idx
     lam1 = rd.roots[complex_idx]
@@ -399,7 +399,7 @@ def _classify_case3_complex(alg, rd, scale, tol) -> ClassificationVerdict:
     )
 
 
-def _classify_case4(alg, rd, scale, tol) -> ClassificationVerdict:
+def _classify_case4(rd, scale, tol) -> ClassificationVerdict:
     roots = [r.real for r in rd.roots]
     best, besti = -1.0, None
     for i in range(3):

@@ -124,7 +124,7 @@ def classify_dispatch(alg: DilationAlgebra):
         rd = roots_decompose(alg)
         if len(rd.nilpotent_basis) == 1:
             X = rd.nilpotent_basis[0]
-            A = _semisimple_direction(alg, rd, X)
+            A = _semisimple_direction(alg, rd)
             if A is not None:
                 try:
                     return classify_diag_nilpotent(A, X, tol=alg.tol)
@@ -135,7 +135,7 @@ def classify_dispatch(alg: DilationAlgebra):
     )
 
 
-def _semisimple_direction(alg, rd, X):
+def _semisimple_direction(alg, rd):
     """Semisimple part of a non-nilpotent generator, if it stays in the span.
 
     For span{A diagonalizable, X nilpotent} the Jordan-Chevalley nilpotent

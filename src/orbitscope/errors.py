@@ -47,7 +47,9 @@ class NotDiagonalizable(DomainError):
 
 
 class IllConditioned(DomainError):
-    """Two distinct roots are closer than the tolerance; clustering is ambiguous."""
+    """No grouping of the generic combination's eigenvalues passes the root
+    checks: two distinct joint roots are closer than the tolerance, or differ
+    by a vector orthogonal to the combination, so they share its eigenvalues."""
 
 
 class MatrixOverflow(DomainError):

@@ -21,27 +21,14 @@ from .errors import (
 DEFAULT_TOL = 1e-9
 MAX_DIM = 6
 
-# Fixed seed for the generic linear combinations used to seed joint roots;
-# reproducibility of the decomposition depends on it.
-_ROOT_SEED = 20260808
-_ROOT_RETRIES = 6
-# The first _ROOT_RETRIES * MAX_DIM values of
+# Coefficients of the generic combination that seeds the joint roots (a
+# d-generator family uses _ROOT_DRAWS[:d]): the first MAX_DIM values of
 # np.random.default_rng(_ROOT_SEED).standard_normal, written out so that a
-# decomposition does not import numpy.random; retry i of a d-generator
-# family uses _ROOT_DRAWS[i * d:(i + 1) * d], the draws the generator made.
+# decomposition does not import numpy.random.
+_ROOT_SEED = 20260808
 _ROOT_DRAWS = np.array([
     -1.1305643663071248, -1.315808323692046, -0.021805977949173817,
     1.8955906623007115, -0.37928320322115355, -2.719279033999097,
-    -0.40998748451267547, -0.5347741587790755, 0.4195692329921765,
-    0.15786384228760178, 0.028668388127585386, 0.13852230857460385,
-    -1.0698358196548545, -0.10624013815146933, 1.1561626044440911,
-    -0.9169272576906115, -0.40992114151106507, 0.6879983295031311,
-    -0.3285381348522708, -1.3896097736388537, 2.4172052014498426,
-    -2.747441959907303, 0.4011697994214341, 0.6878024300136412,
-    0.7704064513003378, -0.27747146913966564, -1.865510729258168,
-    0.38635912430418534, -0.03076450899800168, 0.2102666438720732,
-    0.15816915496109415, -1.0904858281613854, 1.024166008419499,
-    0.8497864508164606, -0.030416790830283886, 0.05461411611199643,
 ])
 
 
@@ -244,23 +231,7 @@ def _root_scale(roots) -> float:
     return max(m, 1.0)
 
 
-def _cluster_values(values: np.ndarray, tol: float) -> list[np.ndarray]:
-    """Greedy clustering of complex values; returns index arrays."""
-    order = np.lexsort((values.imag, values.real))
-    clusters: list[list[int]] = []
-    for idx in order:
-        placed = False
-        for cl in clusters:
-            if abs(values[idx] - values[cl[0]]) <= tol:
-                cl.append(idx)
-                placed = True
-                break
-        if not placed:
-            clusters.append([idx])
-    return [np.array(cl) for cl in clusters]
-
-
-def _generalized_eigenspace(A: np.ndarray, mu: complex, n: int, tol: float) -> np.ndarray:
+def _generalized_eigenspace(A: np.ndarray, mu: complex, n: int) -> np.ndarray:
     """Stabilized kernel of A - mu by iterated first-power kernels.
 
     K_{j+1} = {v : (A - mu)v in K_j}; every step is a single null-space
@@ -286,26 +257,36 @@ def _generalized_eigenspace(A: np.ndarray, mu: complex, n: int, tol: float) -> n
 def roots_decompose(alg: DilationAlgebra) -> RootDecomposition:
     """All joint roots and generalized eigenspaces of the commuting family.
 
-    A generic combination of the generators (fixed pseudo-random
-    coefficients, _ROOT_DRAWS) seeds the joint spectrum; the run is retried
-    with a fresh combination when the clustering is ambiguous, and
-    IllConditioned is raised if that never resolves in _ROOT_RETRIES tries.
+    A Jordan block of size m splits an eigenvalue by about (eps ||A||)^(1/m),
+    so no fixed radius clusters the eigenvalues of the generic combination
+    _ROOT_DRAWS[:d].  Their single-linkage groupings are tried from coarsest
+    to finest, never splitting values within rounding (1e-12 max|lambda|);
+    the first is accepted whose every cluster's generalized eigenspace has
+    its multiplicity, is invariant under every generator and holds one joint
+    root, with pairwise distinct roots.  Otherwise IllConditioned, as for two
+    roots whose difference is orthogonal to the combination.
     """
     n, d = alg.n, alg.d
     scale = alg.scale()
     tol = alg.tol
-    last_err = None
-    for i in range(_ROOT_RETRIES):
-        coeffs = _ROOT_DRAWS[i * d:(i + 1) * d]
-        Agen = alg.element(coeffs)
-        eigs = np.linalg.eigvals(Agen)
-        cl_tol = max(np.max(np.abs(eigs)), 1.0) * 1e-6
-        clusters = _cluster_values(eigs, cl_tol)
+    Agen = alg.element(_ROOT_DRAWS[:d])
+    eigs = np.sort_complex(np.linalg.eigvals(Agen))  # by real, then imaginary part
+    gaps = np.abs(eigs[:, None] - eigs[None, :])
+    gaps = np.maximum(gaps, 1e-12 * max(np.max(np.abs(eigs)), 1.0))
+    tried, err = [], None
+    for cut in sorted(set(gaps.ravel().tolist()), reverse=True):
+        label = np.arange(n)  # components of gaps <= cut, labelled by first index
+        for _ in range(n):
+            label = np.where(gaps <= cut, label, n).min(axis=1)
+        if label.tolist() in tried:
+            continue
+        tried.append(label.tolist())
         try:
             raw = []
-            for cl in clusters:
+            for first in sorted(set(label.tolist())):
+                cl = np.flatnonzero(label == first)
                 mu = complex(np.mean(eigs[cl]))
-                B = _generalized_eigenspace(Agen, mu, n, tol=1e-8)
+                B = _generalized_eigenspace(Agen, mu, n)
                 if B.shape[1] != len(cl):
                     raise IllConditioned(
                         f"eigenspace dimension {B.shape[1]} != multiplicity {len(cl)}"
@@ -328,10 +309,9 @@ def roots_decompose(alg: DilationAlgebra) -> RootDecomposition:
                     if np.max(np.abs(raw[a][0] - raw[b][0])) <= tol * max(scale, 1.0):
                         raise IllConditioned("two distinct roots closer than tolerance")
             return _merge_conjugates(raw, alg)
-        except IllConditioned as err:  # retry with a fresh combination
-            last_err = err
-            continue
-    raise IllConditioned(f"root clustering failed after {_ROOT_RETRIES} retries: {last_err}")
+        except IllConditioned as exc:  # try the next finer grouping
+            err = exc
+    raise IllConditioned(f"no grouping of the generic combination's eigenvalues passes: {err}")
 
 
 def _merge_conjugates(raw, alg: DilationAlgebra) -> RootDecomposition:

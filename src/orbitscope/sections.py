@@ -141,7 +141,7 @@ def _jordan_chain_basis(N: np.ndarray, tol: float) -> tuple[np.ndarray, tuple]:
                 avoid = orth_columns(np.hstack([avoid, v.reshape(-1, 1)]), tol=1e-10)
     chains.sort(key=lambda ch: (-len(ch)))
     cols = [w for ch in chains for w in ch]
-    C = np.column_stack(cols)
+    C = np.column_stack(cols) if cols else np.zeros((m, 0))
     if rank_tol(C, 1e-10) != m:
         raise NotNilpotent("Jordan chain construction did not span the eigenspace")
     eps = []
@@ -180,7 +180,7 @@ def normal_form(A, X, tol: float = 1e-9) -> LayeredFamily:
         if resid > 1e-7 * max(np.linalg.norm(X), 1.0):
             raise NotDiagonalizable("eigenspace of A is not X-invariant")
         Nw = W.T @ X @ W
-        C, eps = _jordan_chain_basis(Nw, tol)
+        C, eps = _jordan_chain_basis(Nw, tol * max(np.linalg.norm(X), 1.0))
         cols.append(W @ C)
         active = tuple(i for i in range(2, W.shape[1] + 1) if eps[i - 2] == 1)
         blocks.append(EigenBlock(float(lam), offset, W.shape[1], eps, active))
@@ -202,6 +202,12 @@ def normal_form(A, X, tol: float = 1e-9) -> LayeredFamily:
     return LayeredFamily(A=A, X=X, basis=P, basis_inv=Pinv, blocks=tuple(blocks), tol=tol)
 
 
+def _times_transpose(V: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """V @ M.T with each row reduced on its own: a BLAS product blocks the
+    rows of a batch together, and its last digits then depend on the batch."""
+    return np.sum(V[:, None, :] * M[None], axis=2)
+
+
 def section_batch(fam: LayeredFamily, V) -> SectionBatch:
     """Layers and canonical representatives of the rows of V in one pass.
 
@@ -218,7 +224,7 @@ def section_batch(fam: LayeredFamily, V) -> SectionBatch:
     if V.ndim != 2 or V.shape[1] != fam.n:
         raise ValueError(f"expected an (m, {fam.n}) array of points, got shape {V.shape}")
     m, n = V.shape
-    W = V @ fam.basis_inv.T
+    W = _times_transpose(V, fam.basis_inv)
     # candidate (block, b, column of p_b(Xv)) in scan order, then a no-layer sentinel
     cand = [(bi, i, blk.offset + i - 2)
             for bi, blk in enumerate(fam.blocks) for i in blk.active]
@@ -242,13 +248,14 @@ def section_batch(fam: LayeredFamily, V) -> SectionBatch:
     # X is nilpotent, so exp(tX) v is the exact finite series
     U = term = V[r]
     for k in range(1, n):
-        term = (term @ fam.X.T) * (t / k)[:, None]
+        term = _times_transpose(term, fam.X) * (t / k)[:, None]
         U = U + term
     # A = lambda I on each block of the adapted basis: exp(sA) scales coordinates
     lam = np.concatenate([np.full(blk.dim, blk.eigenvalue) for blk in fam.blocks])
     with np.errstate(over="ignore", invalid="ignore"):
-        vstar = ((U @ fam.basis_inv.T) * np.exp(np.outer(s, lam))) @ fam.basis.T
-        wstar = vstar @ fam.basis_inv.T
+        vstar = _times_transpose(
+            _times_transpose(U, fam.basis_inv) * np.exp(np.outer(s, lam)), fam.basis)
+        wstar = _times_transpose(vstar, fam.basis_inv)
         rows = np.arange(r.size)
         lead = wstar[rows, c]  # p_b(X v*)
         resid0 = np.abs(wstar[rows, c + 1])

@@ -221,3 +221,54 @@ class TestDiagNilpotent:
             A, X = random_diag_nilpotent(rng, n)
             v = classify_diag_nilpotent(A, X)
             assert v.integrable == "no" and v.orbit_space_compact == "no"
+
+
+# (case tag, compact, section, quasi-section, integrable) of the families
+# conjugated below, as in the acceptance criterion 1 table
+GOLDEN = {
+    "a": ("(a)", "yes", "yes", "yes", "yes"),
+    "c": ("(c)", "yes", "yes", "yes", "yes"),
+    "d": ("(d)", "yes", "yes", "yes", "yes"),
+    "e": ("(e)", "yes", "yes", "yes", "yes"),
+    "case0": ("0", "no", "unknown", "unknown", "no"),
+    "case1a": ("1a", "no", "unknown", "unknown", "no"),
+    "case1b": ("1b", "no", "yes", "yes", "no"),
+    "case1c": ("1c", "no", "yes", "yes", "no"),
+    "case2": ("2", "no", "yes", "yes", "no"),
+    "case3b": ("3b", "no", "no", "no", "no"),
+}
+
+
+def verdict(v):
+    return (v.case_tag, *fields(v))
+
+
+class TestGenericBases:
+    """A Jordan block of size m splits the eigenvalues of the root
+    decomposition's generic combination by about eps^(1/m); verdicts in a
+    random basis must still be the golden ones."""
+
+    def test_case1a_in_well_conditioned_bases(self):
+        alg = F.case1a()
+        for s in range(300):
+            P = np.random.default_rng(s).standard_normal((3, 3)) + 3.0 * np.eye(3)
+            assert verdict(classify3(alg.conjugated(P))) == GOLDEN["case1a"], s
+
+    def test_golden_families_in_random_bases(self):
+        for name, want in GOLDEN.items():
+            alg = F.GOLDEN_TABLE_BUILDERS[name]()
+            for s in range(300):
+                P = np.random.default_rng(s).standard_normal((3, 3)) + np.eye(3)
+                assert verdict(classify3(alg.conjugated(P))) == want, (name, s)
+
+    def test_diag_nilpotent_pairs_through_dispatch(self):
+        # n = 4-6 pairs given as [A + X, A - 2X]: the dispatcher recovers A and
+        # X from the root decomposition, so its verdict is the pair's
+        from conftest import random_diag_nilpotent
+        from orbitscope.cli import classify_dispatch
+
+        for s in range(1000, 1300):
+            rng = np.random.default_rng(s)
+            A, X = random_diag_nilpotent(rng, int(rng.integers(4, 7)))
+            got = classify_dispatch(DilationAlgebra([A + X, A - 2.0 * X]))
+            assert verdict(got) == verdict(classify_diag_nilpotent(A, X)), s

@@ -114,6 +114,23 @@ class TestClassifyDispatch:
         assert verdict["case_tag"] == "diag_nilp"
         assert verdict["integrable"] == "no"
 
+    def test_nilpotent_part_zero_on_an_eigenspace(self, tmp_path):
+        # seed 1210: X vanishes on an eigenspace of A up to |N_W| = 2.3e-9
+        # while |X| is about 1.9e3; the zero test is relative to |X|
+        from conftest import random_diag_nilpotent
+
+        rng = np.random.default_rng(1210)
+        A, X = random_diag_nilpotent(rng, int(rng.integers(4, 7)))
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps({
+            "n": A.shape[0],
+            "generators": [(A + X).ravel().tolist(), (A - 2 * X).ravel().tolist()],
+        }))
+        out = tmp_path / "pair_out.json"
+        res = run_cli("classify", "--input", str(path), "--out", str(out))
+        assert res.returncode == 0, res.stderr
+        assert json.loads(out.read_text())["payload"]["verdicts"][0]["case_tag"] == "diag_nilp"
+
     def test_uncovered_family_exit_2(self, tmp_path):
         path = tmp_path / "n5.json"
         path.write_text(json.dumps({
@@ -610,7 +627,8 @@ IMPORT_PROBE = (
     "loaded = lambda top: sorted(m for m in sys.modules if m.split('.')[0] == top)\n"
     "print(json.dumps({'code': code, 'scipy': loaded('scipy'),\n"
     "                  'orbitscope': loaded('orbitscope'),\n"
-    "                  'numpy.random': 'numpy.random' in sys.modules}), file=sys.stderr)\n"
+    "                  'numpy.random': 'numpy.random' in sys.modules,\n"
+    "                  'numpy.ma': 'numpy.ma' in sys.modules}), file=sys.stderr)\n"
 )
 
 # the orbitscope modules each subcommand must not load (its import footprint)
@@ -631,7 +649,7 @@ TABLE_MODULES = sorted([*CLASSIFY_MODULES, "orbitscope.families"])
 def run_import_probe(*args):
     """Run the CLI in a fresh interpreter; return its exit code, the scipy and
     orbitscope modules loaded by the time it returned, and whether
-    numpy.random was."""
+    numpy.random and numpy.ma were."""
     res = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *args],
                          capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
@@ -669,6 +687,7 @@ class TestImports:
             out = tmp_path / f"{args[0]}.json"
             probe = run_import_probe(*args, "--out", str(out))
             assert_footprint(args[0], probe, table="--table" in args)
+            assert not probe["numpy.ma"], args  # np.unique on floats imports it
             validate_report(json.loads(out.read_text()))
 
     def test_solver_jobs_load_no_optimizer(self, tmp_path):

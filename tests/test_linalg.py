@@ -125,12 +125,23 @@ class TestRootsDecompose:
         with pytest.raises(IllConditioned):
             roots_decompose(alg)
 
+    def test_roots_orthogonal_to_the_combination_raise(self):
+        # the roots (0, 1) and (1.3158..., -0.1305...) differ by a vector
+        # orthogonal to _ROOT_DRAWS[:2], so the combination has one double
+        # eigenvalue whose eigenspace holds two joint roots
+        alg = DilationAlgebra([np.diag([0.0, 1.315808323692046]),
+                               np.diag([1.0, -0.1305643663071248])])
+        npt.assert_allclose(np.diag(alg.element(linalg._ROOT_DRAWS[:2])), -1.315808323692046,
+                            rtol=1e-15)
+        with pytest.raises(IllConditioned):
+            roots_decompose(alg)
+
     def test_root_draws_are_the_seeded_normals(self):
-        # retry i of a d-generator family uses _ROOT_DRAWS[i*d:(i+1)*d], the
-        # values a default_rng(_ROOT_SEED) stream gives on its i-th draw of d
+        # a d-generator family uses _ROOT_DRAWS[:d], the first d values of a
+        # default_rng(_ROOT_SEED) stream
         npt.assert_array_equal(
             linalg._ROOT_DRAWS,
-            np.random.default_rng(linalg._ROOT_SEED).standard_normal(6 * MAX_DIM))
+            np.random.default_rng(linalg._ROOT_SEED).standard_normal(MAX_DIM))
 
 
 class TestRankTol:

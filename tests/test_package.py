@@ -153,6 +153,30 @@ class TestNoDeadCode:
                             unset.append(f"{module}:{name}({param})")
         assert sorted(set(unset)) == sorted(allowed)
 
+    def test_parameters_are_read(self):
+        # every parameter of a def or lambda in src/ is read in its body; the
+        # CLI handlers share one (args, doc, alg) signature, so a handler may
+        # leave one of those three unread
+        handler = ["args", "doc", "alg"]
+        unread = []
+        for path in sorted(SRC.glob("*.py")):
+            for defn in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(defn, (ast.FunctionDef, ast.Lambda)):
+                    continue
+                args = defn.args
+                params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
+                          + [args.vararg, args.kwarg] if a is not None]
+                if (path.name == "cli.py" and defn.name.startswith("_cmd_")
+                        and params == handler):
+                    continue
+                body = defn.body if isinstance(defn, ast.FunctionDef) else [defn.body]
+                read = {node.id for stmt in body for node in ast.walk(stmt)
+                        if isinstance(node, ast.Name)}
+                name = getattr(defn, "name", "<lambda>")
+                unread += [f"{path.name}:{name}({p})" for p in params
+                           if p not in read and p != "self"]
+        assert unread == []
+
 
 def _callee(call):
     func = call.func

@@ -220,12 +220,10 @@ class TestSectionBatch:
         assert checked > 500
 
     def test_rows_independent(self):
-        # each row of a batch equals the batch of that row alone: layers, flags
-        # and NaN positions exactly, values to rounding (BLAS may reduce a
-        # one-row product in another order, and exp(sA) amplifies that in v*);
-        # a row that read another row would differ at O(1).  The batches mix
-        # rows with a section, rows without a layer, zero-eigenvalue rows and
-        # rows whose v* overflows
+        # each row of a batch equals the batch of that row alone, bit for bit:
+        # layers, flags, values and NaN positions.  The batches mix rows with
+        # a section, rows without a layer, zero-eigenvalue rows and rows whose
+        # v* overflows
         rng = np.random.default_rng(12)
         cases = [(normal_form(*D_PAIR), [[1.0, 5.0, 7.0], [0.0, 5.0, 7.0]]),
                  (normal_form(np.diag([0.0, 0.0, 1.0]), E(2, 1)), [[1.0, 5.0, 7.0]]),
@@ -239,12 +237,9 @@ class TestSectionBatch:
             sec = section_batch(fam, V)
             for i in range(V.shape[0]):
                 row = section_batch(fam, V[i:i + 1])
-                for name in EXACT_FIELDS:
-                    assert getattr(row, name)[0] == getattr(sec, name)[i], name
-                scale = 1.0 + np.linalg.norm(np.nan_to_num(sec.representative[i]))
-                for name in ("eigenvalue", "representative", "s", "t"):
-                    npt.assert_allclose(getattr(row, name)[0], getattr(sec, name)[i],
-                                        rtol=1e-9, atol=1e-9 * scale, err_msg=name)
+                for name in EXACT_FIELDS + ("eigenvalue", "representative", "s", "t"):
+                    npt.assert_array_equal(getattr(row, name)[0], getattr(sec, name)[i],
+                                           err_msg=name)
                 flags.add((bool(sec.not_in_layer[i]), bool(sec.zero_eigenvalue[i]),
                            int(sec.block[i]) >= 0))
         assert flags == {(False, False, True), (True, False, False), (False, True, True),
