@@ -29,7 +29,7 @@ _EXPORTS = {
     ), "sections"),
     **dict.fromkeys((
         "ClassificationVerdict", "classify3", "classify_diag_nilpotent",
-        "classify_one_param",
+        "classify_dispatch", "classify_one_param",
     ), "classify"),
     **dict.fromkeys((
         "BoxSet", "DiagonalizedAction", "ParamInequalitySystem", "c_i_box",

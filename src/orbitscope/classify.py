@@ -1,6 +1,6 @@
-"""Integrability decision procedures.
+"""Integrability decision procedures, and the routing of a family to them.
 
-Three entry points:
+Three procedures:
 
 * ``classify_one_param`` -- the one-parameter criterion (signs of Re lambda).
 * ``classify3`` -- the complete decision tree for connected abelian
@@ -11,8 +11,9 @@ Three entry points:
   in any dimension (no integrable vectors once n >= 3).
 
 Families the table does not cover are returned as ``unclassified`` verdicts
-rather than guessed; the CLI's dispatch raises UnclassifiedFamily for a
-family that no procedure here covers.
+rather than guessed.  ``classify_dispatch`` picks the procedure that covers
+a family (one parameter, n = 3, or a diagonalizable + nilpotent pair) and
+raises UnclassifiedFamily when none does.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateParameter, NotNilpotent
+from .errors import DegenerateParameter, DomainError, NotNilpotent, UnclassifiedFamily
 from .linalg import (
     DilationAlgebra,
     as_matrix,
@@ -514,3 +515,47 @@ def classify_diag_nilpotent(A, X, tol: float = 1e-9) -> ClassificationVerdict:
                    if single_layer else {}),
         notes=tuple(notes),
     )
+
+
+def classify_dispatch(alg: DilationAlgebra):
+    """The verdict of the procedure that covers the family (d = 1, n = 3, or a
+    diagonalizable + nilpotent pair); UnclassifiedFamily when none does."""
+    if alg.d == 1:
+        return classify_one_param(alg.generators[0])
+    if alg.n == 3 and alg.d in (2, 3):
+        return classify3(alg)
+    if alg.d == 2:
+        rd = roots_decompose(alg)
+        if len(rd.nilpotent_basis) == 1:
+            X = rd.nilpotent_basis[0]
+            A = _semisimple_direction(alg, rd)
+            if A is not None:
+                try:
+                    return classify_diag_nilpotent(A, X, tol=alg.tol)
+                except DomainError:
+                    pass
+    raise UnclassifiedFamily(f"no decision procedure covers n = {alg.n}, d = {alg.d}")
+
+
+def _semisimple_direction(alg, rd):
+    """Semisimple part of a non-nilpotent generator, if it stays in the span.
+
+    For span{A diagonalizable, X nilpotent} the Jordan-Chevalley nilpotent
+    part of any g = aA + bX is bX, so the semisimple part aA lies in the
+    algebra; families where it escapes the span are not of this type.
+    """
+    if not rd.all_real():
+        return None
+    P = np.hstack(rd.blocks)
+    Pinv = np.linalg.inv(P)
+    for j, G in enumerate(alg.generators):
+        diag = np.concatenate([
+            np.full(V.shape[1], lam[j].real) for lam, V in zip(rd.roots, rd.blocks)
+        ])
+        S = P @ np.diag(diag) @ Pinv  # oblique spectral combination = g_s
+        if np.linalg.norm(S) < 1e-10:
+            continue
+        stacked = np.stack([g.ravel() for g in alg.generators] + [S.ravel()])
+        if rank_tol(stacked, 1e-8) == alg.d:
+            return S
+    return None

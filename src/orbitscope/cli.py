@@ -31,7 +31,7 @@ import sys
 
 import numpy as np
 
-from .errors import DomainError, InputError, UnclassifiedFamily
+from .errors import DomainError, InputError
 from .groupspec import (
     dump_report,
     group_spec_from_dict,
@@ -39,7 +39,7 @@ from .groupspec import (
     make_report,
     validate_report,
 )
-from .linalg import DilationAlgebra, rank_tol, roots_decompose
+from .linalg import DEFAULT_TOL, DilationAlgebra
 
 # The subcommands' own modules (classify, families, orbits, sections,
 # quasisection, wavelet) are imported in the functions that use them, so a
@@ -103,7 +103,7 @@ def main(argv=None) -> int:
     if args.tol is not None:
         overrides["tol"] = args.tol
     report = make_report(args.subcommand, payload, seed=args.seed,
-                         tol=args.tol if args.tol is not None else 1e-9,
+                         tol=alg.tol if alg is not None else args.tol or DEFAULT_TOL,
                          overrides=overrides)
     validate_report(report)
     text = dump_report(report, args.out)
@@ -112,57 +112,11 @@ def main(argv=None) -> int:
     return 0
 
 
-def classify_dispatch(alg: DilationAlgebra):
-    """Route an algebra to the applicable decision procedure."""
-    from .classify import classify3, classify_diag_nilpotent, classify_one_param
-
-    if alg.d == 1:
-        return classify_one_param(alg.generators[0])
-    if alg.n == 3 and alg.d in (2, 3):
-        return classify3(alg)
-    if alg.d == 2:
-        rd = roots_decompose(alg)
-        if len(rd.nilpotent_basis) == 1:
-            X = rd.nilpotent_basis[0]
-            A = _semisimple_direction(alg, rd)
-            if A is not None:
-                try:
-                    return classify_diag_nilpotent(A, X, tol=alg.tol)
-                except DomainError:
-                    pass
-    raise UnclassifiedFamily(
-        f"no decision procedure covers n = {alg.n}, d = {alg.d}"
-    )
-
-
-def _semisimple_direction(alg, rd):
-    """Semisimple part of a non-nilpotent generator, if it stays in the span.
-
-    For span{A diagonalizable, X nilpotent} the Jordan-Chevalley nilpotent
-    part of any g = aA + bX is bX, so the semisimple part aA lies in the
-    algebra; families where it escapes the span are not of this type.
-    """
-    if not rd.all_real():
-        return None
-    P = np.hstack(rd.blocks)
-    Pinv = np.linalg.inv(P)
-    for j, G in enumerate(alg.generators):
-        diag = np.concatenate([
-            np.full(V.shape[1], lam[j].real) for lam, V in zip(rd.roots, rd.blocks)
-        ])
-        S = P @ np.diag(diag) @ Pinv  # oblique spectral combination = g_s
-        if np.linalg.norm(S) < 1e-10:
-            continue
-        stacked = np.stack([g.ravel() for g in alg.generators] + [S.ravel()])
-        if rank_tol(stacked, 1e-8) == alg.d:
-            return S
-    return None
-
-
 def _cmd_classify(args, doc, alg: DilationAlgebra) -> dict:
-    if args.table:
+    from .classify import classify3, classify_dispatch
+
+    if args.table:  # the golden families, built at the job's tolerance
         from . import families
-        from .classify import classify3
 
         rows = [
             ("a", families.family_a(1.0)),
@@ -171,7 +125,10 @@ def _cmd_classify(args, doc, alg: DilationAlgebra) -> dict:
             ("d", families.family_d()),
             ("e", families.family_e()),
         ]
-        verdicts = [{"family": name, **classify3(alg).to_json()} for name, alg in rows]
+        tol = args.tol or DEFAULT_TOL
+        verdicts = [{"family": name,
+                     **classify3(DilationAlgebra(fam.generators, tol=tol)).to_json()}
+                    for name, fam in rows]
         return {"verdicts": verdicts}
     return {"verdicts": [classify_dispatch(alg).to_json()]}
 

@@ -57,7 +57,7 @@ class MatrixOverflow(DomainError):
 
 
 class UnclassifiedFamily(DomainError):
-    """No decision procedure covers the family (raised by the CLI's dispatch)."""
+    """No decision procedure covers the family (raised by classify.classify_dispatch)."""
 
 
 class NotDiagonalizableFamily(DomainError):

@@ -315,36 +315,17 @@ def roots_decompose(alg: DilationAlgebra) -> RootDecomposition:
 
 
 def _merge_conjugates(raw, alg: DilationAlgebra) -> RootDecomposition:
-    scale = max(alg.scale(), 1.0)
-    imag_tol = 1e-8 * scale
-    used = [False] * len(raw)
+    imag_tol = 1e-8 * max(alg.scale(), 1.0)
     roots, blocks = [], []
-    for i, (lam, B) in enumerate(raw):
-        if used[i]:
+    for lam, B in raw:
+        # a complex root is kept once: as the member with positive imaginary
+        # part on the first generator where it is non-real (a missing partner
+        # leaves the block dimensions short of n)
+        nonreal = np.abs(lam.imag) > imag_tol
+        if nonreal.any() and lam.imag[np.argmax(nonreal)] < 0:
             continue
-        used[i] = True
-        if np.max(np.abs(lam.imag)) <= imag_tol:
-            real_basis = orth_columns(np.hstack([B.real, B.imag]), tol=1e-8)
-            roots.append(lam.real.astype(complex))
-            blocks.append(real_basis)
-            continue
-        # find the conjugate partner
-        partner = None
-        for j in range(i + 1, len(raw)):
-            if not used[j] and np.max(np.abs(np.conj(lam) - raw[j][0])) <= 1e-6 * scale:
-                partner = j
-                break
-        if partner is None:
-            raise IllConditioned("complex root without conjugate partner")
-        used[partner] = True
-        # keep the member with positive imaginary part on the first generator
-        # where the root is non-real
-        k = int(np.argmax(np.abs(lam.imag) > imag_tol))
-        if lam.imag[k] < 0:
-            lam, B = raw[partner]
-        real_basis = orth_columns(np.hstack([B.real, B.imag]), tol=1e-8)
-        roots.append(lam)
-        blocks.append(real_basis)
+        roots.append(lam if nonreal.any() else lam.real.astype(complex))
+        blocks.append(orth_columns(np.hstack([B.real, B.imag]), tol=1e-8))
     order = np.lexsort(
         (
             [np.round(r.imag[0], 9) for r in roots],
@@ -384,8 +365,8 @@ def _nilpotent_basis(roots, alg: DilationAlgebra) -> list[np.ndarray]:
 def blocks_semisimple(alg: DilationAlgebra, rd: RootDecomposition) -> bool:
     """Whether every generator acts as a scalar (real) or rotation-scaling
     (complex pair) on each merged root block, i.e. no nilpotent block action."""
-    for lam, V in zip(rd.roots, rd.blocks):
-        real = np.max(np.abs(lam.imag)) < 1e-12 * _root_scale(rd.roots)
+    for k, (lam, V) in enumerate(zip(rd.roots, rd.blocks)):
+        real = rd.is_real(k)
         m = V.shape[1]
         for j, G in enumerate(alg.generators):
             M = V.T @ G @ V

@@ -69,8 +69,8 @@ def diagonal_action(alg: DilationAlgebra) -> DiagonalizedAction:
     rd = roots_decompose(alg)
     if not blocks_semisimple(alg, rd):
         raise NotDiagonalizableFamily(
-            "a generator acts non-semisimply on a root block; only the "
-            "sampling oracle applies to such families"
+            "a generator acts non-semisimply on a root block; the exact "
+            "meeting-set kernel needs semisimple block action"
         )
     # order blocks by their leading original coordinate so box bounds line up
     # with the natural coordinates of the family
@@ -81,38 +81,20 @@ def diagonal_action(alg: DilationAlgebra) -> DiagonalizedAction:
     order = sorted(range(rd.p), key=lambda kk: (leading(rd.blocks[kk]), kk))
     cols = []
     slices = []
-    weights = []
     offset = 0
-    rng = np.random.default_rng(1)
     for kk in order:
-        lam, V = rd.roots[kk], rd.blocks[kk]
-        real = rd.is_real(kk)
-        m = V.shape[1]
-        if real:
-            cols.append(V)
-            slices.append(slice(offset, offset + m))
-            weights.append(lam.real)
-            offset += m
-        else:
-            # rotate to a basis in which the block action is exactly
-            # rotation-scaling: real/imag parts of a complex eigenvector of a
-            # generic combination restricted to the plane
-            coeffs = rng.standard_normal(alg.d)
-            M = V.T @ alg.element(coeffs) @ V
-            vals, vecs = np.linalg.eig(M)
-            j = int(np.argmax(vals.imag))
-            z = vecs[:, j]
-            U = np.column_stack([z.real, z.imag])
-            cols.append(V @ U)
-            slices.append(slice(offset, offset + 2))
-            # eigenvalues paired with this eigenvector (sign of the imaginary
-            # part depends on the choice of z, not on the merge convention)
-            row = np.array([
-                complex(np.vdot(z, (V.T @ G @ V) @ z) / np.vdot(z, z))
-                for G in alg.generators
-            ])
-            weights.append(row.real)
-            offset += 2
+        V = rd.blocks[kk]
+        if not rd.is_real(kk):
+            # rotate the plane to (Re z, Im z), z a complex eigenvector of the
+            # generator on which the root is most complex: there every
+            # generator acts exactly as a rotation-scaling
+            j = int(np.argmax(np.abs(rd.roots[kk].imag)))
+            vals, vecs = np.linalg.eig(V.T @ alg.generators[j] @ V)
+            z = vecs[:, int(np.argmax(vals.imag))]
+            V = V @ np.column_stack([z.real, z.imag])
+        cols.append(V)
+        slices.append(slice(offset, offset + V.shape[1]))
+        offset += V.shape[1]
     basis = np.hstack(cols)
     if offset != alg.n or abs(np.linalg.det(basis)) < 1e-12:
         raise NotDiagonalizableFamily("adapted basis is singular")
@@ -120,7 +102,7 @@ def diagonal_action(alg: DilationAlgebra) -> DiagonalizedAction:
         alg=alg,
         basis=basis,
         slices=tuple(slices),
-        weights=np.array(weights),
+        weights=np.array([rd.roots[kk].real for kk in order]),
     )
 
 
@@ -278,14 +260,13 @@ class ParamInequalitySystem:
         return bool(_polyhedra(self.L, self.c)[0][0])
 
 
-def meeting_system(action, C1: BoxSet, C2: BoxSet) -> ParamInequalitySystem:
+def meeting_system(action: DiagonalizedAction, C1: BoxSet, C2: BoxSet) -> ParamInequalitySystem:
     """The inequality system whose solution set is {t : exp(.)^T C1 meets C2}.
 
     Point coordinates are eliminated block-wise on logs: |w| in [lo1, hi1]
     can be moved into [lo2, hi2] by the factor exp(mu.t) iff
     ln(lo2/hi1) <= mu.t <= ln(hi2/lo1).
     """
-    action = _as_action(action)
     if C1.k != action.k or C2.k != action.k:
         raise ValueError(f"boxes must have {action.k} block bounds")
     (lo1, hi1), (lo2, hi2) = np.array(C1.bounds).T, np.array(C2.bounds).T
@@ -328,7 +309,7 @@ class QuasiSectionVerdict:
 
 
 def quasi_section_verdict(
-    action,
+    action: DiagonalizedAction,
     C,
     orbit_space_compact: bool | None = None,
     n_samples: int = 200,
@@ -343,7 +324,6 @@ def quasi_section_verdict(
     for U.  For a union, ((C,C)) decomposes into the pairwise meeting sets,
     so it is bounded iff every nonempty pair is.
     """
-    action = _as_action(action)
     boxes = [C] if isinstance(C, BoxSet) else list(C)
     alg = action.alg
     rng = np.random.default_rng(seed)
@@ -378,11 +358,3 @@ def quasi_section_verdict(
     return QuasiSectionVerdict(exists=exists, box_is_quasi_section=witness is None,
                                witness_direction=witness, coverage_samples=len(samples),
                                notes=(note,))
-
-
-def _as_action(action) -> DiagonalizedAction:
-    if isinstance(action, DiagonalizedAction):
-        return action
-    if isinstance(action, DilationAlgebra):
-        return diagonal_action(action)
-    raise TypeError("expected a DiagonalizedAction or DilationAlgebra")

@@ -48,7 +48,6 @@ from .quad import tensor_rules
 from .quasisection import (
     BoxSet,
     DiagonalizedAction,
-    _as_action,
     _point_system,
     _polyhedra,
     is_relatively_compact,
@@ -100,9 +99,8 @@ class BumpFunction:
         return out
 
 
-def bump(action, C: BoxSet, W: BoxSet) -> BumpFunction:
+def bump(action: DiagonalizedAction, C: BoxSet, W: BoxSet) -> BumpFunction:
     """Validated sandwich bump; SetsNotNested unless closure(C) sits inside W."""
-    action = _as_action(action)
     if C.k != W.k:
         raise SetsNotNested("C and W must bound the same blocks")
     for (c_lo, c_hi), (w_lo, w_hi) in zip(C.bounds, W.bounds):
@@ -128,7 +126,7 @@ def _padded_boxes(L, c, margin: float):
     return nonempty, np.stack([lo - pad, hi + pad], axis=-1)
 
 
-def meeting_param_box(action, C1: BoxSet, C2: BoxSet, margin: float = 0.15):
+def meeting_param_box(action: DiagonalizedAction, C1: BoxSet, C2: BoxSet, margin: float = 0.15):
     """Bounding box of the meeting-set polyhedron ((C1, C2)), enlarged by margin.
 
     Raises SupportUnbounded when the polyhedron is unbounded in some
@@ -145,13 +143,13 @@ def meeting_param_box(action, C1: BoxSet, C2: BoxSet, margin: float = 0.15):
 _SUPPORT_PAD = 0.05
 
 
-def point_support_box(action, W: BoxSet, r):
+def point_support_box(action: DiagonalizedAction, W: BoxSet, r):
     """Bounding box of {t : exp(mu_k . t) r_k inside the W bounds for all k},
     i.e. of the parameter support of t -> phi(h_t^T xi) for a point with
     block magnitudes r, padded by _SUPPORT_PAD.  Returns None when the set
     is empty (phi vanishes on the whole orbit)."""
     r = np.reshape(np.asarray(r, dtype=float), (1, -1))
-    nonempty, boxes = _padded_boxes(*_point_system(_as_action(action), W, r), _SUPPORT_PAD)
+    nonempty, boxes = _padded_boxes(*_point_system(action, W, r), _SUPPORT_PAD)
     return tuple(map(tuple, boxes[0].tolist())) if nonempty[0] else None
 
 
@@ -234,7 +232,8 @@ class WaveletSpec:
         }
 
 
-def synth_wavelet(action, C: BoxSet, W: BoxSet | None = None, orders: int = 64) -> WaveletSpec:
+def synth_wavelet(action: DiagonalizedAction, C: BoxSet, W: BoxSet | None = None,
+                  orders: int = 64) -> WaveletSpec:
     """Construct ghat = phi / sqrt(sigma) over the box C.
 
     Refuses (with the checker's witness) when ((C, C)) is unbounded; W
@@ -244,7 +243,6 @@ def synth_wavelet(action, C: BoxSet, W: BoxSet | None = None, orders: int = 64) 
     the orbits fill the block magnitudes, so sigma is the single value at
     the centre of C.  Other boxes raise ZeroSigma.
     """
-    action = _as_action(action)
     sysCC = meeting_system(action, C, C)
     bounded, witness = is_relatively_compact(sysCC)
     if not bounded:

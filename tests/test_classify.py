@@ -265,7 +265,7 @@ class TestGenericBases:
         # n = 4-6 pairs given as [A + X, A - 2X]: the dispatcher recovers A and
         # X from the root decomposition, so its verdict is the pair's
         from conftest import random_diag_nilpotent
-        from orbitscope.cli import classify_dispatch
+        from orbitscope.classify import classify_dispatch
 
         for s in range(1000, 1300):
             rng = np.random.default_rng(s)

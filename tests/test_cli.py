@@ -378,6 +378,27 @@ class TestGroupSpecInput:
         assert main(["classify", "--table", "--tol", "1e-8", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["header"]["tol"] == 1e-8
 
+    @pytest.mark.parametrize("flags, tol", [([], 1e-6), (["--tol", "1e-8"], 1e-8)],
+                             ids=["spec-tol", "flag-tol"])
+    def test_header_tol_is_the_job_tol(self, tmp_path, flags, tol):
+        # the header names the tolerance the job computed at: the spec's
+        # "tol", unless --tol overrides it
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({**DIAG_2D, "tol": 1e-6}))
+        out = tmp_path / "out.json"
+        assert main(["classify", "--input", str(path), "--out", str(out), *flags]) == 0
+        assert json.loads(out.read_text())["header"]["tol"] == tol
+
+    def test_table_families_built_at_flag_tol(self, tmp_path, monkeypatch):
+        import orbitscope.classify as classify
+
+        seen = []
+        real = classify.classify3
+        monkeypatch.setattr(classify, "classify3", lambda alg: seen.append(alg.tol) or real(alg))
+        out = tmp_path / "out.json"
+        assert main(["classify", "--table", "--tol", "1e-8", "--out", str(out)]) == 0
+        assert seen == [1e-8] * 5
+
 
 class TestWaveletSamples:
     @pytest.mark.parametrize("samples", [0, -3, "abc", 2.5],
@@ -724,6 +745,8 @@ class TestImports:
         probe = run_import_probe("cwt", "--input", str(cwt_doc), "--out",
                                  str(tmp_path / "c_out"))
         assert_footprint("cwt", probe)
+        # the block coordinates come from structure alone: no random draw
+        assert not probe["numpy.random"]
 
 
 def csv_writer_reference(path, header, rows):

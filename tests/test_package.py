@@ -97,6 +97,19 @@ class TestNoDeadCode:
                   if isinstance(defn, ast.ClassDef)} - ERROR_BASES
         assert sorted(leaves - signalled) == []
 
+    def test_random_generators_are_seeded_by_a_name(self):
+        # every default_rng(...) in src/ is seeded by a parameter of an
+        # enclosing function or by a named module constant, never by a literal
+        # or by nothing: no fixed draw hides inside structure code
+        unnamed = []
+        for path in sorted(SRC.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            constants = {target.id for node in tree.body if isinstance(node, ast.Assign)
+                         for target in node.targets
+                         if isinstance(target, ast.Name) and target.id.isupper()}
+            unnamed += [f"{path.name}:{line}" for line in _unnamed_seeds(tree, constants)]
+        assert unnamed == []
+
     def test_public_names_have_a_caller_or_a_tour_line(self):
         # a public name is used in src/ outside its own definition and the
         # export table, or the README's library quick tour shows it
@@ -191,3 +204,19 @@ def _passes(call, param, index):
     if any(isinstance(arg, ast.Starred) for arg in call.args):
         return True
     return index is not None and len(call.args) > index
+
+
+def _unnamed_seeds(node, names):
+    """Lines of the default_rng calls under `node` whose one argument is not
+    among `names` or the parameters of an enclosing def or lambda."""
+    if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+        args = node.args
+        names = names | {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+    lines = []
+    if isinstance(node, ast.Call) and _callee(node) == "default_rng":
+        seeds = [*node.args, *(kw.value for kw in node.keywords)]
+        if not (len(seeds) == 1 and isinstance(seeds[0], ast.Name) and seeds[0].id in names):
+            lines.append(node.lineno)
+    for child in ast.iter_child_nodes(node):
+        lines += _unnamed_seeds(child, names)
+    return lines

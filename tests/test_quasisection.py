@@ -10,7 +10,7 @@ from orbitscope.errors import (
     NotDiagonalizableFamily,
 )
 from orbitscope.families import E, case3b, family_a, family_b, family_e
-from orbitscope.linalg import DilationAlgebra, mat_exp
+from orbitscope.linalg import DilationAlgebra, mat_exp, roots_decompose
 from orbitscope.quasisection import (
     _point_system,
     _polyhedra,
@@ -357,14 +357,40 @@ class TestNormalizeInto:
                 assert lo - 1e-9 <= val <= hi + 1e-9
 
 
+def _random_basis(alg, seed):
+    """alg conjugated by randn + 3I."""
+    n = alg.n
+    return alg.conjugated(np.random.default_rng(seed).standard_normal((n, n)) + 3 * np.eye(n))
+
+
+def _two_planes_and_a_line():
+    """n = 5, d = 3: two rotation-scaling blocks and one real block."""
+    rng = np.random.default_rng(57)
+    gens = []
+    for _ in range(3):
+        G = np.zeros((5, 5))
+        for i in (0, 2):
+            a, b = rng.standard_normal(2)
+            G[i:i + 2, i:i + 2] = [[a, -b], [b, a]]
+        G[4, 4] = rng.standard_normal()
+        gens.append(G)
+    return DilationAlgebra(gens)
+
+
+BLOCK_FAMILIES = {
+    "dilation_1d": (DilationAlgebra([np.array([[1.0]])]), 1e-12),
+    "rotation_scaling_2d": (DilationAlgebra([np.array([[1.0, -1.0], [1.0, 1.0]])]), 1e-12),
+    "family_a": (family_a(1.0), 1e-12),
+    "family_e": (family_e(), 1e-12),
+    # random bases: the block coordinates carry the conditioning of P
+    "family_a_random_basis": (_random_basis(family_a(1.0), 5), 1e-9),
+    "two_planes_and_a_line_random_basis": (_random_basis(_two_planes_and_a_line(), 6), 1e-9),
+}
+
+
 class TestBlockMagnitudeScaling:
-    @pytest.mark.parametrize("alg", [
-        DilationAlgebra([np.array([[1.0]])]),
-        DilationAlgebra([np.array([[1.0, -1.0], [1.0, 1.0]])]),
-        family_a(1.0),
-        family_e(),
-    ], ids=["dilation_1d", "rotation_scaling_2d", "family_a", "family_e"])
-    def test_transform_scales_block_magnitudes(self, alg):
+    @pytest.mark.parametrize("alg, rtol", BLOCK_FAMILIES.values(), ids=BLOCK_FAMILIES)
+    def test_transform_scales_block_magnitudes(self, alg, rtol):
         # the identity the wavelet layer evaluates on instead of n x n transforms
         act = diagonal_action(alg)
         rng = np.random.default_rng(31)
@@ -374,7 +400,21 @@ class TestBlockMagnitudeScaling:
             moved = mat_exp(act.alg.element(t)).T @ xi
             npt.assert_allclose(act.block_abs(moved),
                                 act.block_abs(xi) * np.exp(act.weights @ t),
-                                rtol=1e-12)
+                                rtol=rtol)
+
+    @pytest.mark.parametrize("alg", [alg for alg, _ in BLOCK_FAMILIES.values()],
+                             ids=BLOCK_FAMILIES)
+    def test_weights_are_the_real_parts_of_the_roots(self, alg):
+        # block i spans root block k (orthonormal columns V_k), and its weight
+        # row is that root's real part, read off the decomposition as it is
+        act = diagonal_action(alg)
+        rd = roots_decompose(alg)
+        assert act.k == rd.p
+        for w, sl in zip(act.weights, act.slices):
+            cols = act.basis[:, sl]
+            k = min(range(rd.p), key=lambda k: np.linalg.norm(
+                cols - rd.blocks[k] @ (rd.blocks[k].T @ cols)))
+            assert np.array_equal(w, rd.roots[k].real)
 
 
 def lp_answers(L, c):
