@@ -102,6 +102,11 @@ def _jsonable(v):
 def classify_one_param(A) -> ClassificationVerdict:
     """One-parameter criterion: integrable iff the signs of Re(lambda) coincide."""
     A = as_matrix(A)
+    peak = np.max(np.abs(A))
+    if peak > 1.0:
+        # ||A||_F overflows for entries near 1e160; for ||A|| >= 1 the
+        # thresholds below are relative, so the verdict is unchanged
+        A = A / peak
     scale = max(np.linalg.norm(A), 1.0)
     if np.linalg.norm(A) <= 1e-12 * scale:
         raise ValueError("A must be nonzero")

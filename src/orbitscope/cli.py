@@ -4,9 +4,9 @@ Subcommands: classify | strata | section | quasisection | wavelet | cwt.
 Exit status 0 on success, 2 on named domain errors, 1 on I/O, parse or
 input errors: a --tol that is not a finite number > 0, or a --grid or
 --quad-order below 1, whatever the subcommand; a group spec whose "n" is
-not an integer, whose generators have an entry that is not a real number,
-or whose "tol" is not a finite number > 0 (JSON booleans count as none of
-these); `section` points that are not a finite (m, n) array; a `cwt`
+not an integer from 1 to 6, whose generators have an entry that is not a
+real number, or whose "tol" is not a finite number > 0 (JSON booleans count
+as none of these); `section` points that are not a finite (m, n) array; a `cwt`
 signal that is zero everywhere, has a non-finite sample, or is not an
 n-axis lattice with power-of-two sizes; a `cwt` "dx" that is not a finite
 number > 0 or "param_counts" that is not an integer >= 1; a `wavelet`
@@ -19,15 +19,20 @@ NotInLayer or ZeroEigenvalue.  Side files (the `strata` probe CSV, the
 `section` JSONL, the `wavelet` ghat CSV, the `cwt` .npz) are written next to
 --out and only with it.  Reports are deterministic for fixed inputs
 and flags (modulo the timestamp header field) and carry a provenance header
-with version, seed, and tolerance overrides.  ORBITSCOPE_THREADS is
-accepted and has no effect.
+with version, seed, and tolerance overrides.  BLAS runs on one thread:
+before numpy loads, the CLI sets OPENBLAS_NUM_THREADS to 1 unless it is
+already set, and ORBITSCOPE_THREADS is accepted and has no effect.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+
+# n <= 6, so a second BLAS thread has nothing to share and only spins
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

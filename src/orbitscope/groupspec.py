@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .errors import InputError, SpecParseError
-from .linalg import DilationAlgebra
+from .linalg import MAX_DIM, DilationAlgebra
 
 SCHEMA_VERSION = "3"
 
@@ -43,6 +43,9 @@ def group_spec_from_dict(doc: dict) -> DilationAlgebra:
         raise InputError(f"group spec missing field {err.args[0]!r}") from err
     if not isinstance(n, numbers.Integral) or isinstance(n, bool):
         raise InputError(f"invalid group spec: 'n' must be an integer, got {n!r}")
+    if not 1 <= n <= MAX_DIM:
+        raise InputError(f"invalid group spec: dimension {n} outside supported range "
+                         f"1..{MAX_DIM}")
     tol = doc.get("tol", 1e-9)
     if not (_is_real(tol) and np.isfinite(tol) and tol > 0):
         raise InputError(f"invalid group spec: 'tol' must be a finite number > 0, got {tol!r}")

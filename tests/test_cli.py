@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 import zipfile
 
 import numpy as np
@@ -78,6 +79,26 @@ class TestClassifyCommand:
         res = run_cli("classify", "--input", str(path))
         assert res.returncode == 1
         assert "byte offset" in res.stderr
+
+    @pytest.mark.parametrize("scale", [1e150, 1e160, 1e200, 1e300])
+    @pytest.mark.parametrize("generator", [[[2.0]], [[1.0, 0.0], [0.0, -3.0]],
+                                           [[1.0, 1.0], [0.0, 2.0]]],
+                             ids=["2", "diag-1-neg3", "jordan-1-2"])
+    def test_one_param_large_entries(self, tmp_path, capsys, generator, scale):
+        # ||A||_F overflows above about 1e154; the verdict is the unscaled one
+        verdicts = []
+        for factor in (1.0, scale):
+            path = tmp_path / "spec.json"
+            path.write_text(json.dumps({"n": len(generator), "generators": [
+                (factor * np.array(generator)).tolist()]}))
+            out = tmp_path / "out.json"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(["classify", "--input", str(path), "--out", str(out)]) == 0
+            assert capsys.readouterr().err == ""
+            verdicts.append(json.loads(out.read_text())["payload"]["verdicts"][0])
+        assert verdicts[1]["case_tag"] == "one_param"
+        assert verdicts[1] == verdicts[0]
 
     def test_determinism_modulo_timestamp(self, case_d_spec, tmp_path):
         outs = []
@@ -357,9 +378,18 @@ class TestGroupSpecInput:
         ([1, 2], ["--tol", "1e-9"], "group spec must be a JSON object"),
         ([["n", 2], ["generators", [[1, 0, 0, 2]]]], ["--tol", "1e-9"],
          "group spec must be a JSON object"),
+        ({**DIAG_2D, "n": -2}, [],
+         "invalid group spec: dimension -2 outside supported range 1..6"),
+        ({"n": -2, "generators": [[[1, 0], [0, 2]]]}, [],
+         "invalid group spec: dimension -2 outside supported range 1..6"),
+        ({"n": 0, "generators": [[]]}, [],
+         "invalid group spec: dimension 0 outside supported range 1..6"),
+        ({"n": 7, "generators": [[0] * 49]}, [],
+         "invalid group spec: dimension 7 outside supported range 1..6"),
     ], ids=["n-string", "n-null", "n-fraction", "n-bool", "entry-string",
             "entry-numeric-string", "tol-string", "tol-null", "flag-tol-negative",
-            "flag-tol-nan", "flag-tol-inf", "array-flag-tol", "pairs-flag-tol"])
+            "flag-tol-nan", "flag-tol-inf", "array-flag-tol", "pairs-flag-tol",
+            "n-negative-flat", "n-negative-nested", "n-zero", "n-seven"])
     def test_invalid_spec_exit_1(self, tmp_path, capsys, doc, flags, message):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(doc))
@@ -642,14 +672,17 @@ class TestReportSchema:
 
 
 IMPORT_PROBE = (
-    "import json, sys\n"
+    "import json, os, sys\n"
     "from orbitscope.cli import main\n"
     "code = main(sys.argv[1:])\n"
     "loaded = lambda top: sorted(m for m in sys.modules if m.split('.')[0] == top)\n"
+    "tasks = '/proc/self/task'\n"
     "print(json.dumps({'code': code, 'scipy': loaded('scipy'),\n"
     "                  'orbitscope': loaded('orbitscope'),\n"
     "                  'numpy.random': 'numpy.random' in sys.modules,\n"
-    "                  'numpy.ma': 'numpy.ma' in sys.modules}), file=sys.stderr)\n"
+    "                  'numpy.ma': 'numpy.ma' in sys.modules,\n"
+    "                  'threads': len(os.listdir(tasks)) if os.path.isdir(tasks) else None}),\n"
+    "      file=sys.stderr)\n"
 )
 
 # the orbitscope modules each subcommand must not load (its import footprint)
@@ -667,19 +700,28 @@ CLASSIFY_MODULES = ["orbitscope", "orbitscope.classify", "orbitscope.cli", "orbi
 TABLE_MODULES = sorted([*CLASSIFY_MODULES, "orbitscope.families"])
 
 
-def run_import_probe(*args):
+def probe_env(**extra):
+    """This process's environment without OPENBLAS_NUM_THREADS, which importing
+    orbitscope.cli here has set, plus `extra`."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    return {**env, **extra}
+
+
+def run_import_probe(*args, env=None):
     """Run the CLI in a fresh interpreter; return its exit code, the scipy and
-    orbitscope modules loaded by the time it returned, and whether
-    numpy.random and numpy.ma were."""
+    orbitscope modules loaded by the time it returned, whether numpy.random
+    and numpy.ma were, and its native thread count (None without /proc)."""
     res = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *args],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True, env=env or probe_env())
     assert res.returncode == 0, res.stderr
     return json.loads(res.stderr.strip().splitlines()[-1])
 
 
 def assert_footprint(sub, probe, table=False):
-    """The probe's run exited 0 without scipy and loaded only what `sub` runs."""
+    """The probe's run exited 0 without scipy, loaded only what `sub` runs, and
+    ended on one thread: no BLAS worker."""
     assert probe["code"] == 0 and probe["scipy"] == [], sub
+    assert probe["threads"] in (None, 1), (sub, probe["threads"])
     if sub == "classify":
         assert probe["orbitscope"] == (TABLE_MODULES if table else CLASSIFY_MODULES)
         assert not probe["numpy.random"]
@@ -747,6 +789,24 @@ class TestImports:
         assert_footprint("cwt", probe)
         # the block coordinates come from structure alone: no random draw
         assert not probe["numpy.random"]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task")
+                        or len(os.sched_getaffinity(0)) < 2,
+                        reason="needs /proc/self/task and two CPUs")
+    def test_user_blas_threads_kept(self, tmp_path):
+        # the CLI only supplies a default: a value the user set is kept
+        out = tmp_path / "table.json"
+        probe = run_import_probe("classify", "--table", "--out", str(out),
+                                 env=probe_env(OPENBLAS_NUM_THREADS="2"))
+        assert probe["code"] == 0 and probe["threads"] == 2
+
+    def test_library_import_leaves_environment(self):
+        res = subprocess.run(
+            [sys.executable, "-c", "import orbitscope, orbitscope.wavelet, numpy, os; "
+             "print('OPENBLAS_NUM_THREADS' in os.environ)"],
+            capture_output=True, text=True, env=probe_env())
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "False"
 
 
 def csv_writer_reference(path, header, rows):

@@ -191,6 +191,31 @@ class TestNoDeadCode:
         assert unread == []
 
 
+class TestImportOrder:
+    # the static half of test_cli.py::TestImports' thread probes, which need
+    # /proc: OpenBLAS reads OPENBLAS_NUM_THREADS once, when numpy first loads,
+    # and `python -m orbitscope.cli` imports the package before cli.py runs
+
+    def test_package_imports_only_the_standard_library(self):
+        tree = ast.parse((SRC / "__init__.py").read_text())
+        imported = _module_level_imports(tree)
+        foreign = [name for name in imported
+                   if name.split(".")[0] not in sys.stdlib_module_names]
+        assert imported and foreign == []
+
+    def test_cli_sets_the_blas_default_before_numpy_loads(self):
+        body = ast.parse((SRC / "cli.py").read_text()).body
+        default = [i for i, stmt in enumerate(body) if ast.unparse(stmt)
+                   == "os.environ.setdefault('OPENBLAS_NUM_THREADS', '1')"]
+        # numpy itself, or a package module, every one of which but errors
+        # imports numpy
+        loads = [i for i, stmt in enumerate(body) if isinstance(stmt, (ast.Import, ast.ImportFrom))
+                 and any(name == "numpy" or name.startswith((".", "numpy."))
+                         for name in _module_level_imports(stmt))]
+        assert len(default) == 1 and loads
+        assert default[0] < min(loads)
+
+
 def _callee(call):
     func = call.func
     return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
@@ -220,3 +245,16 @@ def _unnamed_seeds(node, names):
     for child in ast.iter_child_nodes(node):
         lines += _unnamed_seeds(child, names)
     return lines
+
+
+def _module_level_imports(node):
+    """The modules that `node` imports when it runs, outside function bodies;
+    a relative import is spelled with its leading dots."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        return []
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom):
+        return ["." * node.level + (node.module or "")]
+    return [name for child in ast.iter_child_nodes(node)
+            for name in _module_level_imports(child)]
