@@ -102,11 +102,11 @@ def _jsonable(v):
 def classify_one_param(A) -> ClassificationVerdict:
     """One-parameter criterion: integrable iff the signs of Re(lambda) coincide."""
     A = as_matrix(A)
-    peak = np.max(np.abs(A))
-    if peak > 1.0:
-        # ||A||_F overflows for entries near 1e160; for ||A|| >= 1 the
-        # thresholds below are relative, so the verdict is unchanged
-        A = A / peak
+    # exp(tA) and exp(t 2^-e A) are the same group: dividing by 2^e, with e
+    # the frexp exponent of the largest entry, is exact, brings the largest
+    # entry into [1/2, 1), and so keeps ||A||_F from overflowing near 1e160
+    # and the thresholds below from acting on a tiny A as absolute ones
+    A = np.ldexp(A, -np.frexp(np.max(np.abs(A)))[1])
     scale = max(np.linalg.norm(A), 1.0)
     if np.linalg.norm(A) <= 1e-12 * scale:
         raise ValueError("A must be nonzero")

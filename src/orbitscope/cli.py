@@ -21,7 +21,7 @@ NotInLayer or ZeroEigenvalue.  Side files (the `strata` probe CSV, the
 and flags (modulo the timestamp header field) and carry a provenance header
 with version, seed, and tolerance overrides.  BLAS runs on one thread:
 before numpy loads, the CLI sets OPENBLAS_NUM_THREADS to 1 unless it is
-already set, and ORBITSCOPE_THREADS is accepted and has no effect.
+already set.
 """
 
 from __future__ import annotations
@@ -267,8 +267,9 @@ def _cmd_wavelet(args, doc, alg: DilationAlgebra) -> dict:
     cal = calderon_check(spec, samples)
     hi = max(hi for _, hi in spec.W.bounds)
     dx = np.pi / (4.0 * hi)
-    # lattice sizes scale down with dimension: the L1 slice count is
-    # param_counts^d and each slice is an n-dimensional FFT
+    # lattice sizes scale down with dimension: a family with no aligned axes
+    # is one axis group, where the L1 estimate takes one n-dimensional FFT
+    # per parameter point, and there are param_counts^d of those
     n = action.alg.n
     shape = min(args.grid, {1: 256, 2: 64}.get(n, 32))
     counts = min(args.quad_order, 64) if action.d == 1 else min(args.quad_order, 20)

@@ -20,9 +20,17 @@ scales as r_k exp(mu_k . t).  The quadrature sums, the Calderon integrals,
 the cwt slices and the L1 slices are therefore all evaluated on
 r . exp(W t); no n x n group transform is formed.  The Calderon integrals
 of all samples go through one batched tensor rule, one parameter box per
-sample.  The L1 slices ghat . ghat(h_t^T .) vanish off supp ghat, so they
-are evaluated on that support only, and a slice that vanishes there too
-runs no FFT.
+sample.
+
+The L1 estimate works on axis groups: the finest partition of the lattice
+axes in which each block's adapted coordinates read only its own group's
+axes.  A slice ghat . ghat(h_t^T .) is sigma^{-1} times one factor per
+group, so its inverse FFT and its L1 norm are products of per-group sums
+over the group's sub-lattice, each computed once per distinct row of the
+group's block scales.  An aligned family splits (case (a) into
+{x1, x2} | {x3}); a conjugated family is one group, the whole lattice.  A
+group's factor is evaluated on its support only, and a row that vanishes
+there runs no FFT.
 
 Left Haar on G = R^n x| H is |det h|^{-1} dx dh and the modular function is
 Delta_G(x, h) = |det h|^{-1}; see docs/haar_and_modular.md for the
@@ -300,7 +308,7 @@ class CalderonReport:
 
 def calderon_check(spec: WaveletSpec, xis) -> CalderonReport:
     """max |int_H |ghat(h^T xi)|^2 dh - 1| over covered samples, at sigma's
-    own quadrature orders.
+    base quadrature orders.
 
     A sample is covered when its orbit meets C, decided exactly by the
     polyhedral kernel; uncovered samples are counted and excluded from the
@@ -313,10 +321,12 @@ def calderon_check(spec: WaveletSpec, xis) -> CalderonReport:
     rs = action.block_abs(xis)
     covered = _polyhedra(*_point_system(action, spec.C, rs))[0]
     _, boxes = _padded_boxes(*_point_system(action, spec.W, rs[covered]), _SUPPORT_PAD)
-    # one order, no doubling: at sigma's own orders the nodes line up along
-    # the orbit and the integral is sigma / sigma = 1 whatever sigma's error.
-    # At other orders the check would measure the quadrature error of sigma,
-    # not the normalization.
+    # one order, no doubling, at sigma's base orders o.  The nodes line up
+    # along the orbit, so a sample's integral is the order-o Haar integral
+    # divided by sigma, and sigma is the value of _haar_integral's last step
+    # (2o unless the doubling moved it by more than 0.1%).  The check thus
+    # measures sigma's doubling drift: on case (a) max_deviation equals
+    # sigma_doubling_rel, 4.5e-5.
     vals = _haar_integral(action, spec.block_values, rs[covered], boxes, spec.orders,
                           refine=False)[0]
     dev = float(np.max(np.abs(vals - 1.0))) if vals.size else float("nan")
@@ -484,9 +494,13 @@ def l1_estimate(spec: WaveletSpec, shape, dx, param_counts=64) -> L1Report:
     transform's |det h|^{-1/2}, so each slice counts with its L1 norm and
     its lattice weight alone.  The h-support is exactly the meeting set of
     (W, W): SupportUnbounded when that set is unbounded, and coefficients
-    outside its box are checked to vanish.  Each slice is evaluated on
-    supp ghat only, and a slice whose product vanishes there contributes
-    exactly 0 without an FFT.
+    outside its box are checked to vanish.
+
+    Each slice ghat . ghat_t is sigma^{-1} times a product over the axis
+    groups of _axis_groups, and each factor reads only its group's axes.  So
+    the slice's inverse FFT and its sum |.| factor too: a slice's L1 norm is
+    sigma^{-1} times the product of its group sums, and each group sum is
+    computed once per distinct row of its blocks' scales exp(mu_k . t).
     """
     action = spec.action
     box = meeting_param_box(action, spec.W, spec.W, margin=0.0)
@@ -494,65 +508,104 @@ def l1_estimate(spec: WaveletSpec, shape, dx, param_counts=64) -> L1Report:
     if np.isscalar(param_counts):
         param_counts = (int(param_counts),) * action.d
     dx = (float(dx),) * len(shape) if np.isscalar(dx) else tuple(float(v) for v in dx)
-    half, freqs = _half_lattice(shape, dx)
-    rf = action.block_abs(freqs)
-    g0 = spec.block_values(rf).reshape(half)
     pts, w = param_lattice(box, param_counts)
-    total = sum(wt * l1 for wt, l1 in zip(w, _support_l1(spec, g0, rf, pts, shape)))
-    containment = max(_support_l1(spec, g0, rf, _containment_points(box), shape))
+    vals = _l1_values(spec, shape, dx, np.concatenate([pts, _containment_points(box)]))
     return L1Report(
-        value=float(total),
+        value=float(w @ vals[:len(w)]),
         param_box=box,
         param_counts=tuple(param_counts),
-        containment_max=containment,
+        containment_max=float(np.max(vals[len(w):])),
     )
 
 
-def _lattice_slices(spec: WaveletSpec, rf: np.ndarray, ts):
-    """ghat(h_t^T xi) on a lattice with block magnitudes rf, one (m,) array per
-    row of ts.
+def _l1_values(spec: WaveletSpec, shape, dx, ts) -> np.ndarray:
+    """sum |(ghat . ghat_t)^v| over the lattice `shape`, one float per row of
+    ts: sigma^{-1} times the product of the axis groups' sums."""
+    scales = np.exp(ts @ spec.action.weights.T)
+    vals = np.full(ts.shape[0], 1.0 / spec.sigma)
+    for axes, blocks in _axis_groups(spec.action):
+        rows, which = np.unique(scales[:, blocks], axis=0, return_inverse=True)
+        vals *= _group_l1(spec, axes, blocks, shape, dx, rows)[which]
+    return vals
 
-    Block k's factor of phi depends on t only through the scale
-    s = exp(mu_k . t).  It is evaluated once per distinct computed scale (an
-    exact np.unique, no tolerance) on the block's distinct magnitudes u_k,
-    and each slice gathers its factors from those tables onto the lattice.
+
+def _axis_groups(action: DiagonalizedAction) -> list[tuple[tuple, tuple]]:
+    """The finest partition of the lattice axes in which every block's
+    adapted coordinates basis[:, slices[k]] read only the axes of its own
+    group (exact zeros, no tolerance), as sorted (axes, blocks) pairs.
+
+    A coordinate-aligned family splits; a conjugated one is one group."""
+    groups = []
+    for k, sl in enumerate(action.slices):
+        axes, blocks = set(np.flatnonzero(action.basis[:, sl].any(axis=1)).tolist()), [k]
+        rest = []
+        for g_axes, g_blocks in groups:
+            if g_axes & axes:
+                axes |= g_axes
+                blocks += g_blocks
+            else:
+                rest.append((g_axes, g_blocks))
+        groups = rest + [(axes, blocks)]
+    return sorted((tuple(sorted(a)), tuple(sorted(b))) for a, b in groups)
+
+
+def _group_l1(spec: WaveletSpec, axes, blocks, shape, dx, scales) -> np.ndarray:
+    """sum |(p_s)^v| over the sub-lattice of `shape` on `axes`, where
+    p_s = prod_{k in blocks} phi_k(r_k) phi_k(s_k r_k), one float per row of
+    scales (columns: the scales s_k of `blocks`).
+
+    p_s is real and even in xi, so it lives on the sub-lattice's rfftn half.
+    It vanishes off the support of its s = 1 factor, so it is evaluated on
+    that support only, and a row whose product is zero there gives exactly
+    0.0 without an FFT.
     """
-    scales = np.exp(np.atleast_2d(ts) @ spec.action.weights.T)
+    sub = tuple(shape[j] for j in axes)
+    half, freqs = _half_lattice(sub, tuple(dx[j] for j in axes))
+    pts = np.zeros((freqs.shape[0], len(shape)))
+    pts[:, axes] = freqs
+    rf = spec.action.block_abs(pts)
+    g0 = np.ones(rf.shape[0])
+    for k in blocks:
+        g0 *= spec.phi.factor(k, rf[:, k])
+    supp = np.flatnonzero(g0)
+    g, rf = g0[supp], rf[supp]
+    buf = np.zeros(half)  # zero off supp for every row
+    out = np.zeros(scales.shape[0])
+    for i, prod in enumerate(_factor_slices(spec.phi, blocks, rf, scales)):
+        prod *= g
+        if prod.any():
+            buf.flat[supp] = prod
+            out[i] = np.sum(np.abs(np.fft.irfftn(buf, s=sub, axes=tuple(range(len(sub))))))
+    return out
+
+
+def _factor_slices(phi: BumpFunction, blocks, rf: np.ndarray, scales: np.ndarray):
+    """prod_{k in blocks} phi_k(s_k r_k) on a lattice with block magnitudes
+    rf, one (m,) array per row of scales, whose columns are the scales s_k
+    of `blocks` in order.
+
+    Block k's factor is evaluated once per distinct scale (an exact
+    np.unique, no tolerance) on the block's distinct magnitudes u_k, and
+    each slice gathers its factors from those tables onto the lattice.
+    """
     tables = []
-    for k in range(rf.shape[1]):
+    for j, k in enumerate(blocks):
         u, inverse = np.unique(rf[:, k], return_inverse=True)
-        s, which = np.unique(scales[:, k], return_inverse=True)
-        tables.append(([spec.phi.factor(k, sk * u) for sk in s], which, inverse))
+        s, which = np.unique(scales[:, j], return_inverse=True)
+        tables.append(([phi.factor(k, sk * u) for sk in s], which, inverse))
     for i in range(scales.shape[0]):
         out = np.ones(rf.shape[0])
         for table, which, inverse in tables:
             out *= table[which[i]][inverse]
+        yield out
+
+
+def _lattice_slices(spec: WaveletSpec, rf: np.ndarray, ts):
+    """ghat(h_t^T xi) on a lattice with block magnitudes rf, one (m,) array per
+    row of ts; block k's factor depends on t only through exp(mu_k . t)."""
+    scales = np.exp(np.atleast_2d(ts) @ spec.action.weights.T)
+    for out in _factor_slices(spec.phi, range(rf.shape[1]), rf, scales):
         yield out / np.sqrt(spec.sigma)
-
-
-def _support_l1(spec: WaveletSpec, g0, rf, ts, shape):
-    """sum |(g0 . ghat_t)^v| over the lattice `shape`, one float per row of ts.
-
-    g0 is ghat on the rfftn half lattice, whose points have block magnitudes
-    rf.  Every product vanishes off supp g0, so ghat_t is evaluated on the
-    support only, and a slice whose product is zero there costs no FFT.
-    """
-    supp = np.flatnonzero(g0)
-    g = g0.ravel()[supp]
-    buf = np.zeros(g0.shape)  # zero off supp for every slice
-    for gh in _lattice_slices(spec, rf[supp], ts):
-        yield _slice_l1(g * gh, supp, buf, shape)
-
-
-def _slice_l1(prod, supp, buf, shape) -> float:
-    """sum |(p)^v| over the lattice `shape`, where p is real and even in xi,
-    given on the rfftn half lattice by its values `prod` at the flat indices
-    `supp` and 0 elsewhere; `buf` is a half-lattice array that is 0 off
-    supp.  A zero product gives exactly 0.0 without an FFT."""
-    if not prod.any():
-        return 0.0
-    buf.flat[supp] = prod
-    return float(np.sum(np.abs(np.fft.irfftn(buf, s=shape, axes=tuple(range(len(shape)))))))
 
 
 def _containment_points(box) -> np.ndarray:

@@ -80,12 +80,10 @@ class TestClassifyCommand:
         assert res.returncode == 1
         assert "byte offset" in res.stderr
 
-    @pytest.mark.parametrize("scale", [1e150, 1e160, 1e200, 1e300])
-    @pytest.mark.parametrize("generator", [[[2.0]], [[1.0, 0.0], [0.0, -3.0]],
-                                           [[1.0, 1.0], [0.0, 2.0]]],
-                             ids=["2", "diag-1-neg3", "jordan-1-2"])
-    def test_one_param_large_entries(self, tmp_path, capsys, generator, scale):
-        # ||A||_F overflows above about 1e154; the verdict is the unscaled one
+    @staticmethod
+    def one_param_verdicts(tmp_path, capsys, generator, scale):
+        """The verdicts of `generator` and of scale * `generator`, each from a
+        run that exits 0 with no warning and nothing on stderr."""
         verdicts = []
         for factor in (1.0, scale):
             path = tmp_path / "spec.json"
@@ -97,6 +95,27 @@ class TestClassifyCommand:
                 assert main(["classify", "--input", str(path), "--out", str(out)]) == 0
             assert capsys.readouterr().err == ""
             verdicts.append(json.loads(out.read_text())["payload"]["verdicts"][0])
+        return verdicts
+
+    @pytest.mark.parametrize("scale", [1e150, 1e160, 1e200, 1e300])
+    @pytest.mark.parametrize("generator", [[[2.0]], [[1.0, 0.0], [0.0, -3.0]],
+                                           [[1.0, 1.0], [0.0, 2.0]]],
+                             ids=["2", "diag-1-neg3", "jordan-1-2"])
+    def test_one_param_large_entries(self, tmp_path, capsys, generator, scale):
+        # ||A||_F overflows above about 1e154; the verdict is the unscaled one
+        verdicts = self.one_param_verdicts(tmp_path, capsys, generator, scale)
+        assert verdicts[1]["case_tag"] == "one_param"
+        assert verdicts[1] == verdicts[0]
+
+    @pytest.mark.parametrize("scale", [1e-11, 1e-13, 1e-200])
+    @pytest.mark.parametrize("generator", [[[1.0]], [[1.0, 0.0], [0.0, -3.0]],
+                                           [[1.0, 1.0], [0.0, 2.0]]],
+                             ids=["1", "diag-1-neg3", "jordan-1-2"])
+    def test_one_param_tiny_entries(self, tmp_path, capsys, generator, scale):
+        # exp(t * 1e-13) is the group exp(t): no absolute threshold may see
+        # the scale (at 1e-13 and 1e-200 a raw ValueError, at 1e-11 a
+        # DegenerateParameter warning and integrable "no")
+        verdicts = self.one_param_verdicts(tmp_path, capsys, generator, scale)
         assert verdicts[1]["case_tag"] == "one_param"
         assert verdicts[1] == verdicts[0]
 

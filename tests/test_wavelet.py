@@ -16,17 +16,18 @@ from orbitscope.errors import (
     SupportUnbounded,
     ZeroSigma,
 )
-from orbitscope.families import family_a, family_b
+from orbitscope.families import family_a, family_b, family_e
 from orbitscope.linalg import DilationAlgebra, mat_exp
 from orbitscope.quad import gauss_legendre
 from orbitscope.quasisection import BoxSet, c_i_box, diagonal_action
 from orbitscope.wavelet import (
+    _axis_groups,
     _containment_points,
+    _group_l1,
     _haar_integral,
     _half_lattice,
+    _l1_values,
     _lattice_slices,
-    _slice_l1,
-    _support_l1,
     bump,
     calderon_check,
     cwt,
@@ -401,35 +402,84 @@ class TestCwtMatchesFullSpectrum:
         ("spec_1d", (256,), 0.3),
         ("spec_2d_rotation_scaling", (32, 32), 0.3),
     ])
-    def test_slice_l1_against_complex_reference(self, name, shape, dx, request):
+    def test_group_l1_against_complex_reference(self, name, shape, dx, request):
+        # one axis group: the group sum over sigma is the slice's L1 norm
         spec = request.getfixturevalue(name)
         rf = spec.action.block_abs(frequency_lattice(shape, (dx,) * len(shape)))
         g0 = spec.block_values(rf).reshape(shape)
-        h = shape[-1] // 2 + 1  # the rfftn half of the last axis
-        supp = np.flatnonzero(g0[..., :h])
-        buf = np.zeros(g0[..., :h].shape)
-        for t in param_lattice(spec.param_box, 5)[0]:
+        ts = param_lattice(spec.param_box, 5)[0]
+        [(axes, blocks)] = _axis_groups(spec.action)
+        got = _group_l1(spec, axes, blocks, shape, (dx,) * len(shape),
+                        np.exp(ts @ spec.action.weights.T)) / spec.sigma
+        for t, value in zip(ts, got):
             gh = spec.block_values(rf * np.exp(spec.action.weights @ t)).reshape(shape)
-            ref = np.sum(np.abs(np.fft.ifftn(g0 * gh)))
-            prod = (g0 * gh)[..., :h].ravel()[supp]
-            npt.assert_allclose(_slice_l1(prod, supp, buf, shape), ref, rtol=1e-12)
+            npt.assert_allclose(value, np.sum(np.abs(np.fft.ifftn(g0 * gh))), rtol=1e-12)
 
-    def test_support_l1_bit_equal_to_dense(self, spec_case_a):
-        # the CLI's case-(a) L1 lattice: 32^3 points, 20 x 20 slices
+    def test_group_l1_bit_equal_to_dense(self, spec_case_a):
+        # the CLI's case-(a) L1 lattice: 32^3 points, 20 x 20 slices and the
+        # containment points; each group's sums equal a dense inverse FFT of
+        # the group's product on its whole rfftn half sub-lattice
         shape = (32, 32, 32)
         dx = (np.pi / (4.0 * max(hi for _, hi in spec_case_a.W.bounds)),) * 3
-        half, freqs = _half_lattice(shape, dx)
-        rf = spec_case_a.action.block_abs(freqs)
-        g0 = spec_case_a.block_values(rf).reshape(half)
         box = meeting_param_box(spec_case_a.action, spec_case_a.W, spec_case_a.W,
                                 margin=0.0)
-        ts = param_lattice(box, 20)[0]
-        got = list(_support_l1(spec_case_a, g0, rf, ts, shape))
-        dense = [float(np.sum(np.abs(np.fft.irfftn(g0 * gh.reshape(half), s=shape,
-                                                   axes=(0, 1, 2)))))
-                 for gh in _lattice_slices(spec_case_a, rf, ts)]
-        assert len(got) == 400 and got == dense
-        assert 0.0 in got and any(got)
+        ts = np.concatenate([param_lattice(box, 20)[0], _containment_points(box)])
+        scales = np.exp(ts @ spec_case_a.action.weights.T)
+        groups = _axis_groups(spec_case_a.action)
+        assert groups == [((0, 1), (0,)), ((2,), (1,))]
+        for axes, blocks in groups:
+            sub = tuple(shape[j] for j in axes)
+            half, freqs = _half_lattice(sub, tuple(dx[j] for j in axes))
+            pts = np.zeros((freqs.shape[0], 3))
+            pts[:, axes] = freqs
+            rf = spec_case_a.action.block_abs(pts)
+            g0 = np.ones(rf.shape[0])
+            for k in blocks:
+                g0 *= spec_case_a.phi.factor(k, rf[:, k])
+            rows = scales[:, blocks]
+            got = list(_group_l1(spec_case_a, axes, blocks, shape, dx, rows))
+            dense = []
+            for s in rows:
+                gh = np.ones(rf.shape[0])
+                for j, k in enumerate(blocks):
+                    gh *= spec_case_a.phi.factor(k, s[j] * rf[:, k])
+                dense.append(float(np.sum(np.abs(np.fft.irfftn(
+                    (g0 * gh).reshape(half), s=sub, axes=tuple(range(len(sub))))))))
+            assert len(got) == 404 and got == dense
+            assert 0.0 in got and any(got)
+
+
+def _conjugated(alg, P):
+    return DilationAlgebra([P @ G @ np.linalg.inv(P) for G in alg.generators])
+
+
+_PERMUTED_A = _conjugated(family_a(1.0), np.eye(3)[[2, 0, 1]])
+_CONJUGATED_A = _conjugated(
+    family_a(1.0), np.random.default_rng(3).standard_normal((3, 3)) + 3.0 * np.eye(3))
+
+
+class TestAxisGroups:
+    @pytest.mark.parametrize("alg, C, groups", [
+        (family_a(1.0), [(0.5, 2.0)] * 2, [((0, 1), (0,)), ((2,), (1,))]),
+        (_PERMUTED_A, [(0.5, 2.0)] * 2, [((0,), (0,)), ((1, 2), (1,))]),
+        (_CONJUGATED_A, [(0.5, 2.0)] * 2, [((0, 1, 2), (0, 1))]),
+        (family_e(), [(0.5, 2.0)] * 3, [((0,), (0,)), ((1,), (1,)), ((2,), (2,))]),
+    ], ids=["a", "a-permuted", "a-conjugated", "e"])
+    def test_l1_values_against_dense_reference(self, alg, C, groups):
+        spec = synth_wavelet(diagonal_action(alg), BoxSet(C))
+        assert _axis_groups(spec.action) == groups
+        shape = (32, 32, 32)
+        dx = np.pi / (4.0 * max(hi for _, hi in spec.W.bounds))
+        box = meeting_param_box(spec.action, spec.W, spec.W, margin=0.0)
+        ts = np.concatenate([param_lattice(box, 4)[0], _containment_points(box)])
+        got = _l1_values(spec, shape, (dx,) * 3, ts)
+        rf = spec.action.block_abs(frequency_lattice(shape, (dx,) * 3))
+        g0 = spec.block_values(rf)
+        ref = [np.sum(np.abs(np.fft.ifftn(
+            (g0 * spec.block_values(rf * np.exp(spec.action.weights @ t))).reshape(shape))))
+            for t in ts]
+        npt.assert_allclose(got, ref, rtol=1e-12, atol=0)
+        assert np.count_nonzero(got) > len(ts) // 2
 
 
 class TestL1Estimate:
@@ -444,6 +494,21 @@ class TestL1Estimate:
         assert rep.containment_max <= 1e-12
         # the weight is Delta_G^{-1/2} = |det h|^{1/2}; reports name its exponent
         assert rep.to_json()["weight_exponent"] == spec_1d.to_json()["weight_exponent"] == 0.5
+
+    def test_cli_case_a_lattice(self, spec_case_a):
+        # the CLI's case-(a) lattice, 32^3 points: nothing escapes the
+        # meeting box, and the weighted sum matches dense inverse FFTs of
+        # ghat . ghat_t on the whole lattice (8 x 8 slices)
+        dx = np.pi / (4.0 * max(hi for _, hi in spec_case_a.W.bounds))
+        assert l1_estimate(spec_case_a, 32, dx, param_counts=20).containment_max == 0.0
+        rep = l1_estimate(spec_case_a, 32, dx, param_counts=8)
+        pts, w = param_lattice(rep.param_box, 8)
+        rf = spec_case_a.action.block_abs(frequency_lattice((32,) * 3, (dx,) * 3))
+        g0 = spec_case_a.block_values(rf)
+        dense = [np.sum(np.abs(np.fft.ifftn((g0 * gh).reshape((32,) * 3))))
+                 for gh in _lattice_slices(spec_case_a, rf, pts)]
+        npt.assert_allclose(rep.value, w @ dense, rtol=1e-12)
+        assert rep.containment_max == 0.0
 
     def test_zero_wavelet_gives_zero(self, spec_1d):
         import dataclasses
