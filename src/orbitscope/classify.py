@@ -29,6 +29,7 @@ from .linalg import (
     as_matrix,
     blocks_semisimple,
     null_space,
+    pow2_scaled,
     rank_tol,
     roots_decompose,
 )
@@ -101,12 +102,7 @@ def _jsonable(v):
 
 def classify_one_param(A) -> ClassificationVerdict:
     """One-parameter criterion: integrable iff the signs of Re(lambda) coincide."""
-    A = as_matrix(A)
-    # exp(tA) and exp(t 2^-e A) are the same group: dividing by 2^e, with e
-    # the frexp exponent of the largest entry, is exact, brings the largest
-    # entry into [1/2, 1), and so keeps ||A||_F from overflowing near 1e160
-    # and the thresholds below from acting on a tiny A as absolute ones
-    A = np.ldexp(A, -np.frexp(np.max(np.abs(A)))[1])
+    [A] = pow2_scaled([as_matrix(A)])
     scale = max(np.linalg.norm(A), 1.0)
     if np.linalg.norm(A) <= 1e-12 * scale:
         raise ValueError("A must be nonzero")
@@ -527,6 +523,7 @@ def classify_dispatch(alg: DilationAlgebra):
     diagonalizable + nilpotent pair); UnclassifiedFamily when none does."""
     if alg.d == 1:
         return classify_one_param(alg.generators[0])
+    alg = DilationAlgebra(pow2_scaled(alg.generators), tol=alg.tol)
     if alg.n == 3 and alg.d in (2, 3):
         return classify3(alg)
     if alg.d == 2:

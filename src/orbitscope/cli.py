@@ -19,9 +19,10 @@ NotInLayer or ZeroEigenvalue.  Side files (the `strata` probe CSV, the
 `section` JSONL, the `wavelet` ghat CSV, the `cwt` .npz) are written next to
 --out and only with it.  Reports are deterministic for fixed inputs
 and flags (modulo the timestamp header field) and carry a provenance header
-with version, seed, and tolerance overrides.  BLAS runs on one thread:
-before numpy loads, the CLI sets OPENBLAS_NUM_THREADS to 1 unless it is
-already set.
+with version, seed, tolerance and overrides: the flags the subcommand reads
+(`strata` --grid, `wavelet` --quad-order and --grid) and a given --tol.
+BLAS runs on one thread: before numpy loads, the CLI sets
+OPENBLAS_NUM_THREADS to 1 unless it is already set.
 """
 
 from __future__ import annotations
@@ -54,6 +55,8 @@ DEFAULT_SEED = 1729
 _CSV_CHUNK_ROWS = 4096
 _GHAT_MAX_PER_AXIS = 64
 _GHAT_MAX_ROWS = 4096
+# the flags besides --tol that each subcommand reads, as the header's overrides
+_FLAGS_READ = {"strata": ("grid",), "wavelet": ("quad_order", "grid")}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -104,7 +107,7 @@ def main(argv=None) -> int:
     except (InputError, OSError) as err:
         print(f"input error: {err}", file=sys.stderr)
         return 1
-    overrides = {"quad_order": args.quad_order, "grid": args.grid}
+    overrides = {flag: getattr(args, flag) for flag in _FLAGS_READ.get(args.subcommand, ())}
     if args.tol is not None:
         overrides["tol"] = args.tol
     report = make_report(args.subcommand, payload, seed=args.seed,
@@ -228,14 +231,14 @@ def _cmd_quasisection(args, doc, alg: DilationAlgebra) -> dict:
     return {"verdict": verdict.to_json()}
 
 
-def _wavelet_spec(args, doc, alg: DilationAlgebra) -> tuple:
+def _wavelet_spec(doc, alg: DilationAlgebra) -> tuple:
     from .quasisection import diagonal_action
     from .wavelet import synth_wavelet
 
     action = diagonal_action(alg)
     C = _parse_box(doc.get("box"), action, "'box'")
     W = _parse_box(doc["W"], action, "'W'") if "W" in doc else None
-    spec = synth_wavelet(action, C, W, orders=args.quad_order)
+    spec = synth_wavelet(action, C, W)
     return action, spec
 
 
@@ -259,12 +262,12 @@ def _calderon_samples(action, spec, count, seed) -> np.ndarray:
 def _cmd_wavelet(args, doc, alg: DilationAlgebra) -> dict:
     from .wavelet import calderon_check, l1_estimate
 
-    action, spec = _wavelet_spec(args, doc, alg)
+    action, spec = _wavelet_spec(doc, alg)
     count = doc.get("samples", 100)
     if type(count) is not int or count < 1:
         raise InputError(f"'samples' must be an integer >= 1, got {count!r}")
     samples = _calderon_samples(action, spec, count, args.seed)
-    cal = calderon_check(spec, samples)
+    cal = calderon_check(spec, samples, args.quad_order)
     hi = max(hi for _, hi in spec.W.bounds)
     dx = np.pi / (4.0 * hi)
     # lattice sizes scale down with dimension: a family with no aligned axes
@@ -318,7 +321,7 @@ def _write_csv(path: str, header, table: np.ndarray, fmt: str) -> None:
 def _cmd_cwt(args, doc, alg: DilationAlgebra) -> dict:
     from .wavelet import cwt
 
-    _, spec = _wavelet_spec(args, doc, alg)
+    _, spec = _wavelet_spec(doc, alg)
     sig_path = doc.get("signal")
     if not isinstance(sig_path, str) or not sig_path:
         raise InputError(f"'signal' must be a non-empty string (a CSV path), got {sig_path!r}")

@@ -77,14 +77,6 @@ def case3b() -> DilationAlgebra:
     return DilationAlgebra([R, np.diag([0.0, 0.0, 1.0])])
 
 
-def diag_nilpotent_pair(n: int = 2) -> tuple[np.ndarray, np.ndarray]:
-    """The displayed n = 2 pair (A = I, X = e21), or its n-dim analogue."""
-    A = np.eye(n)
-    X = np.zeros((n, n))
-    X[1, 0] = 1.0
-    return A, X
-
-
 GOLDEN_TABLE_BUILDERS = {
     "a": family_a,
     "b": family_b,

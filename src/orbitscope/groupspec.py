@@ -22,7 +22,7 @@ from . import __version__
 from .errors import InputError, SpecParseError
 from .linalg import MAX_DIM, DilationAlgebra
 
-SCHEMA_VERSION = "3"
+SCHEMA_VERSION = "4"
 
 
 def _is_real(x) -> bool:

@@ -80,6 +80,14 @@ def mat_exp(M) -> np.ndarray:
     return E
 
 
+def pow2_scaled(mats) -> list[np.ndarray]:
+    """mats divided by 2^e, e the frexp exponent of their largest entry: they
+    span the same group, the division is exact and the largest entry lands in
+    [1/2, 1), so no norm overflows and no threshold sees the scale."""
+    e = np.frexp(max(float(np.max(np.abs(M))) for M in mats))[1]
+    return [np.ldexp(M, -e) for M in mats]
+
+
 def commutator(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return X @ Y - Y @ X
 

@@ -18,18 +18,13 @@ PROBE_SEED = 424243
 N_ADMISSIBILITY_PROBES = 64
 
 
-def tangent_matrix(alg: DilationAlgebra, xi) -> np.ndarray:
-    """n x d matrix [X_1^T xi | ... | X_d^T xi] spanning the orbit tangent."""
-    x = np.asarray(xi, dtype=float).reshape(alg.n)
-    return np.column_stack([G.T @ x for G in alg.generators])
-
-
 def orbit_dims(alg: DilationAlgebra, points) -> np.ndarray:
     """Orbit dimension at every row of `points`, as one batched SVD.
 
-    Row i of the (m, n, d) stack is tangent_matrix(alg, points[i]); its rank
-    counts the singular values above alg.tol times the largest, and is 0
-    when the largest is 0, which is rank_tol's rule.
+    Row i of the (m, n, d) stack is [X_1^T xi | ... | X_d^T xi] at
+    xi = points[i], which spans the orbit tangent; its rank counts the
+    singular values above alg.tol times the largest, and is 0 when the
+    largest is 0, which is rank_tol's rule.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, alg.n)
     stack = np.einsum("jab,ma->mbj", np.stack(alg.generators), pts)

@@ -47,24 +47,13 @@ def _reference_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def gauss_legendre(order: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the `order`-point Gauss-Legendre rule on [a, b]."""
-    if order < 1:
-        raise ValueError("quadrature order must be >= 1")
-    if not b > a:
-        raise ValueError("empty quadrature interval")
-    x, w = _reference_rule(int(order))
-    half = 0.5 * (b - a)
-    return half * (x + 1.0) + a, half * w
-
-
 def tensor_rules(boxes, orders) -> tuple[np.ndarray, np.ndarray]:
     """Tensor Gauss-Legendre rules over m boxes at once.
 
     `boxes` is (m, d, 2), one (lo, hi) pair per axis and box; `orders` has
     one int per axis.  Returns nodes (m, N, d) and weights (m, N) with
     N = prod(orders), the nodes in C order over the axes.  Each axis maps
-    the reference rule as gauss_legendre does, and the weights multiply
+    the reference rule affinely onto [lo, hi], and the weights multiply
     axis by axis.
     """
     boxes = np.asarray(boxes, dtype=float)

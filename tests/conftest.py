@@ -3,8 +3,9 @@ import pytest
 
 from orbitscope import families as F
 from orbitscope.linalg import DilationAlgebra
+from orbitscope.quad import _reference_rule
 from orbitscope.quasisection import BoxSet, diagonal_action
-from orbitscope.wavelet import synth_wavelet
+from orbitscope.wavelet import _mesh, synth_wavelet
 
 
 def series_exp(M, scale=1.0, terms=60):
@@ -16,6 +17,36 @@ def series_exp(M, scale=1.0, terms=60):
         term = term @ A / k
         E = E + term
     return E
+
+
+def diag_nilpotent_pair(n: int = 2) -> tuple[np.ndarray, np.ndarray]:
+    """The displayed n = 2 pair (A = I, X = e21), or its n-dim analogue."""
+    A = np.eye(n)
+    X = np.zeros((n, n))
+    X[1, 0] = 1.0
+    return A, X
+
+
+def tangent_matrix(alg: DilationAlgebra, xi) -> np.ndarray:
+    """n x d matrix [X_1^T xi | ... | X_d^T xi] spanning the orbit tangent."""
+    x = np.asarray(xi, dtype=float).reshape(alg.n)
+    return np.column_stack([G.T @ x for G in alg.generators])
+
+
+def gauss_legendre(order: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the `order`-point Gauss-Legendre rule on [a, b]."""
+    if order < 1:
+        raise ValueError("quadrature order must be >= 1")
+    if not b > a:
+        raise ValueError("empty quadrature interval")
+    x, w = _reference_rule(int(order))
+    half = 0.5 * (b - a)
+    return half * (x + 1.0) + a, half * w
+
+
+def frequency_lattice(shape, dx) -> np.ndarray:
+    """The points of the FFT frequency lattice, 2 pi fftfreq per axis, C order."""
+    return _mesh([2.0 * np.pi * np.fft.fftfreq(N, d) for N, d in zip(shape, dx)])
 
 
 def random_diag_nilpotent(rng, n):
@@ -79,11 +110,11 @@ def dilation_1d():
 @pytest.fixture(scope="session")
 def spec_1d(dilation_1d):
     act = diagonal_action(dilation_1d)
-    return synth_wavelet(act, BoxSet([(1.0, 2.0)]), BoxSet([(0.8, 2.5)]), orders=64)
+    return synth_wavelet(act, BoxSet([(1.0, 2.0)]), BoxSet([(0.8, 2.5)]))
 
 
 @pytest.fixture(scope="session")
 def spec_case_a():
     act = diagonal_action(F.family_a(1.0))
     C = BoxSet([(0.5, 2.0), (0.5, 2.0)])
-    return synth_wavelet(act, C, orders=64)
+    return synth_wavelet(act, C)

@@ -22,12 +22,11 @@ from orbitscope.sections import normal_form, section_batch
 from orbitscope.wavelet import (
     calderon_check,
     cwt,
-    frequency_lattice,
     l1_estimate,
     synth_wavelet,
 )
 
-from conftest import random_diag_nilpotent, series_exp
+from conftest import diag_nilpotent_pair, frequency_lattice, random_diag_nilpotent, series_exp
 
 VERDICT_STORE: list[dict] = []
 
@@ -88,7 +87,7 @@ def test_criterion_2_diag_nilpotent_family():
         assert v.integrable == "no", f"pair {i} (n={n}) not refused"
         assert v.orbit_space_compact == "no"
         VERDICT_STORE.append(v.to_json())
-    A2, X2 = F.diag_nilpotent_pair(2)
+    A2, X2 = diag_nilpotent_pair(2)
     v2 = classify_diag_nilpotent(A2, X2)
     assert v2.orbit_space_compact == "yes"
     assert v2.witnesses["open_orbits"] == 2
@@ -188,7 +187,7 @@ def test_criterion_6_calderon(spec_1d, spec_case_a):
     rng = np.random.default_rng(80)
     xis1 = (np.exp(rng.uniform(-2, 2, 100)) * rng.uniform(1, 2, 100)
             * np.sign(rng.standard_normal(100))).reshape(-1, 1)
-    rep1 = calderon_check(spec_1d, xis1)
+    rep1 = calderon_check(spec_1d, xis1, orders=64)
     assert rep1.n_covered == 100
     assert rep1.max_deviation < 1e-3, f"1-D deviation {rep1.max_deviation:.3g}"
 
@@ -199,7 +198,7 @@ def test_criterion_6_calderon(spec_1d, spec_case_a):
         @ (xi0 * rng.uniform(0.85, 1.2, 3))
         for _ in range(100)
     ])
-    rep2 = calderon_check(spec_case_a, samples)
+    rep2 = calderon_check(spec_case_a, samples, orders=64)
     assert rep2.n_covered == 100
     assert rep2.max_deviation < 1e-3, f"case-(a) deviation {rep2.max_deviation:.3g}"
     _report(6, f"Calderon deviation {max(rep1.max_deviation, rep2.max_deviation):.2e} "
@@ -227,7 +226,7 @@ def test_criterion_7_discrete_isometry(spec_1d):
 
     # n = 2 rotation-scaling sub-block of case (a) on a 64^2 grid
     alg2 = DilationAlgebra([np.array([[1.0, -1.0], [1.0, 1.0]])])
-    spec2 = synth_wavelet(diagonal_action(alg2), BoxSet([(1.0, 2.0)]), orders=64)
+    spec2 = synth_wavelet(diagonal_action(alg2), BoxSet([(1.0, 2.0)]))
     N2, dx2 = 64, np.pi / 10.0
     freqs2 = frequency_lattice((N2, N2), (dx2, dx2))
     rad = np.linalg.norm(freqs2, axis=1)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from orbitscope.classify import (
     ClassificationVerdict,
     classify3,
     classify_diag_nilpotent,
+    classify_dispatch,
     classify_one_param,
 )
 from orbitscope.errors import (
@@ -15,6 +18,8 @@ from orbitscope.errors import (
 )
 from orbitscope.linalg import DilationAlgebra
 from orbitscope.orbits import stratify
+
+from conftest import diag_nilpotent_pair
 
 
 def fields(v):
@@ -188,7 +193,7 @@ class TestClassify3Structure:
 
 class TestDiagNilpotent:
     def test_displayed_n2_pair(self):
-        A, X = F.diag_nilpotent_pair(2)
+        A, X = diag_nilpotent_pair(2)
         v = classify_diag_nilpotent(A, X)
         assert v.orbit_space_compact == "yes"
         assert v.integrable == "yes"
@@ -272,3 +277,20 @@ class TestGenericBases:
             A, X = random_diag_nilpotent(rng, int(rng.integers(4, 7)))
             got = classify_dispatch(DilationAlgebra([A + X, A - 2.0 * X]))
             assert verdict(got) == verdict(classify_diag_nilpotent(A, X)), s
+
+
+class TestDispatchScale:
+    @pytest.mark.parametrize("scale", [1e300, 1e200, 1e100, 1e6, 1e-6, 1e-12, 1e-100,
+                                       1e-200, 1e-300])
+    @pytest.mark.parametrize("key", ["a", "b11", "b1m1", "b10", "c", "d", "e", "case0",
+                                     "case1a", "case1b", "case1c", "case2", "case3b"])
+    def test_scaled_golden_family(self, golden_families, key, scale):
+        # exp(span{s X_j}) is the group exp(span{X_j}), so the verdict does
+        # not depend on s
+        alg = golden_families[key]
+        with warnings.catch_warnings():
+            # the commutativity check multiplies generator norms, which
+            # overflows for entries above about 1e154
+            warnings.simplefilter("ignore", RuntimeWarning)
+            scaled = DilationAlgebra([scale * G for G in alg.generators], tol=alg.tol)
+        assert classify_dispatch(scaled).to_json() == classify_dispatch(alg).to_json()

@@ -171,6 +171,18 @@ class TestClassifyDispatch:
         assert res.returncode == 0, res.stderr
         assert json.loads(out.read_text())["payload"]["verdicts"][0]["case_tag"] == "diag_nilp"
 
+    def test_d2_large_entries(self, tmp_path):
+        # 1e200 diag(1, 1, 0), 1e200 diag(0, 0, 1) generates the group of
+        # diag(1, 1, 0), diag(0, 0, 1): case 3a, computed without overflow
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"n": 3, "generators": [
+            (1e200 * np.diag([1.0, 1.0, 0.0])).ravel().tolist(),
+            (1e200 * np.diag([0.0, 0.0, 1.0])).ravel().tolist()]}))
+        res = run_cli("classify", "--input", str(path))
+        assert res.returncode == 0, res.stderr
+        verdict = json.loads(res.stdout)["payload"]["verdicts"][0]
+        assert verdict["case_tag"] == "3a" and verdict["integrable"] == "yes"
+
     def test_uncovered_family_exit_2(self, tmp_path):
         path = tmp_path / "n5.json"
         path.write_text(json.dumps({
@@ -449,6 +461,40 @@ class TestGroupSpecInput:
         assert seen == [1e-8] * 5
 
 
+_BOX_1D = {"n": 1, "generators": DILATION_1D, "box": {"bounds": [[1.0, 2.0]]}}
+# the flags each subcommand reads, as the header's overrides name them
+_OVERRIDE_INPUTS = {
+    "classify": (DIAG_2D, set()),
+    "strata": (DIAG_2D, {"grid"}),
+    "section": ({"n": 3, "generators": [[1, 0, 0, 0, 1, 0, 0, 0, 0],
+                                        [0, 0, 0, 1, 0, 0, 0, 0, 0]],
+                 "points": [[1.0, 5.0, 7.0]]}, set()),
+    "quasisection": (_BOX_1D, set()),
+    "wavelet": ({**_BOX_1D, "samples": 2}, {"quad_order", "grid"}),
+    "cwt": ({**_BOX_1D, "param_counts": 4}, set()),
+}
+
+
+class TestHeaderOverrides:
+    @pytest.mark.parametrize("flags", [[], ["--tol", "1e-8"]], ids=["no-tol", "tol"])
+    @pytest.mark.parametrize("subcommand", list(_OVERRIDE_INPUTS))
+    def test_overrides_are_the_flags_read(self, tmp_path, subcommand, flags):
+        doc, keys = _OVERRIDE_INPUTS[subcommand]
+        if subcommand == "cwt":
+            signal = tmp_path / "signal.csv"
+            np.savetxt(signal, np.cos(2.0 * np.pi * 8.0 * np.arange(64) / 64.0))
+            doc = {**doc, "signal": str(signal)}
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out.json"
+        assert main([subcommand, "--input", str(path), "--out", str(out), "--grid", "8",
+                     "--quad-order", "16", *flags]) == 0
+        overrides = json.loads(out.read_text())["header"]["overrides"]
+        assert set(overrides) == keys | ({"tol"} if flags else set())
+        assert overrides == {key: {"grid": 8, "quad_order": 16, "tol": 1e-8}[key]
+                             for key in overrides}
+
+
 class TestWaveletSamples:
     @pytest.mark.parametrize("samples", [0, -3, "abc", 2.5],
                              ids=["zero", "negative", "string", "fraction"])
@@ -475,7 +521,7 @@ class TestGhatExport:
                      "--quad-order", "32"]) == 0
         report = json.loads(out.read_text())
         validate_report(report)
-        assert report["header"]["schema_version"] == "3"
+        assert report["header"]["schema_version"] == "4"
         payload = report["payload"]
         basis = np.array(payload["spec"]["basis"])
         slices = [slice(a, b) for a, b in payload["spec"]["slices"]]
@@ -495,7 +541,7 @@ class TestGhatExport:
         back = np.stack([np.linalg.norm((xi @ basis)[:, sl], axis=1) for sl in slices], axis=1)
         np.testing.assert_allclose(back, r, rtol=1e-12)
         action = diagonal_action(group_spec_from_dict(CASE_A))
-        spec = synth_wavelet(action, BoxSet(CASE_A["box"]["bounds"]), orders=32)
+        spec = synth_wavelet(action, BoxSet(CASE_A["box"]["bounds"]))
         assert spec.sigma == payload["spec"]["sigma"]
         ghat = spec.ghat(xi)
         assert np.count_nonzero(ghat) > 0
@@ -508,7 +554,7 @@ class TestGhatExport:
         # m per axis = min(per_axis, 64, the largest m with m^k <= 4096)
         action = diagonal_action(group_spec_from_dict(
             {"n": k, "generators": [np.diag(np.eye(k)[i]).tolist() for i in range(k)]}))
-        spec = synth_wavelet(action, BoxSet([(1.0, 2.0)] * k), orders=24)
+        spec = synth_wavelet(action, BoxSet([(1.0, 2.0)] * k))
         path = tmp_path / "ghat.csv"
         for per_axis, m in cases:
             _export_ghat(spec, str(path), per_axis=per_axis)

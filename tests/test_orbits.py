@@ -9,8 +9,9 @@ from orbitscope.orbits import (
     orbit_dim,
     orbit_dims,
     stratify,
-    tangent_matrix,
 )
+
+from conftest import tangent_matrix
 
 
 def fd_orbit_rank(alg, xi, h=1e-5, ambiguous_band=(1e-7, 1e-3)):

@@ -72,13 +72,18 @@ def _names(nodes):
 
 class TestNoDeadCode:
     def test_private_defs_have_a_caller_and_errors_are_raised(self):
+        # every module-level def or class outside the export table (private
+        # or not) is used in src/ outside its own definition; a helper that
+        # only tests call belongs in the tests
         trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
         nodes = [node for tree in trees.values() for node in ast.walk(tree)]
+        exported = {f"{module}.py:{name}" for name, module in orbitscope._EXPORTS.items()}
         unused = []
         for module, tree in trees.items():
             for defn in tree.body:
                 if (isinstance(defn, (ast.FunctionDef, ast.ClassDef))
-                        and defn.name.startswith("_") and not defn.name.endswith("__")):
+                        and not defn.name.endswith("__")
+                        and f"{module}:{defn.name}" not in exported):
                     own = {id(node) for node in ast.walk(defn)}
                     if defn.name not in _names(n for n in nodes if id(n) not in own):
                         unused.append(f"{module}:{defn.name}")

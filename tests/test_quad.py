@@ -3,7 +3,9 @@ import numpy.testing as npt
 import pytest
 
 from orbitscope import quad
-from orbitscope.quad import _reference_rule, gauss_legendre, tensor_rules
+from orbitscope.quad import _reference_rule, tensor_rules
+
+from conftest import gauss_legendre
 
 ORDERS = (1, 2, 3, 8, 64, 128, 256, 1024, 2048)
 

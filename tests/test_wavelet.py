@@ -18,9 +18,9 @@ from orbitscope.errors import (
 )
 from orbitscope.families import family_a, family_b, family_e
 from orbitscope.linalg import DilationAlgebra, mat_exp
-from orbitscope.quad import gauss_legendre
-from orbitscope.quasisection import BoxSet, c_i_box, diagonal_action
+from orbitscope.quasisection import BoxSet, _point_system, c_i_box, diagonal_action
 from orbitscope.wavelet import (
+    _SUPPORT_PAD,
     _axis_groups,
     _containment_points,
     _group_l1,
@@ -28,17 +28,18 @@ from orbitscope.wavelet import (
     _half_lattice,
     _l1_values,
     _lattice_slices,
+    _padded_boxes,
     bump,
     calderon_check,
     cwt,
-    frequency_lattice,
     l1_estimate,
     meeting_param_box,
     param_lattice,
-    point_support_box,
     smoothstep,
     synth_wavelet,
 )
+
+from conftest import frequency_lattice, gauss_legendre
 
 
 @pytest.fixture(scope="module")
@@ -99,8 +100,8 @@ class TestSigma:
         moved = [mat_exp(-dilation_1d.element(rng.uniform(-2, 2, 1)).T) @ xi
                  for _ in range(5)]
         r = act_1d.block_abs([xi, *moved])
-        boxes = [point_support_box(act_1d, phi_1d.outer, ri) for ri in r]
-        vals, _ = _haar_integral(act_1d, phi_1d.block_values, r, boxes, 64)
+        boxes = _padded_boxes(*_point_system(act_1d, phi_1d.outer, r), _SUPPORT_PAD)[1]
+        vals = _haar_integral(act_1d, phi_1d.block_values, r, boxes, 64)
         assert np.max(np.abs(vals[1:] - vals[0])) < 1e-6
 
     def test_indicator_log_closed_form(self, act_1d):
@@ -110,16 +111,16 @@ class TestSigma:
         def indicator(r):
             return ((r[:, 0] >= a) & (r[:, 0] <= b)).astype(float)
 
-        vals, _ = _haar_integral(act_1d, indicator, np.array([[1.3]]), [((-3.0, 3.0),)],
-                                 4096, refine=False)
+        vals = _haar_integral(act_1d, indicator, np.array([[1.3]]), [((-3.0, 3.0),)], 4096)
         assert abs(vals[0] - np.log(b / a)) < 2e-3
 
     def test_smoothness_second_differences(self, spec_1d):
         # finite-difference second derivatives of sigma stay bounded inside W
         rs = np.linspace(1.0, 2.0, 31)
-        boxes = [point_support_box(spec_1d.action, spec_1d.W, [r]) for r in rs]
-        vals, _ = _haar_integral(spec_1d.action, spec_1d.phi.block_values, rs[:, None],
-                                 boxes, 64)
+        boxes = _padded_boxes(*_point_system(spec_1d.action, spec_1d.W, rs[:, None]),
+                              _SUPPORT_PAD)[1]
+        vals = _haar_integral(spec_1d.action, spec_1d.phi.block_values, rs[:, None],
+                              boxes, 64)
         h = rs[1] - rs[0]
         second = np.abs(np.diff(vals, 2)) / h ** 2
         assert np.max(second) < 50.0
@@ -127,7 +128,8 @@ class TestSigma:
 
 class TestSynth:
     def test_1d_spec(self, spec_1d):
-        assert spec_1d.convergence["sigma_doubling_rel"] < 1e-3
+        assert spec_1d.convergence["trapezoid_intervals"] == [256, 512]
+        assert max(spec_1d.convergence["block_rel_diff"]) < 1e-10
         vals = spec_1d.ghat(np.array([[1.5], [-1.5], [3.0]]))
         assert vals[0] > 0 and abs(vals[0] - vals[1]) < 1e-12 and vals[2] == 0.0
 
@@ -141,7 +143,7 @@ class TestSynth:
         act = diagonal_action(family_b(1.0, 1.0))
         C = BoxSet([(0.0, 2.0), (0.0, 2.0), (0.5, 2.0)])
         with pytest.raises(QuasiSectionRefused) as err:
-            synth_wavelet(act, C, orders=16)
+            synth_wavelet(act, C)
         assert err.value.witness is not None
 
     def test_unbounded_w_support_raises(self):
@@ -151,12 +153,14 @@ class TestSynth:
         C = BoxSet([(1.0, 2.0), (1.0, 2.0)])
         W = BoxSet([(0.0, 2.5), (0.8, 2.5)])
         with pytest.raises(SupportUnbounded):
-            synth_wavelet(act, C, W, orders=16)
+            synth_wavelet(act, C, W)
 
     @pytest.mark.parametrize("name", ["spec_1d", "spec_case_a"])
     def test_sigma_is_haar_integral_on_c_centre_orbit(self, name, request):
         # the frequency xi* whose block magnitudes are C's centre, and points
-        # of its orbit, all integrate to the one sigma the spec stores
+        # of its orbit, all integrate to the one sigma the spec stores: the
+        # tensor Gauss-Legendre rule at order 512 per parameter is an oracle
+        # independent of the block integrals
         spec = request.getfixturevalue(name)
         act = spec.action
         w = np.zeros(act.alg.n)
@@ -167,23 +171,41 @@ class TestSynth:
         xis = [xi_star] + [mat_exp(-act.alg.element(rng.uniform(-1, 1, act.d)).T) @ xi_star
                            for _ in range(4)]
         r = act.block_abs(xis)
-        boxes = [point_support_box(act, spec.W, ri) for ri in r]
-        vals, _ = _haar_integral(act, spec.phi.block_values, r, boxes, 64)
-        assert abs(spec.sigma - vals[0]) <= 1e-12 * vals[0]
-        npt.assert_allclose(vals, spec.sigma, rtol=1e-6)
+        boxes = _padded_boxes(*_point_system(act, spec.W, r), _SUPPORT_PAD)[1]
+        vals = _haar_integral(act, spec.phi.block_values, r, boxes, 512)
+        npt.assert_allclose(vals, spec.sigma, rtol=1e-10, atol=0)
+
+    def test_family_e_is_a_product_of_1d_specs(self):
+        # three blocks, one per parameter: sigma is the product of the 1-D
+        # specs' sigma on the same block bounds, and the L1 kernel stays
+        # inside the meeting box
+        C = [(0.5, 2.0), (0.7, 1.5), (1.0, 3.0)]
+        spec = synth_wavelet(diagonal_action(family_e()), BoxSet(C))
+        act_1d = diagonal_action(DilationAlgebra([np.array([[1.0]])]))
+        parts = [synth_wavelet(act_1d, BoxSet([c]), BoxSet([w])).sigma
+                 for c, w in zip(C, spec.W.bounds)]
+        npt.assert_allclose(spec.sigma, np.prod(parts), rtol=1e-14)
+        dx = np.pi / (4.0 * max(hi for _, hi in spec.W.bounds))
+        assert l1_estimate(spec, 32, dx, param_counts=20).containment_max == 0.0
+
+    def test_unresolved_block_integral_warns(self, act_1d):
+        # W's lower ramp is 1e-4 wide in ln r, far below the trapezoid step
+        with pytest.warns(UserWarning, match="not stable to 0.1%"):
+            spec = synth_wavelet(act_1d, BoxSet([(1.0, 2.0)]), BoxSet([(0.9999, 2.0002)]))
+        assert spec.convergence["block_rel_diff"][0] > 1e-3
 
     def test_non_open_orbits_refused_diagonal(self):
         act = diagonal_action(DilationAlgebra([np.diag([1.0, 2.0])]))
         with pytest.raises(ZeroSigma):
-            synth_wavelet(act, BoxSet([(1.0, 2.0), (1.0, 2.0)]), orders=16)
+            synth_wavelet(act, BoxSet([(1.0, 2.0), (1.0, 2.0)]))
 
     def test_non_open_orbits_refused_family_b(self):
         act = diagonal_action(family_b(1.0, 1.0))
         with pytest.raises(ZeroSigma):
-            synth_wavelet(act, c_i_box(1, 2.0), orders=16)
+            synth_wavelet(act, c_i_box(1, 2.0))
 
     def test_default_enlargement(self, act_1d):
-        spec = synth_wavelet(act_1d, BoxSet([(1.0, 2.0)]), orders=32)
+        spec = synth_wavelet(act_1d, BoxSet([(1.0, 2.0)]))
         npt.assert_allclose(spec.W.bounds[0], (1.0 / 1.25, 2.0 * 1.25))
 
 
@@ -192,17 +214,18 @@ class TestCalderon:
         rng = np.random.default_rng(2)
         xis = (np.exp(rng.uniform(-2, 2, 50)) * rng.uniform(1, 2, 50)
                * np.sign(rng.standard_normal(50))).reshape(-1, 1)
-        rep = calderon_check(spec_1d, xis)
+        rep = calderon_check(spec_1d, xis, orders=64)
         assert rep.n_covered == 50 and rep.max_deviation < 1e-3
 
     def test_invariance_along_orbit(self, spec_1d, dilation_1d):
         xi0 = np.array([1.4])
-        r0 = calderon_check(spec_1d, [xi0])
-        r1 = calderon_check(spec_1d, [mat_exp(-dilation_1d.element([0.9]).T) @ xi0])
+        r0 = calderon_check(spec_1d, [xi0], orders=64)
+        xi1 = mat_exp(-dilation_1d.element([0.9]).T) @ xi0
+        r1 = calderon_check(spec_1d, [xi1], orders=64)
         assert abs(r0.values[0] - r1.values[0]) < 1e-6
 
     def test_uncovered_excluded(self, spec_1d):
-        rep = calderon_check(spec_1d, [[1.5], [0.0]])
+        rep = calderon_check(spec_1d, [[1.5], [0.0]], orders=64)
         assert rep.n_covered == 1 and rep.n_uncovered == 1
 
     def test_wrong_sigma_fails_instead_of_dropping_samples(self, spec_1d):
@@ -210,7 +233,7 @@ class TestCalderon:
         # size of the integral, so a 3x error in sigma shows as a deviation
         bad = dataclasses.replace(spec_1d, sigma=3 * spec_1d.sigma)
         xis = np.exp(np.random.default_rng(3).uniform(-2, 2, 20)).reshape(-1, 1)
-        rep = calderon_check(bad, xis)
+        rep = calderon_check(bad, xis, orders=64)
         assert rep.n_covered == 20 and rep.n_uncovered == 0
         assert rep.max_deviation == pytest.approx(2.0 / 3.0, abs=1e-3)
 
@@ -218,10 +241,10 @@ class TestCalderon:
         # the batched rule runs in groups of node rows, so its temporaries do
         # not grow with the number of samples
         xis = _calderon_samples(spec_case_a.action, spec_case_a, 100, 0)
-        calderon_check(spec_case_a, xis[:2])  # reference rules cached
+        calderon_check(spec_case_a, xis[:2], orders=64)  # reference rules cached
         tracemalloc.start()
         try:
-            rep = calderon_check(spec_case_a, xis)
+            rep = calderon_check(spec_case_a, xis, orders=64)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -244,8 +267,8 @@ class TestHaarIntegral:
         def f(rows):
             return np.exp(-np.sum(np.log(rows) ** 2, axis=1))
 
-        vals, drift = _haar_integral(action, f, r, boxes, orders, refine=False)
-        assert vals.shape == (m,) and drift == 0.0
+        vals = _haar_integral(action, f, r, boxes, orders)
+        assert vals.shape == (m,)
         for ri, box, val in zip(r, boxes, vals):
             axes = [gauss_legendre(o, lo_, hi_) for o, (lo_, hi_) in zip(orders, box)]
             ref = 0.0
@@ -306,7 +329,7 @@ class TestCwt:
 @pytest.fixture(scope="module")
 def spec_2d_rotation_scaling():
     act = diagonal_action(DilationAlgebra([np.array([[1.0, -1.0], [1.0, 1.0]])]))
-    return synth_wavelet(act, BoxSet([(1.0, 2.0)]), orders=64)
+    return synth_wavelet(act, BoxSet([(1.0, 2.0)]))
 
 
 class TestLatticeSlices:
@@ -520,10 +543,14 @@ class TestL1Estimate:
 
 
 class TestPointSupportBox:
+    # the padded parameter-support boxes that calderon_check integrates over
     def test_contains_true_support(self, act_1d, phi_1d):
-        box = point_support_box(act_1d, phi_1d.outer, [1.5])
-        lo, hi = box[0]
-        assert lo < np.log(0.8 / 1.5) and hi > np.log(2.5 / 1.5)
+        nonempty, boxes = _padded_boxes(*_point_system(act_1d, phi_1d.outer, np.array([[1.5]])),
+                                        _SUPPORT_PAD)
+        lo, hi = boxes[0, 0]
+        assert nonempty[0] and lo < np.log(0.8 / 1.5) and hi > np.log(2.5 / 1.5)
 
     def test_unreachable_point_none(self, act_1d, phi_1d):
-        assert point_support_box(act_1d, phi_1d.outer, [0.0]) is None
+        nonempty, boxes = _padded_boxes(*_point_system(act_1d, phi_1d.outer, np.array([[0.0]])),
+                                        _SUPPORT_PAD)
+        assert not nonempty[0] and boxes.shape[0] == 0
