@@ -527,37 +527,13 @@ def classify_dispatch(alg: DilationAlgebra):
     if alg.n == 3 and alg.d in (2, 3):
         return classify3(alg)
     if alg.d == 2:
-        rd = roots_decompose(alg)
-        if len(rd.nilpotent_basis) == 1:
-            X = rd.nilpotent_basis[0]
-            A = _semisimple_direction(alg, rd)
-            if A is not None:
-                try:
-                    return classify_diag_nilpotent(A, X, tol=alg.tol)
-                except DomainError:
-                    pass
+        from .sections import diag_nilpotent_pair  # only this route needs sections
+
+        pair = diag_nilpotent_pair(alg)
+        if pair is not None:
+            try:
+                return classify_diag_nilpotent(*(alg.element(c) for c in pair), tol=alg.tol)
+            except DomainError:
+                pass
     raise UnclassifiedFamily(f"no decision procedure covers n = {alg.n}, d = {alg.d}")
 
-
-def _semisimple_direction(alg, rd):
-    """Semisimple part of a non-nilpotent generator, if it stays in the span.
-
-    For span{A diagonalizable, X nilpotent} the Jordan-Chevalley nilpotent
-    part of any g = aA + bX is bX, so the semisimple part aA lies in the
-    algebra; families where it escapes the span are not of this type.
-    """
-    if not rd.all_real():
-        return None
-    P = np.hstack(rd.blocks)
-    Pinv = np.linalg.inv(P)
-    for j, G in enumerate(alg.generators):
-        diag = np.concatenate([
-            np.full(V.shape[1], lam[j].real) for lam, V in zip(rd.roots, rd.blocks)
-        ])
-        S = P @ np.diag(diag) @ Pinv  # oblique spectral combination = g_s
-        if np.linalg.norm(S) < 1e-10:
-            continue
-        stacked = np.stack([g.ravel() for g in alg.generators] + [S.ravel()])
-        if rank_tol(stacked, 1e-8) == alg.d:
-            return S
-    return None

@@ -13,9 +13,11 @@ number > 0 or "param_counts" that is not an integer >= 1; a `wavelet`
 "samples" that is not an integer >= 1; a `quasisection`
 "orbit_space_compact" that is not true, false or null; a `cwt` "signal"
 that is not a non-empty string.  The group spec must be a JSON object, with
---tol or without.  `section` answers all its points
-with one batched call; a point without a section gets a record naming
-NotInLayer or ZeroEigenvalue.  Side files (the `strata` probe CSV, the
+--tol or without.  `section` reads a diagonalizable A and a nilpotent X
+from its two generators, however they are written, answers all its points
+with one batched call and gives each witness as the coefficients on the two
+generators; a point without a section gets a record naming NotInLayer or
+ZeroEigenvalue.  Side files (the `strata` probe CSV, the
 `section` JSONL, the `wavelet` ghat CSV, the `cwt` .npz) are written next to
 --out and only with it.  Reports are deterministic for fixed inputs
 and flags (modulo the timestamp header field) and carry a provenance header
@@ -37,7 +39,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
-from .errors import DomainError, InputError
+from .errors import DomainError, InputError, NotDiagonalizable
 from .groupspec import (
     dump_report,
     group_spec_from_dict,
@@ -155,13 +157,18 @@ def _cmd_strata(args, doc, alg: DilationAlgebra) -> dict:
 
 
 def _cmd_section(args, doc, alg: DilationAlgebra) -> dict:
-    from .sections import normal_form, section_batch
+    from .sections import diag_nilpotent_pair, normal_form, section_batch
 
     if alg.d != 2:
-        raise InputError("section expects exactly two generators (A, X)")
+        raise InputError("section expects exactly two generators")
     V = _parse_points(doc.get("points"), alg.n)
-    A, X = alg.generators
-    sec = section_batch(normal_form(A, X, tol=alg.tol), V)
+    pair = diag_nilpotent_pair(alg)
+    if pair is None:
+        raise NotDiagonalizable("the generators span no diagonalizable + nilpotent pair")
+    a, x = pair
+    sec = section_batch(normal_form(alg.element(a), alg.element(x), tol=alg.tol), V)
+    # exp(sA + tX) = exp(c_1 G_1 + c_2 G_2) with c = s a + t x
+    c = np.outer(sec.s, a) + np.outer(sec.t, x)
     error = np.where(sec.zero_eigenvalue, "ZeroEigenvalue",
                      np.where(sec.not_in_layer, "NotInLayer", ""))
     records = [
@@ -170,7 +177,7 @@ def _cmd_section(args, doc, alg: DilationAlgebra) -> dict:
          "witness_s": s, "witness_t": t, "sign": sign}
         for pt, err, blk, lam, b, rep, s, t, sign in zip(
             V.tolist(), error.tolist(), sec.block.tolist(), sec.eigenvalue.tolist(),
-            sec.b.tolist(), sec.representative.tolist(), sec.s.tolist(), sec.t.tolist(),
+            sec.b.tolist(), sec.representative.tolist(), c[:, 0].tolist(), c[:, 1].tolist(),
             sec.sign.tolist())
     ]
     if args.out:

@@ -80,11 +80,16 @@ def mat_exp(M) -> np.ndarray:
     return E
 
 
+def _pow2_exponent(mats) -> int:
+    """The frexp exponent of the largest entry of mats."""
+    return int(np.frexp(max(float(np.max(np.abs(M))) for M in mats))[1])
+
+
 def pow2_scaled(mats) -> list[np.ndarray]:
     """mats divided by 2^e, e the frexp exponent of their largest entry: they
     span the same group, the division is exact and the largest entry lands in
     [1/2, 1), so no norm overflows and no threshold sees the scale."""
-    e = np.frexp(max(float(np.max(np.abs(M))) for M in mats))[1]
+    e = _pow2_exponent(mats)
     return [np.ldexp(M, -e) for M in mats]
 
 
@@ -95,21 +100,25 @@ def commutator(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 def check_commuting(generators, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
     """Whether all pairwise commutators vanish relative to the generator scales.
 
-    Returns (ok, worst) with worst = max ||[X_i, X_j]|| over i < j.
+    Returns (ok, worst) with worst = max ||[X_i, X_j]|| over i < j, in the
+    generators' units (inf past the float range).  The test runs on the
+    pow2_scaled copies, so no norm product overflows or underflows.
     """
     mats = [as_matrix(G) for G in generators]
     if len({A.shape[0] for A in mats}) > 1:
         raise ValueError("generators must share one dimension")
+    scaled = pow2_scaled(mats)
     worst = 0.0
     ok = True
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            c = np.linalg.norm(commutator(mats[i], mats[j]))
+    for i in range(len(scaled)):
+        for j in range(i + 1, len(scaled)):
+            c = np.linalg.norm(commutator(scaled[i], scaled[j]))
             worst = max(worst, c)
-            scale = max(np.linalg.norm(mats[i]) * np.linalg.norm(mats[j]), 1e-300)
+            scale = max(np.linalg.norm(scaled[i]) * np.linalg.norm(scaled[j]), 1e-300)
             if c > tol * scale:
                 ok = False
-    return ok, worst
+    with np.errstate(over="ignore"):  # a commutator past the float range reads inf
+        return ok, float(np.ldexp(worst, 2 * _pow2_exponent(mats)))
 
 
 def rank_tol(M, tol: float = DEFAULT_TOL) -> int:
@@ -239,27 +248,33 @@ def _root_scale(roots) -> float:
     return max(m, 1.0)
 
 
-def _generalized_eigenspace(A: np.ndarray, mu: complex, n: int) -> np.ndarray:
-    """Stabilized kernel of A - mu by iterated first-power kernels.
+def kernel_filtration(M) -> list[np.ndarray]:
+    """Orthonormal bases (columns) of ker M, ker M^2, ... until the kernel stops
+    growing (one empty basis when M is invertible).
 
-    K_{j+1} = {v : (A - mu)v in K_j}; every step is a single null-space
-    computation conditioned like the spectral gap itself (an n-th matrix
-    power would lose resolution like gap^n).
-    """
-    M = A.astype(complex) - mu * np.eye(n)
-    nrm = np.linalg.norm(M)
-    if nrm > 0:
-        M = M / nrm
-    K = null_space(M, 1e-8, scale=1.0)
+    K_{j+1} = {v : Mv in K_j} = ker (I - P_{K_j}) M: each step is one null
+    space of M / ||M|| cut at 1e-8, conditioned like M, not like M^j."""
+    n = M.shape[0]
+    M = M / np.linalg.norm(M)
+    kernels = [null_space(M, 1e-8, scale=1.0)]
     for _ in range(n - 1):
-        if K.shape[1] == n:
+        K = kernels[-1]
+        if K.shape[1] in (0, n):
             break
-        resid = M - K @ (K.conj().T @ M)  # (I - P_K) M
-        K_new = null_space(resid, 1e-8, scale=1.0)
+        K_new = null_space(M - K @ (K.conj().T @ M), 1e-8, scale=1.0)
         if K_new.shape[1] == K.shape[1]:
             break
-        K = K_new
-    return K
+        kernels.append(K_new)
+    return kernels
+
+
+def _generalized_eigenspace(A: np.ndarray, mu: complex, n: int) -> np.ndarray:
+    """Stabilized kernel of A - mu: the whole space when A - mu is below
+    rounding of A (A - mu / ||A - mu|| would be noise of unit norm)."""
+    M = A.astype(complex) - mu * np.eye(n)
+    if np.linalg.norm(M) <= 1e-9 * np.linalg.norm(A):
+        return np.eye(n, dtype=complex)
+    return kernel_filtration(M)[-1]
 
 
 def roots_decompose(alg: DilationAlgebra) -> RootDecomposition:

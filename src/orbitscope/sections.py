@@ -19,11 +19,14 @@ import numpy as np
 
 from .errors import NonCommuting, NotDiagonalizable, NotNilpotent
 from .linalg import (
+    DilationAlgebra,
     as_matrix,
+    blocks_semisimple,
     check_commuting,
-    null_space,
+    kernel_filtration,
     orth_columns,
     rank_tol,
+    roots_decompose,
 )
 
 
@@ -75,68 +78,72 @@ class SectionBatch:
     zero_eigenvalue: np.ndarray  # (m,) the layer's eigenspace has eigenvalue 0
 
 
-def _cluster_reals(values: np.ndarray, tol: float) -> list[float]:
-    """Cluster means of real values, sorted descending."""
-    out: list[list[float]] = []
-    for v in np.sort(values)[::-1]:
-        if out and abs(v - out[-1][0]) <= tol:
-            out[-1].append(float(v))
-        else:
-            out.append([float(v)])
-    return [float(np.mean(cl)) for cl in out]
+def diag_nilpotent_pair(alg: DilationAlgebra):
+    """Coefficients (a, x) on the two generators of alg of a diagonalizable A
+    and a nilpotent X with span{A, X} = the algebra, or None.
 
-
-def _nilpotency_check(X: np.ndarray, tol: float) -> None:
-    n = X.shape[0]
-    nrm = np.linalg.norm(X)
-    if nrm == 0.0:
-        return
-    P = np.linalg.matrix_power(X / nrm, n)
-    if np.linalg.norm(P) > tol * n:
-        raise NotNilpotent("X^n does not vanish")
-
-
-def _jordan_chain_basis(N: np.ndarray, tol: float) -> tuple[np.ndarray, tuple]:
-    """Columns C with C^-1 N C in 0/1-subdiagonal form, plus the epsilon pattern.
-
-    Chains are built top-down from the kernel filtration of N with
-    deterministic pivoting, each chain listed as (v, Nv, N^2 v, ...).
+    X spans the algebra's nilpotent elements.  A is the semisimple
+    (Jordan-Chevalley) part of a generator: for span{A, X} the semisimple
+    part of aA + bX is aA, so it lies in the algebra, and families where it
+    escapes are not of this type.  A generator that is semisimple (or
+    nilpotent) within tolerance is A (or X) itself: a (or x) is a unit vector.
     """
+    if alg.d != 2:
+        return None
+    rd = roots_decompose(alg)
+    if len(rd.nilpotent_basis) != 1 or not rd.all_real():
+        return None
+    P = np.hstack(rd.blocks)
+    lam = np.array([r.real for r, V in zip(rd.roots, rd.blocks) for _ in range(V.shape[1])])
+    # oblique spectral combinations: the semisimple parts of the generators
+    semisimple = [P @ np.diag(lam[:, j]) @ np.linalg.inv(P) for j in range(2)]
+    G = np.stack([g.ravel() for g in alg.generators], axis=1)
+    S = max(semisimple, key=np.linalg.norm)
+    rhs = np.column_stack([S.ravel(), rd.nilpotent_basis[0].ravel()])
+    a, x = np.linalg.lstsq(G, rhs, rcond=None)[0].T
+    if np.linalg.norm(G @ a - S.ravel()) > 1e-8 * np.linalg.norm(S):
+        return None
+    for j, (g, g_s) in enumerate(zip(alg.generators, semisimple)):
+        if np.linalg.norm(g - g_s) <= alg.tol * np.linalg.norm(g):
+            a = np.eye(2)[j]
+        elif np.linalg.norm(g_s) <= alg.tol * np.linalg.norm(g):
+            x = np.eye(2)[j]
+    return a, x
+
+
+def _jordan_chain_basis(W: np.ndarray, X: np.ndarray, tol: float) -> tuple[np.ndarray, tuple]:
+    """Columns spanning the X-invariant space W (orthonormal columns) in which X
+    has the 0/1-subdiagonal form, plus the epsilon pattern.
+
+    Chains are built top-down from the kernel filtration of N = X on W with
+    deterministic pivoting, each chain listed as (v, Xv, X^2 v, ...) with v
+    oriented so that its first entry of largest magnitude (within rounding)
+    is positive.
+    """
+    N = W.T @ X @ W
     m = N.shape[0]
-    nrm = np.linalg.norm(N)
-    if nrm <= tol:
-        return np.eye(m), tuple([0] * (m - 1))
-    kernels = [np.zeros((m, 0))]
-    P = np.eye(m)
-    q = 0
-    for k in range(1, m + 1):
-        P = P @ (N / nrm)
-        K = null_space(P, tol=1e-8, scale=1.0)
-        kernels.append(K)
-        q = k
-        if K.shape[1] == m:
-            break
+    if np.linalg.norm(N) <= tol * np.linalg.norm(X):
+        kernels = [np.eye(m)]
+    else:
+        kernels = kernel_filtration(N)
+    kernels = [np.zeros((m, 0)), *kernels]
     chains: list[list[np.ndarray]] = []
-    for k in range(q, 0, -1):
+    for k in range(len(kernels) - 1, 0, -1):
         # span to avoid: ker(N^{k-1}) plus the height-k elements of longer chains
-        avoid_cols = [kernels[k - 1]]
-        for ch in chains:
-            if len(ch) >= k:
-                avoid_cols.append(ch[len(ch) - k].reshape(-1, 1))
-        stacked = np.hstack(avoid_cols)
+        stacked = np.hstack([kernels[k - 1]] + [ch[len(ch) - k].reshape(-1, 1)
+                                                for ch in chains if len(ch) >= k])
         avoid = orth_columns(stacked, tol=1e-10) if stacked.shape[1] else np.zeros((m, 0))
         cand = kernels[k]
         for j in range(cand.shape[1]):
-            v = cand[:, j]
-            if avoid.shape[1]:
-                v = v - avoid @ (avoid.T @ v)
+            v = cand[:, j] - avoid @ (avoid.T @ cand[:, j])
             if np.linalg.norm(v) > 1e-6:
                 v = v / np.linalg.norm(v)
+                u = np.abs(W @ v)
+                if (W @ v)[np.argmax(u >= (1.0 - 1e-9) * np.max(u))] < 0:
+                    v = -v
                 chain = [v]
-                w = v
                 for _ in range(k - 1):
-                    w = N @ w
-                    chain.append(w)
+                    chain.append(N @ chain[-1])
                 chains.append(chain)
                 avoid = orth_columns(np.hstack([avoid, v.reshape(-1, 1)]), tol=1e-10)
     chains.sort(key=lambda ch: (-len(ch)))
@@ -144,59 +151,53 @@ def _jordan_chain_basis(N: np.ndarray, tol: float) -> tuple[np.ndarray, tuple]:
     C = np.column_stack(cols) if cols else np.zeros((m, 0))
     if rank_tol(C, 1e-10) != m:
         raise NotNilpotent("Jordan chain construction did not span the eigenspace")
-    eps = []
-    for i, ch in enumerate(chains):
-        if i > 0:
-            eps.append(0)
-        eps.extend([1] * (len(ch) - 1))
-    return C, tuple(eps)
+    # epsilon_i = 1 where column i continues the chain of column i - 1
+    eps = tuple(int(h > 0) for ch in chains for h in range(len(ch)))[1:]
+    return W @ C, eps
 
 
 def normal_form(A, X, tol: float = 1e-9) -> LayeredFamily:
-    """Adapted basis in which A = lambda I on each eigenspace and X has the
-    0/1-subdiagonal pattern; raises NotDiagonalizable / NotNilpotent /
-    NonCommuting when the hypotheses fail."""
+    """Adapted basis in which A = lambda I on each eigenspace, in descending
+    order of lambda, and X has the 0/1-subdiagonal pattern; raises
+    NotDiagonalizable / NotNilpotent / NonCommuting when the hypotheses fail.
+
+    A's eigenspaces and eigenvalues are the root blocks of span{A}.  Chain
+    tops are oriented (see _jordan_chain_basis), so the basis, and with it
+    the sign of a section, does not depend on a singular vector's sign.
+    """
     A = as_matrix(A)
     X = as_matrix(X, A.shape[0])
     n = A.shape[0]
     ok, worst = check_commuting([A, X], tol)
     if not ok:
         raise NonCommuting(f"[A, X] has norm {worst:.3g}")
-    _nilpotency_check(X, tol)
-    eigs = np.linalg.eigvals(A)
-    scale = max(np.max(np.abs(eigs)), 1.0)
-    if np.max(np.abs(eigs.imag)) > 1e-8 * scale:
+    alg = DilationAlgebra([A], tol=tol)
+    rd = roots_decompose(alg)
+    if not rd.all_real():
         raise NotDiagonalizable("A has non-real eigenvalues")
-    values = _cluster_reals(eigs.real, 1e-8 * scale)
-    blocks = []
-    cols = []
-    offset = 0
-    for lam in values:
-        W = null_space(A - lam * np.eye(n), tol=1e-8, scale=max(np.linalg.norm(A), 1.0))
-        if W.shape[1] == 0:
-            continue
+    if not blocks_semisimple(alg, rd):
+        raise NotDiagonalizable("A is not diagonalizable")
+    blocks, cols, offset = [], [], 0
+    for k in np.argsort([-lam[0].real for lam in rd.roots]):
+        W = rd.blocks[k]
         # commuting implies X preserves W; verify
         resid = np.linalg.norm(X @ W - W @ (W.T @ X @ W))
         if resid > 1e-7 * max(np.linalg.norm(X), 1.0):
             raise NotDiagonalizable("eigenspace of A is not X-invariant")
-        Nw = W.T @ X @ W
-        C, eps = _jordan_chain_basis(Nw, tol * max(np.linalg.norm(X), 1.0))
-        cols.append(W @ C)
+        C, eps = _jordan_chain_basis(W, X, tol)
+        cols.append(C)
         active = tuple(i for i in range(2, W.shape[1] + 1) if eps[i - 2] == 1)
-        blocks.append(EigenBlock(float(lam), offset, W.shape[1], eps, active))
+        blocks.append(EigenBlock(float(rd.roots[k][0].real), offset, W.shape[1], eps, active))
         offset += W.shape[1]
-    if offset != n:
-        raise NotDiagonalizable("geometric multiplicities do not sum to n")
     P = np.hstack(cols)
     Pinv = np.linalg.inv(P)
     # snap the adapted forms and verify
     Xa = Pinv @ X @ P
-    sub = np.diag(Xa, -1)
-    expected = np.zeros(n - 1) if n > 1 else np.zeros(0)
+    expected = np.zeros(n - 1)
     for blk in blocks:
         for i in blk.active:
             expected[blk.offset + i - 2] = 1.0
-    off = Xa - np.diag(expected, -1) if n > 1 else Xa
+    off = Xa - np.diag(expected, -1)
     if np.linalg.norm(off) > 1e-7 * max(np.linalg.norm(X), 1.0):
         raise NotNilpotent("adapted X is not in 0/1-subdiagonal form")
     return LayeredFamily(A=A, X=X, basis=P, basis_inv=Pinv, blocks=tuple(blocks), tol=tol)

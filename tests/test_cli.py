@@ -13,6 +13,7 @@ import pytest
 import orbitscope
 from orbitscope.cli import _export_ghat, _savez, _write_csv, main
 from orbitscope.groupspec import group_spec_from_dict, validate_report
+from orbitscope.linalg import mat_exp
 from orbitscope.errors import InputError
 from orbitscope.quasisection import BoxSet, diagonal_action
 from orbitscope.wavelet import synth_wavelet
@@ -251,6 +252,36 @@ class TestSectionCommand:
         assert recs[1]["layer"] is None
         jsonl = (tmp_path / "sec_out.json.jsonl").read_text().splitlines()
         assert len(jsonl) == 2 and json.loads(jsonl[0])["layer"] == 2
+
+    @pytest.mark.parametrize("form", ["A, X", "A + X, A - 2X", "X, A"])
+    def test_any_pair_of_generators(self, tmp_path, capsys, form):
+        # the case-2 group of A = diag(1, 1, 2), X = e21, however written: the
+        # same layers and representatives, and witnesses on the written
+        # generators, exp(witness_s G_1 + witness_t G_2) v = v*
+        A, X = np.diag([1.0, 1.0, 2.0]), np.zeros((3, 3))
+        X[1, 0] = 1.0
+        gens = {"A, X": [A, X], "A + X, A - 2X": [A + X, A - 2 * X], "X, A": [X, A]}[form]
+        points = [[1.0, 5.0, 7.0], [-0.5, 2.0, 1.0], [0.0, 5.0, 7.0]]
+        path = tmp_path / "sec.json"
+        path.write_text(json.dumps({"n": 3, "generators": [G.ravel().tolist() for G in gens],
+                                    "points": points}))
+        assert main(["section", "--input", str(path)]) == 0
+        recs = json.loads(capsys.readouterr().out)["payload"]["records"]
+        assert [(r.get("block"), r["layer"], r.get("sign")) for r in recs] == [
+            (1, 2, 1), (1, 2, -1), (None, None, None)]
+        for rec in recs[:2]:
+            np.testing.assert_allclose(rec["representative"][:2], [np.sign(rec["point"][0]), 0.0],
+                                       atol=1e-12)
+            g = mat_exp(rec["witness_s"] * gens[0] + rec["witness_t"] * gens[1])
+            np.testing.assert_allclose(g @ rec["point"], rec["representative"],
+                                       atol=1e-12 * np.linalg.norm(rec["representative"]))
+
+    def test_no_diagonalizable_nilpotent_pair_exit_2(self, tmp_path):
+        path = tmp_path / "sec.json"
+        path.write_text(json.dumps({"n": 3, "generators": CASE_B11, "points": [[1, 2, 3]]}))
+        res = run_cli("section", "--input", str(path))
+        assert res.returncode == 2
+        assert "NotDiagonalizable" in res.stderr
 
 
     @pytest.mark.parametrize("points", [
@@ -493,6 +524,27 @@ class TestHeaderOverrides:
         assert set(overrides) == keys | ({"tol"} if flags else set())
         assert overrides == {key: {"grid": 8, "quad_order": 16, "tol": 1e-8}[key]
                              for key in overrides}
+
+
+class TestNearScalarGenerator:
+    def test_rounding_size_off_diagonal(self, tmp_path, capsys):
+        # 2I written with off-diagonal rounding noise, as a change of basis
+        # leaves it, is the isotropic group of the exact 2I
+        payloads = []
+        for gen in ([2.0, 0.0, 0.0, 2.0], [2.0, 5.16e-17, 5.16e-17, 2.0]):
+            path = tmp_path / "g.json"
+            path.write_text(json.dumps({"n": 2, "generators": [gen],
+                                        "box": {"bounds": [[1, 2]]}, "samples": 5}))
+            got = {}
+            for sub in ("classify", "quasisection", "wavelet"):
+                assert main([sub, "--input", str(path), "--grid", "16"]) == 0, sub
+                got[sub] = json.loads(capsys.readouterr().out)["payload"]
+            payloads.append(got)
+        exact, noisy = payloads
+        assert noisy["classify"] == exact["classify"]
+        assert noisy["quasisection"] == exact["quasisection"]
+        sigma = exact["wavelet"]["spec"]["sigma"]
+        assert abs(noisy["wavelet"]["spec"]["sigma"] - sigma) <= 1e-12 * sigma
 
 
 class TestWaveletSamples:
@@ -806,11 +858,23 @@ class TestImports:
             ],
             "points": [[1, 5, 7], [0, 5, 7]],
         }))
+        # the same pair written as [A + X, A - 2X]: section reads the pair
+        # without the classify module
+        mixed = tmp_path / "mixed.json"
+        mixed.write_text(json.dumps({
+            "n": 3,
+            "generators": [
+                [1, 0, 0, 1, 1, 0, 0, 0, 0],
+                [1, 0, 0, -2, 1, 0, 0, 0, 0],
+            ],
+            "points": [[1, 5, 7], [0, 5, 7]],
+        }))
         for args in (
             ["classify", "--table"],
             ["classify", "--input", str(case_d_spec)],
             ["strata", "--input", str(case_d_spec), "--grid", "16"],
             ["section", "--input", str(sec)],
+            ["section", "--input", str(mixed)],
         ):
             out = tmp_path / f"{args[0]}.json"
             probe = run_import_probe(*args, "--out", str(out))

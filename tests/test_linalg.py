@@ -9,6 +9,7 @@ from orbitscope.linalg import (
     MAX_DIM,
     DilationAlgebra,
     check_commuting,
+    kernel_filtration,
     mat_exp,
     rank_tol,
     roots_decompose,
@@ -82,6 +83,18 @@ class TestCheckCommuting:
         assert not ok
         npt.assert_allclose(worst, 1.0)  # commutator is -e31
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_scaled_noncommuting_pair(self, scale):
+        # decided on pow2-scaled copies, so the norm product neither
+        # overflows (every pair passing) nor underflows
+        with pytest.raises(NonCommuting):
+            DilationAlgebra([scale * E(1, 2, 2), scale * E(2, 1, 2)])
+
+    def test_worst_in_the_generators_units(self):
+        ok, worst = check_commuting([1e100 * E(2, 1), E(3, 2)])
+        assert not ok
+        npt.assert_allclose(worst, 1e100, rtol=1e-15)
+
 
 class TestRootsDecompose:
     def test_case_e_three_axes(self):
@@ -109,6 +122,18 @@ class TestRootsDecompose:
         assert rd.p == 1
         npt.assert_allclose(rd.roots[0], [1.0], atol=1e-12)
         assert rd.blocks[0].shape == (4, 4)
+
+    def test_near_scalar_generator(self):
+        # P^-1 (lambda I) P is lambda I up to rounding: its one root block is
+        # the whole space (A - mu scaled to unit norm would be pure noise)
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(2, MAX_DIM + 1))
+            lam = rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 3.0)
+            P = rng.standard_normal((n, n)) + 3.0 * np.eye(n)
+            rd = roots_decompose(DilationAlgebra([np.linalg.solve(P, lam * P)]))
+            assert rd.p == 1 and rd.blocks[0].shape == (n, n), seed
+            npt.assert_allclose(rd.roots[0], [lam], rtol=1e-12)
 
     def test_eigenspace_invariance(self, golden_families):
         for alg in golden_families.values():
@@ -142,6 +167,22 @@ class TestRootsDecompose:
         npt.assert_array_equal(
             linalg._ROOT_DRAWS,
             np.random.default_rng(linalg._ROOT_SEED).standard_normal(MAX_DIM))
+
+
+class TestKernelFiltration:
+    def test_jordan_block(self):
+        # ker N^k of a nilpotent Jordan block in a random basis has dimension k
+        rng = np.random.default_rng(5)
+        P = rng.standard_normal((5, 5)) + 3.0 * np.eye(5)
+        N = np.linalg.solve(P, np.diag(np.ones(4), -1) @ P)
+        kernels = kernel_filtration(N)
+        assert [K.shape[1] for K in kernels] == [1, 2, 3, 4, 5]
+        for k, K in enumerate(kernels, start=1):
+            assert np.linalg.norm(np.linalg.matrix_power(N, k) @ K) <= 1e-10
+
+    def test_stops_where_the_kernel_stops_growing(self):
+        assert [K.shape[1] for K in kernel_filtration(np.diag([0.0, 1.0, 2.0]))] == [1]
+        assert [K.shape[1] for K in kernel_filtration(np.eye(3))] == [0]
 
 
 class TestRankTol:

@@ -66,6 +66,20 @@ class TestNormalForm:
         sub = np.diag(Xa, -1)
         assert set(np.round(sub, 9)) <= {0.0, 1.0}
 
+    def test_chain_tops_oriented(self):
+        # each chain's top column has its first entry of largest magnitude
+        # positive, whatever the sign or scale of X
+        rng = np.random.default_rng(6)
+        for n in (2, 3, 4, 5, 6):
+            A, X = random_diag_nilpotent(rng, n)
+            for Y in (X, -X, 3.0 * X):
+                fam = normal_form(A, Y)
+                for blk in fam.blocks:
+                    tops = [1] + [i for i in range(2, blk.dim + 1) if blk.epsilon[i - 2] == 0]
+                    for i in tops:
+                        u = fam.basis[:, blk.offset + i - 1]
+                        assert u[np.argmax(np.abs(u))] > 0
+
 
 class TestLayerIndex:
     def test_d_type_examples(self):
