@@ -17,12 +17,18 @@ that is not a non-empty string.  The group spec must be a JSON object, with
 from its two generators, however they are written, answers all its points
 with one batched call and gives each witness as the coefficients on the two
 generators; a point without a section gets a record naming NotInLayer or
-ZeroEigenvalue.  Side files (the `strata` probe CSV, the
-`section` JSONL, the `wavelet` ghat CSV, the `cwt` .npz) are written next to
---out and only with it.  Reports are deterministic for fixed inputs
-and flags (modulo the timestamp header field) and carry a provenance header
-with version, seed, tolerance and overrides: the flags the subcommand reads
-(`strata` --grid, `wavelet` --quad-order and --grid) and a given --tol.
+ZeroEigenvalue.  A `cwt` "signal" path ending in .npy is read as a real
+array of any number of axes, so n = 3 runs from the CLI; an object, complex
+or other non-real array exits 1, and any other path is a CSV.  Side files
+(the `strata` probe CSV, the `section` JSONL, the `wavelet` ghat CSV, the
+`cwt` .npz) are written next to --out and only with it.  `cwt` streams its
+coefficients: each slice is summed into the energy and written to the .npz
+as it is made, with the bytes np.savez would write, so the job holds one
+slice, not all of them; a failure while the .npz is written removes it.
+Reports are deterministic for fixed inputs and flags (modulo the timestamp
+header field) and carry a provenance header with version, seed, tolerance
+and overrides: the flags the subcommand reads (`strata` --grid, `wavelet`
+--quad-order and --grid) and a given --tol.
 BLAS runs on one thread: before numpy loads, the CLI sets
 OPENBLAS_NUM_THREADS to 1 unless it is already set.
 """
@@ -55,6 +61,9 @@ from .linalg import DEFAULT_TOL, DilationAlgebra
 
 DEFAULT_SEED = 1729
 _CSV_CHUNK_ROWS = 4096
+# bytes per write of a streamed .npz member: a write per coefficient slice
+# costs more than the copy into this buffer
+_NPY_WRITE_BYTES = 1 << 20
 _GHAT_MAX_PER_AXIS = 64
 _GHAT_MAX_ROWS = 4096
 # the flags besides --tol that each subcommand reads, as the header's overrides
@@ -326,50 +335,108 @@ def _write_csv(path: str, header, table: np.ndarray, fmt: str) -> None:
 
 
 def _cmd_cwt(args, doc, alg: DilationAlgebra) -> dict:
-    from .wavelet import cwt
+    from .wavelet import cwt_slices, slice_energy
 
     _, spec = _wavelet_spec(doc, alg)
-    sig_path = doc.get("signal")
-    if not isinstance(sig_path, str) or not sig_path:
-        raise InputError(f"'signal' must be a non-empty string (a CSV path), got {sig_path!r}")
-    try:
-        f = np.loadtxt(sig_path, delimiter=",", dtype=float, ndmin=1)
-    except (OSError, ValueError) as err:
-        raise InputError(f"cannot read signal {sig_path}: {err}") from err
+    f = _load_signal(doc.get("signal"))
     dx = doc.get("dx", 1.0)
     if type(dx) not in (int, float) or not (np.isfinite(dx) and dx > 0):
         raise InputError(f"'dx' must be a finite number > 0, got {dx!r}")
     counts = doc.get("param_counts", 64)
     if type(counts) is not int or counts < 1:
         raise InputError(f"'param_counts' must be an integer >= 1, got {counts!r}")
-    tg = cwt(spec, f, float(dx), param_counts=counts)
+    lattice, slices = cwt_slices(spec, f, float(dx), counts)
+    energies = []
+
+    def summed():  # the energy is summed as the slices go by
+        for c in slices:
+            energies.append(slice_energy(c))
+            yield c
+
     slices_path = None
     if args.out:
         slices_path = args.out + "_coeffs.npz"
-        _savez(slices_path, coeffs=tg.coeffs, param_points=tg.param_points,
-               param_weights=tg.param_weights, dx=np.asarray(tg.dx))
+        shape = lattice.param_points.shape[:1] + lattice.spatial_shape
+        _savez(slices_path, coeffs=(shape, lattice.dtype, summed()),
+               param_points=lattice.param_points, param_weights=lattice.param_weights,
+               dx=np.asarray(lattice.dx))
+    else:
+        for _ in summed():
+            pass
     return {
         "spec": spec.to_json(),
-        "isometry_ratio": tg.isometry_ratio(),
+        "isometry_ratio": lattice.haar_energy(energies) / lattice.signal_energy(),
         "slices": slices_path,
-        "spatial_shape": list(tg.spatial_shape),
-        "n_param_points": int(tg.param_points.shape[0]),
+        "spatial_shape": list(lattice.spatial_shape),
+        "n_param_points": int(lattice.param_points.shape[0]),
     }
 
 
-def _savez(path: str, **arrays) -> None:
+def _load_signal(path) -> np.ndarray:
+    """The 'signal' input: a real array from a .npy file (no pickles), or
+    from a CSV file of comma-separated reals (1-D or 2-D)."""
+    if not isinstance(path, str) or not path:
+        raise InputError("'signal' must be a non-empty string (a CSV or .npy path), "
+                         f"got {path!r}")
+    try:
+        if path.endswith(".npy"):
+            f = np.load(path, allow_pickle=False)
+        else:
+            f = np.loadtxt(path, delimiter=",", dtype=float, ndmin=1)
+    except (OSError, ValueError) as err:
+        raise InputError(f"cannot read signal {path}: {err}") from err
+    if not isinstance(f, np.ndarray):  # an .npz archive behind the .npy name
+        f.close()
+        raise InputError(f"cannot read signal {path}: not a .npy array")
+    if f.dtype.kind not in "iuf":
+        raise InputError(f"signal {path} must hold real numbers, got dtype {f.dtype}")
+    return np.asarray(f, dtype=float)
+
+
+def _savez(path: str, **members) -> None:
     """An uncompressed .npz whose members hold the bytes np.savez writes
-    (a .npy format 1.0 header, then the data), each written from the
-    array's own buffer without the copy np.savez's writer makes of it."""
+    (a .npy format 1.0 header, then the data in C order).
+
+    A member is an array, written from its own buffer without the copy
+    np.savez's writer makes of it, or a (shape, dtype, blocks) triple whose
+    blocks, in order, are the array's C-order pieces, so the whole array is
+    never in memory.  A failure after the file is opened removes it before
+    the error propagates: no half-written file is left."""
     import zipfile
 
-    with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED, allowZip64=True) as zf:
-        for name, arr in arrays.items():
-            arr = np.ascontiguousarray(arr)
-            with zf.open(name + ".npy", "w", force_zip64=True) as fh:
-                np.lib.format.write_array_header_1_0(
-                    fh, np.lib.format.header_data_from_array_1_0(arr))
-                fh.write(memoryview(arr).cast("B"))
+    zf = zipfile.ZipFile(path, "w", zipfile.ZIP_STORED, allowZip64=True)
+    try:
+        with zf:
+            for name, member in members.items():
+                if isinstance(member, tuple):
+                    _write_npy(zf, name, *member)
+                else:
+                    arr = np.ascontiguousarray(member)
+                    _write_npy(zf, name, arr.shape, arr.dtype, [arr])
+    except BaseException:
+        os.remove(path)
+        raise
+
+
+def _write_npy(zf, name: str, shape, dtype, blocks) -> None:
+    """One .npz member: the .npy 1.0 header of a C-order array of this shape
+    and dtype, then the blocks' bytes, gathered into writes of up to
+    _NPY_WRITE_BYTES; a block at least that large is written on its own."""
+    header = {"descr": np.lib.format.dtype_to_descr(np.dtype(dtype)),
+              "fortran_order": False, "shape": tuple(shape)}
+    with zf.open(name + ".npy", "w", force_zip64=True) as fh:
+        np.lib.format.write_array_header_1_0(fh, header)
+        buf = bytearray()
+        for block in blocks:
+            data = memoryview(np.ascontiguousarray(block, dtype)).cast("B")
+            if len(buf) + len(data) > _NPY_WRITE_BYTES:
+                fh.write(buf)
+                buf.clear()
+            if len(data) >= _NPY_WRITE_BYTES:
+                fh.write(data)
+            else:
+                buf += data
+        fh.write(buf)
 
 
 if __name__ == "__main__":

@@ -14,8 +14,10 @@ parameters and so checks sigma independently; the discrete wavelet transform
 
     V_g f(x, h) = |det h|^{1/2} (fhat . conj(ghat o h^T))^v (x)
 
-computed slice by slice with FFTs; and the L1 reproducing-kernel estimate
-whose parameter support is confined to the meeting-set box of (W, W).
+computed slice by slice with FFTs: cwt_slices yields each slice as it is
+made, so a caller that writes or sums them holds one slice at a time, and
+cwt fills one array from them; and the L1 reproducing-kernel estimate whose
+parameter support is confined to the meeting-set box of (W, W).
 
 phi and ghat depend on xi only through its block magnitudes r, which h_t^T
 scales as r_k exp(mu_k . t).  The Calderon integrals, the cwt slices and
@@ -327,27 +329,46 @@ def calderon_check(spec: WaveletSpec, xis, orders) -> CalderonReport:
 
 
 @dataclass(frozen=True)
-class TransformGrid:
-    """Wavelet coefficients V_g f on (parameter lattice) x (spatial lattice)."""
+class TransformLattice:
+    """The lattice of V_g f: (parameter lattice) x (spatial lattice), with
+    the signal whose transform it carries."""
 
     spatial_shape: tuple
     dx: tuple
     param_points: np.ndarray  # (m, d)
     param_weights: np.ndarray  # (m,)
     dets: np.ndarray  # (m,)
-    coeffs: np.ndarray  # (m, *spatial_shape), float64 for a real f, else complex128
     f: np.ndarray
 
-    def coefficient_energy(self) -> float:
-        """Discrete L2(G) norm squared with left Haar |det h|^-1 dx dh."""
+    @property
+    def dtype(self) -> np.dtype:
+        """float64 for a real f, else complex128."""
+        return np.dtype(complex if np.iscomplexobj(self.f) else float)
+
+    def haar_energy(self, slice_energies) -> float:
+        """Discrete L2(G) norm squared with left Haar |det h|^-1 dx dh, from
+        slice_energy of each coefficient slice in parameter order."""
         cell = float(np.prod(self.dx))
-        # one slice at a time: no second coefficient-sized array
-        per_slice = np.array([np.sum(np.abs(c) ** 2)
-                              for c in self.coeffs.reshape(self.coeffs.shape[0], -1)])
-        return float(np.sum(self.param_weights / self.dets * per_slice) * cell)
+        return float(np.sum(self.param_weights / self.dets * np.asarray(slice_energies)) * cell)
 
     def signal_energy(self) -> float:
         return float(np.sum(np.abs(self.f) ** 2) * np.prod(self.dx))
+
+
+def slice_energy(c: np.ndarray) -> float:
+    """sum |c|^2 over one coefficient slice."""
+    return np.sum(np.abs(c.ravel()) ** 2)
+
+
+@dataclass(frozen=True)
+class TransformGrid(TransformLattice):
+    """Wavelet coefficients V_g f on (parameter lattice) x (spatial lattice)."""
+
+    coeffs: np.ndarray  # (m, *spatial_shape) of dtype
+
+    def coefficient_energy(self) -> float:
+        """Discrete L2(G) norm squared with left Haar |det h|^-1 dx dh."""
+        return self.haar_energy([slice_energy(c) for c in self.coeffs])
 
     def isometry_ratio(self) -> float:
         return self.coefficient_energy() / self.signal_energy()
@@ -386,34 +407,42 @@ def param_lattice(box, counts) -> tuple[np.ndarray, np.ndarray]:
     return pts, w
 
 
-def check_band_limited(fhat: np.ndarray, shape) -> None:
-    """Spectral mass in the outer 10% Nyquist shell must be at most 1e-8 of
-    the total."""
-    mask = np.zeros(shape, dtype=bool)
+def _shell_share(fhat: np.ndarray, shape) -> float:
+    """The share of the spectral mass of a signal on the lattice `shape`
+    that sits in the outer 10% Nyquist shell.
+
+    fhat is the rfftn half spectrum of one or more real parts, stacked on
+    leading axes.  The shell is symmetric under xi -> -xi, so by Hermitian
+    symmetry the half spectrum counts last-axis bins 1..N/2-1 twice (their
+    mirrors are dropped) and bins 0 and N/2 once; for a complex f the
+    cross terms of its two parts cancel over the symmetric shell."""
+    power = np.abs(fhat) ** 2
+    power = power.reshape((-1,) + power.shape[-len(shape):]).sum(axis=0)
+    power[..., 1:(shape[-1] + 1) // 2] *= 2.0
+    mask = np.zeros(power.shape, dtype=bool)
     for axis, N in enumerate(shape):
-        k = np.abs(np.fft.fftfreq(N, 1.0)) * 2.0  # in (-1, 1], 1 = Nyquist
+        k = np.abs(np.fft.fftfreq(N, 1.0))[:power.shape[axis]] * 2.0  # 1 = Nyquist
         edge = k > 0.9
         sl = [None] * len(shape)
         sl[axis] = slice(None)
         mask |= edge[tuple(sl)]
-    total = float(np.sum(np.abs(fhat) ** 2))
-    outer = float(np.sum(np.abs(fhat[mask]) ** 2))
-    if total > 0 and outer > 1e-8 * total:
-        raise BandLimitViolation(
-            f"{outer / total:.3g} of the spectral mass sits in the Nyquist shell"
-        )
+    total = np.sum(power)
+    return float(np.sum(power[mask]) / total) if total > 0 else 0.0
 
 
-def cwt(spec: WaveletSpec, f: np.ndarray, dx, param_counts=64) -> TransformGrid:
-    """Discrete wavelet transform: one real inverse FFT per parameter-lattice
-    point and per real part of f.
+def cwt_slices(spec: WaveletSpec, f: np.ndarray, dx, param_counts):
+    """The lattice of the discrete wavelet transform of f and an iterator of
+    its coefficient slices V_g f(., h_t), one (*shape) array per parameter
+    point in lattice order: one real inverse FFT per point and per real
+    part of f.
 
     f must be finite and not all zero, have one axis per dimension of the
     action, live on a power-of-two lattice and be band-limited to its
-    Nyquist box; ghat(h^T xi) is ghat on the lattice's block magnitudes
-    scaled by exp(mu_k . t).  ghat is real and even in xi, so a real f has
-    real coefficients, computed on the rfftn half spectrum; a complex f
-    gives V_g(Re f) + i V_g(Im f).
+    Nyquist box (at most 1e-8 of its spectral mass in the outer 10% shell);
+    every check runs before this returns.  ghat(h^T xi) is ghat on the
+    lattice's block magnitudes scaled by exp(mu_k . t).  ghat is real and
+    even in xi, so a real f has real coefficients, computed on the rfftn
+    half spectrum; a complex f gives V_g(Re f) + i V_g(Im f).
     """
     f = np.asarray(f)
     shape = f.shape
@@ -427,29 +456,38 @@ def cwt(spec: WaveletSpec, f: np.ndarray, dx, param_counts=64) -> TransformGrid:
     if not np.any(f):
         raise InvalidSignal("signal is zero everywhere: the isometry ratio is undefined")
     dx = (float(dx),) * f.ndim if np.isscalar(dx) else tuple(float(v) for v in dx)
-    check_band_limited(np.fft.fftn(f), shape)
     parts = np.stack([f.real, f.imag]) if np.iscomplexobj(f) else f[None]
-    axes = tuple(range(1, parts.ndim))
-    fhat = np.fft.rfftn(parts, axes=axes)
-    half, freqs = _half_lattice(shape, dx)
+    fhat = np.fft.rfftn(parts, axes=tuple(range(1, parts.ndim)))
+    share = _shell_share(fhat, shape)
+    if share > 1e-8:
+        raise BandLimitViolation(f"{share:.3g} of the spectral mass sits in the Nyquist shell")
     pts, w = param_lattice(spec.param_box, param_counts)
     traces = np.array([np.trace(G) for G in spec.action.alg.generators])
-    dets = np.exp(pts @ traces)
-    out = np.empty((parts.shape[0], pts.shape[0]) + shape)
+    lattice = TransformLattice(spatial_shape=shape, dx=dx, param_points=pts,
+                               param_weights=w, dets=np.exp(pts @ traces), f=f)
+    return lattice, _coefficient_slices(spec, lattice, fhat)
+
+
+def _coefficient_slices(spec: WaveletSpec, lattice: TransformLattice, fhat: np.ndarray):
+    """The slices of cwt_slices from fhat, the half spectra of f's real
+    parts stacked on a leading axis."""
+    shape = lattice.spatial_shape
+    axes = tuple(range(1, fhat.ndim))
+    half, freqs = _half_lattice(shape, lattice.dx)
     rf = spec.action.block_abs(freqs)
-    for i, gh in enumerate(_lattice_slices(spec, rf, pts)):
-        out[:, i] = np.fft.irfftn(fhat * (gh.reshape(half) * np.sqrt(dets[i])),
-                                  s=shape, axes=axes)
-    coeffs = out[0] if out.shape[0] == 1 else out[0] + 1j * out[1]
-    return TransformGrid(
-        spatial_shape=shape,
-        dx=dx,
-        param_points=pts,
-        param_weights=w,
-        dets=dets,
-        coeffs=coeffs,
-        f=f,
-    )
+    for gh, det in zip(_lattice_slices(spec, rf, lattice.param_points), lattice.dets):
+        out = np.fft.irfftn(fhat * (gh.reshape(half) * np.sqrt(det)), s=shape, axes=axes)
+        yield out[0] if out.shape[0] == 1 else out[0] + 1j * out[1]
+
+
+def cwt(spec: WaveletSpec, f: np.ndarray, dx, param_counts=64) -> TransformGrid:
+    """Discrete wavelet transform: the slices of cwt_slices in one
+    (m, *shape) array, float64 for a real f, else complex128."""
+    lattice, slices = cwt_slices(spec, f, dx, param_counts)
+    coeffs = np.empty(lattice.param_points.shape[:1] + lattice.spatial_shape, lattice.dtype)
+    for i, c in enumerate(slices):
+        coeffs[i] = c
+    return TransformGrid(**vars(lattice), coeffs=coeffs)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,9 @@ from orbitscope.groupspec import group_spec_from_dict, validate_report
 from orbitscope.linalg import mat_exp
 from orbitscope.errors import InputError
 from orbitscope.quasisection import BoxSet, diagonal_action
-from orbitscope.wavelet import synth_wavelet
+from orbitscope.wavelet import cwt, synth_wavelet
+
+from conftest import frequency_lattice
 
 
 def run_cli(*args, check=False):
@@ -723,7 +725,7 @@ class TestWaveletPipeline:
                                     "signal": signal, "dx": 0.3, "param_counts": 8}))
         out = tmp_path / "c_out.json"
         assert main(["cwt", "--input", str(path), "--out", str(out)]) == 1
-        assert ("input error: 'signal' must be a non-empty string (a CSV path)"
+        assert ("input error: 'signal' must be a non-empty string (a CSV or .npy path)"
                 in capsys.readouterr().err)
         assert not out.exists()
 
@@ -995,6 +997,173 @@ class TestSavez:
             nbytes = npz["coeffs"].nbytes
         assert nbytes == counts * N * N * 8
         assert peak < 1.6 * nbytes
+
+
+def _band_signal(spec, shape, dx, seed):
+    """A real signal whose every frequency keeps its orbit's whole window over
+    W inside the transform's parameter box, built as criterion 7 builds its
+    signals: block magnitudes in (W_hi e^-hi 1.1, W_lo e^-lo / 1.1)."""
+    r = spec.action.block_abs(frequency_lattice(shape, (dx,) * len(shape)))
+    band = np.ones(r.shape[0], dtype=bool)
+    for k, ((lo, hi), (wlo, whi)) in enumerate(zip(spec.param_box, spec.W.bounds)):
+        band &= (r[:, k] > whi * np.exp(-hi) * 1.1) & (r[:, k] < wlo * np.exp(-lo) / 1.1)
+    rng = np.random.default_rng(seed)
+    fh = (rng.standard_normal(band.size) + 1j * rng.standard_normal(band.size)) * band
+    return np.fft.ifftn(fh.reshape(shape)).real
+
+
+def _cwt_job(tmp_path, doc, f, suffix=".csv"):
+    """Write f and a cwt input naming it; returns the input path and the
+    signal as the CLI reads it."""
+    sig = tmp_path / ("sig" + suffix)
+    if suffix == ".npy":
+        np.save(sig, f)
+    else:
+        np.savetxt(sig, f, delimiter=",")
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({**doc, "signal": str(sig)}))
+    return path, (np.load(sig) if suffix == ".npy" else np.loadtxt(sig, delimiter=","))
+
+
+def _library_cwt(doc, f):
+    action = diagonal_action(group_spec_from_dict(doc))
+    spec = synth_wavelet(action, BoxSet(doc["box"]["bounds"]))
+    return cwt(spec, f, doc["dx"], param_counts=doc["param_counts"])
+
+
+_CWT_1D = {"n": 1, "generators": [[1.0]], "box": {"bounds": [[1.0, 2.0]]},
+           "dx": 0.3, "param_counts": 64}
+_CWT_2D = {"n": 2, "generators": [[[1.0, -1.0], [1.0, 1.0]]],
+           "box": {"bounds": [[1.0, 2.0]]}, "dx": np.pi / 10.0, "param_counts": 24}
+
+
+class TestCwtStream:
+    @pytest.mark.parametrize("doc, shape, suffix", [
+        (_CWT_1D, (256,), ".csv"), (_CWT_2D, (64, 64), ".csv"), (_CWT_2D, (64, 64), ".npy"),
+    ], ids=["1d-csv", "2d-csv", "2d-npy"])
+    def test_streamed_npz_equals_savez(self, tmp_path, capsys, doc, shape, suffix):
+        spec = synth_wavelet(diagonal_action(group_spec_from_dict(doc)),
+                             BoxSet(doc["box"]["bounds"]))
+        path, f = _cwt_job(tmp_path, doc, _band_signal(spec, shape, doc["dx"], 3), suffix)
+        tg = _library_cwt(doc, f)
+        ref = tmp_path / "ref.npz"
+        np.savez(ref, coeffs=tg.coeffs, param_points=tg.param_points,
+                 param_weights=tg.param_weights, dx=np.asarray(tg.dx))
+        out = tmp_path / "c_out.json"
+        assert main(["cwt", "--input", str(path), "--out", str(out)]) == 0
+        with zipfile.ZipFile(ref) as zr, zipfile.ZipFile(str(out) + "_coeffs.npz") as zg:
+            assert zg.namelist() == zr.namelist() == [
+                "coeffs.npy", "param_points.npy", "param_weights.npy", "dx.npy"]
+            for name in zr.namelist():
+                assert zg.read(name) == zr.read(name)
+        # without --out the slices are only summed, to the same energy
+        assert main(["cwt", "--input", str(path)]) == 0
+        streamed = json.loads(out.read_text())["payload"]["isometry_ratio"]
+        summed = json.loads(capsys.readouterr().out)["payload"]["isometry_ratio"]
+        assert streamed == summed == tg.isometry_ratio()
+        assert 0.95 <= summed <= 1.05
+
+    def test_peak_memory(self, tmp_path):
+        # test_cwt_peak_memory's job: the coefficients are never whole in
+        # memory, only one slice and the write buffer are (parent: 1.24x)
+        doc = {**_CWT_2D, "param_counts": 96}
+        spec = synth_wavelet(diagonal_action(group_spec_from_dict(doc)),
+                             BoxSet(doc["box"]["bounds"]))
+        path, _ = _cwt_job(tmp_path, doc, _band_signal(spec, (128, 128), doc["dx"], 5))
+        out = tmp_path / "c_out.json"
+        tracemalloc.start()
+        try:
+            assert main(["cwt", "--input", str(path), "--out", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        nbytes = 96 * 128 * 128 * 8
+        assert os.path.getsize(str(out) + "_coeffs.npz") > nbytes
+        assert peak < 0.5 * nbytes
+
+    def test_n3_case_a_npy(self, tmp_path):
+        # case (a) on a 32^3 lattice from a .npy signal; 12^2 parameter points
+        # keep the isometry within criterion 7's band
+        doc = {**CASE_A, "dx": np.pi / 8.0, "param_counts": 12}
+        spec = synth_wavelet(diagonal_action(group_spec_from_dict(doc)),
+                             BoxSet(doc["box"]["bounds"]))
+        path, f = _cwt_job(tmp_path, doc, _band_signal(spec, (32, 32, 32), doc["dx"], 81),
+                           ".npy")
+        out = tmp_path / "c_out.json"
+        tracemalloc.start()
+        try:
+            assert main(["cwt", "--input", str(path), "--out", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        payload = json.loads(out.read_text())["payload"]
+        assert payload["spatial_shape"] == [32, 32, 32] and payload["n_param_points"] == 144
+        assert 0.95 <= payload["isometry_ratio"] <= 1.05
+        tg = _library_cwt(doc, f)
+        with np.load(payload["slices"], allow_pickle=False) as npz:
+            coeffs = npz["coeffs"]
+        assert coeffs.shape == (144, 32, 32, 32)
+        assert np.array_equal(coeffs, tg.coeffs)
+        # one slice is 1/144 of the coefficients; the bound leaves room for
+        # the lattice tables and the 1 MB write buffer
+        assert peak < 0.2 * coeffs.nbytes
+
+    @pytest.mark.parametrize("error, code", [(OSError, 1), (RuntimeError, None)],
+                             ids=["oserror-exit-1", "unexpected-raises"])
+    def test_failure_mid_write_removes_file(self, tmp_path, monkeypatch, capsys,
+                                            error, code):
+        import orbitscope.wavelet as wavelet
+
+        real = wavelet.cwt_slices
+
+        def failing(*args):
+            lattice, slices = real(*args)
+
+            def gen():
+                for i, c in enumerate(slices):
+                    if i == 3:
+                        raise error("disk full")
+                    yield c
+            return lattice, gen()
+
+        monkeypatch.setattr(wavelet, "cwt_slices", failing)
+        spec = synth_wavelet(diagonal_action(group_spec_from_dict(_CWT_1D)),
+                             BoxSet(_CWT_1D["box"]["bounds"]))
+        path, _ = _cwt_job(tmp_path, _CWT_1D, _band_signal(spec, (256,), 0.3, 3))
+        out = tmp_path / "c_out.json"
+        argv = ["cwt", "--input", str(path), "--out", str(out)]
+        if code is None:
+            with pytest.raises(error):
+                main(argv)
+        else:
+            assert main(argv) == code
+            assert "input error: disk full" in capsys.readouterr().err
+        assert not (tmp_path / "c_out.json_coeffs.npz").exists()
+        assert not out.exists()
+
+    @pytest.mark.parametrize("array", [
+        np.array([1.0, "a"], dtype=object), np.ones(64, dtype=complex), np.array(["1", "2"]),
+        np.zeros(4, dtype=[("a", float)]), np.ones(64, dtype=bool),
+    ], ids=["object", "complex", "string", "structured", "bool"])
+    def test_npy_signal_must_be_real(self, tmp_path, capsys, array):
+        sig = tmp_path / "sig.npy"
+        np.save(sig, array, allow_pickle=True)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({**_CWT_1D, "signal": str(sig)}))
+        out = tmp_path / "c_out.json"
+        assert main(["cwt", "--input", str(path), "--out", str(out)]) == 1
+        assert "input error: " in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "c_out.json_coeffs.npz").exists()
+
+    def test_npz_behind_npy_name(self, tmp_path, capsys):
+        sig = tmp_path / "sig.npy"
+        with open(sig, "wb") as fh:
+            np.savez(fh, f=np.ones(64))
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({**_CWT_1D, "signal": str(sig)}))
+        assert main(["cwt", "--input", str(path)]) == 1
+        assert "not a .npy array" in capsys.readouterr().err
 
 
 class TestWriteCsv:

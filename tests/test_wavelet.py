@@ -29,9 +29,11 @@ from orbitscope.wavelet import (
     _l1_values,
     _lattice_slices,
     _padded_boxes,
+    _shell_share,
     bump,
     calderon_check,
     cwt,
+    cwt_slices,
     l1_estimate,
     meeting_param_box,
     param_lattice,
@@ -324,6 +326,65 @@ class TestCwt:
     def test_power_of_two_required(self, spec_1d):
         with pytest.raises(InvalidSignal):
             cwt(spec_1d, np.zeros(100), 0.3)
+
+    @pytest.mark.parametrize("f, error", [
+        (np.cos(np.pi * np.arange(256)), BandLimitViolation),
+        (np.zeros(100), InvalidSignal),
+        (np.r_[np.nan, np.ones(255)], InvalidSignal),
+    ], ids=["nyquist-tone", "length-100", "nan-sample"])
+    def test_slices_check_before_returning(self, spec_1d, f, error):
+        # the checks are eager: no slice has to be drawn for them to run
+        with pytest.raises(error):
+            cwt_slices(spec_1d, f, 0.3, 8)
+
+    def test_slices_are_cwt(self, spec_1d):
+        f = _band_signal((256,), 0.3, (0.72, 2.8), seed=2)
+        lattice, slices = cwt_slices(spec_1d, f, 0.3, 16)
+        tg = cwt(spec_1d, f, 0.3, param_counts=16)
+        assert lattice.dtype == tg.coeffs.dtype == np.float64
+        assert np.array_equal(lattice.param_points, tg.param_points)
+        assert np.array_equal(np.array(list(slices)), tg.coeffs)
+
+    def test_complex_peak_memory(self, spec_2d_rotation_scaling):
+        # one complex128 array and one slice's temporaries; the parent's real
+        # and imaginary stack plus its complex copy peaked at 2.1x
+        f = _band_signal((128, 128), np.pi / 10.0, (0.9, 2.0), seed=5, complex_valued=True)
+        tracemalloc.start()
+        try:
+            tg = cwt(spec_2d_rotation_scaling, f, np.pi / 10.0, param_counts=64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tg.coeffs.dtype == np.complex128
+        assert peak < 1.3 * tg.coeffs.nbytes
+
+
+def _full_shell_share(f) -> float:
+    """The Nyquist-shell share of the spectral mass from the full complex
+    spectrum: the outer 10% of every axis."""
+    mask = np.zeros(f.shape, dtype=bool)
+    for axis, N in enumerate(f.shape):
+        edge = np.abs(np.fft.fftfreq(N)) * 2.0 > 0.9
+        mask |= edge.reshape([-1 if j == axis else 1 for j in range(f.ndim)])
+    power = np.abs(np.fft.fftn(f)) ** 2
+    return np.sum(power[mask]) / np.sum(power)
+
+
+class TestShellShare:
+    @pytest.mark.parametrize("shape", [
+        (1,), (2,), (8,), (256,), (4, 1), (4, 2), (16, 8), (2, 2, 2), (8, 4, 1), (4, 8, 2),
+        (8, 8, 16),
+    ])
+    @pytest.mark.parametrize("complex_valued", [False, True], ids=["real", "complex"])
+    def test_half_spectrum_matches_full(self, shape, complex_valued):
+        rng = np.random.default_rng(len(shape) * 100 + shape[-1])
+        f = rng.standard_normal(shape)
+        if complex_valued:
+            f = f + 1j * rng.standard_normal(shape)
+        parts = np.stack([f.real, f.imag]) if complex_valued else f[None]
+        share = _shell_share(np.fft.rfftn(parts, axes=tuple(range(1, parts.ndim))), shape)
+        npt.assert_allclose(share, _full_shell_share(f), rtol=1e-12, atol=0)
+        assert share > 0.0 or shape == (1,)
 
 
 @pytest.fixture(scope="module")
