@@ -33,9 +33,8 @@ _EXPORTS = {
         "quasi_section_verdict", "shell_box",
     ), "quasisection"),
     **dict.fromkeys((
-        "BumpFunction", "CalderonReport", "TransformGrid", "TransformLattice",
-        "WaveletSpec", "bump", "calderon_check", "cwt", "cwt_slices", "l1_estimate",
-        "slice_energy", "synth_wavelet",
+        "BumpFunction", "CalderonReport", "TransformGrid", "WaveletSpec", "bump",
+        "calderon_check", "cwt", "l1_estimate", "synth_wavelet",
     ), "wavelet"),
 }
 _SUBMODULES = ("classify", "cli", "errors", "families", "groupspec", "linalg",

@@ -61,9 +61,6 @@ from .linalg import DEFAULT_TOL, DilationAlgebra
 
 DEFAULT_SEED = 1729
 _CSV_CHUNK_ROWS = 4096
-# bytes per write of a streamed .npz member: a write per coefficient slice
-# costs more than the copy into this buffer
-_NPY_WRITE_BYTES = 1 << 20
 _GHAT_MAX_PER_AXIS = 64
 _GHAT_MAX_ROWS = 4096
 # the flags besides --tol that each subcommand reads, as the header's overrides
@@ -383,7 +380,7 @@ def _load_signal(path) -> np.ndarray:
             f = np.load(path, allow_pickle=False)
         else:
             f = np.loadtxt(path, delimiter=",", dtype=float, ndmin=1)
-    except (OSError, ValueError) as err:
+    except (OSError, ValueError, EOFError) as err:  # EOFError: an empty .npy
         raise InputError(f"cannot read signal {path}: {err}") from err
     if not isinstance(f, np.ndarray):  # an .npz archive behind the .npy name
         f.close()
@@ -420,23 +417,13 @@ def _savez(path: str, **members) -> None:
 
 def _write_npy(zf, name: str, shape, dtype, blocks) -> None:
     """One .npz member: the .npy 1.0 header of a C-order array of this shape
-    and dtype, then the blocks' bytes, gathered into writes of up to
-    _NPY_WRITE_BYTES; a block at least that large is written on its own."""
+    and dtype, then the blocks' bytes, one write per block."""
     header = {"descr": np.lib.format.dtype_to_descr(np.dtype(dtype)),
               "fortran_order": False, "shape": tuple(shape)}
     with zf.open(name + ".npy", "w", force_zip64=True) as fh:
         np.lib.format.write_array_header_1_0(fh, header)
-        buf = bytearray()
         for block in blocks:
-            data = memoryview(np.ascontiguousarray(block, dtype)).cast("B")
-            if len(buf) + len(data) > _NPY_WRITE_BYTES:
-                fh.write(buf)
-                buf.clear()
-            if len(data) >= _NPY_WRITE_BYTES:
-                fh.write(data)
-            else:
-                buf += data
-        fh.write(buf)
+            fh.write(memoryview(np.ascontiguousarray(block, dtype)).cast("B"))
 
 
 if __name__ == "__main__":

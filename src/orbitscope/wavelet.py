@@ -480,7 +480,7 @@ def _coefficient_slices(spec: WaveletSpec, lattice: TransformLattice, fhat: np.n
         yield out[0] if out.shape[0] == 1 else out[0] + 1j * out[1]
 
 
-def cwt(spec: WaveletSpec, f: np.ndarray, dx, param_counts=64) -> TransformGrid:
+def cwt(spec: WaveletSpec, f: np.ndarray, dx, param_counts) -> TransformGrid:
     """Discrete wavelet transform: the slices of cwt_slices in one
     (m, *shape) array, float64 for a real f, else complex128."""
     lattice, slices = cwt_slices(spec, f, dx, param_counts)

@@ -1065,7 +1065,7 @@ class TestCwtStream:
 
     def test_peak_memory(self, tmp_path):
         # test_cwt_peak_memory's job: the coefficients are never whole in
-        # memory, only one slice and the write buffer are (parent: 1.24x)
+        # memory, only one slice is (parent: 1.24x)
         doc = {**_CWT_2D, "param_counts": 96}
         spec = synth_wavelet(diagonal_action(group_spec_from_dict(doc)),
                              BoxSet(doc["box"]["bounds"]))
@@ -1105,7 +1105,7 @@ class TestCwtStream:
         assert coeffs.shape == (144, 32, 32, 32)
         assert np.array_equal(coeffs, tg.coeffs)
         # one slice is 1/144 of the coefficients; the bound leaves room for
-        # the lattice tables and the 1 MB write buffer
+        # the lattice tables
         assert peak < 0.2 * coeffs.nbytes
 
     @pytest.mark.parametrize("error, code", [(OSError, 1), (RuntimeError, None)],
@@ -1148,6 +1148,17 @@ class TestCwtStream:
     def test_npy_signal_must_be_real(self, tmp_path, capsys, array):
         sig = tmp_path / "sig.npy"
         np.save(sig, array, allow_pickle=True)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({**_CWT_1D, "signal": str(sig)}))
+        out = tmp_path / "c_out.json"
+        assert main(["cwt", "--input", str(path), "--out", str(out)]) == 1
+        assert "input error: " in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "c_out.json_coeffs.npz").exists()
+
+    def test_empty_npy_signal(self, tmp_path, capsys):
+        sig = tmp_path / "sig.npy"
+        sig.write_bytes(b"")
         path = tmp_path / "c.json"
         path.write_text(json.dumps({**_CWT_1D, "signal": str(sig)}))
         out = tmp_path / "c_out.json"

@@ -142,8 +142,6 @@ class TestNoDeadCode:
                                  "the benchmark launcher pass theirs",
             "quasisection.py:quasi_section_verdict(n_samples)":
                 "perfbench/launcher.py binds it by name to count the coverage draws",
-            "wavelet.py:cwt(param_counts)": "the library transform; the CLI streams the "
-                                             "same slices through cwt_slices",
         }
         trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))
                  if path.name != "families.py"}  # families: the paper's parameterized examples
