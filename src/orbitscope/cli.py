@@ -2,8 +2,10 @@
 
 Subcommands: classify | strata | section | quasisection | wavelet | cwt.
 Exit status 0 on success, 2 on named domain errors, 1 on I/O, parse or
-input errors: a --tol that is not a finite number > 0, or a --grid or
---quad-order below 1, whatever the subcommand; a group spec whose "n" is
+input errors: a --tol that is not a finite number > 0, a --grid or
+--quad-order below 1, or a --seed below 0, whatever the subcommand; a
+report that cannot be written to --out (a directory, or a path in a
+missing directory); a group spec whose "n" is
 not an integer from 1 to 6, whose generators have an entry that is not a
 real number, or whose "tol" is not a finite number > 0 (JSON booleans count
 as none of these); `section` points that are not a finite (m, n) array; a `cwt`
@@ -29,6 +31,9 @@ Reports are deterministic for fixed inputs and flags (modulo the timestamp
 header field) and carry a provenance header with version, seed, tolerance
 and overrides: the flags the subcommand reads (`strata` --grid, `wavelet`
 --quad-order and --grid) and a given --tol.
+The `wavelet` Calderon samples and the `quasisection` coverage samples are
+drawn from random.Random(--seed) (linalg.seeded_draws), so only `strata`
+loads numpy.random.
 BLAS runs on one thread: before numpy loads, the CLI sets
 OPENBLAS_NUM_THREADS to 1 unless it is already set.
 """
@@ -53,7 +58,7 @@ from .groupspec import (
     make_report,
     validate_report,
 )
-from .linalg import DEFAULT_TOL, DilationAlgebra
+from .linalg import DEFAULT_TOL, DilationAlgebra, seeded_draws
 
 # The subcommands' own modules (classify, families, orbits, sections,
 # quasisection, wavelet) are imported in the functions that use them, so a
@@ -98,6 +103,8 @@ def main(argv=None) -> int:
         for flag, value in (("--grid", args.grid), ("--quad-order", args.quad_order)):
             if value < 1:
                 raise InputError(f"{flag} must be at least 1, got {value}")
+        if args.seed < 0:  # random.Random would give -s the stream of s
+            raise InputError(f"--seed must be an integer >= 0, got {args.seed}")
         if args.tol is not None and not (np.isfinite(args.tol) and args.tol > 0):
             raise InputError(f"--tol must be a finite number > 0, got {args.tol}")
         doc = alg = None
@@ -122,7 +129,11 @@ def main(argv=None) -> int:
                          tol=alg.tol if alg is not None else args.tol or DEFAULT_TOL,
                          overrides=overrides)
     validate_report(report)
-    text = dump_report(report, args.out)
+    try:
+        text = dump_report(report, args.out)
+    except OSError as err:  # --out names a directory or a path in a missing one
+        print(f"input error: {err}", file=sys.stderr)
+        return 1
     if not args.out:
         sys.stdout.write(text)
     return 0
@@ -256,20 +267,16 @@ def _wavelet_spec(doc, alg: DilationAlgebra) -> tuple:
 
 
 def _calderon_samples(action, spec, count, seed) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    n, d = action.alg.n, action.d
+    k, d = action.k, action.d
+    u, z = seeded_draws(seed, count, k + d, action.alg.n)
     mids = np.array([np.sqrt(max(lo, hi / 16.0) * hi) for lo, hi in spec.C.bounds])
-    out = []
-    while len(out) < count:
-        r = mids * np.exp(rng.uniform(-0.15, 0.15, action.k))
-        vecs = [rng.standard_normal(sl.stop - sl.start) for sl in action.slices]
-        # h_t^T scales block k by exp(mu_k . t), and only block magnitudes are read
-        r = r * np.exp(action.weights @ rng.uniform(-1.0, 1.0, d))
-        w = np.zeros(n)
-        for sl, rk, vec in zip(action.slices, r, vecs):
-            w[sl] = rk * vec / np.linalg.norm(vec)
-        out.append(np.linalg.solve(action.basis.T, w))
-    return np.array(out)
+    r = mids * np.exp(-0.15 + 0.3 * u[:, :k])
+    # h_t^T scales block k by exp(mu_k . t), and only block magnitudes are read
+    r = r * np.exp((-1.0 + 2.0 * u[:, k:]) @ action.weights.T)
+    w = np.empty_like(z)
+    for i, sl in enumerate(action.slices):
+        w[:, sl] = r[:, i:i + 1] * z[:, sl] / np.linalg.norm(z[:, sl], axis=1, keepdims=True)
+    return np.linalg.solve(action.basis.T, w.T).T
 
 
 def _cmd_wavelet(args, doc, alg: DilationAlgebra) -> dict:

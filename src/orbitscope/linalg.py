@@ -8,6 +8,7 @@ classification machinery is built on.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +31,30 @@ _ROOT_DRAWS = np.array([
     -1.1305643663071248, -1.315808323692046, -0.021805977949173817,
     1.8955906623007115, -0.37928320322115355, -2.719279033999097,
 ])
+
+
+def seeded_draws(seed: int, count: int, uniforms: int,
+                 normals: int) -> tuple[np.ndarray, np.ndarray]:
+    """(U, Z) from one random.Random(seed) stream: U is (count, uniforms),
+    uniform on [0, 1), and Z is (count, normals), standard normal.
+
+    Only Random.random() is called, whose sequence for an integer seed
+    Python keeps across versions, and numpy has loaded the random module
+    already, so sampled checks do not import numpy.random.  U takes the
+    first draws; Z maps the next pairs (u1, u2) by Box-Muller to
+    sqrt(-2 ln(1 - u1)) (cos 2 pi u2, sin 2 pi u2).  random.Random would give
+    -seed the stream of seed, so a negative seed raises ValueError.
+    """
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    pairs = -(-count * normals // 2)
+    draw = random.Random(seed).random
+    u = np.array([draw() for _ in range(count * uniforms + 2 * pairs)])
+    u1, u2 = u[count * uniforms:].reshape(pairs, 2).T
+    radius = np.sqrt(-2.0 * np.log1p(-u1))
+    z = np.column_stack([radius * np.cos(2.0 * np.pi * u2), radius * np.sin(2.0 * np.pi * u2)])
+    return (u[:count * uniforms].reshape(count, uniforms),
+            z.ravel()[:count * normals].reshape(count, normals))
 
 
 def as_matrix(M, n: int | None = None) -> np.ndarray:

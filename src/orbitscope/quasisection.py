@@ -29,8 +29,13 @@ from .errors import (
     InfeasibleSystem,
     NotDiagonalizableFamily,
 )
-from .linalg import DilationAlgebra, blocks_semisimple, null_space, roots_decompose
-from .orbits import orbit_dims
+from .linalg import (
+    DilationAlgebra,
+    blocks_semisimple,
+    null_space,
+    roots_decompose,
+    seeded_draws,
+)
 
 
 @dataclass(frozen=True)
@@ -317,17 +322,20 @@ def quasi_section_verdict(
 ) -> QuasiSectionVerdict:
     """Prop-2.5 dichotomy for a probe set C (one BoxSet or a union of them).
 
-    Coverage H^T C = U is validated by sampling the top stratum and checking
-    that the orbit of every sample meets C (one batched test per box).  With coverage, a bounded meeting set makes
-    C itself a quasi-section; an unbounded one (plus compactness of the
-    orbit space, supplied by the classifier) rules out every quasi-section
-    for U.  For a union, ((C,C)) decomposes into the pairwise meeting sets,
-    so it is bounded iff every nonempty pair is.
+    Coverage H^T C = U is validated by sampling the top stratum (n_samples
+    standard normal points from seeded_draws(seed)) and checking that the
+    orbit of every sample meets C (one batched test per box).  With
+    coverage, a bounded meeting set makes C itself a quasi-section; an
+    unbounded one (plus compactness of the orbit space, supplied by the
+    classifier) rules out every quasi-section for U.  For a union, ((C,C))
+    decomposes into the pairwise meeting sets, so it is bounded iff every
+    nonempty pair is.
     """
+    from .orbits import orbit_dims  # only the coverage check reads the strata
+
     boxes = [C] if isinstance(C, BoxSet) else list(C)
     alg = action.alg
-    rng = np.random.default_rng(seed)
-    xis = rng.standard_normal((n_samples, alg.n))
+    _, xis = seeded_draws(seed, n_samples, 0, alg.n)
     top = orbit_dims(alg, xis) == alg.d
     # skip the stratum boundary; conull coverage is what matters
     inside = np.min(action.block_abs(xis), axis=1) >= 1e-6

@@ -71,13 +71,17 @@ _WEIGHT_EXPONENT = 0.5
 
 
 def smoothstep(x: np.ndarray) -> np.ndarray:
-    """C^infinity step: 0 for x <= 0, 1 for x >= 1, exp(-1/x)-mollified between."""
+    """C^infinity step: 0 for x <= 0, 1 for x >= 1, exp(-1/x)-mollified between,
+    NaN at NaN.  exp runs only on 0 < x < 1 (and NaN), where p + q > 0."""
     x = np.asarray(x, dtype=float)
-    p = np.zeros_like(x)
-    q = np.zeros_like(x)
-    np.exp(-1.0 / np.clip(x, 1e-300, None), out=p, where=x > 0)
-    np.exp(-1.0 / np.clip(1.0 - x, 1e-300, None), out=q, where=x < 1)
-    return p / (p + q)
+    above = x >= 1
+    out = np.array(above, dtype=float)
+    mid = ~(above | (x <= 0))
+    xm = x[mid]
+    p = np.exp(-1.0 / np.maximum(xm, 1e-300))
+    q = np.exp(-1.0 / np.maximum(1.0 - xm, 1e-300))
+    out[mid] = p / (p + q)
+    return out
 
 
 @dataclass(frozen=True)

@@ -422,6 +422,41 @@ class TestFlagInput:
         assert f"input error: {flags[0]} must be at least 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("subcommand, flags", [
+        ("classify", ["--table"]),
+        ("classify", []),
+        ("strata", []),
+        ("section", []),
+        ("quasisection", []),
+        ("wavelet", []),
+        ("cwt", []),
+    ], ids=["classify-table", "classify", "strata", "section", "quasisection", "wavelet",
+            "cwt"])
+    def test_negative_seed_exit_1(self, case_d_spec, tmp_path, capsys, subcommand, flags):
+        # random.Random(-s) draws the stream of s, so a negative seed is refused
+        # whether or not the subcommand samples
+        out = tmp_path / "out"
+        argv = [subcommand, *(flags or ["--input", str(case_d_spec)])]
+        assert main([*argv, "--out", str(out), "--seed", "-1"]) == 1
+        assert ("input error: --seed must be an integer >= 0, got -1"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_seed_zero_accepted(self, case_d_spec, tmp_path):
+        out = tmp_path / "out.json"
+        assert main(["strata", "--input", str(case_d_spec), "--grid", "4", "--seed", "0",
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["header"]["seed"] == 0
+
+    @pytest.mark.parametrize("target", ["directory", "missing-parent"])
+    def test_unwritable_report_exit_1(self, tmp_path, target):
+        out = tmp_path if target == "directory" else tmp_path / "missing" / "x.json"
+        res = run_cli("classify", "--table", "--out", str(out))
+        assert res.returncode == 1, res.stderr
+        assert res.stderr.startswith("input error: ") and str(out) in res.stderr
+        assert "Traceback" not in res.stderr
+        assert res.stdout == ""
+
 
 DIAG_2D = {"n": 2, "generators": [[1, 0, 0, 2]]}
 
@@ -809,9 +844,12 @@ NOT_LOADED = {
     "section": {"orbits", "quasisection", "quad", "wavelet", "classify"},
     "strata": {"quasisection", "quad", "wavelet", "classify", "sections"},
     "quasisection": {"quad", "wavelet", "classify", "sections"},
-    "wavelet": {"classify", "sections"},
-    "cwt": {"classify", "sections"},
+    "wavelet": {"classify", "sections", "orbits"},
+    "cwt": {"classify", "sections", "orbits"},
 }
+# only the strata census draws its probe cloud with numpy.random; the sampled
+# checks of quasisection and wavelet draw from the standard library's random
+RANDOM_LOADERS = {"strata"}
 # the exact module sets of the classify jobs; only the golden table reads
 # the family constructors
 CLASSIFY_MODULES = ["orbitscope", "orbitscope.classify", "orbitscope.cli", "orbitscope.errors",
@@ -841,9 +879,9 @@ def assert_footprint(sub, probe, table=False):
     ended on one thread: no BLAS worker."""
     assert probe["code"] == 0 and probe["scipy"] == [], sub
     assert probe["threads"] in (None, 1), (sub, probe["threads"])
+    assert probe["numpy.random"] == (sub in RANDOM_LOADERS), sub
     if sub == "classify":
         assert probe["orbitscope"] == (TABLE_MODULES if table else CLASSIFY_MODULES)
-        assert not probe["numpy.random"]
     else:
         loaded = {m.removeprefix("orbitscope.") for m in probe["orbitscope"]}
         assert not loaded & NOT_LOADED[sub], (sub, loaded)
@@ -918,8 +956,6 @@ class TestImports:
         probe = run_import_probe("cwt", "--input", str(cwt_doc), "--out",
                                  str(tmp_path / "c_out"))
         assert_footprint("cwt", probe)
-        # the block coordinates come from structure alone: no random draw
-        assert not probe["numpy.random"]
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/task")
                         or len(os.sched_getaffinity(0)) < 2,

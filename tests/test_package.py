@@ -103,9 +103,10 @@ class TestNoDeadCode:
         assert sorted(leaves - signalled) == []
 
     def test_random_generators_are_seeded_by_a_name(self):
-        # every default_rng(...) in src/ is seeded by a parameter of an
-        # enclosing function or by a named module constant, never by a literal
-        # or by nothing: no fixed draw hides inside structure code
+        # every default_rng(...) and Random(...) in src/ is seeded by a
+        # parameter of an enclosing function or by a named module constant,
+        # never by a literal or by nothing: no fixed draw hides inside
+        # structure code
         unnamed = []
         for path in sorted(SRC.glob("*.py")):
             tree = ast.parse(path.read_text())
@@ -237,13 +238,14 @@ def _passes(call, param, index):
 
 
 def _unnamed_seeds(node, names):
-    """Lines of the default_rng calls under `node` whose one argument is not
-    among `names` or the parameters of an enclosing def or lambda."""
+    """Lines of the default_rng and Random calls under `node` whose one
+    argument is not among `names` or the parameters of an enclosing def or
+    lambda."""
     if isinstance(node, (ast.FunctionDef, ast.Lambda)):
         args = node.args
         names = names | {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
     lines = []
-    if isinstance(node, ast.Call) and _callee(node) == "default_rng":
+    if isinstance(node, ast.Call) and _callee(node) in ("default_rng", "Random"):
         seeds = [*node.args, *(kw.value for kw in node.keywords)]
         if not (len(seeds) == 1 and isinstance(seeds[0], ast.Name) and seeds[0].id in names):
             lines.append(node.lineno)

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -77,6 +78,27 @@ class TestBump:
         npt.assert_allclose(vals[[0, 1]], 0.0)
         npt.assert_allclose(vals[[3, 4]], 1.0)
         assert 0 < vals[2] < 1
+
+    def test_smoothstep_matches_unmasked_formula(self):
+        # exp runs only on 0 < x < 1 now; every float agrees bit for bit with
+        # the formula that evaluated both exponentials everywhere
+        def unmasked(x):
+            p, q = np.zeros_like(x), np.zeros_like(x)
+            np.exp(-1.0 / np.clip(x, 1e-300, None), out=p, where=x > 0)
+            np.exp(-1.0 / np.clip(1.0 - x, 1e-300, None), out=q, where=x < 1)
+            return p / (p + q)
+
+        edges = [0.0, -0.0, 1.0, 5e-324, 1e-300, 1.0 - 2.0 ** -53, np.inf, -np.inf]
+        xs = np.concatenate([np.linspace(-3.0, 4.0, 70001), edges])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # without the clip, -1/5e-324 overflows
+            got = smoothstep(xs)
+            got_nan = smoothstep(np.array([np.nan, 0.5]))
+        with np.errstate(all="ignore"):
+            want = unmasked(xs)
+        npt.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert np.isnan(got_nan[0]) and got_nan[1] == 0.5
+        assert got.shape == xs.shape and got.dtype == np.float64
 
     def test_nesting_enforced(self, act_1d):
         with pytest.raises(SetsNotNested):
