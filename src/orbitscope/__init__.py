@@ -38,7 +38,7 @@ _EXPORTS = {
     ), "wavelet"),
 }
 _SUBMODULES = ("classify", "cli", "errors", "families", "groupspec", "linalg",
-               "orbits", "quad", "quasisection", "sections", "wavelet")
+               "orbits", "quasisection", "sections", "wavelet")
 
 __all__ = [*_EXPORTS, "__version__"]
 

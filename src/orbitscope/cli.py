@@ -3,9 +3,10 @@
 Subcommands: classify | strata | section | quasisection | wavelet | cwt.
 Exit status 0 on success, 2 on named domain errors, 1 on I/O, parse or
 input errors: a --tol that is not a finite number > 0, a --grid or
---quad-order below 1, or a --seed below 0, whatever the subcommand; a
-report that cannot be written to --out (a directory, or a path in a
-missing directory); a group spec whose "n" is
+--quad-order below 1, or a --seed below 0, whatever the subcommand; an
+--out that is a directory or a path in a missing directory, refused before
+the subcommand runs, so no side file is written; a report that cannot be
+written to --out; a group spec whose "n" is
 not an integer from 1 to 6, whose generators have an entry that is not a
 real number, or whose "tol" is not a finite number > 0 (JSON booleans count
 as none of these); `section` points that are not a finite (m, n) array; a `cwt`
@@ -80,7 +81,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--input", help="input JSON file")
         sp.add_argument("--out", help="output report path (stdout when omitted)")
         sp.add_argument("--tol", type=float, default=None, help="tolerance override")
-        sp.add_argument("--quad-order", type=int, default=64, dest="quad_order")
+        sp.add_argument("--quad-order", type=int, default=64, dest="quad_order",
+                        help="cells per group parameter of the Calderón rule")
         sp.add_argument("--grid", type=int, default=128, help="lattice size per axis")
         sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
         if name == "classify":
@@ -107,6 +109,11 @@ def main(argv=None) -> int:
             raise InputError(f"--seed must be an integer >= 0, got {args.seed}")
         if args.tol is not None and not (np.isfinite(args.tol) and args.tol > 0):
             raise InputError(f"--tol must be a finite number > 0, got {args.tol}")
+        # refused before the handler runs, so no side file is left behind
+        if args.out and os.path.isdir(args.out):
+            raise InputError(f"--out {args.out} is a directory")
+        if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
+            raise InputError(f"--out {args.out} is in a missing directory")
         doc = alg = None
         if not getattr(args, "table", False):  # the golden table reads no input
             if not args.input:
@@ -131,7 +138,7 @@ def main(argv=None) -> int:
     validate_report(report)
     try:
         text = dump_report(report, args.out)
-    except OSError as err:  # --out names a directory or a path in a missing one
+    except OSError as err:  # e.g. --out in a directory without write permission
         print(f"input error: {err}", file=sys.stderr)
         return 1
     if not args.out:

@@ -3,7 +3,6 @@ import pytest
 
 from orbitscope import families as F
 from orbitscope.linalg import DilationAlgebra
-from orbitscope.quad import _reference_rule
 from orbitscope.quasisection import BoxSet, diagonal_action
 from orbitscope.wavelet import _mesh, synth_wavelet
 
@@ -31,17 +30,6 @@ def tangent_matrix(alg: DilationAlgebra, xi) -> np.ndarray:
     """n x d matrix [X_1^T xi | ... | X_d^T xi] spanning the orbit tangent."""
     x = np.asarray(xi, dtype=float).reshape(alg.n)
     return np.column_stack([G.T @ x for G in alg.generators])
-
-
-def gauss_legendre(order: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the `order`-point Gauss-Legendre rule on [a, b]."""
-    if order < 1:
-        raise ValueError("quadrature order must be >= 1")
-    if not b > a:
-        raise ValueError("empty quadrature interval")
-    x, w = _reference_rule(int(order))
-    half = 0.5 * (b - a)
-    return half * (x + 1.0) + a, half * w
 
 
 def frequency_lattice(shape, dx) -> np.ndarray:

@@ -449,13 +449,34 @@ class TestFlagInput:
         assert json.loads(out.read_text())["header"]["seed"] == 0
 
     @pytest.mark.parametrize("target", ["directory", "missing-parent"])
-    def test_unwritable_report_exit_1(self, tmp_path, target):
-        out = tmp_path if target == "directory" else tmp_path / "missing" / "x.json"
+    def test_unwritable_report_exit_1(self, tmp_path, capsys, target):
+        # refused before the subcommand runs: no side file (strata CSV,
+        # section JSONL, wavelet ghat CSV, cwt .npz) is left next to --out
+        signal = tmp_path / "signal.csv"
+        np.savetxt(signal, np.cos(2.0 * np.pi * 8.0 * np.arange(64) / 64.0))
+        inputs = {sub: _OVERRIDE_INPUTS[sub][0] for sub in ("strata", "section", "wavelet")}
+        inputs["cwt"] = {**_OVERRIDE_INPUTS["cwt"][0], "signal": str(signal)}
+        for sub, doc in inputs.items():
+            (tmp_path / f"{sub}.json").write_text(json.dumps(doc))
+        before = sorted(tmp_path.rglob("*"))
+        if target == "directory":
+            out = tmp_path / "report"
+            out.mkdir()
+        else:
+            out = tmp_path / "missing" / "report"
         res = run_cli("classify", "--table", "--out", str(out))
         assert res.returncode == 1, res.stderr
         assert res.stderr.startswith("input error: ") and str(out) in res.stderr
         assert "Traceback" not in res.stderr
         assert res.stdout == ""
+        for sub in inputs:
+            argv = [sub, "--input", str(tmp_path / f"{sub}.json"), "--out", str(out),
+                    "--grid", "8", "--quad-order", "8"]
+            assert main(argv) == 1, sub
+            captured = capsys.readouterr()
+            assert captured.err.startswith("input error: ") and str(out) in captured.err, sub
+            assert captured.out == ""
+        assert sorted(tmp_path.rglob("*")) == sorted(before + [out] * out.exists())
 
 
 DIAG_2D = {"n": 2, "generators": [[1, 0, 0, 2]]}
@@ -841,9 +862,9 @@ IMPORT_PROBE = (
 
 # the orbitscope modules each subcommand must not load (its import footprint)
 NOT_LOADED = {
-    "section": {"orbits", "quasisection", "quad", "wavelet", "classify"},
-    "strata": {"quasisection", "quad", "wavelet", "classify", "sections"},
-    "quasisection": {"quad", "wavelet", "classify", "sections"},
+    "section": {"orbits", "quasisection", "wavelet", "classify"},
+    "strata": {"quasisection", "wavelet", "classify", "sections"},
+    "quasisection": {"wavelet", "classify", "sections"},
     "wavelet": {"classify", "sections", "orbits"},
     "cwt": {"classify", "sections", "orbits"},
 }

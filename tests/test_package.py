@@ -43,19 +43,19 @@ class TestNamespace:
             "import orbitscope\n"
             "loaded = lambda: sorted(m for m in sys.modules if m.startswith('orbitscope.'))\n"
             "bare = loaded()\n"
-            "from orbitscope import families, quad\n"
+            "from orbitscope import families, orbits\n"
             "same = orbitscope.wavelet.cwt is orbitscope.cwt\n"
             "print(json.dumps({'bare': bare, 'same': same, 'after': loaded(),\n"
-            "                  'families': families.__name__, 'quad': quad.__name__}))\n"
+            "                  'families': families.__name__, 'orbits': orbits.__name__}))\n"
         )
         res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
         assert res.returncode == 0, res.stderr
         got = json.loads(res.stdout)
         assert got["bare"] == []
         assert got["same"]
-        assert {"orbitscope.families", "orbitscope.quad",
+        assert {"orbitscope.families", "orbitscope.orbits",
                 "orbitscope.wavelet"} <= set(got["after"])
-        assert (got["families"], got["quad"]) == ("orbitscope.families", "orbitscope.quad")
+        assert (got["families"], got["orbits"]) == ("orbitscope.families", "orbitscope.orbits")
 
 
 

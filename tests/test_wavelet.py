@@ -32,17 +32,17 @@ from orbitscope.wavelet import (
     _padded_boxes,
     _shell_share,
     bump,
+    cell_rules,
     calderon_check,
     cwt,
     cwt_slices,
     l1_estimate,
     meeting_param_box,
-    param_lattice,
     smoothstep,
     synth_wavelet,
 )
 
-from conftest import frequency_lattice, gauss_legendre
+from conftest import frequency_lattice
 
 
 @pytest.fixture(scope="module")
@@ -183,8 +183,8 @@ class TestSynth:
     def test_sigma_is_haar_integral_on_c_centre_orbit(self, name, request):
         # the frequency xi* whose block magnitudes are C's centre, and points
         # of its orbit, all integrate to the one sigma the spec stores: the
-        # tensor Gauss-Legendre rule at order 512 per parameter is an oracle
-        # independent of the block integrals
+        # d-dimensional cell-centred rule at 512 cells per parameter is an
+        # oracle independent of the block integrals
         spec = request.getfixturevalue(name)
         act = spec.action
         w = np.zeros(act.alg.n)
@@ -241,6 +241,17 @@ class TestCalderon:
         rep = calderon_check(spec_1d, xis, orders=64)
         assert rep.n_covered == 50 and rep.max_deviation < 1e-3
 
+    @pytest.mark.parametrize("name, bound", [("spec_1d", 1e-6), ("spec_case_a", 3e-5)])
+    def test_order_64_deviation(self, name, bound, request):
+        # each covered sample integrates a translate of one integrand over a
+        # translate of one box, so the CLI's samples all read the rule's
+        # error: 2.0e-7 (1-D) and 1.55e-5 (case (a)) with cell centres,
+        # 8.9e-6 and 4.6e-5 with the Gauss-Legendre rule of the same order
+        spec = request.getfixturevalue(name)
+        xis = _calderon_samples(spec.action, spec, 100, 1729)
+        rep = calderon_check(spec, xis, orders=64)
+        assert rep.n_covered == 100 and rep.max_deviation < bound
+
     def test_invariance_along_orbit(self, spec_1d, dilation_1d):
         xi0 = np.array([1.4])
         r0 = calderon_check(spec_1d, [xi0], orders=64)
@@ -265,7 +276,7 @@ class TestCalderon:
         # the batched rule runs in groups of node rows, so its temporaries do
         # not grow with the number of samples
         xis = _calderon_samples(spec_case_a.action, spec_case_a, 100, 0)
-        calderon_check(spec_case_a, xis[:2], orders=64)  # reference rules cached
+        calderon_check(spec_case_a, xis[:2], orders=64)  # first-call allocations
         tracemalloc.start()
         try:
             rep = calderon_check(spec_case_a, xis, orders=64)
@@ -294,9 +305,11 @@ class TestHaarIntegral:
         vals = _haar_integral(action, f, r, boxes, orders)
         assert vals.shape == (m,)
         for ri, box, val in zip(r, boxes, vals):
-            axes = [gauss_legendre(o, lo_, hi_) for o, (lo_, hi_) in zip(orders, box)]
+            # the cell-centred rule, one (node, weight) list per axis
+            axes = [[(lo_ + (hi_ - lo_) / o * (i + 0.5), (hi_ - lo_) / o) for i in range(o)]
+                    for o, (lo_, hi_) in zip(orders, box)]
             ref = 0.0
-            for nodes in itertools.product(*(list(zip(*ax)) for ax in axes)):
+            for nodes in itertools.product(*axes):
                 t = np.array([tq for tq, _ in nodes])
                 w = np.prod([wj for _, wj in nodes])
                 ref += w * f((ri * np.exp(action.weights @ t))[None])[0] ** 2
@@ -424,7 +437,7 @@ class TestLatticeSlices:
     def test_matches_block_values_on_orbit_magnitudes(self, name, shape, dx, request):
         spec = request.getfixturevalue(name)
         rf = spec.action.block_abs(frequency_lattice(shape, (dx,) * len(shape)))
-        pts, _ = param_lattice(spec.param_box, 5)
+        (pts,), _ = cell_rules([spec.param_box], 5)
         # the containment check evaluates slices just outside the meeting box
         lo = np.array([b[0] for b in spec.param_box])
         hi = np.array([b[1] for b in spec.param_box])
@@ -448,11 +461,11 @@ class TestLatticeSlices:
         rf = spec.action.block_abs(_half_lattice(shape, (dx,) * len(shape))[1])
         box = meeting_param_box(spec.action, spec.W, spec.W, margin=0.0)
         if lattice == "l1":
-            ts = param_lattice(box, 20)[0]
+            ts = cell_rules([box], 20)[0][0]
         elif lattice == "containment":
             ts = _containment_points(box)
         else:
-            ts = param_lattice(spec.param_box, 64)[0]
+            ts = cell_rules([spec.param_box], 64)[0][0]
         scales = np.exp(ts @ spec.action.weights.T)
         slices = list(_lattice_slices(spec, rf, ts))
         assert len(slices) == len(ts)
@@ -513,7 +526,7 @@ class TestCwtMatchesFullSpectrum:
         spec = request.getfixturevalue(name)
         rf = spec.action.block_abs(frequency_lattice(shape, (dx,) * len(shape)))
         g0 = spec.block_values(rf).reshape(shape)
-        ts = param_lattice(spec.param_box, 5)[0]
+        ts = cell_rules([spec.param_box], 5)[0][0]
         [(axes, blocks)] = _axis_groups(spec.action)
         got = _group_l1(spec, axes, blocks, shape, (dx,) * len(shape),
                         np.exp(ts @ spec.action.weights.T)) / spec.sigma
@@ -529,7 +542,7 @@ class TestCwtMatchesFullSpectrum:
         dx = (np.pi / (4.0 * max(hi for _, hi in spec_case_a.W.bounds)),) * 3
         box = meeting_param_box(spec_case_a.action, spec_case_a.W, spec_case_a.W,
                                 margin=0.0)
-        ts = np.concatenate([param_lattice(box, 20)[0], _containment_points(box)])
+        ts = np.concatenate([cell_rules([box], 20)[0][0], _containment_points(box)])
         scales = np.exp(ts @ spec_case_a.action.weights.T)
         groups = _axis_groups(spec_case_a.action)
         assert groups == [((0, 1), (0,)), ((2,), (1,))]
@@ -577,7 +590,7 @@ class TestAxisGroups:
         shape = (32, 32, 32)
         dx = np.pi / (4.0 * max(hi for _, hi in spec.W.bounds))
         box = meeting_param_box(spec.action, spec.W, spec.W, margin=0.0)
-        ts = np.concatenate([param_lattice(box, 4)[0], _containment_points(box)])
+        ts = np.concatenate([cell_rules([box], 4)[0][0], _containment_points(box)])
         got = _l1_values(spec, shape, (dx,) * 3, ts)
         rf = spec.action.block_abs(frequency_lattice(shape, (dx,) * 3))
         g0 = spec.block_values(rf)
@@ -608,7 +621,7 @@ class TestL1Estimate:
         dx = np.pi / (4.0 * max(hi for _, hi in spec_case_a.W.bounds))
         assert l1_estimate(spec_case_a, 32, dx, param_counts=20).containment_max == 0.0
         rep = l1_estimate(spec_case_a, 32, dx, param_counts=8)
-        pts, w = param_lattice(rep.param_box, 8)
+        (pts,), (w,) = cell_rules([rep.param_box], 8)
         rf = spec_case_a.action.block_abs(frequency_lattice((32,) * 3, (dx,) * 3))
         g0 = spec_case_a.block_values(rf)
         dense = [np.sum(np.abs(np.fft.ifftn((g0 * gh).reshape((32,) * 3))))
