@@ -3,13 +3,15 @@
 Subcommands: classify | strata | section | quasisection | wavelet | cwt.
 Exit status 0 on success, 2 on named domain errors, 1 on I/O, parse or
 input errors: a --tol that is not a finite number > 0, a --grid or
---quad-order below 1, or a --seed below 0, whatever the subcommand; an
---out that is a directory or a path in a missing directory, refused before
-the subcommand runs, so no side file is written; a report that cannot be
-written to --out; a group spec whose "n" is
-not an integer from 1 to 6, whose generators have an entry that is not a
-real number, or whose "tol" is not a finite number > 0 (JSON booleans count
-as none of these); `section` points that are not a finite (m, n) array; a `cwt`
+--quad-order below 1, or a --seed below 0, whatever the subcommand; a
+`strata` --grid or `wavelet` --quad-order that asks for more than
+_MAX_POINTS points, refused before they are allocated; an --out that is a
+directory or a path in a missing directory, refused before the subcommand
+runs, so no side file is written; a report that cannot be written to
+--out; a group spec whose "n" is not an integer from 1 to 6, whose
+generators have an entry that is not a real number, or whose "tol" is not a
+finite number > 0 (JSON booleans count as none of these); `section` points
+that are not a finite (m, n) array; a `cwt`
 signal that is zero everywhere, has a non-finite sample, or is not an
 n-axis lattice with power-of-two sizes; a `cwt` "dx" that is not a finite
 number > 0 or "param_counts" that is not an integer >= 1; a `wavelet`
@@ -34,7 +36,7 @@ and overrides: the flags the subcommand reads (`strata` --grid, `wavelet`
 --quad-order and --grid) and a given --tol.
 The `wavelet` Calderon samples and the `quasisection` coverage samples are
 drawn from random.Random(--seed) (linalg.seeded_draws), so only `strata`
-loads numpy.random.
+loads numpy.random; the Calderon samples set only the coverage counts.
 BLAS runs on one thread: before numpy loads, the CLI sets
 OPENBLAS_NUM_THREADS to 1 unless it is already set.
 """
@@ -69,6 +71,7 @@ DEFAULT_SEED = 1729
 _CSV_CHUNK_ROWS = 4096
 _GHAT_MAX_PER_AXIS = 64
 _GHAT_MAX_ROWS = 4096
+_MAX_POINTS = 2 ** 20  # strata probes (4 * --grid), Calderon nodes (--quad-order**d)
 # the flags besides --tol that each subcommand reads, as the header's overrides
 _FLAGS_READ = {"strata": ("grid",), "wavelet": ("quad_order", "grid")}
 
@@ -170,7 +173,10 @@ def _cmd_classify(args, doc, alg: DilationAlgebra) -> dict:
 def _cmd_strata(args, doc, alg: DilationAlgebra) -> dict:
     from .orbits import stratify
 
-    rep = stratify(alg, args.grid * 4, args.seed)
+    if 4 * args.grid > _MAX_POINTS:
+        raise InputError(f"--grid {args.grid} asks for {4 * args.grid} strata probes, "
+                         f"more than the limit of {_MAX_POINTS}")
+    rep = stratify(alg, 4 * args.grid, args.seed)
     csv_path = None
     if args.out:
         csv_path = args.out + ".csv"
@@ -289,6 +295,9 @@ def _calderon_samples(action, spec, count, seed) -> np.ndarray:
 def _cmd_wavelet(args, doc, alg: DilationAlgebra) -> dict:
     from .wavelet import calderon_check, l1_estimate
 
+    if args.quad_order ** alg.d > _MAX_POINTS:
+        raise InputError(f"--quad-order {args.quad_order} asks for {args.quad_order ** alg.d}"
+                         f" Calderon nodes, more than the limit of {_MAX_POINTS}")
     action, spec = _wavelet_spec(doc, alg)
     count = doc.get("samples", 100)
     if type(count) is not int or count < 1:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import orbitscope
-from orbitscope.cli import _export_ghat, _savez, _write_csv, main
+from orbitscope.cli import _MAX_POINTS, _export_ghat, _savez, _write_csv, main
 from orbitscope.groupspec import group_spec_from_dict, validate_report
 from orbitscope.linalg import mat_exp
 from orbitscope.errors import InputError
@@ -442,6 +442,22 @@ class TestFlagInput:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("subcommand, flag, value", [
+        ("wavelet", "--quad-order", "100000"), ("strata", "--grid", "1000000000"),
+    ], ids=["wavelet-quad-order", "strata-grid"])
+    def test_size_flag_above_limit_exit_1(self, tmp_path, capsys, subcommand, flag, value):
+        # refused before anything is allocated: the 1e10 Calderon nodes of a
+        # d = 2 spec (149 GiB) and the 4e9 strata probes (89 GiB) used to end
+        # in a MemoryError traceback
+        path = tmp_path / "case_a.json"
+        path.write_text(json.dumps(CASE_A))
+        out = tmp_path / "out.json"
+        assert main([subcommand, "--input", str(path), "--out", str(out), flag, value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {flag} {value} asks for ")
+        assert f"more than the limit of {_MAX_POINTS}" in err
+        assert not out.exists()
+
     def test_seed_zero_accepted(self, case_d_spec, tmp_path):
         out = tmp_path / "out.json"
         assert main(["strata", "--input", str(case_d_spec), "--grid", "4", "--seed", "0",
@@ -674,6 +690,21 @@ class TestGhatExport:
 
 
 class TestWaveletPipeline:
+    @pytest.mark.parametrize("doc", [
+        {"n": 1, "generators": DILATION_1D, "box": {"bounds": [[1.0, 2.0]]}}, CASE_A,
+    ], ids=["1d", "case-a"])
+    def test_calderon_block_does_not_depend_on_seed(self, capsys, tmp_path, doc):
+        # the samples only decide coverage; the integral runs once, on the
+        # orbit through C's centre
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(doc))
+        blocks = []
+        for seed in ("0", "1", "1729"):
+            assert main(["wavelet", "--input", str(path), "--grid", "8", "--seed", seed]) == 0
+            blocks.append(json.loads(capsys.readouterr().out)["payload"]["calderon"])
+        assert blocks[0]["n_covered"] == 100
+        assert blocks[0] == blocks[1] == blocks[2]
+
     def test_wavelet_then_cwt(self, tmp_path):
         doc = {"n": 1, "generators": [[1.0]], "box": {"bounds": [[1.0, 2.0]]},
                "samples": 25}

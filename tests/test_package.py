@@ -64,6 +64,12 @@ README = SRC.parents[1] / "README.md"
 ERROR_BASES = {"OrbitscopeError", "InputError", "DomainError"}
 
 
+def _tour() -> str:
+    """The code block of the README's library quick tour."""
+    return re.search(r"## Library quick tour\n+```python\n(.*?)```", README.read_text(),
+                     re.S).group(1)
+
+
 def _names(nodes):
     """The names read and attributes taken among `nodes`."""
     return {node.id if isinstance(node, ast.Name) else node.attr for node in nodes
@@ -121,8 +127,7 @@ class TestNoDeadCode:
         # export table, or the README's library quick tour shows it
         trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))
                  if path.name != "__init__.py"}
-        readme = README.read_text()
-        tour = re.search(r"## Library quick tour\n+```python\n(.*?)```", readme, re.S).group(1)
+        tour = _tour()
         unused = []
         for name, module in orbitscope._EXPORTS.items():
             defn = next(node for node in trees[f"{module}.py"].body
@@ -195,6 +200,12 @@ class TestNoDeadCode:
                 unread += [f"{path.name}:{name}({p})" for p in params
                            if p not in read and p != "self"]
         assert unread == []
+
+
+class TestReadme:
+    def test_quick_tour_runs(self):
+        # the tour counts as a caller of the names it shows, so it must run
+        exec(compile(_tour(), "README quick tour", "exec"), {})
 
 
 class TestImportOrder:

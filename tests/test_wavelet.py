@@ -19,7 +19,13 @@ from orbitscope.errors import (
 )
 from orbitscope.families import family_a, family_b, family_e
 from orbitscope.linalg import DilationAlgebra, mat_exp
-from orbitscope.quasisection import BoxSet, _point_system, c_i_box, diagonal_action
+from orbitscope.quasisection import (
+    BoxSet,
+    _point_system,
+    _polyhedra,
+    c_i_box,
+    diagonal_action,
+)
 from orbitscope.wavelet import (
     _SUPPORT_PAD,
     _axis_groups,
@@ -48,6 +54,13 @@ from conftest import frequency_lattice
 @pytest.fixture(scope="module")
 def act_1d(dilation_1d):
     return diagonal_action(dilation_1d)
+
+
+@pytest.fixture(scope="module")
+def spec_spiral():
+    # the 2-D spiral group exp(t [[1, -1], [1, 1]]): one block of magnitude |xi|
+    act = diagonal_action(DilationAlgebra([np.array([[1.0, -1.0], [1.0, 1.0]])]))
+    return synth_wavelet(act, BoxSet([(1.0, 2.0)]))
 
 
 @pytest.fixture(scope="module")
@@ -243,25 +256,35 @@ class TestCalderon:
 
     @pytest.mark.parametrize("name, bound", [("spec_1d", 1e-6), ("spec_case_a", 3e-5)])
     def test_order_64_deviation(self, name, bound, request):
-        # each covered sample integrates a translate of one integrand over a
-        # translate of one box, so the CLI's samples all read the rule's
-        # error: 2.0e-7 (1-D) and 1.55e-5 (case (a)) with cell centres,
-        # 8.9e-6 and 4.6e-5 with the Gauss-Legendre rule of the same order
+        # the one integral reads the rule's error: 2.0e-7 (1-D) and 1.55e-5
+        # (case (a)) with cell centres, 8.9e-6 and 4.6e-5 with the
+        # Gauss-Legendre rule of the same order
         spec = request.getfixturevalue(name)
         xis = _calderon_samples(spec.action, spec, 100, 1729)
         rep = calderon_check(spec, xis, orders=64)
         assert rep.n_covered == 100 and rep.max_deviation < bound
 
-    def test_invariance_along_orbit(self, spec_1d, dilation_1d):
-        xi0 = np.array([1.4])
-        r0 = calderon_check(spec_1d, [xi0], orders=64)
-        xi1 = mat_exp(-dilation_1d.element([0.9]).T) @ xi0
-        r1 = calderon_check(spec_1d, [xi1], orders=64)
-        assert abs(r0.values[0] - r1.values[0]) < 1e-6
+    @pytest.mark.parametrize("seed", [0, 1, 1729])
+    @pytest.mark.parametrize("name", ["spec_1d", "spec_spiral", "spec_case_a"])
+    def test_value_is_each_covered_samples_integral(self, name, seed, request):
+        # the reference computation: every covered sample integrated over its
+        # own padded support box, as many integrals as samples
+        spec = request.getfixturevalue(name)
+        act = spec.action
+        xis = _calderon_samples(act, spec, 100, seed)
+        rep = calderon_check(spec, xis, orders=64)
+        rs = act.block_abs(xis)
+        covered = _polyhedra(*_point_system(act, spec.C, rs))[0]
+        boxes = _padded_boxes(*_point_system(act, spec.W, rs[covered]), _SUPPORT_PAD)[1]
+        vals = _haar_integral(act, spec.block_values, rs[covered], boxes, 64)
+        assert rep.n_covered == covered.sum() == 100
+        npt.assert_allclose(vals, rep.value, rtol=1e-14, atol=0)
+        assert rep.max_deviation == abs(rep.value - 1.0)
 
     def test_uncovered_excluded(self, spec_1d):
         rep = calderon_check(spec_1d, [[1.5], [0.0]], orders=64)
         assert rep.n_covered == 1 and rep.n_uncovered == 1
+        assert np.isnan(calderon_check(spec_1d, [[0.0]], orders=64).max_deviation)
 
     def test_wrong_sigma_fails_instead_of_dropping_samples(self, spec_1d):
         # coverage comes from structure (the orbit meets C), not from the
@@ -273,8 +296,8 @@ class TestCalderon:
         assert rep.max_deviation == pytest.approx(2.0 / 3.0, abs=1e-3)
 
     def test_peak_memory_case_a(self, spec_case_a):
-        # the batched rule runs in groups of node rows, so its temporaries do
-        # not grow with the number of samples
+        # the rule runs on one box whatever the number of samples, so its
+        # temporaries do not grow with them
         xis = _calderon_samples(spec_case_a.action, spec_case_a, 100, 0)
         calderon_check(spec_case_a, xis[:2], orders=64)  # first-call allocations
         tracemalloc.start()
@@ -639,7 +662,8 @@ class TestL1Estimate:
 
 
 class TestPointSupportBox:
-    # the padded parameter-support boxes that calderon_check integrates over
+    # the padded parameter-support boxes; calderon_check integrates over the
+    # one of C's centre
     def test_contains_true_support(self, act_1d, phi_1d):
         nonempty, boxes = _padded_boxes(*_point_system(act_1d, phi_1d.outer, np.array([[1.5]])),
                                         _SUPPORT_PAD)
