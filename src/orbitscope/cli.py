@@ -4,15 +4,15 @@ Subcommands: classify | strata | section | quasisection | wavelet | cwt.
 Exit status 0 on success, 2 on named domain errors, 1 on I/O, parse or
 input errors: a --tol that is not a finite number > 0, a --grid or
 --quad-order below 1, or a --seed below 0, whatever the subcommand; a
-`strata` --grid or `wavelet` --quad-order that asks for more than
-_MAX_POINTS points, refused before they are allocated; an --out that is a
-directory or a path in a missing directory, refused before the subcommand
-runs, so no side file is written; a report that cannot be written to
---out; a group spec whose "n" is not an integer from 1 to 6, whose
-generators have an entry that is not a real number, or whose "tol" is not a
-finite number > 0 (JSON booleans count as none of these); `section` points
-that are not a finite (m, n) array; a `cwt`
-signal that is zero everywhere, has a non-finite sample, or is not an
+`strata` --grid, `wavelet` --quad-order or "samples" or `cwt`
+"param_counts" that asks for more than _MAX_POINTS points or draws, refused
+before any work; an --out that is a directory or a path in a missing
+directory, refused before the subcommand runs, so no side file is written;
+a report that cannot be written to --out; a group spec whose "n" is not an
+integer from 1 to 6, whose generators have an entry that is not a real
+number, or whose "tol" is not a finite number > 0 (JSON booleans count as
+none of these); `section` points that are not a finite (m, n) array; a
+`cwt` signal that is zero everywhere, has a non-finite sample, or is not an
 n-axis lattice with power-of-two sizes; a `cwt` "dx" that is not a finite
 number > 0 or "param_counts" that is not an integer >= 1; a `wavelet`
 "samples" that is not an integer >= 1; a `quasisection`
@@ -32,8 +32,10 @@ as it is made, with the bytes np.savez would write, so the job holds one
 slice, not all of them; a failure while the .npz is written removes it.
 Reports are deterministic for fixed inputs and flags (modulo the timestamp
 header field) and carry a provenance header with version, seed, tolerance
-and overrides: the flags the subcommand reads (`strata` --grid, `wavelet`
---quad-order and --grid) and a given --tol.
+and overrides: the flags the subcommand reads (`strata` --grid, for 4 --grid
+probes; `wavelet` --quad-order, the Calderon cells per parameter, and
+--grid, the ghat CSV's points per axis; the L1 estimate reads no flag) and
+a given --tol.
 The `wavelet` Calderon samples and the `quasisection` coverage samples are
 drawn from random.Random(--seed) (linalg.seeded_draws), so only `strata`
 loads numpy.random; the Calderon samples set only the coverage counts.
@@ -71,7 +73,7 @@ DEFAULT_SEED = 1729
 _CSV_CHUNK_ROWS = 4096
 _GHAT_MAX_PER_AXIS = 64
 _GHAT_MAX_ROWS = 4096
-_MAX_POINTS = 2 ** 20  # strata probes (4 * --grid), Calderon nodes (--quad-order**d)
+_MAX_POINTS = 2 ** 20  # strata probes, Calderon nodes, wavelet draws, cwt parameter points
 # the flags besides --tol that each subcommand reads, as the header's overrides
 _FLAGS_READ = {"strata": ("grid",), "wavelet": ("quad_order", "grid")}
 
@@ -85,8 +87,10 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", help="output report path (stdout when omitted)")
         sp.add_argument("--tol", type=float, default=None, help="tolerance override")
         sp.add_argument("--quad-order", type=int, default=64, dest="quad_order",
-                        help="cells per group parameter of the Calderón rule")
-        sp.add_argument("--grid", type=int, default=128, help="lattice size per axis")
+                        help="`wavelet`: cells per group parameter of the Calderón rule")
+        sp.add_argument("--grid", type=int, default=128,
+                        help="`strata`: 4 GRID probes; `wavelet`: ĝ CSV points per "
+                             "axis, at most 64")
         sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
         if name == "classify":
             sp.add_argument("--table", action="store_true",
@@ -149,6 +153,13 @@ def main(argv=None) -> int:
     return 0
 
 
+def _check_size(name: str, value: int, points: int, noun: str) -> None:
+    """Refuse a flag or key that asks for more than _MAX_POINTS points."""
+    if points > _MAX_POINTS:
+        raise InputError(f"{name} {value} asks for {points} {noun}, "
+                         f"more than the limit of {_MAX_POINTS}")
+
+
 def _cmd_classify(args, doc, alg: DilationAlgebra) -> dict:
     from .classify import classify3, classify_dispatch
 
@@ -173,9 +184,7 @@ def _cmd_classify(args, doc, alg: DilationAlgebra) -> dict:
 def _cmd_strata(args, doc, alg: DilationAlgebra) -> dict:
     from .orbits import stratify
 
-    if 4 * args.grid > _MAX_POINTS:
-        raise InputError(f"--grid {args.grid} asks for {4 * args.grid} strata probes, "
-                         f"more than the limit of {_MAX_POINTS}")
+    _check_size("--grid", args.grid, 4 * args.grid, "strata probes")
     rep = stratify(alg, 4 * args.grid, args.seed)
     csv_path = None
     if args.out:
@@ -268,15 +277,12 @@ def _cmd_quasisection(args, doc, alg: DilationAlgebra) -> dict:
     return {"verdict": verdict.to_json()}
 
 
-def _wavelet_spec(doc, alg: DilationAlgebra) -> tuple:
-    from .quasisection import diagonal_action
+def _wavelet_spec(doc, action):
     from .wavelet import synth_wavelet
 
-    action = diagonal_action(alg)
     C = _parse_box(doc.get("box"), action, "'box'")
     W = _parse_box(doc["W"], action, "'W'") if "W" in doc else None
-    spec = synth_wavelet(action, C, W)
-    return action, spec
+    return synth_wavelet(action, C, W)
 
 
 def _calderon_samples(action, spec, count, seed) -> np.ndarray:
@@ -293,26 +299,19 @@ def _calderon_samples(action, spec, count, seed) -> np.ndarray:
 
 
 def _cmd_wavelet(args, doc, alg: DilationAlgebra) -> dict:
+    from .quasisection import diagonal_action
     from .wavelet import calderon_check, l1_estimate
 
-    if args.quad_order ** alg.d > _MAX_POINTS:
-        raise InputError(f"--quad-order {args.quad_order} asks for {args.quad_order ** alg.d}"
-                         f" Calderon nodes, more than the limit of {_MAX_POINTS}")
-    action, spec = _wavelet_spec(doc, alg)
+    _check_size("--quad-order", args.quad_order, args.quad_order ** alg.d, "Calderon nodes")
     count = doc.get("samples", 100)
     if type(count) is not int or count < 1:
         raise InputError(f"'samples' must be an integer >= 1, got {count!r}")
+    action = diagonal_action(alg)
+    _check_size("'samples'", count, count * (action.k + alg.d + alg.n), "seeded draws")
+    spec = _wavelet_spec(doc, action)
     samples = _calderon_samples(action, spec, count, args.seed)
     cal = calderon_check(spec, samples, args.quad_order)
-    hi = max(hi for _, hi in spec.W.bounds)
-    dx = np.pi / (4.0 * hi)
-    # lattice sizes scale down with dimension: a family with no aligned axes
-    # is one axis group, where the L1 estimate takes one n-dimensional FFT
-    # per parameter point, and there are param_counts^d of those
-    n = action.alg.n
-    shape = min(args.grid, {1: 256, 2: 64}.get(n, 32))
-    counts = min(args.quad_order, 64) if action.d == 1 else min(args.quad_order, 20)
-    l1 = l1_estimate(spec, shape, dx, param_counts=counts)
+    l1 = l1_estimate(spec)
     ghat_csv = None
     if args.out:
         ghat_csv = args.out + "_ghat.csv"
@@ -355,16 +354,18 @@ def _write_csv(path: str, header, table: np.ndarray, fmt: str) -> None:
 
 
 def _cmd_cwt(args, doc, alg: DilationAlgebra) -> dict:
+    from .quasisection import diagonal_action
     from .wavelet import cwt_slices, slice_energy
 
-    _, spec = _wavelet_spec(doc, alg)
-    f = _load_signal(doc.get("signal"))
     dx = doc.get("dx", 1.0)
     if type(dx) not in (int, float) or not (np.isfinite(dx) and dx > 0):
         raise InputError(f"'dx' must be a finite number > 0, got {dx!r}")
     counts = doc.get("param_counts", 64)
     if type(counts) is not int or counts < 1:
         raise InputError(f"'param_counts' must be an integer >= 1, got {counts!r}")
+    _check_size("'param_counts'", counts, counts ** alg.d, "parameter points")
+    spec = _wavelet_spec(doc, diagonal_action(alg))
+    f = _load_signal(doc.get("signal"))
     lattice, slices = cwt_slices(spec, f, float(dx), counts)
     energies = []
 

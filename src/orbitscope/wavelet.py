@@ -20,12 +20,11 @@ cwt fills one array from them; and the L1 reproducing-kernel estimate whose
 parameter support is confined to the meeting-set box of (W, W).
 
 phi and ghat depend on xi only through its block magnitudes r, which h_t^T
-scales as r_k exp(mu_k . t).  The Calderon integrals, the cwt slices and
-the L1 slices are therefore all evaluated on r . exp(W t); no n x n group
-transform is formed.
+scales as r_k exp(mu_k . t).  The Calderon integrals and the cwt slices are
+therefore evaluated on r . exp(W t); no n x n group transform is formed.
 
-Every parameter integral (the Calderon check, the cwt lattice and the L1
-estimate) uses one rule, cell_rules: cell centres with equal weights.  Each
+The d-dimensional parameter integrals (the Calderon check and the cwt
+lattice) use one rule, cell_rules: cell centres with equal weights.  Each
 integrand is C^infinity and vanishes to all orders at the faces of its
 padded parameter box, where an equispaced rule converges faster than any
 power (Trefethen & Weideman, SIAM Review 56, 2014); a Gauss rule would
@@ -33,15 +32,9 @@ spend its end-clustered nodes where the integrand is zero.  The Calderon
 samples only decide coverage: every covered orbit has the same integral,
 so it is computed once.
 
-The L1 estimate works on axis groups: the finest partition of the lattice
-axes in which each block's adapted coordinates read only its own group's
-axes.  A slice ghat . ghat(h_t^T .) is sigma^{-1} times one factor per
-group, so its inverse FFT and its L1 norm are products of per-group sums
-over the group's sub-lattice, each computed once per distinct row of the
-group's block scales.  An aligned family splits (case (a) into
-{x1, x2} | {x3}); a conjugated family is one group, the whole lattice.  A
-group's factor is evaluated on its support only, and a row that vanishes
-there runs no FFT.
+The L1 estimate separates per block, as sigma does, into 1-D integrals over
+s of radial profiles on one 1-D FFT lattice (radial_l1), with sigma's nested
+N/2N trapezoid rule; so it does not depend on the basis.
 
 Left Haar on G = R^n x| H is |det h|^{-1} dx dh and the modular function is
 Delta_G(x, h) = |det h|^{-1}; see docs/haar_and_modular.md for the
@@ -50,6 +43,7 @@ derivation.  Delta_G^{-1/2} enters the L1 weight as |det h|^{+1/2}.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -208,6 +202,12 @@ def _haar_integral(action: DiagonalizedAction, f, r: np.ndarray, boxes, orders) 
 _SIGMA_INTERVALS = 256
 
 
+def _nested_trapezoid(f: np.ndarray, h: float):
+    """The trapezoid rule on 2N and on N intervals, (h sum f, 2h sum f[::2]),
+    for samples f on 2N + 1 nodes (last axis) where f vanishes at both ends."""
+    return h * np.sum(f, axis=-1), 2.0 * h * np.sum(f[..., ::2], axis=-1)
+
+
 @dataclass(frozen=True)
 class WaveletSpec:
     """Frequency-domain wavelet ghat = phi / sqrt(sigma).  The box's orbits
@@ -283,8 +283,7 @@ def synth_wavelet(action: DiagonalizedAction, C: BoxSet, W: BoxSet | None = None
     integrals, rel_diff = [], []
     for k, (lo, hi) in enumerate(W.bounds):
         u, h = np.linspace(np.log(lo), np.log(hi), 2 * _SIGMA_INTERVALS + 1, retstep=True)
-        f = phi.factor(k, np.exp(u)) ** 2
-        fine, coarse = h * np.sum(f), 2.0 * h * np.sum(f[::2])
+        fine, coarse = _nested_trapezoid(phi.factor(k, np.exp(u)) ** 2, h)
         integrals.append(fine)
         rel_diff.append(float(abs(fine - coarse) / fine))
     if max(rel_diff) > 1e-3:
@@ -500,149 +499,148 @@ def cwt(spec: WaveletSpec, f: np.ndarray, dx, param_counts) -> TransformGrid:
 class L1Report:
     value: float
     param_box: tuple
-    param_counts: tuple
     containment_max: float
+    convergence: dict
 
     def to_json(self) -> dict:
         return {
             "l1_estimate": self.value,
             "param_box": [list(b) for b in self.param_box],
-            "param_counts": list(self.param_counts),
             "support_containment_max": self.containment_max,
             "weight_exponent": _WEIGHT_EXPONENT,
+            "convergence": self.convergence,
         }
 
 
-def l1_estimate(spec: WaveletSpec, shape, dx, param_counts=64) -> L1Report:
-    """Upper bound for || Delta_G^{-1/2} V_g g ||_L1 via
+# points of the L1 estimate's 1-D lattice and of each batch of its Abel sums
+_L1_MAX_POINTS = 2 ** 14
 
-        int ||(ghat . conj(ghat_h))^v||_L1 |det h|^{-1/2} |det h|^{1/2} dh,
 
-    where Delta_G^{-1/2} = |det h|^{1/2} (_WEIGHT_EXPONENT) cancels the
-    transform's |det h|^{-1/2}, so each slice counts with its L1 norm and
-    its lattice weight alone.  The h-support is exactly the meeting set of
-    (W, W): SupportUnbounded when that set is unbounded, and coefficients
-    outside its box are checked to vanish.
+def l1_estimate(spec: WaveletSpec, shape=None, dx=None, param_counts=64) -> L1Report:
+    """|| Delta_G^{-1/2} V_g g ||_L1 = int ||(ghat . ghat_h)^v||_L1 dh: the
+    weight |det h|^{1/2} (_WEIGHT_EXPONENT) and the transform's |det h|^{1/2}
+    cancel the Haar |det h|^{-1}.  With k = d and M invertible, as
+    synth_wavelet requires, the slice separates per block and |det basis|
+    cancels, so whatever the basis
 
-    Each slice ghat . ghat_t is sigma^{-1} times a product over the axis
-    groups of _axis_groups, and each factor reads only its group's axes.  So
-    the slice's inverse FFT and its sum |.| factor too: a slice's L1 norm is
-    sigma^{-1} times the product of its group sums, and each group sum is
-    computed once per distinct row of its blocks' scales exp(mu_k . t).
+        L1 = sigma^{-1} |det M|^{-1} prod_k int L_k(s) ds,
+        L_k(s) = ||F^{-1}[phi_k(|w|) phi_k(e^s |w|)]||_{L1(R^{m_k})}.
+
+    L_k is even and vanishes for |s| >= ln(hi_k / lo_k) of W: a trapezoid
+    rule of `param_counts` (even) intervals, radial_l1 at the nodes s >= 0
+    on `shape` points at step dx.  By default dx = pi / (4 max hi(W)) and
+    shape is the least power of two with step 2 pi / (shape dx) <= delta / 12
+    (delta: W's narrowest transition around C), at most _L1_MAX_POINTS.
+    `convergence` has the relative differences to half the lattice (every
+    other frequency) and to half the intervals; on its own lattice (no
+    `shape`) it warns above 1% or when capped.  `containment_max` is the
+    largest slice norm 0.75 beyond the faces of the kernel's support box,
+    the meeting set of (W, W).
     """
     action = spec.action
     box = meeting_param_box(action, spec.W, spec.W, margin=0.0)
-    shape = (int(shape),) * action.alg.n if np.isscalar(shape) else tuple(shape)
-    if np.isscalar(param_counts):
-        param_counts = (int(param_counts),) * action.d
-    dx = (float(dx),) * len(shape) if np.isscalar(dx) else tuple(float(v) for v in dx)
-    (pts,), (w,) = cell_rules([box], param_counts)
-    vals = _l1_values(spec, shape, dx, np.concatenate([pts, _containment_points(box)]))
-    return L1Report(
-        value=float(w @ vals[:len(w)]),
-        param_box=box,
-        param_counts=tuple(param_counts),
-        containment_max=float(np.max(vals[len(w):])),
-    )
+    S = int(param_counts)
+    if S < 2 or S % 2:
+        raise ValueError(f"param_counts must be an even integer >= 2, got {param_counts}")
+    delta = float(np.min(np.abs(np.subtract(spec.C.bounds, spec.W.bounds))))
+    dx = np.pi / (4.0 * max(hi for _, hi in spec.W.bounds)) if dx is None else float(dx)
+    own = shape is None
+    wanted = 2 ** int(np.ceil(np.log2(24.0 * np.pi / (dx * delta)))) if own else int(shape)
+    n, capped = min(wanted, _L1_MAX_POINTS) if own else wanted, wanted > _L1_MAX_POINTS and own
+    du = max(delta / 4.0, 6.0 * np.pi / (n * dx))  # delta / 4, or 3 steps of a coarse lattice
+
+    dims = [sl.stop - sl.start for sl in action.slices]
+
+    def profiles(k, s):  # L_k at the nodes s, on the lattice and on its half: (2, len(s))
+        hi, c, phi = spec.W.bounds[k][1], np.exp(np.abs(s)), spec.phi
+        if dims[k] % 2:  # one row of q per node, all in one batch
+            return radial_l1(lambda rho: phi.factor(k, rho) * phi.factor(k, c[:, None] * rho),
+                             dims[k], n, dx, du, hi)
+        return np.transpose([radial_l1(lambda rho: phi.factor(k, rho) * phi.factor(k, ci * rho),
+                                       dims[k], n, dx, du, hi / ci) for ci in c])  # bounded memory
+
+    integrals = []
+    for k, (lo, hi) in enumerate(spec.W.bounds):
+        h = 2.0 * np.log(hi / lo) / S
+        half = profiles(k, h * np.arange(S // 2 + 1))
+        integrals.append(_nested_trapezoid(np.concatenate([half[:, :0:-1], half], axis=1), h))
+    (fine, lattice_half), (param_half, _) = np.prod(integrals, axis=0)
+    norm = spec.sigma * abs(np.linalg.det(action.weights))
+    rel_diff = [float(abs(fine - lattice_half) / fine), float(abs(fine - param_half) / fine)]
+    if capped or (own and max(rel_diff) > 1e-2):
+        warnings.warn(f"the L1 estimate moves by {max(rel_diff):.2g} from {n // 2} to {n} lattice "
+                      f"points or {S // 2} to {S} intervals" + ", lattice capped" * capped)
+    outside = np.prod([profiles(k, s)[0] for k, s in
+                       enumerate(action.weights @ _containment_points(box).T)], axis=0)
+    return L1Report(value=float(fine / norm), param_box=box,
+                    containment_max=float(np.max(outside) / norm),
+                    convergence={"lattice": [n // 2, n], "lattice_rel_diff": rel_diff[0],
+                                 "param_counts": [S // 2, S], "param_rel_diff": rel_diff[1],
+                                 "lattice_capped": capped})
 
 
-def _l1_values(spec: WaveletSpec, shape, dx, ts) -> np.ndarray:
-    """sum |(ghat . ghat_t)^v| over the lattice `shape`, one float per row of
-    ts: sigma^{-1} times the product of the axis groups' sums."""
-    scales = np.exp(ts @ spec.action.weights.T)
-    vals = np.full(ts.shape[0], 1.0 / spec.sigma)
-    for axes, blocks in _axis_groups(spec.action):
-        rows, which = np.unique(scales[:, blocks], axis=0, return_inverse=True)
-        vals *= _group_l1(spec, axes, blocks, shape, dx, rows)[which]
-    return vals
+def radial_l1(q, m: int, n: int, dx: float, du: float, rho_max: float) -> np.ndarray:
+    """||F^{-1}[q(|w|)]||_{L1(R^m)} for a profile q that vanishes beyond
+    rho_max, on the 1-D FFT lattice of n points at step dx and on its half
+    (every other frequency, same dx): [full, half], over q's batch axes.
 
-
-def _axis_groups(action: DiagonalizedAction) -> list[tuple[tuple, tuple]]:
-    """The finest partition of the lattice axes in which every block's
-    adapted coordinates basis[:, slices[k]] read only the axes of its own
-    group (exact zeros, no tolerance), as sorted (axes, blocks) pairs.
-
-    A coordinate-aligned family splits; a conjugated one is one group."""
-    groups = []
-    for k, sl in enumerate(action.slices):
-        axes, blocks = set(np.flatnonzero(action.basis[:, sl].any(axis=1)).tolist()), [k]
-        rest = []
-        for g_axes, g_blocks in groups:
-            if g_axes & axes:
-                axes |= g_axes
-                blocks += g_blocks
-            else:
-                rest.append((g_axes, g_blocks))
-        groups = rest + [(axes, blocks)]
-    return sorted((tuple(sorted(a)), tuple(sorted(b))) for a, b in groups)
-
-
-def _group_l1(spec: WaveletSpec, axes, blocks, shape, dx, scales) -> np.ndarray:
-    """sum |(p_s)^v| over the sub-lattice of `shape` on `axes`, where
-    p_s = prod_{k in blocks} phi_k(r_k) phi_k(s_k r_k), one float per row of
-    scales (columns: the scales s_k of `blocks`).
-
-    p_s is real and even in xi, so it lives on the sub-lattice's rfftn half.
-    It vanishes off the support of its s = 1 factor, so it is evaluated on
-    that support only, and a row whose product is zero there gives exactly
-    0.0 without an FFT.
+    The radial transform f starts from the 1-D transform of q(|xi|) (odd m)
+    or of the Abel projection pi^{-1} int_0^inf q(sqrt(xi^2 + u^2)) du by the
+    cell-centred rule at step du (even m; spectrally accurate, the
+    integrand is even in u).  Each step f -> -(2 pi rho)^{-1} f' adds 2 to
+    the dimension, with derivatives (i xi)^j in the same irfft.  The norm
+    |S^{m-1}| int |f| rho^{m-1} drho is the trapezoid rule, plus for m = 2
+    the end term dx^2/12 |f(0)|, the slope of rho |f| at 0.
     """
-    sub = tuple(shape[j] for j in axes)
-    half, freqs = _half_lattice(sub, tuple(dx[j] for j in axes))
-    pts = np.zeros((freqs.shape[0], len(shape)))
-    pts[:, axes] = freqs
-    rf = spec.action.block_abs(pts)
-    g0 = np.ones(rf.shape[0])
-    for k in blocks:
-        g0 *= spec.phi.factor(k, rf[:, k])
-    supp = np.flatnonzero(g0)
-    g, rf = g0[supp], rf[supp]
-    buf = np.zeros(half)  # zero off supp for every row
-    out = np.zeros(scales.shape[0])
-    for i, prod in enumerate(_factor_slices(spec.phi, blocks, rf, scales)):
-        prod *= g
-        if prod.any():
-            buf.flat[supp] = prod
-            out[i] = np.sum(np.abs(np.fft.irfftn(buf, s=sub, axes=tuple(range(len(sub))))))
-    return out
-
-
-def _factor_slices(phi: BumpFunction, blocks, rf: np.ndarray, scales: np.ndarray):
-    """prod_{k in blocks} phi_k(s_k r_k) on a lattice with block magnitudes
-    rf, one (m,) array per row of scales, whose columns are the scales s_k
-    of `blocks` in order.
-
-    Block k's factor is evaluated once per distinct scale (an exact
-    np.unique, no tolerance) on the block's distinct magnitudes u_k, and
-    each slice gathers its factors from those tables onto the lattice.
-    """
-    tables = []
-    for j, k in enumerate(blocks):
-        u, inverse = np.unique(rf[:, k], return_inverse=True)
-        s, which = np.unique(scales[:, j], return_inverse=True)
-        tables.append(([phi.factor(k, sk * u) for sk in s], which, inverse))
-    for i in range(scales.shape[0]):
-        out = np.ones(rf.shape[0])
-        for table, which, inverse in tables:
-            out *= table[which[i]][inverse]
-        yield out
+    dxi = 2.0 * np.pi / (n * dx)
+    xi = dxi * np.arange(min(n // 2, int(rho_max / dxi)) + 1)
+    if m % 2:
+        g = q(xi)
+    else:
+        u = du * (np.arange(np.ceil(rho_max / du)) + 0.5)
+        rows = max(1, _L1_MAX_POINTS // u.size)
+        g = np.concatenate([du / np.pi * np.sum(q(np.sqrt(xi[i:i + rows, None] ** 2 + u * u)),
+                                                axis=-1) for i in range(0, xi.size, rows)], axis=-1)
+    steps = (m - 1) // 2
+    c = [1.0]  # (rho^-1 d/drho)^steps = sum_j c_j rho^(j - 2 steps) (d/drho)^j
+    for i in range(steps):
+        c = [(j - 2 * i) * (c + [0.0])[j] + ([0.0] + c)[j] for j in range(len(c) + 1)]
+    out = []
+    for size, gs, xs in ((n, g, xi), (n // 2, g[..., ::2], xi[::2])):
+        d = np.fft.irfft((1j * xs) ** np.arange(steps + 1)[:, None] * gs[..., None, :],
+                         n=size)[..., :size // 2 + 1] / dx
+        rho = dx * np.arange(size // 2 + 1)
+        r = np.concatenate([[np.inf], rho[1:]])  # the steps' f(0) = 0 has weight rho^{m-1} = 0
+        f = (-0.5 / np.pi) ** steps * sum(cj * r ** (j - 2 * steps) * d[..., j, :]
+                                          for j, cj in enumerate(c) if cj)
+        F = np.abs(f) * rho ** (m - 1)
+        out.append(dx * (np.sum(F, axis=-1) - 0.5 * (F[..., 0] + F[..., -1]))
+                   + (m == 2) * dx * dx / 12.0 * np.abs(f[..., 0]))
+    return 2.0 * np.pi ** (m / 2) / math.gamma(m / 2) * np.array(out)
 
 
 def _lattice_slices(spec: WaveletSpec, rf: np.ndarray, ts):
     """ghat(h_t^T xi) on a lattice with block magnitudes rf, one (m,) array per
-    row of ts; block k's factor depends on t only through exp(mu_k . t)."""
+    row of ts.  Block k's factor depends on t only through exp(mu_k . t), so
+    it is evaluated once per distinct scale (an exact np.unique) on the
+    block's distinct magnitudes, and each slice gathers from those tables."""
     scales = np.exp(np.atleast_2d(ts) @ spec.action.weights.T)
-    for out in _factor_slices(spec.phi, range(rf.shape[1]), rf, scales):
+    tables = []
+    for k in range(rf.shape[1]):
+        u, inverse = np.unique(rf[:, k], return_inverse=True)
+        s, which = np.unique(scales[:, k], return_inverse=True)
+        tables.append(([spec.phi.factor(k, sk * u) for sk in s], which, inverse))
+    for i in range(scales.shape[0]):
+        out = np.ones(rf.shape[0])
+        for table, which, inverse in tables:
+            out *= table[which[i]][inverse]
         yield out / np.sqrt(spec.sigma)
 
 
 def _containment_points(box) -> np.ndarray:
     """The box centre moved to 0.75 beyond each face of the box, one row per
     face."""
-    ts = []
-    for j in range(len(box)):
-        for side in (0, 1):
-            t = np.array([0.5 * (lo + hi) for lo, hi in box])
-            t[j] = box[j][side] + (0.75 if side else -0.75)
-            ts.append(t)
-    return np.array(ts)
+    box = np.asarray(box, dtype=float)
+    ts = np.repeat(box.mean(axis=1)[None], box.size, axis=0)
+    ts[np.arange(box.size), np.arange(box.size) // 2] = (box + [-0.75, 0.75]).ravel()
+    return ts

@@ -458,6 +458,21 @@ class TestFlagInput:
         assert f"more than the limit of {_MAX_POINTS}" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("subcommand, key, noun", [
+        ("wavelet", "samples", "seeded draws"), ("cwt", "param_counts", "parameter points"),
+    ], ids=["wavelet-samples", "cwt-param-counts"])
+    def test_size_key_above_limit_exit_1(self, tmp_path, capsys, subcommand, key, noun):
+        # refused before any work: the cwt job names no signal, so a check
+        # that ran after the signal load would fail on the signal instead
+        path = tmp_path / "case_a.json"
+        path.write_text(json.dumps({**CASE_A, key: 10 ** 10}))
+        out = tmp_path / "out.json"
+        assert main([subcommand, "--input", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: '{key}' {10 ** 10} asks for ")
+        assert f"{noun}, more than the limit of {_MAX_POINTS}" in err
+        assert not out.exists()
+
     def test_seed_zero_accepted(self, case_d_spec, tmp_path):
         out = tmp_path / "out.json"
         assert main(["strata", "--input", str(case_d_spec), "--grid", "4", "--seed", "0",
@@ -647,7 +662,7 @@ class TestGhatExport:
                      "--quad-order", "32"]) == 0
         report = json.loads(out.read_text())
         validate_report(report)
-        assert report["header"]["schema_version"] == "4"
+        assert report["header"]["schema_version"] == "5"
         payload = report["payload"]
         basis = np.array(payload["spec"]["basis"])
         slices = [slice(a, b) for a, b in payload["spec"]["slices"]]
@@ -690,6 +705,19 @@ class TestGhatExport:
 
 
 class TestWaveletPipeline:
+    def test_l1_block_does_not_depend_on_flags(self, capsys, tmp_path):
+        # the L1 lattice comes from the spec: --grid sets only the ghat CSV
+        # and --quad-order only the Calderon rule
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps({**CASE_A, "samples": 5}))
+        blocks = []
+        for flags in (["--grid", "8"], ["--grid", "128"],
+                      ["--quad-order", "16"], ["--quad-order", "64"]):
+            assert main(["wavelet", "--input", str(path), *flags]) == 0
+            blocks.append(json.dumps(json.loads(capsys.readouterr().out)["payload"]["l1"],
+                                     sort_keys=True))
+        assert len(set(blocks)) == 1
+
     @pytest.mark.parametrize("doc", [
         {"n": 1, "generators": DILATION_1D, "box": {"bounds": [[1.0, 2.0]]}}, CASE_A,
     ], ids=["1d", "case-a"])

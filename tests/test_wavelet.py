@@ -28,12 +28,9 @@ from orbitscope.quasisection import (
 )
 from orbitscope.wavelet import (
     _SUPPORT_PAD,
-    _axis_groups,
     _containment_points,
-    _group_l1,
     _haar_integral,
     _half_lattice,
-    _l1_values,
     _lattice_slices,
     _padded_boxes,
     _shell_share,
@@ -44,6 +41,7 @@ from orbitscope.wavelet import (
     cwt_slices,
     l1_estimate,
     meeting_param_box,
+    radial_l1,
     smoothstep,
     synth_wavelet,
 )
@@ -213,17 +211,20 @@ class TestSynth:
         npt.assert_allclose(vals, spec.sigma, rtol=1e-10, atol=0)
 
     def test_family_e_is_a_product_of_1d_specs(self):
-        # three blocks, one per parameter: sigma is the product of the 1-D
-        # specs' sigma on the same block bounds, and the L1 kernel stays
-        # inside the meeting box
+        # three blocks, one per parameter: sigma and, on one lattice, the L1
+        # estimate are the products of the 1-D specs' on the same block
+        # bounds, and the L1 kernel stays inside the meeting box
         C = [(0.5, 2.0), (0.7, 1.5), (1.0, 3.0)]
         spec = synth_wavelet(diagonal_action(family_e()), BoxSet(C))
         act_1d = diagonal_action(DilationAlgebra([np.array([[1.0]])]))
-        parts = [synth_wavelet(act_1d, BoxSet([c]), BoxSet([w])).sigma
+        parts = [synth_wavelet(act_1d, BoxSet([c]), BoxSet([w]))
                  for c, w in zip(C, spec.W.bounds)]
-        npt.assert_allclose(spec.sigma, np.prod(parts), rtol=1e-14)
-        dx = np.pi / (4.0 * max(hi for _, hi in spec.W.bounds))
-        assert l1_estimate(spec, 32, dx, param_counts=20).containment_max == 0.0
+        npt.assert_allclose(spec.sigma, np.prod([p.sigma for p in parts]), rtol=1e-14)
+        rep = l1_estimate(spec)
+        n, dx = rep.convergence["lattice"][1], np.pi / (4.0 * spec.W.bounds[2][1])
+        npt.assert_allclose(rep.value, np.prod([l1_estimate(p, n, dx).value for p in parts]),
+                            rtol=1e-12)
+        assert rep.containment_max == 0.0
 
     def test_unresolved_block_integral_warns(self, act_1d):
         # W's lower ramp is 1e-4 wide in ln r, far below the trapezoid step
@@ -540,91 +541,107 @@ class TestCwtMatchesFullSpectrum:
         assert scale > 0
         assert np.max(np.abs(tg.coeffs - ref)) <= 1e-12 * scale
 
-    @pytest.mark.parametrize("name, shape, dx", [
-        ("spec_1d", (256,), 0.3),
-        ("spec_2d_rotation_scaling", (32, 32), 0.3),
-    ])
-    def test_group_l1_against_complex_reference(self, name, shape, dx, request):
-        # one axis group: the group sum over sigma is the slice's L1 norm
-        spec = request.getfixturevalue(name)
-        rf = spec.action.block_abs(frequency_lattice(shape, (dx,) * len(shape)))
-        g0 = spec.block_values(rf).reshape(shape)
-        ts = cell_rules([spec.param_box], 5)[0][0]
-        [(axes, blocks)] = _axis_groups(spec.action)
-        got = _group_l1(spec, axes, blocks, shape, (dx,) * len(shape),
-                        np.exp(ts @ spec.action.weights.T)) / spec.sigma
-        for t, value in zip(ts, got):
-            gh = spec.block_values(rf * np.exp(spec.action.weights @ t)).reshape(shape)
-            npt.assert_allclose(value, np.sum(np.abs(np.fft.ifftn(g0 * gh))), rtol=1e-12)
 
-    def test_group_l1_bit_equal_to_dense(self, spec_case_a):
-        # the CLI's case-(a) L1 lattice: 32^3 points, 20 x 20 slices and the
-        # containment points; each group's sums equal a dense inverse FFT of
-        # the group's product on its whole rfftn half sub-lattice
-        shape = (32, 32, 32)
-        dx = (np.pi / (4.0 * max(hi for _, hi in spec_case_a.W.bounds)),) * 3
-        box = meeting_param_box(spec_case_a.action, spec_case_a.W, spec_case_a.W,
-                                margin=0.0)
-        ts = np.concatenate([cell_rules([box], 20)[0][0], _containment_points(box)])
-        scales = np.exp(ts @ spec_case_a.action.weights.T)
-        groups = _axis_groups(spec_case_a.action)
-        assert groups == [((0, 1), (0,)), ((2,), (1,))]
-        for axes, blocks in groups:
-            sub = tuple(shape[j] for j in axes)
-            half, freqs = _half_lattice(sub, tuple(dx[j] for j in axes))
-            pts = np.zeros((freqs.shape[0], 3))
-            pts[:, axes] = freqs
-            rf = spec_case_a.action.block_abs(pts)
-            g0 = np.ones(rf.shape[0])
-            for k in blocks:
-                g0 *= spec_case_a.phi.factor(k, rf[:, k])
-            rows = scales[:, blocks]
-            got = list(_group_l1(spec_case_a, axes, blocks, shape, dx, rows))
-            dense = []
-            for s in rows:
-                gh = np.ones(rf.shape[0])
-                for j, k in enumerate(blocks):
-                    gh *= spec_case_a.phi.factor(k, s[j] * rf[:, k])
-                dense.append(float(np.sum(np.abs(np.fft.irfftn(
-                    (g0 * gh).reshape(half), s=sub, axes=tuple(range(len(sub))))))))
-            assert len(got) == 404 and got == dense
-            assert 0.0 in got and any(got)
+def _sine_transform_l1(q, lo, hi, R=600.0, h=0.02, dk=2e-3):
+    """||F^{-1}[q(|w|)]||_{L1(R^3)} for a profile q supported in [lo, hi], by
+    f(rho) = (2 pi^2 rho)^{-1} int q(k) k sin(k rho) dk (midpoint rule in k)
+    and 4 pi int |f| rho^2 drho (a Riemann sum in rho up to R)."""
+    k = np.arange(lo, hi, dk) + dk / 2
+    w = q(k) * k * dk
+    rho = np.arange(h, R, h)
+    f = np.concatenate([np.sin(np.outer(rho[i:i + 4096], k)) @ w
+                        for i in range(0, rho.size, 4096)]) / (2.0 * np.pi ** 2 * rho)
+    return 4.0 * np.pi * h * np.sum(np.abs(f) * rho ** 2)
+
+
+@pytest.fixture(scope="module")
+def bump_profile():
+    """phi(rho) phi(e^0.4 rho) for the bump between C = [1, 2] and W = [0.5, 3]."""
+    act = diagonal_action(DilationAlgebra([np.array([[1.0, -1.0], [1.0, 1.0]])]))
+    phi = bump(act, BoxSet([(1.0, 2.0)]), BoxSet([(0.5, 3.0)]))
+    return lambda rho: phi.factor(0, rho) * phi.factor(0, np.exp(0.4) * rho)
+
+
+class TestRadialL1:
+    @pytest.mark.parametrize("m, tol", [(1, 1e-11), (2, 3e-6), (3, 1e-11), (4, 3e-6),
+                                        (5, 1e-11), (6, 1e-8)])
+    def test_gaussian_has_unit_norm(self, m, tol):
+        # F^{-1}[exp(-|w|^2/2)] = (2 pi)^{-m/2} exp(-|x|^2/2) has L1 norm 1 in
+        # every dimension; even m leaves an O(dx^4) end error at rho = 0
+        full, half = radial_l1(lambda rho: np.exp(-rho ** 2 / 2), m, 256, 0.15, 0.1, 12.0)
+        assert abs(full - 1.0) <= tol and abs(half - 1.0) <= tol
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_bump_against_dense_fft(self, bump_profile, m):
+        # sum |inverse FFT| over the whole m-D lattice is the L1 norm
+        n, dx = 1024, np.pi / 12.0
+        axes = [2.0 * np.pi * np.fft.fftfreq(n, dx)] * (m - 1) + [
+            2.0 * np.pi * np.fft.rfftfreq(n, dx)]
+        rad = np.sqrt(sum(g ** 2 for g in np.meshgrid(*axes, indexing="ij")))
+        dense = np.sum(np.abs(np.fft.irfftn(bump_profile(rad), s=(n,) * m, axes=range(m))))
+        full, _ = radial_l1(bump_profile, m, n, dx, 0.125, 3.0)
+        npt.assert_allclose(full, dense, rtol=1e-4)
+
+    def test_m3_bump_against_sine_transform(self, bump_profile):
+        full, _ = radial_l1(bump_profile, 3, 4096, np.pi / 24.0, 0.125, 3.0)
+        npt.assert_allclose(full, _sine_transform_l1(bump_profile, 0.5, 3.0), rtol=2e-4)
+
+
+# the unscaled boxes of the benchmark's wavelet jobs
+_WAVELET_INPUTS = {
+    "1d": (DilationAlgebra([np.array([[1.0]])]), [(1.0, 2.0)]),
+    "2d": (DilationAlgebra([np.array([[1.0, -1.0], [1.0, 1.0]])]), [(1.0, 2.0)]),
+    "case-a": (family_a(1.0), [(0.5, 2.0), (0.5, 2.0)]),
+}
 
 
 def _conjugated(alg, P):
     return DilationAlgebra([P @ G @ np.linalg.inv(P) for G in alg.generators])
 
 
-_PERMUTED_A = _conjugated(family_a(1.0), np.eye(3)[[2, 0, 1]])
-_CONJUGATED_A = _conjugated(
-    family_a(1.0), np.random.default_rng(3).standard_normal((3, 3)) + 3.0 * np.eye(3))
-
-
-class TestAxisGroups:
-    @pytest.mark.parametrize("alg, C, groups", [
-        (family_a(1.0), [(0.5, 2.0)] * 2, [((0, 1), (0,)), ((2,), (1,))]),
-        (_PERMUTED_A, [(0.5, 2.0)] * 2, [((0,), (0,)), ((1, 2), (1,))]),
-        (_CONJUGATED_A, [(0.5, 2.0)] * 2, [((0, 1, 2), (0, 1))]),
-        (family_e(), [(0.5, 2.0)] * 3, [((0,), (0,)), ((1,), (1,)), ((2,), (2,))]),
-    ], ids=["a", "a-permuted", "a-conjugated", "e"])
-    def test_l1_values_against_dense_reference(self, alg, C, groups):
-        spec = synth_wavelet(diagonal_action(alg), BoxSet(C))
-        assert _axis_groups(spec.action) == groups
-        shape = (32, 32, 32)
-        dx = np.pi / (4.0 * max(hi for _, hi in spec.W.bounds))
-        box = meeting_param_box(spec.action, spec.W, spec.W, margin=0.0)
-        ts = np.concatenate([cell_rules([box], 4)[0][0], _containment_points(box)])
-        got = _l1_values(spec, shape, (dx,) * 3, ts)
-        rf = spec.action.block_abs(frequency_lattice(shape, (dx,) * 3))
-        g0 = spec.block_values(rf)
-        ref = [np.sum(np.abs(np.fft.ifftn(
-            (g0 * spec.block_values(rf * np.exp(spec.action.weights @ t))).reshape(shape))))
-            for t in ts]
-        npt.assert_allclose(got, ref, rtol=1e-12, atol=0)
-        assert np.count_nonzero(got) > len(ts) // 2
-
-
 class TestL1Estimate:
+    @pytest.mark.parametrize("name", list(_WAVELET_INPUTS))
+    def test_within_1e3_of_doubled_resolution(self, name):
+        alg, C = _WAVELET_INPUTS[name]
+        spec = synth_wavelet(diagonal_action(alg), BoxSet(C))
+        rep = l1_estimate(spec)
+        conv = rep.convergence
+        n = conv["lattice"][1]
+        assert conv["param_counts"] == [32, 64] and not conv["lattice_capped"]
+        assert max(conv["lattice_rel_diff"], conv["param_rel_diff"]) <= 1e-2
+        assert rep.containment_max == 0.0
+        fine = l1_estimate(spec, 2 * n, param_counts=128)
+        npt.assert_allclose(rep.value, fine.value, rtol=1e-3)
+
+    @pytest.mark.parametrize("P", [
+        np.eye(3)[[2, 0, 1]],
+        np.random.default_rng(3).standard_normal((3, 3)) + 3.0 * np.eye(3),
+        np.array([[2.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]]),
+    ], ids=["a-permuted", "a-conjugated", "a-P"])
+    def test_basis_independent(self, spec_case_a, P):
+        spec = synth_wavelet(diagonal_action(_conjugated(family_a(1.0), P)),
+                             BoxSet([(0.5, 2.0)] * 2))
+        rep, ref = l1_estimate(spec), l1_estimate(spec_case_a)
+        npt.assert_allclose(rep.value, ref.value, rtol=1e-10)
+        assert rep.convergence == ref.convergence
+        assert rep.containment_max == 0.0
+
+    def test_capped_lattice_warns(self, act_1d):
+        # W's upper ramp is 1e-3 wide: the lattice would need about 2^19 points
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # sigma's own warning
+            spec = synth_wavelet(act_1d, BoxSet([(1.0, 2.0)]), BoxSet([(0.8, 2.001)]))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rep = l1_estimate(spec)
+        assert any("lattice capped" in str(w.message) for w in caught)
+        assert rep.convergence["lattice_capped"]
+        assert rep.convergence["lattice"] == [2 ** 13, 2 ** 14]
+
+    def test_odd_param_counts_refused(self, spec_1d):
+        with pytest.raises(ValueError, match="even"):
+            l1_estimate(spec_1d, param_counts=63)
+
     def test_finite_and_stable(self, spec_1d):
         r1 = l1_estimate(spec_1d, 128, 0.6, param_counts=96)
         r2 = l1_estimate(spec_1d, 256, 0.3, param_counts=96)
@@ -636,21 +653,6 @@ class TestL1Estimate:
         assert rep.containment_max <= 1e-12
         # the weight is Delta_G^{-1/2} = |det h|^{1/2}; reports name its exponent
         assert rep.to_json()["weight_exponent"] == spec_1d.to_json()["weight_exponent"] == 0.5
-
-    def test_cli_case_a_lattice(self, spec_case_a):
-        # the CLI's case-(a) lattice, 32^3 points: nothing escapes the
-        # meeting box, and the weighted sum matches dense inverse FFTs of
-        # ghat . ghat_t on the whole lattice (8 x 8 slices)
-        dx = np.pi / (4.0 * max(hi for _, hi in spec_case_a.W.bounds))
-        assert l1_estimate(spec_case_a, 32, dx, param_counts=20).containment_max == 0.0
-        rep = l1_estimate(spec_case_a, 32, dx, param_counts=8)
-        (pts,), (w,) = cell_rules([rep.param_box], 8)
-        rf = spec_case_a.action.block_abs(frequency_lattice((32,) * 3, (dx,) * 3))
-        g0 = spec_case_a.block_values(rf)
-        dense = [np.sum(np.abs(np.fft.ifftn((g0 * gh).reshape((32,) * 3))))
-                 for gh in _lattice_slices(spec_case_a, rf, pts)]
-        npt.assert_allclose(rep.value, w @ dense, rtol=1e-12)
-        assert rep.containment_max == 0.0
 
     def test_zero_wavelet_gives_zero(self, spec_1d):
         import dataclasses
