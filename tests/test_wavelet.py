@@ -626,6 +626,27 @@ class TestL1Estimate:
         assert rep.convergence == ref.convergence
         assert rep.containment_max == 0.0
 
+    def test_family_e_against_dense_reference(self):
+        # three 1-D blocks: the per-block route on a 32-point lattice equals
+        # the whole 32^3 lattice's sum |inverse FFT of ghat . ghat_s| on the
+        # product trapezoid grid in s = M t, over |det M|.  The slice norm is
+        # even in each s_k, and the route samples s_k >= 0 only: on a lattice
+        # this coarse the two signs differ, so the reference takes |s|
+        spec = synth_wavelet(diagonal_action(family_e()), BoxSet([(0.5, 2.0)] * 3))
+        n, S = 32, 8
+        dx = np.pi / (4.0 * max(hi for _, hi in spec.W.bounds))
+        rep = l1_estimate(spec, n, dx, param_counts=S)
+        h = [2.0 * np.log(hi / lo) / S for lo, hi in spec.W.bounds]
+        rf = spec.action.block_abs(frequency_lattice((n,) * 3, (dx,) * 3))
+        g0 = spec.block_values(rf)
+        dense = sum(np.sum(np.abs(np.fft.ifftn((g0 * spec.block_values(rf * np.exp(np.abs(s))))
+                                              .reshape((n,) * 3))))
+                    for s in itertools.product(*[hk * np.arange(-S // 2, S // 2 + 1) for hk in h]))
+        ref = np.prod(h) * dense / abs(np.linalg.det(spec.action.weights))
+        assert ref > 0
+        npt.assert_allclose(rep.value, ref, rtol=1e-12)
+        assert rep.containment_max == 0.0
+
     def test_capped_lattice_warns(self, act_1d):
         # W's upper ramp is 1e-3 wide: the lattice would need about 2^19 points
         with warnings.catch_warnings():
