@@ -33,8 +33,8 @@ _EXPORTS = {
         "quasi_section_verdict", "shell_box",
     ), "quasisection"),
     **dict.fromkeys((
-        "BumpFunction", "CalderonReport", "TransformGrid", "WaveletSpec", "bump",
-        "calderon_check", "cwt", "l1_estimate", "synth_wavelet",
+        "CalderonReport", "TransformGrid", "WaveletSpec", "calderon_check", "cwt",
+        "l1_estimate", "synth_wavelet",
     ), "wavelet"),
 }
 _SUBMODULES = ("classify", "cli", "errors", "families", "groupspec", "linalg",

@@ -1,9 +1,13 @@
 """Batch front end: group-spec files in, JSON reports out.
 
 Subcommands: classify | strata | section | quasisection | wavelet | cwt.
+Each subcommand registers only the flags it reads: all take --input,
+--out, --tol and --seed, `strata` also --grid, and `wavelet` also
+--quad-order and --grid.  Any other flag, such as `classify --grid 8`, is
+refused by argparse with its usage message and exit status 2.
 Exit status 0 on success, 2 on named domain errors, 1 on I/O, parse or
-input errors: a --tol that is not a finite number > 0, a --grid or
---quad-order below 1, or a --seed below 0, whatever the subcommand; a
+input errors: a --tol that is not a finite number > 0 or a --seed below 0,
+whatever the subcommand; a --grid or --quad-order below 1; a
 `strata` --grid, `wavelet` --quad-order or "samples" or `cwt`
 "param_counts" that asks for more than _MAX_POINTS points or draws, refused
 before any work; an --out that is a directory or a path in a missing
@@ -74,8 +78,14 @@ _CSV_CHUNK_ROWS = 4096
 _GHAT_MAX_PER_AXIS = 64
 _GHAT_MAX_ROWS = 4096
 _MAX_POINTS = 2 ** 20  # strata probes, Calderon nodes, wavelet draws, cwt parameter points
-# the flags besides --tol that each subcommand reads, as the header's overrides
-_FLAGS_READ = {"strata": ("grid",), "wavelet": ("quad_order", "grid")}
+# the size flags each subcommand reads, by dest, with their defaults and
+# help: only these are registered, each must be at least 1, and they are
+# the header's overrides (with a given --tol)
+_FLAGS_READ = {
+    "strata": {"grid": (128, "the census evaluates 4 GRID probes")},
+    "wavelet": {"quad_order": (64, "cells per group parameter of the Calderón rule"),
+                "grid": (128, "ĝ CSV points per axis, at most 64")},
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -86,16 +96,17 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--input", help="input JSON file")
         sp.add_argument("--out", help="output report path (stdout when omitted)")
         sp.add_argument("--tol", type=float, default=None, help="tolerance override")
-        sp.add_argument("--quad-order", type=int, default=64, dest="quad_order",
-                        help="`wavelet`: cells per group parameter of the Calderón rule")
-        sp.add_argument("--grid", type=int, default=128,
-                        help="`strata`: 4 GRID probes; `wavelet`: ĝ CSV points per "
-                             "axis, at most 64")
+        for dest, (default, text) in _FLAGS_READ.get(name, {}).items():
+            sp.add_argument(_flag(dest), type=int, default=default, dest=dest, help=text)
         sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
         if name == "classify":
             sp.add_argument("--table", action="store_true",
                             help="emit the five-family golden table")
     return p
+
+
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
 
 
 def main(argv=None) -> int:
@@ -108,10 +119,11 @@ def main(argv=None) -> int:
         "wavelet": _cmd_wavelet,
         "cwt": _cmd_cwt,
     }[args.subcommand]
+    overrides = {dest: getattr(args, dest) for dest in _FLAGS_READ.get(args.subcommand, ())}
     try:
-        for flag, value in (("--grid", args.grid), ("--quad-order", args.quad_order)):
+        for dest, value in overrides.items():
             if value < 1:
-                raise InputError(f"{flag} must be at least 1, got {value}")
+                raise InputError(f"{_flag(dest)} must be at least 1, got {value}")
         if args.seed < 0:  # random.Random would give -s the stream of s
             raise InputError(f"--seed must be an integer >= 0, got {args.seed}")
         if args.tol is not None and not (np.isfinite(args.tol) and args.tol > 0):
@@ -136,7 +148,6 @@ def main(argv=None) -> int:
     except (InputError, OSError) as err:
         print(f"input error: {err}", file=sys.stderr)
         return 1
-    overrides = {flag: getattr(args, flag) for flag in _FLAGS_READ.get(args.subcommand, ())}
     if args.tol is not None:
         overrides["tol"] = args.tol
     report = make_report(args.subcommand, payload, seed=args.seed,
@@ -315,7 +326,7 @@ def _cmd_wavelet(args, doc, alg: DilationAlgebra) -> dict:
     ghat_csv = None
     if args.out:
         ghat_csv = args.out + "_ghat.csv"
-        _export_ghat(spec, ghat_csv, per_axis=min(args.grid, 64))
+        _export_ghat(spec, ghat_csv, per_axis=args.grid)
     return {
         "spec": spec.to_json(),
         "calderon": cal.to_json(),

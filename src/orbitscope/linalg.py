@@ -232,11 +232,6 @@ class DilationAlgebra:
     def scale(self) -> float:
         return max(np.linalg.norm(G) for G in self.generators)
 
-    def conjugated(self, P) -> "DilationAlgebra":
-        P = as_matrix(P, self.n)
-        Pinv = np.linalg.inv(P)
-        return DilationAlgebra([Pinv @ G @ P for G in self.generators], tol=self.tol)
-
 
 @dataclass(frozen=True)
 class RootDecomposition:

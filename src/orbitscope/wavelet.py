@@ -22,6 +22,9 @@ parameter support is confined to the meeting-set box of (W, W).
 phi and ghat depend on xi only through its block magnitudes r, which h_t^T
 scales as r_k exp(mu_k . t).  The Calderon integrals and the cwt slices are
 therefore evaluated on r . exp(W t); no n x n group transform is formed.
+phi is the product of one factor phi_k per block, and one object,
+WaveletSpec, answers both questions: spec.factor(k, x) is phi_k, which does
+not involve sigma, and spec.block_values(r) is ghat = prod_k phi_k / sqrt(sigma).
 
 The d-dimensional parameter integrals (the Calderon check and the cwt
 lattice) use one rule, cell_rules: cell centres with equal weights.  Each
@@ -34,7 +37,8 @@ so it is computed once.
 
 The L1 estimate separates per block, as sigma does, into 1-D integrals over
 s of radial profiles on one 1-D FFT lattice (radial_l1), with sigma's nested
-N/2N trapezoid rule; so it does not depend on the basis.
+N/2N trapezoid rule; so it does not depend on the basis.  Its convergence
+evidence does not measure the Abel u-step or the rho-step.
 
 Left Haar on G = R^n x| H is |det h|^{-1} dx dh and the modular function is
 Delta_G(x, h) = |det h|^{-1}; see docs/haar_and_modular.md for the
@@ -85,48 +89,12 @@ def smoothstep(x: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class BumpFunction:
-    """Smooth 1_{C} <= phi <= 1_{W} built from per-block radial profiles."""
-
-    action: DiagonalizedAction
-    inner: BoxSet
-    outer: BoxSet
-
-    def __call__(self, points) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return self.block_values(self.action.block_abs(pts))
-
-    def factor(self, k: int, x: np.ndarray) -> np.ndarray:
-        """Block k's factor of phi at the block magnitudes x."""
-        (ci_lo, ci_hi), (wo_lo, wo_hi) = self.inner.bounds[k], self.outer.bounds[k]
-        out = smoothstep((wo_hi - x) / (wo_hi - ci_hi))
-        if wo_lo > 0:
-            out *= smoothstep((x - wo_lo) / (ci_lo - wo_lo))
-        return out
-
-    def block_values(self, r: np.ndarray) -> np.ndarray:
-        """phi as a function of the block-magnitude coordinates: the product
-        of the per-block factors."""
-        r = np.atleast_2d(r)
-        out = np.ones(r.shape[0])
-        for k in range(r.shape[1]):
-            out *= self.factor(k, r[:, k])
-        return out
-
-
-def bump(action: DiagonalizedAction, C: BoxSet, W: BoxSet) -> BumpFunction:
-    """Validated sandwich bump; SetsNotNested unless closure(C) sits inside W."""
-    if C.k != W.k:
-        raise SetsNotNested("C and W must bound the same blocks")
-    for (c_lo, c_hi), (w_lo, w_hi) in zip(C.bounds, W.bounds):
-        if not (c_hi < w_hi):
-            raise SetsNotNested("upper bound of C must lie inside W")
-        if c_lo > 0 and not (w_lo < c_lo):
-            raise SetsNotNested("lower bound of C must lie inside W")
-        if c_lo == 0 and w_lo != 0:
-            raise SetsNotNested("full C-block needs a full W-block")
-    return BumpFunction(action=action, inner=C, outer=W)
+def _block_factor(C: BoxSet, W: BoxSet, k: int, x: np.ndarray) -> np.ndarray:
+    """Block k's factor phi_k of the bump 1_C <= phi <= 1_W at the block
+    magnitudes x: 1 on C's shell, 0 outside W's, smoothstep ramps between.
+    Every box that builds a wavelet has W, and so C, bounded below."""
+    (c_lo, c_hi), (w_lo, w_hi) = C.bounds[k], W.bounds[k]
+    return smoothstep((w_hi - x) / (w_hi - c_hi)) * smoothstep((x - w_lo) / (c_lo - w_lo))
 
 
 def _padded_boxes(L, c, margin: float):
@@ -142,17 +110,15 @@ def _padded_boxes(L, c, margin: float):
     return nonempty, np.stack([lo - pad, hi + pad], axis=-1)
 
 
-def meeting_param_box(action: DiagonalizedAction, C1: BoxSet, C2: BoxSet, margin: float = 0.15):
-    """Bounding box of the meeting-set polyhedron ((C1, C2)), enlarged by margin.
+def meeting_param_box(action: DiagonalizedAction, W: BoxSet, margin: float = 0.15):
+    """Bounding box of the meeting-set polyhedron ((W, W)), enlarged by margin.
+    It holds t = 0, so it is never empty.
 
     Raises SupportUnbounded when the polyhedron is unbounded in some
-    parameter direction (or empty).
+    parameter direction.
     """
-    sys = meeting_system(action, C1, C2)
-    nonempty, boxes = _padded_boxes(sys.L, sys.c, margin)
-    if not nonempty[0]:
-        raise SupportUnbounded("the meeting set is empty: no parameter-support box")
-    return tuple(map(tuple, boxes[0].tolist()))
+    sys = meeting_system(action, W, W)
+    return tuple(map(tuple, _padded_boxes(sys.L, sys.c, margin)[1][0].tolist()))
 
 
 # margin of a point's parameter-support box, relative to its widths
@@ -210,23 +176,30 @@ def _nested_trapezoid(f: np.ndarray, h: float):
 
 @dataclass(frozen=True)
 class WaveletSpec:
-    """Frequency-domain wavelet ghat = phi / sqrt(sigma).  The box's orbits
-    are open, so sigma is one constant."""
+    """Frequency-domain wavelet ghat = phi / sqrt(sigma), where the bump
+    1_C <= phi <= 1_W is the product of one factor phi_k per block.  The
+    box's orbits are open, so sigma is one constant."""
 
     action: DiagonalizedAction
-    phi: BumpFunction
     C: BoxSet
     W: BoxSet
     param_box: tuple
     sigma: float
     convergence: dict
 
-    def block_values(self, r: np.ndarray) -> np.ndarray:
-        """ghat as a function of the block-magnitude coordinates."""
-        return self.phi.block_values(r) / np.sqrt(self.sigma)
+    def factor(self, k: int, x: np.ndarray) -> np.ndarray:
+        """Block k's factor phi_k of phi at the block magnitudes x; it does
+        not involve sigma."""
+        return _block_factor(self.C, self.W, k, x)
 
-    def ghat(self, points) -> np.ndarray:
-        return self.block_values(self.action.block_abs(points))
+    def block_values(self, r: np.ndarray) -> np.ndarray:
+        """ghat as a function of the block-magnitude coordinates:
+        prod_k phi_k(r_k) / sqrt(sigma)."""
+        r = np.atleast_2d(r)
+        out = np.ones(r.shape[0])
+        for k in range(r.shape[1]):
+            out *= self.factor(k, r[:, k])
+        return out / np.sqrt(self.sigma)
 
     def to_json(self) -> dict:
         return {
@@ -245,11 +218,14 @@ def synth_wavelet(action: DiagonalizedAction, C: BoxSet, W: BoxSet | None = None
     """Construct ghat = phi / sqrt(sigma) over the box C.
 
     Refuses (with the checker's witness) when ((C, C)) is unbounded; W
-    defaults to [lo / 1.25, 1.25 hi] in every block of C.  Only
-    boxes with open orbits (one block per group parameter, every block of W
-    bounded below) build a wavelet; other boxes raise ZeroSigma.  There
-    h_t^T scales block k by exp(mu_k . t) with an invertible weight matrix
-    M (rows mu_k), so s_k = ln r_k + mu_k . t separates the Haar integral:
+    defaults to [lo / 1.25, 1.25 hi] in every block of C, and the call
+    raises SetsNotNested unless closure(C) sits inside W, and
+    SupportUnbounded when ((W, W)) is unbounded: with k = d, a block of W
+    with lower bound 0 adds no row to it and leaves a null direction.  Only
+    boxes with open orbits (one block per group parameter) build a wavelet;
+    other boxes raise ZeroSigma.  There h_t^T scales block k by
+    exp(mu_k . t) with an invertible weight matrix M (rows mu_k), so
+    s_k = ln r_k + mu_k . t separates the Haar integral:
 
         sigma = |det M|^{-1} prod_k int phi_k(e^s)^2 ds,
 
@@ -268,22 +244,25 @@ def synth_wavelet(action: DiagonalizedAction, C: BoxSet, W: BoxSet | None = None
         )
     if W is None:
         W = BoxSet([(lo / 1.25, hi * 1.25) for lo, hi in C.bounds])
-    phi = bump(action, C, W)
-    param_box = meeting_param_box(action, W, W)
+    if C.k != W.k:
+        raise SetsNotNested("C and W must bound the same blocks")
+    for (c_lo, c_hi), (w_lo, w_hi) in zip(C.bounds, W.bounds):
+        if not (c_hi < w_hi):
+            raise SetsNotNested("upper bound of C must lie inside W")
+        if c_lo > 0 and not (w_lo < c_lo):
+            raise SetsNotNested("lower bound of C must lie inside W")
+        if c_lo == 0 and w_lo != 0:
+            raise SetsNotNested("full C-block needs a full W-block")
+    param_box = meeting_param_box(action, W)
     if action.k != action.d:
         raise ZeroSigma(
             f"orbits are not open ({action.k} blocks, {action.d} group parameters): "
             "sigma is not constant, and only boxes with open orbits build a wavelet"
         )
-    if any(lo == 0 for lo, _ in W.bounds):
-        raise ZeroSigma(
-            "a block of W has lower bound 0, so its orbits are not open: sigma is "
-            "not constant, and only boxes with open orbits build a wavelet"
-        )
     integrals, rel_diff = [], []
     for k, (lo, hi) in enumerate(W.bounds):
         u, h = np.linspace(np.log(lo), np.log(hi), 2 * _SIGMA_INTERVALS + 1, retstep=True)
-        fine, coarse = _nested_trapezoid(phi.factor(k, np.exp(u)) ** 2, h)
+        fine, coarse = _nested_trapezoid(_block_factor(C, W, k, np.exp(u)) ** 2, h)
         integrals.append(fine)
         rel_diff.append(float(abs(fine - coarse) / fine))
     if max(rel_diff) > 1e-3:
@@ -291,7 +270,6 @@ def synth_wavelet(action: DiagonalizedAction, C: BoxSet, W: BoxSet | None = None
                       f"{_SIGMA_INTERVALS} to {2 * _SIGMA_INTERVALS} trapezoid intervals")
     return WaveletSpec(
         action=action,
-        phi=phi,
         C=C,
         W=W,
         param_box=param_box,
@@ -386,12 +364,10 @@ class TransformGrid(TransformLattice):
 
     coeffs: np.ndarray  # (m, *spatial_shape) of dtype
 
-    def coefficient_energy(self) -> float:
-        """Discrete L2(G) norm squared with left Haar |det h|^-1 dx dh."""
-        return self.haar_energy([slice_energy(c) for c in self.coeffs])
-
     def isometry_ratio(self) -> float:
-        return self.coefficient_energy() / self.signal_energy()
+        """The discrete L2(G) norm squared of the coefficients, with left Haar
+        |det h|^-1 dx dh, over the signal's energy."""
+        return self.haar_energy([slice_energy(c) for c in self.coeffs]) / self.signal_energy()
 
 
 def _mesh(axes) -> np.ndarray:
@@ -533,12 +509,14 @@ def l1_estimate(spec: WaveletSpec, shape=None, dx=None, param_counts=64) -> L1Re
     (delta: W's narrowest transition around C), at most _L1_MAX_POINTS.
     `convergence` has the relative differences to half the lattice (every
     other frequency) and to half the intervals; on its own lattice (no
-    `shape`) it warns above 1% or when capped.  `containment_max` is the
+    `shape`) it warns above 1% or when capped.  Neither difference measures
+    the Abel u-step du or the rho-step dx, and on the 2-D spiral each is
+    worth about 5e-4 at the default steps.  `containment_max` is the
     largest slice norm 0.75 beyond the faces of the kernel's support box,
     the meeting set of (W, W).
     """
     action = spec.action
-    box = meeting_param_box(action, spec.W, spec.W, margin=0.0)
+    box = meeting_param_box(action, spec.W, margin=0.0)
     S = int(param_counts)
     if S < 2 or S % 2:
         raise ValueError(f"param_counts must be an even integer >= 2, got {param_counts}")
@@ -552,11 +530,11 @@ def l1_estimate(spec: WaveletSpec, shape=None, dx=None, param_counts=64) -> L1Re
     dims = [sl.stop - sl.start for sl in action.slices]
 
     def profiles(k, s):  # L_k at the nodes s, on the lattice and on its half: (2, len(s))
-        hi, c, phi = spec.W.bounds[k][1], np.exp(np.abs(s)), spec.phi
+        hi, c, phi = spec.W.bounds[k][1], np.exp(np.abs(s)), spec.factor
         if dims[k] % 2:  # one row of q per node, all in one batch
-            return radial_l1(lambda rho: phi.factor(k, rho) * phi.factor(k, c[:, None] * rho),
+            return radial_l1(lambda rho: phi(k, rho) * phi(k, c[:, None] * rho),
                              dims[k], n, dx, du, hi)
-        return np.transpose([radial_l1(lambda rho: phi.factor(k, rho) * phi.factor(k, ci * rho),
+        return np.transpose([radial_l1(lambda rho: phi(k, rho) * phi(k, ci * rho),
                                        dims[k], n, dx, du, hi / ci) for ci in c])  # bounded memory
 
     integrals = []
@@ -629,7 +607,7 @@ def _lattice_slices(spec: WaveletSpec, rf: np.ndarray, ts):
     for k in range(rf.shape[1]):
         u, inverse = np.unique(rf[:, k], return_inverse=True)
         s, which = np.unique(scales[:, k], return_inverse=True)
-        tables.append(([spec.phi.factor(k, sk * u) for sk in s], which, inverse))
+        tables.append(([spec.factor(k, sk * u) for sk in s], which, inverse))
     for i in range(scales.shape[0]):
         out = np.ones(rf.shape[0])
         for table, which, inverse in tables:

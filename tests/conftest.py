@@ -32,6 +32,13 @@ def tangent_matrix(alg: DilationAlgebra, xi) -> np.ndarray:
     return np.column_stack([G.T @ x for G in alg.generators])
 
 
+def conjugated(alg: DilationAlgebra, P) -> DilationAlgebra:
+    """alg in the basis P: the generators P^-1 G P, at alg's tolerance."""
+    P = np.asarray(P, dtype=float)
+    Pinv = np.linalg.inv(P)
+    return DilationAlgebra([Pinv @ G @ P for G in alg.generators], tol=alg.tol)
+
+
 def frequency_lattice(shape, dx) -> np.ndarray:
     """The points of the FFT frequency lattice, 2 pi fftfreq per axis, C order."""
     return _mesh([2.0 * np.pi * np.fft.fftfreq(N, d) for N, d in zip(shape, dx)])

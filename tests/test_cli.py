@@ -422,6 +422,20 @@ class TestFlagInput:
         assert f"input error: {flags[0]} must be at least 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("subcommand, flag", [
+        ("classify", "--grid"), ("cwt", "--grid"), ("section", "--quad-order"),
+        ("strata", "--quad-order"),
+    ])
+    def test_unread_flag_refused(self, case_d_spec, tmp_path, capsys, subcommand, flag):
+        # a subcommand registers only the flags it reads, so an unread one is
+        # a usage error, whatever its value
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([subcommand, "--input", str(case_d_spec), "--out", str(out), flag, "8"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 8" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("subcommand, flags", [
         ("classify", ["--table"]),
         ("classify", []),
@@ -502,7 +516,7 @@ class TestFlagInput:
         assert res.stdout == ""
         for sub in inputs:
             argv = [sub, "--input", str(tmp_path / f"{sub}.json"), "--out", str(out),
-                    "--grid", "8", "--quad-order", "8"]
+                    *_read_flags(_OVERRIDE_INPUTS[sub][1], "8", "8")]
             assert main(argv) == 1, sub
             captured = capsys.readouterr()
             assert captured.err.startswith("input error: ") and str(out) in captured.err, sub
@@ -595,6 +609,12 @@ _OVERRIDE_INPUTS = {
 }
 
 
+def _read_flags(keys, grid, quad_order):
+    """The command-line flags that set the overrides `keys`."""
+    values = {"grid": ("--grid", grid), "quad_order": ("--quad-order", quad_order)}
+    return [part for key in sorted(keys) for part in values[key]]
+
+
 class TestHeaderOverrides:
     @pytest.mark.parametrize("flags", [[], ["--tol", "1e-8"]], ids=["no-tol", "tol"])
     @pytest.mark.parametrize("subcommand", list(_OVERRIDE_INPUTS))
@@ -607,8 +627,8 @@ class TestHeaderOverrides:
         path = tmp_path / "in.json"
         path.write_text(json.dumps(doc))
         out = tmp_path / "out.json"
-        assert main([subcommand, "--input", str(path), "--out", str(out), "--grid", "8",
-                     "--quad-order", "16", *flags]) == 0
+        assert main([subcommand, "--input", str(path), "--out", str(out),
+                     *_read_flags(keys, "8", "16"), *flags]) == 0
         overrides = json.loads(out.read_text())["header"]["overrides"]
         assert set(overrides) == keys | ({"tol"} if flags else set())
         assert overrides == {key: {"grid": 8, "quad_order": 16, "tol": 1e-8}[key]
@@ -626,7 +646,7 @@ class TestNearScalarGenerator:
                                         "box": {"bounds": [[1, 2]]}, "samples": 5}))
             got = {}
             for sub in ("classify", "quasisection", "wavelet"):
-                assert main([sub, "--input", str(path), "--grid", "16"]) == 0, sub
+                assert main([sub, "--input", str(path)]) == 0, sub
                 got[sub] = json.loads(capsys.readouterr().out)["payload"]
             payloads.append(got)
         exact, noisy = payloads
@@ -684,7 +704,7 @@ class TestGhatExport:
         action = diagonal_action(group_spec_from_dict(CASE_A))
         spec = synth_wavelet(action, BoxSet(CASE_A["box"]["bounds"]))
         assert spec.sigma == payload["spec"]["sigma"]
-        ghat = spec.ghat(xi)
+        ghat = spec.block_values(action.block_abs(xi))
         assert np.count_nonzero(ghat) > 0
         np.testing.assert_allclose(table[:, 2], ghat, rtol=0, atol=1e-12)
 
@@ -923,7 +943,7 @@ IMPORT_PROBE = (
 NOT_LOADED = {
     "section": {"orbits", "quasisection", "wavelet", "classify"},
     "strata": {"quasisection", "wavelet", "classify", "sections"},
-    "quasisection": {"wavelet", "classify", "sections"},
+    "quasisection": {"wavelet", "classify", "sections", "orbits"},
     "wavelet": {"classify", "sections", "orbits"},
     "cwt": {"classify", "sections", "orbits"},
 }

@@ -108,6 +108,26 @@ class TestNoDeadCode:
                   if isinstance(defn, ast.ClassDef)} - ERROR_BASES
         assert sorted(leaves - signalled) == []
 
+    def test_methods_have_a_caller_or_a_tour_line(self):
+        # every non-dunder method (properties included) of a class in src/ is
+        # called or read in src/ outside its own definition, or the README's
+        # library quick tour shows it; a method that only tests call belongs
+        # in the tests
+        trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+        nodes = [node for tree in trees for node in ast.walk(tree)]
+        tour = _tour()
+        unused = []
+        for tree in trees:
+            for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+                for defn in cls.body:
+                    if (isinstance(defn, ast.FunctionDef)
+                            and not (defn.name.startswith("__") and defn.name.endswith("__"))):
+                        own = {id(node) for node in ast.walk(defn)}
+                        used = _names(node for node in nodes if id(node) not in own)
+                        if defn.name not in used and not re.search(rf"\b{defn.name}\b", tour):
+                            unused.append(f"{cls.name}.{defn.name}")
+        assert unused == []
+
     def test_random_generators_are_seeded_by_a_name(self):
         # every default_rng(...) and Random(...) in src/ is seeded by a
         # parameter of an enclosing function or by a named module constant,

@@ -34,7 +34,6 @@ from orbitscope.wavelet import (
     _lattice_slices,
     _padded_boxes,
     _shell_share,
-    bump,
     cell_rules,
     calderon_check,
     cwt,
@@ -46,7 +45,7 @@ from orbitscope.wavelet import (
     synth_wavelet,
 )
 
-from conftest import frequency_lattice
+from conftest import conjugated, frequency_lattice
 
 
 @pytest.fixture(scope="module")
@@ -62,8 +61,9 @@ def spec_spiral():
 
 
 @pytest.fixture(scope="module")
-def phi_1d(act_1d):
-    return bump(act_1d, BoxSet([(1.0, 2.0)]), BoxSet([(0.8, 2.5)]))
+def phi_1d(spec_1d):
+    """The bump phi of spec_1d (C = [1, 2], W = [0.8, 2.5]) at points xi."""
+    return lambda points: spec_1d.factor(0, spec_1d.action.block_abs(points)[:, 0])
 
 
 class TestBump:
@@ -113,9 +113,9 @@ class TestBump:
 
     def test_nesting_enforced(self, act_1d):
         with pytest.raises(SetsNotNested):
-            bump(act_1d, BoxSet([(1.0, 2.0)]), BoxSet([(1.0, 2.5)]))
+            synth_wavelet(act_1d, BoxSet([(1.0, 2.0)]), BoxSet([(1.0, 2.5)]))
         with pytest.raises(SetsNotNested):
-            bump(act_1d, BoxSet([(1.0, 2.0)]), BoxSet([(0.8, 2.0)]))
+            synth_wavelet(act_1d, BoxSet([(1.0, 2.0)]), BoxSet([(0.8, 2.0)]))
 
 
 class TestSigma:
@@ -124,19 +124,19 @@ class TestSigma:
         rstar = np.sqrt(lo * hi)
 
         def integrand(t):
-            return spec_1d.phi.block_values(np.array([[np.exp(t) * rstar]]))[0] ** 2
+            return spec_1d.factor(0, np.array([np.exp(t) * rstar]))[0] ** 2
 
         oracle, _ = quad(integrand, -3.0, 3.0, limit=400, epsabs=1e-13)
         assert abs(spec_1d.sigma - oracle) < 1e-6
 
-    def test_haar_invariance(self, act_1d, phi_1d, dilation_1d):
+    def test_haar_invariance(self, act_1d, spec_1d, dilation_1d):
         rng = np.random.default_rng(0)
         xi = np.array([1.5])
         moved = [mat_exp(-dilation_1d.element(rng.uniform(-2, 2, 1)).T) @ xi
                  for _ in range(5)]
         r = act_1d.block_abs([xi, *moved])
-        boxes = _padded_boxes(*_point_system(act_1d, phi_1d.outer, r), _SUPPORT_PAD)[1]
-        vals = _haar_integral(act_1d, phi_1d.block_values, r, boxes, 64)
+        boxes = _padded_boxes(*_point_system(act_1d, spec_1d.W, r), _SUPPORT_PAD)[1]
+        vals = _haar_integral(act_1d, spec_1d.block_values, r, boxes, 64)
         assert np.max(np.abs(vals[1:] - vals[0])) < 1e-6
 
     def test_indicator_log_closed_form(self, act_1d):
@@ -154,8 +154,8 @@ class TestSigma:
         rs = np.linspace(1.0, 2.0, 31)
         boxes = _padded_boxes(*_point_system(spec_1d.action, spec_1d.W, rs[:, None]),
                               _SUPPORT_PAD)[1]
-        vals = _haar_integral(spec_1d.action, spec_1d.phi.block_values, rs[:, None],
-                              boxes, 64)
+        vals = spec_1d.sigma * _haar_integral(spec_1d.action, spec_1d.block_values,
+                                              rs[:, None], boxes, 64)
         h = rs[1] - rs[0]
         second = np.abs(np.diff(vals, 2)) / h ** 2
         assert np.max(second) < 50.0
@@ -165,13 +165,13 @@ class TestSynth:
     def test_1d_spec(self, spec_1d):
         assert spec_1d.convergence["trapezoid_intervals"] == [256, 512]
         assert max(spec_1d.convergence["block_rel_diff"]) < 1e-10
-        vals = spec_1d.ghat(np.array([[1.5], [-1.5], [3.0]]))
+        vals = spec_1d.block_values(spec_1d.action.block_abs([[1.5], [-1.5], [3.0]]))
         assert vals[0] > 0 and abs(vals[0] - vals[1]) < 1e-12 and vals[2] == 0.0
 
     def test_case_a_spec_on_3d_grid(self, spec_case_a):
         rng = np.random.default_rng(1)
         pts = rng.standard_normal((100, 3))
-        vals = spec_case_a.ghat(pts)
+        vals = spec_case_a.block_values(spec_case_a.action.block_abs(pts))
         assert np.all(np.isfinite(vals)) and np.any(vals > 0)
 
     def test_refuses_unbounded_meeting_set(self):
@@ -207,7 +207,7 @@ class TestSynth:
                            for _ in range(4)]
         r = act.block_abs(xis)
         boxes = _padded_boxes(*_point_system(act, spec.W, r), _SUPPORT_PAD)[1]
-        vals = _haar_integral(act, spec.phi.block_values, r, boxes, 512)
+        vals = spec.sigma * _haar_integral(act, spec.block_values, r, boxes, 512)
         npt.assert_allclose(vals, spec.sigma, rtol=1e-10, atol=0)
 
     def test_family_e_is_a_product_of_1d_specs(self):
@@ -344,7 +344,7 @@ class TestCwt:
     def test_autocorrelation_peak(self, spec_1d):
         N, dx = 256, 0.3
         freqs = frequency_lattice((N,), (dx,))
-        g = np.fft.ifftn(spec_1d.ghat(freqs).reshape(N)) / dx
+        g = np.fft.ifftn(spec_1d.block_values(spec_1d.action.block_abs(freqs)).reshape(N)) / dx
         tg = cwt(spec_1d, g, dx, param_counts=65)
         i0 = int(np.argmin(np.abs(tg.param_points[:, 0])))
         slice0 = np.abs(tg.coeffs[i0])
@@ -483,7 +483,7 @@ class TestLatticeSlices:
         # the factor tables see the same floats as block_values on rf . exp(W t)
         spec = request.getfixturevalue(name)
         rf = spec.action.block_abs(_half_lattice(shape, (dx,) * len(shape))[1])
-        box = meeting_param_box(spec.action, spec.W, spec.W, margin=0.0)
+        box = meeting_param_box(spec.action, spec.W, margin=0.0)
         if lattice == "l1":
             ts = cell_rules([box], 20)[0][0]
         elif lattice == "containment":
@@ -558,8 +558,8 @@ def _sine_transform_l1(q, lo, hi, R=600.0, h=0.02, dk=2e-3):
 def bump_profile():
     """phi(rho) phi(e^0.4 rho) for the bump between C = [1, 2] and W = [0.5, 3]."""
     act = diagonal_action(DilationAlgebra([np.array([[1.0, -1.0], [1.0, 1.0]])]))
-    phi = bump(act, BoxSet([(1.0, 2.0)]), BoxSet([(0.5, 3.0)]))
-    return lambda rho: phi.factor(0, rho) * phi.factor(0, np.exp(0.4) * rho)
+    spec = synth_wavelet(act, BoxSet([(1.0, 2.0)]), BoxSet([(0.5, 3.0)]))
+    return lambda rho: spec.factor(0, rho) * spec.factor(0, np.exp(0.4) * rho)
 
 
 class TestRadialL1:
@@ -595,10 +595,6 @@ _WAVELET_INPUTS = {
 }
 
 
-def _conjugated(alg, P):
-    return DilationAlgebra([P @ G @ np.linalg.inv(P) for G in alg.generators])
-
-
 class TestL1Estimate:
     @pytest.mark.parametrize("name", list(_WAVELET_INPUTS))
     def test_within_1e3_of_doubled_resolution(self, name):
@@ -619,7 +615,7 @@ class TestL1Estimate:
         np.array([[2.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]]),
     ], ids=["a-permuted", "a-conjugated", "a-P"])
     def test_basis_independent(self, spec_case_a, P):
-        spec = synth_wavelet(diagonal_action(_conjugated(family_a(1.0), P)),
+        spec = synth_wavelet(diagonal_action(conjugated(family_a(1.0), P)),
                              BoxSet([(0.5, 2.0)] * 2))
         rep, ref = l1_estimate(spec), l1_estimate(spec_case_a)
         npt.assert_allclose(rep.value, ref.value, rtol=1e-10)
@@ -687,13 +683,13 @@ class TestL1Estimate:
 class TestPointSupportBox:
     # the padded parameter-support boxes; calderon_check integrates over the
     # one of C's centre
-    def test_contains_true_support(self, act_1d, phi_1d):
-        nonempty, boxes = _padded_boxes(*_point_system(act_1d, phi_1d.outer, np.array([[1.5]])),
+    def test_contains_true_support(self, act_1d, spec_1d):
+        nonempty, boxes = _padded_boxes(*_point_system(act_1d, spec_1d.W, np.array([[1.5]])),
                                         _SUPPORT_PAD)
         lo, hi = boxes[0, 0]
         assert nonempty[0] and lo < np.log(0.8 / 1.5) and hi > np.log(2.5 / 1.5)
 
-    def test_unreachable_point_none(self, act_1d, phi_1d):
-        nonempty, boxes = _padded_boxes(*_point_system(act_1d, phi_1d.outer, np.array([[0.0]])),
+    def test_unreachable_point_none(self, act_1d, spec_1d):
+        nonempty, boxes = _padded_boxes(*_point_system(act_1d, spec_1d.W, np.array([[0.0]])),
                                         _SUPPORT_PAD)
         assert not nonempty[0] and boxes.shape[0] == 0
