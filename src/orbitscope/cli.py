@@ -3,11 +3,13 @@
 Subcommands: classify | strata | section | quasisection | wavelet | cwt.
 Each subcommand registers only the flags it reads: all take --input,
 --out, --tol and --seed, `strata` also --grid, and `wavelet` also
---quad-order and --grid.  Any other flag, such as `classify --grid 8`, is
-refused by argparse with its usage message and exit status 2.
-Exit status 0 on success, 2 on named domain errors, 1 on I/O, parse or
-input errors: a --tol that is not a finite number > 0 or a --seed below 0,
-whatever the subcommand; a --grid or --quad-order below 1; a
+--quad-order and --grid.
+Exit status 0 on success (and on --help), 2 on named domain errors, 1 on
+I/O, parse or input errors, each reported as one `input error: ...` line: a
+usage error, such as a flag the subcommand does not read (`classify --grid
+8`), a --seed that is not an integer or an unknown subcommand; a --tol that
+is not a finite number > 0 or a --seed below 0, whatever the subcommand; a
+--grid or --quad-order below 1; a
 `strata` --grid, `wavelet` --quad-order or "samples" or `cwt`
 "param_counts" that asks for more than _MAX_POINTS points or draws, refused
 before any work; an --out that is a directory or a path in a missing
@@ -40,9 +42,9 @@ and overrides: the flags the subcommand reads (`strata` --grid, for 4 --grid
 probes; `wavelet` --quad-order, the Calderon cells per parameter, and
 --grid, the ghat CSV's points per axis; the L1 estimate reads no flag) and
 a given --tol.
-The `wavelet` Calderon samples and the `quasisection` coverage samples are
-drawn from random.Random(--seed) (linalg.seeded_draws), so only `strata`
-loads numpy.random; the Calderon samples set only the coverage counts.
+The `strata` probes, the `wavelet` Calderon samples and the `quasisection`
+coverage samples are drawn from random.Random(--seed)
+(linalg.seeded_draws); the Calderon samples set only the coverage counts.
 BLAS runs on one thread: before numpy loads, the CLI sets
 OPENBLAS_NUM_THREADS to 1 unless it is already set.
 """
@@ -88,8 +90,17 @@ _FLAGS_READ = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors raise InputError (exit 1), the
+    status of every other input error, instead of exiting 2; its subcommand
+    parsers are of this class too."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="orbitscope", description=__doc__)
+    p = _Parser(prog="orbitscope", description=__doc__)
     sub = p.add_subparsers(dest="subcommand", required=True)
     for name in ("classify", "strata", "section", "quasisection", "wavelet", "cwt"):
         sp = sub.add_parser(name)
@@ -110,17 +121,17 @@ def _flag(dest: str) -> str:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    handler = {
-        "classify": _cmd_classify,
-        "strata": _cmd_strata,
-        "section": _cmd_section,
-        "quasisection": _cmd_quasisection,
-        "wavelet": _cmd_wavelet,
-        "cwt": _cmd_cwt,
-    }[args.subcommand]
-    overrides = {dest: getattr(args, dest) for dest in _FLAGS_READ.get(args.subcommand, ())}
     try:
+        args = build_parser().parse_args(argv)
+        handler = {
+            "classify": _cmd_classify,
+            "strata": _cmd_strata,
+            "section": _cmd_section,
+            "quasisection": _cmd_quasisection,
+            "wavelet": _cmd_wavelet,
+            "cwt": _cmd_cwt,
+        }[args.subcommand]
+        overrides = {dest: getattr(args, dest) for dest in _FLAGS_READ.get(args.subcommand, ())}
         for dest, value in overrides.items():
             if value < 1:
                 raise InputError(f"{_flag(dest)} must be at least 1, got {value}")

@@ -49,7 +49,8 @@ def seeded_draws(seed: int, count: int, uniforms: int,
         raise ValueError(f"seed must be >= 0, got {seed}")
     pairs = -(-count * normals // 2)
     draw = random.Random(seed).random
-    u = np.array([draw() for _ in range(count * uniforms + 2 * pairs)])
+    total = count * uniforms + 2 * pairs
+    u = np.fromiter((draw() for _ in range(total)), float, total)
     u1, u2 = u[count * uniforms:].reshape(pairs, 2).T
     radius = np.sqrt(-2.0 * np.log1p(-u1))
     z = np.column_stack([radius * np.cos(2.0 * np.pi * u2), radius * np.sin(2.0 * np.pi * u2)])

@@ -2,8 +2,9 @@
 
 The group acts on frequency space by xi -> h^{-T} xi.  Orbit dimension at xi
 is the rank of the tangent map X -> X^T xi over a basis of the algebra; the
-strata O_i collect points whose orbit has dimension i, and O_d (the top
-stratum) is conull exactly for the admissible families.
+strata O_i collect points whose orbit has dimension i.  The generic orbit
+dimension d_max is decided exactly on an integer grid, and the top stratum
+O_{d_max} is always conull (docs/generic_orbit_dimension.md).
 """
 
 from __future__ import annotations
@@ -12,10 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DilationAlgebra, roots_decompose
-
-PROBE_SEED = 424243
-N_ADMISSIBILITY_PROBES = 64
+from .linalg import DilationAlgebra, pow2_scaled, roots_decompose, seeded_draws
 
 
 def orbit_dims(alg: DilationAlgebra, points) -> np.ndarray:
@@ -37,6 +35,23 @@ def orbit_dim(alg: DilationAlgebra, xi) -> int:
     return int(orbit_dims(alg, np.asarray(xi, dtype=float).reshape(1, alg.n))[0])
 
 
+def generic_orbit_dim(alg: DilationAlgebra) -> int:
+    """The largest orbit dimension, which almost every xi attains, without samples.
+
+    Round r evaluates the grid {1, ..., r + 2}^n.  A nonzero (r + 1)-minor of
+    the tangent matrix has degree <= r + 1 in each coordinate, so it does not
+    vanish on the whole grid (the grid lemma): a grid rank of r certifies r,
+    and a larger one becomes the next r (docs/generic_orbit_dimension.md).
+    """
+    r = 0
+    while True:
+        grid = np.indices((r + 2,) * alg.n).reshape(alg.n, -1).T + 1.0
+        top = int(orbit_dims(alg, grid).max())
+        if top in (r, alg.d):  # d <= n columns bound the rank
+            return top
+        r = top
+
+
 @dataclass(frozen=True)
 class AdmissibilityVerdict:
     status: str  # admissible | not_admissible | hypotheses_violated
@@ -51,9 +66,11 @@ def is_admissible(alg: DilationAlgebra) -> AdmissibilityVerdict:
 
     Within the positive-spectrum class: admissible iff det is not identically
     one on H (some generator has nonzero trace) and the top stratum O_d is
-    nonempty.  O_d is Zariski-open, so a handful of generic probes decides
-    nonemptiness; 64 deterministic pseudo-random points guard rank flukes.
+    nonempty, that is, the generic orbit dimension is d.  Decided on the
+    pow2_scaled generators, which span the same group, so the verdict does
+    not depend on how the generators are scaled.
     """
+    alg = DilationAlgebra(pow2_scaled(alg.generators), tol=alg.tol)
     reasons = []
     rd = roots_decompose(alg)
     if not rd.all_real():
@@ -64,21 +81,13 @@ def is_admissible(alg: DilationAlgebra) -> AdmissibilityVerdict:
     det_triv = all(abs(tr) <= alg.tol * scale for tr in traces)
     if det_triv:
         reasons.append("all generator traces vanish: det|_H = 1 identically")
-    rng = np.random.default_rng(PROBE_SEED)
-    probes = rng.standard_normal((N_ADMISSIBILITY_PROBES, alg.n))
-    top_hit = bool(np.any(orbit_dims(alg, probes) == alg.d))
-    if not top_hit:
-        reasons.append(f"no probe of {N_ADMISSIBILITY_PROBES} reached orbit dimension d")
-    if det_triv or not top_hit:
+    generic = generic_orbit_dim(alg)
+    if generic < alg.d:
+        reasons.append(f"generic orbit dimension {generic} < d: the top stratum O_d is empty")
+    if det_triv or generic < alg.d:
         return AdmissibilityVerdict("not_admissible", tuple(reasons))
     reasons.append("nonzero trace and nonempty top stratum")
     return AdmissibilityVerdict("admissible", tuple(reasons))
-
-
-# stratify's probe cloud is this many times a standard normal cloud
-_PROBE_EXTENT = 3.0
-# the top observed stratum is flagged conull above this sample fraction
-_CONULL_THRESHOLD = 0.99
 
 
 @dataclass(frozen=True)
@@ -86,39 +95,30 @@ class StratumReport:
     probes: np.ndarray  # (count, n) probe points
     dims: np.ndarray  # (count,) orbit dimension at each probe
     census: dict  # dim -> count
-    d_max: int
+    d_max: int  # the generic orbit dimension, decided exactly
     group_dim: int
-    top_conull: bool
 
     def to_json(self) -> dict:
+        # the top stratum's complement is the zero set of the d_max-minors,
+        # a proper algebraic set, so it is null
         return {
             "census": {str(k): v for k, v in sorted(self.census.items())},
             "d_max": self.d_max,
             "group_dim": self.group_dim,
-            "conull_threshold": _CONULL_THRESHOLD,
-            "top_stratum_conull": self.top_conull,
+            "top_stratum_conull": True,
         }
 
 
 def stratify(alg: DilationAlgebra, count: int, seed: int) -> StratumReport:
-    """Census of orbit dimensions over a seeded cloud of `count` probes.
-
-    The top observed stratum is flagged conull when its sample fraction
-    exceeds _CONULL_THRESHOLD.  This is a sampling surrogate for the measure
-    statement, never used where an exact verdict is required.
-    """
-    rng = np.random.default_rng(seed)
-    pts = _PROBE_EXTENT * rng.standard_normal((count, alg.n))
+    """Census of orbit dimensions over `count` probes 3 N(0, I) drawn by
+    seeded_draws(seed); d_max is generic_orbit_dim, which no seed moves."""
+    pts = 3.0 * seeded_draws(seed, count, 0, alg.n)[1]
     dims = orbit_dims(alg, pts)
     values, counts = np.unique(dims, return_counts=True)
-    census = {int(k): int(c) for k, c in zip(values, counts)}
-    d_max = max(census) if census else 0
-    frac = census.get(d_max, 0) / max(len(pts), 1)
     return StratumReport(
         probes=pts,
         dims=dims,
-        census=census,
-        d_max=d_max,
+        census={int(k): int(c) for k, c in zip(values, counts)},
+        d_max=generic_orbit_dim(alg),
         group_dim=alg.d,
-        top_conull=bool(frac > _CONULL_THRESHOLD),
     )

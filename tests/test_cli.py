@@ -428,13 +428,26 @@ class TestFlagInput:
     ])
     def test_unread_flag_refused(self, case_d_spec, tmp_path, capsys, subcommand, flag):
         # a subcommand registers only the flags it reads, so an unread one is
-        # a usage error, whatever its value
+        # a usage error, whatever its value: one input error line, exit 1
         out = tmp_path / "out"
-        with pytest.raises(SystemExit) as exc:
-            main([subcommand, "--input", str(case_d_spec), "--out", str(out), flag, "8"])
-        assert exc.value.code == 2
-        assert f"unrecognized arguments: {flag} 8" in capsys.readouterr().err
+        assert main([subcommand, "--input", str(case_d_spec), "--out", str(out), flag, "8"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"input error: orbitscope: unrecognized arguments: {flag} 8\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--table", "--seed", "abc"], ["nosuch"], [],
+    ], ids=["seed-not-an-integer", "unknown-subcommand", "no-subcommand"])
+    def test_usage_error_exit_1(self, capsys, argv):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error: orbitscope") and err.count("\n") == 1
+
+    def test_help_exit_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["strata", "--help"])
+        assert exc.value.code == 0
+        assert "--grid" in capsys.readouterr().out
 
     @pytest.mark.parametrize("subcommand, flags", [
         ("classify", ["--table"]),
@@ -682,7 +695,7 @@ class TestGhatExport:
                      "--quad-order", "32"]) == 0
         report = json.loads(out.read_text())
         validate_report(report)
-        assert report["header"]["schema_version"] == "5"
+        assert report["header"]["schema_version"] == "6"
         payload = report["payload"]
         basis = np.array(payload["spec"]["basis"])
         slices = [slice(a, b) for a, b in payload["spec"]["slices"]]
@@ -947,9 +960,10 @@ NOT_LOADED = {
     "wavelet": {"classify", "sections", "orbits"},
     "cwt": {"classify", "sections", "orbits"},
 }
-# only the strata census draws its probe cloud with numpy.random; the sampled
-# checks of quasisection and wavelet draw from the standard library's random
-RANDOM_LOADERS = {"strata"}
+# every sampled check (the strata census, the quasisection and wavelet
+# samples) draws from the standard library's random: no subcommand loads
+# numpy.random
+RANDOM_LOADERS = set()
 # the exact module sets of the classify jobs; only the golden table reads
 # the family constructors
 CLASSIFY_MODULES = ["orbitscope", "orbitscope.classify", "orbitscope.cli", "orbitscope.errors",

@@ -1,17 +1,21 @@
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from orbitscope.families import case0, family_b, family_d, family_e
+from orbitscope import orbits
+from orbitscope.families import E, case0, family_b, family_c, family_d, family_e
 from orbitscope.linalg import DilationAlgebra, mat_exp, null_space, rank_tol
 from orbitscope.orbits import (
+    generic_orbit_dim,
     is_admissible,
     orbit_dim,
     orbit_dims,
     stratify,
 )
 
-from conftest import tangent_matrix
+from conftest import conjugated, tangent_matrix
 
 
 def fd_orbit_rank(alg, xi, h=1e-5, ambiguous_band=(1e-7, 1e-3)):
@@ -130,6 +134,30 @@ class TestStabilizerAndCoadjoint:
                 assert orbit_dim(alg, moved) == orbit_dim(alg, xi)
 
 
+def diagonal_group(n):
+    return DilationAlgebra([np.diag(row) for row in np.eye(n)])
+
+
+def square_zero_6d():
+    """span{I, E21, ..., E61} on R^6: generic orbit dimension 2."""
+    return DilationAlgebra([np.eye(6)] + [E(i, 1, 6) for i in range(2, 7)])
+
+
+def transposed(alg):
+    return DilationAlgebra([G.T for G in alg.generators], tol=alg.tol)
+
+
+def sampled_d_max(alg, count=4000, seed=1):
+    """The largest orbit dimension over count 3 N(0, I) samples: the sampled
+    rule that set stratify's d_max before the grid lemma decided it."""
+    pts = 3.0 * np.random.default_rng(seed).standard_normal((count, alg.n))
+    return int(orbit_dims(alg, pts).max())
+
+
+SCALES = [2.0 ** 3, 2.0 ** -3, *(10.0 ** (sign * e) for e in (6, 12, 100, 200)
+                                 for sign in (1, -1))]
+
+
 class TestAdmissibility:
     def test_case_e_admissible(self):
         v = is_admissible(family_e())
@@ -152,12 +180,70 @@ class TestAdmissibility:
                        for _ in range(1000))
             assert hits / 1000 > 0.99
 
+    def test_does_not_depend_on_the_basis(self, golden_families):
+        for name in ("b11", "c", "d", "e", "case1a"):
+            alg = golden_families[name]
+            statuses = {is_admissible(conjugated(
+                alg, np.random.default_rng(s).standard_normal((3, 3)) + 3.0 * np.eye(3))).status
+                for s in range(10)}
+            assert statuses == {is_admissible(alg).status}, name
+
+    # decided on the pow2_scaled generators, so no scale of the generators
+    # moves the verdict or raises
+    @pytest.mark.parametrize("scale", SCALES)
+    @pytest.mark.parametrize("alg, expected", [
+        (family_b(1.0, 1.0), "admissible"), (family_d(), "admissible"),
+        (family_e(), "admissible"), (DilationAlgebra([np.diag([1.0, -1.0])]), "not_admissible"),
+    ], ids=["b11", "d", "e", "traceless"])
+    def test_verdict_at_every_scale(self, alg, expected, scale):
+        scaled = DilationAlgebra([scale * G for G in alg.generators], tol=alg.tol)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert is_admissible(scaled).status == expected
+
+
+class TestGenericOrbitDim:
+    @pytest.mark.parametrize("name", ["a", "b11", "b1m1", "b10", "c", "d", "e", "case0",
+                                      "case1a", "case1b", "case1c", "case2", "case3b"])
+    def test_matches_sampling(self, golden_families, name):
+        # the family, its transpose and three conjugates by randn + 3I
+        alg = golden_families[name]
+        variants = [alg, transposed(alg)] + [
+            conjugated(alg, np.random.default_rng(s).standard_normal((3, 3)) + 3.0 * np.eye(3))
+            for s in range(3)]
+        for var in variants:
+            assert generic_orbit_dim(var) == sampled_d_max(var)
+
+    @pytest.mark.parametrize("alg, expected", [
+        (family_c(), 2), (transposed(family_c()), 3),
+        (diagonal_group(4), 4), (diagonal_group(6), 6),
+    ], ids=["c", "c-transposed", "diagonal-4", "diagonal-6"])
+    def test_pinned_values(self, alg, expected):
+        assert generic_orbit_dim(alg) == expected == sampled_d_max(alg)
+
+    def test_square_zero_6d_steps_the_grid(self, monkeypatch):
+        # rank 2 on {1, 2}^6 (64 points), certified on {1, ..., 4}^6 (4096),
+        # not the 7^6 = 117649 points of the one-shot grid
+        evaluated = []
+        batched = orbits.orbit_dims
+        monkeypatch.setattr(orbits, "orbit_dims",
+                            lambda alg, pts: evaluated.append(len(pts)) or batched(alg, pts))
+        alg = square_zero_6d()
+        assert generic_orbit_dim(alg) == 2
+        assert sum(evaluated) <= 4160
+        monkeypatch.undo()
+        assert sampled_d_max(alg) == 2
+
+    @pytest.mark.parametrize("name", ["a", "c", "d", "e", "case0", "case2"])
+    def test_stratify_d_max_does_not_depend_on_the_seed(self, golden_families, name):
+        alg = golden_families[name]
+        assert {stratify(alg, 64, seed).d_max for seed in range(10)} == {generic_orbit_dim(alg)}
+
 
 class TestStratify:
     def test_case_d_census(self):
         rep = stratify(family_d(), 256, 11)
         assert rep.d_max == 3
-        assert rep.top_conull
         # the plane killing the nilpotent column drops the dimension
         assert orbit_dim(family_d(), [1.0, 0.0, 1.0]) < 3
 
@@ -174,7 +260,7 @@ class TestStratify:
         rep = stratify(family_e(), 64, 14)
         assert rep.probes.shape == (64, 3)
         doc = rep.to_json()
-        assert doc["group_dim"] == 3 and doc["conull_threshold"] == 0.99
+        assert doc["group_dim"] == 3 and doc["top_stratum_conull"] is True
         assert sum(doc["census"].values()) == 64
 
 

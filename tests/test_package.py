@@ -128,6 +128,25 @@ class TestNoDeadCode:
                             unused.append(f"{cls.name}.{defn.name}")
         assert unused == []
 
+    def test_no_module_loads_numpy_random(self):
+        # every sampled check draws from linalg.seeded_draws, the standard
+        # library's random: no module imports numpy.random or reads np.random
+        uses = []
+        for path in sorted(SRC.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [f"{node.module}.{alias.name}" for alias in node.names]
+                elif (isinstance(node, ast.Attribute) and node.attr == "random"
+                      and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+                    names = ["numpy.random"]
+                else:
+                    continue
+                uses += [f"{path.name}:{node.lineno}" for name in names
+                         if name == "numpy.random" or name.startswith("numpy.random.")]
+        assert uses == []
+
     def test_random_generators_are_seeded_by_a_name(self):
         # every default_rng(...) and Random(...) in src/ is seeded by a
         # parameter of an enclosing function or by a named module constant,
