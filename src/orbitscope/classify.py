@@ -102,10 +102,10 @@ def _jsonable(v):
 
 def classify_one_param(A) -> ClassificationVerdict:
     """One-parameter criterion: integrable iff the signs of Re(lambda) coincide."""
-    [A] = pow2_scaled([as_matrix(A)])
-    scale = max(np.linalg.norm(A), 1.0)
-    if np.linalg.norm(A) <= 1e-12 * scale:
+    [A], _ = pow2_scaled([as_matrix(A)])
+    if not A.any():
         raise ValueError("A must be nonzero")
+    scale = np.linalg.norm(A)
     re = np.linalg.eigvals(A).real
     tol = 1e-9 * scale
     if np.min(np.abs(re)) <= tol:
@@ -143,13 +143,14 @@ def _unclassified(notes, compact=UNKNOWN, section=UNKNOWN, quasi=UNKNOWN):
 
 
 def classify3(alg: DilationAlgebra) -> ClassificationVerdict:
-    """Complete classification of connected abelian H < GL(3, R), d in {2, 3}."""
+    """Classification of connected abelian H < GL(3, R), d in {2, 3}, on pow2_scaled generators."""
     if alg.n != 3:
         raise ValueError("classify3 requires n = 3")
     if alg.d not in (2, 3):
         raise ValueError("classify3 requires d in {2, 3}; use classify_one_param for d = 1")
+    alg = DilationAlgebra(pow2_scaled(alg.generators)[0], tol=alg.tol)
     rd = roots_decompose(alg)
-    scale = max(alg.scale(), 1.0)
+    scale = alg.scale()
     tol = alg.tol
     if alg.d == 3:
         return _classify_d3(rd, scale, tol)
@@ -188,7 +189,7 @@ def _classify_d3(rd, scale, tol):
     if len(rd.nilpotent_basis) != 2:
         return _unclassified(("d = 3, p = 1 with unexpected nilpotent dimension",))
     for N in rd.nilpotent_basis:
-        if np.linalg.norm(N @ N) > tol * max(np.linalg.norm(N), 1.0) ** 2:
+        if np.linalg.norm(N @ N) > tol * np.linalg.norm(N) ** 2:
             return _unclassified(
                 ("d = 3, p = 1 whose nilpotent ideal contains an element with "
                  "nonzero square: not conjugate to case (c), absent from the table",),
@@ -284,7 +285,7 @@ def _merged_root_degeneracy(alg, rd, scale):
         for j, G in enumerate(alg.generators):
             R = V.T @ G @ V - lam[j].real * np.eye(V.shape[1])
             spread = max(spread, float(np.linalg.norm(R)))
-    if spread <= 1e-12 * max(scale, 1.0):
+    if spread <= 1e-12 * scale:
         return (), ()
     warnings.warn(
         f"repeated root with spread {spread:.2e}: may be a merged "
@@ -313,12 +314,12 @@ def _classify_case1(alg, rd, scale, tol) -> ClassificationVerdict:
     xnorm = np.linalg.norm(X)
     tag = "1c"
     bstar = -float(np.sum(N0 * X)) / float(np.sum(X * X))
-    if np.linalg.norm(N0 + bstar * X) <= 1e-8 * max(scale, 1.0):
+    if np.linalg.norm(N0 + bstar * X) <= 1e-8 * scale:
         tag = "1a"
     else:
         C0, C1, C2 = N0 @ N0, N0 @ X + X @ N0, X @ X
         for b in _quadratic_candidates(C0, C1, C2):
-            if np.linalg.norm(C0 + b * C1 + b * b * C2) <= 1e-8 * max(scale, 1.0) ** 2:
+            if np.linalg.norm(C0 + b * C1 + b * b * C2) <= 1e-8 * scale ** 2:
                 tag = "1b"
                 break
     two_layer = np.linalg.norm(X @ X) > tol * xnorm ** 2
@@ -367,7 +368,7 @@ def _classify_case3_complex(rd, scale, tol) -> ClassificationVerdict:
     if a[np.argmax(np.abs(a))] < 0:
         a = -a
     c = complex(np.dot(lam1, a))
-    if abs(c.real) > tol * max(scale, 1.0):
+    if abs(c.real) > tol * scale:
         alpha = c.imag / c.real
         return ClassificationVerdict(
             case_tag="(a)",
@@ -381,7 +382,7 @@ def _classify_case3_complex(rd, scale, tol) -> ClassificationVerdict:
     # c purely imaginary: rotation factor; stabilizers are noncompact lattices
     b = np.linalg.lstsq(lam2.reshape(1, -1), np.array([1.0]), rcond=None)[0]
     w = complex(np.dot(lam1, b))
-    product_structure = abs(w.real) <= 1e-8 * max(scale, 1.0)
+    product_structure = abs(w.real) <= 1e-8 * scale
     if product_structure:
         return ClassificationVerdict(
             case_tag="3b",
@@ -415,7 +416,7 @@ def _classify_case4(rd, scale, tol) -> ClassificationVerdict:
     alpha, beta = float(ab[0]), float(ab[1])
     notes = []
     alternates = []
-    snap = tol * max(scale, 1.0) * 10
+    snap = tol * scale * 10
     if abs(alpha) <= snap or abs(beta) <= snap:
         if 0 < abs(alpha) <= snap or 0 < abs(beta) <= snap:
             warnings.warn(
@@ -480,7 +481,7 @@ def classify_diag_nilpotent(A, X, tol: float = 1e-9) -> ClassificationVerdict:
     A = as_matrix(A)
     X = as_matrix(X, A.shape[0])
     n = A.shape[0]
-    scale = max(np.linalg.norm(A), np.linalg.norm(X), 1.0)
+    scale = max(np.linalg.norm(A), np.linalg.norm(X))
     if np.linalg.norm(X) <= 1e-12 * scale:
         raise NotNilpotent("X must be a nonzero nilpotent")
     if np.linalg.norm(A) <= 1e-12 * scale:
@@ -523,9 +524,9 @@ def classify_dispatch(alg: DilationAlgebra):
     diagonalizable + nilpotent pair); UnclassifiedFamily when none does."""
     if alg.d == 1:
         return classify_one_param(alg.generators[0])
-    alg = DilationAlgebra(pow2_scaled(alg.generators), tol=alg.tol)
     if alg.n == 3 and alg.d in (2, 3):
         return classify3(alg)
+    alg = DilationAlgebra(pow2_scaled(alg.generators)[0], tol=alg.tol)
     if alg.d == 2:
         from .sections import diag_nilpotent_pair  # only this route needs sections
 

@@ -312,8 +312,8 @@ def _calderon_samples(action, spec, count, seed) -> np.ndarray:
     u, z = seeded_draws(seed, count, k + d, action.alg.n)
     mids = np.array([np.sqrt(max(lo, hi / 16.0) * hi) for lo, hi in spec.C.bounds])
     r = mids * np.exp(-0.15 + 0.3 * u[:, :k])
-    # h_t^T scales block k by exp(mu_k . t), and only block magnitudes are read
-    r = r * np.exp((-1.0 + 2.0 * u[:, k:]) @ action.weights.T)
+    # h_t^T scales block k by exp(mu_k . t), t in [-1, 1] / max|mu|; only magnitudes are read
+    r = r * np.exp((-1.0 + 2.0 * u[:, k:]) / np.max(np.abs(action.weights)) @ action.weights.T)
     w = np.empty_like(z)
     for i, sl in enumerate(action.slices):
         w[:, sl] = r[:, i:i + 1] * z[:, sl] / np.linalg.norm(z[:, sl], axis=1, keepdims=True)

@@ -77,8 +77,8 @@ class SetsNotNested(DomainError):
 
 
 class ZeroSigma(DomainError):
-    """sigma vanished at a point that should be covered, or the box's orbits
-    are not open, so sigma is not one constant and no wavelet is built."""
+    """sigma vanished at a covered point or left the float range with |det M| (~ s^d),
+    or the box's orbits are not open, so sigma is not one constant; no wavelet is built."""
 
 
 class QuasiSectionRefused(DomainError):

@@ -106,17 +106,12 @@ def mat_exp(M) -> np.ndarray:
     return E
 
 
-def _pow2_exponent(mats) -> int:
-    """The frexp exponent of the largest entry of mats."""
-    return int(np.frexp(max(float(np.max(np.abs(M))) for M in mats))[1])
-
-
-def pow2_scaled(mats) -> list[np.ndarray]:
-    """mats divided by 2^e, e the frexp exponent of their largest entry: they
+def pow2_scaled(mats) -> tuple[list[np.ndarray], int]:
+    """(mats / 2^e, e), e the frexp exponent of their largest entry: they
     span the same group, the division is exact and the largest entry lands in
     [1/2, 1), so no norm overflows and no threshold sees the scale."""
-    e = _pow2_exponent(mats)
-    return [np.ldexp(M, -e) for M in mats]
+    e = int(np.frexp(max(float(np.max(np.abs(M))) for M in mats))[1])
+    return [np.ldexp(M, -e) for M in mats], e
 
 
 def commutator(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -133,7 +128,7 @@ def check_commuting(generators, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
     mats = [as_matrix(G) for G in generators]
     if len({A.shape[0] for A in mats}) > 1:
         raise ValueError("generators must share one dimension")
-    scaled = pow2_scaled(mats)
+    scaled, e = pow2_scaled(mats)
     worst = 0.0
     ok = True
     for i in range(len(scaled)):
@@ -144,7 +139,7 @@ def check_commuting(generators, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
             if c > tol * scale:
                 ok = False
     with np.errstate(over="ignore"):  # a commutator past the float range reads inf
-        return ok, float(np.ldexp(worst, 2 * _pow2_exponent(mats)))
+        return ok, float(np.ldexp(worst, 2 * e))
 
 
 def rank_tol(M, tol: float = DEFAULT_TOL) -> int:
@@ -252,21 +247,17 @@ class RootDecomposition:
         object.__setattr__(self, "p", len(self.roots))
 
     def is_real(self, k: int) -> bool:
-        return bool(np.max(np.abs(np.imag(self.roots[k]))) < 1e-12 * _root_scale(self.roots))
+        """Reads the exact zero imaginary part roots_decompose gives a real root."""
+        return not np.any(self.roots[k].imag)
 
     def all_real(self) -> bool:
         return all(self.is_real(k) for k in range(self.p))
 
     def zero_root_index(self, scale: float, tol: float) -> int | None:
         for k, lam in enumerate(self.roots):
-            if np.max(np.abs(lam)) <= tol * max(scale, 1.0):
+            if np.max(np.abs(lam)) <= tol * scale:
                 return k
         return None
-
-
-def _root_scale(roots) -> float:
-    m = max((float(np.max(np.abs(lam))) for lam in roots), default=0.0)
-    return max(m, 1.0)
 
 
 def kernel_filtration(M) -> list[np.ndarray]:
@@ -299,24 +290,28 @@ def _generalized_eigenspace(A: np.ndarray, mu: complex, n: int) -> np.ndarray:
 
 
 def roots_decompose(alg: DilationAlgebra) -> RootDecomposition:
-    """All joint roots and generalized eigenspaces of the commuting family.
+    """All joint roots and generalized eigenspaces of the commuting family, on
+    its pow2_scaled generators: the roots (a real one with an exact zero imaginary
+    part) and the nilpotent basis come back in the caller's units by ldexp.
 
     A Jordan block of size m splits an eigenvalue by about (eps ||A||)^(1/m),
     so no fixed radius clusters the eigenvalues of the generic combination
     _ROOT_DRAWS[:d].  Their single-linkage groupings are tried from coarsest
-    to finest, never splitting values within rounding (1e-12 max|lambda|);
+    to finest, never splitting values within rounding (1e-12 ||A||);
     the first is accepted whose every cluster's generalized eigenspace has
     its multiplicity, is invariant under every generator and holds one joint
     root, with pairwise distinct roots.  Otherwise IllConditioned, as for two
     roots whose difference is orthogonal to the combination.
     """
+    gens, e = pow2_scaled(alg.generators)
+    alg = DilationAlgebra(gens, tol=alg.tol)
     n, d = alg.n, alg.d
     scale = alg.scale()
     tol = alg.tol
     Agen = alg.element(_ROOT_DRAWS[:d])
     eigs = np.sort_complex(np.linalg.eigvals(Agen))  # by real, then imaginary part
     gaps = np.abs(eigs[:, None] - eigs[None, :])
-    gaps = np.maximum(gaps, 1e-12 * max(np.max(np.abs(eigs)), 1.0))
+    gaps = np.maximum(gaps, 1e-12 * np.linalg.norm(Agen))
     tried, err = [], None
     for cut in sorted(set(gaps.ravel().tolist()), reverse=True):
         label = np.arange(n)  # components of gaps <= cut, labelled by first index
@@ -340,26 +335,29 @@ def roots_decompose(alg: DilationAlgebra) -> RootDecomposition:
                     lam[j] = np.trace(B.conj().T @ X.astype(complex) @ B) / B.shape[1]
                     # invariance of the eigenspace under every generator
                     resid = np.linalg.norm(X @ B - B @ (B.conj().T @ X @ B))
-                    if resid > 1e-6 * max(scale, 1.0):
+                    if resid > 1e-6 * scale:
                         raise IllConditioned("eigenspace not invariant; clusters merged badly")
                     nil = B @ np.linalg.matrix_power(
                         B.conj().T @ X.astype(complex) @ B - lam[j] * np.eye(B.shape[1]), n
                     )
-                    if np.linalg.norm(nil) > 1e-6 * max(scale, 1.0) ** n:
+                    if np.linalg.norm(nil) > 1e-6 * scale ** n:
                         raise IllConditioned("cluster contains two distinct joint roots")
                 raw.append((lam, B))
             for a in range(len(raw)):
                 for b in range(a + 1, len(raw)):
-                    if np.max(np.abs(raw[a][0] - raw[b][0])) <= tol * max(scale, 1.0):
+                    if np.max(np.abs(raw[a][0] - raw[b][0])) <= tol * scale:
                         raise IllConditioned("two distinct roots closer than tolerance")
-            return _merge_conjugates(raw, alg)
+            roots, blocks = _merge_conjugates(raw, alg)
+            return RootDecomposition(  # ldexp is exact
+                tuple(np.ldexp(r.real, e) + 1j * np.ldexp(r.imag, e) for r in roots), tuple(blocks),
+                tuple(np.ldexp(N, e) for N in _nilpotent_basis(roots, alg)))
         except IllConditioned as exc:  # try the next finer grouping
             err = exc
     raise IllConditioned(f"no grouping of the generic combination's eigenvalues passes: {err}")
 
 
-def _merge_conjugates(raw, alg: DilationAlgebra) -> RootDecomposition:
-    imag_tol = 1e-8 * max(alg.scale(), 1.0)
+def _merge_conjugates(raw, alg: DilationAlgebra) -> tuple[list, list]:
+    imag_tol = 1e-8 * alg.scale()
     roots, blocks = [], []
     for lam, B in raw:
         # a complex root is kept once: as the member with positive imaginary
@@ -381,11 +379,7 @@ def _merge_conjugates(raw, alg: DilationAlgebra) -> RootDecomposition:
     blocks = [blocks[k] for k in order]
     if sum(b.shape[1] for b in blocks) != alg.n:
         raise IllConditioned("merged block dimensions do not sum to n")
-    return RootDecomposition(
-        roots=tuple(r.copy() for r in roots),
-        blocks=tuple(b.copy() for b in blocks),
-        nilpotent_basis=tuple(_nilpotent_basis(roots, alg)),
-    )
+    return roots, blocks
 
 
 def _nilpotent_basis(roots, alg: DilationAlgebra) -> list[np.ndarray]:
@@ -408,20 +402,22 @@ def _nilpotent_basis(roots, alg: DilationAlgebra) -> list[np.ndarray]:
 
 def blocks_semisimple(alg: DilationAlgebra, rd: RootDecomposition) -> bool:
     """Whether every generator acts as a scalar (real) or rotation-scaling
-    (complex pair) on each merged root block, i.e. no nilpotent block action."""
+    (complex pair) on each merged root block, i.e. no nilpotent block action,
+    compared at the pow2_scaled generators' scale, as roots_decompose decides."""
+    gens, e = pow2_scaled(alg.generators)
     for k, (lam, V) in enumerate(zip(rd.roots, rd.blocks)):
         real = rd.is_real(k)
         m = V.shape[1]
-        for j, G in enumerate(alg.generators):
+        for j, G in enumerate(gens):
             M = V.T @ G @ V
-            a, b = lam[j].real, lam[j].imag
+            a, b = np.ldexp(lam[j].real, -e), np.ldexp(lam[j].imag, -e)
             if real:
                 R = M - a * np.eye(m)
             else:
                 # (M - (a+ib))(M - (a-ib)) = 0 iff the complex eigenspace is honest
                 S = M - a * np.eye(m)
                 R = S @ S + b * b * np.eye(m)
-            scale = max(np.linalg.norm(G), 1.0)
-            if np.linalg.norm(R) > 1e-7 * (scale if real else scale ** 2 + 1.0):
+            scale = np.linalg.norm(G)
+            if np.linalg.norm(R) > 1e-7 * (scale if real else scale ** 2):
                 return False
     return True

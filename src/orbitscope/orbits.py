@@ -70,15 +70,14 @@ def is_admissible(alg: DilationAlgebra) -> AdmissibilityVerdict:
     pow2_scaled generators, which span the same group, so the verdict does
     not depend on how the generators are scaled.
     """
-    alg = DilationAlgebra(pow2_scaled(alg.generators), tol=alg.tol)
+    alg = DilationAlgebra(pow2_scaled(alg.generators)[0], tol=alg.tol)
     reasons = []
     rd = roots_decompose(alg)
     if not rd.all_real():
         reasons.append("non-real joint root: spec(h) in R+ fails")
         return AdmissibilityVerdict("hypotheses_violated", tuple(reasons))
     traces = [float(np.trace(G)) for G in alg.generators]
-    scale = max(alg.scale(), 1.0)
-    det_triv = all(abs(tr) <= alg.tol * scale for tr in traces)
+    det_triv = all(abs(tr) <= alg.tol * alg.scale() for tr in traces)
     if det_triv:
         reasons.append("all generator traces vanish: det|_H = 1 identically")
     generic = generic_orbit_dim(alg)

@@ -231,13 +231,13 @@ def _recession_ray(L):
     """An extreme ray u of {u : L u <= 0} scaled to max|u| = 1, or None when
     the cone is {0}: a null vector of L when rank L < d, otherwise an edge
     -pinv(L_B) e_i at the vertex 0 of some basis B of L, verified by
-    substitution."""
+    substitution against _TOL max|L| (L scales with the generators)."""
     _, pinv, null = _bases(L)
     candidates = null.T[:1] if null.shape[1] else -np.swapaxes(pinv, 1, 2).reshape(-1, L.shape[1])
     for u in candidates:
         ray = u / np.max(np.abs(u))
         ray[np.abs(ray) < 1e-12] = 0.0
-        if np.max(L @ ray, initial=-np.inf) <= _TOL:
+        if np.max(L @ ray, initial=-np.inf) <= _TOL * np.max(np.abs(L), initial=0.0):
             return ray
     return None
 

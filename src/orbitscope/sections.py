@@ -182,7 +182,7 @@ def normal_form(A, X, tol: float = 1e-9) -> LayeredFamily:
         W = rd.blocks[k]
         # commuting implies X preserves W; verify
         resid = np.linalg.norm(X @ W - W @ (W.T @ X @ W))
-        if resid > 1e-7 * max(np.linalg.norm(X), 1.0):
+        if resid > 1e-7 * np.linalg.norm(X):
             raise NotDiagonalizable("eigenspace of A is not X-invariant")
         C, eps = _jordan_chain_basis(W, X, tol)
         cols.append(C)
@@ -198,7 +198,7 @@ def normal_form(A, X, tol: float = 1e-9) -> LayeredFamily:
         for i in blk.active:
             expected[blk.offset + i - 2] = 1.0
     off = Xa - np.diag(expected, -1)
-    if np.linalg.norm(off) > 1e-7 * max(np.linalg.norm(X), 1.0):
+    if np.linalg.norm(off) > 1e-7 * np.linalg.norm(X):
         raise NotNilpotent("adapted X is not in 0/1-subdiagonal form")
     return LayeredFamily(A=A, X=X, basis=P, basis_inv=Pinv, blocks=tuple(blocks), tol=tol)
 

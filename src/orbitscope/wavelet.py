@@ -99,14 +99,14 @@ def _block_factor(C: BoxSet, W: BoxSet, k: int, x: np.ndarray) -> np.ndarray:
 
 def _padded_boxes(L, c, margin: float):
     """Which systems {L t <= c_i} (rows of c) are nonempty, and their bounding
-    boxes, (m', d, 2), padded by margin * max(hi - lo, 0.1) on each side.
+    boxes, (m', d, 2), padded by margin * (hi - lo) on each side, in t-units.
     Raises SupportUnbounded when a box has an infinite side."""
     nonempty, _, lo, hi = _polyhedra(L, c)
     lo, hi = lo[nonempty], hi[nonempty]
     unbounded = np.flatnonzero(~np.isfinite(lo).all(axis=0) | ~np.isfinite(hi).all(axis=0))
     if unbounded.size:
         raise SupportUnbounded(f"parameter support unbounded in direction {unbounded[0]}")
-    pad = margin * np.maximum(hi - lo, 0.1)
+    pad = margin * (hi - lo)
     return nonempty, np.stack([lo - pad, hi + pad], axis=-1)
 
 
@@ -234,7 +234,7 @@ def synth_wavelet(action: DiagonalizedAction, C: BoxSet, W: BoxSet | None = None
     the trapezoid rule (the step times the node sum) converges faster than
     any power (Trefethen & Weideman, SIAM Review 56, 2014).  `convergence`
     has each block's relative difference from N to 2N intervals; above 0.1%
-    it warns.
+    it warns.  A sigma outside the float range (|det M| ~ s^d) raises ZeroSigma.
     """
     sysCC = meeting_system(action, C, C)
     bounded, witness = is_relatively_compact(sysCC)
@@ -268,12 +268,16 @@ def synth_wavelet(action: DiagonalizedAction, C: BoxSet, W: BoxSet | None = None
     if max(rel_diff) > 1e-3:
         warnings.warn("sigma's block integrals not stable to 0.1% from "
                       f"{_SIGMA_INTERVALS} to {2 * _SIGMA_INTERVALS} trapezoid intervals")
+    with np.errstate(over="ignore", divide="ignore"):  # |det M| may leave the float range
+        sigma = float(np.prod(integrals) / abs(np.linalg.det(action.weights)))
+    if not 0.0 < sigma < np.inf:
+        raise ZeroSigma(f"sigma = {sigma}: |det M| is outside the float range")
     return WaveletSpec(
         action=action,
         C=C,
         W=W,
         param_box=param_box,
-        sigma=float(np.prod(integrals) / abs(np.linalg.det(action.weights))),
+        sigma=sigma,
         convergence={"block_rel_diff": rel_diff,
                      "trapezoid_intervals": [_SIGMA_INTERVALS, 2 * _SIGMA_INTERVALS]},
     )
@@ -512,8 +516,8 @@ def l1_estimate(spec: WaveletSpec, shape=None, dx=None, param_counts=64) -> L1Re
     `shape`) it warns above 1% or when capped.  Neither difference measures
     the Abel u-step du or the rho-step dx, and on the 2-D spiral each is
     worth about 5e-4 at the default steps.  `containment_max` is the
-    largest slice norm 0.75 beyond the faces of the kernel's support box,
-    the meeting set of (W, W).
+    largest slice norm a third of the box width beyond the faces of the
+    kernel's support box, the meeting set of (W, W).
     """
     action = spec.action
     box = meeting_param_box(action, spec.W, margin=0.0)
@@ -616,9 +620,9 @@ def _lattice_slices(spec: WaveletSpec, rf: np.ndarray, ts):
 
 
 def _containment_points(box) -> np.ndarray:
-    """The box centre moved to 0.75 beyond each face of the box, one row per
-    face."""
+    """The box centre moved a third of the box width (t-units) beyond each
+    face of the box, one row per face."""
     box = np.asarray(box, dtype=float)
     ts = np.repeat(box.mean(axis=1)[None], box.size, axis=0)
-    ts[np.arange(box.size), np.arange(box.size) // 2] = (box + [-0.75, 0.75]).ravel()
+    ts[np.arange(box.size), np.arange(box.size) // 2] = (box + np.diff(box) / 3 * [-1, 1]).ravel()
     return ts

@@ -766,6 +766,29 @@ class TestWaveletPipeline:
         assert blocks[0]["n_covered"] == 100
         assert blocks[0] == blocks[1] == blocks[2]
 
+    @pytest.mark.parametrize("doc", [
+        {"n": 1, "generators": DILATION_1D, "box": {"bounds": [[1.0, 2.0]]}}, CASE_A,
+    ], ids=["1d", "case-a"])
+    def test_generators_times_1000(self, capsys, tmp_path, doc):
+        # the support pad, the containment points and the samples' spread
+        # are in t-units, which scale as 1/1000, so every number that does
+        # not depend on the parametrization keeps its x1 value
+        payloads = []
+        for scale in (1.0, 1000.0):
+            path = tmp_path / "w.json"
+            gens = (np.array(doc["generators"], dtype=float) * scale).tolist()
+            path.write_text(json.dumps({**doc, "generators": gens, "samples": 20}))
+            assert main(["wavelet", "--input", str(path), "--grid", "8"]) == 0
+            payloads.append(json.loads(capsys.readouterr().out)["payload"])
+        ref, got = payloads
+        d = len(doc["generators"])
+        assert got["calderon"]["n_uncovered"] == 0
+        assert got["calderon"]["max_deviation"] == pytest.approx(
+            ref["calderon"]["max_deviation"], abs=1e-13)
+        assert got["spec"]["sigma"] * 1000.0 ** d == pytest.approx(ref["spec"]["sigma"], rel=1e-12)
+        assert got["l1"]["l1_estimate"] == pytest.approx(ref["l1"]["l1_estimate"], rel=1e-12)
+        assert got["l1"]["support_containment_max"] == 0.0
+
     def test_wavelet_then_cwt(self, tmp_path):
         doc = {"n": 1, "generators": [[1.0]], "box": {"bounds": [[1.0, 2.0]]},
                "samples": 25}

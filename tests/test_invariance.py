@@ -4,15 +4,28 @@ Section leg: the diagonalizable + nilpotent pair (A, X) written as [A, X],
 [A + X, A - 2X], [X, A] and [2A, -X] spans one algebra, so `section` gives
 every point the same layer, sign and representative, and a witness c on the
 written generators with exp(c_1 G_1 + c_2 G_2) v = v*.
+
+Scale leg: s X_1, ..., s X_d span the group of X_1, ..., X_d, so the
+diagonal action has the same blocks with weights times s, the quasi-section
+verdict and its witness direction do not move, nor does classify3, and the
+wavelet numbers that do not depend on the parametrization (sigma |det M|,
+the Calderon value, the L1 estimate) keep their x1 values, as long as
+|det M| = s^d |det M_1| is a float; past that, ZeroSigma.
 """
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from orbitscope import families as F
+from orbitscope.classify import classify3
+from orbitscope.errors import ZeroSigma
 from orbitscope.families import E
 from orbitscope.linalg import DilationAlgebra
+from orbitscope.quasisection import (BoxSet, c_i_box, diagonal_action, quasi_section_verdict,
+                                     shell_box)
 from orbitscope.sections import diag_nilpotent_pair, normal_form, section_batch
+from orbitscope.wavelet import calderon_check, l1_estimate, synth_wavelet
 
 from conftest import random_diag_nilpotent
 
@@ -117,3 +130,77 @@ def test_no_pair():
     rot = np.array([[1.0, -1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
     assert diag_nilpotent_pair(DilationAlgebra([rot, np.diag([0.0, 0, 1])])) is None
     assert diag_nilpotent_pair(DilationAlgebra([np.eye(3)])) is None
+
+
+SCALES = [2.0 ** 3, 2.0 ** -3] + [10.0 ** (sign * p) for p in (3, 6, 12, 100, 200, 300)
+                                   for sign in (1, -1)]
+
+# family, probe set and orbit-space compactness of the quasi-section leg
+QUASI = {
+    "a": (F.family_a(1.0), shell_box(2.0, 2), True),
+    "b11": (F.family_b(1.0, 1.0), [c_i_box(i, 2.0) for i in (1, 2, 3)], True),
+    "e": (F.family_e(), shell_box(2.0, 3), True),
+    "diag2": (DilationAlgebra([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]), shell_box(2.0, 2), None),
+}
+
+
+def scaled(alg, s):
+    return DilationAlgebra([s * G for G in alg.generators], tol=alg.tol)
+
+
+def quasi_answers(alg, C, compact):
+    action = diagonal_action(alg)
+    verdict = quasi_section_verdict(action, C, orbit_space_compact=compact)
+    return action, verdict
+
+
+@pytest.mark.parametrize("name", sorted(QUASI))
+def test_quasi_section_route_does_not_depend_on_scale(name):
+    alg, C, compact = QUASI[name]
+    ref_action, ref = quasi_answers(alg, C, compact)
+    ref_table = classify3(alg).to_json() if alg.n == 3 else None
+    for s in SCALES:
+        action, verdict = quasi_answers(scaled(alg, s), C, compact)
+        assert action.k == ref_action.k, s
+        npt.assert_allclose(action.weights / s, ref_action.weights, rtol=1e-12, err_msg=str(s))
+        assert verdict.exists == ref.exists, s
+        if ref.witness_direction is None:
+            assert verdict.witness_direction is None, s
+        else:
+            npt.assert_allclose(verdict.witness_direction, ref.witness_direction, atol=1e-12)
+        if ref_table is not None:
+            got = classify3(scaled(alg, s)).to_json()
+            npt.assert_allclose(got.pop("normalized_params", []),
+                                ref_table.get("normalized_params", []), rtol=1e-12)
+            assert got == {k: v for k, v in ref_table.items() if k != "normalized_params"}, s
+
+
+SPIRAL = np.array([[1.0, -1.0], [1.0, 1.0]])
+WAVELETS = {
+    "1d": ([np.array([[1.0]])], [(1.0, 2.0)]),
+    "2d-spiral": ([SPIRAL], [(1.0, 2.0)]),
+    "case-a": (list(F.family_a(1.0).generators), [(0.5, 2.0), (0.5, 2.0)]),
+}
+
+
+def wavelet_numbers(gens, bounds):
+    """sigma |det M|, the Calderon value and the L1 estimate, on small rules."""
+    action = diagonal_action(DilationAlgebra(gens))
+    spec = synth_wavelet(action, BoxSet(bounds))
+    xi = np.linalg.solve(action.basis.T, np.ones(action.alg.n))
+    return (spec.sigma * abs(np.linalg.det(action.weights)),
+            calderon_check(spec, xi[None], 8).value,
+            l1_estimate(spec, shape=256, param_counts=8).value)
+
+
+@pytest.mark.parametrize("name", sorted(WAVELETS))
+def test_wavelet_numbers_do_not_depend_on_scale(name):
+    gens, bounds = WAVELETS[name]
+    ref = wavelet_numbers(gens, bounds)
+    for s in SCALES:
+        if len(gens) * abs(np.log10(s)) <= 300:
+            npt.assert_allclose(wavelet_numbers([s * G for G in gens], bounds), ref,
+                                rtol=1e-12, err_msg=str(s))
+        else:  # |det M| = s^d leaves the float range, and sigma with it
+            with pytest.raises(ZeroSigma):
+                wavelet_numbers([s * G for G in gens], bounds)

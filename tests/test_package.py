@@ -128,6 +128,29 @@ class TestNoDeadCode:
                             unused.append(f"{cls.name}.{defn.name}")
         assert unused == []
 
+    def test_no_unit_clamp(self):
+        # a threshold tol * max(x, 1.0) is absolute below unit scale, so it
+        # moves a decision when the generators are rescaled: thresholds are
+        # relative to the pow2_scaled generators (linalg.roots_decompose).
+        # Each clamp that is left has a reason, and every entry here is used
+        allowed = {
+            ("linalg.py", "mat_exp"): "series stop: M / 2^s has norm <= 1/2, so exp of it is O(1)",
+            ("sections.py", "section_batch"): "per-point cuts on |v| and |v*|, which scale "
+                                              "with xi, not with the generators",
+        }
+        found = set()
+        for path in sorted(SRC.glob("*.py")):
+            for func in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(func, ast.FunctionDef):
+                    continue
+                for node in ast.walk(func):
+                    if (isinstance(node, ast.Call)
+                            and (_names([node.func]) & {"max", "maximum"})
+                            and any(isinstance(arg, ast.Constant) and arg.value == 1.0
+                                    and type(arg.value) is float for arg in node.args)):
+                        found.add((path.name, func.name))
+        assert found == set(allowed)
+
     def test_no_module_loads_numpy_random(self):
         # every sampled check draws from linalg.seeded_draws, the standard
         # library's random: no module imports numpy.random or reads np.random
