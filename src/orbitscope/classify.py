@@ -39,7 +39,8 @@ YES, NO, UNKNOWN, OPEN, UNCLASSIFIED = "yes", "no", "unknown", "open", "unclassi
 
 @dataclass(frozen=True)
 class ClassificationVerdict:
-    """Machine-checkable classification outcome.
+    """Machine-checkable classification outcome, constructed with the five
+    fields positional: case tag, compact, section, quasi-section, integrable.
 
     The consistency triangle (section => quasi-section, integrable=yes =>
     compact=yes, integrable=open only for case (b) with alpha*beta != 0) is
@@ -113,31 +114,19 @@ def classify_one_param(A) -> ClassificationVerdict:
     one_signed = bool(np.all(re > tol) or np.all(re < -tol))
     if one_signed:
         return ClassificationVerdict(
-            case_tag="one_param",
-            orbit_space_compact=YES,
-            topological_section=YES,
-            quasi_section=YES,
-            integrable=YES,
+            "one_param", YES, YES, YES, YES,
             witnesses={"section": "sphere of an adapted norm"},
             notes=("strictly contractive (or expansive) one-parameter group",),
         )
     return ClassificationVerdict(
-        case_tag="one_param",
-        orbit_space_compact=UNKNOWN,
-        topological_section=UNKNOWN,
-        quasi_section=UNKNOWN,
-        integrable=NO,
+        "one_param", UNKNOWN, UNKNOWN, UNKNOWN, NO,
         notes=("mixed signs of Re(lambda)",),
     )
 
 
 def _unclassified(notes, compact=UNKNOWN, section=UNKNOWN, quasi=UNKNOWN):
     return ClassificationVerdict(
-        case_tag="unclassified",
-        orbit_space_compact=compact,
-        topological_section=section,
-        quasi_section=quasi,
-        integrable=UNCLASSIFIED,
+        "unclassified", compact, section, quasi, UNCLASSIFIED,
         notes=tuple(notes),
     )
 
@@ -165,22 +154,14 @@ def _classify_d3(rd, scale, tol):
         )
     if rd.p == 3:
         return ClassificationVerdict(
-            case_tag="(e)",
-            orbit_space_compact=YES,
-            topological_section=YES,
-            quasi_section=YES,
-            integrable=YES,
+            "(e)", YES, YES, YES, YES,
             witnesses={"open_orbits": 8, "section": "one point per orthant orbit"},
         )
     if rd.p == 2:
         if len(rd.nilpotent_basis) != 1:
             return _unclassified(("d = 3, p = 2 with unexpected nilpotent dimension",))
         return ClassificationVerdict(
-            case_tag="(d)",
-            orbit_space_compact=YES,
-            topological_section=YES,
-            quasi_section=YES,
-            integrable=YES,
+            "(d)", YES, YES, YES, YES,
             witnesses={"open_orbits": 4, "section": "one point per open orbit"},
         )
     # p = 1; a three-dimensional abelian algebra cannot be purely nilpotent
@@ -198,11 +179,7 @@ def _classify_d3(rd, scale, tol):
     if np.linalg.norm(sq) > tol * scale ** 2:
         return _unclassified(("d = 3, p = 1 with non-annihilating nilpotent pair",))
     return ClassificationVerdict(
-        case_tag="(c)",
-        orbit_space_compact=YES,
-        topological_section=YES,
-        quasi_section=YES,
-        integrable=YES,
+        "(c)", YES, YES, YES, YES,
         witnesses={"open_orbits": 2, "section": "one point per half-space orbit"},
     )
 
@@ -213,11 +190,7 @@ def _classify_d2(alg, rd, scale, tol):
     if rd.p == 1:
         if zero_idx is not None:
             return ClassificationVerdict(
-                case_tag="0",
-                orbit_space_compact=NO,
-                topological_section=UNKNOWN,
-                quasi_section=UNKNOWN,
-                integrable=NO,
+                "0", NO, UNKNOWN, UNKNOWN, NO,
                 notes=("purely nilpotent algebra: det = 1 on H and no compact "
                        "open subset of the orbit space",),
             )
@@ -231,11 +204,7 @@ def _classify_d2(alg, rd, scale, tol):
             )
         if rd.p == 2:
             return ClassificationVerdict(
-                case_tag="2",
-                orbit_space_compact=NO,
-                topological_section=UNKNOWN,
-                quasi_section=UNKNOWN,
-                integrable=NO,
+                "2", NO, UNKNOWN, UNKNOWN, NO,
                 notes=("dependent pair with a zero root; no compact open subset",),
             )
         return _case4_verdict(0.0, 0.0, notes=("third root vanishes",))
@@ -245,11 +214,7 @@ def _classify_d2(alg, rd, scale, tol):
         r = np.stack([rd.roots[0].real, rd.roots[1].real])
         if rank_tol(r, 1e-8) == 1:
             return ClassificationVerdict(
-                case_tag="2",
-                orbit_space_compact=NO,
-                topological_section=YES,
-                quasi_section=YES,
-                integrable=NO,
+                "2", NO, YES, YES, NO,
                 witnesses={"section": "{p_2(v) = 0, |p_2(Xv)| = 1} in an adapted basis"},
                 notes=("two dependent nonzero real roots; noncompact global section",),
             )
@@ -261,11 +226,7 @@ def _classify_d2(alg, rd, scale, tol):
             )
         notes, alternates = _merged_root_degeneracy(alg, rd, scale)
         return ClassificationVerdict(
-            case_tag="3a",
-            orbit_space_compact=YES,
-            topological_section=YES,
-            quasi_section=YES,
-            integrable=YES,
+            "3a", YES, YES, YES, YES,
             witnesses={"section": "{v_1^2 + v_2^2 = 1, |v_3| = 1} in an adapted basis"},
             notes=notes,
             alternates=alternates,
@@ -325,19 +286,11 @@ def _classify_case1(alg, rd, scale, tol) -> ClassificationVerdict:
     two_layer = np.linalg.norm(X @ X) > tol * xnorm ** 2
     if two_layer:
         return ClassificationVerdict(
-            case_tag=tag,
-            orbit_space_compact=NO,
-            topological_section=UNKNOWN,
-            quasi_section=UNKNOWN,
-            integrable=NO,
+            tag, NO, UNKNOWN, UNKNOWN, NO,
             notes=("two nonempty layers (X^2 != 0); conull sets escape to infinity",),
         )
     return ClassificationVerdict(
-        case_tag=tag,
-        orbit_space_compact=NO,
-        topological_section=YES,
-        quasi_section=YES,
-        integrable=NO,
+        tag, NO, YES, YES, NO,
         witnesses={"section": "single-layer section {p_b(v) = 0, |p_b(Xv)| = 1}"},
         notes=("single layer; global noncompact section",),
     )
@@ -371,11 +324,7 @@ def _classify_case3_complex(rd, scale, tol) -> ClassificationVerdict:
     if abs(c.real) > tol * scale:
         alpha = c.imag / c.real
         return ClassificationVerdict(
-            case_tag="(a)",
-            orbit_space_compact=YES,
-            topological_section=YES,
-            quasi_section=YES,
-            integrable=YES,
+            "(a)", YES, YES, YES, YES,
             normalized_params=(float(alpha),),
             witnesses={"section": "{v_1^2 + v_2^2 = 1, |v_3| = 1} in an adapted basis"},
         )
@@ -385,11 +334,7 @@ def _classify_case3_complex(rd, scale, tol) -> ClassificationVerdict:
     product_structure = abs(w.real) <= 1e-8 * scale
     if product_structure:
         return ClassificationVerdict(
-            case_tag="3b",
-            orbit_space_compact=NO,
-            topological_section=NO,
-            quasi_section=NO,
-            integrable=NO,
+            "3b", NO, NO, NO, NO,
             notes=("c = i: no compact open subset; stabilizers contain a "
                    "noncompact lattice; no integrable projections",),
         )
@@ -439,22 +384,14 @@ def _case4_verdict(alpha, beta, notes=(), alternates=()) -> ClassificationVerdic
     compact = alpha > 0 or beta > 0
     if not compact:
         return ClassificationVerdict(
-            case_tag="4",
-            orbit_space_compact=NO,
-            topological_section=UNKNOWN,
-            quasi_section=UNKNOWN,
-            integrable=NO,
+            "4", NO, UNKNOWN, UNKNOWN, NO,
             normalized_params=(alpha, beta),
             notes=tuple(notes) + ("neither normalized parameter positive",),
             alternates=tuple(alternates),
         )
     if alpha * beta == 0:
         return ClassificationVerdict(
-            case_tag="(b)",
-            orbit_space_compact=YES,
-            topological_section=YES,
-            quasi_section=YES,
-            integrable=YES,
+            "(b)", YES, YES, YES, YES,
             normalized_params=(alpha, beta),
             witnesses={"section": "{v_i = 1, v_j^2 + v_k^2 = 1} pattern section"},
             notes=tuple(notes),
@@ -463,11 +400,7 @@ def _case4_verdict(alpha, beta, notes=(), alternates=()) -> ClassificationVerdic
     direction = [1.0, -alpha / beta] if beta > 0 else [0.0, 1.0]
     pair = "((C1, C2))" if beta > 0 else "((C2, C3))"
     return ClassificationVerdict(
-        case_tag="(b)",
-        orbit_space_compact=YES,
-        topological_section=NO,
-        quasi_section=NO,
-        integrable=OPEN,
+        "(b)", YES, NO, NO, OPEN,
         normalized_params=(alpha, beta),
         witnesses={"unbounded_direction": direction, "meeting_pair": pair},
         notes=tuple(notes) + ("compact orbit space without any quasi-section; "
@@ -479,28 +412,22 @@ def _case4_verdict(alpha, beta, notes=(), alternates=()) -> ClassificationVerdic
 def classify_diag_nilpotent(A, X, tol: float = 1e-9) -> ClassificationVerdict:
     """Diagonalizable + nilpotent commuting pair: integrable only when n = 2."""
     A = as_matrix(A)
-    X = as_matrix(X, A.shape[0])
-    n = A.shape[0]
-    scale = max(np.linalg.norm(A), np.linalg.norm(X))
-    if np.linalg.norm(X) <= 1e-12 * scale:
-        raise NotNilpotent("X must be a nonzero nilpotent")
-    if np.linalg.norm(A) <= 1e-12 * scale:
+    if not A.any():
         raise ValueError("A must be nonzero")
     from .sections import normal_form  # only this procedure needs sections
 
     fam = normal_form(A, X, tol)  # validates diagonalizability, nilpotency, commuting
+    if not any(b.active for b in fam.blocks):
+        raise NotNilpotent("X must be a nonzero nilpotent")
+    n = A.shape[0]
     if n == 2:
         return ClassificationVerdict(
-            case_tag="diag_nilp",
-            orbit_space_compact=YES,
-            topological_section=YES,
-            quasi_section=YES,
-            integrable=YES,
+            "diag_nilp", YES, YES, YES, YES,
             witnesses={"open_orbits": 2, "section": "one point per half-plane orbit"},
             notes=("n = 2: union of two open free orbits",),
         )
     notes = []
-    zero_eig = any(abs(b.eigenvalue) <= tol * scale for b in fam.blocks)
+    zero_eig = any(b.eigenvalue == 0.0 for b in fam.blocks)
     if zero_eig:
         notes.append("A has eigenvalue 0: projection-to-line argument")
     else:
@@ -508,11 +435,7 @@ def classify_diag_nilpotent(A, X, tol: float = 1e-9) -> ClassificationVerdict:
     active = [(b, i) for b in fam.blocks for i in b.active]
     single_layer = len(active) == 1 and not zero_eig
     return ClassificationVerdict(
-        case_tag="diag_nilp",
-        orbit_space_compact=NO,
-        topological_section=YES if single_layer else UNKNOWN,
-        quasi_section=YES if single_layer else UNKNOWN,
-        integrable=NO,
+        "diag_nilp", NO, YES if single_layer else UNKNOWN, YES if single_layer else UNKNOWN, NO,
         witnesses=({"section": "Sigma_a = {p_a(v) = 0, |p_a(Xv)| = 1}"}
                    if single_layer else {}),
         notes=tuple(notes),
@@ -526,7 +449,6 @@ def classify_dispatch(alg: DilationAlgebra):
         return classify_one_param(alg.generators[0])
     if alg.n == 3 and alg.d in (2, 3):
         return classify3(alg)
-    alg = DilationAlgebra(pow2_scaled(alg.generators)[0], tol=alg.tol)
     if alg.d == 2:
         from .sections import diag_nilpotent_pair  # only this route needs sections
 

@@ -25,10 +25,14 @@ number > 0 or "param_counts" that is not an integer >= 1; a `wavelet`
 "orbit_space_compact" that is not true, false or null; a `cwt` "signal"
 that is not a non-empty string.  The group spec must be a JSON object, with
 --tol or without.  `section` reads a diagonalizable A and a nilpotent X
-from its two generators, however they are written, answers all its points
-with one batched call and gives each witness as the coefficients on the two
-generators; a point without a section gets a record naming NotInLayer or
-ZeroEigenvalue.  A `cwt` "signal" path ending in .npy is read as a real
+from its two generators, however they are written (basis and scale), answers
+all its points with one batched call and gives each witness as the
+coefficients on the two generators as written; a point without a section
+gets a record naming NotInLayer or ZeroEigenvalue.  Its layers and
+representatives are those of (sigma A, X / ||X||_2), sigma = +-1 making A's
+eigenvalue of largest |lambda| positive (a tie with -lambda goes by the
+trace, a zero trace keeps the given sign), and it reports that eigenvalue of
+sigma A.  A `cwt` "signal" path ending in .npy is read as a real
 array of any number of axes, so n = 3 runs from the CLI; an object, complex
 or other non-real array exits 1, and any other path is a CSV.  Side files
 (the `strata` probe CSV, the `section` JSONL, the `wavelet` ghat CSV, the

@@ -7,7 +7,9 @@ p_b(Xv) != 0; the canonical representative of v is
 
     v* = exp(sA + tX) v,   t = -p_b(v)/p_b(Xv),   s = -ln|p_b(Xv)| / lambda,
 
-which lands on the section {p_b = 0, |p_b(X .)| = 1} of its layer.
+which lands on the section {p_b = 0, |p_b(X .)| = 1} of its layer.  The
+basis is that of (sigma A, X / ||X||_2), so no answer moves with A's sign or
+A's or X's scale (see normal_form); the witnesses are in the caller's units.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .linalg import (
     check_commuting,
     kernel_filtration,
     orth_columns,
+    pow2_scaled,
     rank_tol,
     roots_decompose,
 )
@@ -34,7 +37,7 @@ from .linalg import (
 class EigenBlock:
     """Bookkeeping for one eigenspace in the adapted basis."""
 
-    eigenvalue: float
+    eigenvalue: float  # of the A passed in; 0.0 within tol * max |lambda| of 0
     offset: int  # first adapted-coordinate index (0-based)
     dim: int
     epsilon: tuple  # local pattern, entries for i = 2..dim
@@ -43,7 +46,8 @@ class EigenBlock:
 
 @dataclass(frozen=True)
 class LayeredFamily:
-    """Commuting (A, X) pair in adapted coordinates, immutable after build."""
+    """Commuting (A, X) pair as passed in, with the adapted coordinates of
+    its canonical pair (see normal_form), immutable after build."""
 
     A: np.ndarray
     X: np.ndarray
@@ -68,7 +72,7 @@ class SectionBatch:
 
     block: np.ndarray  # (m,) index into fam.blocks
     b: np.ndarray  # (m,) local layer index
-    eigenvalue: np.ndarray  # (m,)
+    eigenvalue: np.ndarray  # (m,) of sigma A, the canonical sign (see normal_form)
     marginal: np.ndarray  # (m,) layer decided within 10x of the zero threshold
     representative: np.ndarray  # (m, n)
     s: np.ndarray  # (m,) witnesses: exp(sA + tX) v = v*
@@ -90,6 +94,10 @@ def diag_nilpotent_pair(alg: DilationAlgebra):
     """
     if alg.d != 2:
         return None
+    # each generator divided by its own 2^e: the same algebra, with neither
+    # generator swamping the other, and coefficients mapped back by ldexp
+    (g1, e1), (g2, e2) = (pow2_scaled([G]) for G in alg.generators)
+    alg, e = DilationAlgebra(g1 + g2, tol=alg.tol), np.array([e1, e2])
     rd = roots_decompose(alg)
     if len(rd.nilpotent_basis) != 1 or not rd.all_real():
         return None
@@ -98,11 +106,14 @@ def diag_nilpotent_pair(alg: DilationAlgebra):
     # oblique spectral combinations: the semisimple parts of the generators
     semisimple = [P @ np.diag(lam[:, j]) @ np.linalg.inv(P) for j in range(2)]
     G = np.stack([g.ravel() for g in alg.generators], axis=1)
-    S = max(semisimple, key=np.linalg.norm)
+    # A in the units of the written generator whose semisimple part is largest
+    k = max(range(2), key=lambda j: np.ldexp(np.linalg.norm(semisimple[j]), e[j]))
+    S = semisimple[k]
     rhs = np.column_stack([S.ravel(), rd.nilpotent_basis[0].ravel()])
-    a, x = np.linalg.lstsq(G, rhs, rcond=None)[0].T
-    if np.linalg.norm(G @ a - S.ravel()) > 1e-8 * np.linalg.norm(S):
+    coef = np.linalg.lstsq(G, rhs, rcond=None)[0]
+    if np.linalg.norm(G @ coef[:, 0] - S.ravel()) > 1e-8 * np.linalg.norm(S):
         return None
+    a, x = np.ldexp(coef[:, 0], e[k] - e), np.ldexp(coef[:, 1], -e)
     for j, (g, g_s) in enumerate(zip(alg.generators, semisimple)):
         if np.linalg.norm(g - g_s) <= alg.tol * np.linalg.norm(g):
             a = np.eye(2)[j]
@@ -149,7 +160,7 @@ def _jordan_chain_basis(W: np.ndarray, X: np.ndarray, tol: float) -> tuple[np.nd
     chains.sort(key=lambda ch: (-len(ch)))
     cols = [w for ch in chains for w in ch]
     C = np.column_stack(cols) if cols else np.zeros((m, 0))
-    if rank_tol(C, 1e-10) != m:
+    if C.shape != (m, m) or rank_tol(C, 1e-10) != m:
         raise NotNilpotent("Jordan chain construction did not span the eigenspace")
     # epsilon_i = 1 where column i continues the chain of column i - 1
     eps = tuple(int(h > 0) for ch in chains for h in range(len(ch)))[1:]
@@ -157,13 +168,19 @@ def _jordan_chain_basis(W: np.ndarray, X: np.ndarray, tol: float) -> tuple[np.nd
 
 
 def normal_form(A, X, tol: float = 1e-9) -> LayeredFamily:
-    """Adapted basis in which A = lambda I on each eigenspace, in descending
-    order of lambda, and X has the 0/1-subdiagonal pattern; raises
-    NotDiagonalizable / NotNilpotent / NonCommuting when the hypotheses fail.
+    """Adapted basis of the canonical pair (sigma A, X / ||X||_2): A = lambda I
+    on each eigenspace, in descending order of sigma lambda, and X / ||X||_2
+    has the 0/1-subdiagonal pattern; raises NotDiagonalizable / NotNilpotent
+    / NonCommuting when the hypotheses fail.
 
-    A's eigenspaces and eigenvalues are the root blocks of span{A}.  Chain
-    tops are oriented (see _jordan_chain_basis), so the basis, and with it
-    the sign of a section, does not depend on a singular vector's sign.
+    (aA, bX) spans the group of (A, X) for a, b != 0, so neither factor moves
+    the basis: sigma = +-1 makes the eigenvalue of largest |lambda| positive,
+    the trace breaks a tie with -lambda, and a zero trace keeps sigma = 1.
+    The blocks keep A's own eigenvalues (0 within tol max|lambda|), so sigma
+    is the sign of the first.  A's eigenspaces and eigenvalues are the root
+    blocks of span{A}.  Chain tops are oriented (see _jordan_chain_basis),
+    so the basis, and with it the sign of a section, does not depend on a
+    singular vector's sign.
     """
     A = as_matrix(A)
     X = as_matrix(X, A.shape[0])
@@ -177,28 +194,36 @@ def normal_form(A, X, tol: float = 1e-9) -> LayeredFamily:
         raise NotDiagonalizable("A has non-real eigenvalues")
     if not blocks_semisimple(alg, rd):
         raise NotDiagonalizable("A is not diagonalizable")
+    lam = np.array([r[0].real for r in rd.roots])
+    top = np.max(np.abs(lam))
+    trace = np.dot([V.shape[1] for V in rd.blocks], lam)
+    # the signs of the eigenvalues of largest |lambda| sum to 0 on a tie
+    ends = np.sign(lam[np.abs(lam) >= (1.0 - tol) * top]).sum()
+    sigma = np.sign(ends) or (np.sign(trace) if abs(trace) > tol * top else 1.0)
+    lam = np.where(np.abs(lam) <= tol * top, 0.0, lam)
+    Xc = X / (np.linalg.norm(X, 2) or 1.0)  # the SVD scales, so no norm overflows
     blocks, cols, offset = [], [], 0
-    for k in np.argsort([-lam[0].real for lam in rd.roots]):
+    for k in np.argsort(-sigma * lam):
         W = rd.blocks[k]
         # commuting implies X preserves W; verify
-        resid = np.linalg.norm(X @ W - W @ (W.T @ X @ W))
-        if resid > 1e-7 * np.linalg.norm(X):
+        resid = np.linalg.norm(Xc @ W - W @ (W.T @ Xc @ W))
+        if resid > 1e-7 * np.linalg.norm(Xc):
             raise NotDiagonalizable("eigenspace of A is not X-invariant")
-        C, eps = _jordan_chain_basis(W, X, tol)
+        C, eps = _jordan_chain_basis(W, Xc, tol)
         cols.append(C)
         active = tuple(i for i in range(2, W.shape[1] + 1) if eps[i - 2] == 1)
-        blocks.append(EigenBlock(float(rd.roots[k][0].real), offset, W.shape[1], eps, active))
+        blocks.append(EigenBlock(float(lam[k]), offset, W.shape[1], eps, active))
         offset += W.shape[1]
     P = np.hstack(cols)
     Pinv = np.linalg.inv(P)
     # snap the adapted forms and verify
-    Xa = Pinv @ X @ P
+    Xa = Pinv @ Xc @ P
     expected = np.zeros(n - 1)
     for blk in blocks:
         for i in blk.active:
             expected[blk.offset + i - 2] = 1.0
     off = Xa - np.diag(expected, -1)
-    if np.linalg.norm(off) > 1e-7 * np.linalg.norm(X):
+    if np.linalg.norm(off) > 1e-7 * np.linalg.norm(Xc):
         raise NotNilpotent("adapted X is not in 0/1-subdiagonal form")
     return LayeredFamily(A=A, X=X, basis=P, basis_inv=Pinv, blocks=tuple(blocks), tol=tol)
 
@@ -213,18 +238,21 @@ def section_batch(fam: LayeredFamily, V) -> SectionBatch:
     """Layers and canonical representatives of the rows of V in one pass.
 
     The layer of v is the first active index b, scanned block by block, with
-    p_b(Xv) = p_{b-1}(v) above tol * max(|v|, 1); the witnesses (s, t) put
-    v* = exp(sA + tX) v on the section p_b(v*) = 0, |p_b(Xv*)| = 1.  In order
-    of precedence, a row without a layer is flagged not_in_layer, a layer
-    with eigenvalue 0 zero_eigenvalue, and a v* that is not finite or misses
-    the section by more than 1e-7 * max(1, |v*|) not_in_layer.  No row's
-    result depends on another row.  Layers decided within a factor 10 of
-    the threshold are flagged marginal, with one stability warning per batch.
+    p_b(Xv) = p_{b-1}(v) above tol * max(|v|, 1), X and p the canonical
+    X / ||X||_2 and its adapted coordinates; the witnesses (s, t), in the
+    units of fam.A and fam.X, put v* = exp(sA + tX) v on the section
+    p_b(v*) = 0, |p_b(Xv*)| = 1.  In order of precedence, a row without a
+    layer is flagged not_in_layer, a layer with eigenvalue 0 zero_eigenvalue,
+    and a v* that is not finite or misses the section by more than
+    1e-7 * max(1, |v*|) not_in_layer.  No row's result depends on another
+    row.  Layers decided within a factor 10 of the threshold are flagged
+    marginal, with one stability warning per batch.
     """
     V = np.asarray(V, dtype=float)
     if V.ndim != 2 or V.shape[1] != fam.n:
         raise ValueError(f"expected an (m, {fam.n}) array of points, got shape {V.shape}")
     m, n = V.shape
+    x_norm = np.linalg.norm(fam.X, 2) or 1.0  # normal_form's canonical X is X / x_norm
     W = _times_transpose(V, fam.basis_inv)
     # candidate (block, b, column of p_b(Xv)) in scan order, then a no-layer sentinel
     cand = [(bi, i, blk.offset + i - 2)
@@ -239,17 +267,17 @@ def section_batch(fam: LayeredFamily, V) -> SectionBatch:
     if marginal.any():
         warnings.warn("layer index decided within 10x of the zero threshold", stacklevel=2)
     eigenvalue = np.array([blk.eigenvalue for blk in fam.blocks] + [np.nan])[block]
-    zero = has & (np.abs(eigenvalue) <= fam.tol)
+    zero = has & (eigenvalue == 0.0)
 
     r = np.flatnonzero(has & ~zero)
     c = col[r]
     c1, c0 = W[r, c], W[r, c + 1]  # p_b(Xv), p_b(v)
-    t = -c0 / c1
+    t = -c0 / c1  # for the canonical X
     s = -np.log(np.abs(c1)) / eigenvalue[r]
     # X is nilpotent, so exp(tX) v is the exact finite series
     U = term = V[r]
     for k in range(1, n):
-        term = _times_transpose(term, fam.X) * (t / k)[:, None]
+        term = _times_transpose(term, fam.X / x_norm) * (t / k)[:, None]
         U = U + term
     # A = lambda I on each block of the adapted basis: exp(sA) scales coordinates
     lam = np.concatenate([np.full(blk.dim, blk.eigenvalue) for blk in fam.blocks])
@@ -267,8 +295,9 @@ def section_batch(fam: LayeredFamily, V) -> SectionBatch:
     representative = np.full((m, n), np.nan)
     representative[r] = vstar[ok]
     s_all, t_all, sign = np.full(m, np.nan), np.full(m, np.nan), np.zeros(m, dtype=int)
-    s_all[r], t_all[r], sign[r] = s[ok], t[ok], np.where(lead[ok] > 0, 1, -1)
-    # sign is nonzero exactly on the rows that have a section
-    return SectionBatch(block=block, b=b, eigenvalue=eigenvalue, marginal=marginal,
-                        representative=representative, s=s_all, t=t_all, sign=sign,
-                        not_in_layer=(sign == 0) & ~zero, zero_eigenvalue=zero)
+    s_all[r], t_all[r], sign[r] = s[ok], t[ok] / x_norm, np.where(lead[ok] > 0, 1, -1)
+    # sign is nonzero exactly on the rows that have a section; blocks[0] has
+    # sigma's sign
+    return SectionBatch(block=block, b=b, eigenvalue=np.sign(fam.blocks[0].eigenvalue) * eigenvalue,
+                        marginal=marginal, representative=representative, s=s_all, t=t_all,
+                        sign=sign, not_in_layer=(sign == 0) & ~zero, zero_eigenvalue=zero)

@@ -418,8 +418,7 @@ def _shell_share(fhat: np.ndarray, shape) -> float:
 def cwt_slices(spec: WaveletSpec, f: np.ndarray, dx, param_counts):
     """The lattice of the discrete wavelet transform of f and an iterator of
     its coefficient slices V_g f(., h_t), one (*shape) array per parameter
-    point in lattice order: one real inverse FFT per point and per real
-    part of f.
+    point in lattice order, from one inverse FFT per chunk of points.
 
     f must be finite and not all zero, have one axis per dimension of the
     action, live on a power-of-two lattice and be band-limited to its
@@ -453,16 +452,25 @@ def cwt_slices(spec: WaveletSpec, f: np.ndarray, dx, param_counts):
     return lattice, _coefficient_slices(spec, lattice, fhat)
 
 
+# half-lattice points times parameter points per chunk of cwt slices
+_CWT_CHUNK_POINTS = 2 ** 14
+
+
 def _coefficient_slices(spec: WaveletSpec, lattice: TransformLattice, fhat: np.ndarray):
     """The slices of cwt_slices from fhat, the half spectra of f's real
-    parts stacked on a leading axis."""
+    parts stacked on a leading axis: one inverse FFT per chunk of at most
+    _CWT_CHUNK_POINTS points (one slice when a slice has more), which bounds
+    the FFT's buffers."""
     shape = lattice.spatial_shape
-    axes = tuple(range(1, fhat.ndim))
+    axes = tuple(range(2, fhat.ndim + 1))
     half, freqs = _half_lattice(shape, lattice.dx)
-    rf = spec.action.block_abs(freqs)
-    for gh, det in zip(_lattice_slices(spec, rf, lattice.param_points), lattice.dets):
-        out = np.fft.irfftn(fhat * (gh.reshape(half) * np.sqrt(det)), s=shape, axes=axes)
-        yield out[0] if out.shape[0] == 1 else out[0] + 1j * out[1]
+    rows = max(1, _CWT_CHUNK_POINTS // freqs.shape[0])
+    dets = np.sqrt(lattice.dets)[:, None]
+    chunks = _lattice_slices(spec, spec.action.block_abs(freqs), lattice.param_points, rows)
+    for i, gh in zip(range(0, dets.shape[0], rows), chunks):
+        out = np.fft.irfftn(fhat * (gh * dets[i:i + rows]).reshape((-1, 1) + half), s=shape,
+                            axes=axes)
+        yield from out[:, 0] if out.shape[1] == 1 else out[:, 0] + 1j * out[:, 1]
 
 
 def cwt(spec: WaveletSpec, f: np.ndarray, dx, param_counts) -> TransformGrid:
@@ -601,21 +609,26 @@ def radial_l1(q, m: int, n: int, dx: float, du: float, rho_max: float) -> np.nda
     return 2.0 * np.pi ** (m / 2) / math.gamma(m / 2) * np.array(out)
 
 
-def _lattice_slices(spec: WaveletSpec, rf: np.ndarray, ts):
-    """ghat(h_t^T xi) on a lattice with block magnitudes rf, one (m,) array per
-    row of ts.  Block k's factor depends on t only through exp(mu_k . t), so
-    it is evaluated once per distinct scale (an exact np.unique) on the
-    block's distinct magnitudes, and each slice gathers from those tables."""
+def _lattice_slices(spec: WaveletSpec, rf: np.ndarray, ts, rows: int):
+    """ghat(h_t^T xi) on a lattice with block magnitudes rf, one (c, m) array
+    per chunk of c <= rows consecutive rows of ts.  Block k's factor depends
+    on t only through exp(mu_k . t), so it is evaluated once per distinct
+    scale (an exact np.unique) on the block's distinct magnitudes, `rows`
+    scales per call, and each chunk gathers from those tables."""
     scales = np.exp(np.atleast_2d(ts) @ spec.action.weights.T)
     tables = []
     for k in range(rf.shape[1]):
         u, inverse = np.unique(rf[:, k], return_inverse=True)
         s, which = np.unique(scales[:, k], return_inverse=True)
-        tables.append(([spec.factor(k, sk * u) for sk in s], which, inverse))
-    for i in range(scales.shape[0]):
-        out = np.ones(rf.shape[0])
+        table = np.empty((s.size, u.size))
+        for j in range(0, s.size, rows):
+            x = np.outer(s[j:j + rows], u).ravel()
+            table[j:j + rows] = spec.factor(k, x).reshape(-1, u.size)
+        tables.append((table, which, inverse))
+    for i in range(0, scales.shape[0], rows):
+        out = 1.0
         for table, which, inverse in tables:
-            out *= table[which[i]][inverse]
+            out = out * table[which[i:i + rows]].take(inverse, axis=1)
         yield out / np.sqrt(spec.sigma)
 
 

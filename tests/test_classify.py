@@ -289,3 +289,15 @@ class TestDispatchScale:
         alg = golden_families[key]
         scaled = DilationAlgebra([scale * G for G in alg.generators], tol=alg.tol)
         assert classify_dispatch(scaled).to_json() == classify_dispatch(alg).to_json()
+
+    def test_scaled_pair_route(self):
+        # n = 4 pairs take the diagonalizable + nilpotent route, whose
+        # sections module removes the scale
+        from conftest import random_diag_nilpotent
+
+        for seed in (1000, 1001):
+            A, X = random_diag_nilpotent(np.random.default_rng(seed), 4)
+            ref = classify_dispatch(DilationAlgebra([A + X, A - 2.0 * X])).to_json()
+            for s in (1e300, 1e100, 1e-12, 1e-300):
+                alg = DilationAlgebra([s * (A + X), s * (A - 2.0 * X)])
+                assert classify_dispatch(alg).to_json() == ref, (seed, s)

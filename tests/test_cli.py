@@ -18,7 +18,7 @@ from orbitscope.errors import InputError
 from orbitscope.quasisection import BoxSet, diagonal_action
 from orbitscope.wavelet import cwt, synth_wavelet
 
-from conftest import frequency_lattice
+from conftest import frequency_lattice, random_diag_nilpotent
 
 
 def run_cli(*args, check=False):
@@ -277,6 +277,20 @@ class TestSectionCommand:
             g = mat_exp(rec["witness_s"] * gens[0] + rec["witness_t"] * gens[1])
             np.testing.assert_allclose(g @ rec["point"], rec["representative"],
                                        atol=1e-12 * np.linalg.norm(rec["representative"]))
+
+    def test_small_nilpotent_generator(self, tmp_path, capsys):
+        # X scaled by 1e-3: Jordan chains built from X itself outnumber the
+        # eigenspace's dimensions here, and np.linalg.inv would raise out of
+        # main; normal_form builds them from X / ||X||_2
+        A, X = random_diag_nilpotent(np.random.default_rng([19, 23]), 6)
+        points = np.random.default_rng(7).standard_normal((8, 6))
+        path = tmp_path / "sec.json"
+        path.write_text(json.dumps({"n": 6, "generators": [A.ravel().tolist(),
+                                                           (1e-3 * X).ravel().tolist()],
+                                    "points": points.tolist()}))
+        assert main(["section", "--input", str(path)]) == 0
+        recs = json.loads(capsys.readouterr().out)["payload"]["records"]
+        assert len(recs) == 8 and all(r["layer"] is not None for r in recs)
 
     def test_no_diagonalizable_nilpotent_pair_exit_2(self, tmp_path):
         path = tmp_path / "sec.json"

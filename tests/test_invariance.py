@@ -3,7 +3,9 @@
 Section leg: the diagonalizable + nilpotent pair (A, X) written as [A, X],
 [A + X, A - 2X], [X, A] and [2A, -X] spans one algebra, so `section` gives
 every point the same layer, sign and representative, and a witness c on the
-written generators with exp(c_1 G_1 + c_2 G_2) v = v*.
+written generators with exp(c_1 G_1 + c_2 G_2) v = v*.  So do [cA, cX] for
+c from 1e-300 to 1e300, [A, cX] and [-A, X], which also keep the block and
+the eigenvalue in A's units, and the `section` command answers every one.
 
 Scale leg: s X_1, ..., s X_d span the group of X_1, ..., X_d, so the
 diagonal action has the same blocks with weights times s, the quasi-section
@@ -13,12 +15,15 @@ the Calderon value, the L1 estimate) keep their x1 values, as long as
 |det M| = s^d |det M_1| is a float; past that, ZeroSigma.
 """
 
+import json
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from orbitscope import families as F
 from orbitscope.classify import classify3
+from orbitscope.cli import main
 from orbitscope.errors import ZeroSigma
 from orbitscope.families import E
 from orbitscope.linalg import DilationAlgebra
@@ -47,13 +52,14 @@ def section_on_generators(gens, V):
 
 def group_element(M):
     """exp(M) by scaling and squaring a 30-term series in np.longdouble (the
-    80-bit format on x86-64).  A witness with a large nilpotent part has
-    ||exp(M)|| far above ||M||, and double-precision squaring, as in
-    mat_exp, then loses up to about 1e-9 of v*."""
+    80-bit format on x86-64), for one matrix or a stack of them.  A witness
+    with a large nilpotent part has ||exp(M)|| far above ||M||, and
+    double-precision squaring, as in mat_exp, then loses up to about 1e-9
+    of v*."""
     M = np.asarray(M, dtype=np.longdouble)
-    k = max(0, int(np.ceil(np.log2(float(np.abs(M).sum())))) + 1)
+    k = max(0, int(np.ceil(np.log2(float(np.abs(M).sum(axis=(-2, -1)).max())))) + 1)
     B = M / np.longdouble(2) ** k
-    G = term = np.eye(M.shape[0], dtype=np.longdouble)
+    G = term = np.broadcast_to(np.eye(M.shape[-1], dtype=np.longdouble), M.shape)
     for j in range(1, 30):
         term = term @ B / j
         G = G + term
@@ -105,6 +111,61 @@ def test_section_does_not_depend_on_the_generators(name):
                 assert np.linalg.norm(sec.representative[r] - ref.representative[r]) <= scale
             vstar = (group_element(alg.element(c[r])) @ V[r]).astype(float)
             assert np.linalg.norm(vstar - sec.representative[r]) <= scale, (r, vstar)
+
+
+# X alone goes to 10^+-6: from about 1e-9 down, the group spec refuses
+# [A, cX] as linearly dependent
+X_SCALES = [1e3, 1e-3, 1e6, 1e-6]
+
+
+def scaled_forms(A, X):
+    """(generators, c) with c the factor on A: [cA, cX] for c in SCALES,
+    [A, cX] for c in X_SCALES, and [-A, X]."""
+    return ([([c * A, c * X], c) for c in SCALES] + [([A, c * X], 1.0) for c in X_SCALES]
+            + [([-A, X], 1.0)])
+
+
+def section_records(gens, V, tmp_path, capsys):
+    """The records of the `section` command on the generators gens and the
+    points V; the job must exit 0 and answer every point."""
+    path = tmp_path / "section.json"
+    path.write_text(json.dumps({"n": V.shape[1], "generators": [G.ravel().tolist() for G in gens],
+                                "points": V.tolist()}))
+    assert main(["section", "--input", str(path)]) == 0
+    records = json.loads(capsys.readouterr().out)["payload"]["records"]
+    assert [r["point"] for r in records] == V.tolist()
+    return records
+
+
+@pytest.mark.parametrize("name", sorted(PAIRS))
+def test_section_command_does_not_depend_on_scale_or_sign(name, tmp_path, capsys):
+    # (cA, dX) spans the group of (A, X), so every form gets the x1 layers,
+    # signs and representatives, and the eigenvalue, of the A with positive
+    # top eigenvalue, times |c|; its witnesses are on the written generators
+    A, X = PAIRS[name]
+    V = np.random.default_rng(7).standard_normal((12, A.shape[0]))
+    repeated = repeated_chain_blocks(normal_form(A, X))
+    ref = section_records([A, X], V, tmp_path, capsys)
+    answered = [i for i, r in enumerate(ref) if r["layer"] is not None]
+    assert len(answered) >= 8
+    fixed = [i for i in answered if ref[i]["block"] not in repeated]
+    rep = np.array([ref[i]["representative"] for i in answered])
+    bound = 1e-9 * np.linalg.norm(rep, axis=1)
+    for label, (gens, c) in enumerate(scaled_forms(A, X)):
+        recs = section_records(gens, V, tmp_path, capsys)
+        assert [r.get("error") for r in recs] == [r.get("error") for r in ref], label
+        assert [r.get("block") for r in recs] == [r.get("block") for r in ref], label
+        assert all((recs[i]["layer"], recs[i]["sign"]) == (ref[i]["layer"], ref[i]["sign"])
+                   for i in fixed), label
+        npt.assert_allclose([recs[i]["eigenvalue"] / abs(c) for i in answered],
+                            [ref[i]["eigenvalue"] for i in answered], rtol=1e-9, err_msg=str(label))
+        got = np.array([recs[i]["representative"] for i in answered])
+        err = np.linalg.norm(got - rep, axis=1)
+        assert all(err[j] <= bound[j] for j, i in enumerate(answered) if i in fixed), label
+        w = np.array([[recs[i]["witness_s"], recs[i]["witness_t"]] for i in answered])
+        g = group_element(np.einsum("rj,jkl->rkl", w, np.stack(gens)))
+        vstar = np.einsum("rkl,rl->rk", g, V[answered]).astype(float)
+        assert np.all(np.linalg.norm(vstar - got, axis=1) <= bound), label
 
 
 def test_written_pair_reaches_normal_form_exactly():

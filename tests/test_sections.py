@@ -62,7 +62,8 @@ class TestNormalForm:
         A = np.linalg.solve(P0, D @ P0)
         X = np.linalg.solve(P0, N @ P0)
         fam = normal_form(A, X)
-        Xa = fam.basis_inv @ X @ fam.basis
+        # the adapted form is that of the canonical X / ||X||_2
+        Xa = fam.basis_inv @ X @ fam.basis / np.linalg.norm(X, 2)
         sub = np.diag(Xa, -1)
         assert set(np.round(sub, 9)) <= {0.0, 1.0}
 
@@ -79,6 +80,37 @@ class TestNormalForm:
                     for i in tops:
                         u = fam.basis[:, blk.offset + i - 1]
                         assert u[np.argmax(np.abs(u))] > 0
+
+
+class TestCanonicalPair:
+    """(aA, bX) spans the group of (A, X), so neither factor moves a layer,
+    an eigenvalue of sigma A or a representative."""
+
+    def test_scale_of_x_at_layer_3(self):
+        A, X = CASE1A_PAIR
+        reps = [section_batch(normal_form(A, c * X), [[0.0, 1.0, 0.3]]).representative[0]
+                for c in (1.0, 3.0, 0.5)]
+        npt.assert_allclose(reps, [[0.0, 1.0, 0.0]] * 3, atol=1e-12)
+
+    def test_sign_of_a(self):
+        # the eigenvalue of largest |lambda| is made positive; the witness s
+        # stays in the units of the A passed in
+        A, X = np.diag([1.0, 1.0, 2.0]), E(2, 1)
+        sec, neg = (section_batch(normal_form(B, X), [[1.0, 5.0, 7.0]]) for B in (A, -A))
+        assert (sec.block[0], sec.eigenvalue[0]) == (neg.block[0], neg.eigenvalue[0]) == (1, 1.0)
+        npt.assert_array_equal(neg.representative, sec.representative)
+        npt.assert_allclose(neg.s, -sec.s, rtol=1e-15)
+
+    def test_sign_ties(self):
+        # -lambda ties the top eigenvalue: the trace decides, and a trace of
+        # 0 keeps the given sign
+        X = E(2, 1, 4)
+        A = np.diag([2.0, 2.0, -2.0, 1.0])
+        assert [b.eigenvalue for b in normal_form(A, X).blocks] == [2.0, 1.0, -2.0]
+        assert [b.eigenvalue for b in normal_form(-A, X).blocks] == [-2.0, -1.0, 2.0]
+        A = np.diag([1.0, 1.0, -1.0, -1.0])
+        for B in (A, -A):
+            assert [b.eigenvalue for b in normal_form(B, X).blocks] == [1.0, -1.0]
 
 
 class TestLayerIndex:
@@ -187,8 +219,9 @@ class TestSectionPoint:
 def reference_section(fam, v):
     """Per-point reference for section_batch: scan the blocks for the layer,
     then v* = exp(sA) exp(tX) v with the general matrix exponential for A and
-    the finite series for the nilpotent X.  Returns the error name or
-    ((block, b), (s, t), v*)."""
+    the finite series for the nilpotent X; the adapted coordinates are those
+    of X / ||X||_2, which moves p_b by ||X||_2 p_{b-1} per unit of t.
+    Returns the error name or ((block, b), (s, t), v*)."""
     w = fam.basis_inv @ v
     thr = fam.tol * max(np.linalg.norm(v), 1.0)
     for bi, blk in enumerate(fam.blocks):
@@ -197,11 +230,14 @@ def reference_section(fam, v):
             if abs(w[c]) > thr:
                 if abs(blk.eigenvalue) <= fam.tol:
                     return "ZeroEigenvalue"
-                t = -w[c + 1] / w[c]
+                t = -w[c + 1] / (np.linalg.norm(fam.X, 2) * w[c])
                 s = -np.log(abs(w[c])) / blk.eigenvalue
-                exp_tx = sum(np.linalg.matrix_power(t * fam.X, k) / math.factorial(k)
-                             for k in range(fam.n))
-                return (bi, i), (s, t), mat_exp(s * fam.A) @ exp_tx @ v
+                # in np.longdouble: the series' terms grow with ||tX||, which
+                # the canonical basis, and so the tolerance, does not carry
+                tx = np.longdouble(t) * fam.X.astype(np.longdouble)
+                exp_tx_v = sum(np.linalg.matrix_power(tx, k) @ v / math.factorial(k)
+                               for k in range(fam.n))
+                return (bi, i), (s, t), mat_exp(s * fam.A) @ exp_tx_v.astype(float)
     return "NotInLayer"
 
 
