@@ -25,11 +25,11 @@ import numpy as np
 
 from .errors import DegenerateParameter, DomainError, NotNilpotent, UnclassifiedFamily
 from .linalg import (
+    DEFAULT_TOL,
     DilationAlgebra,
     as_matrix,
     blocks_semisimple,
     null_space,
-    pow2_scaled,
     rank_tol,
     roots_decompose,
 )
@@ -101,14 +101,12 @@ def _jsonable(v):
     return v
 
 
-def classify_one_param(A) -> ClassificationVerdict:
-    """One-parameter criterion: integrable iff the signs of Re(lambda) coincide."""
-    [A], _ = pow2_scaled([as_matrix(A)])
-    if not A.any():
-        raise ValueError("A must be nonzero")
-    scale = np.linalg.norm(A)
+def classify_one_param(alg: DilationAlgebra) -> ClassificationVerdict:
+    """One-parameter criterion: integrable iff the signs of Re(lambda)
+    coincide, decided on the balanced generator of alg (d = 1)."""
+    [A] = alg.balanced
     re = np.linalg.eigvals(A).real
-    tol = 1e-9 * scale
+    tol = 1e-9 * alg.scale()
     if np.min(np.abs(re)) <= tol:
         warnings.warn("an eigenvalue real part sits at zero", DegenerateParameter)
     one_signed = bool(np.all(re > tol) or np.all(re < -tol))
@@ -132,12 +130,11 @@ def _unclassified(notes, compact=UNKNOWN, section=UNKNOWN, quasi=UNKNOWN):
 
 
 def classify3(alg: DilationAlgebra) -> ClassificationVerdict:
-    """Classification of connected abelian H < GL(3, R), d in {2, 3}, on pow2_scaled generators."""
+    """Classification of connected abelian H < GL(3, R), d in {2, 3}, on the balanced generators."""
     if alg.n != 3:
         raise ValueError("classify3 requires n = 3")
     if alg.d not in (2, 3):
         raise ValueError("classify3 requires d in {2, 3}; use classify_one_param for d = 1")
-    alg = DilationAlgebra(pow2_scaled(alg.generators)[0], tol=alg.tol)
     rd = roots_decompose(alg)
     scale = alg.scale()
     tol = alg.tol
@@ -211,7 +208,7 @@ def _classify_d2(alg, rd, scale, tol):
     if rd.p == 2:
         if not all_real:
             return _classify_case3_complex(rd, scale, tol)
-        r = np.stack([rd.roots[0].real, rd.roots[1].real])
+        r = np.stack([rd.balanced_roots[0].real, rd.balanced_roots[1].real])
         if rank_tol(r, 1e-8) == 1:
             return ClassificationVerdict(
                 "2", NO, YES, YES, NO,
@@ -240,10 +237,10 @@ def _merged_root_degeneracy(alg, rd, scale):
     clustering; surface the adjacent split-root reading instead of silently
     committing (the split reading of case (b) with alpha*beta != 0 is 'open')."""
     spread = 0.0
-    for lam, V in zip(rd.roots, rd.blocks):
+    for lam, V in zip(rd.balanced_roots, rd.blocks):
         if V.shape[1] < 2:
             continue
-        for j, G in enumerate(alg.generators):
+        for j, G in enumerate(alg.balanced):
             R = V.T @ G @ V - lam[j].real * np.eye(V.shape[1])
             spread = max(spread, float(np.linalg.norm(R)))
     if spread <= 1e-12 * scale:
@@ -267,10 +264,10 @@ def _classify_case1(alg, rd, scale, tol) -> ClassificationVerdict:
     N(A0) + b X with X spanning the nilpotent ideal; 1a if some Y(b) = 0,
     1b if some Y(b)^2 = 0, else 1c.
     """
-    lam = rd.roots[0].real
+    lam = rd.balanced_roots[0].real
     X = rd.nilpotent_basis[0]
     a0 = np.linalg.lstsq(lam.reshape(1, -1), np.array([1.0]), rcond=None)[0]
-    A0 = alg.element(a0)
+    A0 = alg.balanced_element(a0)
     N0 = A0 - np.eye(3)
     xnorm = np.linalg.norm(X)
     tag = "1c"
@@ -315,8 +312,8 @@ def _quadratic_candidates(C0, C1, C2):
 def _classify_case3_complex(rd, scale, tol) -> ClassificationVerdict:
     complex_idx = next(k for k in range(rd.p) if not rd.is_real(k))
     real_idx = 1 - complex_idx
-    lam1 = rd.roots[complex_idx]
-    lam2 = rd.roots[real_idx].real
+    lam1 = rd.balanced_roots[complex_idx]
+    lam2 = rd.balanced_roots[real_idx].real
     a = null_space(lam2.reshape(1, -1), tol=1e-10)[:, 0].real
     if a[np.argmax(np.abs(a))] < 0:
         a = -a
@@ -348,7 +345,7 @@ def _classify_case3_complex(rd, scale, tol) -> ClassificationVerdict:
 
 
 def _classify_case4(rd, scale, tol) -> ClassificationVerdict:
-    roots = [r.real for r in rd.roots]
+    roots = [r.real for r in rd.balanced_roots]
     best, besti = -1.0, None
     for i in range(3):
         for j in range(i + 1, 3):
@@ -409,7 +406,7 @@ def _case4_verdict(alpha, beta, notes=(), alternates=()) -> ClassificationVerdic
     )
 
 
-def classify_diag_nilpotent(A, X, tol: float = 1e-9) -> ClassificationVerdict:
+def classify_diag_nilpotent(A, X, tol: float = DEFAULT_TOL) -> ClassificationVerdict:
     """Diagonalizable + nilpotent commuting pair: integrable only when n = 2."""
     A = as_matrix(A)
     if not A.any():
@@ -446,7 +443,7 @@ def classify_dispatch(alg: DilationAlgebra):
     """The verdict of the procedure that covers the family (d = 1, n = 3, or a
     diagonalizable + nilpotent pair); UnclassifiedFamily when none does."""
     if alg.d == 1:
-        return classify_one_param(alg.generators[0])
+        return classify_one_param(alg)
     if alg.n == 3 and alg.d in (2, 3):
         return classify3(alg)
     if alg.d == 2:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .errors import InputError, SpecParseError
-from .linalg import MAX_DIM, DilationAlgebra
+from .linalg import DEFAULT_TOL, MAX_DIM, DilationAlgebra
 
 SCHEMA_VERSION = "6"
 
@@ -46,7 +46,7 @@ def group_spec_from_dict(doc: dict) -> DilationAlgebra:
     if not 1 <= n <= MAX_DIM:
         raise InputError(f"invalid group spec: dimension {n} outside supported range "
                          f"1..{MAX_DIM}")
-    tol = doc.get("tol", 1e-9)
+    tol = doc.get("tol", DEFAULT_TOL)
     if not (_is_real(tol) and np.isfinite(tol) and tol > 0):
         raise InputError(f"invalid group spec: 'tol' must be a finite number > 0, got {tol!r}")
     if not isinstance(gens_raw, list) or not gens_raw:

@@ -106,12 +106,11 @@ def mat_exp(M) -> np.ndarray:
     return E
 
 
-def pow2_scaled(mats) -> tuple[list[np.ndarray], int]:
-    """(mats / 2^e, e), e the frexp exponent of their largest entry: they
-    span the same group, the division is exact and the largest entry lands in
-    [1/2, 1), so no norm overflows and no threshold sees the scale."""
-    e = int(np.frexp(max(float(np.max(np.abs(M))) for M in mats))[1])
-    return [np.ldexp(M, -e) for M in mats], e
+def _balance(mats) -> tuple[list[np.ndarray], list[int]]:
+    """(mats[j] / 2^e_j, e_j), e_j the frexp exponent of mats[j]'s largest entry:
+    exact, with every largest entry in [1/2, 1), so no norm overflows."""
+    exps = [int(np.frexp(np.max(np.abs(M)))[1]) for M in mats]
+    return [np.ldexp(M, -e) for M, e in zip(mats, exps)], exps
 
 
 def commutator(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -123,23 +122,20 @@ def check_commuting(generators, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
 
     Returns (ok, worst) with worst = max ||[X_i, X_j]|| over i < j, in the
     generators' units (inf past the float range).  The test runs on the
-    pow2_scaled copies, so no norm product overflows or underflows.
+    _balance copies, so no norm product overflows or underflows.
     """
     mats = [as_matrix(G) for G in generators]
     if len({A.shape[0] for A in mats}) > 1:
         raise ValueError("generators must share one dimension")
-    scaled, e = pow2_scaled(mats)
-    worst = 0.0
-    ok = True
-    for i in range(len(scaled)):
-        for j in range(i + 1, len(scaled)):
-            c = np.linalg.norm(commutator(scaled[i], scaled[j]))
-            worst = max(worst, c)
-            scale = max(np.linalg.norm(scaled[i]) * np.linalg.norm(scaled[j]), 1e-300)
-            if c > tol * scale:
-                ok = False
-    with np.errstate(over="ignore"):  # a commutator past the float range reads inf
-        return ok, float(np.ldexp(worst, 2 * e))
+    balanced, exps = _balance(mats)
+    ok, worst = True, 0.0
+    for i in range(len(balanced)):
+        for j in range(i + 1, len(balanced)):
+            c = np.linalg.norm(commutator(balanced[i], balanced[j]))
+            ok &= bool(c <= tol * np.linalg.norm(balanced[i]) * np.linalg.norm(balanced[j]))
+            with np.errstate(over="ignore"):  # a commutator past the float range reads inf
+                worst = max(worst, float(np.ldexp(c, exps[i] + exps[j])))
+    return ok, worst
 
 
 def rank_tol(M, tol: float = DEFAULT_TOL) -> int:
@@ -180,12 +176,15 @@ def orth_columns(M, tol: float = DEFAULT_TOL) -> np.ndarray:
 class DilationAlgebra:
     """Generator set of the abelian dilation algebra; single source of truth for H.
 
-    `generators` is the basis of the algebra (d commuting n x n matrices).
-    Validated on construction: shared dimension, commutativity to `tol`,
-    linear independence.
+    `generators` is the basis as written (d commuting n x n matrices), and
+    (balanced, exponents) = _balance(generators), the same group with each
+    generator at its own scale, is what every structural decision reads.
+    Validated: shared dimension, commutativity to `tol`, `balanced` independent.
     """
 
     generators: tuple
+    balanced: tuple
+    exponents: tuple
     n: int
     tol: float = DEFAULT_TOL
 
@@ -202,15 +201,14 @@ class DilationAlgebra:
         ok, worst = check_commuting(mats, tol)
         if not ok:
             raise NonCommuting(f"worst commutator norm {worst:.3g} exceeds tolerance")
-        stacked = np.stack([A.ravel() for A in mats])
-        if rank_tol(stacked, tol) != len(mats):
-            raise ValueError("generators are linearly dependent")
-        frozen = []
-        for A in mats:
-            A = A.copy()
+        balanced, exps = _balance(mats)
+        if rank_tol(np.stack([B.ravel() for B in balanced]), tol) != len(mats):
+            raise ValueError("generators as written are nearly linearly dependent")
+        for A in mats + balanced:
             A.flags.writeable = False
-            frozen.append(A)
-        object.__setattr__(self, "generators", tuple(frozen))
+        object.__setattr__(self, "generators", tuple(mats))
+        object.__setattr__(self, "balanced", tuple(balanced))
+        object.__setattr__(self, "exponents", tuple(exps))
         object.__setattr__(self, "n", dim)
         object.__setattr__(self, "tol", float(tol))
 
@@ -225,8 +223,13 @@ class DilationAlgebra:
             raise ValueError(f"expected {self.d} parameters, got shape {t.shape}")
         return np.einsum("j,jkl->kl", t, np.stack(self.generators))
 
+    def balanced_element(self, params) -> np.ndarray:
+        """sum_j t_j B_j over the balanced generators B_j."""
+        return np.einsum("j,jkl->kl", params, np.stack(self.balanced))
+
     def scale(self) -> float:
-        return max(np.linalg.norm(G) for G in self.generators)
+        """The largest Frobenius norm of a balanced generator, in [1/2, n)."""
+        return max(np.linalg.norm(B) for B in self.balanced)
 
 
 @dataclass(frozen=True)
@@ -234,11 +237,13 @@ class RootDecomposition:
     """Joint roots of the algebra with merged real blocks.
 
     roots[k] is the complex vector of values of the k-th root on the
-    generators; blocks[k] is a real orthonormal basis (columns) of the merged
-    generalized eigenspace V_k (conjugate pairs merged, dimension 2m).
+    generators, balanced_roots[k] on the balanced ones; blocks[k] is a real
+    orthonormal basis (columns) of the merged generalized eigenspace V_k
+    (conjugate pairs merged, dimension 2m).
     """
 
     roots: tuple
+    balanced_roots: tuple
     blocks: tuple
     nilpotent_basis: tuple
     p: int = field(init=False)
@@ -248,13 +253,13 @@ class RootDecomposition:
 
     def is_real(self, k: int) -> bool:
         """Reads the exact zero imaginary part roots_decompose gives a real root."""
-        return not np.any(self.roots[k].imag)
+        return not np.any(self.balanced_roots[k].imag)
 
     def all_real(self) -> bool:
         return all(self.is_real(k) for k in range(self.p))
 
     def zero_root_index(self, scale: float, tol: float) -> int | None:
-        for k, lam in enumerate(self.roots):
+        for k, lam in enumerate(self.balanced_roots):
             if np.max(np.abs(lam)) <= tol * scale:
                 return k
         return None
@@ -290,9 +295,10 @@ def _generalized_eigenspace(A: np.ndarray, mu: complex, n: int) -> np.ndarray:
 
 
 def roots_decompose(alg: DilationAlgebra) -> RootDecomposition:
-    """All joint roots and generalized eigenspaces of the commuting family, on
-    its pow2_scaled generators: the roots (a real one with an exact zero imaginary
-    part) and the nilpotent basis come back in the caller's units by ldexp.
+    """All joint roots and generalized eigenspaces of the commuting family,
+    decided on its balanced generators B_j: the roots (a real one with an
+    exact zero imaginary part) on B_j and, by ldexp, on the generators, and
+    the nilpotent basis as sum_j c_j B_j, c a unit vector.
 
     A Jordan block of size m splits an eigenvalue by about (eps ||A||)^(1/m),
     so no fixed radius clusters the eigenvalues of the generic combination
@@ -300,59 +306,61 @@ def roots_decompose(alg: DilationAlgebra) -> RootDecomposition:
     to finest, never splitting values within rounding (1e-12 ||A||);
     the first is accepted whose every cluster's generalized eigenspace has
     its multiplicity, is invariant under every generator and holds one joint
-    root, with pairwise distinct roots.  Otherwise IllConditioned, as for two
-    roots whose difference is orthogonal to the combination.
+    root, with pairwise distinct roots.  None may pass, as when two roots
+    differ orthogonally to the combination or its nilpotent part nearly
+    cancels on a large Jordan block: then _ROOT_DRAWS[::-1][:d] is tried,
+    and IllConditioned raised when it fails too.
     """
-    gens, e = pow2_scaled(alg.generators)
-    alg = DilationAlgebra(gens, tol=alg.tol)
     n, d = alg.n, alg.d
     scale = alg.scale()
-    tol = alg.tol
-    Agen = alg.element(_ROOT_DRAWS[:d])
-    eigs = np.sort_complex(np.linalg.eigvals(Agen))  # by real, then imaginary part
-    gaps = np.abs(eigs[:, None] - eigs[None, :])
-    gaps = np.maximum(gaps, 1e-12 * np.linalg.norm(Agen))
-    tried, err = [], None
-    for cut in sorted(set(gaps.ravel().tolist()), reverse=True):
-        label = np.arange(n)  # components of gaps <= cut, labelled by first index
-        for _ in range(n):
-            label = np.where(gaps <= cut, label, n).min(axis=1)
-        if label.tolist() in tried:
-            continue
-        tried.append(label.tolist())
-        try:
-            raw = []
-            for first in sorted(set(label.tolist())):
-                cl = np.flatnonzero(label == first)
-                mu = complex(np.mean(eigs[cl]))
-                B = _generalized_eigenspace(Agen, mu, n)
-                if B.shape[1] != len(cl):
-                    raise IllConditioned(
-                        f"eigenspace dimension {B.shape[1]} != multiplicity {len(cl)}"
-                    )
-                lam = np.empty(d, dtype=complex)
-                for j, X in enumerate(alg.generators):
-                    lam[j] = np.trace(B.conj().T @ X.astype(complex) @ B) / B.shape[1]
-                    # invariance of the eigenspace under every generator
-                    resid = np.linalg.norm(X @ B - B @ (B.conj().T @ X @ B))
-                    if resid > 1e-6 * scale:
-                        raise IllConditioned("eigenspace not invariant; clusters merged badly")
-                    nil = B @ np.linalg.matrix_power(
-                        B.conj().T @ X.astype(complex) @ B - lam[j] * np.eye(B.shape[1]), n
-                    )
-                    if np.linalg.norm(nil) > 1e-6 * scale ** n:
-                        raise IllConditioned("cluster contains two distinct joint roots")
-                raw.append((lam, B))
-            for a in range(len(raw)):
-                for b in range(a + 1, len(raw)):
-                    if np.max(np.abs(raw[a][0] - raw[b][0])) <= tol * scale:
-                        raise IllConditioned("two distinct roots closer than tolerance")
-            roots, blocks = _merge_conjugates(raw, alg)
-            return RootDecomposition(  # ldexp is exact
-                tuple(np.ldexp(r.real, e) + 1j * np.ldexp(r.imag, e) for r in roots), tuple(blocks),
-                tuple(np.ldexp(N, e) for N in _nilpotent_basis(roots, alg)))
-        except IllConditioned as exc:  # try the next finer grouping
-            err = exc
+    err = None
+    for draws in (_ROOT_DRAWS[:d], _ROOT_DRAWS[::-1][:d]):
+        Agen = alg.balanced_element(draws)
+        eigs = np.sort_complex(np.linalg.eigvals(Agen))  # by real, then imaginary part
+        gaps = np.abs(eigs[:, None] - eigs[None, :])
+        gaps = np.maximum(gaps, 1e-12 * np.linalg.norm(Agen))
+        tried = []
+        for cut in sorted(set(gaps.ravel().tolist()), reverse=True):
+            label = np.arange(n)  # components of gaps <= cut, labelled by first index
+            for _ in range(n):
+                label = np.where(gaps <= cut, label, n).min(axis=1)
+            if label.tolist() in tried:
+                continue
+            tried.append(label.tolist())
+            try:
+                raw = []
+                for first in sorted(set(label.tolist())):
+                    cl = np.flatnonzero(label == first)
+                    mu = complex(np.mean(eigs[cl]))
+                    B = _generalized_eigenspace(Agen, mu, n)
+                    if B.shape[1] != len(cl):
+                        raise IllConditioned(
+                            f"eigenspace dimension {B.shape[1]} != multiplicity {len(cl)}"
+                        )
+                    lam = np.empty(d, dtype=complex)
+                    for j, X in enumerate(alg.balanced):
+                        lam[j] = np.trace(B.conj().T @ X.astype(complex) @ B) / B.shape[1]
+                        # invariance of the eigenspace under every generator
+                        resid = np.linalg.norm(X @ B - B @ (B.conj().T @ X @ B))
+                        if resid > 1e-6 * scale:
+                            raise IllConditioned("eigenspace not invariant; clusters merged badly")
+                        nil = B @ np.linalg.matrix_power(
+                            B.conj().T @ X.astype(complex) @ B - lam[j] * np.eye(B.shape[1]), n
+                        )
+                        if np.linalg.norm(nil) > 1e-6 * scale ** n:
+                            raise IllConditioned("cluster contains two distinct joint roots")
+                    raw.append((lam, B))
+                for a in range(len(raw)):
+                    for b in range(a + 1, len(raw)):
+                        if np.max(np.abs(raw[a][0] - raw[b][0])) <= alg.tol * scale:
+                            raise IllConditioned("two distinct roots closer than tolerance")
+                roots, blocks = _merge_conjugates(raw, alg)
+                e = alg.exponents
+                return RootDecomposition(  # ldexp is exact
+                    tuple(np.ldexp(r.real, e) + 1j * np.ldexp(r.imag, e) for r in roots),
+                    tuple(roots), tuple(blocks), tuple(_nilpotent_basis(roots, alg)))
+            except IllConditioned as exc:  # try the next finer grouping
+                err = exc
     raise IllConditioned(f"no grouping of the generic combination's eigenvalues passes: {err}")
 
 
@@ -396,21 +404,20 @@ def _nilpotent_basis(roots, alg: DilationAlgebra) -> list[np.ndarray]:
         lead = np.argmax(np.abs(c))
         if c[lead] < 0:
             c = -c
-        basis.append(alg.element(c))
+        basis.append(alg.balanced_element(c))
     return basis
 
 
 def blocks_semisimple(alg: DilationAlgebra, rd: RootDecomposition) -> bool:
     """Whether every generator acts as a scalar (real) or rotation-scaling
     (complex pair) on each merged root block, i.e. no nilpotent block action,
-    compared at the pow2_scaled generators' scale, as roots_decompose decides."""
-    gens, e = pow2_scaled(alg.generators)
-    for k, (lam, V) in enumerate(zip(rd.roots, rd.blocks)):
+    compared on the balanced generators and roots, as roots_decompose decides."""
+    for k, (lam, V) in enumerate(zip(rd.balanced_roots, rd.blocks)):
         real = rd.is_real(k)
         m = V.shape[1]
-        for j, G in enumerate(gens):
+        for j, G in enumerate(alg.balanced):
             M = V.T @ G @ V
-            a, b = np.ldexp(lam[j].real, -e), np.ldexp(lam[j].imag, -e)
+            a, b = lam[j].real, lam[j].imag
             if real:
                 R = M - a * np.eye(m)
             else:

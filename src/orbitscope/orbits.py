@@ -13,19 +13,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DilationAlgebra, pow2_scaled, roots_decompose, seeded_draws
+from .linalg import DilationAlgebra, roots_decompose, seeded_draws
 
 
 def orbit_dims(alg: DilationAlgebra, points) -> np.ndarray:
     """Orbit dimension at every row of `points`, as one batched SVD.
 
-    Row i of the (m, n, d) stack is [X_1^T xi | ... | X_d^T xi] at
-    xi = points[i], which spans the orbit tangent; its rank counts the
-    singular values above alg.tol times the largest, and is 0 when the
-    largest is 0, which is rank_tol's rule.
+    Row i of the (m, n, d) stack is [B_1^T xi | ... | B_d^T xi] at
+    xi = points[i], B_j the balanced generators, which spans the orbit
+    tangent; its rank counts the singular values above alg.tol times the
+    largest, and is 0 when the largest is 0, which is rank_tol's rule.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, alg.n)
-    stack = np.einsum("jab,ma->mbj", np.stack(alg.generators), pts)
+    stack = np.einsum("jab,ma->mbj", np.stack(alg.balanced), pts)
     s = np.linalg.svd(stack, compute_uv=False)
     top = s[:, :1]
     return np.where(top[:, 0] > 0.0, np.sum(s > alg.tol * top, axis=1), 0)
@@ -67,17 +67,15 @@ def is_admissible(alg: DilationAlgebra) -> AdmissibilityVerdict:
     Within the positive-spectrum class: admissible iff det is not identically
     one on H (some generator has nonzero trace) and the top stratum O_d is
     nonempty, that is, the generic orbit dimension is d.  Decided on the
-    pow2_scaled generators, which span the same group, so the verdict does
-    not depend on how the generators are scaled.
+    balanced generators, which span the same group, so the verdict does
+    not depend on how any generator is scaled.
     """
-    alg = DilationAlgebra(pow2_scaled(alg.generators)[0], tol=alg.tol)
     reasons = []
     rd = roots_decompose(alg)
     if not rd.all_real():
         reasons.append("non-real joint root: spec(h) in R+ fails")
         return AdmissibilityVerdict("hypotheses_violated", tuple(reasons))
-    traces = [float(np.trace(G)) for G in alg.generators]
-    det_triv = all(abs(tr) <= alg.tol * alg.scale() for tr in traces)
+    det_triv = all(abs(np.trace(B)) <= alg.tol * alg.scale() for B in alg.balanced)
     if det_triv:
         reasons.append("all generator traces vanish: det|_H = 1 identically")
     generic = generic_orbit_dim(alg)

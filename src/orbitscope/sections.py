@@ -21,13 +21,13 @@ import numpy as np
 
 from .errors import NonCommuting, NotDiagonalizable, NotNilpotent
 from .linalg import (
+    DEFAULT_TOL,
     DilationAlgebra,
     as_matrix,
     blocks_semisimple,
     check_commuting,
     kernel_filtration,
     orth_columns,
-    pow2_scaled,
     rank_tol,
     roots_decompose,
 )
@@ -91,21 +91,19 @@ def diag_nilpotent_pair(alg: DilationAlgebra):
     part of aA + bX is aA, so it lies in the algebra, and families where it
     escapes are not of this type.  A generator that is semisimple (or
     nilpotent) within tolerance is A (or X) itself: a (or x) is a unit vector.
+    Decided on the balanced generators, and mapped to the written ones.
     """
     if alg.d != 2:
         return None
-    # each generator divided by its own 2^e: the same algebra, with neither
-    # generator swamping the other, and coefficients mapped back by ldexp
-    (g1, e1), (g2, e2) = (pow2_scaled([G]) for G in alg.generators)
-    alg, e = DilationAlgebra(g1 + g2, tol=alg.tol), np.array([e1, e2])
     rd = roots_decompose(alg)
     if len(rd.nilpotent_basis) != 1 or not rd.all_real():
         return None
     P = np.hstack(rd.blocks)
-    lam = np.array([r.real for r, V in zip(rd.roots, rd.blocks) for _ in range(V.shape[1])])
-    # oblique spectral combinations: the semisimple parts of the generators
+    lam = np.repeat(np.real(rd.balanced_roots), [V.shape[1] for V in rd.blocks], axis=0)
+    # oblique spectral combinations: the semisimple parts of the balanced generators
     semisimple = [P @ np.diag(lam[:, j]) @ np.linalg.inv(P) for j in range(2)]
-    G = np.stack([g.ravel() for g in alg.generators], axis=1)
+    G = np.stack([g.ravel() for g in alg.balanced], axis=1)
+    e = np.array(alg.exponents)
     # A in the units of the written generator whose semisimple part is largest
     k = max(range(2), key=lambda j: np.ldexp(np.linalg.norm(semisimple[j]), e[j]))
     S = semisimple[k]
@@ -114,7 +112,7 @@ def diag_nilpotent_pair(alg: DilationAlgebra):
     if np.linalg.norm(G @ coef[:, 0] - S.ravel()) > 1e-8 * np.linalg.norm(S):
         return None
     a, x = np.ldexp(coef[:, 0], e[k] - e), np.ldexp(coef[:, 1], -e)
-    for j, (g, g_s) in enumerate(zip(alg.generators, semisimple)):
+    for j, (g, g_s) in enumerate(zip(alg.balanced, semisimple)):
         if np.linalg.norm(g - g_s) <= alg.tol * np.linalg.norm(g):
             a = np.eye(2)[j]
         elif np.linalg.norm(g_s) <= alg.tol * np.linalg.norm(g):
@@ -167,7 +165,7 @@ def _jordan_chain_basis(W: np.ndarray, X: np.ndarray, tol: float) -> tuple[np.nd
     return W @ C, eps
 
 
-def normal_form(A, X, tol: float = 1e-9) -> LayeredFamily:
+def normal_form(A, X, tol: float = DEFAULT_TOL) -> LayeredFamily:
     """Adapted basis of the canonical pair (sigma A, X / ||X||_2): A = lambda I
     on each eigenspace, in descending order of sigma lambda, and X / ||X||_2
     has the 0/1-subdiagonal pattern; raises NotDiagonalizable / NotNilpotent

@@ -27,20 +27,20 @@ def fields(v):
 
 class TestOneParam:
     def test_identity_yes(self):
-        assert classify_one_param(np.eye(4)).integrable == "yes"
+        assert classify_one_param(DilationAlgebra([np.eye(4)])).integrable == "yes"
 
     def test_mixed_signs_no(self):
-        assert classify_one_param(np.diag([1.0, -1.0])).integrable == "no"
+        assert classify_one_param(DilationAlgebra([np.diag([1.0, -1.0])])).integrable == "no"
 
     def test_rotation_scaling_yes(self):
         A = np.array([[1.0, -2.0], [2.0, 1.0]])
-        v = classify_one_param(A)
+        v = classify_one_param(DilationAlgebra([A]))
         assert v.integrable == "yes" and v.orbit_space_compact == "yes"
 
     def test_pure_rotation_no(self):
         A = np.array([[0.0, -1.0], [1.0, 0.0]])
         with pytest.warns(DegenerateParameter):
-            v = classify_one_param(A)
+            v = classify_one_param(DilationAlgebra([A]))
         assert v.integrable == "no"
 
 

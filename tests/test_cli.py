@@ -578,10 +578,12 @@ class TestGroupSpecInput:
          "invalid group spec: dimension 0 outside supported range 1..6"),
         ({"n": 7, "generators": [[0] * 49]}, [],
          "invalid group spec: dimension 7 outside supported range 1..6"),
+        ({"n": 2, "generators": [[1, 0, 0, 1], [1, 0, 1e-12, 1]]}, [],
+         "invalid group spec: generators as written are nearly linearly dependent"),
     ], ids=["n-string", "n-null", "n-fraction", "n-bool", "entry-string",
             "entry-numeric-string", "tol-string", "tol-null", "flag-tol-negative",
             "flag-tol-nan", "flag-tol-inf", "array-flag-tol", "pairs-flag-tol",
-            "n-negative-flat", "n-negative-nested", "n-zero", "n-seven"])
+            "n-negative-flat", "n-negative-nested", "n-zero", "n-seven", "nearly-dependent"])
     def test_invalid_spec_exit_1(self, tmp_path, capsys, doc, flags, message):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(doc))

@@ -13,6 +13,10 @@ verdict and its witness direction do not move, nor does classify3, and the
 wavelet numbers that do not depend on the parametrization (sigma |det M|,
 the Calderon value, the L1 estimate) keep their x1 values, as long as
 |det M| = s^d |det M_1| is a float; past that, ZeroSigma.
+
+Relative-scale leg: X_1, ..., c X_d also span the group, so classify3, the
+admissibility verdict and the generic orbit dimension keep their x1 values
+when one generator alone is scaled.
 """
 
 import json
@@ -27,6 +31,7 @@ from orbitscope.cli import main
 from orbitscope.errors import ZeroSigma
 from orbitscope.families import E
 from orbitscope.linalg import DilationAlgebra
+from orbitscope.orbits import generic_orbit_dim, is_admissible
 from orbitscope.quasisection import (BoxSet, c_i_box, diagonal_action, quasi_section_verdict,
                                      shell_box)
 from orbitscope.sections import diag_nilpotent_pair, normal_form, section_batch
@@ -113,8 +118,8 @@ def test_section_does_not_depend_on_the_generators(name):
             assert np.linalg.norm(vstar - sec.representative[r]) <= scale, (r, vstar)
 
 
-# X alone goes to 10^+-6: from about 1e-9 down, the group spec refuses
-# [A, cX] as linearly dependent
+# X alone goes to 10^+-6 here; test_answers_do_not_depend_on_relative_scale
+# takes one generator alone to 10^+-12
 X_SCALES = [1e3, 1e-3, 1e6, 1e-6]
 
 
@@ -265,3 +270,19 @@ def test_wavelet_numbers_do_not_depend_on_scale(name):
         else:  # |det M| = s^d leaves the float range, and sigma with it
             with pytest.raises(ZeroSigma):
                 wavelet_numbers([s * G for G in gens], bounds)
+
+
+# every golden and case family of the n = 3 table
+RELATIVE = {"case0": F.case0(), "1a": F.case1a(), "1b": F.case1b(), "1c": F.case1c(),
+            "2": F.case2(), "3b": F.case3b(), "a": F.family_a(1.0), "b11": F.family_b(1.0, 1.0),
+            "c": F.family_c(), "d": F.family_d(), "e": F.family_e()}
+
+
+@pytest.mark.parametrize("c", [10.0 ** (sign * p) for p in (3, 6, 9, 12) for sign in (1, -1)])
+@pytest.mark.parametrize("name", sorted(RELATIVE))
+def test_answers_do_not_depend_on_relative_scale(name, c):
+    alg = RELATIVE[name]
+    got = DilationAlgebra([*alg.generators[:-1], c * alg.generators[-1]], tol=alg.tol)
+    assert classify3(got).to_json() == classify3(alg).to_json()
+    assert is_admissible(got).status == is_admissible(alg).status
+    assert generic_orbit_dim(got) == generic_orbit_dim(alg)

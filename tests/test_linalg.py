@@ -154,15 +154,33 @@ class TestRootsDecompose:
             roots_decompose(alg)
 
     def test_roots_orthogonal_to_the_combination_raise(self):
+        # the roots (1, 0, 0) and (1, 0, 0) + v differ by v orthogonal to both
+        # combinations tried, _ROOT_DRAWS[:3] and _ROOT_DRAWS[::-1][:3], so
+        # each has one double eigenvalue whose eigenspace holds two joint
+        # roots; every largest entry is 1, so balancing keeps the orthogonality
+        draws = linalg._ROOT_DRAWS
+        v = np.cross(draws[:3], draws[::-1][:3])
+        v = 0.5 * v / np.max(np.abs(v))
+        roots = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0] + v, [0.0, 1.0, -1.0]])
+        alg = DilationAlgebra([np.diag(roots[:, j]) for j in range(3)])
+        for w in (draws[:3], draws[::-1][:3]):
+            combo = np.diag(alg.element(w))
+            npt.assert_allclose(combo[0], combo[1], rtol=1e-15)
+        with pytest.raises(IllConditioned):
+            roots_decompose(alg)
+
+    def test_second_combination(self):
         # the roots (0, 1) and (1.3158..., -0.1305...) differ by a vector
-        # orthogonal to _ROOT_DRAWS[:2], so the combination has one double
-        # eigenvalue whose eigenspace holds two joint roots
+        # orthogonal to _ROOT_DRAWS[:2]: that combination has one double
+        # eigenvalue holding two joint roots, and the reversed draws separate them
         alg = DilationAlgebra([np.diag([0.0, 1.315808323692046]),
                                np.diag([1.0, -0.1305643663071248])])
         npt.assert_allclose(np.diag(alg.element(linalg._ROOT_DRAWS[:2])), -1.315808323692046,
                             rtol=1e-15)
-        with pytest.raises(IllConditioned):
-            roots_decompose(alg)
+        rd = roots_decompose(alg)
+        got = sorted(tuple(r.real) for r in rd.roots)
+        npt.assert_allclose(got, [(0.0, 1.0), (1.315808323692046, -0.1305643663071248)],
+                            atol=1e-15)
 
     def test_root_draws_are_the_seeded_normals(self):
         # a d-generator family uses _ROOT_DRAWS[:d], the first d values of a
@@ -241,6 +259,23 @@ class TestDilationAlgebra:
     def test_rejects_dependent(self):
         with pytest.raises(ValueError):
             DilationAlgebra([np.eye(3), 2 * np.eye(3)])
+
+    @pytest.mark.parametrize("c", [1e-9, 1e-12, 1e12])
+    def test_accepts_any_relative_scale(self, c):
+        # [A, cX] spans the group of [A, X]: each generator is divided by the
+        # 2^e of its own largest entry, exactly, before the checks
+        alg = DilationAlgebra([np.diag([1.0, 1.0, 0.0]), c * E(2, 1)])
+        npt.assert_array_equal(alg.generators[1], c * E(2, 1))
+        for G, B, e in zip(alg.generators, alg.balanced, alg.exponents):
+            npt.assert_array_equal(np.ldexp(B, e), G)
+            assert 0.5 <= np.max(np.abs(B)) < 1.0
+
+    def test_rejects_nearly_dependent_as_written(self):
+        # [A, A + 1e-12 X] also spans the group of [A, X], but the basis as
+        # written is nearly dependent, whatever each generator's scale
+        A, X = np.diag([1.0, 1.0, 0.0]), E(2, 1)
+        with pytest.raises(ValueError, match="as written are nearly linearly dependent"):
+            DilationAlgebra([A, A + 1e-12 * X])
 
     def test_generators_frozen(self, golden_families):
         G = golden_families["d"].generators[0]

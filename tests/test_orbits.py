@@ -188,7 +188,7 @@ class TestAdmissibility:
                 for s in range(10)}
             assert statuses == {is_admissible(alg).status}, name
 
-    # decided on the pow2_scaled generators, so no scale of the generators
+    # decided on the balanced generators, so no scale of the generators
     # moves the verdict or raises
     @pytest.mark.parametrize("scale", SCALES)
     @pytest.mark.parametrize("alg, expected", [

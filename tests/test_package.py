@@ -131,7 +131,7 @@ class TestNoDeadCode:
     def test_no_unit_clamp(self):
         # a threshold tol * max(x, 1.0) is absolute below unit scale, so it
         # moves a decision when the generators are rescaled: thresholds are
-        # relative to the pow2_scaled generators (linalg.roots_decompose).
+        # relative to the balanced generators (linalg.DilationAlgebra).
         # Each clamp that is left has a reason, and every entry here is used
         allowed = {
             ("linalg.py", "mat_exp"): "series stop: M / 2^s has norm <= 1/2, so exp of it is O(1)",
@@ -150,6 +150,28 @@ class TestNoDeadCode:
                                     and type(arg.value) is float for arg in node.args)):
                         found.add((path.name, func.name))
         assert found == set(allowed)
+
+    def test_one_scale_rule(self):
+        # DilationAlgebra balances each generator by its own 2^e, once: no
+        # other module takes a frexp exponent, and no function builds a
+        # second algebra from another algebra's generators.  An algebra is
+        # built only from outside input (groupspec), fixed matrices
+        # (families, the golden table of `classify --table`) or span{A}
+        # (normal_form)
+        allowed = {("groupspec.py", "group_spec_from_dict"), ("cli.py", "_cmd_classify"),
+                   ("sections.py", "normal_form")}
+        frexp, built = set(), set()
+        for path in sorted(SRC.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            if "frexp" in _names(ast.walk(tree)):
+                frexp.add(path.name)
+            for func in ast.walk(tree):
+                if isinstance(func, ast.FunctionDef):
+                    built |= {(path.name, func.name) for node in ast.walk(func)
+                              if isinstance(node, ast.Call)
+                              and _names([node.func]) == {"DilationAlgebra"}}
+        assert frexp == {"linalg.py"}
+        assert {site for site in built if site[0] != "families.py"} == allowed
 
     def test_no_module_loads_numpy_random(self):
         # every sampled check draws from linalg.seeded_draws, the standard
