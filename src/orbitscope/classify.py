@@ -28,7 +28,6 @@ from .linalg import (
     DEFAULT_TOL,
     DilationAlgebra,
     as_matrix,
-    blocks_semisimple,
     null_space,
     rank_tol,
     roots_decompose,
@@ -162,7 +161,7 @@ def _classify_d3(rd, scale, tol):
             witnesses={"open_orbits": 4, "section": "one point per open orbit"},
         )
     # p = 1; a three-dimensional abelian algebra cannot be purely nilpotent
-    if rd.zero_root_index(scale, tol) is not None:
+    if rd.zero_root is not None:
         return _unclassified(("d = 3 with a single zero root is not realizable",))
     if len(rd.nilpotent_basis) != 2:
         return _unclassified(("d = 3, p = 1 with unexpected nilpotent dimension",))
@@ -182,17 +181,16 @@ def _classify_d3(rd, scale, tol):
 
 
 def _classify_d2(alg, rd, scale, tol):
-    zero_idx = rd.zero_root_index(scale, tol)
     all_real = rd.all_real()
     if rd.p == 1:
-        if zero_idx is not None:
+        if rd.zero_root is not None:
             return ClassificationVerdict(
                 "0", NO, UNKNOWN, UNKNOWN, NO,
                 notes=("purely nilpotent algebra: det = 1 on H and no compact "
                        "open subset of the orbit space",),
             )
         return _classify_case1(alg, rd, scale, tol)
-    if zero_idx is not None:
+    if rd.zero_root is not None:
         if not all_real:
             return _unclassified(
                 ("zero root together with a complex root: compactness fails but "
@@ -216,12 +214,12 @@ def _classify_d2(alg, rd, scale, tol):
                 notes=("two dependent nonzero real roots; noncompact global section",),
             )
         # independent real roots: Case 3 with real c; needs semisimple block action
-        if not blocks_semisimple(alg, rd):
+        if not rd.semisimple:
             return _unclassified(
                 ("p = 2 independent real roots with non-semisimple block action: "
                  "outside the proposition's case analysis",),
             )
-        notes, alternates = _merged_root_degeneracy(alg, rd, scale)
+        notes, alternates = _merged_root_degeneracy(rd, scale)
         return ClassificationVerdict(
             "3a", YES, YES, YES, YES,
             witnesses={"section": "{v_1^2 + v_2^2 = 1, |v_3| = 1} in an adapted basis"},
@@ -232,17 +230,13 @@ def _classify_d2(alg, rd, scale, tol):
     return _classify_case4(rd, scale, tol)
 
 
-def _merged_root_degeneracy(alg, rd, scale):
+def _merged_root_degeneracy(rd, scale):
     """A repeated real root may be a near-degenerate pair merged by the
     clustering; surface the adjacent split-root reading instead of silently
-    committing (the split reading of case (b) with alpha*beta != 0 is 'open')."""
-    spread = 0.0
-    for lam, V in zip(rd.balanced_roots, rd.blocks):
-        if V.shape[1] < 2:
-            continue
-        for j, G in enumerate(alg.balanced):
-            R = V.T @ G @ V - lam[j].real * np.eye(V.shape[1])
-            spread = max(spread, float(np.linalg.norm(R)))
+    committing (the split reading of case (b) with alpha*beta != 0 is 'open').
+    Its spread is the largest nilpotent part on a real block of dimension >= 2."""
+    spread = max((float(np.max(rd.nilpotent[k])) for k in range(rd.p)
+                  if rd.is_real(k) and rd.blocks[k].shape[1] > 1), default=0.0)
     if spread <= 1e-12 * scale:
         return (), ()
     warnings.warn(

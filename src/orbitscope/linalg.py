@@ -234,18 +234,28 @@ class DilationAlgebra:
 
 @dataclass(frozen=True)
 class RootDecomposition:
-    """Joint roots of the algebra with merged real blocks.
+    """Joint roots of the algebra with merged real blocks, and each balanced
+    generator's Jordan-Chevalley parts on them, measured once.
 
     roots[k] is the complex vector of values of the k-th root on the
     generators, balanced_roots[k] on the balanced ones; blocks[k] is a real
     orthonormal basis (columns) of the merged generalized eigenspace V_k
-    (conjugate pairs merged, dimension 2m).
+    (conjugate pairs merged, dimension 2m) and eigenspaces[k] an orthonormal
+    basis B of the kept root's complex generalized eigenspace (dimension m).
+    nilpotent[k, j] is ||B^H B_j B - lambda_j I||_F, the norm of balanced
+    generator j's nilpotent part on B; semisimple says every entry is within
+    1e-7 ||B_j||.  zero_root is the first root within tol * scale() of zero
+    on every balanced generator, or None.
     """
 
     roots: tuple
     balanced_roots: tuple
     blocks: tuple
+    eigenspaces: tuple
+    nilpotent: np.ndarray
+    semisimple: bool
     nilpotent_basis: tuple
+    zero_root: int | None
     p: int = field(init=False)
 
     def __post_init__(self):
@@ -257,12 +267,6 @@ class RootDecomposition:
 
     def all_real(self) -> bool:
         return all(self.is_real(k) for k in range(self.p))
-
-    def zero_root_index(self, scale: float, tol: float) -> int | None:
-        for k, lam in enumerate(self.balanced_roots):
-            if np.max(np.abs(lam)) <= tol * scale:
-                return k
-        return None
 
 
 def kernel_filtration(M) -> list[np.ndarray]:
@@ -298,7 +302,9 @@ def roots_decompose(alg: DilationAlgebra) -> RootDecomposition:
     """All joint roots and generalized eigenspaces of the commuting family,
     decided on its balanced generators B_j: the roots (a real one with an
     exact zero imaginary part) on B_j and, by ldexp, on the generators, and
-    the nilpotent basis as sum_j c_j B_j, c a unit vector.
+    the nilpotent basis as sum_j c_j B_j, c a unit vector.  On each cluster's
+    space B, M_j = B^H B_j B is formed once: lambda_j is its mean eigenvalue,
+    and N_j = M_j - lambda_j I the nilpotent part whose norms the record keeps.
 
     A Jordan block of size m splits an eigenvalue by about (eps ||A||)^(1/m),
     so no fixed radius clusters the eigenvalues of the generic combination
@@ -338,56 +344,62 @@ def roots_decompose(alg: DilationAlgebra) -> RootDecomposition:
                             f"eigenspace dimension {B.shape[1]} != multiplicity {len(cl)}"
                         )
                     lam = np.empty(d, dtype=complex)
+                    nil = np.empty(d)
                     for j, X in enumerate(alg.balanced):
-                        lam[j] = np.trace(B.conj().T @ X.astype(complex) @ B) / B.shape[1]
+                        M = B.conj().T @ X.astype(complex) @ B
+                        lam[j] = np.trace(M) / B.shape[1]
                         # invariance of the eigenspace under every generator
-                        resid = np.linalg.norm(X @ B - B @ (B.conj().T @ X @ B))
-                        if resid > 1e-6 * scale:
+                        if np.linalg.norm(X @ B - B @ M) > 1e-6 * scale:
                             raise IllConditioned("eigenspace not invariant; clusters merged badly")
-                        nil = B @ np.linalg.matrix_power(
-                            B.conj().T @ X.astype(complex) @ B - lam[j] * np.eye(B.shape[1]), n
-                        )
-                        if np.linalg.norm(nil) > 1e-6 * scale ** n:
+                        N = M - lam[j] * np.eye(B.shape[1])  # X's nilpotent part on B
+                        if np.linalg.norm(B @ np.linalg.matrix_power(N, n)) > 1e-6 * scale ** n:
                             raise IllConditioned("cluster contains two distinct joint roots")
-                    raw.append((lam, B))
+                        nil[j] = np.linalg.norm(N)
+                    raw.append((lam, B, nil))
                 for a in range(len(raw)):
                     for b in range(a + 1, len(raw)):
                         if np.max(np.abs(raw[a][0] - raw[b][0])) <= alg.tol * scale:
                             raise IllConditioned("two distinct roots closer than tolerance")
-                roots, blocks = _merge_conjugates(raw, alg)
-                e = alg.exponents
-                return RootDecomposition(  # ldexp is exact
-                    tuple(np.ldexp(r.real, e) + 1j * np.ldexp(r.imag, e) for r in roots),
-                    tuple(roots), tuple(blocks), tuple(_nilpotent_basis(roots, alg)))
+                roots, spaces, nils, blocks = _merge_conjugates(raw, alg)
+                nils, e = np.array(nils), alg.exponents
+                norms = np.array([np.linalg.norm(X) for X in alg.balanced])
+                return RootDecomposition(
+                    roots=tuple(np.ldexp(r.real, e) + 1j * np.ldexp(r.imag, e) for r in roots),
+                    balanced_roots=roots, blocks=blocks, eigenspaces=spaces, nilpotent=nils,
+                    semisimple=bool(np.all(nils <= 1e-7 * norms)),
+                    nilpotent_basis=tuple(_nilpotent_basis(roots, alg)),
+                    zero_root=next((k for k, r in enumerate(roots)
+                                    if np.max(np.abs(r)) <= alg.tol * scale), None))
             except IllConditioned as exc:  # try the next finer grouping
                 err = exc
     raise IllConditioned(f"no grouping of the generic combination's eigenvalues passes: {err}")
 
 
-def _merge_conjugates(raw, alg: DilationAlgebra) -> tuple[list, list]:
+def _merge_conjugates(raw, alg: DilationAlgebra) -> tuple:
+    """(roots, eigenspaces, nilpotent norms, merged real blocks) of the kept
+    roots, in block order."""
     imag_tol = 1e-8 * alg.scale()
-    roots, blocks = [], []
-    for lam, B in raw:
+    kept = []
+    for lam, B, nil in raw:
         # a complex root is kept once: as the member with positive imaginary
         # part on the first generator where it is non-real (a missing partner
         # leaves the block dimensions short of n)
         nonreal = np.abs(lam.imag) > imag_tol
         if nonreal.any() and lam.imag[np.argmax(nonreal)] < 0:
             continue
-        roots.append(lam if nonreal.any() else lam.real.astype(complex))
-        blocks.append(orth_columns(np.hstack([B.real, B.imag]), tol=1e-8))
+        kept.append((lam if nonreal.any() else lam.real.astype(complex), B, nil,
+                     orth_columns(np.hstack([B.real, B.imag]), tol=1e-8)))
     order = np.lexsort(
         (
-            [np.round(r.imag[0], 9) for r in roots],
-            [np.round(r.real[0], 9) for r in roots],
-            [-b.shape[1] for b in blocks],
+            [np.round(r.imag[0], 9) for r, *_ in kept],
+            [np.round(r.real[0], 9) for r, *_ in kept],
+            [-V.shape[1] for *_, V in kept],
         )
     )
-    roots = [roots[k] for k in order]
-    blocks = [blocks[k] for k in order]
-    if sum(b.shape[1] for b in blocks) != alg.n:
+    kept = [kept[k] for k in order]
+    if sum(V.shape[1] for *_, V in kept) != alg.n:
         raise IllConditioned("merged block dimensions do not sum to n")
-    return roots, blocks
+    return tuple(zip(*kept))
 
 
 def _nilpotent_basis(roots, alg: DilationAlgebra) -> list[np.ndarray]:
@@ -406,25 +418,3 @@ def _nilpotent_basis(roots, alg: DilationAlgebra) -> list[np.ndarray]:
             c = -c
         basis.append(alg.balanced_element(c))
     return basis
-
-
-def blocks_semisimple(alg: DilationAlgebra, rd: RootDecomposition) -> bool:
-    """Whether every generator acts as a scalar (real) or rotation-scaling
-    (complex pair) on each merged root block, i.e. no nilpotent block action,
-    compared on the balanced generators and roots, as roots_decompose decides."""
-    for k, (lam, V) in enumerate(zip(rd.balanced_roots, rd.blocks)):
-        real = rd.is_real(k)
-        m = V.shape[1]
-        for j, G in enumerate(alg.balanced):
-            M = V.T @ G @ V
-            a, b = lam[j].real, lam[j].imag
-            if real:
-                R = M - a * np.eye(m)
-            else:
-                # (M - (a+ib))(M - (a-ib)) = 0 iff the complex eigenspace is honest
-                S = M - a * np.eye(m)
-                R = S @ S + b * b * np.eye(m)
-            scale = np.linalg.norm(G)
-            if np.linalg.norm(R) > 1e-7 * (scale if real else scale ** 2):
-                return False
-    return True

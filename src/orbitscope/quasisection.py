@@ -31,7 +31,6 @@ from .errors import (
 )
 from .linalg import (
     DilationAlgebra,
-    blocks_semisimple,
     null_space,
     roots_decompose,
     seeded_draws,
@@ -70,9 +69,15 @@ class DiagonalizedAction:
 
 def diagonal_action(alg: DilationAlgebra) -> DiagonalizedAction:
     """Derive the block coordinates; NotDiagonalizableFamily if any generator
-    acts with a nilpotent part on some root block."""
+    acts with a nilpotent part on some root block (not rd.semisimple).
+
+    A real block's coordinates are its orthonormal basis; a complex block's
+    are (Re B, Im B) of the kept root's eigenspace B: column pair i is
+    (Re b_i, Im b_i), on which every generator acts as the rotation-scaling
+    of its root, so the block's magnitude scales by exp(Re root . t) for
+    any multiplicity."""
     rd = roots_decompose(alg)
-    if not blocks_semisimple(alg, rd):
+    if not rd.semisimple:
         raise NotDiagonalizableFamily(
             "a generator acts non-semisimply on a root block; the exact "
             "meeting-set kernel needs semisimple block action"
@@ -88,15 +93,8 @@ def diagonal_action(alg: DilationAlgebra) -> DiagonalizedAction:
     slices = []
     offset = 0
     for kk in order:
-        V = rd.blocks[kk]
-        if not rd.is_real(kk):
-            # rotate the plane to (Re z, Im z), z a complex eigenvector of the
-            # generator on which the root is most complex: there every
-            # generator acts exactly as a rotation-scaling
-            j = int(np.argmax(np.abs(rd.roots[kk].imag)))
-            vals, vecs = np.linalg.eig(V.T @ alg.generators[j] @ V)
-            z = vecs[:, int(np.argmax(vals.imag))]
-            V = V @ np.column_stack([z.real, z.imag])
+        B = rd.eigenspaces[kk]
+        V = rd.blocks[kk] if rd.is_real(kk) else np.hstack([B.real, B.imag])
         cols.append(V)
         slices.append(slice(offset, offset + V.shape[1]))
         offset += V.shape[1]

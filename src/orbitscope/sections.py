@@ -24,7 +24,6 @@ from .linalg import (
     DEFAULT_TOL,
     DilationAlgebra,
     as_matrix,
-    blocks_semisimple,
     check_commuting,
     kernel_filtration,
     orth_columns,
@@ -190,7 +189,7 @@ def normal_form(A, X, tol: float = DEFAULT_TOL) -> LayeredFamily:
     rd = roots_decompose(alg)
     if not rd.all_real():
         raise NotDiagonalizable("A has non-real eigenvalues")
-    if not blocks_semisimple(alg, rd):
+    if not rd.semisimple:
         raise NotDiagonalizable("A is not diagonalizable")
     lam = np.array([r[0].real for r in rd.roots])
     top = np.max(np.abs(lam))

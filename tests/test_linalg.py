@@ -190,6 +190,74 @@ class TestRootsDecompose:
             np.random.default_rng(linalg._ROOT_SEED).standard_normal(MAX_DIM))
 
 
+# the six commutative subalgebras of gl(3) of the census, each with the
+# indices of its nilpotent basis elements
+_J3 = E(2, 1) + E(3, 2)
+CENSUS_SHAPES = {
+    "diagonal": ([np.diag([1.0, 0, 0]), np.diag([0, 1.0, 0]), np.diag([0, 0, 1.0])], ()),
+    "diag+J2": ([np.diag([1.0, 1, 0]), np.diag([0, 0, 1.0]), E(2, 1)], (2,)),
+    "poly(J3)": ([np.eye(3), _J3, _J3 @ _J3], (1, 2)),
+    "rot+axis": ([np.diag([1.0, 1, 0]), E(2, 1) - E(1, 2), np.diag([0, 0, 1.0])], ()),
+    "sqzero": ([np.eye(3), E(2, 1), E(3, 1)], (1, 2)),
+    "sqzero_t": ([np.eye(3), E(1, 2), E(1, 3)], (1, 2)),
+}
+
+
+def _integer_census_draws(shape, count=24):
+    """(alg, C) for integer coefficient draws C on one census shape,
+    unconjugated; dependent draws are skipped."""
+    basis, _ = CENSUS_SHAPES[shape]
+    rng = np.random.default_rng(46)
+    for _ in range(count):
+        C = rng.integers(-2, 3, (int(rng.integers(2, 4)), 3)).astype(float)
+        try:
+            alg = DilationAlgebra([sum(c * B for c, B in zip(row, basis)) for row in C])
+        except ValueError:
+            continue
+        yield alg, C
+
+
+class TestJordanChevalleyRecord:
+    @pytest.mark.parametrize("shape", CENSUS_SHAPES)
+    def test_semisimple_is_the_exact_truth(self, shape):
+        # semisimple iff C has zero columns on the nilpotent basis elements
+        nilpotent = list(CENSUS_SHAPES[shape][1])
+        draws = list(_integer_census_draws(shape))
+        assert draws
+        for alg, C in draws:
+            assert roots_decompose(alg).semisimple == (not C[:, nilpotent].any()), C
+
+    def test_complex_jordan_block_is_not_semisimple(self):
+        R = np.array([[0.5, -2.0], [2.0, 0.5]])
+        A = np.block([[R, np.eye(2)], [np.zeros((2, 2)), R]])
+        rd = roots_decompose(DilationAlgebra([A]))
+        assert rd.p == 1 and not rd.is_real(0)
+        assert not rd.semisimple
+
+    @pytest.mark.parametrize("shape", ["diagonal", "diag+J2", "rot+axis"])
+    def test_eigenspaces_carry_the_roots(self, shape):
+        # on a semisimple family every balanced generator maps each kept
+        # root's complex eigenspace B to lambda_j B, and every nilpotent part
+        # is at rounding level (the other shapes draw no semisimple family)
+        decomposed = [(alg, roots_decompose(alg)) for alg, _ in _integer_census_draws(shape)]
+        semisimple = [(alg, rd) for alg, rd in decomposed if rd.semisimple]
+        assert semisimple
+        for alg, rd in semisimple:
+            assert rd.nilpotent.shape == (rd.p, alg.d)
+            assert np.all(rd.nilpotent <= 1e-12 * alg.scale())
+            for lam, B, V in zip(rd.balanced_roots, rd.eigenspaces, rd.blocks):
+                assert V.shape[1] == B.shape[1] * (1 if not np.any(lam.imag) else 2)
+                for X, lam_j in zip(alg.balanced, lam):
+                    npt.assert_allclose(X @ B, lam_j * B, rtol=1e-12, atol=1e-12 * alg.scale())
+
+    def test_zero_root(self):
+        # the first root that vanishes on every generator, within tol * scale
+        rd = roots_decompose(DilationAlgebra([np.diag([1.0, 0, 0]), np.diag([0.0, 1, 0])]))
+        assert rd.zero_root is not None
+        npt.assert_array_equal(rd.roots[rd.zero_root], [0.0, 0.0])
+        assert roots_decompose(family_e()).zero_root is None
+
+
 class TestSeededDraws:
     def test_stream_is_random_random(self):
         # U is the first count * uniforms values of Random(seed).random(), row

@@ -173,6 +173,27 @@ class TestNoDeadCode:
         assert frexp == {"linalg.py"}
         assert {site for site in built if site[0] != "families.py"} == allowed
 
+    def test_one_root_structure(self):
+        # the joint roots, their eigenspaces and each generator's nilpotent
+        # part are measured once, in roots_decompose: an eigen-solver call
+        # elsewhere has its reason here, and every entry is used
+        allowed = {
+            ("linalg.py", "roots_decompose"): "the generic combination's eigenvalues, "
+                                              "which the joint roots are clustered from",
+            ("classify.py", "classify_one_param"): "at d = 1 roots_decompose raises on "
+                                                   "large ill-conditioned Jordan blocks, "
+                                                   "while the signs of Re(lambda) stay readable",
+        }
+        found, defined = set(), set()
+        for path in sorted(SRC.glob("*.py")):
+            for func in ast.walk(ast.parse(path.read_text())):
+                if isinstance(func, ast.FunctionDef):
+                    defined.add(func.name)
+                    if _names(ast.walk(func)) & {"eig", "eigvals"}:
+                        found.add((path.name, func.name))
+        assert found == set(allowed)
+        assert "blocks_semisimple" not in defined
+
     def test_no_module_loads_numpy_random(self):
         # every sampled check draws from linalg.seeded_draws, the standard
         # library's random: no module imports numpy.random or reads np.random

@@ -385,6 +385,13 @@ def _two_planes_and_a_line():
     return DilationAlgebra(gens)
 
 
+def _complex_scalars_on_c2():
+    """n = 4, d = 2: C* acting on C^2, [I, J + J] with J = [[0, -1], [1, 0]];
+    its one complex root has a 4-dimensional block."""
+    J = np.array([[0.0, -1.0], [1.0, 0.0]])
+    return DilationAlgebra([np.eye(4), np.kron(np.eye(2), J)])
+
+
 BLOCK_FAMILIES = {
     "dilation_1d": (DilationAlgebra([np.array([[1.0]])]), 1e-12),
     "rotation_scaling_2d": (DilationAlgebra([np.array([[1.0, -1.0], [1.0, 1.0]])]), 1e-12),
@@ -393,6 +400,7 @@ BLOCK_FAMILIES = {
     # random bases: the block coordinates carry the conditioning of P
     "family_a_random_basis": (_random_basis(family_a(1.0), 5), 1e-9),
     "two_planes_and_a_line_random_basis": (_random_basis(_two_planes_and_a_line(), 6), 1e-9),
+    "complex_scalars_on_c2_random_basis": (_random_basis(_complex_scalars_on_c2(), 7), 1e-9),
 }
 
 
