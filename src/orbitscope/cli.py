@@ -17,7 +17,9 @@ directory, refused before the subcommand runs, so no side file is written;
 a report that cannot be written to --out; a group spec whose "n" is not an
 integer from 1 to 6, whose generators have an entry that is not a real
 number, or whose "tol" is not a finite number > 0 (JSON booleans count as
-none of these); `section` points that are not a finite (m, n) array; a
+none of these); box bounds or `section` points with an entry that is not
+a JSON number, such as true or "2"; `section` points that are not a finite
+(m, n) array; a
 `cwt` signal that is zero everywhere, has a non-finite sample, or is not an
 n-axis lattice with power-of-two sizes; a `cwt` "dx" that is not a finite
 number > 0 or "param_counts" that is not an integer >= 1; a `wavelet`
@@ -50,7 +52,9 @@ The `strata` probes, the `wavelet` Calderon samples and the `quasisection`
 coverage samples are drawn from random.Random(--seed)
 (linalg.seeded_draws); the Calderon samples set only the coverage counts.
 BLAS runs on one thread: before numpy loads, the CLI sets
-OPENBLAS_NUM_THREADS to 1 unless it is already set.
+OPENBLAS_NUM_THREADS to 1 unless it is already set.  A process run goes
+through entry(), which freezes the import-time heap (gc.freeze) so that no
+collection, at exit included, walks it again; main() itself does not.
 """
 
 from __future__ import annotations
@@ -67,6 +71,7 @@ import numpy as np
 
 from .errors import DomainError, InputError, NotDiagonalizable
 from .groupspec import (
+    _all_real,
     dump_report,
     group_spec_from_dict,
     load_json,
@@ -255,6 +260,8 @@ def _cmd_section(args, doc, alg: DilationAlgebra) -> dict:
 def _parse_points(points, n: int) -> np.ndarray:
     """The 'points' input as a finite (m, n) float array with m >= 1."""
     expected = f"'points' must be a non-empty list of points with {n} finite numbers each"
+    if not _all_real(points):  # np.array would read true as 1.0
+        raise InputError(expected)
     try:
         V = np.array(points)
     except ValueError as err:  # ragged nesting
@@ -274,6 +281,8 @@ def _parse_box(entry, action, name: str):
 
     if not isinstance(entry, dict) or "bounds" not in entry:
         raise InputError(f"invalid box: {name} must be an object with 'bounds'")
+    if not _all_real(entry["bounds"]):  # BoxSet's float() would read true or "2"
+        raise InputError(f"invalid box: {name} bounds must hold only JSON numbers")
     try:
         box = BoxSet(entry["bounds"])
     except (TypeError, ValueError) as err:
@@ -476,5 +485,16 @@ def _write_npy(zf, name: str, shape, dtype, blocks) -> None:
             fh.write(memoryview(np.ascontiguousarray(block, dtype)).cast("B"))
 
 
-if __name__ == "__main__":
+def entry() -> None:
+    """Process entry of `python -m orbitscope.cli` and the `orbitscope` script:
+    gc.freeze() keeps the imports' ~21 500 objects out of every collection,
+    the ones at exit included, then main() runs.  main() itself does not
+    freeze: it is called in-process and leaves its caller's collector alone."""
+    import gc  # the entry's own import: `import orbitscope.cli` does not load gc
+
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

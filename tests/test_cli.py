@@ -1,4 +1,6 @@
+import ast
 import csv
+import gc
 import json
 import os
 import subprocess
@@ -310,8 +312,10 @@ class TestSectionCommand:
         "[[NaN, 5, 7]]",
         "[]",
         '{"x": [1, 5, 7]}',
+        "[[true, 1.0, 2.0]]",  # np.array would promote the boolean to 1.0
+        "[[1, 2, false]]",
     ], ids=["short-point", "ragged", "string-entry", "nested-entry", "nested-list",
-            "overflow", "nan", "empty", "not-a-list"])
+            "overflow", "nan", "empty", "not-a-list", "boolean-entry", "boolean-last"])
     def test_invalid_points_exit_1(self, tmp_path, points):
         path = tmp_path / "sec.json"
         path.write_text('{"n": 3, "generators": [[1, 0, 0, 0, 1, 0, 0, 0, 0], '
@@ -378,6 +382,8 @@ CASE_B11 = [
     [0, 0, 0, 0, 1, 0, 0, 0, 1],
 ]
 DILATION_1D = [[1.0]]
+WAVELET_1D = {"n": 1, "generators": DILATION_1D, "box": {"bounds": [[1.5, 2.0]]},
+              "W": {"bounds": [[0.8, 2.5]]}}
 
 
 class TestBoxInput:
@@ -406,6 +412,19 @@ class TestBoxInput:
             "n": 1, "generators": DILATION_1D,
             "box": {"bounds": [[1.0, 2.0]]}, "W": [[0.8, 2.5]],
         }, id="wavelet-W-without-bounds"),
+        # a JSON boolean or string in place of a bound with which the job exits
+        # 0: BoxSet's float() would read it as that number
+        *[pytest.param("wavelet", {**WAVELET_1D, key: {"bounds": bounds}},
+                       id=f"wavelet-{key}-{kind}")
+          for key, kind, bounds in [
+              ("box", "boolean", [[True, 2]]), ("box", "string-lo", [["1", 2]]),
+              ("box", "string-hi", [[1, "2e0"]]), ("W", "boolean", [[True, 2.5]]),
+              ("W", "string-lo", [["0.8", 2.5]]), ("W", "string-hi", [[0.8, "2.5"]])]],
+        *[pytest.param("quasisection", {**CASE_B_UNION, "boxes": [
+            {"bounds": [first, [0.5, 2], [0.5, 2]]}, *CASE_B_UNION["boxes"][1:]]},
+                       id=f"boxes-{kind}")
+          for kind, first in [("boolean", [False, 2]), ("string-lo", ["0", 2]),
+                              ("string-hi", [0, "2e0"])]],
     ])
     def test_malformed_box_exit_1(self, tmp_path, subcommand, doc):
         path = tmp_path / "box.json"
@@ -1395,3 +1414,130 @@ class TestWriteCsv:
         _write_csv(str(got), header, np.column_stack([xis, dims]),
                    "%.12g,%.12g,%.12g,%d")
         assert got.read_bytes() == ref.read_bytes()
+
+
+ENTRY_PROBE = (
+    "import gc, sys\n"
+    "from orbitscope import cli\n"
+    "try:\n"
+    "    cli.entry()\n"
+    "except SystemExit as exc:\n"
+    "    print(exc.code, gc.get_freeze_count(), file=sys.stderr)\n"
+)
+
+
+class TestEntry:
+    def test_main_leaves_collector_alone(self, case_d_spec, tmp_path):
+        before = gc.get_freeze_count(), gc.isenabled()
+        assert main(["classify", "--input", str(case_d_spec),
+                     "--out", str(tmp_path / "out.json")]) == 0
+        assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+    def test_entry_freezes_and_exits_with_main_status(self, case_d_spec, tmp_path):
+        res = subprocess.run([sys.executable, "-c", ENTRY_PROBE, "classify",
+                              "--input", str(case_d_spec), "--out", str(tmp_path / "out.json")],
+                             capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        code, frozen = res.stderr.split()
+        assert code == "0" and int(frozen) > 0
+
+    def test_script_and_module_share_the_entry(self):
+        tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+            script = tomllib.load(fh)["project"]["scripts"]["orbitscope"]
+        module, func = script.split(":")
+        assert module == "orbitscope.cli"
+        tree = ast.parse(open(orbitscope.cli.__file__, encoding="utf-8").read())
+        [block] = [node for node in tree.body if isinstance(node, ast.If)
+                   and ast.unparse(node.test) == "__name__ == '__main__'"]
+        assert ast.unparse(block).splitlines()[1:] == [f"    {func}()"]
+
+
+def _process_and_library_runs(tmp_path, capsys, argv, out):
+    """(exit code, stdout, stderr, report modulo timestamp, side files) of argv
+    as a `python -m orbitscope.cli` process and as an in-process main() call,
+    both writing to the same --out path (or to stdout when out is None)."""
+    argv = list(argv) + (["--out", str(out)] if out else [])
+    runs = []
+    for process in (True, False):
+        if process:
+            res = run_cli(*argv)
+            code, stdout, stderr = res.returncode, res.stdout, res.stderr
+        else:
+            capsys.readouterr()
+            code = main(argv)
+            stdout, stderr = capsys.readouterr()
+        report, side = None, {}
+        if out and out.exists():
+            report = json.loads(out.read_text())
+            del report["header"]["timestamp"]
+            for f in sorted(tmp_path.glob(out.name + "?*")):
+                side[f.name] = f.read_bytes()
+                f.unlink()
+            out.unlink()
+        runs.append((code, stdout, stderr, report, side))
+    return runs
+
+
+class TestProcessEqualsInProcess:
+    """A `python -m orbitscope.cli` job and main() give the same code, output
+    and side files: the entry adds only the frozen heap."""
+
+    @pytest.fixture()
+    def inputs(self, tmp_path, case_d_spec):
+        docs = {
+            "section": {"n": 3, "generators": [[1, 0, 0, 0, 1, 0, 0, 0, 0],
+                                               [0, 0, 0, 1, 0, 0, 0, 0, 0]],
+                        "points": [[1, 5, 7], [0, 5, 7]]},
+            "quasisection": {**CASE_B_UNION, "orbit_space_compact": True},
+            "wavelet": {"n": 1, "generators": DILATION_1D, "box": {"bounds": [[1.0, 2.0]]},
+                        "samples": 5},
+        }
+        freqs = 2 * np.pi * np.fft.fftfreq(64, 0.3)
+        band = (np.abs(freqs) > 0.9) & (np.abs(freqs) < 2.2)
+        sig = tmp_path / "sig.csv"
+        np.savetxt(sig, np.fft.ifft(np.random.default_rng(0).standard_normal(64) * band).real,
+                   delimiter=",")
+        docs["cwt"] = {**docs["wavelet"], "signal": str(sig), "dx": 0.3, "param_counts": 8}
+        paths = {"classify": case_d_spec, "strata": case_d_spec}
+        for name, doc in docs.items():
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(doc))
+        return paths
+
+    @pytest.mark.parametrize("subcommand, flags", [
+        ("classify", []), ("strata", ["--grid", "8"]), ("section", []),
+        ("quasisection", []), ("wavelet", ["--quad-order", "8", "--grid", "8"]), ("cwt", []),
+    ])
+    @pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+    def test_same_outputs(self, tmp_path, capsys, inputs, subcommand, flags, to_file):
+        argv = [subcommand, "--input", str(inputs[subcommand]), *flags]
+        process, library = _process_and_library_runs(
+            tmp_path, capsys, argv, tmp_path / "job.json" if to_file else None)
+        assert process[0] == 0 and process[2] == "", process[2]
+        if to_file:
+            assert process[1] == "" and process[3] is not None
+            assert bool(process[4]) == (subcommand not in ("classify", "quasisection"))
+        else:
+            report = json.loads(process[1])
+            del report["header"]["timestamp"]
+            library_report = json.loads(library[1])
+            del library_report["header"]["timestamp"]
+            assert report == library_report
+            process, library = process[::2], library[::2]  # code, stderr, side files
+        assert process == library
+
+    @pytest.mark.parametrize("doc, code", [
+        ({"n": 3, "generators": [[1, 0, 0, 0, 1, 0, 0, 0, True]]}, 1),
+        ({"n": 2, "generators": [[0, 1, 0, 0], [0, 0, 1, 0]]}, 2),
+    ], ids=["input-error", "domain-error"])
+    def test_same_refusal(self, tmp_path, capsys, doc, code):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "job.json"
+        process, library = _process_and_library_runs(
+            tmp_path, capsys, ["classify", "--input", str(path)], out)
+        assert process[0] == code and len(process[2].splitlines()) == 1, process[2]
+        assert process == library
+        assert not out.exists()
