@@ -25,11 +25,10 @@ import numpy as np
 
 from .errors import DegenerateParameter, DomainError, NotNilpotent, UnclassifiedFamily
 from .linalg import (
-    DEFAULT_TOL,
+    DEFAULT_TOL, PENCIL_TOL, ROOT_PART_TOL, ROOT_ROWS_TOL, ROUNDING,
     DilationAlgebra,
     as_matrix,
     null_space,
-    rank_tol,
     roots_decompose,
 )
 
@@ -102,10 +101,11 @@ def _jsonable(v):
 
 def classify_one_param(alg: DilationAlgebra) -> ClassificationVerdict:
     """One-parameter criterion: integrable iff the signs of Re(lambda)
-    coincide, decided on the balanced generator of alg (d = 1)."""
+    coincide, decided on the balanced generator of alg (d = 1): a real part
+    within alg.tol * alg.scale() of 0 counts as 0."""
     [A] = alg.balanced
     re = np.linalg.eigvals(A).real
-    tol = 1e-9 * alg.scale()
+    tol = alg.tol * alg.scale()
     if np.min(np.abs(re)) <= tol:
         warnings.warn("an eigenvalue real part sits at zero", DegenerateParameter)
     one_signed = bool(np.all(re > tol) or np.all(re < -tol))
@@ -206,8 +206,7 @@ def _classify_d2(alg, rd, scale, tol):
     if rd.p == 2:
         if not all_real:
             return _classify_case3_complex(rd, scale, tol)
-        r = np.stack([rd.balanced_roots[0].real, rd.balanced_roots[1].real])
-        if rank_tol(r, 1e-8) == 1:
+        if len(rd.nilpotent_basis) == 1:  # the root rows have rank 1
             return ClassificationVerdict(
                 "2", NO, YES, YES, NO,
                 witnesses={"section": "{p_2(v) = 0, |p_2(Xv)| = 1} in an adapted basis"},
@@ -237,7 +236,7 @@ def _merged_root_degeneracy(rd, scale):
     Its spread is the largest nilpotent part on a real block of dimension >= 2."""
     spread = max((float(np.max(rd.nilpotent[k])) for k in range(rd.p)
                   if rd.is_real(k) and rd.blocks[k].shape[1] > 1), default=0.0)
-    if spread <= 1e-12 * scale:
+    if spread <= ROUNDING * scale:
         return (), ()
     warnings.warn(
         f"repeated root with spread {spread:.2e}: may be a merged "
@@ -266,12 +265,12 @@ def _classify_case1(alg, rd, scale, tol) -> ClassificationVerdict:
     xnorm = np.linalg.norm(X)
     tag = "1c"
     bstar = -float(np.sum(N0 * X)) / float(np.sum(X * X))
-    if np.linalg.norm(N0 + bstar * X) <= 1e-8 * scale:
+    if np.linalg.norm(N0 + bstar * X) <= PENCIL_TOL * scale:
         tag = "1a"
     else:
         C0, C1, C2 = N0 @ N0, N0 @ X + X @ N0, X @ X
         for b in _quadratic_candidates(C0, C1, C2):
-            if np.linalg.norm(C0 + b * C1 + b * b * C2) <= 1e-8 * scale ** 2:
+            if np.linalg.norm(C0 + b * C1 + b * b * C2) <= PENCIL_TOL * scale ** 2:
                 tag = "1b"
                 break
     two_layer = np.linalg.norm(X @ X) > tol * xnorm ** 2
@@ -293,12 +292,12 @@ def _quadratic_candidates(C0, C1, C2):
     for _ in it:
         i, j = it.multi_index
         c2, c1, c0 = C2[i, j], C1[i, j], C0[i, j]
-        if abs(c2) > 1e-12:
+        if abs(c2) > ROUNDING:
             disc = c1 * c1 - 4 * c2 * c0
             if disc >= 0:
                 cands.add((-c1 + np.sqrt(disc)) / (2 * c2))
                 cands.add((-c1 - np.sqrt(disc)) / (2 * c2))
-        elif abs(c1) > 1e-12:
+        elif abs(c1) > ROUNDING:
             cands.add(-c0 / c1)
     return sorted(cands)
 
@@ -308,7 +307,7 @@ def _classify_case3_complex(rd, scale, tol) -> ClassificationVerdict:
     real_idx = 1 - complex_idx
     lam1 = rd.balanced_roots[complex_idx]
     lam2 = rd.balanced_roots[real_idx].real
-    a = null_space(lam2.reshape(1, -1), tol=1e-10)[:, 0].real
+    a = null_space(lam2.reshape(1, -1), tol=ROOT_ROWS_TOL)[:, 0].real
     if a[np.argmax(np.abs(a))] < 0:
         a = -a
     c = complex(np.dot(lam1, a))
@@ -322,7 +321,7 @@ def _classify_case3_complex(rd, scale, tol) -> ClassificationVerdict:
     # c purely imaginary: rotation factor; stabilizers are noncompact lattices
     b = np.linalg.lstsq(lam2.reshape(1, -1), np.array([1.0]), rcond=None)[0]
     w = complex(np.dot(lam1, b))
-    product_structure = abs(w.real) <= 1e-8 * scale
+    product_structure = abs(w.real) <= ROOT_PART_TOL * scale
     if product_structure:
         return ClassificationVerdict(
             "3b", NO, NO, NO, NO,

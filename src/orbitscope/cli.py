@@ -47,7 +47,11 @@ header field) and carry a provenance header with version, seed, tolerance
 and overrides: the flags the subcommand reads (`strata` --grid, for 4 --grid
 probes; `wavelet` --quad-order, the Calderon cells per parameter, and
 --grid, the ghat CSV's points per axis; the L1 estimate reads no flag) and
-a given --tol.
+a given --tol.  --tol sets alg.tol, the one entry of linalg's tolerance
+table a job can change, and moves only the decisions that read alg.tol:
+the commutator, independence, orbit-rank, trace and root-identity checks,
+classify's tests (Re(lambda) at d = 1 too) and the `section` route's
+normal form and layers; every other cut in the table is fixed.
 The `strata` probes, the `wavelet` Calderon samples and the `quasisection`
 coverage samples are drawn from random.Random(--seed)
 (linalg.seeded_draws); the Calderon samples set only the coverage counts.

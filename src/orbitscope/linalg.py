@@ -19,8 +19,43 @@ from .errors import (
     NonCommuting,
 )
 
-DEFAULT_TOL = 1e-9
 MAX_DIM = 6
+
+# The tolerance table: every threshold a decision compares with, named once,
+# each with its reason and, after "x", the scale it multiplies: "scale" is
+# alg.scale(), "largest" the largest singular value (numerical_rank), "1" an
+# absolute cut on a quantity unit-sized by construction.  Only DEFAULT_TOL can
+# be overridden, as alg.tol (a spec's "tol" or --tol), and only the decisions
+# that read alg.tol move with it.
+# alg.tol's default: commutators (x ||B_i|| ||B_j||), independence and orbit
+# ranks (x largest), roots, Re(lambda) at d = 1 and classify (x scale or the
+# tested matrix's norm), normal_form and section layers (x max |lambda|, |v|)
+DEFAULT_TOL = 1e-9
+KERNEL_TOL = 1e-8  # singular values of M / ||M||_F in a kernel filtration step; x 1
+SHIFT_ZERO_TOL = 1e-9  # A - mu is zero, so its eigenspace is everything; x ||A||_F
+# below the rounding of its scale: eigenvalue gaps (x ||A_gen||_F), merged-root
+# spread (x scale), ray entries, adapted-basis det and pencil coefficients (x 1)
+ROUNDING = 1e-12
+CLUSTER_TOL = 1e-6  # one invariant root per cluster: ||X B - B M|| (x scale), ||B N^n|| (x scale^n)
+SEMISIMPLE_TOL = 1e-7  # a generator's nilpotent part on a root block is zero; x ||B_j||_F
+ROOT_PART_TOL = 1e-8  # Im of a root (realness), Re of case 3b's w (product); x scale
+BLOCK_RANK_TOL = 1e-8  # rank of [Re B, Im B], a kept root's real span; x largest
+ROOT_ROWS_TOL = 1e-9  # rank of the root rows (nilpotent basis, a real root's kernel); x largest
+PENCIL_TOL = 1e-8  # case-1 pencil Y(b) = 0 (x scale) and Y(b)^2 = 0 (x scale^2)
+SPAN_RESID_TOL = 1e-8  # least-squares residual of a semisimple part in the algebra; x ||S||_F
+CHAIN_RANK_TOL = 1e-10  # rank of stacked Jordan-chain vectors; x largest
+NEW_CHAIN_TOL = 1e-6  # a unit kernel vector's part off the avoided span starts a chain; x 1
+TIE_TOL = 1e-9  # entries this close to the largest |entry| tie for a chain's sign; x max |W v|
+# a normal form checked by its residual: W X-invariant, adapted X 0/1-subdiagonal
+# (x ||X_c||_F), a representative on its section (x max(1, |v*|))
+FORM_RESID_TOL = 1e-7
+POLY_SLACK = 1e-9  # slack of L t <= c (x 1: c holds log ratios) and of L u <= 0 (x max |L|)
+POLY_RANK_TOL = 1e-9  # rank of L_A and of its row subsets (x largest), e_j in its row space (x 1)
+SIGN_TOL = 1e-10  # an entry of pinv(L_B) this close to 0 counts as either sign; x max |pinv(L_B)|
+COVERAGE_MARGIN = 1e-6  # smallest block magnitude of a coverage sample (stratum boundary); x 1
+SIGMA_STEP_TOL = 1e-3  # sigma's block integrals from N to 2N intervals, warned above; x integral
+L1_STEP_TOL = 1e-2  # L1 estimate from n/2 to n points or S/2 to S intervals, warned above; x value
+NYQUIST_SHARE = 1e-8  # largest share of a signal's spectral mass in the Nyquist shell; x total
 
 # Coefficients of the generic combination that seeds the joint roots (a
 # d-generator family uses _ROOT_DRAWS[:d]): the first MAX_DIM values of
@@ -138,15 +173,19 @@ def check_commuting(generators, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
     return ok, worst
 
 
+def numerical_rank(s, tol: float, scale: float | None = None):
+    """The rank rule: how many of the singular values s (descending along the
+    last axis, one row of a stack per matrix) exceed tol times the reference,
+    the largest singular value or, given, the absolute `scale`; 0 where the
+    reference is <= 0 (Golub & Van Loan, numerical rank)."""
+    ref = np.max(s, axis=-1, initial=0.0) if scale is None else np.asarray(scale)
+    return np.where(ref > 0, np.sum(s > tol * ref[..., None], axis=-1), 0)
+
+
 def rank_tol(M, tol: float = DEFAULT_TOL) -> int:
     """Number of singular values above tol * (largest singular value)."""
     A = np.atleast_2d(np.asarray(M, dtype=float))
-    if A.size == 0:
-        return 0
-    s = np.linalg.svd(A, compute_uv=False)
-    if s.size == 0 or s[0] <= 0.0:
-        return 0
-    return int(np.sum(s > tol * s[0]))
+    return int(numerical_rank(np.linalg.svd(A, compute_uv=False), tol))
 
 
 def null_space(M, tol: float = DEFAULT_TOL, scale: float | None = None) -> np.ndarray:
@@ -156,20 +195,14 @@ def null_space(M, tol: float = DEFAULT_TOL, scale: float | None = None) -> np.nd
     (absolute cut); needed when M is a power of a normalized matrix and can
     be uniformly tiny.
     """
-    A = np.atleast_2d(np.asarray(M))
-    u, s, vh = np.linalg.svd(A)
-    ref = scale if scale is not None else (s[0] if s.size else 0.0)
-    r = int(np.sum(s > tol * ref)) if ref > 0 else 0
-    return vh[r:].conj().T
+    u, s, vh = np.linalg.svd(np.atleast_2d(np.asarray(M)))
+    return vh[int(numerical_rank(s, tol, scale)):].conj().T
 
 
 def orth_columns(M, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis (columns) of the column space."""
-    A = np.atleast_2d(np.asarray(M))
-    u, s, vh = np.linalg.svd(A, full_matrices=False)
-    top = s[0] if s.size else 0.0
-    r = int(np.sum(s > tol * top)) if top > 0 else 0
-    return u[:, :r]
+    u, s, vh = np.linalg.svd(np.atleast_2d(np.asarray(M)), full_matrices=False)
+    return u[:, :int(numerical_rank(s, tol))]
 
 
 @dataclass(frozen=True)
@@ -244,7 +277,7 @@ class RootDecomposition:
     basis B of the kept root's complex generalized eigenspace (dimension m).
     nilpotent[k, j] is ||B^H B_j B - lambda_j I||_F, the norm of balanced
     generator j's nilpotent part on B; semisimple says every entry is within
-    1e-7 ||B_j||.  zero_root is the first root within tol * scale() of zero
+    SEMISIMPLE_TOL ||B_j||.  zero_root is the first root within tol * scale() of zero
     on every balanced generator, or None.
     """
 
@@ -274,15 +307,15 @@ def kernel_filtration(M) -> list[np.ndarray]:
     growing (one empty basis when M is invertible).
 
     K_{j+1} = {v : Mv in K_j} = ker (I - P_{K_j}) M: each step is one null
-    space of M / ||M|| cut at 1e-8, conditioned like M, not like M^j."""
+    space of M / ||M|| cut at KERNEL_TOL, conditioned like M, not like M^j."""
     n = M.shape[0]
     M = M / np.linalg.norm(M)
-    kernels = [null_space(M, 1e-8, scale=1.0)]
+    kernels = [null_space(M, KERNEL_TOL, scale=1.0)]
     for _ in range(n - 1):
         K = kernels[-1]
         if K.shape[1] in (0, n):
             break
-        K_new = null_space(M - K @ (K.conj().T @ M), 1e-8, scale=1.0)
+        K_new = null_space(M - K @ (K.conj().T @ M), KERNEL_TOL, scale=1.0)
         if K_new.shape[1] == K.shape[1]:
             break
         kernels.append(K_new)
@@ -293,7 +326,7 @@ def _generalized_eigenspace(A: np.ndarray, mu: complex, n: int) -> np.ndarray:
     """Stabilized kernel of A - mu: the whole space when A - mu is below
     rounding of A (A - mu / ||A - mu|| would be noise of unit norm)."""
     M = A.astype(complex) - mu * np.eye(n)
-    if np.linalg.norm(M) <= 1e-9 * np.linalg.norm(A):
+    if np.linalg.norm(M) <= SHIFT_ZERO_TOL * np.linalg.norm(A):
         return np.eye(n, dtype=complex)
     return kernel_filtration(M)[-1]
 
@@ -309,7 +342,7 @@ def roots_decompose(alg: DilationAlgebra) -> RootDecomposition:
     A Jordan block of size m splits an eigenvalue by about (eps ||A||)^(1/m),
     so no fixed radius clusters the eigenvalues of the generic combination
     _ROOT_DRAWS[:d].  Their single-linkage groupings are tried from coarsest
-    to finest, never splitting values within rounding (1e-12 ||A||);
+    to finest, never splitting values within rounding (ROUNDING ||A||);
     the first is accepted whose every cluster's generalized eigenspace has
     its multiplicity, is invariant under every generator and holds one joint
     root, with pairwise distinct roots.  None may pass, as when two roots
@@ -324,7 +357,7 @@ def roots_decompose(alg: DilationAlgebra) -> RootDecomposition:
         Agen = alg.balanced_element(draws)
         eigs = np.sort_complex(np.linalg.eigvals(Agen))  # by real, then imaginary part
         gaps = np.abs(eigs[:, None] - eigs[None, :])
-        gaps = np.maximum(gaps, 1e-12 * np.linalg.norm(Agen))
+        gaps = np.maximum(gaps, ROUNDING * np.linalg.norm(Agen))
         tried = []
         for cut in sorted(set(gaps.ravel().tolist()), reverse=True):
             label = np.arange(n)  # components of gaps <= cut, labelled by first index
@@ -349,10 +382,10 @@ def roots_decompose(alg: DilationAlgebra) -> RootDecomposition:
                         M = B.conj().T @ X.astype(complex) @ B
                         lam[j] = np.trace(M) / B.shape[1]
                         # invariance of the eigenspace under every generator
-                        if np.linalg.norm(X @ B - B @ M) > 1e-6 * scale:
+                        if np.linalg.norm(X @ B - B @ M) > CLUSTER_TOL * scale:
                             raise IllConditioned("eigenspace not invariant; clusters merged badly")
                         N = M - lam[j] * np.eye(B.shape[1])  # X's nilpotent part on B
-                        if np.linalg.norm(B @ np.linalg.matrix_power(N, n)) > 1e-6 * scale ** n:
+                        if np.linalg.norm(B @ np.linalg.matrix_power(N, n)) > CLUSTER_TOL * scale ** n:
                             raise IllConditioned("cluster contains two distinct joint roots")
                         nil[j] = np.linalg.norm(N)
                     raw.append((lam, B, nil))
@@ -366,7 +399,7 @@ def roots_decompose(alg: DilationAlgebra) -> RootDecomposition:
                 return RootDecomposition(
                     roots=tuple(np.ldexp(r.real, e) + 1j * np.ldexp(r.imag, e) for r in roots),
                     balanced_roots=roots, blocks=blocks, eigenspaces=spaces, nilpotent=nils,
-                    semisimple=bool(np.all(nils <= 1e-7 * norms)),
+                    semisimple=bool(np.all(nils <= SEMISIMPLE_TOL * norms)),
                     nilpotent_basis=tuple(_nilpotent_basis(roots, alg)),
                     zero_root=next((k for k, r in enumerate(roots)
                                     if np.max(np.abs(r)) <= alg.tol * scale), None))
@@ -378,7 +411,7 @@ def roots_decompose(alg: DilationAlgebra) -> RootDecomposition:
 def _merge_conjugates(raw, alg: DilationAlgebra) -> tuple:
     """(roots, eigenspaces, nilpotent norms, merged real blocks) of the kept
     roots, in block order."""
-    imag_tol = 1e-8 * alg.scale()
+    imag_tol = ROOT_PART_TOL * alg.scale()
     kept = []
     for lam, B, nil in raw:
         # a complex root is kept once: as the member with positive imaginary
@@ -388,7 +421,7 @@ def _merge_conjugates(raw, alg: DilationAlgebra) -> tuple:
         if nonreal.any() and lam.imag[np.argmax(nonreal)] < 0:
             continue
         kept.append((lam if nonreal.any() else lam.real.astype(complex), B, nil,
-                     orth_columns(np.hstack([B.real, B.imag]), tol=1e-8)))
+                     orth_columns(np.hstack([B.real, B.imag]), tol=BLOCK_RANK_TOL)))
     order = np.lexsort(
         (
             [np.round(r.imag[0], 9) for r, *_ in kept],
@@ -409,7 +442,7 @@ def _nilpotent_basis(roots, alg: DilationAlgebra) -> list[np.ndarray]:
         if np.max(np.abs(lam.imag)) > 0:
             rows.append(lam.imag)
     A = np.array(rows)
-    coeffs = null_space(A, tol=1e-9)
+    coeffs = null_space(A, tol=ROOT_ROWS_TOL)
     basis = []
     for k in range(coeffs.shape[1]):
         c = coeffs[:, k].real

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DilationAlgebra, roots_decompose, seeded_draws
+from .linalg import DilationAlgebra, numerical_rank, roots_decompose, seeded_draws
 
 
 def orbit_dims(alg: DilationAlgebra, points) -> np.ndarray:
@@ -21,14 +21,11 @@ def orbit_dims(alg: DilationAlgebra, points) -> np.ndarray:
 
     Row i of the (m, n, d) stack is [B_1^T xi | ... | B_d^T xi] at
     xi = points[i], B_j the balanced generators, which spans the orbit
-    tangent; its rank counts the singular values above alg.tol times the
-    largest, and is 0 when the largest is 0, which is rank_tol's rule.
+    tangent; its rank is numerical_rank at alg.tol.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, alg.n)
     stack = np.einsum("jab,ma->mbj", np.stack(alg.balanced), pts)
-    s = np.linalg.svd(stack, compute_uv=False)
-    top = s[:, :1]
-    return np.where(top[:, 0] > 0.0, np.sum(s > alg.tol * top, axis=1), 0)
+    return numerical_rank(np.linalg.svd(stack, compute_uv=False), alg.tol)
 
 
 def orbit_dim(alg: DilationAlgebra, xi) -> int:

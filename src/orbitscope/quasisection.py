@@ -30,8 +30,10 @@ from .errors import (
     NotDiagonalizableFamily,
 )
 from .linalg import (
+    COVERAGE_MARGIN, POLY_RANK_TOL, POLY_SLACK, ROUNDING, SIGN_TOL,
     DilationAlgebra,
     null_space,
+    numerical_rank,
     roots_decompose,
     seeded_draws,
 )
@@ -99,7 +101,7 @@ def diagonal_action(alg: DilationAlgebra) -> DiagonalizedAction:
         slices.append(slice(offset, offset + V.shape[1]))
         offset += V.shape[1]
     basis = np.hstack(cols)
-    if offset != alg.n or abs(np.linalg.det(basis)) < 1e-12:
+    if offset != alg.n or abs(np.linalg.det(basis)) < ROUNDING:
         raise NotDiagonalizableFamily("adapted basis is singular")
     return DiagonalizedAction(
         alg=alg,
@@ -150,9 +152,6 @@ def c_i_box(i: int, rho: float) -> BoxSet:
     return BoxSet(bounds)
 
 
-_TOL = 1e-9  # slack of L t <= c and L u <= 0, and relative rank cut-off
-
-
 def _interval_system(action, lo1, hi1, lo2, hi2):
     """(L, c) with L = [M; -M] and c = [ln(hi2/lo1); -ln(lo2/hi1)], M = weights.
 
@@ -176,12 +175,12 @@ def _point_system(action, box: BoxSet, r):
 def _bases(LA):
     """Every set B of rank(LA) rows of LA of full rank (as row indices), the
     pseudo-inverses pinv(L_B), and an orthonormal basis (columns) of null(LA)."""
-    null = null_space(LA)
+    null = null_space(LA, POLY_RANK_TOL)
     subsets = np.array(list(combinations(range(LA.shape[0]), LA.shape[1] - null.shape[1])),
                        dtype=int)
     if subsets.shape[1]:
         s = np.linalg.svd(LA[subsets], compute_uv=False)
-        subsets = subsets[s[:, -1] > _TOL * s[:, 0]]
+        subsets = subsets[numerical_rank(s, POLY_RANK_TOL) == subsets.shape[1]]
     return subsets, np.linalg.pinv(LA[subsets]), null
 
 
@@ -192,7 +191,7 @@ def _polyhedra(L, c):
     Samples are grouped by their set A of finite rows.  For each group the
     bases B of L_A are enumerated once, and every vertex t_B = pinv(L_B) c_B
     of every sample is one matrix product.  Modulo null(L_A) the polyhedron
-    is pointed, so it is nonempty iff some t_B satisfies L_A t <= c_A + _TOL;
+    is pointed, so it is nonempty iff some t_B satisfies L_A t <= c_A + POLY_SLACK;
     the point is the mean of the feasible vertices.  By LP duality
     (c_B . pinv(L_B)^T e_j = (t_B)_j), max t_j is the minimum of (t_B)_j over
     the bases whose row j of pinv(L_B) is >= 0, and min t_j the maximum over
@@ -211,12 +210,12 @@ def _polyhedra(L, c):
         LA, cA = L[rows], c[idx][:, rows]
         bases, pinv, null = _bases(LA)
         T = np.einsum("bdr,mbr->mbd", pinv, cA[:, bases])
-        ok = np.all(T @ LA.T <= cA[:, None, :] + _TOL, axis=2)
+        ok = np.all(T @ LA.T <= cA[:, None, :] + POLY_SLACK, axis=2)
         nonempty[idx] = ok.any(axis=1)
         with np.errstate(invalid="ignore"):
             point[idx] = np.einsum("mb,mbd->md", ok, T) / ok.sum(axis=1)[:, None]
-        eps = 1e-10 * np.abs(pinv).max(axis=(1, 2), keepdims=True, initial=0.0)
-        spans = np.linalg.norm(null, axis=1) < _TOL
+        eps = SIGN_TOL * np.abs(pinv).max(axis=(1, 2), keepdims=True, initial=0.0)
+        spans = np.linalg.norm(null, axis=1) < POLY_RANK_TOL
         up = np.all(pinv >= -eps, axis=2) & spans
         down = np.all(pinv <= eps, axis=2) & spans
         hi[idx] = np.min(np.where(up, T, np.inf), axis=1, initial=np.inf)
@@ -229,13 +228,13 @@ def _recession_ray(L):
     """An extreme ray u of {u : L u <= 0} scaled to max|u| = 1, or None when
     the cone is {0}: a null vector of L when rank L < d, otherwise an edge
     -pinv(L_B) e_i at the vertex 0 of some basis B of L, verified by
-    substitution against _TOL max|L| (L scales with the generators)."""
+    substitution against POLY_SLACK max|L| (L scales with the generators)."""
     _, pinv, null = _bases(L)
     candidates = null.T[:1] if null.shape[1] else -np.swapaxes(pinv, 1, 2).reshape(-1, L.shape[1])
     for u in candidates:
         ray = u / np.max(np.abs(u))
-        ray[np.abs(ray) < 1e-12] = 0.0
-        if np.max(L @ ray, initial=-np.inf) <= _TOL * np.max(np.abs(L), initial=0.0):
+        ray[np.abs(ray) < ROUNDING] = 0.0
+        if np.max(L @ ray, initial=-np.inf) <= POLY_SLACK * np.max(np.abs(L), initial=0.0):
             return ray
     return None
 
@@ -326,7 +325,7 @@ def quasi_section_verdict(
     _, xis = seeded_draws(seed, n_samples, 0, action.alg.n)
     # skip the stratum boundary; conull coverage is what matters
     r = action.block_abs(xis)
-    inside = np.min(r, axis=1) >= 1e-6
+    inside = np.min(r, axis=1) >= COVERAGE_MARGIN
     samples, rs = xis[inside], r[inside]
     covered = np.zeros(len(samples), dtype=bool)
     for box in boxes:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import NonCommuting, NotDiagonalizable, NotNilpotent
 from .linalg import (
-    DEFAULT_TOL,
+    CHAIN_RANK_TOL, DEFAULT_TOL, FORM_RESID_TOL, NEW_CHAIN_TOL, SPAN_RESID_TOL, TIE_TOL,
     DilationAlgebra,
     as_matrix,
     check_commuting,
@@ -108,7 +108,7 @@ def diag_nilpotent_pair(alg: DilationAlgebra):
     S = semisimple[k]
     rhs = np.column_stack([S.ravel(), rd.nilpotent_basis[0].ravel()])
     coef = np.linalg.lstsq(G, rhs, rcond=None)[0]
-    if np.linalg.norm(G @ coef[:, 0] - S.ravel()) > 1e-8 * np.linalg.norm(S):
+    if np.linalg.norm(G @ coef[:, 0] - S.ravel()) > SPAN_RESID_TOL * np.linalg.norm(S):
         return None
     a, x = np.ldexp(coef[:, 0], e[k] - e), np.ldexp(coef[:, 1], -e)
     for j, (g, g_s) in enumerate(zip(alg.balanced, semisimple)):
@@ -140,24 +140,24 @@ def _jordan_chain_basis(W: np.ndarray, X: np.ndarray, tol: float) -> tuple[np.nd
         # span to avoid: ker(N^{k-1}) plus the height-k elements of longer chains
         stacked = np.hstack([kernels[k - 1]] + [ch[len(ch) - k].reshape(-1, 1)
                                                 for ch in chains if len(ch) >= k])
-        avoid = orth_columns(stacked, tol=1e-10) if stacked.shape[1] else np.zeros((m, 0))
+        avoid = orth_columns(stacked, tol=CHAIN_RANK_TOL) if stacked.shape[1] else np.zeros((m, 0))
         cand = kernels[k]
         for j in range(cand.shape[1]):
             v = cand[:, j] - avoid @ (avoid.T @ cand[:, j])
-            if np.linalg.norm(v) > 1e-6:
+            if np.linalg.norm(v) > NEW_CHAIN_TOL:
                 v = v / np.linalg.norm(v)
                 u = np.abs(W @ v)
-                if (W @ v)[np.argmax(u >= (1.0 - 1e-9) * np.max(u))] < 0:
+                if (W @ v)[np.argmax(u >= (1.0 - TIE_TOL) * np.max(u))] < 0:
                     v = -v
                 chain = [v]
                 for _ in range(k - 1):
                     chain.append(N @ chain[-1])
                 chains.append(chain)
-                avoid = orth_columns(np.hstack([avoid, v.reshape(-1, 1)]), tol=1e-10)
+                avoid = orth_columns(np.hstack([avoid, v.reshape(-1, 1)]), tol=CHAIN_RANK_TOL)
     chains.sort(key=lambda ch: (-len(ch)))
     cols = [w for ch in chains for w in ch]
     C = np.column_stack(cols) if cols else np.zeros((m, 0))
-    if C.shape != (m, m) or rank_tol(C, 1e-10) != m:
+    if C.shape != (m, m) or rank_tol(C, CHAIN_RANK_TOL) != m:
         raise NotNilpotent("Jordan chain construction did not span the eigenspace")
     # epsilon_i = 1 where column i continues the chain of column i - 1
     eps = tuple(int(h > 0) for ch in chains for h in range(len(ch)))[1:]
@@ -204,7 +204,7 @@ def normal_form(A, X, tol: float = DEFAULT_TOL) -> LayeredFamily:
         W = rd.blocks[k]
         # commuting implies X preserves W; verify
         resid = np.linalg.norm(Xc @ W - W @ (W.T @ Xc @ W))
-        if resid > 1e-7 * np.linalg.norm(Xc):
+        if resid > FORM_RESID_TOL * np.linalg.norm(Xc):
             raise NotDiagonalizable("eigenspace of A is not X-invariant")
         C, eps = _jordan_chain_basis(W, Xc, tol)
         cols.append(C)
@@ -220,7 +220,7 @@ def normal_form(A, X, tol: float = DEFAULT_TOL) -> LayeredFamily:
         for i in blk.active:
             expected[blk.offset + i - 2] = 1.0
     off = Xa - np.diag(expected, -1)
-    if np.linalg.norm(off) > 1e-7 * np.linalg.norm(Xc):
+    if np.linalg.norm(off) > FORM_RESID_TOL * np.linalg.norm(Xc):
         raise NotNilpotent("adapted X is not in 0/1-subdiagonal form")
     return LayeredFamily(A=A, X=X, basis=P, basis_inv=Pinv, blocks=tuple(blocks), tol=tol)
 
@@ -241,7 +241,7 @@ def section_batch(fam: LayeredFamily, V) -> SectionBatch:
     p_b(v*) = 0, |p_b(Xv*)| = 1.  In order of precedence, a row without a
     layer is flagged not_in_layer, a layer with eigenvalue 0 zero_eigenvalue,
     and a v* that is not finite or misses the section by more than
-    1e-7 * max(1, |v*|) not_in_layer.  No row's result depends on another
+    FORM_RESID_TOL * max(1, |v*|) not_in_layer.  No row's result depends on another
     row.  Layers decided within a factor 10 of the threshold are flagged
     marginal, with one stability warning per batch.
     """
@@ -286,7 +286,7 @@ def section_batch(fam: LayeredFamily, V) -> SectionBatch:
         lead = wstar[rows, c]  # p_b(X v*)
         resid0 = np.abs(wstar[rows, c + 1])
         resid1 = np.abs(np.abs(lead) - 1.0)
-        tol = 1e-7 * np.maximum(1.0, np.linalg.norm(vstar, axis=1))
+        tol = FORM_RESID_TOL * np.maximum(1.0, np.linalg.norm(vstar, axis=1))
         ok = np.isfinite(tol) & (resid0 <= tol) & (resid1 <= tol)
     r = r[ok]
     representative = np.full((m, n), np.nan)

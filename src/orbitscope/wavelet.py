@@ -61,6 +61,7 @@ from .errors import (
     SupportUnbounded,
     ZeroSigma,
 )
+from .linalg import L1_STEP_TOL, NYQUIST_SHARE, SIGMA_STEP_TOL
 from .quasisection import (
     BoxSet,
     DiagonalizedAction,
@@ -265,7 +266,7 @@ def synth_wavelet(action: DiagonalizedAction, C: BoxSet, W: BoxSet | None = None
         fine, coarse = _nested_trapezoid(_block_factor(C, W, k, np.exp(u)) ** 2, h)
         integrals.append(fine)
         rel_diff.append(float(abs(fine - coarse) / fine))
-    if max(rel_diff) > 1e-3:
+    if max(rel_diff) > SIGMA_STEP_TOL:
         warnings.warn("sigma's block integrals not stable to 0.1% from "
                       f"{_SIGMA_INTERVALS} to {2 * _SIGMA_INTERVALS} trapezoid intervals")
     with np.errstate(over="ignore", divide="ignore"):  # |det M| may leave the float range
@@ -422,7 +423,7 @@ def cwt_slices(spec: WaveletSpec, f: np.ndarray, dx, param_counts):
 
     f must be finite and not all zero, have one axis per dimension of the
     action, live on a power-of-two lattice and be band-limited to its
-    Nyquist box (at most 1e-8 of its spectral mass in the outer 10% shell);
+    Nyquist box (at most NYQUIST_SHARE of its spectral mass in the outer 10% shell);
     every check runs before this returns.  ghat(h^T xi) is ghat on the
     lattice's block magnitudes scaled by exp(mu_k . t).  ghat is real and
     even in xi, so a real f has real coefficients, computed on the rfftn
@@ -443,7 +444,7 @@ def cwt_slices(spec: WaveletSpec, f: np.ndarray, dx, param_counts):
     parts = np.stack([f.real, f.imag]) if np.iscomplexobj(f) else f[None]
     fhat = np.fft.rfftn(parts, axes=tuple(range(1, parts.ndim)))
     share = _shell_share(fhat, shape)
-    if share > 1e-8:
+    if share > NYQUIST_SHARE:
         raise BandLimitViolation(f"{share:.3g} of the spectral mass sits in the Nyquist shell")
     (pts,), (w,) = cell_rules([spec.param_box], param_counts)
     traces = np.array([np.trace(G) for G in spec.action.alg.generators])
@@ -557,7 +558,7 @@ def l1_estimate(spec: WaveletSpec, shape=None, dx=None, param_counts=64) -> L1Re
     (fine, lattice_half), (param_half, _) = np.prod(integrals, axis=0)
     norm = spec.sigma * abs(np.linalg.det(action.weights))
     rel_diff = [float(abs(fine - lattice_half) / fine), float(abs(fine - param_half) / fine)]
-    if capped or (own and max(rel_diff) > 1e-2):
+    if capped or (own and max(rel_diff) > L1_STEP_TOL):
         warnings.warn(f"the L1 estimate moves by {max(rel_diff):.2g} from {n // 2} to {n} lattice "
                       f"points or {S // 2} to {S} intervals" + ", lattice capped" * capped)
     outside = np.prod([profiles(k, s)[0] for k, s in

@@ -15,7 +15,7 @@ from orbitscope.errors import (
     NonCommuting,
     NotNilpotent,
 )
-from orbitscope.linalg import DilationAlgebra
+from orbitscope.linalg import DilationAlgebra, roots_decompose
 from orbitscope.orbits import stratify
 
 from conftest import conjugated, diag_nilpotent_pair
@@ -93,6 +93,16 @@ class TestClassify3Golden:
         v = classify3(F.case2())
         assert v.case_tag == "2"
         assert fields(v) == ("no", "yes", "yes", "no")
+
+    @pytest.mark.parametrize("c", [5e-8, 2e-8, 1e-8])
+    def test_root_rows_cut_once(self, c):
+        # the roots (1, 1) and (2, 2 + c) have singular-value ratio about
+        # c / 10, above the cut that builds rd.nilpotent_basis, so they are
+        # independent: case 3a, with no nilpotent part, and not case 2
+        alg = DilationAlgebra([np.diag([1.0, 1.0, 2.0]), np.diag([1.0, 1.0, 2.0 + c])])
+        assert roots_decompose(alg).nilpotent_basis == ()
+        v = classify3(alg)
+        assert v.case_tag == "3a" and fields(v) == ("yes",) * 4
 
     def test_case3b(self):
         v = classify3(F.case3b())

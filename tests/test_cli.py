@@ -54,6 +54,22 @@ class TestClassifyCommand:
         verdict = report["payload"]["verdicts"][0]
         assert verdict["case_tag"] == "(d)" and verdict["integrable"] == "yes"
 
+    def test_tol_reaches_the_one_parameter_verdict(self, tmp_path):
+        # a real part within alg.tol * scale of 0 counts as 0: diag(1, 5e-8)
+        # balances to diag(0.5, 2.5e-8), one-signed at the default tol and
+        # on the zero-real-part path at --tol 1e-7
+        spec, out = tmp_path / "one_param.json", tmp_path / "verdict.json"
+        spec.write_text(json.dumps({"n": 2, "generators": [[1, 0, 0, 5e-8]]}))
+        got = []
+        for flags in ([], ["--tol", "1e-7"]):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert main(["classify", "--input", str(spec), "--out", str(out), *flags]) == 0
+            verdict = json.loads(out.read_text())["payload"]["verdicts"][0]
+            got.append((verdict["integrable"], verdict["compact"],
+                        [w.category.__name__ for w in caught]))
+        assert got == [("yes", "yes", []), ("no", "unknown", ["DegenerateParameter"])]
+
     def test_golden_table(self, tmp_path):
         out = tmp_path / "table.json"
         res = run_cli("classify", "--table", "--out", str(out))

@@ -13,6 +13,9 @@ from orbitscope.linalg import (
     check_commuting,
     kernel_filtration,
     mat_exp,
+    null_space,
+    numerical_rank,
+    orth_columns,
     rank_tol,
     roots_decompose,
     seeded_draws,
@@ -317,6 +320,124 @@ class TestRankTol:
 
     def test_rank_one(self):
         assert rank_tol(np.array([[1.0, 2.0], [2.0, 4.0]])) == 1
+
+
+# The rank rule as its five callers wrote it before numerical_rank, kept as
+# the reference that the one helper must reproduce bit for bit.
+def _former_rank_tol(M, tol):
+    A = np.atleast_2d(np.asarray(M, dtype=float))
+    if A.size == 0:
+        return 0
+    s = np.linalg.svd(A, compute_uv=False)
+    if s.size == 0 or s[0] <= 0.0:
+        return 0
+    return int(np.sum(s > tol * s[0]))
+
+
+def _former_null_space(M, tol, scale=None):
+    u, s, vh = np.linalg.svd(np.atleast_2d(np.asarray(M)))
+    ref = scale if scale is not None else (s[0] if s.size else 0.0)
+    r = int(np.sum(s > tol * ref)) if ref > 0 else 0
+    return vh[r:].conj().T
+
+
+def _former_orth_columns(M, tol):
+    u, s, vh = np.linalg.svd(np.atleast_2d(np.asarray(M)), full_matrices=False)
+    top = s[0] if s.size else 0.0
+    r = int(np.sum(s > tol * top)) if top > 0 else 0
+    return u[:, :r]
+
+
+def _former_orbit_dims(s, tol):
+    top = s[:, :1]
+    return np.where(top[:, 0] > 0.0, np.sum(s > tol * top, axis=1), 0)
+
+
+def _former_bases(LA, tol):
+    from itertools import combinations
+
+    null = _former_null_space(LA, tol)
+    subsets = np.array(list(combinations(range(LA.shape[0]), LA.shape[1] - null.shape[1])),
+                       dtype=int)
+    if subsets.shape[1]:
+        s = np.linalg.svd(LA[subsets], compute_uv=False)
+        subsets = subsets[s[:, -1] > tol * s[:, 0]]
+    return subsets, np.linalg.pinv(LA[subsets]), null
+
+
+def _rank_rule_matrices():
+    """Random, rank-deficient, all-zero and empty matrices, each also scaled
+    by 10^300 and 10^-300."""
+    rng = np.random.default_rng(48)
+    mats = [np.zeros((3, 3)), np.zeros((0, 3)), np.zeros((3, 0)), np.zeros((2, 4))]
+    for m, k in ((3, 3), (4, 2), (2, 5), (6, 6), (1, 3)):
+        mats.append(rng.standard_normal((m, k)))
+        for r in range(1, min(m, k)):
+            mats.append(rng.standard_normal((m, r)) @ rng.standard_normal((r, k)))
+    mats.append(np.diag([1.0, 1e-8, 1e-10, 0.0]))
+    return [c * M for M in mats for c in (1.0, 1e300, 1e-300)]
+
+
+class TestOneRankRule:
+    TOLS = (1e-9, 1e-8, 1e-10, 0.5)
+
+    def test_helper_is_the_former_rule(self):
+        for M in _rank_rule_matrices():
+            s = np.linalg.svd(np.atleast_2d(M), compute_uv=False)
+            for tol in self.TOLS:
+                assert numerical_rank(s, tol) == _former_rank_tol(M, tol)
+                for scale in (1.0, 1e-300, 0.0):
+                    ref = _former_null_space(M, tol, scale)
+                    assert numerical_rank(s, tol, scale) == M.shape[1] - ref.shape[1]
+
+    def test_callers_are_the_former_rules(self):
+        for M in _rank_rule_matrices():
+            for tol in self.TOLS:
+                assert rank_tol(M, tol) == _former_rank_tol(M, tol)
+                npt.assert_array_equal(orth_columns(M, tol), _former_orth_columns(M, tol))
+                for scale in (None, 1.0, 1e-300):
+                    npt.assert_array_equal(null_space(M, tol, scale),
+                                           _former_null_space(M, tol, scale))
+
+    def test_stacks_with_a_zero_row(self):
+        rng = np.random.default_rng(7)
+        for c in (1.0, 1e300, 1e-300):
+            s = np.linalg.svd(c * rng.standard_normal((5, 4, 3)), compute_uv=False)
+            s[2] = 0.0
+            s[3, 1:] = 0.0
+            got = numerical_rank(s, 1e-9)
+            npt.assert_array_equal(got, _former_orbit_dims(s, 1e-9))
+            assert got.tolist() == [3, 3, 0, 1, 3]
+            # null_space's former absolute cut, row by row
+            npt.assert_array_equal(numerical_rank(s, 1e-9, scale=c),
+                                   [int(np.sum(row > 1e-9 * c)) for row in s])
+        assert numerical_rank(np.zeros((0, 3)), 1e-9).shape == (0,)
+
+    def test_orbit_dims_is_the_former_rule(self):
+        from orbitscope import orbits
+
+        rng = np.random.default_rng(11)
+        for alg in (family_a(), family_e()):
+            pts = np.vstack([np.zeros(3), np.eye(3), rng.standard_normal((20, 3))])
+            for c in (1.0, 1e300, 1e-300):
+                stack = np.einsum("jab,ma->mbj", np.stack(alg.balanced), c * pts)
+                s = np.linalg.svd(stack, compute_uv=False)
+                npt.assert_array_equal(orbits.orbit_dims(alg, c * pts),
+                                       _former_orbit_dims(s, alg.tol))
+
+    def test_polyhedral_bases_are_the_former_rule(self):
+        from orbitscope import quasisection
+
+        rng = np.random.default_rng(5)
+        systems = [np.vstack([M, -M]) for M in (
+            rng.standard_normal((3, 2)), rng.standard_normal((3, 3)),
+            rng.standard_normal((3, 1)) @ rng.standard_normal((1, 2)),
+            np.array([[1.0, 0.0], [0.0, 0.0], [1.0, 1e-12]]))]
+        for L in systems:
+            for c in (1.0, 1e300, 1e-300):
+                for got, ref in zip(quasisection._bases(c * L),
+                                    _former_bases(c * L, linalg.POLY_RANK_TOL)):
+                    npt.assert_array_equal(got, ref)
 
 
 class TestDilationAlgebra:

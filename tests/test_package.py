@@ -5,6 +5,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import tokenize
 
 import pytest
 
@@ -74,6 +75,15 @@ def _names(nodes):
     """The names read and attributes taken among `nodes`."""
     return {node.id if isinstance(node, ast.Name) else node.attr for node in nodes
             if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def _entry_reason(lines, lineno):
+    """The comment of the assignment on line `lineno`: its own, or else the
+    comment lines right above it."""
+    above = lineno - 1
+    while above > 0 and lines[above - 1].startswith("#"):
+        above -= 1
+    return lines[lineno - 1].partition("#")[2] or " ".join(lines[above:lineno - 1])
 
 
 class TestNoDeadCode:
@@ -150,6 +160,49 @@ class TestNoDeadCode:
                                     and type(arg.value) is float for arg in node.args)):
                         found.add((path.name, func.name))
         assert found == set(allowed)
+
+    def test_one_place_for_cuts(self):
+        # every threshold a decision compares with is an entry of linalg's
+        # tolerance table, with its reason and, after "x", the scale it
+        # multiplies: no e-notation number sits anywhere else in src/ except
+        # these guards, which decide nothing, and no rank call outside linalg
+        # is passed a literal tolerance
+        guards = {
+            ("linalg.py", "mat_exp"): "series stop: the terms left are below rounding of exp",
+            ("wavelet.py", "smoothstep"): "floor that keeps 1/x finite where exp(-1/x) is 0",
+        }
+        rank_calls = {"numerical_rank", "rank_tol", "null_space", "orth_columns"}
+        found, literal, table = set(), [], []
+        for path in sorted(SRC.glob("*.py")):
+            text = path.read_text()
+            tree = ast.parse(text)
+            entries = {node.lineno for node in tree.body if path.name == "linalg.py"
+                       and isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)}
+            funcs = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+            lines = text.splitlines()
+            with tokenize.open(path) as fh:
+                for tok in tokenize.generate_tokens(fh.readline):
+                    if tok.type != tokenize.NUMBER or not re.search(r"[eE]-", tok.string):
+                        continue
+                    line = tok.start[0]
+                    if line in entries:
+                        table.append((lines[line - 1], _entry_reason(lines, line)))
+                        continue
+                    owner = max((f for f in funcs if f.lineno <= line <= f.end_lineno),
+                                key=lambda f: f.lineno, default=None)
+                    found.add((path.name, owner.name if owner else "<module>"))
+            for call in ast.walk(tree):
+                if (path.name != "linalg.py" and isinstance(call, ast.Call)
+                        and _names([call.func]) & rank_calls):
+                    literal += [f"{path.name}:{call.lineno}"
+                                for arg in [*call.args[1:], *(kw.value for kw in call.keywords)]
+                                for node in ast.walk(arg)
+                                if isinstance(node, ast.Constant)
+                                and isinstance(node.value, (int, float))]
+        assert found == set(guards)
+        assert literal == []
+        assert table and [entry for entry, reason in table
+                          if not re.search(r"[ (]x \S", reason)] == []
 
     def test_one_scale_rule(self):
         # DilationAlgebra balances each generator by its own 2^e, once: no
