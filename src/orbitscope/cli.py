@@ -51,7 +51,7 @@ a given --tol.  --tol sets alg.tol, the one entry of linalg's tolerance
 table a job can change, and moves only the decisions that read alg.tol:
 the commutator, independence, orbit-rank, trace and root-identity checks,
 classify's tests (Re(lambda) at d = 1 too) and the `section` route's
-normal form and layers; every other cut in the table is fixed.
+eigenvalue snapping, sign ties and layers; every other cut is fixed.
 The `strata` probes, the `wavelet` Calderon samples and the `quasisection`
 coverage samples are drawn from random.Random(--seed)
 (linalg.seeded_draws); the Calderon samples set only the coverage counts.

@@ -31,8 +31,9 @@ MAX_DIM = 6
 # ranks (x largest), roots, Re(lambda) at d = 1 and classify (x scale or the
 # tested matrix's norm), normal_form and section layers (x max |lambda|, |v|)
 DEFAULT_TOL = 1e-9
-KERNEL_TOL = 1e-8  # singular values of M / ||M||_F in a kernel filtration step; x 1
-SHIFT_ZERO_TOL = 1e-9  # A - mu is zero, so its eigenspace is everything; x ||A||_F
+# kernel_filtration's one zero rule: a singular value of M is zero below either
+KERNEL_TOL = 1e-8  # relative cut, each step conditioned like M; x ||M||_F
+SHIFT_ZERO_TOL = 1e-9  # M's rounding from its source (A_gen - mu, X on a block); x ref = ||source||_F
 # below the rounding of its scale: eigenvalue gaps (x ||A_gen||_F), merged-root
 # spread (x scale), ray entries, adapted-basis det and pencil coefficients (x 1)
 ROUNDING = 1e-12
@@ -302,33 +303,31 @@ class RootDecomposition:
         return all(self.is_real(k) for k in range(self.p))
 
 
-def kernel_filtration(M) -> list[np.ndarray]:
+def kernel_filtration(M, ref: float) -> list[np.ndarray]:
     """Orthonormal bases (columns) of ker M, ker M^2, ... until the kernel stops
     growing (one empty basis when M is invertible).
 
+    A singular value is zero below KERNEL_TOL ||M|| or below SHIFT_ZERO_TOL ref,
+    ref the norm of the matrix M was formed from, whose rounding M carries; an
+    M within SHIFT_ZERO_TOL ref of zero has the whole space as kernel.
     K_{j+1} = {v : Mv in K_j} = ker (I - P_{K_j}) M: each step is one null
-    space of M / ||M|| cut at KERNEL_TOL, conditioned like M, not like M^j."""
+    space of M / ||M|| at that cut, conditioned like M, not like M^j."""
     n = M.shape[0]
-    M = M / np.linalg.norm(M)
-    kernels = [null_space(M, KERNEL_TOL, scale=1.0)]
+    norm = np.linalg.norm(M)
+    if norm <= SHIFT_ZERO_TOL * ref:
+        return [np.eye(n, dtype=M.dtype)]
+    M = M / norm
+    tol = max(KERNEL_TOL, SHIFT_ZERO_TOL * ref / norm)
+    kernels = [null_space(M, tol, scale=1.0)]
     for _ in range(n - 1):
         K = kernels[-1]
         if K.shape[1] in (0, n):
             break
-        K_new = null_space(M - K @ (K.conj().T @ M), KERNEL_TOL, scale=1.0)
+        K_new = null_space(M - K @ (K.conj().T @ M), tol, scale=1.0)
         if K_new.shape[1] == K.shape[1]:
             break
         kernels.append(K_new)
     return kernels
-
-
-def _generalized_eigenspace(A: np.ndarray, mu: complex, n: int) -> np.ndarray:
-    """Stabilized kernel of A - mu: the whole space when A - mu is below
-    rounding of A (A - mu / ||A - mu|| would be noise of unit norm)."""
-    M = A.astype(complex) - mu * np.eye(n)
-    if np.linalg.norm(M) <= SHIFT_ZERO_TOL * np.linalg.norm(A):
-        return np.eye(n, dtype=complex)
-    return kernel_filtration(M)[-1]
 
 
 def roots_decompose(alg: DilationAlgebra) -> RootDecomposition:
@@ -355,9 +354,10 @@ def roots_decompose(alg: DilationAlgebra) -> RootDecomposition:
     err = None
     for draws in (_ROOT_DRAWS[:d], _ROOT_DRAWS[::-1][:d]):
         Agen = alg.balanced_element(draws)
+        ref = np.linalg.norm(Agen)
         eigs = np.sort_complex(np.linalg.eigvals(Agen))  # by real, then imaginary part
         gaps = np.abs(eigs[:, None] - eigs[None, :])
-        gaps = np.maximum(gaps, ROUNDING * np.linalg.norm(Agen))
+        gaps = np.maximum(gaps, ROUNDING * ref)
         tried = []
         for cut in sorted(set(gaps.ravel().tolist()), reverse=True):
             label = np.arange(n)  # components of gaps <= cut, labelled by first index
@@ -371,7 +371,7 @@ def roots_decompose(alg: DilationAlgebra) -> RootDecomposition:
                 for first in sorted(set(label.tolist())):
                     cl = np.flatnonzero(label == first)
                     mu = complex(np.mean(eigs[cl]))
-                    B = _generalized_eigenspace(Agen, mu, n)
+                    B = kernel_filtration(Agen - mu * np.eye(n), ref)[-1]
                     if B.shape[1] != len(cl):
                         raise IllConditioned(
                             f"eigenspace dimension {B.shape[1]} != multiplicity {len(cl)}"

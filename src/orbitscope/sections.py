@@ -119,7 +119,7 @@ def diag_nilpotent_pair(alg: DilationAlgebra):
     return a, x
 
 
-def _jordan_chain_basis(W: np.ndarray, X: np.ndarray, tol: float) -> tuple[np.ndarray, tuple]:
+def _jordan_chain_basis(W: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, tuple]:
     """Columns spanning the X-invariant space W (orthonormal columns) in which X
     has the 0/1-subdiagonal form, plus the epsilon pattern.
 
@@ -130,11 +130,7 @@ def _jordan_chain_basis(W: np.ndarray, X: np.ndarray, tol: float) -> tuple[np.nd
     """
     N = W.T @ X @ W
     m = N.shape[0]
-    if np.linalg.norm(N) <= tol * np.linalg.norm(X):
-        kernels = [np.eye(m)]
-    else:
-        kernels = kernel_filtration(N)
-    kernels = [np.zeros((m, 0)), *kernels]
+    kernels = [np.zeros((m, 0)), *kernel_filtration(N, np.linalg.norm(X))]
     chains: list[list[np.ndarray]] = []
     for k in range(len(kernels) - 1, 0, -1):
         # span to avoid: ker(N^{k-1}) plus the height-k elements of longer chains
@@ -206,7 +202,7 @@ def normal_form(A, X, tol: float = DEFAULT_TOL) -> LayeredFamily:
         resid = np.linalg.norm(Xc @ W - W @ (W.T @ Xc @ W))
         if resid > FORM_RESID_TOL * np.linalg.norm(Xc):
             raise NotDiagonalizable("eigenspace of A is not X-invariant")
-        C, eps = _jordan_chain_basis(W, Xc, tol)
+        C, eps = _jordan_chain_basis(W, Xc)
         cols.append(C)
         active = tuple(i for i in range(2, W.shape[1] + 1) if eps[i - 2] == 1)
         blocks.append(EigenBlock(float(lam[k]), offset, W.shape[1], eps, active))

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,11 @@ from orbitscope import families as F
 from orbitscope.linalg import DilationAlgebra
 from orbitscope.quasisection import BoxSet, diagonal_action
 from orbitscope.wavelet import _mesh, synth_wavelet
+
+
+# the CLI tests spawn `python -m orbitscope.cli`: let them import this checkout
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
 def series_exp(M, scale=1.0, terms=60):
@@ -76,6 +83,41 @@ def random_diag_nilpotent(rng, n):
     A = np.linalg.solve(P, np.diag(eigs) @ P)
     X = np.linalg.solve(P, N @ P)
     return A, X
+
+
+def near_scalar_jordan3(eps: float) -> np.ndarray:
+    """P^-1 (I + eps J3) P, J3 = e21 + e32 and P = default_rng(3).standard_normal((3, 3))
+    + 3I: for eps near 1e-9 its shift A - mu sits a little above the rounding of A."""
+    P = np.random.default_rng(3).standard_normal((3, 3)) + 3.0 * np.eye(3)
+    return np.linalg.solve(P, (np.eye(3) + eps * (F.E(2, 1) + F.E(3, 2))) @ P)
+
+
+def family_3000(seed: int) -> tuple[list, list]:
+    """(block sizes, generators) of the 3000-family's draw `seed` (0..2999):
+    n in 3..6, block sizes drawn one at a time from what is left, d in 1..3,
+    block b of generator j equal to lambda I + sum_k c_k J^k (J the lower shift,
+    lambda ~ U[-3, 3], c_k ~ N(0, 1)), all conjugated to P^-1 G P with
+    P = standard_normal((n, n)) + 3I, from one default_rng(seed) stream."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 7))
+    sizes, left = [], n
+    while left > 0:
+        sizes.append(int(rng.integers(1, left + 1)))
+        left -= sizes[-1]
+    d = int(rng.integers(1, 4))
+    gens = []
+    for _ in range(d):
+        G, off = np.zeros((n, n)), 0
+        for s in sizes:
+            J = np.diag(np.ones(s - 1), -1)
+            B = rng.uniform(-3, 3) * np.eye(s)
+            for k, c in enumerate(rng.standard_normal(s - 1), start=1):
+                B = B + c * np.linalg.matrix_power(J, k)
+            G[off:off + s, off:off + s] = B
+            off += s
+        gens.append(G)
+    P = rng.standard_normal((n, n)) + 3.0 * np.eye(n)
+    return sizes, [np.linalg.solve(P, G @ P) for G in gens]
 
 
 @pytest.fixture(scope="session")

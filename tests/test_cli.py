@@ -20,7 +20,7 @@ from orbitscope.errors import InputError
 from orbitscope.quasisection import BoxSet, diagonal_action
 from orbitscope.wavelet import cwt, synth_wavelet
 
-from conftest import frequency_lattice, random_diag_nilpotent
+from conftest import frequency_lattice, near_scalar_jordan3, random_diag_nilpotent
 
 
 def run_cli(*args, check=False):
@@ -371,6 +371,21 @@ class TestQuasisectionCommand:
         v = report["payload"]["verdict"]
         assert v["quasi_section_exists"] == "no"
         assert v["witness_direction"] is not None
+
+    def test_small_jordan_block_answers(self, tmp_path):
+        # at eps = 2e-9 the root shift is a few 1e-9 of the generator: the
+        # job answers as at 5e-10, not IllConditioned with exit 2
+        verdicts = []
+        for eps in (5e-10, 2e-9):
+            path = tmp_path / f"qs_{eps}.json"
+            path.write_text(json.dumps({"n": 3, "generators": [near_scalar_jordan3(eps).ravel().tolist()],
+                                        "box": {"bounds": [[0.5, 2.0]]}}))
+            out = tmp_path / f"qs_{eps}_out.json"
+            res = run_cli("quasisection", "--input", str(path), "--out", str(out))
+            assert res.returncode == 0, res.stderr
+            verdicts.append(json.loads(out.read_text())["payload"]["verdict"])
+        assert verdicts[1] == verdicts[0]
+        assert verdicts[0]["quasi_section_exists"] == "yes"
 
     @pytest.mark.parametrize("compact, exists", [
         (True, "no"), (False, "unknown"), (None, "unknown"),

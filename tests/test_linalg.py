@@ -21,7 +21,7 @@ from orbitscope.linalg import (
     seeded_draws,
 )
 
-from conftest import series_exp
+from conftest import family_3000, near_scalar_jordan3, series_exp
 
 
 class TestMatExp:
@@ -140,6 +140,30 @@ class TestRootsDecompose:
             rd = roots_decompose(DilationAlgebra([np.linalg.solve(P, lam * P)]))
             assert rd.p == 1 and rd.blocks[0].shape == (n, n), seed
             npt.assert_allclose(rd.roots[0], [lam], rtol=1e-12)
+
+    @pytest.mark.parametrize("eps", [1e-9, 1.5e-9, 2e-9, 3e-9, 5e-9])
+    def test_small_jordan_block_above_the_floor(self, eps):
+        # A - mu is a few 1e-9 of A: its rounding must not count as a singular
+        # value, so the 3-block reads as at eps = 5e-10 (below) and 1e-8 (above)
+        rd = roots_decompose(DilationAlgebra([near_scalar_jordan3(eps)]))
+        assert [b.shape[1] for b in rd.blocks] == [3] and rd.semisimple
+
+    def test_3000_family(self):
+        # the ROADMAP's 3000-family: block dimensions are the drawn sizes or
+        # IllConditioned is raised, and only on the seven known d = 1 draws
+        # with a Jordan block of size >= 4
+        known = {179, 240, 568, 999, 1707, 2132, 2479}
+        raised, wrong = set(), []
+        for seed in range(3000):
+            sizes, gens = family_3000(seed)
+            try:
+                rd = roots_decompose(DilationAlgebra(gens))
+            except IllConditioned:
+                raised.add(seed)
+                continue
+            if sorted(b.shape[1] for b in rd.blocks) != sorted(sizes):
+                wrong.append(seed)
+        assert wrong == [] and raised <= known, (wrong, sorted(raised - known))
 
     def test_eigenspace_invariance(self, golden_families):
         for alg in golden_families.values():
@@ -301,14 +325,38 @@ class TestKernelFiltration:
         rng = np.random.default_rng(5)
         P = rng.standard_normal((5, 5)) + 3.0 * np.eye(5)
         N = np.linalg.solve(P, np.diag(np.ones(4), -1) @ P)
-        kernels = kernel_filtration(N)
+        kernels = kernel_filtration(N, np.linalg.norm(N))
         assert [K.shape[1] for K in kernels] == [1, 2, 3, 4, 5]
         for k, K in enumerate(kernels, start=1):
             assert np.linalg.norm(np.linalg.matrix_power(N, k) @ K) <= 1e-10
 
     def test_stops_where_the_kernel_stops_growing(self):
-        assert [K.shape[1] for K in kernel_filtration(np.diag([0.0, 1.0, 2.0]))] == [1]
-        assert [K.shape[1] for K in kernel_filtration(np.eye(3))] == [0]
+        assert [K.shape[1] for K in kernel_filtration(np.diag([0.0, 1.0, 2.0]), 1.0)] == [1]
+        assert [K.shape[1] for K in kernel_filtration(np.eye(3), 1.0)] == [0]
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_below_the_floor_is_the_whole_space(self, dtype):
+        # M = 0, and an M whose norm is below SHIFT_ZERO_TOL * ref: rounding of
+        # its source, so the kernel is everything, as the identity in M's dtype
+        M = 0.9 * linalg.SHIFT_ZERO_TOL * (E(2, 1) + E(3, 2)) / np.sqrt(2.0)
+        for A in (np.zeros((3, 3), dtype), M.astype(dtype)):
+            (K,) = kernel_filtration(A, 1.0)
+            assert K.dtype == np.dtype(dtype)
+            npt.assert_array_equal(K, np.eye(3))
+
+    def test_just_above_the_floor_is_a_jordan_block(self):
+        # eps J3 in a random basis, with ref 1 and both nonzero singular values
+        # twice SHIFT_ZERO_TOL: its rounding sits far below the floor, so its
+        # kernels are those of J3, not of noise
+        P = np.random.default_rng(3).standard_normal((3, 3)) + 3.0 * np.eye(3)
+        N = np.linalg.solve(P, (E(2, 1) + E(3, 2)) @ P)
+        M = 2.0 * linalg.SHIFT_ZERO_TOL * N / np.linalg.svd(N, compute_uv=False)[1]
+        assert [K.shape[1] for K in kernel_filtration(M, 1.0)] == [1, 2, 3]
+
+    def test_invertible_has_one_empty_basis(self):
+        P = np.random.default_rng(3).standard_normal((3, 3)) + 3.0 * np.eye(3)
+        kernels = kernel_filtration(np.linalg.solve(P, np.diag([1.0, 2.0, 3.0]) @ P), 1.0)
+        assert [K.shape for K in kernels] == [(3, 0)]
 
 
 class TestRankTol:

@@ -44,6 +44,15 @@ class TestNormalForm:
         assert fam.blocks[0].active == ()
         assert section_batch(fam, [[1.0, 1.0]]).block[0] == -1
 
+    @pytest.mark.parametrize("delta", [1.5e-9, 2e-9, 3e-9])
+    def test_small_chain_above_the_floor(self, delta):
+        # X = e21 + delta e43 is a few 1e-9 of X on A's second eigenspace: a
+        # chain, as for larger delta, not a kernel read from rounding
+        P = np.random.default_rng(3).standard_normal((4, 4)) + 3.0 * np.eye(4)
+        A, X = np.diag([1.0, 1.0, 2.0, 2.0]), E(2, 1, 4) + delta * E(4, 3, 4)
+        fam = normal_form(np.linalg.solve(P, A @ P), np.linalg.solve(P, X @ P))
+        assert [b.epsilon for b in fam.blocks] == [(1,), (1,)]
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(NotNilpotent):
             normal_form(np.eye(2), np.eye(2))
