@@ -1,64 +1,41 @@
 """Batch front end: group-spec files in, JSON reports out.
 
 Subcommands: classify | strata | section | quasisection | wavelet | cwt.
-Each subcommand registers only the flags it reads: all take --input,
---out, --tol and --seed, `strata` also --grid, and `wavelet` also
---quad-order and --grid.
+Each subcommand registers only the flags it reads: all take --input, --out,
+--tol and --seed, `strata` also --grid, and `wavelet` also --quad-order and
+--grid; any other flag is a usage error.  Every input value is checked by
+one table, groupspec.INPUTS, with one row per key of the input document
+("n", "generators", "tol", "points", "box", "boxes", "W",
+"orbit_space_compact", "samples", "signal", "dx", "param_counts") and per
+checked flag (--grid, --quad-order, --tol, --seed): its JSON type, the rule
+its value must meet, the subcommands that read it, its default and, for
+"samples", "param_counts", --grid and --quad-order, the work it asks for,
+which may not exceed _MAX_POINTS.  One reader, groupspec.read, refuses a
+value that breaks its row with `<name> must be <rule>, got <value>`, and one
+that asks for more work with `<name> <value> asks for <count> <what>, more
+than the limit of <limit>`, before any work.
 Exit status 0 on success (and on --help), 2 on named domain errors, 1 on
-I/O, parse or input errors, each reported as one `input error: ...` line: a
-usage error, such as a flag the subcommand does not read (`classify --grid
-8`), a --seed that is not an integer or an unknown subcommand; a --tol that
-is not a finite number > 0 or a --seed below 0, whatever the subcommand; a
---grid or --quad-order below 1; a
-`strata` --grid, `wavelet` --quad-order or "samples" or `cwt`
-"param_counts" that asks for more than _MAX_POINTS points or draws, refused
-before any work; an --out that is a directory or a path in a missing
-directory, refused before the subcommand runs, so no side file is written;
-a report that cannot be written to --out; a group spec whose "n" is not an
-integer from 1 to 6, whose generators have an entry that is not a real
-number, or whose "tol" is not a finite number > 0 (JSON booleans count as
-none of these); box bounds or `section` points with an entry that is not
-a JSON number, such as true or "2"; `section` points that are not a finite
-(m, n) array; a
-`cwt` signal that is zero everywhere, has a non-finite sample, or is not an
-n-axis lattice with power-of-two sizes; a `cwt` "dx" that is not a finite
-number > 0 or "param_counts" that is not an integer >= 1; a `wavelet`
-"samples" that is not an integer >= 1; a `quasisection`
-"orbit_space_compact" that is not true, false or null; a `cwt` "signal"
-that is not a non-empty string.  The group spec must be a JSON object, with
---tol or without.  `section` reads a diagonalizable A and a nilpotent X
-from its two generators, however they are written (basis and scale), answers
-all its points with one batched call and gives each witness as the
-coefficients on the two generators as written; a point without a section
-gets a record naming NotInLayer or ZeroEigenvalue.  Its layers and
-representatives are those of (sigma A, X / ||X||_2), sigma = +-1 making A's
-eigenvalue of largest |lambda| positive (a tie with -lambda goes by the
-trace, a zero trace keeps the given sign), and it reports that eigenvalue of
-sigma A.  A `cwt` "signal" path ending in .npy is read as a real
-array of any number of axes, so n = 3 runs from the CLI; an object, complex
-or other non-real array exits 1, and any other path is a CSV.  Side files
-(the `strata` probe CSV, the `section` JSONL, the `wavelet` ghat CSV, the
-`cwt` .npz) are written next to --out and only with it.  `cwt` streams its
-coefficients: each slice is summed into the energy and written to the .npz
-as it is made, with the bytes np.savez would write, so the job holds one
-slice, not all of them; a failure while the .npz is written removes it.
+usage, I/O, parse or input errors, each reported as one `input error: ...`
+line; an --out that is a directory or in a missing directory is refused
+before the subcommand runs.  Side files (the `strata` probe CSV, the
+`section` JSONL, the `wavelet` ghat CSV, the `cwt` .npz, streamed slice by
+slice and removed on a failure) are written next to --out and only with it;
+the README's "Command line" section gives each subcommand's input and output.
 Reports are deterministic for fixed inputs and flags (modulo the timestamp
 header field) and carry a provenance header with version, seed, tolerance
-and overrides: the flags the subcommand reads (`strata` --grid, for 4 --grid
-probes; `wavelet` --quad-order, the Calderon cells per parameter, and
---grid, the ghat CSV's points per axis; the L1 estimate reads no flag) and
-a given --tol.  --tol sets alg.tol, the one entry of linalg's tolerance
-table a job can change, and moves only the decisions that read alg.tol:
-the commutator, independence, orbit-rank, trace and root-identity checks,
-classify's tests (Re(lambda) at d = 1 too) and the `section` route's
-eigenvalue snapping, sign ties and layers; every other cut is fixed.
-The `strata` probes, the `wavelet` Calderon samples and the `quasisection`
-coverage samples are drawn from random.Random(--seed)
-(linalg.seeded_draws); the Calderon samples set only the coverage counts.
-BLAS runs on one thread: before numpy loads, the CLI sets
-OPENBLAS_NUM_THREADS to 1 unless it is already set.  A process run goes
-through entry(), which freezes the import-time heap (gc.freeze) so that no
-collection, at exit included, walks it again; main() itself does not.
+and overrides: the flags only some subcommands read and a given --tol.
+--tol sets alg.tol, the one entry of linalg's tolerance table a job can
+change, and moves only the decisions that read alg.tol: the commutator,
+independence, orbit-rank, trace and root-identity checks, classify's tests
+(Re(lambda) at d = 1 too) and the `section` route's eigenvalue snapping,
+sign ties and layers; every other cut is fixed.  The `strata` probes, the
+`wavelet` Calderon samples and the `quasisection` coverage samples are
+drawn from random.Random(--seed) (linalg.seeded_draws); the Calderon
+samples set only the coverage counts.  BLAS runs on one thread: before
+numpy loads, the CLI sets OPENBLAS_NUM_THREADS to 1 unless it is already
+set.  A process run goes through entry(), which freezes the import-time
+heap (gc.freeze) so that no collection, at exit included, walks it again;
+main() itself does not.
 """
 
 from __future__ import annotations
@@ -67,6 +44,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 
 # n <= 6, so a second BLAS thread has nothing to share and only spins
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
@@ -75,11 +53,14 @@ import numpy as np
 
 from .errors import DomainError, InputError, NotDiagonalizable
 from .groupspec import (
-    _all_real,
+    _MAX_POINTS,
+    INPUTS,
+    SUBCOMMANDS,
     dump_report,
     group_spec_from_dict,
     load_json,
     make_report,
+    read,
     validate_report,
 )
 from .linalg import DEFAULT_TOL, DilationAlgebra, seeded_draws
@@ -88,19 +69,9 @@ from .linalg import DEFAULT_TOL, DilationAlgebra, seeded_draws
 # quasisection, wavelet) are imported in the functions that use them, so a
 # job loads only what its subcommand runs.
 
-DEFAULT_SEED = 1729
 _CSV_CHUNK_ROWS = 4096
 _GHAT_MAX_PER_AXIS = 64
 _GHAT_MAX_ROWS = 4096
-_MAX_POINTS = 2 ** 20  # strata probes, Calderon nodes, wavelet draws, cwt parameter points
-# the size flags each subcommand reads, by dest, with their defaults and
-# help: only these are registered, each must be at least 1, and they are
-# the header's overrides (with a given --tol)
-_FLAGS_READ = {
-    "strata": {"grid": (128, "the census evaluates 4 GRID probes")},
-    "wavelet": {"quad_order": (64, "cells per group parameter of the Calderón rule"),
-                "grid": (128, "ĝ CSV points per axis, at most 64")},
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -115,22 +86,19 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="orbitscope", description=__doc__)
     sub = p.add_subparsers(dest="subcommand", required=True)
-    for name in ("classify", "strata", "section", "quasisection", "wavelet", "cwt"):
+    for name in SUBCOMMANDS:
         sp = sub.add_parser(name)
         sp.add_argument("--input", help="input JSON file")
         sp.add_argument("--out", help="output report path (stdout when omitted)")
-        sp.add_argument("--tol", type=float, default=None, help="tolerance override")
-        for dest, (default, text) in _FLAGS_READ.get(name, {}).items():
-            sp.add_argument(_flag(dest), type=int, default=default, dest=dest, help=text)
-        sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        for flag, row in INPUTS.items():
+            if flag[0] == "-" and name in row.reads:
+                work = f", at most {_MAX_POINTS} {row.work[name][0]}" if name in row.work else ""
+                sp.add_argument(flag, type=float if row.kind == "number" else int,
+                                default=row.default, help=row.rule + work)
         if name == "classify":
             sp.add_argument("--table", action="store_true",
                             help="emit the five-family golden table")
     return p
-
-
-def _flag(dest: str) -> str:
-    return "--" + dest.replace("_", "-")
 
 
 def main(argv=None) -> int:
@@ -144,14 +112,9 @@ def main(argv=None) -> int:
             "wavelet": _cmd_wavelet,
             "cwt": _cmd_cwt,
         }[args.subcommand]
-        overrides = {dest: getattr(args, dest) for dest in _FLAGS_READ.get(args.subcommand, ())}
-        for dest, value in overrides.items():
-            if value < 1:
-                raise InputError(f"{_flag(dest)} must be at least 1, got {value}")
-        if args.seed < 0:  # random.Random would give -s the stream of s
-            raise InputError(f"--seed must be an integer >= 0, got {args.seed}")
-        if args.tol is not None and not (np.isfinite(args.tol) and args.tol > 0):
-            raise InputError(f"--tol must be a finite number > 0, got {args.tol}")
+        flags = {dest: value for dest, value in vars(args).items() if value is not None}
+        read(flags, "--seed")
+        read(flags, "--tol")
         # refused before the handler runs, so no side file is left behind
         if args.out and os.path.isdir(args.out):
             raise InputError(f"--out {args.out} is a directory")
@@ -162,9 +125,11 @@ def main(argv=None) -> int:
             if not args.input:
                 raise InputError("--input is required")
             doc = load_json(args.input)
-            if args.tol is not None and isinstance(doc, dict):
-                doc = {**doc, "tol": args.tol}
-            alg = group_spec_from_dict(doc)  # rejects a doc that is not an object
+            alg = group_spec_from_dict(doc, args.tol)  # rejects a doc that is not an object
+        # the flags only some subcommands read, whose work is checked here: the overrides
+        overrides = {flag[2:].replace("-", "_"): read(flags, flag, args.subcommand, d=alg.d)
+                     for flag, row in INPUTS.items() if flag[0] == "-"
+                     and args.subcommand in row.reads and row.reads != SUBCOMMANDS}
         payload = handler(args, doc, alg)
     except DomainError as err:
         print(f"error ({type(err).__name__}): {err}", file=sys.stderr)
@@ -186,13 +151,6 @@ def main(argv=None) -> int:
     if not args.out:
         sys.stdout.write(text)
     return 0
-
-
-def _check_size(name: str, value: int, points: int, noun: str) -> None:
-    """Refuse a flag or key that asks for more than _MAX_POINTS points."""
-    if points > _MAX_POINTS:
-        raise InputError(f"{name} {value} asks for {points} {noun}, "
-                         f"more than the limit of {_MAX_POINTS}")
 
 
 def _cmd_classify(args, doc, alg: DilationAlgebra) -> dict:
@@ -219,7 +177,6 @@ def _cmd_classify(args, doc, alg: DilationAlgebra) -> dict:
 def _cmd_strata(args, doc, alg: DilationAlgebra) -> dict:
     from .orbits import stratify
 
-    _check_size("--grid", args.grid, 4 * args.grid, "strata probes")
     rep = stratify(alg, 4 * args.grid, args.seed)
     csv_path = None
     if args.out:
@@ -235,7 +192,7 @@ def _cmd_section(args, doc, alg: DilationAlgebra) -> dict:
 
     if alg.d != 2:
         raise InputError("section expects exactly two generators")
-    V = _parse_points(doc.get("points"), alg.n)
+    V = read(doc, "points", n=alg.n)
     pair = diag_nilpotent_pair(alg)
     if pair is None:
         raise NotDiagonalizable("the generators span no diagonalizable + nilpotent pair")
@@ -261,67 +218,21 @@ def _cmd_section(args, doc, alg: DilationAlgebra) -> dict:
     return {"records": records, "n_points": len(records)}
 
 
-def _parse_points(points, n: int) -> np.ndarray:
-    """The 'points' input as a finite (m, n) float array with m >= 1."""
-    expected = f"'points' must be a non-empty list of points with {n} finite numbers each"
-    if not _all_real(points):  # np.array would read true as 1.0
-        raise InputError(expected)
-    try:
-        V = np.array(points)
-    except ValueError as err:  # ragged nesting
-        raise InputError(f"{expected}: {err}") from err
-    if V.dtype.kind not in "iuf" or V.ndim != 2 or V.shape[0] == 0 or V.shape[1] != n:
-        raise InputError(expected)
-    V = V.astype(float)
-    if not np.all(np.isfinite(V)):
-        raise InputError(f"{expected}: non-finite entry")
-    return V
-
-
-def _parse_box(entry, action, name: str):
-    """A box object (a quasisection.BoxSet) from the input, with one (lo, hi)
-    bound per action block."""
-    from .quasisection import BoxSet
-
-    if not isinstance(entry, dict) or "bounds" not in entry:
-        raise InputError(f"invalid box: {name} must be an object with 'bounds'")
-    if not _all_real(entry["bounds"]):  # BoxSet's float() would read true or "2"
-        raise InputError(f"invalid box: {name} bounds must hold only JSON numbers")
-    try:
-        box = BoxSet(entry["bounds"])
-    except (TypeError, ValueError) as err:
-        raise InputError(f"invalid box: {name}: {err}") from err
-    if box.k != action.k:
-        raise InputError(f"invalid box: {name} bounds {box.k} blocks, "
-                         f"the action has {action.k}")
-    return box
-
-
 def _cmd_quasisection(args, doc, alg: DilationAlgebra) -> dict:
     from .quasisection import diagonal_action, quasi_section_verdict
 
     action = diagonal_action(alg)
-    if "boxes" in doc:
-        entries = doc["boxes"]
-        if not isinstance(entries, list) or not entries:
-            raise InputError("invalid box: 'boxes' must be a non-empty list")
-        boxes = [_parse_box(b, action, f"boxes[{i}]") for i, b in enumerate(entries)]
-    else:
-        boxes = _parse_box(doc.get("box"), action, "'box'")
-    compact = doc.get("orbit_space_compact")
-    if compact is not None and not isinstance(compact, bool):
-        raise InputError(f"'orbit_space_compact' must be true, false or null, got {compact!r}")
-    verdict = quasi_section_verdict(action, boxes, orbit_space_compact=compact,
-                                    seed=args.seed)
+    boxes = read(doc, "boxes", action=action) or read(doc, "box", action=action)
+    verdict = quasi_section_verdict(action, boxes, seed=args.seed,
+                                    orbit_space_compact=read(doc, "orbit_space_compact"))
     return {"verdict": verdict.to_json()}
 
 
-def _wavelet_spec(doc, action):
+def _wavelet_spec(doc, action, sub):
     from .wavelet import synth_wavelet
 
-    C = _parse_box(doc.get("box"), action, "'box'")
-    W = _parse_box(doc["W"], action, "'W'") if "W" in doc else None
-    return synth_wavelet(action, C, W)
+    return synth_wavelet(action, read(doc, "box", sub, action=action),
+                         read(doc, "W", sub, action=action))
 
 
 def _calderon_samples(action, spec, count, seed) -> np.ndarray:
@@ -341,13 +252,10 @@ def _cmd_wavelet(args, doc, alg: DilationAlgebra) -> dict:
     from .quasisection import diagonal_action
     from .wavelet import calderon_check, l1_estimate
 
-    _check_size("--quad-order", args.quad_order, args.quad_order ** alg.d, "Calderon nodes")
-    count = doc.get("samples", 100)
-    if type(count) is not int or count < 1:
-        raise InputError(f"'samples' must be an integer >= 1, got {count!r}")
+    read(doc, "samples")  # before the decomposition, which may refuse with exit 2
     action = diagonal_action(alg)
-    _check_size("'samples'", count, count * (action.k + alg.d + alg.n), "seeded draws")
-    spec = _wavelet_spec(doc, action)
+    count = read(doc, "samples", "wavelet", n=alg.n, d=alg.d, action=action)
+    spec = _wavelet_spec(doc, action, "wavelet")
     samples = _calderon_samples(action, spec, count, args.seed)
     cal = calderon_check(spec, samples, args.quad_order)
     l1 = l1_estimate(spec)
@@ -396,16 +304,11 @@ def _cmd_cwt(args, doc, alg: DilationAlgebra) -> dict:
     from .quasisection import diagonal_action
     from .wavelet import cwt_slices, slice_energy
 
-    dx = doc.get("dx", 1.0)
-    if type(dx) not in (int, float) or not (np.isfinite(dx) and dx > 0):
-        raise InputError(f"'dx' must be a finite number > 0, got {dx!r}")
-    counts = doc.get("param_counts", 64)
-    if type(counts) is not int or counts < 1:
-        raise InputError(f"'param_counts' must be an integer >= 1, got {counts!r}")
-    _check_size("'param_counts'", counts, counts ** alg.d, "parameter points")
-    spec = _wavelet_spec(doc, diagonal_action(alg))
-    f = _load_signal(doc.get("signal"))
-    lattice, slices = cwt_slices(spec, f, float(dx), counts)
+    dx = read(doc, "dx")
+    counts = read(doc, "param_counts", "cwt", d=alg.d)
+    spec = _wavelet_spec(doc, diagonal_action(alg), "cwt")
+    f = _load_signal(read(doc, "signal"))
+    lattice, slices = cwt_slices(spec, f, dx, counts)
     energies = []
 
     def summed():  # the energy is summed as the slices go by
@@ -432,17 +335,16 @@ def _cmd_cwt(args, doc, alg: DilationAlgebra) -> dict:
     }
 
 
-def _load_signal(path) -> np.ndarray:
-    """The 'signal' input: a real array from a .npy file (no pickles), or
-    from a CSV file of comma-separated reals (1-D or 2-D)."""
-    if not isinstance(path, str) or not path:
-        raise InputError("'signal' must be a non-empty string (a CSV or .npy path), "
-                         f"got {path!r}")
+def _load_signal(path: str) -> np.ndarray:
+    """The 'signal' input: a real array of at least one sample from a .npy
+    file (no pickles), or from a CSV file of comma-separated reals (1-D or 2-D)."""
     try:
         if path.endswith(".npy"):
             f = np.load(path, allow_pickle=False)
         else:
-            f = np.loadtxt(path, delimiter=",", dtype=float, ndmin=1)
+            with warnings.catch_warnings():  # a CSV without rows is refused below
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                f = np.loadtxt(path, delimiter=",", dtype=float, ndmin=1)
     except (OSError, ValueError, EOFError) as err:  # EOFError: an empty .npy
         raise InputError(f"cannot read signal {path}: {err}") from err
     if not isinstance(f, np.ndarray):  # an .npz archive behind the .npy name
@@ -450,6 +352,8 @@ def _load_signal(path) -> np.ndarray:
         raise InputError(f"cannot read signal {path}: not a .npy array")
     if f.dtype.kind not in "iuf":
         raise InputError(f"signal {path} must hold real numbers, got dtype {f.dtype}")
+    if not f.size:
+        raise InputError(f"cannot read signal {path}: no data")
     return np.asarray(f, dtype=float)
 
 

@@ -57,6 +57,9 @@ COVERAGE_MARGIN = 1e-6  # smallest block magnitude of a coverage sample (stratum
 SIGMA_STEP_TOL = 1e-3  # sigma's block integrals from N to 2N intervals, warned above; x integral
 L1_STEP_TOL = 1e-2  # L1 estimate from n/2 to n points or S/2 to S intervals, warned above; x value
 NYQUIST_SHARE = 1e-8  # largest share of a signal's spectral mass in the Nyquist shell; x total
+# a wavelet or cwt box bound b > 0 on a block of dimension m has b^max(2, m) within this
+# of 1: block norms' squares (~ b^2) and L1 radial profiles (~ b^m) stay finite; x 1
+BOX_POWER_RANGE = 1e-304
 
 # Coefficients of the generic combination that seeds the joint roots (a
 # d-generator family uses _ROOT_DRAWS[:d]): the first MAX_DIM values of
@@ -147,6 +150,13 @@ def _balance(mats) -> tuple[list[np.ndarray], list[int]]:
     exact, with every largest entry in [1/2, 1), so no norm overflows."""
     exps = [int(np.frexp(np.max(np.abs(M)))[1]) for M in mats]
     return [np.ldexp(M, -e) for M, e in zip(mats, exps)], exps
+
+
+def row_norms(V) -> np.ndarray:
+    """np.linalg.norm(V, axis=1), bit for bit where no square over- or
+    underflows, taken on each row scaled exactly by a power of two."""
+    e = np.frexp(np.max(np.abs(V), axis=1))[1]
+    return np.ldexp(np.linalg.norm(np.ldexp(V, -e[:, None]), axis=1), e)
 
 
 def commutator(X: np.ndarray, Y: np.ndarray) -> np.ndarray:

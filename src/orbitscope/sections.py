@@ -29,6 +29,7 @@ from .linalg import (
     orth_columns,
     rank_tol,
     roots_decompose,
+    row_norms,
 )
 
 
@@ -251,7 +252,7 @@ def section_batch(fam: LayeredFamily, V) -> SectionBatch:
     cand = [(bi, i, blk.offset + i - 2)
             for bi, blk in enumerate(fam.blocks) for i in blk.active]
     blk_c, b_c, col_c = np.array(cand + [(-1, 0, 0)], dtype=int).T
-    thr = fam.tol * np.maximum(np.linalg.norm(V, axis=1), 1.0)
+    thr = fam.tol * np.maximum(row_norms(V), 1.0)
     above = np.abs(W[:, col_c[:-1]]) > thr[:, None]
     first = np.argmax(np.column_stack([above, np.ones(m, dtype=bool)]), axis=1)
     block, b, col = blk_c[first], b_c[first], col_c[first]
@@ -282,7 +283,7 @@ def section_batch(fam: LayeredFamily, V) -> SectionBatch:
         lead = wstar[rows, c]  # p_b(X v*)
         resid0 = np.abs(wstar[rows, c + 1])
         resid1 = np.abs(np.abs(lead) - 1.0)
-        tol = FORM_RESID_TOL * np.maximum(1.0, np.linalg.norm(vstar, axis=1))
+        tol = FORM_RESID_TOL * np.maximum(1.0, row_norms(vstar))
         ok = np.isfinite(tol) & (resid0 <= tol) & (resid1 <= tol)
     r = r[ok]
     representative = np.full((m, n), np.nan)

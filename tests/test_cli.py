@@ -14,7 +14,7 @@ import pytest
 
 import orbitscope
 from orbitscope.cli import _MAX_POINTS, _export_ghat, _savez, _write_csv, main
-from orbitscope.groupspec import group_spec_from_dict, validate_report
+from orbitscope.groupspec import INPUTS, group_spec_from_dict, validate_report
 from orbitscope.linalg import mat_exp
 from orbitscope.errors import InputError
 from orbitscope.quasisection import BoxSet, diagonal_action
@@ -694,6 +694,58 @@ def _read_flags(keys, grid, quad_order):
     return [part for key in sorted(keys) for part in values[key]]
 
 
+# a value of none of the input table's kinds (a JSON boolean is never a
+# number), which every row of that kind refuses
+_NOT_OF_KIND = {"integer": True, "number": True, "boolean or null": "true", "string": 5,
+                "box": {"bounds": [[True, 2.0]]}, "list of boxes": [],
+                "(m, n) list": [[True, 5.0, 7.0]], "list of n x n lists": [[True]]}
+# valid values of the keys whose default is an absence
+_PRESENT = {"boxes": [{"bounds": [[0.5, 2.0]]}], "W": {"bounds": [[0.8, 2.5]]}}
+
+
+def _table_job(tmp_path, key):
+    """argv of a job of the first subcommand that reads `key`, on an input
+    where every key it reads is valid, and the argv's valid value of key."""
+    row = INPUTS[key]
+    sub = row.reads[0]
+    signal = tmp_path / "signal.csv"
+    np.savetxt(signal, np.cos(2.0 * np.pi * 8.0 * np.arange(64) / 64.0))
+    doc = {**_OVERRIDE_INPUTS[sub][0], "signal": str(signal)}
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc))
+    argv = [sub, "--input", str(path), "--out", str(tmp_path / "out.json")]
+    if key.startswith("--"):
+        return argv, str(row.default if row.default is not None else INPUTS["tol"].default)
+    return argv, doc.get(key, _PRESENT.get(key, row.default))
+
+
+class TestInputTable:
+    @pytest.mark.parametrize("key", list(INPUTS))
+    def test_valid_and_invalid_value(self, tmp_path, capsys, key):
+        # one valid and one invalid value of every key and flag of the table,
+        # in process: the invalid one exits 1 with one input error line that
+        # names the key
+        argv, valid = _table_job(tmp_path, key)
+        if key.startswith("--"):
+            invalid = "-1"
+            assert not INPUTS[key].ok(-1)
+            runs = [(argv + [key, value], value) for value in (valid, invalid)]
+        else:
+            doc = json.loads(open(argv[2]).read())
+            runs = []
+            for value in (valid, _NOT_OF_KIND[INPUTS[key].kind]):
+                path = tmp_path / f"in_{len(runs)}.json"
+                path.write_text(json.dumps({**doc, key: value}))
+                runs.append(([argv[0], "--input", str(path), *argv[3:]], value))
+        (valid_argv, _), (invalid_argv, _) = runs
+        assert main(valid_argv) == 0, capsys.readouterr().err
+        capsys.readouterr()
+        assert main(invalid_argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and err.count("\n") == 1, err
+        assert (key if key.startswith("--") else repr(key)) in err
+
+
 class TestHeaderOverrides:
     @pytest.mark.parametrize("flags", [[], ["--tol", "1e-8"]], ids=["no-tol", "tol"])
     @pytest.mark.parametrize("subcommand", list(_OVERRIDE_INPUTS))
@@ -965,6 +1017,55 @@ class TestWaveletPipeline:
         assert ("input error: 'signal' must be a non-empty string (a CSV or .npy path)"
                 in capsys.readouterr().err)
         assert not out.exists()
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e-170, 1e160, 1e200])
+    @pytest.mark.parametrize("spec, k", [
+        ({"n": 1, "generators": DILATION_1D}, 1), ({"n": 2, "generators": [[1, -1, 1, 1]]}, 1),
+        (CASE_A, 2),
+    ], ids=["dilation-1d", "spiral-2d", "case-a"])
+    def test_box_beyond_the_float_range_refused(self, tmp_path, capsys, spec, k, scale):
+        # squared block norms leave the float range beyond about 1e+-154:
+        # the box C = [s, 2 s] is refused, not answered with a traceback or NaN
+        path, out = tmp_path / "w.json", tmp_path / "w_out.json"
+        path.write_text(json.dumps({**spec, "box": {"bounds": [[scale, 2 * scale]] * k},
+                                    "samples": 5}))
+        assert main(["wavelet", "--input", str(path), "--out", str(out),
+                     "--quad-order", "16"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error: invalid box: 'box' must be ") and err.count("\n") == 1
+        assert "b^max(2, m) in [1e-304, 1e+304]" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e150])
+    @pytest.mark.parametrize("spec, k", [
+        ({"n": 1, "generators": DILATION_1D}, 1), ({"n": 2, "generators": [[1, -1, 1, 1]]}, 1),
+        (CASE_A, 2),
+    ], ids=["dilation-1d", "spiral-2d", "case-a"])
+    def test_box_inside_the_range_answers_as_at_scale_1(self, tmp_path, capsys, spec, k, scale):
+        got = []
+        for s in (1.0, scale):
+            path = tmp_path / "w.json"
+            path.write_text(json.dumps({**spec, "box": {"bounds": [[s, 2 * s]] * k},
+                                        "samples": 5}))
+            assert main(["wavelet", "--input", str(path), "--quad-order", "16"]) == 0
+            payload = json.loads(capsys.readouterr().out)["payload"]
+            got.append([payload["calderon"]["max_deviation"], payload["l1"]["l1_estimate"]])
+        np.testing.assert_allclose(got[1], got[0], rtol=1e-10)
+
+    def test_far_box_is_a_wavelet_and_cwt_rule(self, tmp_path, capsys):
+        # cwt refuses the box before it reads the signal; quasisection
+        # answers at any finite scale
+        far = {"n": 1, "generators": DILATION_1D, "box": {"bounds": [[1e200, 2e200]]}}
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps({**far, "signal": str(tmp_path / "missing.csv")}))
+        assert main(["cwt", "--input", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("input error: invalid box: 'box'")
+        path.write_text(json.dumps({**_BOX_1D, "W": {"bounds": [[1e-200, 2.5]]}}))
+        assert main(["wavelet", "--input", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("input error: invalid box: 'W'")
+        path.write_text(json.dumps(far))
+        assert main(["quasisection", "--input", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["payload"]["verdict"]["quasi_section_exists"]
 
     def test_case_a_wavelet(self, tmp_path):
         doc = {
@@ -1405,6 +1506,25 @@ class TestCwtStream:
         assert "input error: " in capsys.readouterr().err
         assert not out.exists()
         assert not (tmp_path / "c_out.json_coeffs.npz").exists()
+
+    @pytest.mark.parametrize("suffix", [".csv", ".npy"])
+    def test_signal_without_samples(self, tmp_path, capsys, suffix):
+        # a zero-byte CSV made numpy warn "input contained no data" on stderr
+        # (an exception under -W error) before a lattice-size error
+        sig = tmp_path / f"sig{suffix}"
+        if suffix == ".csv":
+            sig.write_bytes(b"")
+        else:
+            np.save(sig, np.zeros(0))
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({**_CWT_1D, "signal": str(sig)}))
+        line = f"input error: cannot read signal {sig}: no data\n"
+        res = run_cli("cwt", "--input", str(path))
+        assert (res.returncode, res.stderr, res.stdout) == (1, line, "")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["cwt", "--input", str(path)]) == 1
+        assert capsys.readouterr().err == line
 
     def test_npz_behind_npy_name(self, tmp_path, capsys):
         sig = tmp_path / "sig.npy"

@@ -18,6 +18,7 @@ from orbitscope.linalg import (
     orth_columns,
     rank_tol,
     roots_decompose,
+    row_norms,
     seeded_draws,
 )
 
@@ -317,6 +318,20 @@ class TestSeededDraws:
         # Random(-s) would repeat the stream of s
         with pytest.raises(ValueError, match="seed must be >= 0"):
             seeded_draws(-1, 2, 1, 1)
+
+
+class TestRowNorms:
+    def test_bit_identical_inside_the_float_range(self):
+        rng = np.random.default_rng(5)
+        V = rng.standard_normal((200, 3)) * 10.0 ** rng.integers(-100, 100, (200, 1))
+        V[0] = 0.0
+        assert row_norms(V).tolist() == np.linalg.norm(V, axis=1).tolist()
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200, 3e307])
+    def test_no_overflow_or_underflow(self, scale):
+        # at 3e307 the largest entry's power of two, 2^1024, is not a float
+        got = row_norms(np.array([[3.0, 4.0, 0.0]]) * scale)
+        npt.assert_allclose(got, [5.0 * scale], rtol=1e-15)
 
 
 class TestKernelFiltration:

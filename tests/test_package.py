@@ -204,6 +204,65 @@ class TestNoDeadCode:
         assert table and [entry for entry, reason in table
                           if not re.search(r"[ (]x \S", reason)] == []
 
+    def test_one_reader_for_inputs(self):
+        # every input key and flag is fetched and checked by groupspec.read
+        # (and its _parse), by its row of INPUTS: elsewhere in cli.py and
+        # groupspec.py no key is read (doc.get("..."), doc["..."] or
+        # "..." in doc), no flag or work is compared with a bound, and no
+        # message restates a rule
+        from orbitscope.groupspec import INPUTS
+
+        keys = {key.lstrip("-").replace("-", "_") for key in INPUTS}
+        flags = {key.lstrip("-").replace("-", "_") for key in INPUTS if key[0] == "-"}
+        order = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+        found = []
+        for name in ("cli.py", "groupspec.py"):
+            tree = ast.parse((SRC / name).read_text())
+            reader = {id(node) for defn in tree.body if isinstance(defn, ast.FunctionDef)
+                      and defn.name in ("read", "_parse") for node in ast.walk(defn)}
+            reader |= {id(owner.body[0].value) for owner in ast.walk(tree)  # docstrings
+                       if isinstance(owner, (ast.Module, ast.FunctionDef, ast.ClassDef))
+                       and isinstance(owner.body[0], ast.Expr)}
+            for node in ast.walk(tree):
+                if id(node) in reader:
+                    continue
+                if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load):
+                    read = [node.slice]
+                elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                      and node.func.attr == "get"):
+                    read = node.args[:1]
+                elif isinstance(node, ast.Compare):
+                    read = [node.left] * any(isinstance(op, (ast.In, ast.NotIn)) for op in node.ops)
+                    operands = [n for op in [node.left, *node.comparators] for n in ast.walk(op)]
+                    if (any(isinstance(op, order) for op in node.ops)
+                            and _names(operands) & (flags | {"_MAX_POINTS"})):
+                        found.append(f"{name}:{node.lineno} compares a flag or work")
+                elif isinstance(node, ast.Constant) and " must be " in str(node.value):
+                    read = []
+                    if name == "cli.py":
+                        found.append(f"{name}:{node.lineno} restates a rule")
+                else:
+                    continue
+                found += [f"{name}:{node.lineno} reads {arg.value!r}" for arg in read
+                          if isinstance(arg, ast.Constant) and arg.value in keys]
+        assert found == []
+
+    def test_docs_name_the_input_table(self):
+        # the cli docstring and the README's input table name exactly the
+        # rows of groupspec.INPUTS, keys first, in the table's order
+        from orbitscope.cli import __doc__ as doc
+        from orbitscope.groupspec import INPUTS
+
+        listed = re.search(r"per key of the input document\s*\(([^)]*)\)\s*and per\s+checked "
+                           r"flag\s*\(([^)]*)\)", doc)
+        assert re.findall(r'"(\w+)"|(--[\w-]+)', " ".join(listed.groups())) == [
+            (key, "") if key[0] != "-" else ("", key) for key in INPUTS]
+        section = README.read_text().split("### The input table")[1]
+        table = section[section.index("| key or flag"):].split("\n\n")[0]
+        rows = re.findall(r"^\| `([^`]+)` \| ([^|]+) \|", table, re.M)
+        assert [(key, kind.strip()) for key, kind in rows] == [
+            (key, row.kind) for key, row in INPUTS.items()]
+
     def test_one_scale_rule(self):
         # DilationAlgebra balances each generator by its own 2^e, once: no
         # other module takes a frexp exponent, and no function builds a

@@ -187,6 +187,19 @@ class TestSectionPoint:
         s, t = sp.s[0], sp.t[0]
         npt.assert_allclose(mat_exp(s * A + t * X) @ v, sp.representative[0], atol=1e-10)
 
+    @pytest.mark.parametrize("scale", [1e160, 1e300])
+    def test_point_whose_square_overflows(self, scale):
+        # |v|^2 overflows beyond |v| ~ 1e154: the layer cut and the residual
+        # tolerance take their norms on rows scaled by a power of two, so the
+        # point keeps the block, layer and sign of (1, 2, 3)
+        fam = normal_form(*D_PAIR)
+        unit = section_batch(fam, [[1.0, 2.0, 3.0]])
+        far = section_batch(fam, [[scale, 2.0 * scale, 3.0 * scale]])
+        assert_has_section(far)
+        assert [a.tolist() for a in (far.block, far.b, far.sign)] == \
+               [a.tolist() for a in (unit.block, unit.b, unit.sign)]
+        npt.assert_allclose(far.representative[0], [1.0, 0.0, 3.0 * scale], rtol=1e-12, atol=1e-12)
+
     @pytest.mark.parametrize("pair", [D_PAIR, CASE1A_PAIR, CASE1C_PAIR])
     def test_canonical_on_orbits(self, pair):
         A, X = pair
