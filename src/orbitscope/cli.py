@@ -6,14 +6,14 @@ Each subcommand registers only the flags it reads: all take --input, --out,
 --grid; any other flag is a usage error.  Every input value is checked by
 one table, groupspec.INPUTS, with one row per key of the input document
 ("n", "generators", "tol", "points", "box", "boxes", "W",
-"orbit_space_compact", "samples", "signal", "dx", "param_counts") and per
-checked flag (--grid, --quad-order, --tol, --seed): its JSON type, the rule
-its value must meet, the subcommands that read it, its default and, for
-"samples", "param_counts", --grid and --quad-order, the work it asks for,
-which may not exceed _MAX_POINTS.  One reader, groupspec.read, refuses a
-value that breaks its row with `<name> must be <rule>, got <value>`, and one
-that asks for more work with `<name> <value> asks for <count> <what>, more
-than the limit of <limit>`, before any work.
+"orbit_space_compact", "signal", "dx", "param_counts") and per checked flag
+(--grid, --quad-order, --tol, --seed): its JSON type, the rule its value
+must meet, the subcommands that read it, its default and, for
+"param_counts", --grid and --quad-order, the work it asks for, which may
+not exceed _MAX_POINTS.  One reader, groupspec.read, refuses a value that
+breaks its row with `<name> must be <rule>, got <value>`, and one that asks
+for more work with `<name> <value> asks for <count> <what>, more than the
+limit of <limit>`, before any work.
 Exit status 0 on success (and on --help), 2 on named domain errors, 1 on
 usage, I/O, parse or input errors, each reported as one `input error: ...`
 line; an --out that is a directory or in a missing directory is refused
@@ -28,14 +28,14 @@ and overrides: the flags only some subcommands read and a given --tol.
 change, and moves only the decisions that read alg.tol: the commutator,
 independence, orbit-rank, trace and root-identity checks, classify's tests
 (Re(lambda) at d = 1 too) and the `section` route's eigenvalue snapping,
-sign ties and layers; every other cut is fixed.  The `strata` probes, the
-`wavelet` Calderon samples and the `quasisection` coverage samples are
-drawn from random.Random(--seed) (linalg.seeded_draws); the Calderon
-samples set only the coverage counts.  BLAS runs on one thread: before
-numpy loads, the CLI sets OPENBLAS_NUM_THREADS to 1 unless it is already
-set.  A process run goes through entry(), which freezes the import-time
-heap (gc.freeze) so that no collection, at exit included, walks it again;
-main() itself does not.
+sign ties and layers; every other cut is fixed.  Only the `strata` probes
+and the `quasisection` coverage samples are drawn, from random.Random(--seed)
+(linalg.seeded_draws); `wavelet`'s orbits are open, so it draws none and
+checks Calderon coverage on the one orbit it integrates, through C's centre.
+BLAS runs on one thread: before numpy loads, the CLI sets OPENBLAS_NUM_THREADS
+to 1 unless it is already set.  A process run goes through entry(), which
+freezes the import-time heap (gc.freeze) so that no collection, at exit
+included, walks it again; main() itself does not.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ from .groupspec import (
     read,
     validate_report,
 )
-from .linalg import DEFAULT_TOL, DilationAlgebra, seeded_draws
+from .linalg import DEFAULT_TOL, DilationAlgebra
 
 # The subcommands' own modules (classify, families, orbits, sections,
 # quasisection, wavelet) are imported in the functions that use them, so a
@@ -235,29 +235,16 @@ def _wavelet_spec(doc, action, sub):
                          read(doc, "W", sub, action=action))
 
 
-def _calderon_samples(action, spec, count, seed) -> np.ndarray:
-    k, d = action.k, action.d
-    u, z = seeded_draws(seed, count, k + d, action.alg.n)
-    mids = np.array([np.sqrt(max(lo, hi / 16.0) * hi) for lo, hi in spec.C.bounds])
-    r = mids * np.exp(-0.15 + 0.3 * u[:, :k])
-    # h_t^T scales block k by exp(mu_k . t), t in [-1, 1] / max|mu|; only magnitudes are read
-    r = r * np.exp((-1.0 + 2.0 * u[:, k:]) / np.max(np.abs(action.weights)) @ action.weights.T)
-    w = np.empty_like(z)
-    for i, sl in enumerate(action.slices):
-        w[:, sl] = r[:, i:i + 1] * z[:, sl] / np.linalg.norm(z[:, sl], axis=1, keepdims=True)
-    return np.linalg.solve(action.basis.T, w.T).T
-
-
 def _cmd_wavelet(args, doc, alg: DilationAlgebra) -> dict:
     from .quasisection import diagonal_action
     from .wavelet import calderon_check, l1_estimate
 
-    read(doc, "samples")  # before the decomposition, which may refuse with exit 2
     action = diagonal_action(alg)
-    count = read(doc, "samples", "wavelet", n=alg.n, d=alg.d, action=action)
     spec = _wavelet_spec(doc, action, "wavelet")
-    samples = _calderon_samples(action, spec, count, args.seed)
-    cal = calderon_check(spec, samples, args.quad_order)
+    # open orbits cover every xi with all blocks nonzero: check the one through C's centre
+    w = np.zeros(alg.n)
+    w[[sl.start for sl in action.slices]] = np.sqrt(np.prod(spec.C.bounds, axis=1))
+    cal = calderon_check(spec, np.linalg.solve(action.basis.T, w)[None], args.quad_order)
     l1 = l1_estimate(spec)
     ghat_csv = None
     if args.out:

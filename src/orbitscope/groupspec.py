@@ -18,7 +18,7 @@ from .errors import InputError, SpecParseError
 from .linalg import BOX_POWER_RANGE, DEFAULT_TOL, MAX_DIM, DilationAlgebra, as_matrix
 
 SCHEMA_VERSION = "6"
-_MAX_POINTS = 2 ** 20  # strata probes, Calderon nodes, wavelet draws, cwt parameter points
+_MAX_POINTS = 2 ** 20  # strata probes, Calderon nodes, cwt parameter points
 SUBCOMMANDS = ("classify", "strata", "section", "quasisection", "wavelet", "cwt")
 _MISSING = object()  # an absent value, and the default of a key that must be given
 
@@ -51,8 +51,6 @@ INPUTS = {
     "W": Input("box", _BOX, ("wavelet", "cwt"), None),
     "orbit_space_compact": Input("boolean or null", "true, false or null", ("quasisection",),
                                  None),
-    "samples": Input("integer", "an integer >= 1", ("wavelet",), 100, lambda v: v >= 1,
-                     {"wavelet": ("seeded draws", lambda j: j.v * (j.action.k + j.d + j.n))}),
     "signal": Input("string", "a non-empty string (a CSV or .npy path) of a file with at "
                     "least one real sample", ("cwt",), ok=lambda v: v != ""),
     "dx": Input("number", _POSITIVE, ("cwt",), 1.0, lambda v: 0 < v < math.inf),

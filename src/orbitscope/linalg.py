@@ -72,15 +72,13 @@ _ROOT_DRAWS = np.array([
 ])
 
 
-def seeded_draws(seed: int, count: int, uniforms: int,
-                 normals: int) -> tuple[np.ndarray, np.ndarray]:
-    """(U, Z) from one random.Random(seed) stream: U is (count, uniforms),
-    uniform on [0, 1), and Z is (count, normals), standard normal.
+def seeded_draws(seed: int, count: int, normals: int) -> np.ndarray:
+    """A (count, normals) standard normal array from one random.Random(seed) stream.
 
     Only Random.random() is called, whose sequence for an integer seed
     Python keeps across versions, and numpy has loaded the random module
-    already, so sampled checks do not import numpy.random.  U takes the
-    first draws; Z maps the next pairs (u1, u2) by Box-Muller to
+    already, so sampled checks do not import numpy.random.  Consecutive
+    pairs (u1, u2) of the stream map by Box-Muller to
     sqrt(-2 ln(1 - u1)) (cos 2 pi u2, sin 2 pi u2).  random.Random would give
     -seed the stream of seed, so a negative seed raises ValueError.
     """
@@ -88,13 +86,10 @@ def seeded_draws(seed: int, count: int, uniforms: int,
         raise ValueError(f"seed must be >= 0, got {seed}")
     pairs = -(-count * normals // 2)
     draw = random.Random(seed).random
-    total = count * uniforms + 2 * pairs
-    u = np.fromiter((draw() for _ in range(total)), float, total)
-    u1, u2 = u[count * uniforms:].reshape(pairs, 2).T
+    u1, u2 = np.fromiter((draw() for _ in range(2 * pairs)), float, 2 * pairs).reshape(-1, 2).T
     radius = np.sqrt(-2.0 * np.log1p(-u1))
     z = np.column_stack([radius * np.cos(2.0 * np.pi * u2), radius * np.sin(2.0 * np.pi * u2)])
-    return (u[:count * uniforms].reshape(count, uniforms),
-            z.ravel()[:count * normals].reshape(count, normals))
+    return z.ravel()[:count * normals].reshape(count, normals)
 
 
 def as_matrix(M, n: int | None = None) -> np.ndarray:

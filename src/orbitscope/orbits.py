@@ -106,7 +106,7 @@ class StratumReport:
 def stratify(alg: DilationAlgebra, count: int, seed: int) -> StratumReport:
     """Census of orbit dimensions over `count` probes 3 N(0, I) drawn by
     seeded_draws(seed); d_max is generic_orbit_dim, which no seed moves."""
-    pts = 3.0 * seeded_draws(seed, count, 0, alg.n)[1]
+    pts = 3.0 * seeded_draws(seed, count, alg.n)
     dims = orbit_dims(alg, pts)
     values, counts = np.unique(dims, return_counts=True)
     return StratumReport(

@@ -152,6 +152,12 @@ def c_i_box(i: int, rho: float) -> BoxSet:
     return BoxSet(bounds)
 
 
+def _log_ratio(a, b):
+    """ln(a / b), as ln a - ln b where a / b leaves the normal float range."""
+    q = a / b
+    return np.where((np.finfo(float).tiny <= q) & (q < np.inf), np.log(q), np.log(a) - np.log(b))
+
+
 def _interval_system(action, lo1, hi1, lo2, hi2):
     """(L, c) with L = [M; -M] and c = [ln(hi2/lo1); -ln(lo2/hi1)], M = weights.
 
@@ -160,9 +166,9 @@ def _interval_system(action, lo1, hi1, lo2, hi2):
     lo2 = 0 on the lower side) gets c = +inf, and a zero block (hi1 = 0)
     facing lo2 > 0 gets c = -inf: the system is empty.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        upper = np.where(lo1 > 0, np.log(hi2 / lo1), np.inf)
-        lower = np.where(lo2 > 0, -np.log(lo2 / hi1), np.inf)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        upper = np.where(lo1 > 0, _log_ratio(hi2, lo1), np.inf)
+        lower = np.where(lo2 > 0, -_log_ratio(lo2, hi1), np.inf)
     return np.vstack([action.weights, -action.weights]), np.concatenate([upper, lower], axis=-1)
 
 
@@ -322,7 +328,7 @@ def quasi_section_verdict(
     nonempty pair is.
     """
     boxes = [C] if isinstance(C, BoxSet) else list(C)
-    _, xis = seeded_draws(seed, n_samples, 0, action.alg.n)
+    xis = seeded_draws(seed, n_samples, action.alg.n)
     # skip the stratum boundary; conull coverage is what matters
     r = action.block_abs(xis)
     inside = np.min(r, axis=1) >= COVERAGE_MARGIN

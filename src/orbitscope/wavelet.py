@@ -32,8 +32,8 @@ integrand is C^infinity and vanishes to all orders at the faces of its
 padded parameter box, where an equispaced rule converges faster than any
 power (Trefethen & Weideman, SIAM Review 56, 2014); a Gauss rule would
 spend its end-clustered nodes where the integrand is zero.  The Calderon
-samples only decide coverage: every covered orbit has the same integral,
-so it is computed once.
+check's points only decide coverage, which open orbits make certain: every
+covered orbit has the same integral, computed once through C's centre.
 
 The L1 estimate separates per block, as sigma does, into 1-D integrals over
 s of radial profiles on one 1-D FFT lattice (radial_l1), with sigma's nested
@@ -542,11 +542,14 @@ def l1_estimate(spec: WaveletSpec, shape=None, dx=None, param_counts=64) -> L1Re
 
     dims = [sl.stop - sl.start for sl in action.slices]
 
+    @np.errstate(over="ignore")  # c rho past the float range reads inf, where phi_k is 0
     def profiles(k, s):  # L_k at the nodes s, on the lattice and on its half: (2, len(s))
         hi, c, phi = spec.W.bounds[k][1], np.exp(np.abs(s)), spec.factor
-        if dims[k] % 2:  # one row of q per node, all in one batch
-            return radial_l1(lambda rho: phi(k, rho) * phi(k, c[:, None] * rho),
-                             dims[k], n, dx, du, hi)
+        if dims[k] % 2:  # one row of q per node, all in one batch; L_k = 0 at c = inf, not inf * 0
+            near, out = c < np.inf, np.zeros((2, s.size))
+            out[:, near] = radial_l1(lambda rho: phi(k, rho) * phi(k, c[near, None] * rho),
+                                     dims[k], n, dx, du, hi)
+            return out
         return np.transpose([radial_l1(lambda rho: phi(k, rho) * phi(k, ci * rho),
                                        dims[k], n, dx, du, hi / ci) for ci in c])  # bounded memory
 
@@ -589,7 +592,7 @@ def radial_l1(q, m: int, n: int, dx: float, du: float, rho_max: float) -> np.nda
         g = q(xi)
     else:
         u = du * (np.arange(np.ceil(rho_max / du)) + 0.5)
-        rows = max(1, _L1_MAX_POINTS // u.size)
+        rows = max(1, _L1_MAX_POINTS // max(1, u.size))  # an empty grid sums to 0
         g = np.concatenate([du / np.pi * np.sum(q(np.sqrt(xi[i:i + rows, None] ** 2 + u * u)),
                                                 axis=-1) for i in range(0, xi.size, rows)], axis=-1)
     steps = (m - 1) // 2

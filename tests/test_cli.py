@@ -407,6 +407,25 @@ class TestQuasisectionCommand:
             verdict = json.loads(out.read_text())["payload"]["verdict"]
             assert verdict["quasi_section_exists"] == exists
 
+    @pytest.mark.parametrize("edge, inside", [
+        ([0.5, 1.5e308], [0.5, 1.5e300]), ([1e-300, 1e300], [1e-150, 1e150]),
+    ], ids=["hi-over-lo-overflows", "lo-over-hi-underflows"])
+    def test_bound_ratio_beyond_the_float_range(self, tmp_path, capsys, edge, inside):
+        # hi / lo overflows and lo / hi underflows to 0: their logs are taken
+        # as differences of logs, so the meeting set's rows stay finite and
+        # the verdict is the one of a box inside the range, with no warning
+        verdicts = []
+        for bounds in (inside, edge):
+            path = tmp_path / "qs.json"
+            path.write_text(json.dumps({"n": 1, "generators": DILATION_1D,
+                                        "box": {"bounds": [bounds]}}))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(["quasisection", "--input", str(path)]) == 0
+            verdicts.append(json.loads(capsys.readouterr().out)["payload"]["verdict"])
+        assert verdicts[1] == verdicts[0]
+        assert verdicts[0]["quasi_section_exists"] == "yes"
+
 
 CASE_B11 = [
     [1, 0, 0, 0, 0, 0, 0, 0, 1],
@@ -480,7 +499,7 @@ class TestFlagInput:
         if subcommand == "wavelet":
             path = tmp_path / "w.json"
             path.write_text(json.dumps({"n": 1, "generators": DILATION_1D,
-                                        "box": {"bounds": [[1.0, 2.0]]}, "samples": 2}))
+                                        "box": {"bounds": [[1.0, 2.0]]}}))
         out = tmp_path / "out"
         assert main([subcommand, "--input", str(path), "--out", str(out), *flags]) == 1
         assert f"input error: {flags[0]} must be at least 1" in capsys.readouterr().err
@@ -550,8 +569,8 @@ class TestFlagInput:
         assert not out.exists()
 
     @pytest.mark.parametrize("subcommand, key, noun", [
-        ("wavelet", "samples", "seeded draws"), ("cwt", "param_counts", "parameter points"),
-    ], ids=["wavelet-samples", "cwt-param-counts"])
+        ("cwt", "param_counts", "parameter points"),
+    ], ids=["cwt-param-counts"])
     def test_size_key_above_limit_exit_1(self, tmp_path, capsys, subcommand, key, noun):
         # refused before any work: the cwt job names no signal, so a check
         # that ran after the signal load would fail on the signal instead
@@ -683,7 +702,7 @@ _OVERRIDE_INPUTS = {
                                         [0, 0, 0, 1, 0, 0, 0, 0, 0]],
                  "points": [[1.0, 5.0, 7.0]]}, set()),
     "quasisection": (_BOX_1D, set()),
-    "wavelet": ({**_BOX_1D, "samples": 2}, {"quad_order", "grid"}),
+    "wavelet": (_BOX_1D, {"quad_order", "grid"}),
     "cwt": ({**_BOX_1D, "param_counts": 4}, set()),
 }
 
@@ -774,7 +793,7 @@ class TestNearScalarGenerator:
         for gen in ([2.0, 0.0, 0.0, 2.0], [2.0, 5.16e-17, 5.16e-17, 2.0]):
             path = tmp_path / "g.json"
             path.write_text(json.dumps({"n": 2, "generators": [gen],
-                                        "box": {"bounds": [[1, 2]]}, "samples": 5}))
+                                        "box": {"bounds": [[1, 2]]}}))
             got = {}
             for sub in ("classify", "quasisection", "wavelet"):
                 assert main([sub, "--input", str(path)]) == 0, sub
@@ -787,19 +806,6 @@ class TestNearScalarGenerator:
         assert abs(noisy["wavelet"]["spec"]["sigma"] - sigma) <= 1e-12 * sigma
 
 
-class TestWaveletSamples:
-    @pytest.mark.parametrize("samples", [0, -3, "abc", 2.5],
-                             ids=["zero", "negative", "string", "fraction"])
-    def test_invalid_samples_exit_1(self, tmp_path, capsys, samples):
-        path = tmp_path / "w.json"
-        path.write_text(json.dumps({"n": 1, "generators": DILATION_1D,
-                                    "box": {"bounds": [[1.0, 2.0]]}, "samples": samples}))
-        out = tmp_path / "out.json"
-        assert main(["wavelet", "--input", str(path), "--out", str(out)]) == 1
-        assert "input error: 'samples' must be an integer >= 1" in capsys.readouterr().err
-        assert not out.exists()
-
-
 CASE_A = {"n": 3, "generators": [[1, -1, 0, 1, 1, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0, 0, 1]],
           "box": {"bounds": [[0.5, 2.0], [0.5, 2.0]]}}
 
@@ -807,7 +813,7 @@ CASE_A = {"n": 3, "generators": [[1, -1, 0, 1, 1, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0
 class TestGhatExport:
     def test_csv_matches_ghat_through_basis_and_slices(self, tmp_path):
         path = tmp_path / "wav_a.json"
-        path.write_text(json.dumps({**CASE_A, "samples": 5}))
+        path.write_text(json.dumps(CASE_A))
         out = tmp_path / "wav_a_out.json"
         assert main(["wavelet", "--input", str(path), "--out", str(out),
                      "--quad-order", "32"]) == 0
@@ -860,7 +866,7 @@ class TestWaveletPipeline:
         # the L1 lattice comes from the spec: --grid sets only the ghat CSV
         # and --quad-order only the Calderon rule
         path = tmp_path / "w.json"
-        path.write_text(json.dumps({**CASE_A, "samples": 5}))
+        path.write_text(json.dumps(CASE_A))
         blocks = []
         for flags in (["--grid", "8"], ["--grid", "128"],
                       ["--quad-order", "16"], ["--quad-order", "64"]):
@@ -873,7 +879,7 @@ class TestWaveletPipeline:
         {"n": 1, "generators": DILATION_1D, "box": {"bounds": [[1.0, 2.0]]}}, CASE_A,
     ], ids=["1d", "case-a"])
     def test_calderon_block_does_not_depend_on_seed(self, capsys, tmp_path, doc):
-        # the samples only decide coverage; the integral runs once, on the
+        # nothing is drawn: coverage and the integral are read on the one
         # orbit through C's centre
         path = tmp_path / "w.json"
         path.write_text(json.dumps(doc))
@@ -881,21 +887,34 @@ class TestWaveletPipeline:
         for seed in ("0", "1", "1729"):
             assert main(["wavelet", "--input", str(path), "--grid", "8", "--seed", seed]) == 0
             blocks.append(json.loads(capsys.readouterr().out)["payload"]["calderon"])
-        assert blocks[0]["n_covered"] == 100
+        assert blocks[0]["n_covered"] == 1 and blocks[0]["n_uncovered"] == 0
         assert blocks[0] == blocks[1] == blocks[2]
+
+    @pytest.mark.parametrize("samples", [5, 0, "abc"])
+    def test_samples_key_is_ignored(self, capsys, tmp_path, samples):
+        # no wavelet draws remain, so a "samples" key is read by no
+        # subcommand: accepted and ignored, like any key a job does not read
+        reports = []
+        for doc in (CASE_A, {**CASE_A, "samples": samples}):
+            path = tmp_path / "w.json"
+            path.write_text(json.dumps(doc))
+            assert main(["wavelet", "--input", str(path), "--grid", "8"]) == 0
+            report = json.loads(capsys.readouterr().out)
+            reports.append({**report, "header": {**report["header"], "timestamp": None}})
+        assert reports[0] == reports[1]
 
     @pytest.mark.parametrize("doc", [
         {"n": 1, "generators": DILATION_1D, "box": {"bounds": [[1.0, 2.0]]}}, CASE_A,
     ], ids=["1d", "case-a"])
     def test_generators_times_1000(self, capsys, tmp_path, doc):
-        # the support pad, the containment points and the samples' spread
-        # are in t-units, which scale as 1/1000, so every number that does
-        # not depend on the parametrization keeps its x1 value
+        # the support pad and the containment points are in t-units, which
+        # scale as 1/1000, so every number that does not depend on the
+        # parametrization keeps its x1 value
         payloads = []
         for scale in (1.0, 1000.0):
             path = tmp_path / "w.json"
             gens = (np.array(doc["generators"], dtype=float) * scale).tolist()
-            path.write_text(json.dumps({**doc, "generators": gens, "samples": 20}))
+            path.write_text(json.dumps({**doc, "generators": gens}))
             assert main(["wavelet", "--input", str(path), "--grid", "8"]) == 0
             payloads.append(json.loads(capsys.readouterr().out)["payload"])
         ref, got = payloads
@@ -908,8 +927,7 @@ class TestWaveletPipeline:
         assert got["l1"]["support_containment_max"] == 0.0
 
     def test_wavelet_then_cwt(self, tmp_path):
-        doc = {"n": 1, "generators": [[1.0]], "box": {"bounds": [[1.0, 2.0]]},
-               "samples": 25}
+        doc = {"n": 1, "generators": [[1.0]], "box": {"bounds": [[1.0, 2.0]]}}
         wpath = tmp_path / "wav.json"
         wpath.write_text(json.dumps(doc))
         wout = tmp_path / "wav_out.json"
@@ -1027,8 +1045,7 @@ class TestWaveletPipeline:
         # squared block norms leave the float range beyond about 1e+-154:
         # the box C = [s, 2 s] is refused, not answered with a traceback or NaN
         path, out = tmp_path / "w.json", tmp_path / "w_out.json"
-        path.write_text(json.dumps({**spec, "box": {"bounds": [[scale, 2 * scale]] * k},
-                                    "samples": 5}))
+        path.write_text(json.dumps({**spec, "box": {"bounds": [[scale, 2 * scale]] * k}}))
         assert main(["wavelet", "--input", str(path), "--out", str(out),
                      "--quad-order", "16"]) == 1
         err = capsys.readouterr().err
@@ -1045,12 +1062,32 @@ class TestWaveletPipeline:
         got = []
         for s in (1.0, scale):
             path = tmp_path / "w.json"
-            path.write_text(json.dumps({**spec, "box": {"bounds": [[s, 2 * s]] * k},
-                                        "samples": 5}))
+            path.write_text(json.dumps({**spec, "box": {"bounds": [[s, 2 * s]] * k}}))
             assert main(["wavelet", "--input", str(path), "--quad-order", "16"]) == 0
             payload = json.loads(capsys.readouterr().out)["payload"]
             got.append([payload["calderon"]["max_deviation"], payload["l1"]["l1_estimate"]])
         np.testing.assert_allclose(got[1], got[0], rtol=1e-10)
+
+    @pytest.mark.parametrize("spec, w", [
+        (_BOX_1D, [[1e-152, 1e152]]),
+        ({"n": 2, "generators": [[1, -1, 1, 1]], "box": {"bounds": [[1.0, 2.0]]}},
+         [[1e-100, 1e100]]),
+        (CASE_A, [[1e-152, 1e152]] * 2),
+    ], ids=["dilation-1d", "spiral-2d", "case-a"])
+    def test_wide_w_answers(self, tmp_path, capsys, spec, w):
+        # a containment node of the L1 estimate sits at |s| ~ 767 (1167 for
+        # case (a)), where c = e^|s| leaves the float range: its profile
+        # phi_k(rho) phi_k(c rho) is 0, not a ZeroDivisionError on the empty
+        # Abel grid (even blocks) or NaN from inf * 0 (odd blocks)
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps({**spec, "W": {"bounds": w}}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["wavelet", "--input", str(path), "--quad-order", "16"]) == 0
+        l1 = json.loads(capsys.readouterr().out)["payload"]["l1"]
+        assert 0.0 < l1["l1_estimate"] < np.inf and l1["support_containment_max"] == 0.0
+        assert {warning.category for warning in caught} == {UserWarning}
+        assert any("lattice capped" in str(warning.message) for warning in caught)
 
     def test_far_box_is_a_wavelet_and_cwt_rule(self, tmp_path, capsys):
         # cwt refuses the box before it reads the signal; quasisection
@@ -1075,7 +1112,6 @@ class TestWaveletPipeline:
                 [0, 0, 0, 0, 0, 0, 0, 0, 1],
             ],
             "box": {"bounds": [[0.5, 2.0], [0.5, 2.0]]},
-            "samples": 10,
         }
         path = tmp_path / "wav_a.json"
         path.write_text(json.dumps(doc))
@@ -1084,7 +1120,7 @@ class TestWaveletPipeline:
                       "--quad-order", "32")
         assert res.returncode == 0, res.stderr
         payload = json.loads(out.read_text())["payload"]
-        assert payload["calderon"]["n_covered"] == 10
+        assert payload["calderon"]["n_covered"] == 1
         assert payload["calderon"]["max_deviation"] < 5e-3
         assert payload["l1"]["support_containment_max"] <= 1e-12
 
@@ -1246,7 +1282,7 @@ class TestImports:
         assert verdict["quasi_section_exists"] == "no"
         wav = tmp_path / "w.json"
         wav.write_text(json.dumps({"n": 1, "generators": DILATION_1D,
-                                   "box": {"bounds": [[1.0, 2.0]]}, "samples": 5}))
+                                   "box": {"bounds": [[1.0, 2.0]]}}))
         probe = run_import_probe("wavelet", "--input", str(wav), "--out",
                                  str(tmp_path / "w_out"), "--grid", "16")
         assert_footprint("wavelet", probe)
@@ -1642,8 +1678,7 @@ class TestProcessEqualsInProcess:
                                                [0, 0, 0, 1, 0, 0, 0, 0, 0]],
                         "points": [[1, 5, 7], [0, 5, 7]]},
             "quasisection": {**CASE_B_UNION, "orbit_space_compact": True},
-            "wavelet": {"n": 1, "generators": DILATION_1D, "box": {"bounds": [[1.0, 2.0]]},
-                        "samples": 5},
+            "wavelet": {"n": 1, "generators": DILATION_1D, "box": {"bounds": [[1.0, 2.0]]}},
         }
         freqs = 2 * np.pi * np.fft.fftfreq(64, 0.3)
         band = (np.abs(freqs) > 0.9) & (np.abs(freqs) < 2.2)

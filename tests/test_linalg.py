@@ -288,36 +288,31 @@ class TestJordanChevalleyRecord:
 
 class TestSeededDraws:
     def test_stream_is_random_random(self):
-        # U is the first count * uniforms values of Random(seed).random(), row
-        # by row, and Z the Box-Muller map of the next pairs
-        u, z = seeded_draws(11, 3, 2, 3)
+        # Z is the Box-Muller map of consecutive pairs of Random(seed).random(),
+        # row by row
+        z = seeded_draws(11, 3, 3)
         stream = random.Random(11)
-        want_u = [stream.random() for _ in range(6)]
         pairs = [(stream.random(), stream.random()) for _ in range(5)]
         want_z = []
         for u1, u2 in pairs:
             radius = np.sqrt(-2.0 * np.log1p(-u1))
             want_z += [radius * np.cos(2.0 * np.pi * u2), radius * np.sin(2.0 * np.pi * u2)]
-        npt.assert_array_equal(u, np.reshape(want_u, (3, 2)))
         npt.assert_array_equal(z, np.reshape(want_z[:9], (3, 3)))
 
     def test_shapes_and_moments(self):
-        u, z = seeded_draws(5, 4000, 1, 3)
-        assert u.shape == (4000, 1) and z.shape == (4000, 3)
-        assert np.all((u >= 0) & (u < 1)) and np.all(np.isfinite(z))
-        assert abs(u.mean() - 0.5) < 0.02
+        z = seeded_draws(5, 4000, 3)
+        assert z.shape == (4000, 3) and np.all(np.isfinite(z))
         npt.assert_allclose(z.mean(axis=0), 0.0, atol=0.06)
         npt.assert_allclose(np.cov(z.T), np.eye(3), atol=0.08)
 
     def test_empty_parts(self):
-        u, z = seeded_draws(5, 7, 0, 2)
-        assert u.shape == (7, 0) and z.shape == (7, 2)
-        npt.assert_array_equal(z, seeded_draws(5, 7, 0, 2)[1])
+        assert seeded_draws(5, 0, 2).shape == (0, 2) and seeded_draws(5, 7, 0).shape == (7, 0)
+        npt.assert_array_equal(seeded_draws(5, 7, 2), seeded_draws(5, 7, 2))
 
     def test_negative_seed_refused(self):
         # Random(-s) would repeat the stream of s
         with pytest.raises(ValueError, match="seed must be >= 0"):
-            seeded_draws(-1, 2, 1, 1)
+            seeded_draws(-1, 2, 1)
 
 
 class TestRowNorms:

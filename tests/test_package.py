@@ -204,6 +204,19 @@ class TestNoDeadCode:
         assert table and [entry for entry, reason in table
                           if not re.search(r"[ (]x \S", reason)] == []
 
+    def test_only_the_sampled_routes_draw(self):
+        # exact answers come from structure: only the strata census and the
+        # quasi-section coverage test draw points (linalg.seeded_draws); the
+        # wavelet route's orbits are open, so its coverage is certain
+        callers = set()
+        for path in sorted(SRC.glob("*.py")):
+            for func in ast.walk(ast.parse(path.read_text())):
+                if isinstance(func, ast.FunctionDef) and any(
+                        isinstance(node, ast.Call) and _names([node.func]) == {"seeded_draws"}
+                        for node in ast.walk(func)):
+                    callers.add(f"{path.stem}.{func.name}")
+        assert callers == {"orbits.stratify", "quasisection.quasi_section_verdict"}
+
     def test_one_reader_for_inputs(self):
         # every input key and flag is fetched and checked by groupspec.read
         # (and its _parse), by its row of INPUTS: elsewhere in cli.py and

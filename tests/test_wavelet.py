@@ -8,7 +8,6 @@ import numpy.testing as npt
 import pytest
 from scipy.integrate import quad
 
-from orbitscope.cli import _calderon_samples
 from orbitscope.errors import (
     BandLimitViolation,
     InvalidSignal,
@@ -58,6 +57,27 @@ def spec_spiral():
     # the 2-D spiral group exp(t [[1, -1], [1, 1]]): one block of magnitude |xi|
     act = diagonal_action(DilationAlgebra([np.array([[1.0, -1.0], [1.0, 1.0]])]))
     return synth_wavelet(act, BoxSet([(1.0, 2.0)]))
+
+
+@pytest.fixture(scope="module")
+def spec_e():
+    # the full diagonal group of R^3: three 1-D blocks, one per parameter
+    return synth_wavelet(diagonal_action(family_e()), BoxSet([(0.5, 2.0), (0.7, 1.5), (1.0, 3.0)]))
+
+
+def _calderon_samples(action, spec, count, seed) -> np.ndarray:
+    """count points xi spread around C's centre and along the orbits: block
+    magnitudes sqrt(lo_k hi_k) e^(+-0.15), moved by h_t^T with t uniform in
+    [-1, 1] / max|mu|, each block's direction uniform."""
+    rng = np.random.default_rng(seed)
+    log_r = rng.uniform(-0.15, 0.15, (count, action.k))
+    t = rng.uniform(-1.0, 1.0, (count, action.d)) / np.max(np.abs(action.weights))
+    r = np.sqrt(np.prod(spec.C.bounds, axis=1)) * np.exp(log_r + t @ action.weights.T)
+    z = rng.standard_normal((count, action.alg.n))
+    w = np.empty_like(z)
+    for k, sl in enumerate(action.slices):
+        w[:, sl] = r[:, k:k + 1] * z[:, sl] / np.linalg.norm(z[:, sl], axis=1, keepdims=True)
+    return np.linalg.solve(action.basis.T, w.T).T
 
 
 @pytest.fixture(scope="module")
@@ -281,6 +301,20 @@ class TestCalderon:
         assert rep.n_covered == covered.sum() == 100
         npt.assert_allclose(vals, rep.value, rtol=1e-14, atol=0)
         assert rep.max_deviation == abs(rep.value - 1.0)
+
+    @pytest.mark.parametrize("name", ["spec_1d", "spec_spiral", "spec_case_a", "spec_e"])
+    def test_open_orbits_meet_c(self, name, request):
+        # a spec's orbits are open (k = d, M invertible), so the orbit of every
+        # xi with all blocks nonzero meets C, at any scale of its blocks, and
+        # no orbit through a zero block does: the kernel decides both
+        spec = request.getfixturevalue(name)
+        act = spec.action
+        r = 10.0 ** np.random.default_rng(7).uniform(-150, 150, (200, act.k))
+        assert _polyhedra(*_point_system(act, spec.C, r))[0].all()
+        for k in range(act.k):
+            zero = r.copy()
+            zero[:, k] = 0.0
+            assert not _polyhedra(*_point_system(act, spec.C, zero))[0].any()
 
     def test_uncovered_excluded(self, spec_1d):
         rep = calderon_check(spec_1d, [[1.5], [0.0]], orders=64)
