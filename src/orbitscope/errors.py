@@ -57,7 +57,10 @@ class MatrixOverflow(DomainError):
 
 
 class UnclassifiedFamily(DomainError):
-    """No decision procedure covers the family (raised by classify.classify_dispatch)."""
+    """No decision procedure covers the family: classify.classify_dispatch has no
+    case for it, or quasi_section_verdict finds ((C, C)) bounded in every scaling
+    direction while some parameter directions only rotate, and no verdict field
+    can say that the compactness of their closure is undecided."""
 
 
 class NotDiagonalizableFamily(DomainError):
@@ -78,7 +81,8 @@ class SetsNotNested(DomainError):
 
 class ZeroSigma(DomainError):
     """sigma vanished at a covered point or left the float range with |det M| (~ s^d),
-    or the box's orbits are not open, so sigma is not one constant; no wavelet is built."""
+    the box's orbits are not open, so sigma is not one constant, or some parameter
+    direction scales no block and only rotates; no wavelet is built."""
 
 
 class QuasiSectionRefused(DomainError):

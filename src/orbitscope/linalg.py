@@ -55,6 +55,7 @@ POLY_RANK_TOL = 1e-9  # rank of L_A and of its row subsets (x largest), e_j in i
 SIGN_TOL = 1e-10  # an entry of pinv(L_B) this close to 0 counts as either sign; x max |pinv(L_B)|
 COVERAGE_MARGIN = 1e-6  # smallest block magnitude of a coverage sample (stratum boundary); x 1
 SIGMA_STEP_TOL = 1e-3  # sigma's block integrals from N to 2N intervals, warned above; x integral
+CALDERON_TOL = 1e-3  # Calderon integral's deviation from 1 (criterion 6), warned above; x 1
 L1_STEP_TOL = 1e-2  # L1 estimate from n/2 to n points or S/2 to S intervals, warned above; x value
 NYQUIST_SHARE = 1e-8  # largest share of a signal's spectral mass in the Nyquist shell; x total
 # a wavelet or cwt box bound b > 0 on a block of dimension m has b^max(2, m) within this

@@ -28,13 +28,16 @@ from .errors import (
     CoverageUnverified,
     InfeasibleSystem,
     NotDiagonalizableFamily,
+    UnclassifiedFamily,
 )
 from .linalg import (
     COVERAGE_MARGIN, POLY_RANK_TOL, POLY_SLACK, ROUNDING, SIGN_TOL,
     DilationAlgebra,
     null_space,
     numerical_rank,
+    orth_columns,
     roots_decompose,
+    row_norms,
     seeded_draws,
 )
 
@@ -63,10 +66,17 @@ class DiagonalizedAction:
         return self.alg.d
 
     def block_abs(self, points) -> np.ndarray:
-        """(m, k) array of block coordinate magnitudes."""
+        """(m, k) array of block coordinate magnitudes, by row_norms: no
+        square over- or underflows."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         w = pts @ self.basis
-        return np.stack([np.linalg.norm(w[:, sl], axis=1) for sl in self.slices], axis=1)
+        return np.stack([row_norms(w[:, sl]) for sl in self.slices], axis=1)
+
+    def rotations(self) -> np.ndarray:
+        """Orthonormal basis (columns) of null(M), M = weights: the parameter
+        directions that scale no block, so exp(t X) only rotates; no column
+        when rank M = d."""
+        return null_space(self.weights, POLY_RANK_TOL)
 
 
 def diagonal_action(alg: DilationAlgebra) -> DiagonalizedAction:
@@ -326,6 +336,12 @@ def quasi_section_verdict(
     classifier) rules out every quasi-section for U.  For a union, ((C,C))
     decomposes into the pairwise meeting sets, so it is bounded iff every
     nonempty pair is.
+
+    When rank M < d, the directions of null(M) scale no block and only
+    rotate, so boundedness is decided on the scaling directions: L times an
+    orthonormal basis of range(M^T), with any witness mapped back.  If no
+    scaling direction escapes, UnclassifiedFamily names the rotation
+    directions: whether their closure is compact is not decided here.
     """
     boxes = [C] if isinstance(C, BoxSet) else list(C)
     xis = seeded_draws(seed, n_samples, action.alg.n)
@@ -339,14 +355,30 @@ def quasi_section_verdict(
     if not covered.all():
         xi = samples[np.argmin(covered)]
         raise CoverageUnverified(f"sample {np.round(xi, 4).tolist()} cannot be moved into C")
+    rotations = action.rotations()
+    scaling = orth_columns(action.weights.T, POLY_RANK_TOL) if rotations.size else None
     witness = None
     for Ci, Cj in product(boxes, boxes):
+        sys = meeting_system(action, Ci, Cj)
+        if scaling is not None:  # range(M^T): the directions that scale some block
+            if not scaling.size:
+                break  # M = 0: no direction scales a block
+            sys = ParamInequalitySystem(L=sys.L @ scaling, c=sys.c)
         try:
-            bounded, witness = is_relatively_compact(meeting_system(action, Ci, Cj))
+            bounded, witness = is_relatively_compact(sys)
         except InfeasibleSystem:
             continue  # this piece of the union never meets the other
         if not bounded:
             break
+    if scaling is not None:
+        if witness is None:
+            raise UnclassifiedFamily(
+                "((C,C)) is bounded in every scaling direction, but the parameter directions "
+                f"{np.round(rotations.T, 4).tolist()} only rotate: a quasi-section needs "
+                "their closure to be compact, which is not decided")
+        witness = scaling @ witness
+        witness /= np.max(np.abs(witness))
+        witness[np.abs(witness) < ROUNDING] = 0.0
     if witness is None:
         exists, note = "yes", "((C,C)) bounded: C itself is a topological quasi-section"
     elif orbit_space_compact:

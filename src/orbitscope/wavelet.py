@@ -9,7 +9,7 @@ ghat = phi / sqrt(sigma), which satisfies the Calderon normalization
     int_H |ghat(h^T xi)|^2 dh = 1
 
 on the covered set by construction; the Calderon check, which integrates
-that normalization once with the d-dimensional rule cell_rules and so
+that normalization once with the d-dimensional rule cell_rule and so
 checks sigma independently; the discrete wavelet transform
 
     V_g f(x, h) = |det h|^{1/2} (fhat . conj(ghat o h^T))^v (x)
@@ -27,13 +27,14 @@ WaveletSpec, answers both questions: spec.factor(k, x) is phi_k, which does
 not involve sigma, and spec.block_values(r) is ghat = prod_k phi_k / sqrt(sigma).
 
 The d-dimensional parameter integrals (the Calderon check and the cwt
-lattice) use one rule, cell_rules: cell centres with equal weights.  Each
-integrand is C^infinity and vanishes to all orders at the faces of its
-padded parameter box, where an equispaced rule converges faster than any
-power (Trefethen & Weideman, SIAM Review 56, 2014); a Gauss rule would
-spend its end-clustered nodes where the integrand is zero.  The Calderon
-check's points only decide coverage, which open orbits make certain: every
-covered orbit has the same integral, computed once through C's centre.
+lattice) each run on one box, by one rule, cell_rule(box, counts): cell
+centres with equal weights.  Each integrand is C^infinity and vanishes to
+all orders at the faces of its padded parameter box, where an equispaced
+rule converges faster than any power (Trefethen & Weideman, SIAM Review
+56, 2014); a Gauss rule would spend its end-clustered nodes where the
+integrand is zero.  The Calderon check's points only decide coverage,
+which open orbits make certain: every covered orbit has the same
+integral, computed once through C's centre.
 
 The L1 estimate separates per block, as sigma does, into 1-D integrals over
 s of radial profiles on one 1-D FFT lattice (radial_l1), with sigma's nested
@@ -61,7 +62,7 @@ from .errors import (
     SupportUnbounded,
     ZeroSigma,
 )
-from .linalg import L1_STEP_TOL, NYQUIST_SHARE, SIGMA_STEP_TOL
+from .linalg import CALDERON_TOL, L1_STEP_TOL, NYQUIST_SHARE, SIGMA_STEP_TOL
 from .quasisection import (
     BoxSet,
     DiagonalizedAction,
@@ -126,43 +127,35 @@ def meeting_param_box(action: DiagonalizedAction, W: BoxSet, margin: float = 0.1
 _SUPPORT_PAD = 0.05
 
 
-def cell_rules(boxes, counts) -> tuple[np.ndarray, np.ndarray]:
-    """Cell-centred product rules over m boxes at once.
-
-    `boxes` is (m, d, 2), one (lo, hi) pair per axis and box; `counts` is
-    one int, or one per axis.  Axis j of a box is cut into counts[j] cells
-    of width h_j = (hi - lo) / counts[j]; the nodes are the cell centres
-    lo + h_j (i + 1/2), in C order over the axes, and every weight is the
-    cell volume prod_j h_j.  Returns nodes (m, N, d) and weights (m, N) with
-    N = prod(counts).
-    """
-    boxes = np.asarray(boxes, dtype=float)
-    m, d = boxes.shape[:2]
-    counts = tuple(int(c) for c in np.broadcast_to(counts, d))
-    lo = boxes[..., 0]
-    h = (boxes[..., 1] - lo) / counts
-    nodes = np.empty((m, *counts, d))
-    for j, c in enumerate(counts):
-        axis = (m,) + (1,) * j + (c,) + (1,) * (d - j - 1)
-        nodes[..., j] = (lo[:, j, None] + h[:, j, None] * (np.arange(c) + 0.5)).reshape(axis)
-    nodes = nodes.reshape(m, int(np.prod(counts)), d)
-    return nodes, np.repeat(np.prod(h, axis=1)[:, None], nodes.shape[1], axis=1)
+def _mesh(axes) -> np.ndarray:
+    """The points of the product lattice of 1-D axes, C order, one per row."""
+    return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
 
 
-def _haar_integral(action: DiagonalizedAction, f, r: np.ndarray, boxes, orders) -> np.ndarray:
-    """sum_q w_q |f(r . exp(W t_q))|^2 for each row of the block magnitudes r,
-    over its own parameter box: `boxes` is (m, d, 2), one box per row of r.
+def cell_rule(box, counts) -> tuple[np.ndarray, np.ndarray]:
+    """The cell-centred product rule on one box (d, 2): axis j is cut into
+    counts[j] cells (`counts` one int, or one per axis) of width h_j; the
+    nodes (N, d) are the cell centres lo_j + h_j (i + 1/2) in C order
+    (_mesh), and every weight (N,) is the cell volume prod_j h_j."""
+    lo, hi = np.asarray(box, dtype=float).T
+    counts = [int(c) for c in np.broadcast_to(counts, lo.size)]
+    h = (hi - lo) / counts
+    nodes = _mesh([a + hj * (np.arange(c) + 0.5) for a, hj, c in zip(lo, h, counts)])
+    return nodes, np.full(nodes.shape[0], np.prod(h))
 
-    cell_rules with `orders` cells per group parameter (one int, or one per
+
+def _haar_integral(action: DiagonalizedAction, f, r: np.ndarray, box, orders) -> float:
+    """sum_q w_q |f(r . exp(W t_q))|^2 for the block magnitudes r (k,) over
+    the parameter box `box` (d, 2).
+
+    cell_rule with `orders` cells per group parameter (one int, or one per
     parameter) for int_H |f(h^T xi)|^2 dh, where f is a function of block
     magnitudes: equispaced, because the smooth integrands met here vanish
-    to all orders at the box faces.  All rows go through one batched rule.
+    to all orders at the box faces.
     """
-    nodes, weights = cell_rules(np.reshape(boxes, (r.shape[0], action.d, 2)), orders)
-    rows = r[:, None, :] * np.exp(nodes @ action.weights.T)
-    fv = f(rows.reshape(-1, r.shape[1])).reshape(weights.shape)
-    # one dot per row: a single row reduces exactly as weights @ (fv * fv)
-    return (weights[:, None, :] @ (fv * fv)[:, :, None])[:, 0, 0]
+    nodes, weights = cell_rule(box, orders)
+    fv = f(r * np.exp(nodes @ action.weights.T))
+    return float(weights @ (fv * fv))
 
 
 # trapezoid intervals N of sigma's block integrals, which run on 2N
@@ -224,7 +217,10 @@ def synth_wavelet(action: DiagonalizedAction, C: BoxSet, W: BoxSet | None = None
     SupportUnbounded when ((W, W)) is unbounded: with k = d, a block of W
     with lower bound 0 adds no row to it and leaves a null direction.  Only
     boxes with open orbits (one block per group parameter) build a wavelet;
-    other boxes raise ZeroSigma.  There h_t^T scales block k by
+    other boxes raise ZeroSigma, and so does a group with parameter directions
+    that scale no block (rank M < d), before ((C, C)) is tested: those
+    directions only rotate, and ((C, C)) is unbounded along them in t
+    whatever C is.  There h_t^T scales block k by
     exp(mu_k . t) with an invertible weight matrix M (rows mu_k), so
     s_k = ln r_k + mu_k . t separates the Haar integral:
 
@@ -237,6 +233,11 @@ def synth_wavelet(action: DiagonalizedAction, C: BoxSet, W: BoxSet | None = None
     has each block's relative difference from N to 2N intervals; above 0.1%
     it warns.  A sigma outside the float range (|det M| ~ s^d) raises ZeroSigma.
     """
+    rotations = action.rotations()
+    if rotations.size:
+        raise ZeroSigma(f"the parameter directions {np.round(rotations.T, 4).tolist()} scale "
+                        "no block and only rotate: only groups whose every direction scales "
+                        "a block build a wavelet")
     sysCC = meeting_system(action, C, C)
     bounded, witness = is_relatively_compact(sysCC)
     if not bounded:
@@ -303,9 +304,9 @@ class CalderonReport:
 
 def calderon_check(spec: WaveletSpec, xis, orders) -> CalderonReport:
     """|int_H |ghat(h^T xi)|^2 dh - 1| on the covered samples xis, by
-    cell_rules with `orders` cells per group parameter; sigma comes from the
+    cell_rule with `orders` cells per group parameter; sigma comes from the
     block integrals, so this is the rule's error (1.55e-5 on case (a) at
-    order 64).  Never raises on large deviation.
+    order 64).  Never raises on large deviation; above CALDERON_TOL it warns.
 
     A sample is covered when its orbit meets C, decided for every sample
     exactly by the polyhedral kernel; uncovered samples are only counted.
@@ -319,11 +320,15 @@ def calderon_check(spec: WaveletSpec, xis, orders) -> CalderonReport:
     action = spec.action
     orders = tuple(np.broadcast_to(orders, action.d).tolist())
     covered = _polyhedra(*_point_system(action, spec.C, action.block_abs(xis)))[0]
-    r0 = np.sqrt(np.prod(spec.C.bounds, axis=1))[None]
-    _, boxes = _padded_boxes(*_point_system(action, spec.W, r0), _SUPPORT_PAD)
-    value = float(_haar_integral(action, spec.block_values, r0, boxes, orders)[0])
+    r0 = np.sqrt(np.prod(spec.C.bounds, axis=1))
+    _, (box,) = _padded_boxes(*_point_system(action, spec.W, r0[None]), _SUPPORT_PAD)
+    value = _haar_integral(action, spec.block_values, r0, box, orders)
+    deviation = abs(value - 1.0) if covered.any() else float("nan")
+    if deviation > CALDERON_TOL:
+        warnings.warn(f"the Calderon integral deviates from 1 by {deviation:.2g} on the "
+                      f"{' x '.join(map(str, orders))} cell rule")
     return CalderonReport(
-        max_deviation=abs(value - 1.0) if covered.any() else float("nan"),
+        max_deviation=deviation,
         n_covered=int(covered.sum()),
         n_uncovered=int((~covered).sum()),
         orders=orders,
@@ -373,11 +378,6 @@ class TransformGrid(TransformLattice):
         """The discrete L2(G) norm squared of the coefficients, with left Haar
         |det h|^-1 dx dh, over the signal's energy."""
         return self.haar_energy([slice_energy(c) for c in self.coeffs]) / self.signal_energy()
-
-
-def _mesh(axes) -> np.ndarray:
-    """The points of the product lattice of 1-D axes, C order, one per row."""
-    return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
 
 
 def _half_lattice(shape, dx) -> tuple[tuple, np.ndarray]:
@@ -446,7 +446,7 @@ def cwt_slices(spec: WaveletSpec, f: np.ndarray, dx, param_counts):
     share = _shell_share(fhat, shape)
     if share > NYQUIST_SHARE:
         raise BandLimitViolation(f"{share:.3g} of the spectral mass sits in the Nyquist shell")
-    (pts,), (w,) = cell_rules([spec.param_box], param_counts)
+    pts, w = cell_rule(spec.param_box, param_counts)
     traces = np.array([np.trace(G) for G in spec.action.alg.generators])
     lattice = TransformLattice(spatial_shape=shape, dx=dx, param_points=pts,
                                param_weights=w, dets=np.exp(pts @ traces), f=f)
@@ -618,16 +618,18 @@ def _lattice_slices(spec: WaveletSpec, rf: np.ndarray, ts, rows: int):
     per chunk of c <= rows consecutive rows of ts.  Block k's factor depends
     on t only through exp(mu_k . t), so it is evaluated once per distinct
     scale (an exact np.unique) on the block's distinct magnitudes, `rows`
-    scales per call, and each chunk gathers from those tables."""
+    scales per call, and only inside (lo_k(W), hi_k(W)), where phi_k can be
+    nonzero; each chunk gathers from those tables."""
     scales = np.exp(np.atleast_2d(ts) @ spec.action.weights.T)
     tables = []
-    for k in range(rf.shape[1]):
+    for k, (lo, hi) in enumerate(spec.W.bounds):
         u, inverse = np.unique(rf[:, k], return_inverse=True)
         s, which = np.unique(scales[:, k], return_inverse=True)
-        table = np.empty((s.size, u.size))
+        table = np.zeros((s.size, u.size))
         for j in range(0, s.size, rows):
-            x = np.outer(s[j:j + rows], u).ravel()
-            table[j:j + rows] = spec.factor(k, x).reshape(-1, u.size)
+            x = np.outer(s[j:j + rows], u)
+            band = (lo < x) & (x < hi)
+            table[j:j + rows][band] = spec.factor(k, x[band])
         tables.append((table, which, inverse))
     for i in range(0, scales.shape[0], rows):
         out = 1.0

@@ -250,12 +250,14 @@ WAVELETS = {
 
 
 def wavelet_numbers(gens, bounds):
-    """sigma |det M|, the Calderon value and the L1 estimate, on small rules."""
+    """sigma |det M|, the Calderon value and the L1 estimate, on small rules;
+    the Calderon rule of order 8 falls short of CALDERON_TOL and says so."""
     action = diagonal_action(DilationAlgebra(gens))
     spec = synth_wavelet(action, BoxSet(bounds))
     xi = np.linalg.solve(action.basis.T, np.ones(action.alg.n))
-    return (spec.sigma * abs(np.linalg.det(action.weights)),
-            calderon_check(spec, xi[None], 8).value,
+    with pytest.warns(UserWarning, match="Calderon integral deviates from 1"):
+        calderon = calderon_check(spec, xi[None], 8).value
+    return (spec.sigma * abs(np.linalg.det(action.weights)), calderon,
             l1_estimate(spec, shape=256, param_counts=8).value)
 
 

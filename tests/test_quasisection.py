@@ -4,13 +4,18 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from orbitscope import families as F
 from orbitscope.errors import (
     CoverageUnverified,
+    DomainError,
     InfeasibleSystem,
     NotDiagonalizableFamily,
+    QuasiSectionRefused,
+    UnclassifiedFamily,
 )
 from orbitscope.families import E, case3b, family_a, family_b, family_e
 from orbitscope.linalg import DilationAlgebra, mat_exp, roots_decompose
+from orbitscope.orbits import generic_orbit_dim
 from orbitscope.quasisection import (
     _point_system,
     _polyhedra,
@@ -22,6 +27,7 @@ from orbitscope.quasisection import (
     quasi_section_verdict,
     shell_box,
 )
+from orbitscope.wavelet import synth_wavelet
 
 from conftest import conjugated
 
@@ -418,6 +424,13 @@ class TestBlockMagnitudeScaling:
                                 act.block_abs(xi) * np.exp(act.weights @ t),
                                 rtol=rtol)
 
+    def test_block_norms_do_not_over_or_underflow(self):
+        # one square of 1e160 overflows and one of 1e-200 underflows to 0,
+        # and 1e-160's square is subnormal: row_norms returns each exactly
+        act = diagonal_action(BLOCK_FAMILIES["dilation_1d"][0])
+        r = act.block_abs([[1e160], [1e-200], [-1e-160]])
+        assert r[:, 0].tolist() == [1e160, 1e-200, 1e-160]
+
     @pytest.mark.parametrize("alg", [alg for alg, _ in BLOCK_FAMILIES.values()],
                              ids=BLOCK_FAMILIES)
     def test_weights_are_the_real_parts_of_the_roots(self, alg):
@@ -554,3 +567,119 @@ class TestPolyhedralKernel:
                     npt.assert_allclose(lo[i], plo, rtol=1e-9, atol=1e-9)
                     npt.assert_allclose(hi[i], phi, rtol=1e-9, atol=1e-9)
         assert min(checked.values()) >= 30, checked
+
+
+def _c_star(copies: int) -> DilationAlgebra:
+    """C*^copies on R^(2 copies): in each plane the generators I and
+    R = E21 - E12, the similitude group of the classical 2-D transform.  The
+    R directions scale no block: M = [I, 0] up to the order of its columns."""
+    R = np.array([[0.0, -1.0], [1.0, 0.0]])
+    gens = []
+    for i in range(copies):
+        for G in (np.eye(2), R):
+            B = np.zeros((2 * copies, 2 * copies))
+            B[2 * i:2 * i + 2, 2 * i:2 * i + 2] = G
+            gens.append(B)
+    return DilationAlgebra(gens)
+
+
+def _c_star_times_r_star() -> DilationAlgebra:
+    """C* on the plane of R^3 and the dilations of its third axis."""
+    gens = [np.zeros((3, 3)) for _ in range(3)]
+    gens[0][:2, :2] = np.eye(2)
+    gens[1][:2, :2] = [[0.0, -1.0], [1.0, 0.0]]
+    gens[2][2, 2] = 1.0
+    return DilationAlgebra(gens)
+
+
+ROTATING = {
+    "c_star": (_c_star(1), [[0.0, 1.0]]),
+    "c_star_squared": (_c_star(2), [[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]]),
+    "c_star_on_c2": (_complex_scalars_on_c2(), [[0.0, 1.0]]),
+}
+
+
+class TestRotationDirections:
+    @pytest.mark.parametrize("name", ROTATING)
+    def test_rotations_span_null_m(self, name):
+        alg, span = ROTATING[name]
+        rot = diagonal_action(alg).rotations()
+        # the same subspace as the expected columns, whatever basis the SVD picks
+        npt.assert_allclose(rot @ rot.T, np.array(span).T @ np.array(span), atol=1e-12)
+
+    @pytest.mark.parametrize("name", ["dilation_1d", "family_a", "family_e"])
+    def test_no_rotations_at_full_rank(self, name):
+        act = diagonal_action(BLOCK_FAMILIES[name][0])
+        assert act.rotations().shape == (act.d, 0)
+
+    @pytest.mark.parametrize("compact", [True, None])
+    @pytest.mark.parametrize("name", ROTATING)
+    def test_bounded_scaling_directions_are_unclassified(self, name, compact):
+        # exp(t R) only rotates, so ((C, C)) is bounded in every scaling
+        # direction: no "no" with a rotation witness, and no "yes" either
+        alg, span = ROTATING[name]
+        act = diagonal_action(alg)
+        with pytest.raises(UnclassifiedFamily, match="only rotate"):
+            quasi_section_verdict(act, BoxSet([(1.0, 2.0)] * act.k), orbit_space_compact=compact)
+
+    def test_escaping_scaling_direction_answers_no(self):
+        # a block bounded above only lets the third axis's dilation escape:
+        # the witness scales that block, mapped back to the parameters
+        act = diagonal_action(_c_star_times_r_star())
+        union = [BoxSet([(1.0, 2.0), (0.0, 2.0)]), BoxSet([(0.0, 2.0), (1.0, 2.0)])]
+        v = quasi_section_verdict(act, union, orbit_space_compact=True)
+        assert v.exists == "no"
+        assert v.witness_direction.tolist() == [0.0, 0.0, -1.0]
+
+    def test_no_scaling_direction_is_unclassified(self):
+        # a pure rotation: M = 0 and nothing scales
+        act = diagonal_action(DilationAlgebra([np.array([[0.0, -1.0], [1.0, 0.0]])]))
+        with pytest.raises(UnclassifiedFamily, match=r"\[\[1\.0\]\] only rotate"):
+            quasi_section_verdict(act, BoxSet([(1e-9, 1e9)]), orbit_space_compact=True)
+
+
+def _transposed(alg: DilationAlgebra) -> DilationAlgebra:
+    return DilationAlgebra([G.T for G in alg.generators], tol=alg.tol)
+
+
+_GOLDEN = {"a": F.family_a(1.0), "b11": F.family_b(1.0, 1.0), "b1m1": F.family_b(1.0, -1.0),
+           "b10": F.family_b(1.0, 0.0), "c": F.family_c(), "d": F.family_d(), "e": F.family_e(),
+           "case0": F.case0(), "case1a": F.case1a(), "case1b": F.case1b(),
+           "case1c": F.case1c(), "case2": F.case2(), "case3b": F.case3b()}
+ORBIT_FAMILIES = {
+    **_GOLDEN,
+    **{f"{name}-transposed": _transposed(alg) for name, alg in _GOLDEN.items()},
+    "dilation_1d": BLOCK_FAMILIES["dilation_1d"][0],
+    "spiral_2d": BLOCK_FAMILIES["rotation_scaling_2d"][0],
+    "c_star": _c_star(1),
+    "c_star_squared": _c_star(2),
+}
+
+
+@pytest.mark.parametrize("name", ORBIT_FAMILIES)
+def test_refusals_agree_with_orbit_structure(name):
+    # with shells [1, 2] in every block: where the generic orbits are open no
+    # wavelet refusal says they are not, and no refusal or "no" verdict rests
+    # on a witness that scales no block (M w = 0 only rotates)
+    alg = ORBIT_FAMILIES[name]
+
+    def scales_a_block(witness):
+        return np.max(np.abs(act.weights @ witness)) > 1e-9 * np.max(np.abs(act.weights))
+
+    try:
+        act = diagonal_action(alg)
+    except NotDiagonalizableFamily:
+        return  # the exact kernel needs semisimple blocks: nothing to compare
+    box = BoxSet([(1.0, 2.0)] * act.k)
+    try:
+        synth_wavelet(act, box)
+    except QuasiSectionRefused as err:
+        assert scales_a_block(err.witness), str(err)
+    except DomainError as err:
+        assert not (generic_orbit_dim(alg) == alg.n and "orbits are not open" in str(err)), \
+            str(err)
+    try:
+        v = quasi_section_verdict(act, box, orbit_space_compact=True)
+    except DomainError:
+        return
+    assert v.exists != "no" or scales_a_block(v.witness_direction), v.to_json()
