@@ -28,9 +28,8 @@ _EXPORTS = {
         "classify_dispatch", "classify_one_param",
     ), "classify"),
     **dict.fromkeys((
-        "BoxSet", "DiagonalizedAction", "ParamInequalitySystem", "c_i_box",
-        "diagonal_action", "is_relatively_compact", "meeting_system",
-        "quasi_section_verdict", "shell_box",
+        "BoxSet", "DiagonalizedAction", "c_i_box", "diagonal_action",
+        "is_relatively_compact", "meeting_system", "quasi_section_verdict", "shell_box",
     ), "quasisection"),
     **dict.fromkeys((
         "CalderonReport", "TransformGrid", "WaveletSpec", "calderon_check", "cwt",

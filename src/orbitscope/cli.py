@@ -315,7 +315,7 @@ def _cmd_cwt(args, doc, alg: DilationAlgebra) -> dict:
             pass
     return {
         "spec": spec.to_json(),
-        "isometry_ratio": lattice.haar_energy(energies) / lattice.signal_energy(),
+        "isometry_ratio": lattice.energy_ratio(energies),
         "slices": slices_path,
         "spatial_shape": list(lattice.spatial_shape),
         "n_param_points": int(lattice.param_points.shape[0]),

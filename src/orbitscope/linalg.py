@@ -58,6 +58,7 @@ SIGMA_STEP_TOL = 1e-3  # sigma's block integrals from N to 2N intervals, warned 
 CALDERON_TOL = 1e-3  # Calderon integral's deviation from 1 (criterion 6), warned above; x 1
 L1_STEP_TOL = 1e-2  # L1 estimate from n/2 to n points or S/2 to S intervals, warned above; x value
 NYQUIST_SHARE = 1e-8  # largest share of a signal's spectral mass in the Nyquist shell; x total
+ISOMETRY_TOL = 5e-2  # a cwt's isometry ratio off 1 (criterion 7): energy it misses, warned above; x 1
 # a wavelet or cwt box bound b > 0 on a block of dimension m has b^max(2, m) within this
 # of 1: block norms' squares (~ b^2) and L1 radial profiles (~ b^m) stay finite; x 1
 BOX_POWER_RANGE = 1e-304

@@ -8,13 +8,14 @@ and after eliminating the point coordinate on logs, to the linear system
 
     ln(lo2_k / hi1_k)  <=  mu_k . t  <=  ln(hi2_k / lo1_k),
 
-one-sided whenever a lower bound is zero.  Every system here has the rows
-L = [M; -M], M = (mu_k), and only its right-hand side changes, so one exact
-kernel answers every question asked of it: enumerating the bases of L once
-gives all vertices of a whole batch of right-hand sides as one matrix
-product, and with them emptiness, a point and, by LP duality, the bounding
-box.  Relative compactness of the meeting set is the boundedness of this
-polyhedron, decided by the extreme rays of its recession cone {u : L u <= 0}.
+one-sided whenever a lower bound is zero.  Every system here is a plain
+pair (L, c) of arrays with the rows L = [M; -M], M = (mu_k), and only its
+right-hand side changes, so one exact kernel answers every question asked
+of it: enumerating the bases of L once gives all vertices of a whole batch
+of right-hand sides as one matrix product, and with them emptiness, a point
+and, by LP duality, the bounding box (_polyhedra).  Relative compactness of
+the meeting set is the boundedness of this polyhedron, decided by the
+extreme rays of its recession cone {u : L u <= 0} (_recession_ray).
 """
 
 from __future__ import annotations
@@ -255,20 +256,9 @@ def _recession_ray(L):
     return None
 
 
-@dataclass(frozen=True)
-class ParamInequalitySystem:
-    """Linear system L t <= c in the group parameters; feasibility of the
-    system is equivalent to nonemptiness of the meeting set by construction."""
-
-    L: np.ndarray
-    c: np.ndarray
-
-    def feasible(self) -> bool:
-        return bool(_polyhedra(self.L, self.c)[0][0])
-
-
-def meeting_system(action: DiagonalizedAction, C1: BoxSet, C2: BoxSet) -> ParamInequalitySystem:
-    """The inequality system whose solution set is {t : exp(.)^T C1 meets C2}.
+def meeting_system(action: DiagonalizedAction, C1: BoxSet, C2: BoxSet):
+    """The system (L, c), L t <= c in the group parameters, whose solution set
+    is {t : exp(.)^T C1 meets C2}.
 
     Point coordinates are eliminated block-wise on logs: |w| in [lo1, hi1]
     can be moved into [lo2, hi2] by the factor exp(mu.t) iff
@@ -279,19 +269,20 @@ def meeting_system(action: DiagonalizedAction, C1: BoxSet, C2: BoxSet) -> ParamI
     (lo1, hi1), (lo2, hi2) = np.array(C1.bounds).T, np.array(C2.bounds).T
     L, c = _interval_system(action, lo1, hi1, lo2, hi2)
     keep = c < np.inf
-    return ParamInequalitySystem(L=L[keep], c=c[keep])
+    return L[keep], c[keep]
 
 
-def is_relatively_compact(sys: ParamInequalitySystem) -> tuple[bool, np.ndarray | None]:
-    """Boundedness of the meeting set via its recession cone {u : L u <= 0}.
+def is_relatively_compact(L, c) -> tuple[bool, np.ndarray | None]:
+    """Boundedness of the meeting set {t : L t <= c} via its recession cone
+    {u : L u <= 0}.
 
     Raises InfeasibleSystem when the meeting set is empty (vacuously compact,
     reported distinctly).  When unbounded, returns an extreme ray of the
     cone, scaled to max|u| = 1 and verified by substitution.
     """
-    if not sys.feasible():
+    if not _polyhedra(L, c)[0][0]:
         raise InfeasibleSystem("meeting set is empty")
-    ray = _recession_ray(sys.L)
+    ray = _recession_ray(L)
     return ray is None, ray
 
 
@@ -359,13 +350,13 @@ def quasi_section_verdict(
     scaling = orth_columns(action.weights.T, POLY_RANK_TOL) if rotations.size else None
     witness = None
     for Ci, Cj in product(boxes, boxes):
-        sys = meeting_system(action, Ci, Cj)
+        L, c = meeting_system(action, Ci, Cj)
         if scaling is not None:  # range(M^T): the directions that scale some block
             if not scaling.size:
                 break  # M = 0: no direction scales a block
-            sys = ParamInequalitySystem(L=sys.L @ scaling, c=sys.c)
+            L = L @ scaling
         try:
-            bounded, witness = is_relatively_compact(sys)
+            bounded, witness = is_relatively_compact(L, c)
         except InfeasibleSystem:
             continue  # this piece of the union never meets the other
         if not bounded:

@@ -17,7 +17,7 @@ checks sigma independently; the discrete wavelet transform
 computed slice by slice with FFTs: cwt_slices yields each slice as it is
 made, so a caller that writes or sums them holds one slice at a time, and
 cwt fills one array from them; and the L1 reproducing-kernel estimate whose
-parameter support is confined to the meeting-set box of (W, W).
+parameter support is confined to the meeting-set box of (W, W), meeting_box.
 
 phi and ghat depend on xi only through its block magnitudes r, which h_t^T
 scales as r_k exp(mu_k . t).  The Calderon integrals and the cwt slices are
@@ -37,9 +37,10 @@ which open orbits make certain: every covered orbit has the same
 integral, computed once through C's centre.
 
 The L1 estimate separates per block, as sigma does, into 1-D integrals over
-s of radial profiles on one 1-D FFT lattice (radial_l1), with sigma's nested
-N/2N trapezoid rule; so it does not depend on the basis.  Its convergence
-evidence does not measure the Abel u-step or the rho-step.
+s of radial profiles on one 1-D FFT lattice, with sigma's nested N/2N
+trapezoid rule; so it does not depend on the basis.  One radial_l1 call per
+block answers all its s-nodes.  Its convergence evidence does not measure
+the Abel u-step or the rho-step.
 
 Left Haar on G = R^n x| H is |det h|^{-1} dx dh and the modular function is
 Delta_G(x, h) = |det h|^{-1}; see docs/haar_and_modular.md for the
@@ -62,7 +63,7 @@ from .errors import (
     SupportUnbounded,
     ZeroSigma,
 )
-from .linalg import CALDERON_TOL, L1_STEP_TOL, NYQUIST_SHARE, SIGMA_STEP_TOL
+from .linalg import CALDERON_TOL, ISOMETRY_TOL, L1_STEP_TOL, NYQUIST_SHARE, SIGMA_STEP_TOL
 from .quasisection import (
     BoxSet,
     DiagonalizedAction,
@@ -112,15 +113,11 @@ def _padded_boxes(L, c, margin: float):
     return nonempty, np.stack([lo - pad, hi + pad], axis=-1)
 
 
-def meeting_param_box(action: DiagonalizedAction, W: BoxSet, margin: float = 0.15):
-    """Bounding box of the meeting-set polyhedron ((W, W)), enlarged by margin.
-    It holds t = 0, so it is never empty.
-
-    Raises SupportUnbounded when the polyhedron is unbounded in some
-    parameter direction.
-    """
-    sys = meeting_system(action, W, W)
-    return tuple(map(tuple, _padded_boxes(sys.L, sys.c, margin)[1][0].tolist()))
+def meeting_param_box(action: DiagonalizedAction, W: BoxSet):
+    """Bounding box ((lo, hi), ...) of the meeting-set polyhedron ((W, W)) in
+    t-units; it holds t = 0, so it is never empty.  Raises SupportUnbounded
+    when the polyhedron is unbounded in some parameter direction."""
+    return tuple(map(tuple, _padded_boxes(*meeting_system(action, W, W), 0.0)[1][0].tolist()))
 
 
 # margin of a point's parameter-support box, relative to its widths
@@ -165,6 +162,7 @@ _SIGMA_INTERVALS = 256
 def _nested_trapezoid(f: np.ndarray, h: float):
     """The trapezoid rule on 2N and on N intervals, (h sum f, 2h sum f[::2]),
     for samples f on 2N + 1 nodes (last axis) where f vanishes at both ends."""
+    f = np.ascontiguousarray(f)  # summed in C order: f's memory layout moves no digit
     return h * np.sum(f, axis=-1), 2.0 * h * np.sum(f[..., ::2], axis=-1)
 
 
@@ -177,9 +175,14 @@ class WaveletSpec:
     action: DiagonalizedAction
     C: BoxSet
     W: BoxSet
-    param_box: tuple
+    meeting_box: tuple  # ((W, W))'s bounding box: the L1 kernel's parameter support
     sigma: float
     convergence: dict
+
+    @property
+    def param_box(self) -> tuple:
+        """The cwt lattice's box: meeting_box padded by 15% of its widths."""
+        return tuple((lo - 0.15 * (hi - lo), hi + 0.15 * (hi - lo)) for lo, hi in self.meeting_box)
 
     def factor(self, k: int, x: np.ndarray) -> np.ndarray:
         """Block k's factor phi_k of phi at the block magnitudes x; it does
@@ -238,8 +241,7 @@ def synth_wavelet(action: DiagonalizedAction, C: BoxSet, W: BoxSet | None = None
         raise ZeroSigma(f"the parameter directions {np.round(rotations.T, 4).tolist()} scale "
                         "no block and only rotate: only groups whose every direction scales "
                         "a block build a wavelet")
-    sysCC = meeting_system(action, C, C)
-    bounded, witness = is_relatively_compact(sysCC)
+    bounded, witness = is_relatively_compact(*meeting_system(action, C, C))
     if not bounded:
         raise QuasiSectionRefused(
             "((C,C)) is unbounded: C is not a quasi-section", witness=witness
@@ -255,7 +257,7 @@ def synth_wavelet(action: DiagonalizedAction, C: BoxSet, W: BoxSet | None = None
             raise SetsNotNested("lower bound of C must lie inside W")
         if c_lo == 0 and w_lo != 0:
             raise SetsNotNested("full C-block needs a full W-block")
-    param_box = meeting_param_box(action, W)
+    meeting_box = meeting_param_box(action, W)  # ((W, W)), solved once per spec
     if action.k != action.d:
         raise ZeroSigma(
             f"orbits are not open ({action.k} blocks, {action.d} group parameters): "
@@ -278,7 +280,7 @@ def synth_wavelet(action: DiagonalizedAction, C: BoxSet, W: BoxSet | None = None
         action=action,
         C=C,
         W=W,
-        param_box=param_box,
+        meeting_box=meeting_box,
         sigma=sigma,
         convergence={"block_rel_diff": rel_diff,
                      "trapezoid_intervals": [_SIGMA_INTERVALS, 2 * _SIGMA_INTERVALS]},
@@ -353,14 +355,17 @@ class TransformLattice:
         """float64 for a real f, else complex128."""
         return np.dtype(complex if np.iscomplexobj(self.f) else float)
 
-    def haar_energy(self, slice_energies) -> float:
-        """Discrete L2(G) norm squared with left Haar |det h|^-1 dx dh, from
-        slice_energy of each coefficient slice in parameter order."""
+    def energy_ratio(self, slice_energies) -> float:
+        """The isometry ratio: the L2(G) norm squared (left Haar |det h|^-1 dx dh)
+        of the slices with these slice_energy values, in parameter order, over
+        the signal's energy.  Off 1 by more than ISOMETRY_TOL it warns."""
         cell = float(np.prod(self.dx))
-        return float(np.sum(self.param_weights / self.dets * np.asarray(slice_energies)) * cell)
-
-    def signal_energy(self) -> float:
-        return float(np.sum(np.abs(self.f) ** 2) * np.prod(self.dx))
+        haar = float(np.sum(self.param_weights / self.dets * np.asarray(slice_energies)) * cell)
+        ratio = haar / float(np.sum(np.abs(self.f) ** 2) * cell)
+        if not abs(ratio - 1.0) <= ISOMETRY_TOL:
+            warnings.warn(f"the isometry ratio {ratio:.3g} is off 1 by more than {ISOMETRY_TOL:g}: "
+                          "the parameter lattice misses the signal's spectrum or is too coarse")
+        return ratio
 
 
 def slice_energy(c: np.ndarray) -> float:
@@ -375,9 +380,8 @@ class TransformGrid(TransformLattice):
     coeffs: np.ndarray  # (m, *spatial_shape) of dtype
 
     def isometry_ratio(self) -> float:
-        """The discrete L2(G) norm squared of the coefficients, with left Haar
-        |det h|^-1 dx dh, over the signal's energy."""
-        return self.haar_energy([slice_energy(c) for c in self.coeffs]) / self.signal_energy()
+        """energy_ratio of the coefficients."""
+        return self.energy_ratio([slice_energy(c) for c in self.coeffs])
 
 
 def _half_lattice(shape, dx) -> tuple[tuple, np.ndarray]:
@@ -516,20 +520,21 @@ def l1_estimate(spec: WaveletSpec, shape=None, dx=None, param_counts=64) -> L1Re
         L_k(s) = ||F^{-1}[phi_k(|w|) phi_k(e^s |w|)]||_{L1(R^{m_k})}.
 
     L_k is even and vanishes for |s| >= ln(hi_k / lo_k) of W: a trapezoid
-    rule of `param_counts` (even) intervals, radial_l1 at the nodes s >= 0
-    on `shape` points at step dx.  By default dx = pi / (4 max hi(W)) and
-    shape is the least power of two with step 2 pi / (shape dx) <= delta / 12
-    (delta: W's narrowest transition around C), at most _L1_MAX_POINTS.
+    rule of `param_counts` (even) intervals, one radial_l1 call per block
+    at all nodes s >= 0, on `shape` points at step dx: by default
+    dx = pi / (4 max hi(W)), and shape is the least power of two with step
+    2 pi / (shape dx) <= delta / 12 (delta: W's narrowest transition around
+    C), at most _L1_MAX_POINTS.
     `convergence` has the relative differences to half the lattice (every
     other frequency) and to half the intervals; on its own lattice (no
     `shape`) it warns above 1% or when capped.  Neither difference measures
     the Abel u-step du or the rho-step dx, and on the 2-D spiral each is
     worth about 5e-4 at the default steps.  `containment_max` is the
     largest slice norm a third of the box width beyond the faces of the
-    kernel's support box, the meeting set of (W, W).
+    kernel's support box, spec.meeting_box, the bounding box of ((W, W)).
     """
     action = spec.action
-    box = meeting_param_box(action, spec.W, margin=0.0)
+    box = spec.meeting_box
     S = int(param_counts)
     if S < 2 or S % 2:
         raise ValueError(f"param_counts must be an even integer >= 2, got {param_counts}")
@@ -539,33 +544,23 @@ def l1_estimate(spec: WaveletSpec, shape=None, dx=None, param_counts=64) -> L1Re
     wanted = 2 ** int(np.ceil(np.log2(24.0 * np.pi / (dx * delta)))) if own else int(shape)
     n, capped = min(wanted, _L1_MAX_POINTS) if own else wanted, wanted > _L1_MAX_POINTS and own
     du = max(delta / 4.0, 6.0 * np.pi / (n * dx))  # delta / 4, or 3 steps of a coarse lattice
-
-    dims = [sl.stop - sl.start for sl in action.slices]
-
-    @np.errstate(over="ignore")  # c rho past the float range reads inf, where phi_k is 0
-    def profiles(k, s):  # L_k at the nodes s, on the lattice and on its half: (2, len(s))
-        hi, c, phi = spec.W.bounds[k][1], np.exp(np.abs(s)), spec.factor
-        if dims[k] % 2:  # one row of q per node, all in one batch; L_k = 0 at c = inf, not inf * 0
-            near, out = c < np.inf, np.zeros((2, s.size))
-            out[:, near] = radial_l1(lambda rho: phi(k, rho) * phi(k, c[near, None] * rho),
-                                     dims[k], n, dx, du, hi)
-            return out
-        return np.transpose([radial_l1(lambda rho: phi(k, rho) * phi(k, ci * rho),
-                                       dims[k], n, dx, du, hi / ci) for ci in c])  # bounded memory
-
-    integrals = []
-    for k, (lo, hi) in enumerate(spec.W.bounds):
+    beyond = action.weights @ _containment_points(box).T  # their s, profiled with the nodes
+    integrals, outside = [], 1.0
+    for k, ((lo, hi), sl) in enumerate(zip(spec.W.bounds, action.slices)):
         h = 2.0 * np.log(hi / lo) / S
-        half = profiles(k, h * np.arange(S // 2 + 1))
-        integrals.append(_nested_trapezoid(np.concatenate([half[:, :0:-1], half], axis=1), h))
+        with np.errstate(over="ignore"):  # c rho past the float range reads inf, where phi_k is 0
+            c = np.exp(np.abs(np.concatenate([h * np.arange(S // 2 + 1), beyond[k]])))
+            near, profile = c < np.inf, np.zeros((2, c.size))  # L_k = 0 at c = inf, not inf * 0
+            profile[:, near] = radial_l1(lambda x: spec.factor(k, x), c[near], sl.stop - sl.start,
+                                         n, dx, du, hi)
+        integrals.append(_nested_trapezoid(profile[:, np.r_[S // 2:0:-1, :S // 2 + 1]], h))
+        outside = outside * profile[0, S // 2 + 1:]
     (fine, lattice_half), (param_half, _) = np.prod(integrals, axis=0)
     norm = spec.sigma * abs(np.linalg.det(action.weights))
     rel_diff = [float(abs(fine - lattice_half) / fine), float(abs(fine - param_half) / fine)]
     if capped or (own and max(rel_diff) > L1_STEP_TOL):
         warnings.warn(f"the L1 estimate moves by {max(rel_diff):.2g} from {n // 2} to {n} lattice "
                       f"points or {S // 2} to {S} intervals" + ", lattice capped" * capped)
-    outside = np.prod([profiles(k, s)[0] for k, s in
-                       enumerate(action.weights @ _containment_points(box).T)], axis=0)
     return L1Report(value=float(fine / norm), param_box=box,
                     containment_max=float(np.max(outside) / norm),
                     convergence={"lattice": [n // 2, n], "lattice_rel_diff": rel_diff[0],
@@ -573,44 +568,57 @@ def l1_estimate(spec: WaveletSpec, shape=None, dx=None, param_counts=64) -> L1Re
                                  "lattice_capped": capped})
 
 
-def radial_l1(q, m: int, n: int, dx: float, du: float, rho_max: float) -> np.ndarray:
-    """||F^{-1}[q(|w|)]||_{L1(R^m)} for a profile q that vanishes beyond
-    rho_max, on the 1-D FFT lattice of n points at step dx and on its half
-    (every other frequency, same dx): [full, half], over q's batch axes.
-
-    The radial transform f starts from the 1-D transform of q(|xi|) (odd m)
-    or of the Abel projection pi^{-1} int_0^inf q(sqrt(xi^2 + u^2)) du by the
-    cell-centred rule at step du (even m; spectrally accurate, the
-    integrand is even in u).  Each step f -> -(2 pi rho)^{-1} f' adds 2 to
-    the dimension, with derivatives (i xi)^j in the same irfft.  The norm
-    |S^{m-1}| int |f| rho^{m-1} drho is the trapezoid rule, plus for m = 2
-    the end term dx^2/12 |f(0)|, the slope of rho |f| at 0.
+def radial_l1(phi, c, m: int, n: int, dx: float, du: float, rho_max: float) -> np.ndarray:
+    """||F^{-1}[phi(|w|) phi(c |w|)]||_{L1(R^m)} for each scale c >= 1 of the
+    array c, where phi vanishes beyond rho_max, on the 1-D FFT lattice of n
+    points at step dx and on its half (every other frequency, same dx):
+    [full, half], shape (2, len(c)).  The radial transform f starts from the
+    1-D transform of q = phi(.) phi(c .) (odd m) or of the Abel projection
+    pi^{-1} int_0^inf q(sqrt(xi^2 + u^2)) du by the cell-centred rule at step
+    du (even m; spectrally accurate, the integrand is even in u): phi once
+    per chunk of the (xi, u) grid, where scale c reads the corner up to
+    rho_max / c.  Each step f -> -(2 pi rho)^{-1} f' adds 2 to the dimension,
+    with derivatives (i xi)^j in the same irfft.  The norm |S^{m-1}| int |f|
+    rho^{m-1} drho is the trapezoid rule, plus for m = 2 the end term
+    dx^2/12 |f(0)|, the slope of rho |f| at 0.  Chunks and irfft batches
+    hold at most _L1_MAX_POINTS points.
     """
+    c = np.asarray(c, dtype=float)
     dxi = 2.0 * np.pi / (n * dx)
     xi = dxi * np.arange(min(n // 2, int(rho_max / dxi)) + 1)
     if m % 2:
-        g = q(xi)
+        g = phi(xi) * phi(c[:, None] * xi)
     else:
         u = du * (np.arange(np.ceil(rho_max / du)) + 0.5)
+        nx = np.minimum(n // 2, rho_max / c / dxi).astype(int) + 1  # each scale's corner
+        nu = np.ceil(rho_max / c / du).astype(int)
+        g = np.zeros((c.size, xi.size))
         rows = max(1, _L1_MAX_POINTS // max(1, u.size))  # an empty grid sums to 0
-        g = np.concatenate([du / np.pi * np.sum(q(np.sqrt(xi[i:i + rows, None] ** 2 + u * u)),
-                                                axis=-1) for i in range(0, xi.size, rows)], axis=-1)
+        for i in range(0, xi.size, rows):
+            rho = np.sqrt(xi[i:i + rows, None] ** 2 + u * u)
+            p = phi(rho)
+            for j in np.flatnonzero(nx > i):
+                sub = np.s_[:nx[j] - i, :nu[j]]  # scale j's corner of the chunk
+                g[j, i:i + rows][:nx[j] - i] = du / np.pi * np.sum(p[sub] * phi(c[j] * rho[sub]),
+                                                                   axis=-1)
     steps = (m - 1) // 2
-    c = [1.0]  # (rho^-1 d/drho)^steps = sum_j c_j rho^(j - 2 steps) (d/drho)^j
+    a = [1.0]  # (rho^-1 d/drho)^steps = sum_j a_j rho^(j - 2 steps) (d/drho)^j
     for i in range(steps):
-        c = [(j - 2 * i) * (c + [0.0])[j] + ([0.0] + c)[j] for j in range(len(c) + 1)]
-    out = []
-    for size, gs, xs in ((n, g, xi), (n // 2, g[..., ::2], xi[::2])):
-        d = np.fft.irfft((1j * xs) ** np.arange(steps + 1)[:, None] * gs[..., None, :],
-                         n=size)[..., :size // 2 + 1] / dx
+        a = [(j - 2 * i) * (a + [0.0])[j] + ([0.0] + a)[j] for j in range(len(a) + 1)]
+    out = np.empty((2, g.shape[0]))
+    batch = max(1, _L1_MAX_POINTS // n)
+    for half, (size, xs) in enumerate(((n, xi), (n // 2, xi[::2]))):
         rho = dx * np.arange(size // 2 + 1)
         r = np.concatenate([[np.inf], rho[1:]])  # the steps' f(0) = 0 has weight rho^{m-1} = 0
-        f = (-0.5 / np.pi) ** steps * sum(cj * r ** (j - 2 * steps) * d[..., j, :]
-                                          for j, cj in enumerate(c) if cj)
-        F = np.abs(f) * rho ** (m - 1)
-        out.append(dx * (np.sum(F, axis=-1) - 0.5 * (F[..., 0] + F[..., -1]))
-                   + (m == 2) * dx * dx / 12.0 * np.abs(f[..., 0]))
-    return 2.0 * np.pi ** (m / 2) / math.gamma(m / 2) * np.array(out)
+        for b in range(0, g.shape[0], batch):
+            d = np.fft.irfft((1j * xs) ** np.arange(steps + 1)[:, None]
+                             * g[b:b + batch, None, ::half + 1], n=size)[..., :size // 2 + 1] / dx
+            f = (-0.5 / np.pi) ** steps * sum(aj * r ** (j - 2 * steps) * d[:, j]
+                                              for j, aj in enumerate(a) if aj)
+            F = np.abs(f) * rho ** (m - 1)
+            out[half, b:b + batch] = (dx * (np.sum(F, axis=-1) - 0.5 * (F[:, 0] + F[:, -1]))
+                                      + (m == 2) * dx * dx / 12.0 * np.abs(f[:, 0]))
+    return 2.0 * np.pi ** (m / 2) / math.gamma(m / 2) * out
 
 
 def _lattice_slices(spec: WaveletSpec, rf: np.ndarray, ts, rows: int):

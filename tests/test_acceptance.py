@@ -163,20 +163,20 @@ def _fd_rank(alg, xi, h=1e-5):
 def test_criterion_5_quasi_section_dichotomy():
     t0 = time.time()
     act11 = diagonal_action(F.family_b(1.0, 1.0))
-    sys11 = meeting_system(act11, c_i_box(1, 2.0), c_i_box(2, 2.0))
-    bounded, u = is_relatively_compact(sys11)
+    L11, c11 = meeting_system(act11, c_i_box(1, 2.0), c_i_box(2, 2.0))
+    bounded, u = is_relatively_compact(L11, c11)
     assert not bounded and u is not None and np.linalg.norm(u) > 0
-    assert np.max(sys11.L @ u) <= 1e-9
+    assert np.max(L11 @ u) <= 1e-9
 
     act1m1 = diagonal_action(F.family_b(1.0, -1.0))
-    sys23 = meeting_system(act1m1, c_i_box(2, 2.0), c_i_box(3, 2.0))
-    bounded2, u2 = is_relatively_compact(sys23)
+    L23, c23 = meeting_system(act1m1, c_i_box(2, 2.0), c_i_box(3, 2.0))
+    bounded2, u2 = is_relatively_compact(L23, c23)
     assert not bounded2 and u2 is not None and np.linalg.norm(u2) > 0
-    assert np.max(sys23.L @ u2) <= 1e-9
+    assert np.max(L23 @ u2) <= 1e-9
 
     act10 = diagonal_action(F.family_b(1.0, 0.0))
-    sys_thick = meeting_system(act10, shell_box(2.0, act10.k), shell_box(2.0, act10.k))
-    bounded3, _ = is_relatively_compact(sys_thick)
+    bounded3, _ = is_relatively_compact(
+        *meeting_system(act10, shell_box(2.0, act10.k), shell_box(2.0, act10.k)))
     assert bounded3
     _report(5, "meeting-set dichotomy with verified recession witnesses",
             time.time() - t0, 5)

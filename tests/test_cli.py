@@ -39,6 +39,13 @@ def _calderon_warns(expected: bool):
     return pytest.warns(UserWarning, match="Calderon integral deviates from 1")
 
 
+def _isometry_warns(expected: bool):
+    """pytest.warns for the cwt isometry ratio's warning, or no check."""
+    if not expected:
+        return contextlib.nullcontext()
+    return pytest.warns(UserWarning, match="isometry ratio .* is off 1 by more than 0.05")
+
+
 @pytest.fixture()
 def case_d_spec(tmp_path):
     path = tmp_path / "case_d.json"
@@ -766,7 +773,9 @@ class TestInputTable:
                 path.write_text(json.dumps({**doc, key: value}))
                 runs.append(([argv[0], "--input", str(path), *argv[3:]], value))
         (valid_argv, _), (invalid_argv, _) = runs
-        assert main(valid_argv) == 0, capsys.readouterr().err
+        # the cwt job's 4 parameter points keep 0.849 of the signal's energy
+        with _isometry_warns(argv[0] == "cwt"):
+            assert main(valid_argv) == 0, capsys.readouterr().err
         capsys.readouterr()
         assert main(invalid_argv) == 1
         err = capsys.readouterr().err
@@ -786,8 +795,9 @@ class TestHeaderOverrides:
         path = tmp_path / "in.json"
         path.write_text(json.dumps(doc))
         out = tmp_path / "out.json"
-        # the wavelet job's Calderon rule of order 16 falls short and warns
-        with _calderon_warns(subcommand == "wavelet"):
+        # the wavelet job's Calderon rule of order 16 falls short and warns, and
+        # so does the cwt job's lattice of 4 parameter points (ratio 0.849)
+        with _calderon_warns(subcommand == "wavelet"), _isometry_warns(subcommand == "cwt"):
             assert main([subcommand, "--input", str(path), "--out", str(out),
                          *_read_flags(keys, "8", "16"), *flags]) == 0
         overrides = json.loads(out.read_text())["header"]["overrides"]
@@ -886,6 +896,41 @@ class TestWaveletPipeline:
             blocks.append(json.dumps(json.loads(capsys.readouterr().out)["payload"]["l1"],
                                      sort_keys=True))
         assert len(set(blocks)) == 1
+
+    def test_each_question_answered_once(self, capsys, tmp_path, monkeypatch):
+        # the case (a) job solves ((W, W)) once: synth_wavelet keeps its box
+        # for l1_estimate.  And phi_k is evaluated on the even block's Abel
+        # grid once per row chunk, not once per node: the grid's least point,
+        # (xi, u) = (0, du / 2), which every node's corner holds, reaches phi_k
+        # once as rho and once as 1 * rho at each of the three nodes at s = 0
+        # (the first s-node and the two containment points off the block's
+        # axis), 4 times where one evaluation per node takes 37 + 3
+        import orbitscope.wavelet as wavelet
+
+        systems, least = [], []
+        meeting_system, factor = wavelet.meeting_system, wavelet.WaveletSpec.factor
+
+        def counted_system(action, C1, C2):
+            systems.append((C1.bounds, C2.bounds))
+            return meeting_system(action, C1, C2)
+
+        def counted_factor(spec, k, x):
+            if np.ndim(x) == 2 and np.size(x):
+                least.append((k, float(np.min(x))))
+            return factor(spec, k, x)
+
+        monkeypatch.setattr(wavelet, "meeting_system", counted_system)
+        monkeypatch.setattr(wavelet.WaveletSpec, "factor", counted_factor)
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(CASE_A))
+        assert main(["wavelet", "--input", str(path), "--grid", "8"]) == 0
+        spec = json.loads(capsys.readouterr().out)["payload"]["spec"]
+        C, W = (tuple(map(tuple, spec[key]["bounds"])) for key in ("C", "W"))
+        assert systems.count((C, C)) == 1 and systems.count((W, W)) == 1
+        even = [k for k, (start, stop) in enumerate(spec["slices"]) if (stop - start) % 2 == 0]
+        assert len(even) == 1  # the rotation-scaling block
+        mins = [value for k, value in least if k == even[0]]
+        assert mins.count(min(mins)) == 4
 
     @pytest.mark.parametrize("doc", [
         {"n": 1, "generators": DILATION_1D, "box": {"bounds": [[1.0, 2.0]]}}, CASE_A,
@@ -1615,6 +1660,36 @@ class TestCwtStream:
         assert "not a .npy array" in capsys.readouterr().err
 
 
+class TestIsometryWarning:
+    """A cwt job whose isometry ratio is off 1 by more than 0.05 (criterion 7)
+    says so on stderr; an in-band job stays silent."""
+
+    @pytest.mark.parametrize("name, ratio", [("gaussian", 0.7797), ("constant", 0.0)])
+    def test_energy_shortfall_warns(self, tmp_path, name, ratio):
+        # the Gaussian's spectrum reaches beyond the box [1, 2]; a constant
+        # has only the frequency 0, where ghat vanishes
+        x = (np.arange(256) - 128) * 0.05
+        f, dx = (np.exp(-x ** 2 / 0.05), 0.05) if name == "gaussian" else (np.ones(256), 0.3)
+        path, _ = _cwt_job(tmp_path, {**_CWT_1D, "dx": dx}, f)
+        out = tmp_path / "c_out.json"
+        with _isometry_warns(True):
+            assert main(["cwt", "--input", str(path), "--out", str(out)]) == 0
+        got = json.loads(out.read_text())["payload"]["isometry_ratio"]
+        assert got == pytest.approx(ratio, abs=1e-4)
+
+    @pytest.mark.parametrize("doc, shape", [(_CWT_1D, (256,)), (_CWT_2D, (64, 64))],
+                             ids=["1d", "2d"])
+    def test_in_band_is_silent(self, tmp_path, doc, shape):
+        spec = synth_wavelet(diagonal_action(group_spec_from_dict(doc)),
+                             BoxSet(doc["box"]["bounds"]))
+        path, _ = _cwt_job(tmp_path, doc, _band_signal(spec, shape, doc["dx"], 7))
+        out = tmp_path / "c_out.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["cwt", "--input", str(path), "--out", str(out)]) == 0
+        assert abs(json.loads(out.read_text())["payload"]["isometry_ratio"] - 1.0) <= 0.05
+
+
 class TestWriteCsv:
     EDGE = [-0.0, 1e-300, 0.1, 1e16, -2.5e-7, 123456789.123456789]
 
@@ -1742,16 +1817,17 @@ class TestProcessEqualsInProcess:
     @pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
     def test_same_outputs(self, tmp_path, capsys, inputs, subcommand, flags, to_file):
         argv = [subcommand, "--input", str(inputs[subcommand]), *flags]
-        # the wavelet job's Calderon rule of order 8 falls short: the process
-        # prints the warning, which in process goes to the warnings filter
-        warns = subcommand == "wavelet"
-        with _calderon_warns(warns):
+        # the wavelet job's Calderon rule of order 8 and the cwt job's 8
+        # parameter points fall short: the process prints the warning, which in
+        # process goes to the warnings filter
+        warning = {"wavelet": "UserWarning: the Calderon integral deviates from 1 by 0.057",
+                   "cwt": "UserWarning: the isometry ratio 0.886 is off 1"}.get(subcommand)
+        with _calderon_warns(subcommand == "wavelet"), _isometry_warns(subcommand == "cwt"):
             process, library = _process_and_library_runs(
                 tmp_path, capsys, argv, tmp_path / "job.json" if to_file else None)
-        warning = "UserWarning: the Calderon integral deviates from 1 by 0.057"
-        assert process[0] == 0 and (warning in process[2] if warns else process[2] == ""), \
+        assert process[0] == 0 and (warning in process[2] if warning else process[2] == ""), \
             process[2]
-        if warns:  # in process the warning went to pytest.warns, not to stderr
+        if warning:  # in process the warning went to pytest.warns, not to stderr
             process = (*process[:2], "", *process[3:])
         if to_file:
             assert process[1] == "" and process[3] is not None

@@ -48,11 +48,11 @@ def geometric_meeting_test(action, C1, C2, t):
 class TestMeetingSystem:
     def test_paper_reduction_case_b11(self):
         act = diagonal_action(family_b(1.0, 1.0))
-        sys = meeting_system(act, c_i_box(1, 2.0), c_i_box(2, 2.0))
+        L, c = meeting_system(act, c_i_box(1, 2.0), c_i_box(2, 2.0))
         # exactly the displayed constraints: s >= -2ln2, t <= 2ln2, |s+t| <= 2ln2
-        assert sys.L.shape[0] == 4
-        got = sorted((tuple(np.round(row, 9)), round(c, 9))
-                     for row, c in zip(sys.L, sys.c))
+        assert L.shape[0] == 4
+        got = sorted((tuple(np.round(row, 9)), round(ci, 9))
+                     for row, ci in zip(L, c))
         l2 = round(2 * np.log(2.0), 9)
         assert got == sorted([
             ((-1.0, -0.0), l2),
@@ -63,11 +63,11 @@ class TestMeetingSystem:
 
     def test_scalar_full_shell_pair(self):
         act = diagonal_action(DilationAlgebra([np.eye(3)]))
-        sys = meeting_system(act, shell_box(2.0, 1), shell_box(2.0, 1))
-        bounded, _ = is_relatively_compact(sys)
+        L, c = meeting_system(act, shell_box(2.0, 1), shell_box(2.0, 1))
+        bounded, _ = is_relatively_compact(L, c)
         assert bounded
-        assert np.all(sys.L @ [2 * np.log(2.0)] <= sys.c + 1e-9)
-        assert not np.all(sys.L @ [2.5 * np.log(2.0)] <= sys.c + 1e-9)
+        assert np.all(L @ [2 * np.log(2.0)] <= c + 1e-9)
+        assert not np.all(L @ [2.5 * np.log(2.0)] <= c + 1e-9)
 
     def test_membership_matches_geometric_oracle(self):
         rng = np.random.default_rng(20)
@@ -95,13 +95,13 @@ class TestMeetingSystem:
                 if all(b[0] == 0 for b in bounds):
                     bounds[0] = (0.5, bounds[0][1])
                 boxes.append(BoxSet(bounds))
-            sys = meeting_system(act, *boxes)
+            L, c = meeting_system(act, *boxes)
             for _ in range(25):
                 t = rng.uniform(-4, 4, act.d)
-                margin = np.max(np.abs(sys.L @ t - sys.c)) if sys.L.shape[0] else 1.0
-                if sys.L.shape[0] and np.min(np.abs(sys.L @ t - sys.c)) < 1e-3:
+                margin = np.max(np.abs(L @ t - c)) if L.shape[0] else 1.0
+                if L.shape[0] and np.min(np.abs(L @ t - c)) < 1e-3:
                     continue  # near-boundary excluded by construction
-                member = bool(np.all(sys.L @ t <= sys.c + 1e-9))
+                member = bool(np.all(L @ t <= c + 1e-9))
                 assert member == geometric_meeting_test(act, *boxes, t)
                 agree += 1
         assert agree > 1000
@@ -110,37 +110,36 @@ class TestMeetingSystem:
 class TestRelativeCompactness:
     def test_case_b11_unbounded_with_witness(self):
         act = diagonal_action(family_b(1.0, 1.0))
-        sys = meeting_system(act, c_i_box(1, 2.0), c_i_box(2, 2.0))
-        bounded, u = is_relatively_compact(sys)
+        L, c = meeting_system(act, c_i_box(1, 2.0), c_i_box(2, 2.0))
+        bounded, u = is_relatively_compact(L, c)
         assert not bounded
         assert u is not None and np.linalg.norm(u) > 0
-        assert np.max(sys.L @ u) <= 1e-9  # witness verified by substitution
+        assert np.max(L @ u) <= 1e-9  # witness verified by substitution
 
     def test_case_b1m1_unbounded_c2_c3(self):
         act = diagonal_action(family_b(1.0, -1.0))
-        sys = meeting_system(act, c_i_box(2, 2.0), c_i_box(3, 2.0))
-        bounded, u = is_relatively_compact(sys)
+        bounded, u = is_relatively_compact(*meeting_system(act, c_i_box(2, 2.0), c_i_box(3, 2.0)))
         assert not bounded
         npt.assert_allclose(u, [0.0, 1.0], atol=1e-9)
 
     def test_section_thickened_box_bounded(self):
         act = diagonal_action(family_b(1.0, 0.0))
-        sys = meeting_system(act, shell_box(2.0, act.k), shell_box(2.0, act.k))
-        bounded, u = is_relatively_compact(sys)
+        bounded, u = is_relatively_compact(*meeting_system(act, shell_box(2.0, act.k),
+                                                           shell_box(2.0, act.k)))
         assert bounded and u is None
 
     def test_infeasible_reported_distinctly(self):
         act = diagonal_action(DilationAlgebra([np.diag([1.0, 1.0, 2.0])]))
-        sys = meeting_system(act, BoxSet([(1, 2), (1, 2)]), BoxSet([(8, 16), (0.01, 0.02)]))
+        L, c = meeting_system(act, BoxSet([(1, 2), (1, 2)]), BoxSet([(8, 16), (0.01, 0.02)]))
         with pytest.raises(InfeasibleSystem):
-            is_relatively_compact(sys)
+            is_relatively_compact(L, c)
 
     def test_symmetry_of_pair_order(self):
         act = diagonal_action(family_b(1.0, 1.0))
         for pair in ((1, 2), (2, 3), (1, 3)):
             s_ab = meeting_system(act, c_i_box(pair[0], 2.0), c_i_box(pair[1], 2.0))
             s_ba = meeting_system(act, c_i_box(pair[1], 2.0), c_i_box(pair[0], 2.0))
-            assert is_relatively_compact(s_ab)[0] == is_relatively_compact(s_ba)[0]
+            assert is_relatively_compact(*s_ab)[0] == is_relatively_compact(*s_ba)[0]
 
     def test_oracle_grid_probe_agreement(self):
         # boundedness agrees with brute-force probing on [-50, 50]^d
@@ -162,9 +161,9 @@ class TestRelativeCompactness:
             if all(b[0] == 0 for b in bounds):
                 bounds[0] = (0.5, 2.0)
             C = BoxSet(bounds)
-            sys = meeting_system(act, C, C)
+            L, c = meeting_system(act, C, C)
             try:
-                bounded, _ = is_relatively_compact(sys)
+                bounded, _ = is_relatively_compact(L, c)
             except InfeasibleSystem:
                 continue
             if bounded:
@@ -172,14 +171,14 @@ class TestRelativeCompactness:
                 # is wider than the probe window cannot be certified by it
                 from orbitscope.wavelet import meeting_param_box
 
-                box = meeting_param_box(act, C, margin=0.0)
+                box = meeting_param_box(act, C)
                 if max(max(abs(lo), abs(hi)) for lo, hi in box) > 35:
                     continue
             axis = np.linspace(-50, 50, 41)
             tt = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
             feas = (
-                np.all(sys.L @ tt.T <= sys.c[:, None] + 1e-9, axis=0)
-                if sys.L.shape[0] else np.ones(tt.shape[0], dtype=bool)
+                np.all(L @ tt.T <= c[:, None] + 1e-9, axis=0)
+                if L.shape[0] else np.ones(tt.shape[0], dtype=bool)
             )
             hit_outside = bool(np.any(feas & (np.max(np.abs(tt), axis=1) > 40)))
             if hit_outside != (not bounded):
@@ -337,9 +336,9 @@ class TestMeetingProbe:
         assert probe.to_json()["verdict_quality"] == "numerical"
         # same boxes through the exact kernel: same verdict, and every hit of
         # the probe lies in the exact meeting set
-        sys = meeting_system(act, C1, C2)
-        assert is_relatively_compact(sys)[0] == probe.bounded_numerical
-        assert np.all(sys.L @ probe.hits.T <= sys.c[:, None] + 1e-9)
+        L, c = meeting_system(act, C1, C2)
+        assert is_relatively_compact(L, c)[0] == probe.bounded_numerical
+        assert np.all(L @ probe.hits.T <= c[:, None] + 1e-9)
 
     def test_probe_applies_to_nondiagonalizable_family(self):
         # triangular-with-nilpotent family: only the sampling oracle applies
@@ -524,19 +523,19 @@ class TestPolyhedralKernel:
         seen = {"empty": 0, "bounded": 0, "unbounded": 0}
         for _ in range(100):
             act = random_action(rng)
-            sys = meeting_system(act, random_box(rng, act.k), random_box(rng, act.k))
-            feasible, lo, hi = lp_answers(sys.L, sys.c)
-            assert sys.feasible() == feasible
+            L, c = meeting_system(act, random_box(rng, act.k), random_box(rng, act.k))
+            feasible, lo, hi = lp_answers(L, c)
+            nonempty, point, klo, khi = _polyhedra(L, c)
+            assert nonempty[0] == feasible
             if not feasible:
                 seen["empty"] += 1
                 with pytest.raises(InfeasibleSystem):
-                    is_relatively_compact(sys)
+                    is_relatively_compact(L, c)
                 continue
-            nonempty, point, klo, khi = _polyhedra(sys.L, sys.c)
-            assert nonempty[0] and np.all(sys.L @ point[0] <= sys.c + 1e-9)
+            assert np.all(L @ point[0] <= c + 1e-9)
             npt.assert_allclose(klo[0], lo, rtol=1e-9, atol=1e-9)
             npt.assert_allclose(khi[0], hi, rtol=1e-9, atol=1e-9)
-            bounded, u = is_relatively_compact(sys)
+            bounded, u = is_relatively_compact(L, c)
             assert bounded == bool(np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)))
             if bounded:
                 seen["bounded"] += 1
@@ -544,7 +543,7 @@ class TestPolyhedralKernel:
             else:
                 seen["unbounded"] += 1
                 assert np.max(np.abs(u)) == pytest.approx(1.0)
-                assert np.max(sys.L @ u, initial=-np.inf) <= 1e-9
+                assert np.max(L @ u, initial=-np.inf) <= 1e-9
         assert min(seen.values()) >= 10, seen
 
     def test_point_systems_match_linprog(self):

@@ -31,6 +31,7 @@ from orbitscope.wavelet import (
     _haar_integral,
     _half_lattice,
     _lattice_slices,
+    _nested_trapezoid,
     _padded_boxes,
     _shell_share,
     cell_rule,
@@ -38,7 +39,6 @@ from orbitscope.wavelet import (
     cwt,
     cwt_slices,
     l1_estimate,
-    meeting_param_box,
     radial_l1,
     smoothstep,
     synth_wavelet,
@@ -385,6 +385,15 @@ class TestCalderon:
         assert peak <= 1.5e6
 
 
+class TestNestedTrapezoid:
+    def test_memory_layout_moves_no_digit(self):
+        # np.sum adds in another order on an F-ordered (2, N) array
+        f = np.random.default_rng(12).standard_normal((2, 4097))
+        for a, b in zip(_nested_trapezoid(np.ascontiguousarray(f), 0.1),
+                        _nested_trapezoid(np.asfortranarray(f), 0.1)):
+            npt.assert_array_equal(a, b)
+
+
 class TestHaarIntegral:
     @pytest.mark.parametrize("name, orders", [
         ("spec_1d", (8,)), ("spec_1d", (12,)), ("spec_case_a", (8, 12)),
@@ -558,7 +567,7 @@ class TestLatticeSlices:
         # the factor tables see the same floats as block_values on rf . exp(W t)
         spec = request.getfixturevalue(name)
         rf = spec.action.block_abs(_half_lattice(shape, (dx,) * len(shape))[1])
-        box = meeting_param_box(spec.action, spec.W, margin=0.0)
+        box = spec.meeting_box
         if lattice == "l1":
             ts = cell_rule(box, 20)[0]
         elif lattice == "containment":
@@ -630,12 +639,22 @@ def _sine_transform_l1(q, lo, hi, R=600.0, h=0.02, dk=2e-3):
     return 4.0 * np.pi * h * np.sum(np.abs(f) * rho ** 2)
 
 
+# the scale of the bump profiles phi(rho) phi(c rho) below
+_BUMP_SCALE = np.exp(0.4)
+
+
 @pytest.fixture(scope="module")
-def bump_profile():
-    """phi(rho) phi(e^0.4 rho) for the bump between C = [1, 2] and W = [0.5, 3]."""
+def bump_factor():
+    """phi of the bump between C = [1, 2] and W = [0.5, 3]."""
     act = diagonal_action(DilationAlgebra([np.array([[1.0, -1.0], [1.0, 1.0]])]))
     spec = synth_wavelet(act, BoxSet([(1.0, 2.0)]), BoxSet([(0.5, 3.0)]))
-    return lambda rho: spec.factor(0, rho) * spec.factor(0, np.exp(0.4) * rho)
+    return lambda rho: spec.factor(0, rho)
+
+
+@pytest.fixture(scope="module")
+def bump_profile(bump_factor):
+    """phi(rho) phi(e^0.4 rho) for the bump between C = [1, 2] and W = [0.5, 3]."""
+    return lambda rho: bump_factor(rho) * bump_factor(_BUMP_SCALE * rho)
 
 
 class TestRadialL1:
@@ -643,24 +662,42 @@ class TestRadialL1:
                                         (5, 1e-11), (6, 1e-8)])
     def test_gaussian_has_unit_norm(self, m, tol):
         # F^{-1}[exp(-|w|^2/2)] = (2 pi)^{-m/2} exp(-|x|^2/2) has L1 norm 1 in
-        # every dimension; even m leaves an O(dx^4) end error at rho = 0
-        full, half = radial_l1(lambda rho: np.exp(-rho ** 2 / 2), m, 256, 0.15, 0.1, 12.0)
+        # every dimension; even m leaves an O(dx^4) end error at rho = 0.  The
+        # profile is phi(rho) phi(1 rho) with phi = exp(-rho^2/4)
+        (full,), (half,) = radial_l1(lambda rho: np.exp(-rho ** 2 / 4), [1.0], m, 256, 0.15, 0.1,
+                                     12.0)
         assert abs(full - 1.0) <= tol and abs(half - 1.0) <= tol
 
     @pytest.mark.parametrize("m", [1, 2])
-    def test_bump_against_dense_fft(self, bump_profile, m):
+    def test_bump_against_dense_fft(self, bump_factor, bump_profile, m):
         # sum |inverse FFT| over the whole m-D lattice is the L1 norm
         n, dx = 1024, np.pi / 12.0
         axes = [2.0 * np.pi * np.fft.fftfreq(n, dx)] * (m - 1) + [
             2.0 * np.pi * np.fft.rfftfreq(n, dx)]
         rad = np.sqrt(sum(g ** 2 for g in np.meshgrid(*axes, indexing="ij")))
         dense = np.sum(np.abs(np.fft.irfftn(bump_profile(rad), s=(n,) * m, axes=range(m))))
-        full, _ = radial_l1(bump_profile, m, n, dx, 0.125, 3.0)
+        (full,), _ = radial_l1(bump_factor, [_BUMP_SCALE], m, n, dx, 0.125, 3.0)
         npt.assert_allclose(full, dense, rtol=1e-4)
 
-    def test_m3_bump_against_sine_transform(self, bump_profile):
-        full, _ = radial_l1(bump_profile, 3, 4096, np.pi / 24.0, 0.125, 3.0)
+    def test_m3_bump_against_sine_transform(self, bump_factor, bump_profile):
+        (full,), _ = radial_l1(bump_factor, [_BUMP_SCALE], 3, 4096, np.pi / 24.0, 0.125, 3.0)
         npt.assert_allclose(full, _sine_transform_l1(bump_profile, 0.5, 3.0), rtol=2e-4)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_scales_together_equal_each_alone(self, bump_factor, m):
+        # one phi grid and batched transforms for all scales give each
+        # scale's bits alone: scale c reads the grid's corner up to 3 / c.
+        # On 1024 points a transform takes 16 of the 40 scales, and at
+        # du = 0.002 the Abel grid's 1500 u-columns leave 10 of its 129 rows
+        # per chunk, so both the batches and the chunks split
+        scales = np.exp(np.linspace(0.0, 3.0, 40))
+        together = radial_l1(bump_factor, scales, m, 1024, np.pi / 12.0, 0.002, 3.0)
+        alone = np.array([radial_l1(bump_factor, [c], m, 1024, np.pi / 12.0, 0.002, 3.0)[:, 0]
+                          for c in scales]).T
+        assert together.shape == (2, 40)
+        npt.assert_array_equal(together, alone)
+        # phi(rho) phi(c rho) vanishes when c >= hi / lo = 6 of W
+        assert np.all(together[0, scales < 5.0] > 0) and np.all(together[:, scales >= 6.0] == 0)
 
 
 # the unscaled boxes of the benchmark's wavelet jobs
@@ -730,6 +767,19 @@ class TestL1Estimate:
         assert any("lattice capped" in str(w.message) for w in caught)
         assert rep.convergence["lattice_capped"]
         assert rep.convergence["lattice"] == [2 ** 13, 2 ** 14]
+
+    def test_peak_memory_case_a(self, spec_case_a):
+        # phi_k's grid chunks and the irfft batches hold at most 2^14 points
+        # each: 1.12 MB traced with numpy 2.4.  The bound is 0.1 MB above the
+        # 2.67 MB that one transform of all the odd block's s-nodes took
+        l1_estimate(spec_case_a)  # first-call allocations
+        tracemalloc.start()
+        try:
+            l1_estimate(spec_case_a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.77e6
 
     def test_odd_param_counts_refused(self, spec_1d):
         with pytest.raises(ValueError, match="even"):
