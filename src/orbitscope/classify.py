@@ -138,11 +138,11 @@ def classify3(alg: DilationAlgebra) -> ClassificationVerdict:
     scale = alg.scale()
     tol = alg.tol
     if alg.d == 3:
-        return _classify_d3(rd, scale, tol)
+        return _classify_d3(rd, tol)
     return _classify_d2(alg, rd, scale, tol)
 
 
-def _classify_d3(rd, scale, tol):
+def _classify_d3(rd, tol):
     if not rd.all_real():
         return _unclassified(
             ("d = 3 with complex roots: finitely many open orbits but absent "
@@ -165,15 +165,12 @@ def _classify_d3(rd, scale, tol):
         return _unclassified(("d = 3 with a single zero root is not realizable",))
     if len(rd.nilpotent_basis) != 2:
         return _unclassified(("d = 3, p = 1 with unexpected nilpotent dimension",))
-    for N in rd.nilpotent_basis:
-        if np.linalg.norm(N @ N) > tol * np.linalg.norm(N) ** 2:
-            return _unclassified(
-                ("d = 3, p = 1 whose nilpotent ideal contains an element with "
-                 "nonzero square: not conjugate to case (c), absent from the table",),
-            )
-    sq = rd.nilpotent_basis[0] @ rd.nilpotent_basis[1]
-    if np.linalg.norm(sq) > tol * scale ** 2:
-        return _unclassified(("d = 3, p = 1 with non-annihilating nilpotent pair",))
+    # square-zero basis elements annihilate: docs/square_zero_pencils.md#two-uses-in-the-ladder
+    if not all(_square_vanishes(N, tol) for N in rd.nilpotent_basis):
+        return _unclassified(
+            ("d = 3, p = 1 whose nilpotent ideal contains an element with "
+             "nonzero square: not conjugate to case (c), absent from the table",),
+        )
     return ClassificationVerdict(
         "(c)", YES, YES, YES, YES,
         witnesses={"open_orbits": 2, "section": "one point per half-space orbit"},
@@ -250,31 +247,33 @@ def _merged_root_degeneracy(rd, scale):
     return (f"repeated root carries spread {spread:.2e}",), (alt,)
 
 
+def _square_vanishes(N, tol) -> bool:
+    """N^2 = 0, in the units of N: ||N^2|| <= tol ||N||^2."""
+    return np.linalg.norm(N @ N) <= tol * np.linalg.norm(N) ** 2
+
+
 def _classify_case1(alg, rd, scale, tol) -> ClassificationVerdict:
     """p = 1 with nonzero real root: never compact, never integrable.
 
     The subcase letter follows the canonical pencil presentation: Y(b) =
     N(A0) + b X with X spanning the nilpotent ideal; 1a if some Y(b) = 0,
-    1b if some Y(b)^2 = 0, else 1c.
+    1b if some Y(b)^2 = 0, else 1c.  Some Y(b)^2 vanishes unless X^2 = 0
+    while N(A0)^2 != 0 (docs/square_zero_pencils.md#the-lemma), so 1b and 1c
+    are told apart by two squares, with no root found.
     """
     lam = rd.balanced_roots[0].real
     X = rd.nilpotent_basis[0]
     a0 = np.linalg.lstsq(lam.reshape(1, -1), np.array([1.0]), rcond=None)[0]
-    A0 = alg.balanced_element(a0)
-    N0 = A0 - np.eye(3)
-    xnorm = np.linalg.norm(X)
-    tag = "1c"
+    N0 = alg.balanced_element(a0) - np.eye(3)
+    single_layer = _square_vanishes(X, tol)
     bstar = -float(np.sum(N0 * X)) / float(np.sum(X * X))
     if np.linalg.norm(N0 + bstar * X) <= PENCIL_TOL * scale:
         tag = "1a"
+    elif single_layer and not _square_vanishes(N0, tol):
+        tag = "1c"
     else:
-        C0, C1, C2 = N0 @ N0, N0 @ X + X @ N0, X @ X
-        for b in _quadratic_candidates(C0, C1, C2):
-            if np.linalg.norm(C0 + b * C1 + b * b * C2) <= PENCIL_TOL * scale ** 2:
-                tag = "1b"
-                break
-    two_layer = np.linalg.norm(X @ X) > tol * xnorm ** 2
-    if two_layer:
+        tag = "1b"
+    if not single_layer:
         return ClassificationVerdict(
             tag, NO, UNKNOWN, UNKNOWN, NO,
             notes=("two nonempty layers (X^2 != 0); conull sets escape to infinity",),
@@ -284,22 +283,6 @@ def _classify_case1(alg, rd, scale, tol) -> ClassificationVerdict:
         witnesses={"section": "single-layer section {p_b(v) = 0, |p_b(Xv)| = 1}"},
         notes=("single layer; global noncompact section",),
     )
-
-
-def _quadratic_candidates(C0, C1, C2):
-    cands = {0.0}
-    it = np.nditer(C0, flags=["multi_index"])
-    for _ in it:
-        i, j = it.multi_index
-        c2, c1, c0 = C2[i, j], C1[i, j], C0[i, j]
-        if abs(c2) > ROUNDING:
-            disc = c1 * c1 - 4 * c2 * c0
-            if disc >= 0:
-                cands.add((-c1 + np.sqrt(disc)) / (2 * c2))
-                cands.add((-c1 - np.sqrt(disc)) / (2 * c2))
-        elif abs(c1) > ROUNDING:
-            cands.add(-c0 / c1)
-    return sorted(cands)
 
 
 def _classify_case3_complex(rd, scale, tol) -> ClassificationVerdict:
@@ -364,9 +347,9 @@ def _classify_case4(rd, scale, tol) -> ClassificationVerdict:
                 if (aa, bb) != (alpha, beta):
                     v = _case4_verdict(aa, bb)
                     alternates.append({"params": (aa, bb), **v.fields()})
+            notes.append("near-zero parameter snapped to 0")
         alpha = 0.0 if abs(alpha) <= snap else alpha
         beta = 0.0 if abs(beta) <= snap else beta
-        notes.append("near-zero parameter snapped to 0")
     return _case4_verdict(alpha, beta, notes=tuple(notes), alternates=tuple(alternates))
 
 

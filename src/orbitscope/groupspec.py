@@ -184,7 +184,8 @@ def make_report(subcommand: str, payload: dict, *, seed: int, tol: float,
 
 
 def dump_report(report: dict, path: str | None) -> str:
-    text = json.dumps(report, indent=2, sort_keys=True, default=_default) + "\n"
+    """One JSON object on one line, keys sorted: unindented, json encodes it in C."""
+    text = json.dumps(report, sort_keys=True, default=_default) + "\n"
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)

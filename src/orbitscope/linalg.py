@@ -35,14 +35,14 @@ DEFAULT_TOL = 1e-9
 KERNEL_TOL = 1e-8  # relative cut, each step conditioned like M; x ||M||_F
 SHIFT_ZERO_TOL = 1e-9  # M's rounding from its source (A_gen - mu, X on a block); x ref = ||source||_F
 # below the rounding of its scale: eigenvalue gaps (x ||A_gen||_F), merged-root
-# spread (x scale), ray entries, adapted-basis det and pencil coefficients (x 1)
+# spread (x scale), ray entries and adapted-basis det (x 1)
 ROUNDING = 1e-12
 CLUSTER_TOL = 1e-6  # one invariant root per cluster: ||X B - B M|| (x scale), ||B N^n|| (x scale^n)
 SEMISIMPLE_TOL = 1e-7  # a generator's nilpotent part on a root block is zero; x ||B_j||_F
 ROOT_PART_TOL = 1e-8  # Im of a root (realness), Re of case 3b's w (product); x scale
 BLOCK_RANK_TOL = 1e-8  # rank of [Re B, Im B], a kept root's real span; x largest
 ROOT_ROWS_TOL = 1e-9  # rank of the root rows (nilpotent basis, a real root's kernel); x largest
-PENCIL_TOL = 1e-8  # case-1 pencil Y(b) = 0 (x scale) and Y(b)^2 = 0 (x scale^2)
+PENCIL_TOL = 1e-8  # case-1 pencil Y(b) = 0, subcase 1a (1b/1c read squares at alg.tol); x scale
 SPAN_RESID_TOL = 1e-8  # least-squares residual of a semisimple part in the algebra; x ||S||_F
 CHAIN_RANK_TOL = 1e-10  # rank of stacked Jordan-chain vectors; x largest
 NEW_CHAIN_TOL = 1e-6  # a unit kernel vector's part off the avoided span starts a chain; x 1

@@ -120,6 +120,42 @@ def family_3000(seed: int) -> tuple[list, list]:
     return sizes, [np.linalg.solve(P, G @ P) for G in gens]
 
 
+_J3 = F.E(2, 1) + F.E(3, 2)
+# the census shapes: the six maximal commutative subalgebras of gl(3) up to
+# conjugacy, each as a basis in the order its coefficients C are drawn
+CENSUS_SHAPES = {
+    "diagonal": [F.E(1, 1), F.E(2, 2), F.E(3, 3)],
+    "diag+J2": [np.diag([1.0, 1.0, 0.0]), np.diag([0.0, 0.0, 1.0]), F.E(2, 1)],
+    "poly(J3)": [np.eye(3), _J3, _J3 @ _J3],
+    "rot+axis": [np.diag([1.0, 1.0, 0.0]), F.E(2, 1) - F.E(1, 2), np.diag([0.0, 0.0, 1.0])],
+    "sqzero": [np.eye(3), F.E(2, 1), F.E(3, 1)],
+    "sqzeroT": [np.eye(3), F.E(1, 2), F.E(1, 3)],
+}
+
+
+def census_draws() -> list:
+    """The 3000 n = 3 census draws, as (shape, C, generators) for i = 0..2999,
+    from one default_rng(0) stream: the (i mod 6)-th shape of CENSUS_SHAPES,
+    d = integers(2, 4), C = standard_normal((d, 3)), replaced by
+    integers(-2, 3, (d, 3)) when i mod 3 = 0 (the normal draw is made either
+    way), and the generators C times the basis, each conjugated to P^-1 G P
+    with P = standard_normal((3, 3)) + 3I.  C is the draw's exact coefficient
+    array; the generators may be linearly dependent (87 integer draws are)."""
+    rng = np.random.default_rng(0)
+    names = list(CENSUS_SHAPES)
+    draws = []
+    for i in range(3000):
+        shape = names[i % 6]
+        d = int(rng.integers(2, 4))
+        C = rng.standard_normal((d, 3))
+        if i % 3 == 0:
+            C = rng.integers(-2, 3, (d, 3)).astype(float)
+        P = rng.standard_normal((3, 3)) + 3.0 * np.eye(3)
+        gens = [sum(c * B for c, B in zip(row, CENSUS_SHAPES[shape])) for row in C]
+        draws.append((shape, C, [np.linalg.solve(P, G @ P) for G in gens]))
+    return draws
+
+
 @pytest.fixture(scope="session")
 def golden_families():
     return {

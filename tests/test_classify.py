@@ -1,8 +1,12 @@
 
+import json
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from orbitscope import families as F
+from orbitscope import sections
 from orbitscope.classify import (
     ClassificationVerdict,
     classify3,
@@ -18,7 +22,7 @@ from orbitscope.errors import (
 from orbitscope.linalg import DilationAlgebra, roots_decompose
 from orbitscope.orbits import stratify
 
-from conftest import conjugated, diag_nilpotent_pair
+from conftest import census_draws, conjugated, diag_nilpotent_pair
 
 
 def fields(v):
@@ -311,3 +315,85 @@ class TestDispatchScale:
             for s in (1e300, 1e100, 1e-12, 1e-300):
                 alg = DilationAlgebra([s * (A + X), s * (A - 2.0 * X)])
                 assert classify_dispatch(alg).to_json() == ref, (seed, s)
+
+
+class TestLadderBranches:
+    """Branches of the n = 3 ladder that no golden family reaches, pinned at
+    their present verdicts."""
+
+    def test_case4_beta_near_zero(self):
+        with pytest.warns(DegenerateParameter):
+            v = classify3(F.family_b(-1.0, 1e-12))
+        assert v.case_tag == "4" and v.normalized_params == (-1.0, 0.0)
+        assert fields(v) == ("no", "unknown", "unknown", "no")
+        assert "near-zero parameter snapped to 0" in v.notes
+        alternates = json.loads(json.dumps(v.to_json()))["alternates"]
+        assert [(a["params"][0], a["params"][1] > 0, a["integrable"]) for a in alternates] == [
+            (-1.0, True, "open"), (-1.0, False, "no")]
+
+    def test_exact_zero_parameter_is_not_snapped(self):
+        # alpha is exactly 0: nothing moves, so no note says it did
+        v = classify3(F.family_b(2.0, 0.0))
+        assert v.case_tag == "(b)" and fields(v) == ("yes",) * 4
+        assert v.normalized_params == (0.0, 0.5)
+        assert "near-zero parameter snapped to 0" not in v.notes
+
+    def test_third_root_vanishes(self):
+        v = classify3(DilationAlgebra([np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 0.0])]))
+        assert v.case_tag == "4" and fields(v) == ("no", "unknown", "unknown", "no")
+        assert v.normalized_params == (0.0, 0.0) and "third root vanishes" in v.notes
+
+    def test_case2_with_a_zero_root(self):
+        alg = DilationAlgebra([np.diag([1.0, 1.0, 0.0]), F.E(2, 1)])
+        assert roots_decompose(alg).zero_root is not None
+        v = classify3(alg)
+        assert v.case_tag == "2" and fields(v) == ("no", "unknown", "unknown", "no")
+
+    def test_zero_root_with_a_complex_root(self):
+        v = classify3(DilationAlgebra([np.diag([1.0, 1.0, 0.0]), F.E(2, 1) - F.E(1, 2)]))
+        assert v.case_tag == "unclassified"
+        assert fields(v) == ("no", "unknown", "unknown", "unclassified")
+
+    def test_imaginary_c_without_product_structure(self):
+        # [R (+) 0, I]: the complex root's real part does not vanish on the
+        # real root's kernel direction
+        v = classify3(DilationAlgebra([F.E(2, 1) - F.E(1, 2), np.eye(3)]))
+        assert v.case_tag == "unclassified"
+        assert fields(v) == ("no", "no", "no", "unclassified")
+        assert v.notes[0].startswith("purely imaginary c with non-product mixing")
+
+    def test_pair_route_refuses_case1b(self):
+        # the semisimple part of I + E21 is I, which is not in span{I + E21, E31}
+        assert sections.diag_nilpotent_pair(F.case1b()) is None
+
+
+def _exact_case1(shape, C):
+    """(case tag, compact, section, quasi-section, integrable) of a d = 2
+    census draw of poly(J3), sqzero or sqzeroT, in exact arithmetic on its
+    unconjugated coefficients (a, u, v) on the basis (I, N1, N2)."""
+    (a1, u1, v1), (a2, u2, v2) = [[Fraction(float(x)) for x in row] for row in C]
+    assert (a1, a2) != (0, 0)  # a nonzero root: case 1, not case 0
+    w = a2 * u1 - a1 * u2  # the N1 part of the nilpotent direction a2 C_1 - a1 C_2
+    if u1 * v2 - u2 * v1 == 0:  # I lies in h, so some Y(b) = 0
+        tag = "1a"
+    elif shape == "poly(J3)" and w == 0:  # X = z J^2 while N0 has a J part
+        tag = "1c"
+    else:
+        tag = "1b"
+    # X^2 = w^2 J^2 on poly(J3); every element of the square-zero shapes squares to 0
+    if shape == "poly(J3)" and w != 0:
+        return (tag, "no", "unknown", "unknown", "no")
+    return (tag, "no", "yes", "yes", "no")
+
+
+class TestCensusCase1:
+    def test_tags_and_fields_are_exact(self):
+        # every d = 2 census draw of a shape whose roots are one real root:
+        # its verdict on the conjugated generators against exact arithmetic
+        # on the unconjugated coefficients
+        draws = [(i, shape, C, gens) for i, (shape, C, gens) in enumerate(census_draws())
+                 if shape in ("poly(J3)", "sqzero", "sqzeroT") and len(C) == 2]
+        assert len(draws) == 732
+        wrong = [i for i, shape, C, gens in draws
+                 if verdict(classify_dispatch(DilationAlgebra(gens))) != _exact_case1(shape, C)]
+        assert wrong == []
